@@ -154,6 +154,8 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.folds < 2:
+        return _fail(f"--folds must be at least 2, got {args.folds}")
     dataset_path = os.path.join(args.out, "dataset.csv")
     if not os.path.exists(dataset_path):
         return _fail(f"no dataset at {dataset_path}")

@@ -70,59 +70,172 @@ class BaseEstimator:
 # CART decision tree (Gini impurity)
 # ---------------------------------------------------------------------------
 
-class _Leaf:
-    __slots__ = ("klass",)
+class _RankedData:
+    """A training set in the form every node's split search reads.
 
-    def __init__(self, klass):
-        self.klass = klass
+    Built once per fit and shared by all trees of a forest. keys[f, i] packs
+    the dense rank of X[i, f] among feature f's distinct values with the class
+    of row i as rank * n_classes + y[i], so sorting a node's keys of one
+    feature groups its rows by value, then by class. The keys are int16 when
+    they fit, which numpy sorts with a radix sort.
+    """
+
+    def __init__(self, X, y_idx, n_classes):
+        uniques = [np.unique(x, return_inverse=True) for x in X.T]
+        self.values = [values for values, _ in uniques]
+        self.n_values = max(len(values) for values in self.values)
+        top = self.n_values * n_classes
+        self.keys = np.empty(X.T.shape, dtype=np.int16
+                             if top <= np.iinfo(np.int16).max + 1
+                             else np.int64)
+        for f, (_, rank) in enumerate(uniques):
+            self.keys[f] = rank * n_classes + y_idx
+        self.X = X
+        self.y = y_idx
+        self.n_classes = n_classes
 
 
-class _Split:
-    __slots__ = ("feature", "threshold", "left", "right")
+def _best_split(data, rows, counts, feature_ids, min_leaf):
+    """-> (weighted_gini, feature, threshold) or None.
 
-    def __init__(self, feature, threshold, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    The same split as a scan of every boundary between distinct values of
+    every candidate feature: the same Gini expression is evaluated at the
+    valid boundaries only, ties go to the lower feature and then the first
+    boundary, and the threshold is the midpoint of the values around it.
+    """
+    n = len(rows)
+    k = data.n_classes
+    keys = data.keys[feature_ids].take(rows, axis=1)
+    keys.sort(axis=1, kind="stable")
+    keys = keys.ravel()
+    # the last element of each run of one (feature, value, class)
+    last = np.empty(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[n - 1::n] = True
+    ends = last.nonzero()[0]
+    value, klass = np.divmod(keys[ends], k)
+    # number the segments, the runs of one (feature, value), from 0
+    block = ends // n
+    seg_key = block * data.n_values + value
+    seg = np.empty(len(ends), dtype=np.int64)
+    seg[0] = 0
+    np.cumsum(seg_key[1:] != seg_key[:-1], out=seg[1:])
+    # class counts up to each segment's end, running on through the blocks;
+    # every block before a segment's own holds each of the node's rows once
+    left = np.bincount(seg * k + klass, weights=np.diff(ends, prepend=-1),
+                       minlength=(seg[-1] + 1) * k)
+    left = left.reshape(-1, k).cumsum(axis=0)
+    through = left.sum(axis=1)
+    seg_block = (through - 1) // n
+    left -= seg_block[:, None] * counts
+    sizes = through - seg_block * n
+    cand = ((sizes >= min_leaf)
+            & (sizes <= n - max(min_leaf, 1))).nonzero()[0]
+    if not len(cand):
+        return None
+    left_counts = left[cand]
+    sizes_l = sizes[cand]
+    sizes_r = n - sizes_l
+    gini_l = 1.0 - ((left_counts / sizes_l[:, None]) ** 2).sum(axis=1)
+    right_counts = counts.astype(np.float64) - left_counts
+    gini_r = 1.0 - ((right_counts / sizes_r[:, None]) ** 2).sum(axis=1)
+    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
+    i = int(weighted.argmin())
+    s = cand[i]
+    j = int(seg_block[s])
+    end = j * n + int(sizes[s]) - 1
+    f = int(feature_ids[j])
+    values = data.values[f]
+    return (float(weighted[i]), f,
+            float((values[keys[end] // k] + values[keys[end + 1] // k]) / 2.0))
 
 
-def _best_split(X, y_idx, n_classes, feature_ids, min_leaf):
-    """-> (weighted_gini, feature, threshold) or None."""
-    n = len(y_idx)
-    total_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
-    best = None
-    for f in feature_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="mergesort")
-        xs = x[order]
-        if xs[0] == xs[-1]:
+def _feature_candidates(d, max_features, rng):
+    if max_features is None:
+        return np.arange(d)
+    if max_features == "sqrt":
+        m = max(1, int(np.sqrt(d)))
+    else:
+        m = max(1, min(d, int(max_features)))
+    if m >= d:
+        return np.arange(d)
+    return np.sort(rng.choice(d, size=m, replace=False))
+
+
+class _Tree:
+    """A fitted CART tree as flat arrays indexed by node; node 0 is the root.
+
+    feature is -1 at a leaf. A row goes to left[node] when its value of
+    feature[node] is <= threshold[node]; klass is the node's majority class.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "klass")
+
+    def __init__(self, feature, threshold, left, right, klass):
+        self.feature = np.array(feature, dtype=np.int64)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.int64)
+        self.right = np.array(right, dtype=np.int64)
+        self.klass = np.array(klass, dtype=np.int64)
+
+    def apply(self, X) -> np.ndarray:
+        """-> the class index of the leaf each row of X reaches."""
+        node = np.zeros(len(X), dtype=np.int64)
+        live = np.arange(len(X))
+        while len(live):
+            at = node[live]
+            split = self.feature[at] >= 0
+            live, at = live[split], at[split]
+            go_left = X[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return self.klass[node]
+
+
+def _grow_tree(data, rows, max_depth, min_leaf, max_features, rng) -> _Tree:
+    """Greedy CART from the training rows `rows` of data (repeats allowed).
+
+    Nodes are grown depth first, left before right, and rng is drawn from
+    only at nodes that search for a split, in that order.
+    """
+    feature, threshold, left, right, klass = [], [], [], [], []
+    d = data.X.shape[1]
+    # (rows, depth, parent, the parent's left or right list)
+    stack = [(rows, 0, 0, None)]
+    while stack:
+        rows, depth, parent, link = stack.pop()
+        node = len(feature)
+        if link is not None:
+            link[parent] = node
+        counts = np.bincount(data.y[rows], minlength=data.n_classes)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        klass.append(int(counts.argmax()))
+        if np.count_nonzero(counts) == 1 or depth >= max_depth or \
+                len(rows) < 2 * min_leaf:
             continue
-        ys = y_idx[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[:-1]
-        sizes_l = np.arange(1, n, dtype=np.float64)
-        sizes_r = n - sizes_l
-        valid = (xs[1:] != xs[:-1]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-        if not valid.any():
+        split = _best_split(data, rows, counts,
+                            _feature_candidates(d, max_features, rng),
+                            min_leaf)
+        if split is None:
             continue
-        gini_l = 1.0 - ((left_counts / sizes_l[:, None]) ** 2).sum(axis=1)
-        right_counts = total_counts - left_counts
-        gini_r = 1.0 - ((right_counts / sizes_r[:, None]) ** 2).sum(axis=1)
-        weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
-        weighted[~valid] = np.inf
-        i = int(np.argmin(weighted))
-        if best is None or weighted[i] < best[0]:
-            best = (float(weighted[i]), f, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+        _, f, thr = split
+        mask = data.X[rows, f] <= thr
+        if np.count_nonzero(mask) in (0, len(rows)):
+            continue
+        feature[node] = f
+        threshold[node] = thr
+        stack.append((rows[~mask], depth + 1, node, right))
+        stack.append((rows[mask], depth + 1, node, left))
+    return _Tree(feature, threshold, left, right, klass)
 
 
 class DecisionTreeClassifier(BaseEstimator):
     """Greedy CART on Gini impurity with midpoint thresholds.
 
-    Ties break toward the lower feature index and the lower class index, so
-    trained trees are reproducible.
+    Ties break toward the lower feature index, the first boundary and the
+    lower class index, so trained trees are reproducible.
     """
 
     def __init__(self, max_depth=12, min_leaf=1, max_features=None,
@@ -135,54 +248,15 @@ class DecisionTreeClassifier(BaseEstimator):
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
-        self.n_features_ = X.shape[1]
-        self._rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(X, y_idx, depth=0)
+        data = _RankedData(X, y_idx, len(self.classes_))
+        self.tree_ = _grow_tree(data, np.arange(len(X)), self.max_depth,
+                                self.min_leaf, self.max_features,
+                                np.random.default_rng(self.random_state))
         return self
-
-    def _feature_candidates(self):
-        d = self.n_features_
-        if self.max_features is None:
-            return np.arange(d)
-        if self.max_features == "sqrt":
-            m = max(1, int(np.sqrt(d)))
-        else:
-            m = max(1, min(d, int(self.max_features)))
-        if m >= d:
-            return np.arange(d)
-        return np.sort(self._rng.choice(d, size=m, replace=False))
-
-    def _grow(self, X, y_idx, depth):
-        counts = np.bincount(y_idx, minlength=len(self.classes_))
-        majority = int(np.argmax(counts))
-        if (counts > 0).sum() == 1 or depth >= self.max_depth or \
-                len(y_idx) < 2 * self.min_leaf:
-            return _Leaf(majority)
-        split = _best_split(X, y_idx, len(self.classes_),
-                            self._feature_candidates(), self.min_leaf)
-        if split is None:
-            return _Leaf(majority)
-        _, f, thr = split
-        mask = X[:, f] <= thr
-        if not mask.any() or mask.all():
-            return _Leaf(majority)
-        left = self._grow(X[mask], y_idx[mask], depth + 1)
-        right = self._grow(X[~mask], y_idx[~mask], depth + 1)
-        return _Split(f, thr, left, right)
-
-    def _predict_idx(self, X) -> np.ndarray:
-        out = np.empty(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            node = self._root
-            while isinstance(node, _Split):
-                node = node.left if row[node.feature] <= node.threshold \
-                    else node.right
-            out[i] = node.klass
-        return out
 
     def predict(self, X):
         X = check_array(X)
-        return self.classes_[self._predict_idx(X)]
+        return self.classes_[self.tree_.apply(X)]
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -204,31 +278,26 @@ class RandomForestClassifier(BaseEstimator):
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
+        data = _RankedData(X, y_idx, len(self.classes_))
         rng = np.random.default_rng(self.random_state)
         n = len(X)
-        self._trees = []
-        for t in range(self.n_trees):
+        self.trees_ = []
+        for _ in range(self.n_trees):
             if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
+                rows = rng.integers(0, n, size=n)
             else:
-                idx = np.arange(n)
-            tree = DecisionTreeClassifier(max_depth=self.max_depth,
-                                          min_leaf=self.min_leaf,
-                                          max_features=self.max_features,
-                                          random_state=int(rng.integers(2**31)))
-            tree.classes_ = np.arange(len(self.classes_))
-            tree.n_features_ = X.shape[1]
-            tree._rng = np.random.default_rng(tree.random_state)
-            tree._root = tree._grow(X[idx], y_idx[idx], depth=0)
-            self._trees.append(tree)
+                rows = np.arange(n)
+            tree_rng = np.random.default_rng(int(rng.integers(2**31)))
+            self.trees_.append(_grow_tree(data, rows, self.max_depth,
+                                          self.min_leaf, self.max_features,
+                                          tree_rng))
         return self
 
     def predict(self, X):
         X = check_array(X)
         votes = np.zeros((len(X), len(self.classes_)), dtype=np.int64)
-        for tree in self._trees:
-            pred = tree._predict_idx(X)
-            votes[np.arange(len(X)), pred] += 1
+        for tree in self.trees_:
+            votes[np.arange(len(X)), tree.apply(X)] += 1
         return self.classes_[np.argmax(votes, axis=1)]
 
 
@@ -283,20 +352,26 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
+def _logistic_grad(X, t, w, p, l2) -> np.ndarray:
+    """The gradient part of binary_logistic_loss_and_grad, given the
+    predicted probabilities p = sigmoid(X w + b)."""
+    n = len(X)
+    grad_w = X.T @ (p - t) / n + l2 * w
+    grad_b = np.mean(p - t)
+    return np.concatenate([grad_w, [grad_b]])
+
+
 def binary_logistic_loss_and_grad(params, X, t, l2=0.0) -> tuple:
     """Cross-entropy of sigmoid(X w + b) plus L2 on w.
 
     params stacks [w..., b]; returns (loss, grad) for gradient checking.
     """
     w, b = params[:-1], params[-1]
-    n = len(X)
     p = _sigmoid(X @ w + b)
     eps = 1e-12
     loss = -np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))
     loss += 0.5 * l2 * float(w @ w)
-    grad_w = X.T @ (p - t) / n + l2 * w
-    grad_b = np.mean(p - t)
-    return loss, np.concatenate([grad_w, [grad_b]])
+    return loss, _logistic_grad(X, t, w, p, l2)
 
 
 class LogisticRegressionOvR(BaseEstimator):
@@ -315,10 +390,13 @@ class LogisticRegressionOvR(BaseEstimator):
         for c in range(k):
             t = (y_idx == c).astype(np.float64)
             params = np.zeros(d + 1)
+            w = params[:-1]
             for _ in range(self.epochs):
-                _, grad = binary_logistic_loss_and_grad(params, X, t, self.l2)
-                params -= self.learning_rate * grad
-            self.coef_[c] = params[:-1]
+                # the loss itself is never used, so only its gradient is made
+                p = _sigmoid(X @ w + params[-1])
+                params -= self.learning_rate * _logistic_grad(X, t, w, p,
+                                                              self.l2)
+            self.coef_[c] = w
             self.intercept_[c] = params[-1]
         return self
 
@@ -335,11 +413,17 @@ class LogisticRegressionOvR(BaseEstimator):
 # ---------------------------------------------------------------------------
 
 class KNeighborsClassifier(BaseEstimator):
+    """Majority vote of the k nearest training rows by squared Euclidean
+    distance; of rows at equal distance the lower training index is nearer,
+    and a tied vote goes to the lower class index."""
+
     def __init__(self, k=5):
         self.k = k
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
         if self.k > len(X):
             raise ValueError(f"k={self.k} exceeds training size {len(X)}")
         self._y_idx = self._encode_labels(y)
@@ -349,12 +433,16 @@ class KNeighborsClassifier(BaseEstimator):
     def predict(self, X):
         X = check_array(X)
         out = np.empty(len(X), dtype=np.int64)
-        n = len(self._X)
+        k = self.k
         k_classes = len(self.classes_)
         for i, q in enumerate(X):
             d2 = ((self._X - q) ** 2).sum(axis=1)
-            # stable nearest-k: distance then training index
-            order = np.lexsort((np.arange(n), d2))[:self.k]
-            votes = np.bincount(self._y_idx[order], minlength=k_classes)
+            # the k nearest are every row strictly nearer than the k-th
+            # distance, then the lowest-index rows at that distance
+            kth = np.partition(d2, k - 1)[k - 1]
+            nearer = np.flatnonzero(d2 < kth)
+            ties = np.flatnonzero(d2 == kth)[:k - len(nearer)]
+            nearest = np.concatenate((nearer, ties))
+            votes = np.bincount(self._y_idx[nearest], minlength=k_classes)
             out[i] = int(np.argmax(votes))
         return self.classes_[out]

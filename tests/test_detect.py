@@ -50,6 +50,11 @@ class TestKnn:
         assert knn.predict([[1.0]])[0] == "A"
         assert knn.predict([[9.0]])[0] == "B"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError):
+            KNeighborsClassifier(k=k).fit([[0.0], [1.0]], ["a", "b"])
+
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(ValueError):
             KNeighborsClassifier(k=5).fit([[0.0], [1.0]], ["a", "b"])
@@ -276,3 +281,226 @@ class TestCrossValidate:
         s = MinMaxScaler().fit(X)
         out = s.transform(np.array([[20.0]]))
         assert out[0][0] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: plain CART (full one-hot scan per feature, nested nodes,
+# per-row walk) and k-NN (full lexsort). The fast estimators must give the
+# same trees and the same predictions.
+# ---------------------------------------------------------------------------
+
+def ref_best_split(X, y_idx, n_classes, feature_ids, min_leaf):
+    n = len(y_idx)
+    total_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
+    best = None
+    for f in feature_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="mergesort")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        ys = y_idx[order]
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys] = 1.0
+        left_counts = np.cumsum(onehot, axis=0)[:-1]
+        sizes_l = np.arange(1, n, dtype=np.float64)
+        sizes_r = n - sizes_l
+        valid = (xs[1:] != xs[:-1]) & (sizes_l >= min_leaf) & \
+            (sizes_r >= min_leaf)
+        if not valid.any():
+            continue
+        gini_l = 1.0 - ((left_counts / sizes_l[:, None]) ** 2).sum(axis=1)
+        right_counts = total_counts - left_counts
+        gini_r = 1.0 - ((right_counts / sizes_r[:, None]) ** 2).sum(axis=1)
+        weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
+        weighted[~valid] = np.inf
+        i = int(np.argmin(weighted))
+        if best is None or weighted[i] < best[0]:
+            best = (float(weighted[i]), f, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def ref_candidates(d, max_features, rng):
+    if max_features is None:
+        return np.arange(d)
+    if max_features == "sqrt":
+        m = max(1, int(np.sqrt(d)))
+    else:
+        m = max(1, min(d, int(max_features)))
+    if m >= d:
+        return np.arange(d)
+    return np.sort(rng.choice(d, size=m, replace=False))
+
+
+def ref_grow(X, y_idx, n_classes, depth, params, rng):
+    """-> ("leaf", class) or (feature, threshold, left, right)."""
+    max_depth, min_leaf, max_features = params
+    counts = np.bincount(y_idx, minlength=n_classes)
+    majority = int(np.argmax(counts))
+    if (counts > 0).sum() == 1 or depth >= max_depth or \
+            len(y_idx) < 2 * min_leaf:
+        return ("leaf", majority)
+    split = ref_best_split(X, y_idx, n_classes,
+                           ref_candidates(X.shape[1], max_features, rng),
+                           min_leaf)
+    if split is None:
+        return ("leaf", majority)
+    _, f, thr = split
+    mask = X[:, f] <= thr
+    if not mask.any() or mask.all():
+        return ("leaf", majority)
+    return (f, thr,
+            ref_grow(X[mask], y_idx[mask], n_classes, depth + 1, params, rng),
+            ref_grow(X[~mask], y_idx[~mask], n_classes, depth + 1, params,
+                     rng))
+
+
+def ref_walk(node, row):
+    while node[0] != "leaf":
+        f, thr, left, right = node
+        node = left if row[f] <= thr else right
+    return node[1]
+
+
+def ref_preorder(node):
+    if node[0] == "leaf":
+        return [(-1, None, node[1])]
+    f, thr, left, right = node
+    return [(int(f), thr, None)] + ref_preorder(left) + ref_preorder(right)
+
+
+def flat_preorder(tree):
+    """The fitted array tree in the same form; node ids are preorder."""
+    out = []
+    for i, f in enumerate(tree.feature.tolist()):
+        if f < 0:
+            out.append((-1, None, int(tree.klass[i])))
+        else:
+            out.append((f, float(tree.threshold[i]), None))
+    return out
+
+
+def ref_tree(X, y, max_depth=12, min_leaf=1, max_features=None,
+             random_state=0):
+    classes, y_idx = np.unique(y, return_inverse=True)
+    rng = np.random.default_rng(random_state)
+    return classes, ref_grow(X, y_idx, len(classes), 0,
+                             (max_depth, min_leaf, max_features), rng)
+
+
+def ref_forest_predict(X, y, Q, n_trees, max_depth=12, min_leaf=1,
+                       max_features="sqrt", bootstrap=True, random_state=0):
+    classes, y_idx = np.unique(y, return_inverse=True)
+    rng = np.random.default_rng(random_state)
+    votes = np.zeros((len(Q), len(classes)), dtype=np.int64)
+    for _ in range(n_trees):
+        idx = rng.integers(0, len(X), size=len(X)) if bootstrap \
+            else np.arange(len(X))
+        tree_rng = np.random.default_rng(int(rng.integers(2**31)))
+        root = ref_grow(X[idx], y_idx[idx], len(classes), 0,
+                        (max_depth, min_leaf, max_features), tree_rng)
+        for i, row in enumerate(Q):
+            votes[i, ref_walk(root, row)] += 1
+    return classes[np.argmax(votes, axis=1)]
+
+
+def ref_knn_predict(X, y, Q, k):
+    classes, y_idx = np.unique(y, return_inverse=True)
+    out = []
+    for q in Q:
+        d2 = ((X - q) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(len(X)), d2))[:k]
+        out.append(int(np.argmax(np.bincount(y_idx[order],
+                                             minlength=len(classes)))))
+    return classes[out]
+
+
+def tied_dataset(seed, n=90, d=6, n_classes=3):
+    """Heavy ties: few distinct values, a binary and a constant feature,
+    duplicated rows and a label that depends on the features only in part."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, size=n) * 0.25,
+        rng.normal(size=n).round(1),
+        rng.integers(0, 2, size=n).astype(np.float64),
+        np.full(n, 0.5),
+        rng.normal(size=n),
+        rng.integers(0, 3, size=n) / 3.0,
+    ])[:, :d]
+    X[n // 2:n // 2 + n // 6] = X[:n // 6]
+    y = np.where(X[:, 0] + 0.3 * X[:, 1] > 0.4, "b", "a").astype(object)
+    flip = rng.random(n) < 0.2
+    y[flip] = rng.choice(["a", "b", "c"][:n_classes], size=flip.sum())
+    Q = np.vstack([X, rng.normal(size=(40, d)).round(1) * 0.5])
+    return X, y.astype(str), Q
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 2])
+    def test_tree_matches_reference(self, seed, min_leaf, max_features):
+        X, y, Q = tied_dataset(seed)
+        classes, root = ref_tree(X, y, max_depth=8, min_leaf=min_leaf,
+                                 max_features=max_features,
+                                 random_state=seed)
+        model = DecisionTreeClassifier(max_depth=8, min_leaf=min_leaf,
+                                       max_features=max_features,
+                                       random_state=seed).fit(X, y)
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+        expected = classes[[ref_walk(root, row) for row in Q]]
+        assert (model.predict(Q) == expected).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
+    def test_bootstrapped_forest_matches_reference(self, seed, max_features):
+        X, y, Q = tied_dataset(seed + 10, n=70)
+        params = dict(n_trees=6, max_depth=6, min_leaf=1 + seed % 3,
+                      max_features=max_features, random_state=seed)
+        model = RandomForestClassifier(**params).fit(X, y)
+        assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
+                ).all()
+
+    def test_unbootstrapped_forest_matches_reference(self):
+        X, y, Q = tied_dataset(21, n=80)
+        params = dict(n_trees=3, bootstrap=False, max_features=None,
+                      random_state=4)
+        model = RandomForestClassifier(**params).fit(X, y)
+        assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
+                ).all()
+
+    def test_tree_with_more_distinct_values_than_int16_keys_hold(self):
+        # 12,000 distinct values x 3 classes do not fit int16 sort keys
+        rng = np.random.default_rng(5)
+        X = rng.permutation(12000).reshape(-1, 1) / 7.0
+        y = rng.choice(["a", "b", "c"], size=12000)
+        classes, root = ref_tree(X, y, max_depth=3)
+        model = DecisionTreeClassifier(max_depth=3).fit(X, y)
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+
+    def test_tree_on_constant_features_is_one_leaf(self):
+        X = np.ones((12, 3))
+        y = np.array(["a", "b"] * 6)
+        model = DecisionTreeClassifier().fit(X, y)
+        assert model.tree_.feature.tolist() == [-1]
+        assert (model.predict(X) == "a").all()
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_knn_matches_reference_with_ties_at_kth_distance(self, k):
+        # a lattice: many training rows sit at exactly the k-th distance of
+        # each query, so the lower training index must decide who votes
+        rng = np.random.default_rng(k)
+        X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        y = rng.choice(["a", "b", "c"], size=60)
+        Q = np.vstack([X[:10], rng.integers(0, 3, size=(30, 2)) + 0.5])
+        model = KNeighborsClassifier(k=k).fit(X, y)
+        assert (model.predict(Q) == ref_knn_predict(X, y, Q, k)).all()
+
+    def test_knn_kth_distance_shared_by_several_rows(self):
+        # row 4 is nearest; rows 0-3 all sit at the k-th distance, and only
+        # the two lowest-index ones (both "b") may join it
+        X = np.array([[1.0], [-1.0], [1.0], [-1.0], [0.05]])
+        y = np.array(["b", "b", "a", "a", "a"])
+        model = KNeighborsClassifier(k=3).fit(X, y)
+        assert model.predict([[0.0]])[0] == "b"
+        assert ref_knn_predict(X, y, np.array([[0.0]]), 3)[0] == "b"

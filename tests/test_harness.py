@@ -214,6 +214,13 @@ class TestCli:
         hunt_report = json.load(open(os.path.join(out, "hunt_report.json")))
         assert hunt_report["identified_attacker"] == "192.168.10.151"
 
+    def test_detect_rejects_fewer_than_two_folds(self, tmp_path, capsys):
+        for folds in ("1", "0"):
+            assert cli.main(["--quiet", "detect", "--out", str(tmp_path),
+                             "--folds", folds]) == 2
+            error = json.loads(capsys.readouterr().err)
+            assert "--folds" in error["error"]
+
     def test_calibrate_cli(self, tmp_path):
         path = self.write_plan(tmp_path, small_plan(duration_s=10.0))
         out_plan = str(tmp_path / "cal.json")
