@@ -124,21 +124,26 @@ def write_conn_log(conversations, path) -> None:
 
 
 def read_conn_log(path) -> list:
-    """conn.log rows as dicts with numeric fields parsed."""
+    """conn.log rows as dicts with numeric fields parsed; a malformed row
+    raises ValueError."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split("\t")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            row = dict(zip(header, line.split("\t")))
-            for k in ("orig_p", "resp_p", "orig_bytes", "resp_bytes",
-                      "orig_pkts", "resp_pkts"):
-                row[k] = int(row[k])
-            for k in ("ts", "duration"):
-                row[k] = float(row[k])
-            out.append(row)
+        try:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                row = dict(zip(header, line.split("\t")))
+                for k in ("orig_p", "resp_p", "orig_bytes", "resp_bytes",
+                          "orig_pkts", "resp_pkts"):
+                    row[k] = int(row[k])
+                for k in ("ts", "duration"):
+                    row[k] = float(row[k])
+                out.append(row)
+        except (ValueError, KeyError) as e:
+            raise ValueError(f"{path}: bad conn.log row {len(out) + 1}: "
+                             f"{type(e).__name__}: {e}") from e
     return out
 
 

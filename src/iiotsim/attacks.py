@@ -43,9 +43,6 @@ class AttackWindow:
         end = self.t_end_us if self.effect_end_us is None else self.effect_end_us
         return start, end
 
-    def overlaps(self, lo_us: int, hi_us: int) -> bool:
-        return self.t_start_us <= hi_us and lo_us <= self.t_end_us
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "t_start_us": self.t_start_us,
                 "t_end_us": self.t_end_us, "attacker": self.attacker,
@@ -61,17 +58,23 @@ def write_windows_jsonl(windows, path) -> None:
 
 
 def read_windows_jsonl(path) -> list:
+    """Attack windows of an attack_windows.jsonl; a malformed record raises
+    ValueError."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                d = json.loads(line)
-                out.append(AttackWindow(d["kind"], d["t_start_us"],
-                                        d["t_end_us"], d["attacker"],
-                                        tuple(d["victims"]),
-                                        d.get("effect_start_us"),
-                                        d.get("effect_end_us")))
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    d = json.loads(line)
+                    out.append(AttackWindow(d["kind"], d["t_start_us"],
+                                            d["t_end_us"], d["attacker"],
+                                            tuple(d["victims"]),
+                                            d.get("effect_start_us"),
+                                            d.get("effect_end_us")))
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: bad window record {len(out) + 1}: "
+                             f"{type(e).__name__}: {e}") from e
     return out
 
 

@@ -15,13 +15,7 @@ from .netsim import read_capture_jsonl
 
 
 def _load_plan(args) -> dict:
-    if args.plan:
-        return planmod.load_plan(args.plan)
-    plan = planmod.default_plan()
-    errors = planmod.validate_plan(plan)
-    if errors:
-        raise planmod.PlanError(errors)
-    return plan
+    return planmod.load_plan(args.plan) if args.plan else planmod.default_plan()
 
 
 def _fail(message, errors=()):
@@ -33,13 +27,9 @@ def _fail(message, errors=()):
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.plan) as fh:
-            plan = json.load(fh)
-    except (OSError, ValueError) as e:
-        return _fail(f"cannot read plan: {e}")
-    errors = planmod.validate_plan(plan)
-    if errors:
-        return _fail("plan is invalid", errors)
+        plan = planmod.load_plan(args.plan)
+    except planmod.PlanError as e:
+        return _fail("plan is invalid", e.errors)
     if not args.quiet:
         print(f"plan {args.plan} is valid "
               f"({len(plan.get('hosts', []))} hosts, "
@@ -53,6 +43,9 @@ def cmd_run(args) -> int:
     except planmod.PlanError as e:
         return _fail("plan is invalid", e.errors)
     only = args.only.split(",") if args.only else None
+    errors = planmod.output_errors(only or [])
+    if errors:
+        return _fail("--only names an unknown output", errors)
     try:
         result = harness.run(plan, args.out, seed=args.seed, only=only)
     except Exception as e:  # structured error contract for the CLI
@@ -80,7 +73,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Re-derive conn.log, dataset and metrics from an existing capture."""
+    """Rebuild conn.log, dataset.csv and the capture-derived metrics from an
+    existing capture, with the values `run` wrote."""
     try:
         plan = _load_plan(args)
     except planmod.PlanError as e:
@@ -89,33 +83,19 @@ def cmd_report(args) -> int:
     windows_path = os.path.join(args.out, "attack_windows.jsonl")
     if not os.path.exists(capture_path):
         return _fail(f"no capture at {capture_path}")
-    frames = read_capture_jsonl(capture_path)
-    windows = attacks.read_windows_jsonl(windows_path) if os.path.exists(
-        windows_path) else []
-    conversations = analytics.build_conversations(frames)
-    analytics.write_conn_log(conversations, os.path.join(args.out, "conn.log"))
-    rows, counts, dropped = analytics.label_dataset(conversations, windows)
-    analytics.write_dataset_csv(rows, os.path.join(args.out, "dataset.csv"))
-    plc_host = plan["roles"]["plc"]
-    plc_ip = next(h["interfaces"][0][2] for h in plan["hosts"]
-                  if h["id"] == plc_host)
-    report = {
-        "packet_stats": analytics.packet_size_stats(frames),
-        "response_times_ms": {},
-        "plc_request_rates": analytics.plc_request_rates(
-            frames, plc_ip, interval_us=1_000_000),
-        "class_counts": counts,
-        "dropped_rows": dropped,
-    }
-    for proto in ("MODBUS", "COAP", "DNS", "HTTP", "API", "SMTP", "MQTT"):
-        stats = analytics.response_times(frames, proto)
-        if stats.count:
-            report["response_times_ms"][proto] = {
-                "mean_ms": stats.mean_ms, "count": stats.count,
-                "unmatched": stats.unmatched}
-    with open(os.path.join(args.out, "metrics_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    try:
+        frames = read_capture_jsonl(capture_path)
+        windows = attacks.read_windows_jsonl(windows_path) if os.path.exists(
+            windows_path) else []
+    except ValueError as e:
+        return _fail(f"cannot read bundle: {e}")
+    _, _, counts, dropped = harness.label_capture(
+        frames, windows, os.path.join(args.out, "conn.log"),
+        os.path.join(args.out, "dataset.csv"))
+    report = harness.capture_metrics(plan, frames)
+    report["class_counts"] = counts
+    report["dropped_rows"] = dropped
+    harness.write_json(report, os.path.join(args.out, "metrics_report.json"))
     if not args.quiet:
         print(json.dumps(counts, indent=2))
     return 0
@@ -126,9 +106,12 @@ def cmd_hunt(args) -> int:
     capture_path = os.path.join(args.out, "capture.jsonl")
     if not os.path.exists(conn_path):
         return _fail(f"no conn.log at {conn_path}")
-    rows = analytics.read_conn_log(conn_path)
-    frames = read_capture_jsonl(capture_path) if os.path.exists(
-        capture_path) else []
+    try:
+        rows = analytics.read_conn_log(conn_path)
+        frames = read_capture_jsonl(capture_path) if os.path.exists(
+            capture_path) else []
+    except ValueError as e:
+        return _fail(f"cannot read bundle: {e}")
     syslog_events = truth_events = None
     if args.syslog and os.path.exists(args.syslog):
         with open(args.syslog) as fh:
@@ -143,9 +126,7 @@ def cmd_hunt(args) -> int:
                                  truth_events=truth_events,
                                  search_pattern=args.pattern)
     out_path = os.path.join(args.out, "hunt_report.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    harness.write_json(report, out_path)
     if not args.quiet:
         print(f"identified attacker: {report['identified_attacker']}")
         print(f"backdoor ports: {report['backdoor_ports']}")
@@ -181,9 +162,7 @@ def cmd_detect(args) -> int:
             print(f"{spec.kind}: accuracy "
                   f"{100 * res.metrics['accuracy']:.1f}%")
     out_path = os.path.join(args.out, "detection_report.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    harness.write_json(report, out_path)
     if not args.quiet:
         print()
         print(format_metrics_table(results))

@@ -131,8 +131,7 @@ class Broker:
         self.acl_enabled = acl_enabled
         self.allowlist = set(allowlist)
         self.historian = CloudHistorian(epoch)
-        self.sessions: dict[int, _Session] = {}
-        self._session_seq = 0
+        self.sessions: dict = {}           # stream -> _Session, open order
         self.bytes_sent = 0
         self.messages_received = 0
         self.delivered_log: list = []     # (ts_us, client_id, topic, payload)
@@ -142,12 +141,10 @@ class Broker:
 
     # -- fabric service interface ---------------------------------------
     def on_open(self, stream):
-        self._session_seq += 1
-        stream._mqtt_key = self._session_seq
-        self.sessions[self._session_seq] = _Session(stream)
+        self.sessions[stream] = _Session(stream)
 
     def on_data(self, stream, data: bytes):
-        session = self.sessions.get(getattr(stream, "_mqtt_key", -1))
+        session = self.sessions.get(stream)
         if session is None:
             return
         try:
@@ -177,7 +174,7 @@ class Broker:
         elif kind == "PUBREL":
             self._on_pubrel(session, pkt)
         elif kind == "DISCONNECT":
-            self.sessions.pop(getattr(stream, "_mqtt_key", -1), None)
+            self.sessions.pop(stream, None)
             self.sim.schedule(self.service_time_us,
                               lambda: stream.close("server"))
 
@@ -214,8 +211,7 @@ class Broker:
             self.historian.store(ts, topic, payload)
         out = encode_packet({"type": "PUBLISH", "qos": 0, "topic": topic,
                              "payload": payload, "mid": 0})
-        for sid in sorted(self.sessions):
-            session = self.sessions[sid]
+        for session in self.sessions.values():
             if any(topic_match(f, topic) for f in session.subscriptions):
                 self._push(session, out)
                 self.delivered_log.append((ts, session.client_id, topic,

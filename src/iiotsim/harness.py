@@ -212,15 +212,8 @@ class Build:
                             _us(cfg["period_s"]), 0, [])
         for cfg in t.get("webgui_clients", []):
             host = self.hosts[cfg["host"]]
-            router_ip = None
-            host_segs = {i.segment for i in host.interfaces}
-            for i in self.router.interfaces:
-                if i.segment in host_segs:
-                    router_ip = i.ip
-            if router_ip is None:
-                router_ip = self.router.interfaces[0].ip
-            self._webgui_loop(host, router_ip, _us(cfg["period_s"]),
-                              cfg.get("requests", 2))
+            self._webgui_loop(host, self.router_ip_for(host),
+                              _us(cfg["period_s"]), cfg.get("requests", 2))
 
     def _coap_loop(self, host, gw_ip, period_us, actuate_every):
         state = {"n": 0, "led": False}
@@ -272,6 +265,13 @@ class Build:
             self.sim.schedule_periodic(period_us, cycle)
 
         self.sim.schedule_periodic(period_us, cycle)
+
+    def router_ip_for(self, host) -> str:
+        """The router's address on the last of its segments that host is on,
+        else its first address."""
+        segs = {i.segment for i in host.interfaces}
+        ips = [i.ip for i in self.router.interfaces if i.segment in segs]
+        return ips[-1] if ips else self.router.interfaces[0].ip
 
     def _webgui_loop(self, host, router_ip, period_us, requests):
         def cycle():
@@ -425,75 +425,85 @@ class Build:
 # artifact emission
 # ---------------------------------------------------------------------------
 
+def write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def write_lines(lines, path) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _syslog_lines(build, entries) -> list:
+    return [f"{iso_ms(build.epoch, ts)} {text}" for ts, text in entries]
+
+
+def label_capture(frames, windows, conn_log_path=None, dataset_path=None):
+    """Conversations, conn.log, labelled rows and dataset.csv from a capture,
+    for both `run` and `report`; a false path skips that file. Returns
+    (conversations, rows, class_counts, dropped_rows)."""
+    conversations = analytics.build_conversations(frames)
+    if conn_log_path:
+        analytics.write_conn_log(conversations, conn_log_path)
+    rows, counts, dropped = analytics.label_dataset(conversations, windows)
+    if dataset_path:
+        analytics.write_dataset_csv(rows, dataset_path)
+    return conversations, rows, counts, dropped
+
+
 def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         only=None) -> RunResult:
     build = Build(plan_dict, seed=seed)
     build.run()
     os.makedirs(out_dir, exist_ok=True)
-    outputs = set(only) if only else set(build.plan.get("outputs", []))
+    outputs = set(only or build.plan.get("outputs") or planmod.OUTPUTS)
     result = RunResult(build.plan, build.seed, build.sim, build.gateway,
                        build.broker, build.plc, build.plant, build.windows,
                        build.attack_objs)
     frames = capture_export(build.sim)
 
     def path(name):
-        p = os.path.join(out_dir, name)
-        result.paths[name] = p
+        result.paths[name] = p = os.path.join(out_dir, name)
         return p
 
-    if "capture" in outputs or not outputs:
+    if "capture" in outputs:
         write_capture_jsonl(frames, path("capture.jsonl"))
 
-    result.conversations = analytics.build_conversations(frames)
-    if "conn_log" in outputs or not outputs:
-        analytics.write_conn_log(result.conversations, path("conn.log"))
+    (result.conversations, result.dataset_rows, result.class_counts,
+     result.dropped_rows) = label_capture(
+        frames, build.windows, "conn_log" in outputs and path("conn.log"),
+        "dataset" in outputs and path("dataset.csv"))
 
-    if "historians" in outputs or not outputs:
+    if "historians" in outputs:
         build.gateway.historian.write_csv(path("edge_historian.csv"))
         build.broker.historian.write_csv(path("cloud_historian.csv"))
 
-    if "windows" in outputs or not outputs:
+    if "windows" in outputs:
         attacks.write_windows_jsonl(build.windows,
                                     path("attack_windows.jsonl"))
 
-    rows, counts, dropped = analytics.label_dataset(result.conversations,
-                                                    build.windows)
-    result.dataset_rows = rows
-    result.class_counts = counts
-    result.dropped_rows = dropped
-    if "dataset" in outputs or not outputs:
-        analytics.write_dataset_csv(rows, path("dataset.csv"))
-
-    if "metrics" in outputs or not outputs:
+    if "metrics" in outputs:
         result.metrics = build_metrics_report(build, frames)
-        with open(path("metrics_report.json"), "w") as fh:
-            json.dump(result.metrics, fh, indent=2)
-            fh.write("\n")
+        write_json(result.metrics, path("metrics_report.json"))
 
     # attack-side artifacts
     for aid, atk in build.attack_objs.items():
         if isinstance(atk, attacks.RogueSubscriber):
-            with open(path("rogue_transcript.txt"), "w") as fh:
-                for line in atk.transcript:
-                    fh.write(line + "\n")
+            write_lines(atk.transcript, path("rogue_transcript.txt"))
         if isinstance(atk, attacks.I2cSniffer):
-            with open(path("i2c_trace.txt"), "w") as fh:
-                for line in atk.lines:
-                    fh.write(line + "\n")
+            write_lines(atk.lines, path("i2c_trace.txt"))
 
     router_id = build.plan["roles"]["router"]
-    with open(path(f"syslog_{router_id}.txt"), "w") as fh:
-        for ts, text in build.router.syslog:
-            fh.write(f"{iso_ms(build.epoch, ts)} {text}\n")
-    with open(path(f"syslog_{router_id}_truth.txt"), "w") as fh:
-        for ts, text in build.sim.syslog_truth[router_id]:
-            fh.write(f"{iso_ms(build.epoch, ts)} {text}\n")
+    write_lines(_syslog_lines(build, build.router.syslog),
+                path(f"syslog_{router_id}.txt"))
+    write_lines(_syslog_lines(build, build.sim.syslog_truth[router_id]),
+                path(f"syslog_{router_id}_truth.txt"))
 
     if "hunt" in outputs:
         result.hunt = build_hunt_report(build, frames, result.conversations)
-        with open(path("hunt_report.json"), "w") as fh:
-            json.dump(result.hunt, fh, indent=2)
-            fh.write("\n")
+        write_json(result.hunt, path("hunt_report.json"))
 
     summary = {
         "plan": build.plan.get("name", ""),
@@ -510,15 +520,22 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         "windows": [w.to_json() for w in sorted(build.windows,
                                                 key=lambda w: w.t_start_us)],
     }
-    with open(path("run_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, path("run_summary.json"))
     return result
 
 
-def build_metrics_report(build: Build, frames) -> dict:
-    targets = build.plan.get("latency_targets_ms", {})
-    gw_ip = build.gw_host.interfaces[0].ip
+def _plan_ip(plan: dict, role: str) -> str:
+    hid = plan["roles"][role]
+    return next(h["interfaces"][0][2] for h in plan["hosts"]
+                if h["id"] == hid)
+
+
+def capture_metrics(plan: dict, frames) -> dict:
+    """The part of metrics_report.json that the capture alone determines:
+    packet sizes, network response times, jitter, throughput and PLC
+    request rates over the plan's duration."""
+    targets = plan.get("latency_targets_ms", {})
+    gw_ip = _plan_ip(plan, "gateway")
     report = {"packet_stats": analytics.packet_size_stats(frames)}
     rts = {}
     for proto in ("MODBUS", "COAP", "DNS", "HTTP", "API", "SMTP", "MQTT",
@@ -530,13 +547,6 @@ def build_metrics_report(build: Build, frames) -> dict:
                       "unmatched": stats.unmatched}
         if proto in targets:
             rts[proto]["target_ms"] = targets[proto]
-    i2c_times = [(end - start) / 1000.0
-                 for start, end, _ in build.i2c_bus.txn_log]
-    rts["I2C"] = {"mean_ms": sum(i2c_times) / len(i2c_times)
-                  if i2c_times else 0.0,
-                  "count": len(i2c_times), "unmatched": 0}
-    if "I2C" in targets:
-        rts["I2C"]["target_ms"] = targets["I2C"]
     report["response_times_ms"] = rts
     report["modbus_mean_below_20ms"] = rts.get("MODBUS", {}).get(
         "mean_ms", 0.0) < 20.0
@@ -579,8 +589,23 @@ def build_metrics_report(build: Build, frames) -> dict:
         {"t0_us": t0, "bytes_per_s": rate}
         for t0, rate in analytics.throughput_series(frames)]
     report["plc_request_rates"] = analytics.plc_request_rates(
-        frames, build.plc_ip, interval_us=1_000_000,
-        span_us=build.duration_us)
+        frames, _plan_ip(plan, "plc"), interval_us=1_000_000,
+        span_us=_us(plan["duration_s"]))
+    return report
+
+
+def build_metrics_report(build: Build, frames) -> dict:
+    """capture_metrics plus what only the live simulation knows: the I2C
+    transaction time, the PLC scan regularity and the broker counters."""
+    report = capture_metrics(build.plan, frames)
+    i2c_times = [(end - start) / 1000.0
+                 for start, end, _ in build.i2c_bus.txn_log]
+    i2c = report["response_times_ms"]["I2C"] = {
+        "mean_ms": sum(i2c_times) / len(i2c_times) if i2c_times else 0.0,
+        "count": len(i2c_times), "unmatched": 0}
+    targets = build.plan.get("latency_targets_ms", {})
+    if "I2C" in targets:
+        i2c["target_ms"] = targets["I2C"]
     scan_ts = [t for t, _, _ in build.plc.scan_log]
     period = build.plc.scan_period_us
     devs = [abs((scan_ts[i + 1] - scan_ts[i]) - period) / period
@@ -600,32 +625,21 @@ def build_metrics_report(build: Build, frames) -> dict:
 
 
 def build_hunt_report(build: Build, frames, conversations) -> dict:
-    rows = []
-    for c in conversations:
-        rows.append({"ts": c.ts_first_us / US, "orig_h": c.orig_ip,
-                     "orig_p": c.orig_port, "resp_h": c.resp_ip,
-                     "resp_p": c.resp_port, "proto": c.proto,
-                     "duration": round(c.duration_s, 6),
-                     "orig_bytes": c.orig_bytes, "resp_bytes": c.resp_bytes,
-                     "orig_pkts": c.orig_pkts, "resp_pkts": c.resp_pkts})
-    router_lan_ip = None
-    attacker_segs = {i.segment for i in build.attacker.interfaces}
-    for i in build.router.interfaces:
-        if i.segment in attacker_segs:
-            router_lan_ip = i.ip
-    if router_lan_ip is None:
-        router_lan_ip = build.router.interfaces[0].ip
+    rows = [{"ts": c.ts_first_us / US, "orig_h": c.orig_ip,
+             "orig_p": c.orig_port, "resp_h": c.resp_ip,
+             "resp_p": c.resp_port, "proto": c.proto,
+             "duration": round(c.duration_s, 6),
+             "orig_bytes": c.orig_bytes, "resp_bytes": c.resp_bytes,
+             "orig_pkts": c.orig_pkts, "resp_pkts": c.resp_pkts}
+            for c in conversations]
     backdoor_ports = [a.get("listener_port", 4444)
                       for a in build.plan.get("attacks", [])
                       if a["kind"] == "exploit"] or [4444]
     syslog_events, _ = hunt.parse_syslog(
-        [f"{iso_ms(build.epoch, ts)} {text}"
-         for ts, text in build.router.syslog])
+        _syslog_lines(build, build.router.syslog))
     truth_events, _ = hunt.parse_syslog(
-        [f"{iso_ms(build.epoch, ts)} {text}"
-         for ts, text in build.sim.syslog_truth[build.router.host_id]])
-    return hunt.hunt_report(rows, frames, router_lan_ip, 443,
-                            backdoor_ports=backdoor_ports,
+        _syslog_lines(build, build.sim.syslog_truth[build.router.host_id]))
+    return hunt.hunt_report(rows, frames, build.router_ip_for(build.attacker),
+                            443, backdoor_ports=backdoor_ports,
                             syslog_events=syslog_events,
-                            truth_events=truth_events,
-                            search_pattern="shell")
+                            truth_events=truth_events, search_pattern="shell")

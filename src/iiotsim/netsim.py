@@ -588,9 +588,6 @@ class TcpStream:
     def host_for(self, side: str):
         return self.client_host if side == "client" else self.server_host
 
-    def peer(self, side: str):
-        return "server" if side == "client" else "client"
-
     def _send(self, host, flags, payload: bytes):
         if host is self.client_host or (self.server_host is None):
             dst_ip, dst_port = self.server_ip, self.server_port
@@ -774,10 +771,15 @@ def write_capture_jsonl(frames, path) -> None:
 
 
 def read_capture_jsonl(path) -> list[Frame]:
+    """Frames of a capture.jsonl; a malformed record raises ValueError."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_to_frame(json.loads(line)))
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    out.append(record_to_frame(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: bad capture record {len(out) + 1}: "
+                             f"{type(e).__name__}: {e}") from e
     return out

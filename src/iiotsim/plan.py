@@ -11,6 +11,11 @@ ATTACK_KINDS = ("arp_spoof", "tamper", "log_tamper", "i2c_sniff",
                 "modbus_dos", "rogue_subscriber", "recon", "web_enum",
                 "exploit")
 
+# artifact groups a plan's "outputs" (or `run --only`) selects; a missing or
+# empty list selects all of them
+OUTPUTS = ("capture", "conn_log", "historians", "windows", "dataset",
+           "metrics", "hunt")
+
 CALIBRATED_PROTOS = ("MODBUS", "COAP", "HTTP", "DNS", "I2C", "MQTT", "SMTP",
                      "API")
 
@@ -22,8 +27,11 @@ class PlanError(Exception):
 
 
 def load_plan(path) -> dict:
-    with open(path) as fh:
-        plan = json.load(fh)
+    try:
+        with open(path) as fh:
+            plan = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise PlanError([f"cannot read plan {path}: {e}"]) from e
     errors = validate_plan(plan)
     if errors:
         raise PlanError(errors)
@@ -116,7 +124,15 @@ def validate_plan(plan: dict) -> list:
                 errors.append(f"attack {aid!r} extends past the end of the run")
         if kind == "modbus_dos" and a.get("rate_per_s", 0) <= 0:
             errors.append(f"attack {aid!r}: rate_per_s must be positive")
+    errors.extend(output_errors(plan.get("outputs") or []))
     return errors
+
+
+def output_errors(names) -> list:
+    if not isinstance(names, list):
+        return [f"outputs must be a list of names, got {names!r}"]
+    return [f"unknown output {n!r}; known: {', '.join(OUTPUTS)}"
+            for n in names if n not in OUTPUTS]
 
 
 def plan_round_trips(plan: dict) -> bool:
@@ -284,8 +300,7 @@ def default_plan() -> dict:
                                "DNS": 0.201, "I2C": 1.34, "MQTT": 8.6,
                                "SMTP": 12.3, "API": 10.18},
         "service_times_us": {},
-        "outputs": ["capture", "conn_log", "historians", "windows",
-                    "dataset", "metrics", "hunt"],
+        "outputs": list(OUTPUTS),
     }
 
 

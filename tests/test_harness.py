@@ -3,9 +3,12 @@ import filecmp
 import importlib.resources
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import iiotsim
 from iiotsim import analytics, cli, harness, plan as planmod
 
 from conftest import small_plan
@@ -47,6 +50,16 @@ class TestPlanValidation:
         plan["attacks"][1]["id"] = plan["attacks"][0]["id"]
         assert any("duplicate attack id" in e
                    for e in planmod.validate_plan(plan))
+
+    def test_unknown_output_rejected(self):
+        plan = planmod.default_plan()
+        plan["outputs"] = ["capture", "captur"]
+        assert planmod.validate_plan(plan) == [
+            "unknown output 'captur'; known: " + ", ".join(planmod.OUTPUTS)]
+        plan["outputs"] = "capture"
+        assert any("must be a list" in e for e in planmod.validate_plan(plan))
+        plan["outputs"] = []
+        assert planmod.validate_plan(plan) == []
 
     def test_attack_past_end_of_run(self):
         plan = small_plan(duration_s=10.0, attacks=[
@@ -149,6 +162,17 @@ class TestRunArtifacts:
         ids = [r.record_id for r in result.gateway.historian.rows]
         assert ids == list(range(1, len(ids) + 1))
 
+    @pytest.mark.parametrize("outputs", [[], None])
+    def test_empty_outputs_select_every_artifact(self, tmp_path, outputs):
+        plan = small_plan(duration_s=20.0)
+        if outputs is None:
+            del plan["outputs"]
+        else:
+            plan["outputs"] = outputs
+        harness.run(plan, str(tmp_path))
+        names = set(os.listdir(tmp_path))
+        assert set(ARTIFACTS) | {"hunt_report.json"} <= names
+
     def test_no_attack_plan_yields_only_normal(self, tmp_path):
         plan = small_plan(duration_s=30.0)
         result = harness.run(plan, str(tmp_path))
@@ -203,9 +227,19 @@ class TestCli:
         ])
         path = self.write_plan(tmp_path, plan)
         out = str(tmp_path / "out")
+        metrics_path = os.path.join(out, "metrics_report.json")
         assert cli.main(["--quiet", "run", "--plan", path, "--out", out]) == 0
+        run_metrics = json.load(open(metrics_path))
         assert cli.main(["--quiet", "report", "--plan", path,
                          "--out", out]) == 0
+        # report rebuilds every capture-derived entry with the run's values;
+        # only the entries that need live simulation state differ
+        report_metrics = json.load(open(metrics_path))
+        del report_metrics["class_counts"], report_metrics["dropped_rows"]
+        del run_metrics["response_times_ms"]["I2C"]
+        del run_metrics["plc_scan"], run_metrics["broker"]
+        assert (json.dumps(report_metrics, indent=2)
+                == json.dumps(run_metrics, indent=2))
         assert cli.main(["--quiet", "hunt", "--out", out]) == 0
         assert cli.main(["--quiet", "detect", "--out", out,
                          "--folds", "2"]) == 0
@@ -238,6 +272,47 @@ class TestCli:
         assert {"capture.jsonl", "conn.log"} <= names
         assert "dataset.csv" not in names
         assert "metrics_report.json" not in names
+
+    def test_run_only_rejects_unknown_output(self, tmp_path, capsys):
+        out = tmp_path / "sel"
+        assert cli.main(["--quiet", "run", "--out", str(out),
+                         "--only", "captur"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert "--only" in error["error"]
+        assert "'captur'" in error["details"][0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["empty_plan", "missing_plan",
+                                      "truncated_capture", "garbled_conn_log"])
+    def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        if case == "empty_plan":
+            argv = ["run", "--plan", os.devnull, "--out", str(out)]
+        elif case == "missing_plan":
+            argv = ["run", "--plan", str(tmp_path / "nope.json"),
+                    "--out", str(out)]
+        elif case == "truncated_capture":
+            (out / "capture.jsonl").write_text('{"ts_us": 1, "src_m')
+            argv = ["report", "--out", str(out)]
+        else:
+            (out / "conn.log").write_text("ts\torig_h\n1.0\t10.0.0.1\n")
+            argv = ["hunt", "--out", str(out)]
+        assert cli.main(["--quiet"] + argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] and isinstance(error["details"], list)
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(iiotsim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        plan = importlib.resources.files("iiotsim").joinpath(
+            "data/default_plan.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "iiotsim", "validate", "--plan", str(plan)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "is valid" in proc.stdout
 
     def test_run_refuses_invalid_plan(self, tmp_path):
         bad = small_plan(duration_s=10.0)
