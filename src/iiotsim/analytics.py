@@ -446,14 +446,23 @@ def write_dataset_csv(rows, path) -> None:
 
 
 def read_dataset_csv(path) -> list:
+    """Rows of a dataset.csv; a bad header or row raises ValueError."""
+    columns = list(FEATURE_COLUMNS + ("label",))
     out = []
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        n_feat = len(header) - 1
-        for row in r:
+        if next(r, None) != columns:
+            raise ValueError(f"{path}: row 1 is not the header "
+                             f"{','.join(columns)}")
+        for n, row in enumerate(r, start=2):
             if not row:
                 continue
-            out.append(DatasetRow(tuple(float(v) for v in row[:n_feat]),
-                                  row[n_feat]))
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: row {n} has {len(row)} fields, "
+                                 f"expected {len(columns)}")
+            try:
+                features = tuple(float(v) for v in row[:-1])
+            except ValueError as e:
+                raise ValueError(f"{path}: row {n}: {e}") from e
+            out.append(DatasetRow(features, row[-1]))
     return out

@@ -292,7 +292,7 @@ class ModbusFlood:
                                      fieldbus.READ_HOLDING_REGISTERS, addr, 1)
         raw = fieldbus.encode_request(request)
         if conn["stream"].state == "established":
-            conn["stream"].write("client", raw)
+            conn["stream"].write(raw)
             self.requests_sent += 1
         else:
             conn["backlog"].append(raw)
@@ -306,7 +306,7 @@ class ModbusFlood:
 
         def on_established(s):
             for raw in conn["backlog"]:
-                s.write("client", raw)
+                s.write(raw)
                 self.requests_sent += 1
             conn["backlog"].clear()
 
@@ -315,7 +315,7 @@ class ModbusFlood:
     def _close_conn(self, conn_idx):
         conn = self._conns.get(conn_idx)
         if conn and conn["stream"].state == "established":
-            conn["stream"].close("client")
+            conn["stream"].close()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ class PortScan:
         def on_established(s):
             self.open_ports[port] = self.target_host.banner.get(
                 port, WELL_KNOWN.get(port, "unknown"))
-            s.reset("client")
+            s.reset()
 
         stream.on_established = on_established
 
@@ -450,7 +450,7 @@ class ShellListener:
             handler(stream)
 
     def on_data(self, stream, data: bytes):
-        handler = self._output_handlers.get(id(stream))
+        handler = self._output_handlers.get(stream)
         if handler is not None:
             handler(data)
 
@@ -503,8 +503,8 @@ class ExploitWebgui:
         user, password = self.credentials
 
         def on_established(s):
-            s.write("client", json.dumps({"action": "login", "user": user,
-                                          "password": password}).encode())
+            s.write(json.dumps({"action": "login", "user": user,
+                                "password": password}).encode())
 
         def on_data(s, data):
             body = json.loads(data.decode())
@@ -512,13 +512,13 @@ class ExploitWebgui:
                 stage["n"] = 1
                 if body.get("auth") != "ok":
                     self.failure = "bad credentials"
-                    s.close("client")
+                    s.close()
                     return
-                s.write("client", json.dumps(
+                s.write(json.dumps(
                     {"action": "inject", "attacker": self.attacker.host_id,
                      "payload": "<?php graph callback ?>"}).encode())
             else:
-                s.close("client")
+                s.close()
                 if body.get("upload") == "ok":
                     self.succeeded = True
                     self._arm_sessions()
@@ -554,12 +554,12 @@ class ExploitWebgui:
                 cmd = commands[k["i"] % len(commands)]
                 k["i"] += 1
                 record.commands.append(cmd)
-                server_stream.write("server", cmd.encode())
+                server_stream.write(cmd.encode())
                 if start_us + k["i"] * self.command_gap_us < \
                         start_us + duration_us:
                     self.sim.schedule(self.command_gap_us, issue_command)
 
-            self.listener._output_handlers[id(server_stream)] = (
+            self.listener._output_handlers[server_stream] = (
                 lambda data: record.outputs.append(data.decode()))
             self.sim.schedule(1_000, issue_command)
 
@@ -577,8 +577,7 @@ class ExploitWebgui:
             cmd = data.decode()
             self.sim.log_syslog(self.target_host,
                                 f"sh: payload command '{cmd}' uid=0(root)")
-            s.write("client", f"{cmd}: uid=0(root) gid=0(wheel)".encode())
+            s.write(f"{cmd}: uid=0(root) gid=0(wheel)".encode())
 
         stream.on_data = on_data
-        self.sim.schedule_at(start_us + duration_us,
-                             lambda: stream.reset("client"))
+        self.sim.schedule_at(start_us + duration_us, stream.reset)

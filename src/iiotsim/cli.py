@@ -140,7 +140,10 @@ def cmd_detect(args) -> int:
     dataset_path = os.path.join(args.out, "dataset.csv")
     if not os.path.exists(dataset_path):
         return _fail(f"no dataset at {dataset_path}")
-    rows = analytics.read_dataset_csv(dataset_path)
+    try:
+        rows = analytics.read_dataset_csv(dataset_path)
+    except ValueError as e:
+        return _fail(f"cannot read dataset: {e}")
     if not rows:
         return _fail("dataset is empty")
     X = np.array([r.features for r in rows])
@@ -149,7 +152,10 @@ def cmd_detect(args) -> int:
     report = {"folds": args.folds, "seed": args.seed or 0, "models": {}}
     attack_labels = [l for l in sorted(set(y)) if l != "normal"]
     for spec in DEFAULT_SPECS:
-        res = cross_validate(spec, X, y, k=args.folds, seed=args.seed or 0)
+        try:
+            res = cross_validate(spec, X, y, k=args.folds, seed=args.seed or 0)
+        except ValueError as e:
+            return _fail(f"cannot cross-validate {spec.kind}: {e}")
         results.append(res)
         report["models"][spec.kind] = {
             "metrics": {k: v for k, v in res.metrics.items()

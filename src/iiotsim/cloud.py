@@ -159,8 +159,7 @@ class Broker:
             session.client_id = pkt.get("client_id", "")
             if self.acl_enabled and stream.client_ip not in self.allowlist:
                 self._reply(session, {"type": "CONNACK", "rc": 5})
-                self.sim.schedule(self.service_time_us,
-                                  lambda: stream.reset("server"))
+                self.sim.schedule(self.service_time_us, stream.reset)
                 return
             self._reply(session, {"type": "CONNACK", "rc": 0})
         elif kind == "SUBSCRIBE":
@@ -175,8 +174,7 @@ class Broker:
             self._on_pubrel(session, pkt)
         elif kind == "DISCONNECT":
             self.sessions.pop(stream, None)
-            self.sim.schedule(self.service_time_us,
-                              lambda: stream.close("server"))
+            self.sim.schedule(self.service_time_us, stream.close)
 
     # -- publish path ------------------------------------------------------
     def _on_publish(self, session: _Session, pkt: dict):
@@ -221,13 +219,13 @@ class Broker:
         raw = encode_packet(pkt)
         def go():
             if session.stream.state == "established":
-                session.stream.write("server", raw)
+                session.stream.write(raw)
                 self._count_sent(len(raw))
         self.sim.schedule(self.service_time_us, go)
 
     def _push(self, session: _Session, raw: bytes) -> None:
         if session.stream.state == "established":
-            session.stream.write("server", raw)
+            session.stream.write(raw)
             self._count_sent(len(raw))
 
     def _count_sent(self, n: int) -> None:
@@ -266,10 +264,7 @@ class Broker:
         return snap
 
     def start_sys_publisher(self) -> None:
-        def loop():
-            self.sys_tick()
-            self.sim.schedule_periodic(self.sys_period_us, loop)
-        self.sim.schedule_periodic(self.sys_period_us, loop)
+        self.sim.every(self.sys_period_us, self.sys_tick)
 
 
 class MqttClient:
@@ -304,8 +299,8 @@ class MqttClient:
         self.stream.on_closed = self._on_closed
 
     def _on_established(self, stream):
-        stream.write("client", encode_packet({"type": "CONNECT",
-                                              "client_id": self.client_id}))
+        stream.write(encode_packet({"type": "CONNECT",
+                                    "client_id": self.client_id}))
 
     def _on_refused(self, stream):
         self.connected = False
@@ -315,13 +310,13 @@ class MqttClient:
 
     def disconnect(self) -> None:
         if self.stream is not None and self.stream.state == "established":
-            self.stream.write("client", encode_packet({"type": "DISCONNECT"}))
+            self.stream.write(encode_packet({"type": "DISCONNECT"}))
             self.connected = False
 
     def subscribe(self, filters) -> None:
         self.subscribed_filters = list(filters)
         self._mid += 1
-        self.stream.write("client", encode_packet(
+        self.stream.write(encode_packet(
             {"type": "SUBSCRIBE", "filters": list(filters), "mid": self._mid}))
 
     def publish(self, topic: str, payload: str, qos: int = 2) -> int:
@@ -339,12 +334,12 @@ class MqttClient:
 
     def _send_publish(self, pkt: dict) -> None:
         self._publish_count += 1
-        self.stream.write("client", encode_packet(pkt))
+        self.stream.write(encode_packet(pkt))
         if self.dup_every and pkt["qos"] == 2 and (
                 self._publish_count % self.dup_every == 0):
             dup = dict(pkt)
             dup["dup"] = True
-            self.stream.write("client", encode_packet(dup))
+            self.stream.write(encode_packet(dup))
 
     def _on_data(self, stream, data: bytes):
         pkt = decode_packet(data)
@@ -365,9 +360,9 @@ class MqttClient:
         if kind == "PUBREC":
             mid = pkt["mid"]
             rel = encode_packet({"type": "PUBREL", "mid": mid})
-            stream.write("client", rel)
+            stream.write(rel)
             if self.dup_every and self._publish_count % self.dup_every == 0:
-                stream.write("client", rel)
+                stream.write(rel)
             return
         if kind == "PUBCOMP":
             mid = pkt["mid"]

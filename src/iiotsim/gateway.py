@@ -133,10 +133,7 @@ class EdgeGateway:
         self.host.bind_udp(53, self._dns_service)
         self.host.bind_tcp(80, _HttpService(self, "HTTP", self.svc_http_us))
         self.host.bind_tcp(8080, _HttpService(self, "API", self.svc_api_us))
-        def loop():
-            self.poll_cycle()
-            self.sim.schedule_periodic(self.poll_period_us, loop)
-        self.sim.schedule_periodic(self.poll_period_us, loop)
+        self.sim.every(self.poll_period_us, self.poll_cycle)
 
     def _reconnect_mqtt(self) -> None:
         if self.mqtt.connected and not self.mqtt._pending:
@@ -237,15 +234,15 @@ class EdgeGateway:
         state = {"stage": 0}
 
         def on_established(s):
-            s.write("client", b"HELLO edge-gw")
+            s.write(b"HELLO edge-gw")
 
         def on_data(s, data):
             if state["stage"] == 0:
                 state["stage"] = 1
-                s.write("client", f"MSG {text}".encode())
+                s.write(f"MSG {text}".encode())
             else:
                 self.events.append((self.sim.now_us, "notified", text))
-                s.close("client")
+                s.close()
 
         def on_refused(s):
             self.events.append((self.sim.now_us, "notify-failure", text))
@@ -408,13 +405,9 @@ class _HttpService:
             request = json.loads(data.decode())
         except ValueError:
             request = {}
-        sim = self.gateway.sim
 
         def reply(status, body):
-            raw = json.dumps({"status": status, "body": body}).encode()
-            def go():
-                if stream.state == "established":
-                    stream.write("server", raw)
-            sim.schedule(self.service_time_us, go)
+            stream.reply_after(self.service_time_us, json.dumps(
+                {"status": status, "body": body}).encode())
 
         self.gateway.api_handle(request, reply)

@@ -230,9 +230,8 @@ class Build:
                 req = {"type": "CON", "code": "GET", "mid": mid,
                        "path": "/sensors/mpl3115a2"}
             host.send_udp(gw_ip, 5683, json.dumps(req).encode(), "COAP")
-            self.sim.schedule_periodic(period_us, cycle)
 
-        self.sim.schedule_periodic(period_us, cycle)
+        self.sim.every(period_us, cycle)
 
     def _dns_loop(self, host, gw_ip, period_us):
         state = {"n": 0}
@@ -241,9 +240,8 @@ class Build:
             state["n"] += 1
             host.send_udp(gw_ip, 53, json.dumps(
                 {"q": "edge.local", "id": state["n"]}).encode(), "DNS")
-            self.sim.schedule_periodic(period_us, cycle)
 
-        self.sim.schedule_periodic(period_us, cycle)
+        self.sim.every(period_us, cycle)
 
     def _http_loop(self, host, gw_ip, port, tag, period_us, setpoint_every,
                    setpoints):
@@ -260,11 +258,10 @@ class Build:
                 request = {"method": "GET", "path": "/api/snapshot"}
             stream = host.open_tcp(gw_ip, port, tag)
             stream.on_established = lambda s: s.write(
-                "client", json.dumps(request).encode())
-            stream.on_data = lambda s, data: s.close("client")
-            self.sim.schedule_periodic(period_us, cycle)
+                json.dumps(request).encode())
+            stream.on_data = lambda s, data: s.close()
 
-        self.sim.schedule_periodic(period_us, cycle)
+        self.sim.every(period_us, cycle)
 
     def router_ip_for(self, host) -> str:
         """The router's address on the last of its segments that host is on,
@@ -279,7 +276,7 @@ class Build:
             left = {"n": requests}
 
             def send_one(s):
-                s.write("client", json.dumps(
+                s.write(json.dumps(
                     {"action": "get", "path": "/status"}).encode())
 
             def on_data(s, data):
@@ -287,13 +284,12 @@ class Build:
                 if left["n"] > 0:
                     send_one(s)
                 else:
-                    s.close("client")
+                    s.close()
 
             stream.on_established = send_one
             stream.on_data = on_data
-            self.sim.schedule_periodic(period_us, cycle)
 
-        self.sim.schedule_periodic(period_us, cycle)
+        self.sim.every(period_us, cycle)
 
     # -- attacks -----------------------------------------------------------------
     def _build_attacks(self):
@@ -379,7 +375,7 @@ class Build:
 
             def send_next(s):
                 state["sent"] += 1
-                s.write("client", json.dumps(
+                s.write(json.dumps(
                     {"action": "get",
                      "path": f"/admin/dir{k}/page{state['sent']:04d}",
                      "probe": "x" * 120}).encode())
@@ -389,7 +385,7 @@ class Build:
                     self.sim.schedule(req_period, lambda: send_next(s)
                                       if s.state == "established" else None)
                 else:
-                    s.close("client")
+                    s.close()
 
             stream.on_established = send_next
             stream.on_data = on_data

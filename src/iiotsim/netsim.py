@@ -194,6 +194,14 @@ class Simulation:
         self.schedule_at(nxt, fn)
         return True
 
+    def every(self, period_us: int, fn) -> None:
+        """Run fn once per period, the first time one period from now,
+        until the next run would start past the horizon."""
+        def loop():
+            fn()
+            self.schedule_periodic(period_us, loop)
+        self.schedule_periodic(period_us, loop)
+
     def schedule_at(self, ts_us: int, fn) -> None:
         self._eseq += 1
         heapq.heappush(self._events, (int(ts_us), self._eseq, fn))
@@ -376,24 +384,21 @@ class Host:
             self._emit_arp(iface, BROADCAST_MAC, target_ip, op="request")
             raise ArpFailure(f"no ARP responder for {target_ip} on {iface.segment}")
         owner = self.sim.owner_of_ip(iface.segment, target_ip)
-        req = self._emit_arp(iface, BROADCAST_MAC, target_ip, op="request")
+        req, req_offset = self._emit_arp(iface, BROADCAST_MAC, target_ip,
+                                         op="request")
         # reply is sent by the owner once the request lands
         o_iface = owner.iface_for_segment(iface.segment)
-        reply = owner._emit_arp(o_iface, iface.mac, target_ip,
-                                op="reply", ts=req.frame.ts_us + req.deliver_offset,
-                                claimed_ip=target_ip, claimed_mac=o_iface.mac,
-                                to_ip=iface.ip)
-        ready = reply.frame.ts_us + reply.deliver_offset
+        reply, reply_offset = owner._emit_arp(
+            o_iface, iface.mac, target_ip, op="reply",
+            ts=req.ts_us + req_offset, claimed_ip=target_ip,
+            claimed_mac=o_iface.mac, to_ip=iface.ip)
+        ready = reply.ts_us + reply_offset
         self.arp_cache[target_ip] = (o_iface.mac, ready)
         return o_iface.mac, ready
 
-    class _Emitted:
-        def __init__(self, frame, deliver_offset):
-            self.frame = frame
-            self.deliver_offset = deliver_offset
-
     def _emit_arp(self, iface, dst_mac, target_ip, op, ts=None, claimed_ip=None,
                   claimed_mac=None, to_ip=""):
+        """Transmit an ARP frame -> (frame, deliver_offset_us)."""
         payload = json.dumps({"op": op, "target": target_ip,
                               "claimed_ip": claimed_ip or "",
                               "claimed_mac": claimed_mac or ""}).encode()
@@ -409,17 +414,17 @@ class Host:
             offset = self.sim.segments[iface.segment].profile.base_latency_us
         else:
             offset = frame.deliver_ts_us - frame.ts_us
-        return Host._Emitted(frame, offset)
+        return frame, offset
 
     def send_gratuitous_arp(self, victim: "Host", claimed_ip: str, claimed_mac: str,
                             segment: str) -> Frame:
         """Unsolicited ARP reply binding claimed_ip -> claimed_mac in the victim cache."""
         iface = self.iface_for_segment(segment)
         v_iface = victim.iface_for_segment(segment)
-        em = self._emit_arp(iface, v_iface.mac, claimed_ip, op="reply",
-                            claimed_ip=claimed_ip, claimed_mac=claimed_mac,
-                            to_ip=v_iface.ip)
-        return em.frame
+        frame, _ = self._emit_arp(iface, v_iface.mac, claimed_ip, op="reply",
+                                  claimed_ip=claimed_ip,
+                                  claimed_mac=claimed_mac, to_ip=v_iface.ip)
+        return frame
 
     # -- send paths --------------------------------------------------------
     def send_ip(self, dst_ip: str, dst_port: int, payload: bytes, proto_tag: str,
@@ -474,8 +479,7 @@ class Host:
             # gratuitous or solicited: most recent writer wins
             self.arp_cache[info["claimed_ip"]] = (info["claimed_mac"],
                                                   self.sim.now_us)
-        elif info["op"] == "request" and info["target"] in self.ips:
-            pass  # solicited replies are synthesized by arp_resolve
+        # requests need no answer here: arp_resolve synthesizes the reply
 
     def _router_forward(self, frame: Frame) -> None:
         ingress_wan = frame.segment in self.wan_segments
@@ -523,10 +527,9 @@ class Host:
                  src_port: int | None = None) -> "TcpStream":
         sp = src_port if src_port is not None else self.ephemeral_port()
         iface, _ = self.route(dst_ip)
-        stream = TcpStream(self.sim, self, iface.ip, sp, dst_ip, dst_port,
+        stream = TcpStream(self, "client", iface.ip, sp, dst_ip, dst_port,
                            proto_tag)
-        self._streams[(iface.ip, sp, dst_ip, dst_port)] = stream
-        stream._send(self, _flags("SYN"), b"")
+        stream._send(_flags("SYN"))
         return stream
 
     def _rx_local(self, frame: Frame) -> None:
@@ -539,160 +542,126 @@ class Host:
             return
         key = (frame.dst_ip, frame.dst_port, frame.src_ip, frame.src_port)
         stream = self._streams.get(key)
-        if stream is None:
-            if "SYN" in frame.tcp_flags and frame.dst_port in self._tcp_services:
-                svc = self._tcp_services[frame.dst_port]
-                stream = TcpStream(self.sim, None, frame.src_ip, frame.src_port,
-                                   frame.dst_ip, frame.dst_port, frame.proto_tag)
-                stream.server_host = self
-                stream.service = svc
-                self._streams[key] = stream
-                stream._rx(self, frame)
-            elif "RST" not in frame.tcp_flags:
-                # closed port: refuse
-                self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
-                             l4="TCP", tcp_flags=_flags("RST"),
-                             src_port=frame.dst_port)
-            return
-        stream._rx(self, frame)
+        # a bare SYN on the key of a finished connection opens a new one
+        if stream is not None and not (frame.tcp_flags == ("SYN",) and
+                                       stream.state in ("closed", "refused")):
+            stream._rx(frame)
+        elif "SYN" in frame.tcp_flags and frame.dst_port in self._tcp_services:
+            svc = self._tcp_services[frame.dst_port]
+            stream = TcpStream(self, "server", *key, frame.proto_tag)
+            stream.on_established = svc.on_open
+            stream.on_data = svc.on_data
+            stream._rx(frame)
+        elif "RST" not in frame.tcp_flags:
+            # closed port: refuse
+            self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
+                         l4="TCP", tcp_flags=_flags("RST"),
+                         src_port=frame.dst_port)
 
 
 class TcpStream:
-    """Flag+payload fidelity stream: handshake, PSH/ACK data, FIN/RST close.
+    """One endpoint of a flag+payload fidelity stream: handshake, PSH/ACK
+    data, FIN/RST close. A connection is a client stream on one host and a
+    server stream on the other.
 
     No sequence numbers or retransmission; enough for conversation
     statistics and stream profiling.
     """
 
-    def __init__(self, sim, client_host, client_ip, client_port, server_ip,
-                 server_port, proto_tag):
-        self.sim = sim
-        self.client_host = client_host
-        self.server_host = None
-        self.service = None
-        self.client_ip = client_ip
-        self.client_port = client_port
-        self.server_ip = server_ip
-        self.server_port = server_port
+    def __init__(self, host, side, local_ip, local_port, peer_ip, peer_port,
+                 proto_tag):
+        self.host = host
+        self.side = side             # "client" | "server"
+        self.key = (local_ip, local_port, peer_ip, peer_port)
+        host._streams[self.key] = self
+        self.client_ip = local_ip if side == "client" else peer_ip
         self.proto_tag = proto_tag
         self.state = "connecting"    # -> established | refused | closed
-        self.on_established = None
-        self.on_data = None          # fn(stream, bytes) for the client side
+        self.on_established = None   # server side: the service's on_open
+        self.on_data = None          # fn(stream, bytes)
         self.on_closed = None
         self.on_refused = None
-        self._client_fin = False
-        self._server_fin = False
-        self._opened = False         # server-side service notified
+        self._local_fin = False
+        self._peer_fin = False
 
-    # which Host plays which side
-    def host_for(self, side: str):
-        return self.client_host if side == "client" else self.server_host
+    def _send(self, flags, payload: bytes = b""):
+        local_ip, local_port, peer_ip, peer_port = self.key
+        return self.host.send_ip(peer_ip, peer_port, payload, self.proto_tag,
+                                 l4="TCP", tcp_flags=flags, src_port=local_port,
+                                 src_ip=local_ip)
 
-    def _send(self, host, flags, payload: bytes):
-        if host is self.client_host or (self.server_host is None):
-            dst_ip, dst_port = self.server_ip, self.server_port
-            src_ip, src_port = self.client_ip, self.client_port
-        else:
-            dst_ip, dst_port = self.client_ip, self.client_port
-            src_ip, src_port = self.server_ip, self.server_port
-        return host.send_ip(dst_ip, dst_port, payload, self.proto_tag, l4="TCP",
-                            tcp_flags=flags, src_port=src_port, src_ip=src_ip)
+    def write(self, payload: bytes):
+        if self.state not in ("established", "connecting"):
+            raise RuntimeError(f"{self.side} stream not writable "
+                               f"(state={self.state})")
+        return self._send(_flags("PSH", "ACK"), payload)
 
-    def write(self, side: str, payload: bytes):
-        host = self.host_for(side)
-        if host is None or self.state not in ("established", "connecting"):
-            raise RuntimeError(f"stream not writable from {side} (state={self.state})")
-        return self._send(host, _flags("PSH", "ACK"), payload)
+    def reply_after(self, delay_us: int, payload: bytes) -> None:
+        """Write payload after delay_us if the stream is still established."""
+        def go():
+            if self.state == "established":
+                self.write(payload)
+        self.host.sim.schedule(delay_us, go)
 
-    def close(self, side: str):
-        host = self.host_for(side)
-        if host is None or self.state in ("closed", "refused"):
+    def close(self):
+        if self.state in ("closed", "refused"):
             return
-        if side == "client":
-            self._client_fin = True
-        else:
-            self._server_fin = True
-        self._send(host, _flags("FIN", "ACK"), b"")
-        if self._client_fin and self._server_fin and self.state != "closed":
-            self.state = "closed"
-            if self.on_closed:
-                self.on_closed(self)
+        self._local_fin = True
+        self._send(_flags("FIN", "ACK"))
+        if self._peer_fin:
+            self._set_state("closed")
 
-    def reset(self, side: str):
-        host = self.host_for(side)
-        if host is None or self.state in ("closed", "refused"):
+    def reset(self):
+        if self.state in ("closed", "refused"):
             return
-        self._send(host, _flags("RST"), b"")
-        self.state = "closed"
-        self._drop_from(host, None)
-        if self.on_closed:
-            self.on_closed(self)
+        self._send(_flags("RST"))
+        self._forget()
+        self._set_state("closed")
 
-    # -- inbound frame on one endpoint ----------------------------------
-    def _rx(self, host, frame: Frame):
-        side = "server" if host is self.server_host or (
-            self.server_host is None and frame.dst_ip == self.server_ip) else "client"
-        if side == "client" and self.client_host is None:
-            side = "server"
+    def _set_state(self, state: str) -> None:
+        self.state = state
+        callback = getattr(self, f"on_{state}")
+        if callback:
+            callback(self)
+
+    def _forget(self) -> None:
+        if self.host._streams.get(self.key) is self:
+            del self.host._streams[self.key]
+
+    # -- inbound frame ---------------------------------------------------
+    def _rx(self, frame: Frame):
         flags = set(frame.tcp_flags)
         if "RST" in flags:
-            was = self.state
-            self._drop_from(host, frame)
-            if was in ("closed", "refused"):
-                return
-            self.state = "refused" if was == "connecting" else "closed"
-            if self.state == "refused" and self.on_refused:
-                self.on_refused(self)
-            elif self.state == "closed" and self.on_closed:
-                self.on_closed(self)
+            self._forget()
+            if self.state not in ("closed", "refused"):
+                self._set_state("refused" if self.state == "connecting"
+                                else "closed")
             return
         if flags == {"SYN"}:
-            self._send(host, _flags("SYN", "ACK"), b"")
+            self._send(_flags("SYN", "ACK"))
             return
         if flags == {"ACK", "SYN"}:
-            self._send(host, _flags("ACK"), b"")
-            self.state = "established"
-            if self.on_established:
-                self.on_established(self)
+            self._send(_flags("ACK"))
+            self._set_state("established")
             return
         if "FIN" in flags:
-            if side == "client":
-                self._server_fin = True
+            self._peer_fin = True
+            self._send(_flags("ACK"))
+            if self._local_fin:
+                self._set_state("closed")
             else:
-                self._client_fin = True
-            self._send(host, _flags("ACK"), b"")
-            if self._client_fin and self._server_fin:
-                self.state = "closed"
-                if self.on_closed:
-                    self.on_closed(self)
-            else:
-                self.close(side)
+                self.close()
             return
         if flags == {"ACK"} and not frame.payload:
-            if not self._opened and side == "server" and self.state != "closed":
-                self._opened = True
-                self.state = "established"
-                if self.service is not None:
-                    self.service.on_open(self)
+            if self.side == "server" and self.state == "connecting":
+                self._set_state("established")
             return
         if self.state == "closed":
             return   # late data on a torn-down stream is ignored
         if frame.payload:
-            self._send(host, _flags("ACK"), b"")
-            if side == "server":
-                if self.service is not None:
-                    self.service.on_data(self, frame.payload)
-            else:
-                if self.on_data:
-                    self.on_data(self, frame.payload)
-
-    def _drop_from(self, host, frame):
-        for h in (self.client_host, self.server_host):
-            if h is None:
-                continue
-            for key in list(h._streams):
-                if h._streams[key] is self:
-                    del h._streams[key]
+            self._send(_flags("ACK"))
+            if self.on_data:
+                self.on_data(self, frame.payload)
 
 
 # ---------------------------------------------------------------------------

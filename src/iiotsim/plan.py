@@ -16,6 +16,9 @@ ATTACK_KINDS = ("arp_spoof", "tamper", "log_tamper", "i2c_sniff",
 OUTPUTS = ("capture", "conn_log", "historians", "windows", "dataset",
            "metrics", "hunt")
 
+# the hosts harness.Build looks up by role
+REQUIRED_ROLES = ("gateway", "router", "plc", "broker", "mail", "attacker")
+
 CALIBRATED_PROTOS = ("MODBUS", "COAP", "HTTP", "DNS", "I2C", "MQTT", "SMTP",
                      "API")
 
@@ -82,7 +85,11 @@ def validate_plan(plan: dict) -> list:
             if (seg, ip) in seen_ips:
                 errors.append(f"duplicate IP {ip!r} on segment {seg!r}")
             seen_ips.add((seg, ip))
-    for role, hid in plan.get("roles", {}).items():
+    roles = plan.get("roles", {})
+    missing = [r for r in REQUIRED_ROLES if r not in roles]
+    if missing:
+        errors.append(f"roles must name {', '.join(missing)}")
+    for role, hid in roles.items():
         if hid not in host_ids:
             errors.append(f"role {role!r} references unknown host {hid!r}")
     acl = plan.get("acl", {})

@@ -84,10 +84,7 @@ class Plant:
                 s.tick(self.sim.rng(f"plant/{sid}"))
 
     def start(self) -> None:
-        def loop():
-            self.tick()
-            self.sim.schedule_periodic(self.tick_period_us, loop)
-        self.sim.schedule_periodic(self.tick_period_us, loop)
+        self.sim.every(self.tick_period_us, self.tick)
 
     def actuator_command(self, actuator_id: str, state: str, source: str) -> Actuator:
         act = self.actuators.get(actuator_id)
@@ -263,14 +260,14 @@ def modbus_transact(host, slave_ip, request, on_response, port=502,
             on_response(result)
 
     def on_established(s):
-        s.write("client", fieldbus.encode_request(request))
+        s.write(fieldbus.encode_request(request))
 
     def on_data(s, raw):
         try:
             response = fieldbus.decode_response(raw)
         except fieldbus.ModbusCodecError:
             response = None
-        s.close("client")
+        s.close()
         finish(response)
 
     def timeout_check():
@@ -301,11 +298,8 @@ class ModbusSlaveService:
         except fieldbus.ModbusCodecError:
             return
         response = self.handler(request)
-        raw = fieldbus.encode_response(response)
-        def reply():
-            if stream.state == "established":
-                stream.write("server", raw)
-        self.sim.schedule(self.service_time_us, reply)
+        stream.reply_after(self.service_time_us,
+                           fieldbus.encode_response(response))
 
 
 class MplDevice:

@@ -18,10 +18,7 @@ class MailService:
         text = data.decode(errors="replace")
         if text.startswith("MSG "):
             self.messages.append((self.sim.now_us, text[4:]))
-        def reply():
-            if stream.state == "established":
-                stream.write("server", b"250 OK")
-        self.sim.schedule(self.service_time_us, reply)
+        stream.reply_after(self.service_time_us, b"250 OK")
 
 
 class WebGuiService:
@@ -37,11 +34,9 @@ class WebGuiService:
         self.service_time_us = service_time_us
         self.footholds: set = set()       # attacker host ids with shell access
         self._authed_streams: set = set()
-        self._stream_seq = 0
 
     def on_open(self, stream):
-        self._stream_seq += 1
-        stream._webgui_key = self._stream_seq
+        pass
 
     def on_data(self, stream, data: bytes):
         try:
@@ -54,7 +49,7 @@ class WebGuiService:
                     "server": "webgui"}
         elif action == "login":
             if (request.get("user"), request.get("password")) == self.credentials:
-                self._authed_streams.add(getattr(stream, "_webgui_key", -1))
+                self._authed_streams.add(stream)
                 body = {"status": 200, "auth": "ok"}
                 self.sim.log_syslog(self.host,
                                     f"webgui: login {request.get('user')} "
@@ -64,8 +59,7 @@ class WebGuiService:
                 self.sim.log_syslog(self.host,
                                     f"webgui: failed login from {stream.client_ip}")
         elif action == "inject":
-            authed = getattr(stream, "_webgui_key", -1) in self._authed_streams
-            if authed and self.vulnerable:
+            if stream in self._authed_streams and self.vulnerable:
                 self.footholds.add(request.get("attacker", stream.client_ip))
                 body = {"status": 200, "upload": "ok"}
                 self.sim.log_syslog(self.host,
@@ -75,8 +69,4 @@ class WebGuiService:
                 body = {"status": 403, "upload": "rejected"}
         else:
             body = {"status": 400}
-        raw = json.dumps(body).encode()
-        def reply():
-            if stream.state == "established":
-                stream.write("server", raw)
-        self.sim.schedule(self.service_time_us, reply)
+        stream.reply_after(self.service_time_us, json.dumps(body).encode())

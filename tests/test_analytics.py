@@ -290,6 +290,9 @@ class TestLabeling:
         assert a[0][0].label == b[0][0].label
 
 
+DATASET_HEADER = ",".join(analytics.FEATURE_COLUMNS + ("label",))
+
+
 class TestDatasetFeatures:
     def test_features_finite_and_csv_round_trip(self, tmp_path):
         convs = analytics.build_conversations(seven_frame_stream())
@@ -301,6 +304,17 @@ class TestDatasetFeatures:
         back = analytics.read_dataset_csv(path)
         assert back[0].features == rows[0].features
         assert back[0].label == "normal"
+
+    @pytest.mark.parametrize("header,row,where", [
+        ("a,b", "1,x", "row 1"),
+        (DATASET_HEADER, "0," * 17 + "x,normal", "row 2"),
+        (DATASET_HEADER, "0,normal", "row 2"),
+    ])
+    def test_read_rejects_malformed_csv(self, tmp_path, header, row, where):
+        path = tmp_path / "dataset.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"dataset.csv: {where}"):
+            analytics.read_dataset_csv(path)
 
     def test_zero_duration_yields_finite_rates(self):
         frames = [mk_frame(1_000, "10.0.0.1", 1, "10.0.0.2", 2, (), b"xx",

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import importlib.resources
 import json
 import os
@@ -97,6 +98,39 @@ class TestCalibration:
 ARTIFACTS = ("capture.jsonl", "conn.log", "edge_historian.csv",
              "cloud_historian.csv", "attack_windows.jsonl", "dataset.csv",
              "metrics_report.json", "run_summary.json")
+
+
+# SHA-256 of every file of the default bundle: the shipped plan at seed 42.
+# A change that alters any byte must update this table and say why in
+# CHANGES.md.
+GOLDEN_DIGESTS = {
+    "attack_windows.jsonl":
+        "d5f1b78aad3fcf3bc7e6b8f86985fd2f3b20050752348779ffc5ccc2607c7b36",
+    "capture.jsonl":
+        "8ad6e407b91cc457b2e0eb986208b2a00fcceef375131499004ca25f5fbe65e5",
+    "cloud_historian.csv":
+        "985146a68d0235a2722ba268f999f1baa141e8721bee213e447b33c6b512f669",
+    "conn.log":
+        "756fd4e632b4161c7820c1636c9b7ba274408e6cf3f91921e572064c0de091a5",
+    "dataset.csv":
+        "d8cb3fcb5dd3f9686b755e7b30f4fe0eb5ec89f03b4ea994e77b90136b4d7d96",
+    "edge_historian.csv":
+        "8ced631a291def45b829817c8b54cd496d2af69bec6ec6aa6cd71b055f0a1caf",
+    "hunt_report.json":
+        "9ea40173293f144ab0bd8cba70c220b172b7931f6503a53b30bd5127a6424403",
+    "i2c_trace.txt":
+        "f8dc9a6fd1392f64f32e3046c710eb68136533bb584819a6f4848605c6bda56a",
+    "metrics_report.json":
+        "ad58ace10a081e86f54a7491688ab1905a15be69e4789d9ad7f5604bf3df6cec",
+    "rogue_transcript.txt":
+        "8502b3682eb8ea9d295f287f1531226ba841496685a47993797908c4beb5fa8e",
+    "run_summary.json":
+        "0bae671fef39def67c24d8d03f475d816c4f509786b278b71c753c91ca1db2d0",
+    "syslog_router.txt":
+        "3bb1dd4eea508ef7258a80cf93c952498f4f627b57b561a686c570366ed1600e",
+    "syslog_router_truth.txt":
+        "0e3b95cf92f8f5145f493a499e9cf2b4d7b09496ee276e76dc0c68f6fcdf2f8a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +234,14 @@ class TestRunArtifacts:
                            shallow=False)
         assert not same
 
+    def test_default_bundle_matches_golden_digests(self, default_bundle):
+        out = default_bundle.out_dir
+        digests = {}
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == GOLDEN_DIGESTS
+
 
 class TestCli:
     def write_plan(self, tmp_path, plan):
@@ -283,7 +325,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["empty_plan", "missing_plan",
-                                      "truncated_capture", "garbled_conn_log"])
+                                      "truncated_capture", "garbled_conn_log",
+                                      "garbled_dataset", "one_class_dataset",
+                                      "plan_without_roles"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -295,12 +339,27 @@ class TestCli:
         elif case == "truncated_capture":
             (out / "capture.jsonl").write_text('{"ts_us": 1, "src_m')
             argv = ["report", "--out", str(out)]
-        else:
+        elif case == "garbled_conn_log":
             (out / "conn.log").write_text("ts\torig_h\n1.0\t10.0.0.1\n")
             argv = ["hunt", "--out", str(out)]
+        elif case == "garbled_dataset":
+            (out / "dataset.csv").write_text("a,b\n1,x\n")
+            argv = ["detect", "--out", str(out)]
+        elif case == "one_class_dataset":
+            analytics.write_dataset_csv(
+                [analytics.DatasetRow(
+                    (float(i),) * len(analytics.FEATURE_COLUMNS), "normal")
+                 for i in range(30)], out / "dataset.csv")
+            argv = ["detect", "--out", str(out)]
+        else:
+            path = self.write_plan(tmp_path, {
+                "schema_version": 1, "duration_s": 10, "segments": {"a": {}}})
+            argv = ["report", "--plan", path, "--out", str(out)]
         assert cli.main(["--quiet"] + argv) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] and isinstance(error["details"], list)
+        if case == "plan_without_roles":
+            assert error["error"] == "plan is invalid"
 
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(iiotsim.__file__))

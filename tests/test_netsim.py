@@ -150,7 +150,7 @@ class EchoService:
 
     def on_data(self, stream, data):
         self.received.append(data)
-        stream.write("server", b"echo:" + data)
+        stream.write(b"echo:" + data)
 
 
 class TestTcpStreams:
@@ -176,7 +176,7 @@ class TestTcpStreams:
         sim, gw, router = lan_pair()
         router.bind_tcp(443, EchoService())
         stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
-        stream.on_established = lambda s: s.write("client", b"hello")
+        stream.on_established = lambda s: s.write(b"hello")
         sim.run_until(1_000_000)
         data_frames = [f for f in sim.capture
                        if f.tcp_flags == ("ACK", "PSH") and f.payload == b"hello"]
@@ -192,7 +192,7 @@ class TestTcpStreams:
         svc = EchoService()
         router.bind_tcp(443, svc)
         stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
-        stream.on_established = lambda s: s.close("client")
+        stream.on_established = lambda s: s.close()
         sim.run_until(1_000_000)
         fins = [f for f in sim.capture if "FIN" in f.tcp_flags]
         assert len(fins) == 2      # one FIN per side
@@ -202,11 +202,44 @@ class TestTcpStreams:
         sim, gw, router = lan_pair()
         router.bind_tcp(443, EchoService())
         stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
-        stream.on_established = lambda s: s.reset("client")
+        stream.on_established = lambda s: s.reset()
         sim.run_until(1_000_000)
         rsts = [f for f in sim.capture if f.tcp_flags == ("RST",)]
         assert len(rsts) == 1
         assert stream.state == "closed"
+
+    @pytest.mark.parametrize("unbind", [False, True])
+    def test_reused_source_port_after_close(self, unbind):
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        router.bind_tcp(443, svc)
+        echoes = []
+
+        def on_data(s, data):
+            echoes.append(data)
+            s.close()
+
+        def connect(payload):
+            stream = gw.open_tcp("192.168.10.1", 443, "HTTPS", src_port=50000)
+            stream.on_established = lambda s: s.write(payload)
+            stream.on_data = on_data
+            sim.run_until(sim.now_us + 1_000_000)
+            return stream
+
+        assert connect(b"one").state == "closed"
+        if unbind:
+            router.unbind_tcp(443)
+        second = connect(b"two")
+        if unbind:
+            assert second.state == "refused"
+            assert svc.received == [b"one"]
+            assert echoes == [b"echo:one"]
+            last = [f for f in sim.capture if f.sender == "router"][-1]
+            assert last.tcp_flags == ("RST",)
+        else:
+            assert second.state == "closed"
+            assert svc.received == [b"one", b"two"]
+            assert echoes == [b"echo:one", b"echo:two"]
 
 
 class TestCaptureExport:
