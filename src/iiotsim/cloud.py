@@ -98,21 +98,24 @@ class _Session:
 
 
 class _WindowCounter:
-    """Sliding-window sum for the $SYS load averages (per-minute rate)."""
+    """Sliding-window sum for the $SYS load averages (per-minute rate).
+    Amounts are ints, so the running total is exact."""
 
     def __init__(self, window_s: int):
         self.window_us = window_s * 1_000_000
         self.events = deque()
+        self.total = 0
         self.minutes = window_s / 60.0
 
-    def add(self, ts_us: int, amount: float) -> None:
+    def add(self, ts_us: int, amount: int) -> None:
         self.events.append((ts_us, amount))
+        self.total += amount
 
     def rate_per_min(self, now_us: int) -> float:
         cutoff = now_us - self.window_us
         while self.events and self.events[0][0] < cutoff:
-            self.events.popleft()
-        return sum(a for _, a in self.events) / self.minutes
+            self.total -= self.events.popleft()[1]
+        return self.total / self.minutes
 
 
 class Broker:

@@ -7,11 +7,13 @@ flag+payload fidelity) is appended to a global capture. All randomness
 traffic from one host never perturbs the delay sequence of another.
 """
 
-import base64
+import functools
 import heapq
 import json
 import re
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 US_PER_S = 1_000_000
@@ -52,17 +54,20 @@ def ip_to_int(ip: str) -> int:
     return val
 
 
-def cidr_match(ip: str, cidr: str) -> bool:
+def parse_cidr(cidr: str) -> tuple:
+    """-> (net, mask) ints; "any" and "*" match every address and a bare
+    address matches itself."""
     if cidr in ("any", "*"):
-        return True
-    if "/" not in cidr:
-        return ip == cidr
-    net, bits = cidr.split("/")
-    bits = int(bits)
-    if bits == 0:
-        return True
+        return 0, 0
+    net, _, bits = cidr.partition("/")
+    bits = int(bits) if bits else 32
     mask = ((1 << bits) - 1) << (32 - bits)
-    return (ip_to_int(ip) & mask) == (ip_to_int(net) & mask)
+    return ip_to_int(net) & mask, mask
+
+
+def cidr_match(ip: str, cidr: str) -> bool:
+    net, mask = parse_cidr(cidr)
+    return ip_to_int(ip) & mask == net
 
 
 @dataclass
@@ -120,6 +125,7 @@ FLAG_LETTER = {"ACK": "A", "FIN": "F", "PSH": "P", "RST": "R", "SYN": "S"}
 VALID_FLAGS = frozenset(FLAG_LETTER)
 
 
+@functools.cache
 def _flags(*names) -> tuple:
     bad = set(names) - VALID_FLAGS
     if bad:
@@ -142,18 +148,21 @@ class Acl:
     def __init__(self, rules=(), default="allow"):
         self.rules = list(rules)
         self.default = default
+        self._parsed = [(r.direction, *parse_cidr(r.src_cidr),
+                         *parse_cidr(r.dst_cidr), r.dst_ports, r.action)
+                        for r in self.rules]
 
     def decide(self, direction: str, src_ip: str, dst_ip: str, dst_port: int) -> str:
-        for r in self.rules:
-            if r.direction not in ("any", direction):
+        src, dst = ip_to_int(src_ip), ip_to_int(dst_ip)
+        for (rule_dir, src_net, src_mask, dst_net, dst_mask, ports,
+             action) in self._parsed:
+            if rule_dir not in ("any", direction):
                 continue
-            if not cidr_match(src_ip, r.src_cidr):
+            if src & src_mask != src_net or dst & dst_mask != dst_net:
                 continue
-            if not cidr_match(dst_ip, r.dst_cidr):
+            if ports is not None and dst_port not in ports:
                 continue
-            if r.dst_ports is not None and dst_port not in r.dst_ports:
-                continue
-            return r.action
+            return action
         return self.default
 
 
@@ -173,6 +182,7 @@ class Simulation:
         self._ip_owner: dict[tuple, "Host"] = {}   # (segment, ip) -> host
         self.syslog_truth: dict[str, list] = {}
         self._rngs: dict[str, Random] = {}
+        self._lanes: dict[str, tuple] = {}         # sender -> (data, ARP) lanes
         self._fifo: dict[tuple, int] = {}          # (sender, segment) -> last deliver ts
 
     # -- clock ---------------------------------------------------------
@@ -241,7 +251,10 @@ class Simulation:
             self._mac_owner[mac] = host
             self._ip_owner[(seg_name, ip)] = host
             seg.hosts.append(host)
+        host.ips = frozenset(i.ip for i in host.interfaces)
         self.hosts[host_id] = host
+        for h in self.hosts.values():
+            h._routes.clear()
         self.syslog_truth[host_id] = []
         return host
 
@@ -261,24 +274,29 @@ class Simulation:
         from one host on one wire.
         """
         self.capture.append(frame)
-        seg = self.segments[frame.segment]
+        profile = self.segments[frame.segment].profile
         # ARP keeps its own jitter lane so that attack-induced resolutions
         # can never shift the delay sequence of a victim's data traffic
-        lane = self.rng(f"net/{frame.sender}/arp" if frame.l4 == "ARP"
-                        else f"net/{frame.sender}")
-        if seg.profile.loss_rate and lane.random() < seg.profile.loss_rate:
+        lanes = self._lanes.get(frame.sender)
+        if lanes is None:
+            lanes = self._lanes[frame.sender] = (
+                self.rng(f"net/{frame.sender}"),
+                self.rng(f"net/{frame.sender}/arp"))
+        lane = lanes[frame.l4 == "ARP"]
+        if profile.loss_rate and lane.random() < profile.loss_rate:
             frame.drop_reason = "loss"
             return frame
         jitter = 0
-        if seg.profile.jitter_us:
-            jitter = int(round(lane.uniform(-seg.profile.jitter_us,
-                                            seg.profile.jitter_us)))
-        delay = max(0, seg.profile.base_latency_us + jitter)
+        if profile.jitter_us:
+            jitter = int(round(lane.uniform(-profile.jitter_us,
+                                            profile.jitter_us)))
+        delay = max(0, profile.base_latency_us + jitter)
         key = (frame.sender, frame.segment)
         deliver_ts = max(frame.ts_us + delay, self._fifo.get(key, 0))
         self._fifo[key] = deliver_ts
         frame.deliver_ts_us = deliver_ts   # scheduled; delivered flag set on arrival
-        self.schedule_at(deliver_ts, lambda: self._deliver(frame, deliver_ts))
+        self.schedule_at(deliver_ts,
+                         functools.partial(self._deliver, frame, deliver_ts))
         return frame
 
     def _deliver(self, frame: Frame, ts: int) -> None:
@@ -292,7 +310,7 @@ class Simulation:
             return
         host = self._mac_owner.get(frame.dst_mac)
         if host is not None:
-            if any(frame.dst_ip == i.ip for i in host.interfaces):
+            if frame.dst_ip in host.ips:
                 frame.final = True
             host.receive(frame)
 
@@ -325,12 +343,10 @@ class Host:
         self._streams: dict[tuple, "TcpStream"] = {}
         self._eph_port = 49152
         self._conntrack: set = set()
+        self.ips: frozenset = frozenset()        # set by attach_host
+        self._routes: dict[str, tuple] = {}     # dst_ip -> route(dst_ip)
 
     # -- identity helpers ------------------------------------------------
-    @property
-    def ips(self):
-        return [i.ip for i in self.interfaces]
-
     def iface_for_segment(self, segment: str) -> Interface:
         for i in self.interfaces:
             if i.segment == segment:
@@ -352,7 +368,13 @@ class Host:
 
     # -- routing / ARP ----------------------------------------------------
     def route(self, dst_ip: str) -> tuple:
-        """-> (interface, next_hop_ip)"""
+        """-> (interface, next_hop_ip); fixed until the next attach_host."""
+        hit = self._routes.get(dst_ip)
+        if hit is None:
+            hit = self._routes[dst_ip] = self._find_route(dst_ip)
+        return hit
+
+    def _find_route(self, dst_ip: str) -> tuple:
         for i in self.interfaces:
             if self.sim.owner_of_ip(i.segment, dst_ip) is not None:
                 return i, dst_ip
@@ -430,6 +452,7 @@ class Host:
     def send_ip(self, dst_ip: str, dst_port: int, payload: bytes, proto_tag: str,
                 l4: str = "UDP", tcp_flags: tuple = (), src_port: int = 0,
                 src_ip: str | None = None, at_ts: int | None = None) -> Frame:
+        """tcp_flags is a sorted tuple, as _flags returns it."""
         iface, next_hop = self.route(dst_ip)
         mac, ready = self.arp_resolve(next_hop)
         ts = max(ready, self.sim.now_us if at_ts is None else at_ts)
@@ -438,7 +461,7 @@ class Host:
                       src_mac=iface.mac, dst_mac=mac,
                       src_ip=use_src_ip, dst_ip=dst_ip,
                       src_port=src_port, dst_port=dst_port,
-                      l4=l4, tcp_flags=tuple(sorted(tcp_flags)),
+                      l4=l4, tcp_flags=tcp_flags,
                       payload=payload, proto_tag=proto_tag,
                       origin=use_src_ip in self.ips)
         return self.sim.transmit(frame)
@@ -630,17 +653,17 @@ class TcpStream:
 
     # -- inbound frame ---------------------------------------------------
     def _rx(self, frame: Frame):
-        flags = set(frame.tcp_flags)
+        flags = frame.tcp_flags       # sorted, as _flags builds them
         if "RST" in flags:
             self._forget()
             if self.state not in ("closed", "refused"):
                 self._set_state("refused" if self.state == "connecting"
                                 else "closed")
             return
-        if flags == {"SYN"}:
+        if flags == ("SYN",):
             self._send(_flags("SYN", "ACK"))
             return
-        if flags == {"ACK", "SYN"}:
+        if flags == ("ACK", "SYN"):
             self._send(_flags("ACK"))
             self._set_state("established")
             return
@@ -652,7 +675,7 @@ class TcpStream:
             else:
                 self.close()
             return
-        if flags == {"ACK"} and not frame.payload:
+        if flags == ("ACK",) and not frame.payload:
             if self.side == "server" and self.state == "connecting":
                 self._set_state("established")
             return
@@ -705,7 +728,7 @@ def frame_to_record(f: Frame) -> dict:
         "tcp_flags": list(f.tcp_flags),
         "len": f.wire_len,
         "proto_tag": f.proto_tag,
-        "payload_b64": base64.b64encode(f.payload).decode(),
+        "payload_b64": b64encode(f.payload).decode(),
         "segment": f.segment,
         "sender": f.sender,
         "origin": f.origin,
@@ -718,25 +741,51 @@ def frame_to_record(f: Frame) -> dict:
 
 
 def record_to_frame(rec: dict) -> Frame:
-    return Frame(ts_us=rec["ts_us"], segment=rec.get("segment", ""),
-                 sender=rec.get("sender", ""), src_mac=rec["src_mac"],
-                 dst_mac=rec["dst_mac"], src_ip=rec["src_ip"],
-                 dst_ip=rec["dst_ip"], src_port=rec["src_port"],
-                 dst_port=rec["dst_port"], l4=rec["l4"],
-                 tcp_flags=tuple(rec["tcp_flags"]),
-                 payload=base64.b64decode(rec["payload_b64"]),
-                 proto_tag=rec["proto_tag"], origin=rec.get("origin", True),
-                 final=rec.get("final", False),
-                 delivered=rec.get("delivered", False),
-                 deliver_ts_us=rec.get("deliver_ts_us", 0),
-                 drop_reason=rec.get("drop_reason", ""),
-                 fw_denied=rec.get("fw_denied", False))
+    get = rec.get
+    # positional, in the field order of Frame
+    return Frame(rec["ts_us"], get("segment", ""), get("sender", ""),
+                 rec["src_mac"], rec["dst_mac"], rec["src_ip"], rec["dst_ip"],
+                 rec["src_port"], rec["dst_port"], rec["l4"],
+                 tuple(rec["tcp_flags"]), b64decode(rec["payload_b64"]),
+                 rec["proto_tag"], get("origin", True), get("final", False),
+                 get("delivered", False), get("deliver_ts_us", 0),
+                 get("drop_reason", ""), get("fw_denied", False))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def write_capture_jsonl(frames, path) -> None:
+    """One line per frame, byte-equal to json.dumps(frame_to_record(f)):
+    the same key order, the same str escaping, memoised per value."""
+    q = _Memo(encode_basestring_ascii)
+    flags = _Memo(lambda t: json.dumps(list(t)))
+    js = {True: "true", False: "false"}
     with open(path, "w") as fh:
         for f in frames:
-            fh.write(json.dumps(frame_to_record(f)) + "\n")
+            fh.write(
+                f'{{"ts_us": {f.ts_us}, "src_mac": {q[f.src_mac]}, '
+                f'"dst_mac": {q[f.dst_mac]}, "src_ip": {q[f.src_ip]}, '
+                f'"src_port": {f.src_port}, "dst_ip": {q[f.dst_ip]}, '
+                f'"dst_port": {f.dst_port}, "l4": {q[f.l4]}, '
+                f'"tcp_flags": {flags[f.tcp_flags]}, "len": {f.wire_len}, '
+                f'"proto_tag": {q[f.proto_tag]}, '
+                f'"payload_b64": "{b64encode(f.payload).decode()}", '
+                f'"segment": {q[f.segment]}, "sender": {q[f.sender]}, '
+                f'"origin": {js[f.origin]}, "final": {js[f.final]}, '
+                f'"delivered": {js[f.delivered]}, '
+                f'"deliver_ts_us": {f.deliver_ts_us}, '
+                f'"drop_reason": {q[f.drop_reason]}, '
+                f'"fw_denied": {js[f.fw_denied]}}}\n')
 
 
 def read_capture_jsonl(path) -> list[Frame]:

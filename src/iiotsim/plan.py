@@ -19,6 +19,12 @@ OUTPUTS = ("capture", "conn_log", "historians", "windows", "dataset",
 # the hosts harness.Build looks up by role
 REQUIRED_ROLES = ("gateway", "router", "plc", "broker", "mail", "attacker")
 
+# the two ends of the request/response path calibrate() solves for each
+# protocol's latency target (MQTT's gateway and broker are required roles)
+TARGET_ROLES = {"MODBUS": ("gateway", "plc"), "COAP": ("mobile", "gateway"),
+                "DNS": ("mobile", "gateway"), "SMTP": ("gateway", "mail"),
+                "API": ("pc", "gateway"), "HTTP": ("wan_client", "gateway")}
+
 CALIBRATED_PROTOS = ("MODBUS", "COAP", "HTTP", "DNS", "I2C", "MQTT", "SMTP",
                      "API")
 
@@ -89,6 +95,16 @@ def validate_plan(plan: dict) -> list:
     missing = [r for r in REQUIRED_ROLES if r not in roles]
     if missing:
         errors.append(f"roles must name {', '.join(missing)}")
+    targets = plan.get("latency_targets_ms") or {}
+    unnamed = {}     # role -> the latency targets that need it
+    for proto, ends in TARGET_ROLES.items():
+        if proto in targets:
+            for role in ends:
+                if role not in roles and role not in missing:
+                    unnamed.setdefault(role, []).append(proto)
+    for role, protos in unnamed.items():
+        errors.append(f"latency targets {', '.join(protos)} need "
+                      f"role {role!r}")
     for role, hid in roles.items():
         if hid not in host_ids:
             errors.append(f"role {role!r} references unknown host {hid!r}")
@@ -353,19 +369,11 @@ def calibrate(plan: dict) -> dict:
     roles = plan["roles"]
     svc = {}
     errors = []
-    paths = {
-        "MODBUS": (roles["gateway"], roles["plc"]),
-        "COAP": (roles["mobile"], roles["gateway"]),
-        "DNS": (roles["mobile"], roles["gateway"]),
-        "SMTP": (roles["gateway"], roles["mail"]),
-        "API": (roles["pc"], roles["gateway"]),
-        "HTTP": (roles["wan_client"], roles["gateway"]),
-    }
-    for proto, (a, b) in paths.items():
+    for proto, (a, b) in TARGET_ROLES.items():
         if proto not in targets:
             continue
         target_us = targets[proto] * 1000.0
-        rtt = 2.0 * one_way_us(plan, a, b)
+        rtt = 2.0 * one_way_us(plan, roles[a], roles[b])
         if target_us < rtt:
             errors.append(f"{proto}: target {targets[proto]}ms below path "
                           f"RTT {rtt / 1000.0}ms")

@@ -271,7 +271,10 @@ def modbus_transact(host, slave_ip, request, on_response, port=502,
         finish(response)
 
     def timeout_check():
-        if not state["done"] and stream.state == "connecting":
+        # no answer in time, whether the connection opened or not
+        if not state["done"]:
+            if stream.state == "established":
+                stream.close()
             finish(None)
 
     stream.on_established = on_established

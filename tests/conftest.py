@@ -26,6 +26,17 @@ def small_plan(duration_s=60.0, attacks=()):
     return plan
 
 
+class SilentSlave:
+    """A TCP service that accepts the connection and never answers, as
+    plant.ModbusSlaveService does with a request it cannot decode."""
+
+    def on_open(self, stream):
+        pass
+
+    def on_data(self, stream, data):
+        pass
+
+
 @pytest.fixture()
 def tiny_plan():
     return small_plan

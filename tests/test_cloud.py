@@ -1,10 +1,11 @@
 import json
+import random
 from datetime import datetime, timezone
 
 import pytest
 
-from iiotsim.cloud import (Broker, MqttClient, TopicFilterError, decode_packet,
-                           topic_match)
+from iiotsim.cloud import (Broker, MqttClient, TopicFilterError, _WindowCounter,
+                           decode_packet, topic_match)
 from iiotsim.netsim import LinkProfile, Simulation
 
 EPOCH = datetime(2019, 7, 18, 6, 0, 0, tzinfo=timezone.utc)
@@ -156,6 +157,24 @@ class TestSysTopics:
         sim.run_until(1_000_000)
         after = broker.sys_snapshot()["$SYS/broker/bytes/sent"]
         assert before == after == "0"
+
+
+class TestWindowCounter:
+    def test_rate_equals_recomputed_sum(self):
+        rng = random.Random(7)
+        counter = _WindowCounter(60)
+        added = []
+        now = 0
+        for _ in range(3000):
+            now += rng.choice((0, 1, 250_000, 4_000_000, 90_000_000))
+            if rng.random() < 0.7:
+                amount = rng.randrange(0, 5000)
+                counter.add(now, amount)
+                added.append((now, amount))
+            else:
+                cutoff = now - counter.window_us
+                expected = sum(a for ts, a in added if ts >= cutoff)
+                assert counter.rate_per_min(now) == expected / counter.minutes
 
 
 class TestCloudStore:

@@ -6,7 +6,7 @@ from iiotsim import harness
 from iiotsim.gateway import DeadbandPolicy, Reading, build_telemetry
 from iiotsim.historian import Historian
 
-from conftest import small_plan
+from conftest import SilentSlave, small_plan
 
 FIG8_BODY = ('{"Device ID": "Slave 7", "Device Type": "I2C slave", '
              '"Measurement": 94.34675, "Function": "I/O Pressure Sensor", '
@@ -152,6 +152,15 @@ class TestPollCycle:
         for key in ("mpl", "onewire", "sim-humidity", "sim-temperature",
                     "sim-pressure"):
             assert key in gw.latest
+
+    def test_silent_plc_faults_once_per_poll(self):
+        build = harness.Build(small_plan(duration_s=10.0))
+        build.plc_host.bind_tcp(502, SilentSlave())
+        build.run()
+        gw = build.gateway
+        assert gw._poll_seq == 5
+        assert [(d, r) for _, d, r in gw.faults] == [("plc", "unreachable")] * 5
+        assert "plc" not in gw.latest
 
     def test_every_reading_lands_in_local_historian_once(self, gw_build):
         from collections import Counter

@@ -327,7 +327,8 @@ class TestCli:
     @pytest.mark.parametrize("case", ["empty_plan", "missing_plan",
                                       "truncated_capture", "garbled_conn_log",
                                       "garbled_dataset", "one_class_dataset",
-                                      "plan_without_roles"])
+                                      "plan_without_roles",
+                                      "plan_without_mobile_role"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -351,6 +352,12 @@ class TestCli:
                     (float(i),) * len(analytics.FEATURE_COLUMNS), "normal")
                  for i in range(30)], out / "dataset.csv")
             argv = ["detect", "--out", str(out)]
+        elif case == "plan_without_mobile_role":
+            # calibrating the COAP and DNS targets needs the mobile host
+            plan = planmod.default_plan()
+            del plan["roles"]["mobile"]
+            argv = ["run", "--plan", self.write_plan(tmp_path, plan),
+                    "--out", str(out)]
         else:
             path = self.write_plan(tmp_path, {
                 "schema_version": 1, "duration_s": 10, "segments": {"a": {}}})
@@ -358,7 +365,7 @@ class TestCli:
         assert cli.main(["--quiet"] + argv) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] and isinstance(error["details"], list)
-        if case == "plan_without_roles":
+        if case in ("plan_without_roles", "plan_without_mobile_role"):
             assert error["error"] == "plan is invalid"
 
     def test_python_dash_m_runs_the_cli(self):

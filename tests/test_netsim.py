@@ -1,10 +1,11 @@
 import io
+import itertools
 import json
 
 import pytest
 
 from iiotsim import netsim
-from iiotsim.netsim import (Acl, AclRule, LinkProfile, Simulation,
+from iiotsim.netsim import (Acl, AclRule, Frame, LinkProfile, Simulation,
                             capture_export, frame_to_record,
                             write_capture_jsonl)
 
@@ -139,6 +140,31 @@ class TestSendAndFirewall:
         sim, gw, router = lan_pair()
         with pytest.raises(netsim.RouteError):
             gw.send_ip("8.8.8.8", 53, b"x", "DNS")
+
+    def test_attach_host_changes_a_remembered_route(self):
+        sim = Simulation(seed=1)
+        sim.add_segment("lan", LinkProfile())
+        sim.add_segment("dmz", LinkProfile())
+        a = sim.attach_host("a", [("lan", "02:00:00:00:00:01", "10.0.0.1")],
+                            gateway_ip="10.0.0.254")
+        sim.attach_host("r", [("lan", "02:00:00:00:00:fe", "10.0.0.254")])
+        iface, next_hop = a.route("10.0.0.2")
+        assert (iface.ip, next_hop) == ("10.0.0.1", "10.0.0.254")
+        b = sim.attach_host("b", [("lan", "02:00:00:00:00:02", "10.0.0.2")])
+        iface, next_hop = a.route("10.0.0.2")
+        assert (iface.ip, next_hop) == ("10.0.0.1", "10.0.0.2")
+        assert b.ips == frozenset({"10.0.0.2"})
+        frame = a.send_udp("10.0.0.2", 9, b"x", "RAW")
+        sim.run_until(1_000_000)
+        assert frame.delivered and frame.final
+        # a failed lookup is not remembered
+        c = sim.attach_host("c", [("dmz", "02:00:00:00:01:01", "10.1.0.1")])
+        with pytest.raises(netsim.RouteError):
+            c.route("10.1.0.2")
+        d = sim.attach_host("d", [("dmz", "02:00:00:00:01:02", "10.1.0.2"),
+                                  ("lan", "02:00:00:00:01:03", "10.0.0.3")])
+        assert c.route("10.1.0.2")[1] == "10.1.0.2"
+        assert d.ips == frozenset({"10.1.0.2", "10.0.0.3"})
 
 
 class EchoService:
@@ -285,6 +311,32 @@ class TestCaptureExport:
         assert len(back) == len(frames)
         assert back[0].payload == frames[0].payload
         assert back[0].tcp_flags == frames[0].tcp_flags
+
+    def test_writer_matches_json_dumps_of_every_record(self, tmp_path):
+        texts = ["", "lan", 'quo"te', "back\\slash", "caf\u00e9 \U0001f600",
+                 "ctl\x00\x1f\x7f\n\t"]
+        flag_sets = [(), ("SYN",), ("ACK", "SYN"), ("ACK", "FIN", "PSH")]
+        payloads = [b"", bytes(range(256))]
+        frames = []
+        for k, (flags, payload, bools) in enumerate(itertools.product(
+                flag_sets, payloads,
+                itertools.product((False, True), repeat=4))):
+            text = [texts[(k + n) % len(texts)] for n in range(4)]
+            frames.append(Frame(
+                ts_us=k * 1_000_003, segment=text[0], sender=text[1],
+                src_mac="02:00:00:00:00:01", dst_mac=netsim.BROADCAST_MAC,
+                src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=k,
+                dst_port=65535 - k, l4=("TCP", "UDP", "ARP")[k % 3],
+                tcp_flags=flags, payload=payload, proto_tag=text[2],
+                origin=bools[0], final=bools[1], delivered=bools[2],
+                deliver_ts_us=k * 7, drop_reason=text[3],
+                fw_denied=bools[3]))
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        expected = "".join(json.dumps(frame_to_record(f)) + "\n"
+                           for f in frames)
+        assert path.read_bytes() == expected.encode()
+        assert netsim.read_capture_jsonl(path) == frames
 
     def test_sorted_by_timestamp(self):
         sim = self.run_fixture()

@@ -6,6 +6,8 @@ from iiotsim.plant import (PLC_INPUT_REGISTER, PLC_SETPOINT_REGISTER,
                            ModbusSlaveService, Plant, Plc, SensorModel,
                            modbus_transact, tmp36_celsius, tmp36_voltage)
 
+from conftest import SilentSlave
+
 
 def make_plant(seed=5, tick_us=1_000_000):
     sim = Simulation(seed=seed)
@@ -216,6 +218,18 @@ class TestModbusTransact:
                                      PLC_INPUT_REGISTER, 1), got.append)
         sim.run_until(5_000_000)
         assert got == [None]
+
+    def test_silent_slave_times_out_once(self):
+        sim, master, plc = self.wired()
+        sim.hosts["plc"].bind_tcp(502, SilentSlave())
+        got = []
+        stream = modbus_transact(master, "10.0.0.2",
+                                 fb.ModbusAdu(4, 1, fb.READ_HOLDING_REGISTERS,
+                                              PLC_INPUT_REGISTER, 1),
+                                 got.append)
+        sim.run_until(10_000_000)
+        assert got == [None]
+        assert stream.state == "closed"
 
 
 class TestActuator:
