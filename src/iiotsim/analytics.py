@@ -62,7 +62,8 @@ def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
 
     Every delivered frame lands in exactly one conversation; a conversation
     splits when the same 5-tuple goes idle longer than idle_timeout_us or
-    restarts with a fresh SYN after teardown.
+    restarts with a fresh SYN after teardown. Frames are walked in ts_us
+    order, so each one is the latest of its conversation and sender.
     """
     open_convs: dict = {}
     done: list = []
@@ -71,7 +72,7 @@ def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
             continue
         a = (f.src_ip, f.src_port)
         b = (f.dst_ip, f.dst_port)
-        key = (min(a, b), max(a, b), f.l4)
+        key = (a, b, f.l4) if a <= b else (b, a, f.l4)
         state = open_convs.get(key)
         if state is not None:
             conv, closed = state
@@ -86,8 +87,8 @@ def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
             state = (conv, False)
             open_convs[key] = state
         conv, closed = state
-        conv.ts_last_us = max(conv.ts_last_us, f.ts_us)
-        is_orig = (f.src_ip, f.src_port) == (conv.orig_ip, conv.orig_port)
+        conv.ts_last_us = f.ts_us
+        is_orig = f.src_ip == conv.orig_ip and f.src_port == conv.orig_port
         if is_orig:
             conv.orig_pkts += 1
             conv.orig_bytes += len(f.payload)
@@ -103,7 +104,7 @@ def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
         if span is None:
             conv.sender_spans[f.sender] = [f.ts_us, f.ts_us]
         else:
-            span[1] = max(span[1], f.ts_us)
+            span[1] = f.ts_us
         open_convs[key] = (conv, closed)
     for conv, _ in open_convs.values():
         done.append(conv)

@@ -11,7 +11,7 @@ import numpy as np
 from . import analytics, attacks, harness, hunt as huntmod, plan as planmod
 from .detect import (DEFAULT_SPECS, cross_validate, detection_rates,
                      format_detection_table, format_metrics_table)
-from .netsim import read_capture_jsonl
+from .netsim import iter_capture_jsonl, read_capture_jsonl
 
 
 def _load_plan(args) -> dict:
@@ -108,8 +108,11 @@ def cmd_hunt(args) -> int:
         return _fail(f"no conn.log at {conn_path}")
     try:
         rows = analytics.read_conn_log(conn_path)
-        frames = read_capture_jsonl(capture_path) if os.path.exists(
-            capture_path) else []
+        # every record is read and checked, but the flag profiles count only
+        # the victim's TCP frames, so only those are kept
+        frames = [f for f in iter_capture_jsonl(capture_path)
+                  if f.l4 == "TCP" and args.victim in (f.src_ip, f.dst_ip)
+                  ] if os.path.exists(capture_path) else []
     except ValueError as e:
         return _fail(f"cannot read bundle: {e}")
     syslog_events = truth_events = None

@@ -533,10 +533,16 @@ def capture_metrics(plan: dict, frames) -> dict:
     targets = plan.get("latency_targets_ms", {})
     gw_ip = _plan_ip(plan, "gateway")
     report = {"packet_stats": analytics.packet_size_stats(frames)}
+    # delivered frames by proto_tag, in capture order: what response_times
+    # and jitter_series look at
+    by_tag: dict[str, list] = {}
+    for f in frames:
+        if f.delivered:
+            by_tag.setdefault(f.proto_tag, []).append(f)
     rts = {}
     for proto in ("MODBUS", "COAP", "DNS", "HTTP", "API", "SMTP", "MQTT",
                   "HTTPS"):
-        stats = analytics.response_times(frames, proto)
+        stats = analytics.response_times(by_tag.get(proto, []), proto)
         if stats.count == 0 and proto not in targets:
             continue
         rts[proto] = {"mean_ms": stats.mean_ms, "count": stats.count,
@@ -549,18 +555,16 @@ def capture_metrics(plan: dict, frames) -> dict:
 
     # jitter over the periodic request flows
     flows = {
-        "modbus-poll": [f for f in frames
-                        if f.proto_tag == "MODBUS" and f.origin
-                        and f.src_ip == gw_ip and f.dst_port == 502
+        "modbus-poll": [f for f in by_tag.get("MODBUS", ())
+                        if f.origin and f.src_ip == gw_ip and f.dst_port == 502
                         and len(f.payload) >= 8
                         and f.payload[7] == fieldbus.READ_HOLDING_REGISTERS],
-        "dns-query": [f for f in frames if f.proto_tag == "DNS" and f.origin
-                      and f.dst_port == 53],
-        "coap-request": [f for f in frames
-                         if f.proto_tag == "COAP" and f.origin
-                         and f.dst_port == 5683],
-        "api-request": [f for f in frames if f.proto_tag == "API" and f.origin
-                        and f.dst_port == 8080 and f.payload],
+        "dns-query": [f for f in by_tag.get("DNS", ())
+                      if f.origin and f.dst_port == 53],
+        "coap-request": [f for f in by_tag.get("COAP", ())
+                         if f.origin and f.dst_port == 5683],
+        "api-request": [f for f in by_tag.get("API", ())
+                        if f.origin and f.dst_port == 8080 and f.payload],
     }
     all_windows = []
     flow_summaries = {}

@@ -2,7 +2,6 @@
 system logs: originator aggregation, reverse-connection detection, TCP-flag
 stream profiling and syslog parsing/search."""
 
-import csv
 import re
 from dataclasses import dataclass
 
@@ -116,18 +115,6 @@ def parse_syslog(lines) -> tuple:
             continue
         events.append(SyslogEvent(m.group(1), m.group(2)))
     return events, rejects
-
-
-def write_syslog_csv(events, path, rejects=None, reject_path=None) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("timestamp", "event"))
-        for e in events:
-            w.writerow((e.timestamp, e.event))
-    if reject_path is not None:
-        with open(reject_path, "w") as fh:
-            for line in rejects or ():
-                fh.write(line + "\n")
 
 
 def search_events(events, pattern: str) -> list:

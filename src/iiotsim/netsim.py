@@ -7,11 +7,13 @@ flag+payload fidelity) is appended to a global capture. All randomness
 traffic from one host never perturbs the delay sequence of another.
 """
 
+import binascii
 import functools
 import heapq
 import json
+import json.scanner
 import re
-from base64 import b64decode, b64encode
+from base64 import b64encode
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from random import Random
@@ -118,11 +120,16 @@ class Frame:
         return 42  # ARP
 
     def flag_key(self) -> str:
-        return "".join(FLAG_LETTER[f] for f in self.tcp_flags)
+        return _flag_key(self.tcp_flags)
 
 
 FLAG_LETTER = {"ACK": "A", "FIN": "F", "PSH": "P", "RST": "R", "SYN": "S"}
 VALID_FLAGS = frozenset(FLAG_LETTER)
+
+
+@functools.cache
+def _flag_key(flags: tuple) -> str:
+    return "".join(FLAG_LETTER[f] for f in flags)
 
 
 @functools.cache
@@ -143,7 +150,10 @@ class AclRule:
 
 
 class Acl:
-    """First matching rule wins; empty rule list falls through to default."""
+    """First matching rule wins; empty rule list falls through to default.
+
+    The rules are parsed once, so a verdict never changes: decide scans them
+    once per (direction, src_ip, dst_ip, dst_port) and keeps the answer."""
 
     def __init__(self, rules=(), default="allow"):
         self.rules = list(rules)
@@ -151,8 +161,16 @@ class Acl:
         self._parsed = [(r.direction, *parse_cidr(r.src_cidr),
                          *parse_cidr(r.dst_cidr), r.dst_ports, r.action)
                         for r in self.rules]
+        self._verdicts: dict = {}
 
     def decide(self, direction: str, src_ip: str, dst_ip: str, dst_port: int) -> str:
+        key = (direction, src_ip, dst_ip, dst_port)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._scan(*key)
+        return verdict
+
+    def _scan(self, direction: str, src_ip: str, dst_ip: str, dst_port: int) -> str:
         src, dst = ip_to_int(src_ip), ip_to_int(dst_ip)
         for (rule_dir, src_net, src_mask, dst_net, dst_mask, ports,
              action) in self._parsed:
@@ -740,18 +758,6 @@ def frame_to_record(f: Frame) -> dict:
     }
 
 
-def record_to_frame(rec: dict) -> Frame:
-    get = rec.get
-    # positional, in the field order of Frame
-    return Frame(rec["ts_us"], get("segment", ""), get("sender", ""),
-                 rec["src_mac"], rec["dst_mac"], rec["src_ip"], rec["dst_ip"],
-                 rec["src_port"], rec["dst_port"], rec["l4"],
-                 tuple(rec["tcp_flags"]), b64decode(rec["payload_b64"]),
-                 rec["proto_tag"], get("origin", True), get("final", False),
-                 get("delivered", False), get("deliver_ts_us", 0),
-                 get("drop_reason", ""), get("fw_denied", False))
-
-
 class _Memo(dict):
     """A dict that fills a missing key with fn(key)."""
 
@@ -788,16 +794,58 @@ def write_capture_jsonl(frames, path) -> None:
                 f'"fw_denied": {js[f.fw_denied]}}}\n')
 
 
-def read_capture_jsonl(path) -> list[Frame]:
-    """Frames of a capture.jsonl; a malformed record raises ValueError."""
-    out = []
+# the scanner json.loads runs: scan(s, i) -> (value, end) for the value at
+# s[i], or StopIteration when none starts there
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _parse_record(line: str):
+    """json.loads(line) for a stripped line, without its per-call set-up:
+    the scanner must consume the whole line, and anything else falls back to
+    json.loads, which gives the same value or raises its own error."""
+    try:
+        rec, end = _scan_json(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return rec if end == len(line) else json.loads(line)
+
+
+def iter_capture_jsonl(path):
+    """Frames of a capture.jsonl, one at a time, in file order; a malformed
+    record raises ValueError naming the file and the record. Equal str
+    values and flag tuples are one shared object."""
+    share = _Memo(lambda v: v)
+    a2b = binascii.a2b_base64
+    n = 0                                  # records turned into frames
     with open(path) as fh:
         try:
             for line in fh:
                 line = line.strip()
-                if line:
-                    out.append(record_to_frame(json.loads(line)))
+                if not line:
+                    continue
+                rec = _parse_record(line)
+                if type(rec) is not dict:
+                    raise TypeError(f"record is a JSON {type(rec).__name__}, "
+                                    f"not an object")
+                get = rec.get
+                # positional, in the field order of Frame
+                frame = Frame(
+                    rec["ts_us"], share[get("segment", "")],
+                    share[get("sender", "")], share[rec["src_mac"]],
+                    share[rec["dst_mac"]], share[rec["src_ip"]],
+                    share[rec["dst_ip"]], rec["src_port"], rec["dst_port"],
+                    share[rec["l4"]], share[tuple(rec["tcp_flags"])],
+                    a2b(rec["payload_b64"]), share[rec["proto_tag"]],
+                    get("origin", True), get("final", False),
+                    get("delivered", False), get("deliver_ts_us", 0),
+                    share[get("drop_reason", "")], get("fw_denied", False))
+                n += 1
+                yield frame
         except (ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}: bad capture record {len(out) + 1}: "
+            raise ValueError(f"{path}: bad capture record {n + 1}: "
                              f"{type(e).__name__}: {e}") from e
-    return out
+
+
+def read_capture_jsonl(path) -> list[Frame]:
+    """Frames of a capture.jsonl; a malformed record raises ValueError."""
+    return list(iter_capture_jsonl(path))

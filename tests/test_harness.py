@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import iiotsim
-from iiotsim import analytics, cli, harness, plan as planmod
+from iiotsim import analytics, cli, harness, netsim, plan as planmod
 
 from conftest import small_plan
 
@@ -328,7 +328,8 @@ class TestCli:
                                       "truncated_capture", "garbled_conn_log",
                                       "garbled_dataset", "one_class_dataset",
                                       "plan_without_roles",
-                                      "plan_without_mobile_role"])
+                                      "plan_without_mobile_role",
+                                      "hunt_malformed_capture"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -352,6 +353,19 @@ class TestCli:
                     (float(i),) * len(analytics.FEATURE_COLUMNS), "normal")
                  for i in range(30)], out / "dataset.csv")
             argv = ["detect", "--out", str(out)]
+        elif case == "hunt_malformed_capture":
+            # hunt keeps only the victim's frames but still checks the
+            # others: the second record lacks dst_mac and names neither IP
+            analytics.write_conn_log([], out / "conn.log")
+            records = [netsim.frame_to_record(netsim.Frame(
+                0, "lan", "a", "02:00:00:00:00:01", "02:00:00:00:00:02",
+                src_ip, "192.168.10.1" if n == 0 else "10.0.0.2", 5000, 80,
+                "TCP", ("SYN",), b"", "HTTP"))
+                for n, src_ip in enumerate(("10.0.0.1", "10.0.0.3"))]
+            del records[1]["dst_mac"]
+            (out / "capture.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in records))
+            argv = ["hunt", "--out", str(out), "--victim", "192.168.10.1"]
         elif case == "plan_without_mobile_role":
             # calibrating the COAP and DNS targets needs the mobile host
             plan = planmod.default_plan()
@@ -367,6 +381,8 @@ class TestCli:
         assert error["error"] and isinstance(error["details"], list)
         if case in ("plan_without_roles", "plan_without_mobile_role"):
             assert error["error"] == "plan is invalid"
+        if case == "hunt_malformed_capture":
+            assert "bad capture record 2: KeyError" in error["error"]
 
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(iiotsim.__file__))

