@@ -174,7 +174,14 @@ def _mqtt_packet(frame):
         return None
 
 
-def response_times(frames, proto_tag: str, server_ports=None) -> ResponseStats:
+# the proto_tags response_times pairs, in metrics_report.json order: the
+# server ports of the byte-stream protocols, None for those paired on an id
+RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
+                      "HTTP": {80}, "API": {8080}, "SMTP": {25}, "MQTT": None,
+                      "HTTPS": {443}}
+
+
+def response_times(frames, proto_tag: str) -> ResponseStats:
     """Pair requests with responses per the protocol's own rule.
 
     MODBUS matches on transaction id, CoAP/DNS on message id, MQTT QoS-2 on
@@ -182,8 +189,7 @@ def response_times(frames, proto_tag: str, server_ports=None) -> ResponseStats:
     HTTPS) pair each client payload with the next server payload on the same
     stream. Times run from the origin's send to the final delivery back.
     """
-    known = {"MODBUS", "COAP", "DNS", "MQTT", "HTTP", "API", "SMTP", "HTTPS"}
-    if proto_tag not in known:
+    if proto_tag not in RESPONSE_PROTOCOLS:
         raise ValueError(f"no request/response pairing rule for {proto_tag!r}")
     sel = [f for f in frames if f.proto_tag == proto_tag and f.delivered]
     sel.sort(key=lambda f: f.ts_us)
@@ -233,7 +239,7 @@ def response_times(frames, proto_tag: str, server_ports=None) -> ResponseStats:
                     samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
     else:
         # sequential pairing, client payload -> next server payload per stream
-        ports = server_ports or _DEFAULT_SERVER_PORTS.get(proto_tag, set())
+        ports = RESPONSE_PROTOCOLS[proto_tag]
         for f in sel:
             if not f.payload:
                 continue
@@ -250,14 +256,6 @@ def response_times(frames, proto_tag: str, server_ports=None) -> ResponseStats:
     unmatched = sum(len(v) if isinstance(v, list) else 1
                     for v in pending.values())
     return ResponseStats(proto_tag, samples, unmatched)
-
-
-_DEFAULT_SERVER_PORTS = {
-    "HTTP": {80},
-    "API": {8080},
-    "SMTP": {25},
-    "HTTPS": {443},
-}
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ class ModbusFlood:
         period = 1_000_000 / self.rate_per_s
         for i in range(n):
             ts = self.t_start_us + int(i * period)
-            self.sim.schedule_at(ts, lambda i=i: self._fire(i))
+            self.sim.schedule_at(ts, self._fire, i)
         return self.window
 
     def _fire(self, i):
@@ -297,7 +297,7 @@ class ModbusFlood:
         else:
             conn["backlog"].append(raw)
         if slot == self.reqs_per_conn - 1:
-            self.sim.schedule(100_000, lambda: self._close_conn(conn_idx))
+            self.sim.schedule(100_000, self._close_conn, conn_idx)
 
     def _open_conn(self, conn_idx):
         stream = self.attacker.open_tcp(self.plc_ip, 502, "MODBUS")
@@ -360,9 +360,7 @@ class RogueSubscriber:
             self.refused = True
         client.on_rejected = rejected
         client.connect()
-        def teardown():
-            client.disconnect()
-        self.sim.schedule(self.cycle_us - 200_000, teardown)
+        self.sim.schedule(self.cycle_us - 200_000, client.disconnect)
         self.sim.schedule(self.cycle_us, self._cycle)
 
 
@@ -394,7 +392,7 @@ class PortScan:
         target_ip = self.target_host.interfaces[0].ip
         for n, port in enumerate(self.ports):
             self.sim.schedule_at(self.t_start_us + n * self.gap_us,
-                                 lambda p=port: self._probe(target_ip, p))
+                                 self._probe, target_ip, port)
         self.sim.schedule_at(self.window.t_end_us, self._finish)
         return self.window
 
@@ -529,10 +527,8 @@ class ExploitWebgui:
         stream.on_data = on_data
 
     def _arm_sessions(self):
-        attacker_ip = self.attacker.interfaces[0].ip
         for n, (start, duration) in enumerate(self.session_plan, start=1):
-            self.sim.schedule_at(start, lambda n=n, s=start, d=duration:
-                                 self._open_session(n, s, d))
+            self.sim.schedule_at(start, self._open_session, n, start, duration)
 
     def _open_session(self, n, start_us, duration_us):
         attacker_ip = self.attacker.interfaces[0].ip

@@ -108,11 +108,12 @@ def cmd_hunt(args) -> int:
         return _fail(f"no conn.log at {conn_path}")
     try:
         rows = analytics.read_conn_log(conn_path)
+        if not os.path.exists(capture_path):
+            return _fail(f"no capture at {capture_path}")
         # every record is read and checked, but the flag profiles count only
         # the victim's TCP frames, so only those are kept
         frames = [f for f in iter_capture_jsonl(capture_path)
-                  if f.l4 == "TCP" and args.victim in (f.src_ip, f.dst_ip)
-                  ] if os.path.exists(capture_path) else []
+                  if f.l4 == "TCP" and args.victim in (f.src_ip, f.dst_ip)]
     except ValueError as e:
         return _fail(f"cannot read bundle: {e}")
     syslog_events = truth_events = None

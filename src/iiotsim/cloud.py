@@ -219,12 +219,8 @@ class Broker:
                                            payload))
 
     def _reply(self, session: _Session, pkt: dict) -> None:
-        raw = encode_packet(pkt)
-        def go():
-            if session.stream.state == "established":
-                session.stream.write(raw)
-                self._count_sent(len(raw))
-        self.sim.schedule(self.service_time_us, go)
+        self.sim.schedule(self.service_time_us, self._push, session,
+                          encode_packet(pkt))
 
     def _push(self, session: _Session, raw: bytes) -> None:
         if session.stream.state == "established":

@@ -127,8 +127,8 @@ class EdgeGateway:
         if self.mqtt is not None:
             self.mqtt.connect()
             if self.mqtt_reconnect_every_us:
-                self.sim.schedule(self.mqtt_reconnect_every_us,
-                                  self._reconnect_mqtt)
+                self.sim.every(self.mqtt_reconnect_every_us,
+                               self._reconnect_mqtt)
         self.host.bind_udp(5683, self._coap_service)
         self.host.bind_udp(53, self._dns_service)
         self.host.bind_tcp(80, _HttpService(self, "HTTP", self.svc_http_us))
@@ -139,8 +139,6 @@ class EdgeGateway:
         if self.mqtt.connected and not self.mqtt._pending:
             self.mqtt.disconnect()
             self.mqtt.connect()
-        self.sim.schedule_periodic(self.mqtt_reconnect_every_us,
-                                   self._reconnect_mqtt)
 
     # -- poll cycle -------------------------------------------------------
     def poll_cycle(self) -> list:
@@ -293,11 +291,9 @@ class EdgeGateway:
         except ValueError:
             return
         response = self.coap_serve(request)
-        def reply():
-            host.send_udp(frame.src_ip, frame.src_port,
-                          json.dumps(response).encode(), "COAP",
-                          src_port=frame.dst_port)
-        self.sim.schedule(self.svc_coap_us, reply)
+        self.sim.schedule(self.svc_coap_us, host.send_udp, frame.src_ip,
+                          frame.src_port, json.dumps(response).encode(),
+                          "COAP", frame.dst_port)
 
     # -- DNS-lite -------------------------------------------------------------
     def _dns_service(self, host, frame) -> None:
@@ -311,11 +307,9 @@ class EdgeGateway:
             answer["a"] = self.dns_table[name]
         else:
             answer["error"] = "NXDOMAIN"
-        def reply():
-            host.send_udp(frame.src_ip, frame.src_port,
-                          json.dumps(answer).encode(), "DNS",
-                          src_port=frame.dst_port)
-        self.sim.schedule(self.svc_dns_us, reply)
+        self.sim.schedule(self.svc_dns_us, host.send_udp, frame.src_ip,
+                          frame.src_port, json.dumps(answer).encode(), "DNS",
+                          frame.dst_port)
 
     # -- API / Web-SCADA snapshot ----------------------------------------------
     def api_snapshot(self) -> dict:

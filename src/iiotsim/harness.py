@@ -374,6 +374,8 @@ class Build:
             state = {"sent": 0}
 
             def send_next(s):
+                if s.state != "established":
+                    return
                 state["sent"] += 1
                 s.write(json.dumps(
                     {"action": "get",
@@ -382,8 +384,7 @@ class Build:
 
             def on_data(s, data):
                 if state["sent"] < n_req:
-                    self.sim.schedule(req_period, lambda: send_next(s)
-                                      if s.state == "established" else None)
+                    self.sim.schedule(req_period, send_next, s)
                 else:
                     s.close()
 
@@ -392,7 +393,7 @@ class Build:
 
         for k in range(sessions):
             self.sim.schedule_at(_us(a["t_start_s"]) + k * (sess_dur + US),
-                                 lambda k=k: run_session(k))
+                                 run_session, k)
         return window
 
     def _schedule_log_tamper(self, a):
@@ -540,8 +541,7 @@ def capture_metrics(plan: dict, frames) -> dict:
         if f.delivered:
             by_tag.setdefault(f.proto_tag, []).append(f)
     rts = {}
-    for proto in ("MODBUS", "COAP", "DNS", "HTTP", "API", "SMTP", "MQTT",
-                  "HTTPS"):
+    for proto in analytics.RESPONSE_PROTOCOLS:
         stats = analytics.response_times(by_tag.get(proto, []), proto)
         if stats.count == 0 and proto not in targets:
             continue

@@ -210,35 +210,36 @@ class Simulation:
             r = self._rngs[lane] = Random(f"{self.seed}/{lane}")
         return r
 
-    def schedule(self, delay_us: int, fn) -> None:
-        self.schedule_at(self.now_us + int(delay_us), fn)
+    def schedule(self, delay_us: int, fn, *args) -> None:
+        self.schedule_at(self.now_us + int(delay_us), fn, *args)
 
-    def schedule_periodic(self, delay_us: int, fn) -> bool:
-        """Schedule the next iteration of a repeating task unless it would
-        start past the horizon; returns whether it was scheduled."""
-        nxt = self.now_us + int(delay_us)
-        if self.horizon_us is not None and nxt > self.horizon_us:
-            return False
-        self.schedule_at(nxt, fn)
-        return True
-
-    def every(self, period_us: int, fn) -> None:
-        """Run fn once per period, the first time one period from now,
-        until the next run would start past the horizon."""
-        def loop():
-            fn()
-            self.schedule_periodic(period_us, loop)
-        self.schedule_periodic(period_us, loop)
-
-    def schedule_at(self, ts_us: int, fn) -> None:
+    def schedule_at(self, ts_us: int, fn, *args) -> None:
+        """Run fn(*args) at ts_us; equal times run in scheduling order."""
         self._eseq += 1
-        heapq.heappush(self._events, (int(ts_us), self._eseq, fn))
+        heapq.heappush(self._events, (int(ts_us), self._eseq, fn, args))
+
+    def every(self, period, fn, first_us: int | None = None) -> None:
+        """Run fn until the next run would start past the horizon. period is
+        a delay in us or a function that returns the delay after each run;
+        the first run is first_us from now, else one period."""
+        if first_us is None:
+            first_us = period() if callable(period) else period
+        self._repeat_after(first_us, period, fn)
+
+    def _repeat(self, period, fn) -> None:
+        fn()
+        self._repeat_after(period() if callable(period) else period, period, fn)
+
+    def _repeat_after(self, delay_us: int, period, fn) -> None:
+        ts = self.now_us + int(delay_us)
+        if self.horizon_us is None or ts <= self.horizon_us:
+            self.schedule_at(ts, self._repeat, period, fn)
 
     def run_until(self, t_us: int) -> None:
         while self._events and self._events[0][0] <= t_us:
-            ts, _, fn = heapq.heappop(self._events)
+            ts, _, fn, args = heapq.heappop(self._events)
             self.now_us = ts
-            fn()
+            fn(*args)
         self.now_us = max(self.now_us, t_us)
 
     # -- topology ------------------------------------------------------
@@ -313,13 +314,11 @@ class Simulation:
         deliver_ts = max(frame.ts_us + delay, self._fifo.get(key, 0))
         self._fifo[key] = deliver_ts
         frame.deliver_ts_us = deliver_ts   # scheduled; delivered flag set on arrival
-        self.schedule_at(deliver_ts,
-                         functools.partial(self._deliver, frame, deliver_ts))
+        self.schedule_at(deliver_ts, self._deliver, frame)
         return frame
 
-    def _deliver(self, frame: Frame, ts: int) -> None:
+    def _deliver(self, frame: Frame) -> None:
         frame.delivered = True
-        frame.deliver_ts_us = ts
         seg = self.segments[frame.segment]
         if frame.dst_mac == BROADCAST_MAC:
             for h in seg.hosts:
@@ -370,12 +369,6 @@ class Host:
             if i.segment == segment:
                 return i
         raise NetConfigError(f"{self.host_id} has no interface on {segment}")
-
-    def mac_for_ip(self, ip: str) -> str:
-        for i in self.interfaces:
-            if i.ip == ip:
-                return i.mac
-        raise NetConfigError(f"{self.host_id} does not own {ip}")
 
     def ephemeral_port(self) -> int:
         p = self._eph_port
@@ -469,11 +462,11 @@ class Host:
     # -- send paths --------------------------------------------------------
     def send_ip(self, dst_ip: str, dst_port: int, payload: bytes, proto_tag: str,
                 l4: str = "UDP", tcp_flags: tuple = (), src_port: int = 0,
-                src_ip: str | None = None, at_ts: int | None = None) -> Frame:
+                src_ip: str | None = None) -> Frame:
         """tcp_flags is a sorted tuple, as _flags returns it."""
         iface, next_hop = self.route(dst_ip)
         mac, ready = self.arp_resolve(next_hop)
-        ts = max(ready, self.sim.now_us if at_ts is None else at_ts)
+        ts = max(ready, self.sim.now_us)
         use_src_ip = src_ip or iface.ip
         frame = Frame(ts_us=ts, segment=iface.segment, sender=self.host_id,
                       src_mac=iface.mac, dst_mac=mac,
@@ -484,12 +477,13 @@ class Host:
                       origin=use_src_ip in self.ips)
         return self.sim.transmit(frame)
 
-    def forward_packet(self, frame: Frame, proto_tag=None, payload=None) -> Frame | None:
-        """Re-emit a packet unchanged (router hop or MITM pass-through)."""
-        iface, next_hop = self.route(frame.dst_ip)
+    def forward_packet(self, frame: Frame, payload=None) -> Frame | None:
+        """Re-emit a packet (router hop or MITM pass-through); a packet with
+        no route or no ARP answer for its next hop is dropped."""
         try:
+            iface, next_hop = self.route(frame.dst_ip)
             mac, ready = self.arp_resolve(next_hop)
-        except ArpFailure:
+        except (RouteError, ArpFailure):
             return None
         out = Frame(ts_us=max(ready, self.sim.now_us), segment=iface.segment,
                     sender=self.host_id, src_mac=iface.mac, dst_mac=mac,
@@ -497,7 +491,7 @@ class Host:
                     src_port=frame.src_port, dst_port=frame.dst_port,
                     l4=frame.l4, tcp_flags=frame.tcp_flags,
                     payload=frame.payload if payload is None else payload,
-                    proto_tag=frame.proto_tag if proto_tag is None else proto_tag,
+                    proto_tag=frame.proto_tag,
                     origin=False)
         return self.sim.transmit(out)
 
@@ -540,11 +534,7 @@ class Host:
                                  src_port=frame.dst_port, src_ip=frame.dst_ip)
                 return
             self._conntrack.add(key)
-        try:
-            self.sim.schedule(self.forward_delay_us,
-                              lambda f=frame: self.forward_packet(f))
-        except RouteError:
-            pass
+        self.sim.schedule(self.forward_delay_us, self.forward_packet, frame)
 
     # -- UDP ---------------------------------------------------------------
     def bind_udp(self, port: int, handler) -> None:
@@ -639,10 +629,11 @@ class TcpStream:
 
     def reply_after(self, delay_us: int, payload: bytes) -> None:
         """Write payload after delay_us if the stream is still established."""
-        def go():
-            if self.state == "established":
-                self.write(payload)
-        self.host.sim.schedule(delay_us, go)
+        self.host.sim.schedule(delay_us, self._write_if_established, payload)
+
+    def _write_if_established(self, payload: bytes) -> None:
+        if self.state == "established":
+            self.write(payload)
 
     def close(self):
         if self.state in ("closed", "refused"):
@@ -713,24 +704,9 @@ EXPORT_FIELDS = ("ts_us", "src_mac", "dst_mac", "src_ip", "src_port", "dst_ip",
                  "dst_port", "l4", "tcp_flags", "len", "proto_tag", "payload_b64")
 
 
-def capture_export(sim: Simulation, host: str | None = None,
-                   segment: str | None = None,
-                   proto_tag: str | None = None) -> list[Frame]:
-    frames = sim.capture
-    out = []
-    for f in frames:
-        if segment is not None and f.segment != segment:
-            continue
-        if proto_tag is not None and f.proto_tag != proto_tag:
-            continue
-        if host is not None:
-            h = sim.hosts.get(host)
-            macs = {i.mac for i in h.interfaces} if h else set()
-            if f.sender != host and f.dst_mac not in macs:
-                continue
-        out.append(f)
-    out.sort(key=lambda f: f.ts_us)
-    return out
+def capture_export(sim: Simulation) -> list[Frame]:
+    """The capture in ts_us order (frames of equal ts_us keep their order)."""
+    return sorted(sim.capture, key=lambda f: f.ts_us)
 
 
 def frame_to_record(f: Frame) -> dict:

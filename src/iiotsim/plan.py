@@ -158,10 +158,6 @@ def output_errors(names) -> list:
             for n in names if n not in OUTPUTS]
 
 
-def plan_round_trips(plan: dict) -> bool:
-    return json.loads(json.dumps(plan)) == plan
-
-
 # ---------------------------------------------------------------------------
 # default scenario
 # ---------------------------------------------------------------------------

@@ -202,12 +202,12 @@ class Plc:
         return result
 
     def start(self) -> None:
-        def loop():
-            self.scan()
-            jitter = self._rng.uniform(-0.10, 0.10) * self._load_factor()
-            self.sim.schedule_periodic(int(self.scan_period_us * (1.0 + jitter)),
-                                       loop)
-        self.sim.schedule_periodic(self.scan_phase_us, loop)
+        self.sim.every(self._jittered_period, self.scan,
+                       first_us=self.scan_phase_us)
+
+    def _jittered_period(self) -> int:
+        jitter = self._rng.uniform(-0.10, 0.10) * self._load_factor()
+        return int(self.scan_period_us * (1.0 + jitter))
 
     # -- MODBUS slave table ------------------------------------------------
     def handle_modbus(self, request: fieldbus.ModbusAdu) -> fieldbus.ModbusAdu:

@@ -2,6 +2,7 @@
 the measured numbers once its assertions hold."""
 
 import filecmp
+import itertools
 import json
 import os
 import time
@@ -214,13 +215,15 @@ def test_08_rogue_subscriber(default_bundle):
     rog.connect()
     publisher.connect()
 
-    def pump(n=0):
+    sent = itertools.count()
+
+    def pump():
         publisher.publish("station/PLC", json.dumps(
             {"Device ID": "Slave 2", "Device Type": "PLC MODBUS",
-             "Measurement": float(n), "Function": "PLC Temperature Sensor",
+             "Measurement": float(next(sent)),
+             "Function": "PLC Temperature Sensor",
              "Content Type": "Temperature"}), qos=2)
-        sim.schedule_periodic(2_000_000, lambda: pump(n + 1))
-    sim.schedule_periodic(1_000_000, pump)
+    sim.every(2_000_000, pump, first_us=1_000_000)
     sim.run_until(125_000_000)
     delivered = set(got)
     expected = {(t, p) for _, cid, t, p in broker.delivered_log
