@@ -238,16 +238,6 @@ class I2cSniffer:
         if self.t_start_us <= ts_us < self.t_end_us:
             self.lines.append(trace)
 
-    def extracted_values(self) -> list:
-        """mpl_decode every complete 6-byte read in the sniffed window."""
-        out = []
-        for line in self.lines:
-            txn = fieldbus.parse_trace(line)
-            if txn.acked and len(txn.data) == 6:
-                sample = fieldbus.mpl_decode(bytes(txn.data))
-                out.append((sample.celsius, sample.kilopascal))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # DoS: MODBUS read flood against the PLC

@@ -101,28 +101,31 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _syslog_events(path):
+    """The timestamped events of a syslog file, or None when no path is
+    given; a missing file raises FileNotFoundError."""
+    if not path:
+        return None
+    with open(path) as fh:
+        return huntmod.parse_syslog(fh.readlines())[0]
+
+
 def cmd_hunt(args) -> int:
     conn_path = os.path.join(args.out, "conn.log")
     capture_path = os.path.join(args.out, "capture.jsonl")
-    if not os.path.exists(conn_path):
-        return _fail(f"no conn.log at {conn_path}")
+    missing = {conn_path: "conn.log", capture_path: "capture"}
     try:
         rows = analytics.read_conn_log(conn_path)
-        if not os.path.exists(capture_path):
-            return _fail(f"no capture at {capture_path}")
+        syslog_events, truth_events = (
+            _syslog_events(path) for path in (args.syslog, args.syslog_truth))
         # every record is read and checked, but the flag profiles count only
         # the victim's TCP frames, so only those are kept
         frames = [f for f in iter_capture_jsonl(capture_path)
                   if f.l4 == "TCP" and args.victim in (f.src_ip, f.dst_ip)]
-    except ValueError as e:
+    except FileNotFoundError as e:
+        return _fail(f"no {missing.get(e.filename, 'syslog')} at {e.filename}")
+    except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
-    syslog_events = truth_events = None
-    if args.syslog and os.path.exists(args.syslog):
-        with open(args.syslog) as fh:
-            syslog_events, _ = huntmod.parse_syslog(fh.readlines())
-    if args.syslog_truth and os.path.exists(args.syslog_truth):
-        with open(args.syslog_truth) as fh:
-            truth_events, _ = huntmod.parse_syslog(fh.readlines())
     report = huntmod.hunt_report(rows, frames, args.victim,
                                  args.service_port,
                                  backdoor_ports=[args.backdoor_port],

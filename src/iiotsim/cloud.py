@@ -288,7 +288,6 @@ class MqttClient:
         self.on_message = None       # fn(topic, payload) for subscriber use
         self.on_connected = None
         self.on_rejected = None
-        self.subscribed_filters: list = []
 
     def connect(self) -> None:
         self.stream = self.host.open_tcp(self.broker_ip, self.port, "MQTT")
@@ -313,7 +312,6 @@ class MqttClient:
             self.connected = False
 
     def subscribe(self, filters) -> None:
-        self.subscribed_filters = list(filters)
         self._mid += 1
         self.stream.write(encode_packet(
             {"type": "SUBSCRIBE", "filters": list(filters), "mid": self._mid}))

@@ -1,11 +1,8 @@
 """Classifiers implemented from first principles on numpy.
 
-All estimators follow the fit/predict convention with get_params/set_params,
-accept string or numeric labels, and are deterministic for a fixed
-random_state.
+All estimators follow the fit/predict convention, accept string or numeric
+labels, and are deterministic for a fixed random_state.
 """
-
-import inspect
 
 import numpy as np
 
@@ -34,24 +31,7 @@ def check_X_y(X, y) -> tuple:
 
 
 class BaseEstimator:
-    """get_params/set_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for k, v in params.items():
-            if k not in valid:
-                raise ValueError(f"unknown parameter {k!r} for "
-                                 f"{type(self).__name__}")
-            setattr(self, k, v)
-        return self
+    """Label encoding shared by every classifier."""
 
     def _encode_labels(self, y):
         self.classes_, y_idx = np.unique(y, return_inverse=True)
@@ -400,12 +380,9 @@ class LogisticRegressionOvR(BaseEstimator):
             self.intercept_[c] = params[-1]
         return self
 
-    def decision_function(self, X):
-        X = check_array(X)
-        return X @ self.coef_.T + self.intercept_
-
     def predict(self, X):
-        return self.classes_[np.argmax(self.decision_function(X), axis=1)]
+        scores = check_array(X) @ self.coef_.T + self.intercept_
+        return self.classes_[np.argmax(scores, axis=1)]
 
 
 # ---------------------------------------------------------------------------

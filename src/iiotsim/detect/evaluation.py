@@ -8,8 +8,6 @@ from .estimators import (DecisionTreeClassifier, GaussianNBClassifier,
                          KNeighborsClassifier, LogisticRegressionOvR,
                          RandomForestClassifier, check_X_y)
 
-MODEL_KINDS = ("DT", "RF", "NB", "LR", "KNN")
-
 
 @dataclass
 class ModelSpec:
@@ -47,9 +45,6 @@ class MinMaxScaler:
 
     def transform(self, X):
         return (np.asarray(X, dtype=np.float64) - self.min_) / self.span_
-
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
 
 
 def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
@@ -135,8 +130,8 @@ class CrossValResult:
     warnings: list
 
 
-def cross_validate(spec: ModelSpec, X, y, k: int = 10, seed: int = 0,
-                   scale: bool = True) -> CrossValResult:
+def cross_validate(spec: ModelSpec, X, y, k: int = 10,
+                   seed: int = 0) -> CrossValResult:
     """Stratified k-fold; per-fold confusion matrices are summed and the
     aggregate metrics come from the summed matrix. Scaling parameters are
     fitted on each training fold only."""
@@ -146,11 +141,8 @@ def cross_validate(spec: ModelSpec, X, y, k: int = 10, seed: int = 0,
     fold_matrices = []
     summed = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for train, val in folds:
-        X_tr, X_va = X[train], X[val]
-        if scale:
-            scaler = MinMaxScaler().fit(X_tr)
-            X_tr = scaler.transform(X_tr)
-            X_va = scaler.transform(X_va)
+        scaler = MinMaxScaler().fit(X[train])
+        X_tr, X_va = scaler.transform(X[train]), scaler.transform(X[val])
         model = spec.build()
         model.fit(X_tr, y[train])
         pred = model.predict(X_va)

@@ -190,7 +190,6 @@ class I2cBus:
         self.bus_id = bus_id
         self.service_time_us = service_time_us
         self.devices: dict[int, object] = {}   # addr7 -> device with read_block()
-        self.trace_log: list[str] = []
         self.txn_log: list[tuple] = []         # (start_us, end_us, trace)
         self._sniffers: list = []
 
@@ -203,7 +202,6 @@ class I2cBus:
         self._sniffers.append(fn)
 
     def _record(self, trace: str, ts_us: int) -> None:
-        self.trace_log.append(trace)
         self.txn_log.append((ts_us, ts_us + self.service_time_us, trace))
         for fn in self._sniffers:
             fn(ts_us, trace)

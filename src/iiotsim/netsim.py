@@ -481,19 +481,12 @@ class Host:
         """Re-emit a packet (router hop or MITM pass-through); a packet with
         no route or no ARP answer for its next hop is dropped."""
         try:
-            iface, next_hop = self.route(frame.dst_ip)
-            mac, ready = self.arp_resolve(next_hop)
+            return self.send_ip(frame.dst_ip, frame.dst_port,
+                                frame.payload if payload is None else payload,
+                                frame.proto_tag, frame.l4, frame.tcp_flags,
+                                frame.src_port, frame.src_ip)
         except (RouteError, ArpFailure):
             return None
-        out = Frame(ts_us=max(ready, self.sim.now_us), segment=iface.segment,
-                    sender=self.host_id, src_mac=iface.mac, dst_mac=mac,
-                    src_ip=frame.src_ip, dst_ip=frame.dst_ip,
-                    src_port=frame.src_port, dst_port=frame.dst_port,
-                    l4=frame.l4, tcp_flags=frame.tcp_flags,
-                    payload=frame.payload if payload is None else payload,
-                    proto_tag=frame.proto_tag,
-                    origin=False)
-        return self.sim.transmit(out)
 
     # -- receive -----------------------------------------------------------
     def receive(self, frame: Frame) -> None:

@@ -4,6 +4,7 @@ attack schedule)."""
 
 import copy
 import json
+from importlib import resources
 
 SCHEMA_VERSION = 1
 
@@ -24,9 +25,6 @@ REQUIRED_ROLES = ("gateway", "router", "plc", "broker", "mail", "attacker")
 TARGET_ROLES = {"MODBUS": ("gateway", "plc"), "COAP": ("mobile", "gateway"),
                 "DNS": ("mobile", "gateway"), "SMTP": ("gateway", "mail"),
                 "API": ("pc", "gateway"), "HTTP": ("wan_client", "gateway")}
-
-CALIBRATED_PROTOS = ("MODBUS", "COAP", "HTTP", "DNS", "I2C", "MQTT", "SMTP",
-                     "API")
 
 
 class PlanError(Exception):
@@ -163,164 +161,12 @@ def output_errors(names) -> list:
 # ---------------------------------------------------------------------------
 
 def default_plan() -> dict:
-    """One simulated hour: six polled devices, five client scripts, and the
-    full attack schedule (spoof, tamper, flood, rogue subscriber, recon,
-    exploit with five reverse-shell sessions, log tampering)."""
-    reverse_shell_sessions = [
-        [2000.0, 500.0],
-        [2510.0, 400.0],
-        [2920.0, 250.0],
-        [3180.0, 100.0],
-        [3290.0, 94.026],
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": "default-1h",
-        "seed": 42,
-        "duration_s": 3600.0,
-        "epoch": "2019-07-18T06:00:00.000Z",
-        "segments": {
-            "lan-a": {"base_latency_us": 80, "jitter_us": 30, "loss_rate": 0.0,
-                      "subnet": "192.168.10.0/24"},
-            "lan-w": {"base_latency_us": 60, "jitter_us": 20, "loss_rate": 0.0,
-                      "subnet": "192.168.20.0/24"},
-            "wan": {"base_latency_us": 200, "jitter_us": 50, "loss_rate": 0.0,
-                    "subnet": "192.168.2.0/24"},
-        },
-        "router_forward_delay_us": 40,
-        "hosts": [
-            {"id": "edge-gw",
-             "interfaces": [["lan-a", "b8:27:eb:61:e5:14", "192.168.10.150"],
-                            ["lan-w", "b8:27:eb:61:e5:15", "192.168.20.1"]],
-             "gateway": "192.168.10.1"},
-            {"id": "router",
-             "interfaces": [["lan-a", "00:0c:29:6e:a7:ca", "192.168.10.1"],
-                            ["wan", "00:0c:29:6e:a7:cb", "192.168.2.1"]],
-             "router": True, "wan_segments": ["wan"],
-             "os_label": "router-fw 2.4 (unix)",
-             "banner": {"443": "https"},
-             "webgui": {"credentials": ["admin", "default"],
-                        "vulnerable": True}},
-            {"id": "plc",
-             "interfaces": [["lan-a", "b8:27:eb:aa:00:02", "192.168.10.20"]],
-             "gateway": "192.168.10.1"},
-            {"id": "pc",
-             "interfaces": [["lan-a", "00:0c:29:11:22:33", "192.168.10.30"]],
-             "gateway": "192.168.10.1"},
-            {"id": "attacker",
-             "interfaces": [["lan-a", "00:0c:29:5b:a2:99", "192.168.10.151"]],
-             "gateway": "192.168.10.1"},
-            {"id": "mobile",
-             "interfaces": [["lan-w", "02:aa:bb:cc:00:10", "192.168.20.10"]]},
-            {"id": "mail",
-             "interfaces": [["lan-w", "02:aa:bb:cc:00:25", "192.168.20.25"]]},
-            {"id": "cloud",
-             "interfaces": [["wan", "00:50:56:c0:00:10", "192.168.2.10"]],
-             "gateway": "192.168.2.1"},
-            {"id": "wan-client",
-             "interfaces": [["wan", "00:50:56:c0:00:20", "192.168.2.20"]],
-             "gateway": "192.168.2.1"},
-        ],
-        "roles": {"gateway": "edge-gw", "router": "router", "plc": "plc",
-                  "broker": "cloud", "mail": "mail", "mobile": "mobile",
-                  "pc": "pc", "wan_client": "wan-client",
-                  "attacker": "attacker"},
-        "acl": {
-            "default": "allow",
-            "rules": [
-                {"direction": "out", "src": "any", "dst": "any",
-                 "ports": [9999], "action": "deny"},
-                {"direction": "in", "src": "any", "dst": "192.168.10.150/32",
-                 "ports": [80], "action": "allow"},
-                {"direction": "in", "src": "any", "dst": "any",
-                 "ports": None, "action": "deny"},
-            ],
-        },
-        "plant": {
-            "tick_period_s": 1.0,
-            "sensors": {
-                "plc-temp": {"kind": "tmp36", "lo": 15.0, "hi": 45.0,
-                             "walk_step": 0.4, "init": 28.0},
-                "mpl-temp": {"kind": "mpl-temp", "lo": 10.0, "hi": 45.0,
-                             "walk_step": 0.3, "init": 23.9},
-                "mpl-press": {"kind": "mpl-pressure", "lo": 85.0, "hi": 105.0,
-                              "walk_step": 0.3, "init": 94.7},
-                "onewire": {"kind": "ds18b20", "lo": 15.0, "hi": 30.0,
-                            "walk_step": 0.2, "init": 20.4},
-                "sim-temperature": {"kind": "sim-temp", "lo": 15.0, "hi": 35.0,
-                                    "walk_step": 0.8, "init": 28.0},
-                "sim-pressure": {"kind": "sim-pressure", "lo": 20.0,
-                                 "hi": 60.0, "walk_step": 1.5, "init": 25.3},
-                "sim-humidity": {"kind": "sim-humidity", "lo": 10.0,
-                                 "hi": 90.0, "walk_step": 1.2, "init": 28.1},
-            },
-            "plc": {"scan_period_ms": 100, "setpoint_c": 30.0,
-                    "scan_phase_ms": 13},
-            "actuators": ["led1"],
-        },
-        "gateway": {
-            "poll_period_s": 2.0,
-            "deadband": {"Temperature": 0.5, "Pressure": 0.5, "Humidity": 1.0},
-            "notify_threshold_c": 30.0,
-            "notify_min_gap_s": 60.0,
-            "mqtt_dup_every": 50,
-            "mqtt_reconnect_every_s": 121.0,
-            "dns": {"edge.local": "192.168.20.1",
-                    "mail.local": "192.168.20.25"},
-        },
-        "broker": {"version": "iiotsim-broker 1.0", "sys_period_s": 10.0,
-                   "acl_enabled": False, "allowlist": []},
-        "traffic": {
-            "coap_client": {"host": "mobile", "period_s": 4.0,
-                            "actuate_every": 30},
-            "dns_client": {"host": "mobile", "period_s": 3.0},
-            "http_client": {"host": "wan-client", "period_s": 4.0,
-                            "setpoint_every": 450,
-                            "setpoints": [25.0, 30.0]},
-            "api_client": {"host": "pc", "period_s": 4.0},
-            "webgui_clients": [
-                {"host": "pc", "period_s": 60.0, "requests": 2},
-                {"host": "wan-client", "period_s": 90.0, "requests": 3},
-            ],
-        },
-        "attacks": [
-            {"id": "sniff-1", "kind": "i2c_sniff", "t_start_s": 100.0,
-             "duration_s": 60.0},
-            {"id": "spoof-1", "kind": "arp_spoof", "attacker": "attacker",
-             "victim_a": "edge-gw", "victim_b": "router",
-             "t_start_s": 200.2, "duration_s": 450.0},
-            {"id": "tamper-1", "kind": "tamper", "attacker": "attacker",
-             "victim_a": "edge-gw", "victim_b": "router",
-             "t_start_s": 750.2, "duration_s": 450.0, "scale": 2.0},
-            {"id": "dos-1", "kind": "modbus_dos", "attacker": "attacker",
-             "target": "plc", "t_start_s": 1300.1, "duration_s": 10.0,
-             "rate_per_s": 1000, "addr_lo": 0, "addr_hi": 199,
-             "reqs_per_conn": 10},
-            {"id": "rogue-1", "kind": "rogue_subscriber",
-             "attacker": "attacker", "broker_host": "cloud",
-             "filters": ["#", "$SYS/#"], "t_start_s": 1350.1,
-             "duration_s": 500.0, "cycle_s": 4.0},
-            {"id": "recon-1", "kind": "recon", "attacker": "attacker",
-             "target": "router", "t_start_s": 1900.0,
-             "ports": [21, 22, 25, 53, 80, 443, 502, 1883, 8080, 9999]},
-            {"id": "enum-1", "kind": "web_enum", "attacker": "attacker",
-             "target": "router", "t_start_s": 1905.0, "sessions": 3,
-             "session_duration_s": 70.0, "request_period_s": 1.0},
-            {"id": "exploit-1", "kind": "exploit", "attacker": "attacker",
-             "target": "router", "credentials": ["admin", "default"],
-             "t_start_s": 1990.0, "listener_port": 4444,
-             "command_gap_s": 20.0,
-             "sessions": reverse_shell_sessions},
-            {"id": "logtamper-1", "kind": "log_tamper",
-             "attacker": "attacker", "target": "router",
-             "predicate": "shell", "t_start_s": 3500.0},
-        ],
-        "latency_targets_ms": {"MODBUS": 10.94, "COAP": 7.38, "HTTP": 346.95,
-                               "DNS": 0.201, "I2C": 1.34, "MQTT": 8.6,
-                               "SMTP": 12.3, "API": 10.18},
-        "service_times_us": {},
-        "outputs": list(OUTPUTS),
-    }
+    """The shipped scenario, `data/default_plan.json`: one simulated hour of
+    six polled devices, five client scripts and the full attack schedule
+    (spoof, tamper, flood, rogue subscriber, recon, exploit with five
+    reverse-shell sessions, log tampering). Each call returns a new dict."""
+    shipped = resources.files("iiotsim").joinpath("data/default_plan.json")
+    return json.loads(shipped.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class SensorModel:
 class Actuator:
     actuator_id: str
     state: str = "OFF"
-    last_command_ts: int = 0
 
 
 class Plant:
@@ -93,7 +92,6 @@ class Plant:
         if state not in ("ON", "OFF"):
             raise ValueError(f"bad actuator state {state!r}")
         act.state = state
-        act.last_command_ts = self.sim.now_us
         event = (self.sim.now_us, actuator_id, state, source)
         self.actuator_events.append(event)
         if self.on_actuator_command:

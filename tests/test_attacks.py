@@ -171,6 +171,17 @@ class TestLogTamper:
         assert len(before) - len(after) == window.deleted
 
 
+def extracted_values(lines) -> list:
+    """mpl_decode every complete 6-byte read among sniffed trace lines."""
+    out = []
+    for line in lines:
+        txn = fieldbus.parse_trace(line)
+        if txn.acked and len(txn.data) == 6:
+            sample = fieldbus.mpl_decode(bytes(txn.data))
+            out.append((sample.celsius, sample.kilopascal))
+    return out
+
+
 class TestI2cSniff:
     def test_reference_line_and_extraction(self):
         plan = small_plan(duration_s=30.0, attacks=[
@@ -183,7 +194,7 @@ class TestI2cSniff:
         build.run()
         sniffer = build.attack_objs["s"]
         assert "[C0+01+[C1+5C+84+70+17+F0+00-]" in sniffer.lines
-        values = sniffer.extracted_values()
+        values = extracted_values(sniffer.lines)
         assert values
         assert all(v == (23.9375, 94.73775) for v in values)
 

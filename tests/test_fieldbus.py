@@ -186,7 +186,7 @@ class TestI2cBus:
         bus.attach_sniffer(lambda ts, line: seen.append(line))
         _, trace = bus.read_block(0x60, 0x01, 6, ts_us=1234)
         assert seen == [trace]
-        assert bus.trace_log == [trace]
+        assert [line for _, _, line in bus.txn_log] == [trace]
 
     def test_n_must_be_positive(self):
         bus = self.make_bus()

@@ -19,10 +19,14 @@ class TestPlanValidation:
     def test_default_plan_is_clean(self):
         assert planmod.validate_plan(planmod.default_plan()) == []
 
-    def test_shipped_file_matches_builder(self):
-        data = importlib.resources.files("iiotsim").joinpath(
-            "data/default_plan.json").read_text()
-        assert json.loads(data) == planmod.default_plan()
+    def test_default_plan_is_a_fresh_copy_of_the_shipped_file(self):
+        first, second = planmod.default_plan(), planmod.default_plan()
+        first["attacks"][7]["sessions"][0][1] = 1.0    # a nested list
+        assert second == planmod.default_plan() != first
+        shipped = importlib.resources.files("iiotsim").joinpath(
+            "data/default_plan.json")
+        with importlib.resources.as_file(shipped) as path:
+            assert planmod.load_plan(path) == planmod.default_plan()
 
     def test_save_load_round_trip(self, tmp_path):
         plan = planmod.default_plan()
@@ -329,7 +333,9 @@ class TestCli:
                                       "plan_without_roles",
                                       "plan_without_mobile_role",
                                       "hunt_malformed_capture",
-                                      "hunt_without_capture"])
+                                      "hunt_without_capture",
+                                      "hunt_missing_syslog",
+                                      "hunt_syslog_is_a_directory"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -370,6 +376,16 @@ class TestCli:
             # the flag profiles need the capture: no 0-frame answer
             analytics.write_conn_log([], out / "conn.log")
             argv = ["hunt", "--out", str(out)]
+        elif case == "hunt_missing_syslog":
+            # a named syslog that is not there: no hunt without its search
+            analytics.write_conn_log([], out / "conn.log")
+            (out / "capture.jsonl").write_text("")
+            argv = ["hunt", "--out", str(out),
+                    "--syslog", str(tmp_path / "nope.log")]
+        elif case == "hunt_syslog_is_a_directory":
+            analytics.write_conn_log([], out / "conn.log")
+            (out / "capture.jsonl").write_text("")
+            argv = ["hunt", "--out", str(out), "--syslog-truth", str(out)]
         elif case == "plan_without_mobile_role":
             # calibrating the COAP and DNS targets needs the mobile host
             plan = planmod.default_plan()
@@ -389,6 +405,9 @@ class TestCli:
             assert "bad capture record 2: KeyError" in error["error"]
         if case == "hunt_without_capture":
             assert error["error"] == f"no capture at {out / 'capture.jsonl'}"
+            assert not (out / "hunt_report.json").exists()
+        if case == "hunt_missing_syslog":
+            assert error["error"] == f"no syslog at {tmp_path / 'nope.log'}"
             assert not (out / "hunt_report.json").exists()
 
     def test_python_dash_m_runs_the_cli(self):
