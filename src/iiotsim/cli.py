@@ -81,13 +81,15 @@ def cmd_report(args) -> int:
         return _fail("plan is invalid", e.errors)
     capture_path = os.path.join(args.out, "capture.jsonl")
     windows_path = os.path.join(args.out, "attack_windows.jsonl")
-    if not os.path.exists(capture_path):
-        return _fail(f"no capture at {capture_path}")
     try:
         frames = read_capture_jsonl(capture_path)
-        windows = attacks.read_windows_jsonl(windows_path) if os.path.exists(
-            windows_path) else []
-    except ValueError as e:
+        try:
+            windows = attacks.read_windows_jsonl(windows_path)
+        except FileNotFoundError:  # a bundle without attack windows
+            windows = []
+    except FileNotFoundError:
+        return _fail(f"no capture at {capture_path}")
+    except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
     _, _, counts, dropped = harness.label_capture(
         frames, windows, os.path.join(args.out, "conn.log"),
@@ -145,11 +147,11 @@ def cmd_detect(args) -> int:
     if args.folds < 2:
         return _fail(f"--folds must be at least 2, got {args.folds}")
     dataset_path = os.path.join(args.out, "dataset.csv")
-    if not os.path.exists(dataset_path):
-        return _fail(f"no dataset at {dataset_path}")
     try:
         rows = analytics.read_dataset_csv(dataset_path)
-    except ValueError as e:
+    except FileNotFoundError:
+        return _fail(f"no dataset at {dataset_path}")
+    except (OSError, ValueError) as e:
         return _fail(f"cannot read dataset: {e}")
     if not rows:
         return _fail("dataset is empty")

@@ -313,12 +313,6 @@ class GaussianNBClassifier(BaseEstimator):
                 + diff ** 2 / self.var_[c]).sum(axis=1)
         return jll
 
-    def predict_log_proba(self, X):
-        X = check_array(X)
-        jll = self._joint_log_likelihood(X)
-        norm = np.log(np.exp(jll - jll.max(axis=1, keepdims=True)).sum(axis=1))
-        return jll - jll.max(axis=1, keepdims=True) - norm[:, None]
-
     def predict(self, X):
         X = check_array(X)
         return self.classes_[np.argmax(self._joint_log_likelihood(X), axis=1)]
@@ -389,10 +383,21 @@ class LogisticRegressionOvR(BaseEstimator):
 # k-nearest neighbours (Euclidean)
 # ---------------------------------------------------------------------------
 
+# bytes of distance estimates k-NN holds at once: 20 queries against 6,300
+# training rows, small enough that prediction does not raise peak memory
+_KNN_BLOCK_BYTES = 1 << 20
+
+
 class KNeighborsClassifier(BaseEstimator):
     """Majority vote of the k nearest training rows by squared Euclidean
     distance; of rows at equal distance the lower training index is nearer,
-    and a tied vote goes to the lower class index."""
+    and a tied vote goes to the lower class index.
+
+    predict filters, then refines. One matrix product per block of queries
+    gives every estimate q2 + t2 - 2 q.t, and only the rows whose estimate is
+    within a rounding margin of the k-th smallest are scored exactly, so the
+    neighbours and their ties are those a scan of every row finds.
+    """
 
     def __init__(self, k=5):
         self.k = k
@@ -405,21 +410,46 @@ class KNeighborsClassifier(BaseEstimator):
             raise ValueError(f"k={self.k} exceeds training size {len(X)}")
         self._y_idx = self._encode_labels(y)
         self._X = X
+        with np.errstate(over="ignore"):
+            self._t2 = (X ** 2).sum(axis=1)
         return self
 
     def predict(self, X):
         X = check_array(X)
+        T, t2, k = self._X, self._t2, self.k
+        n, d = T.shape
         out = np.empty(len(X), dtype=np.int64)
-        k = self.k
         k_classes = len(self.classes_)
-        for i, q in enumerate(X):
-            d2 = ((self._X - q) ** 2).sum(axis=1)
-            # the k nearest are every row strictly nearer than the k-th
-            # distance, then the lowest-index rows at that distance
-            kth = np.partition(d2, k - 1)[k - 1]
-            nearer = np.flatnonzero(d2 < kth)
-            ties = np.flatnonzero(d2 == kth)[:k - len(nearer)]
-            nearest = np.concatenate((nearer, ties))
-            votes = np.bincount(self._y_idx[nearest], minlength=k_classes)
-            out[i] = int(np.argmax(votes))
+        step = max(1, _KNN_BLOCK_BYTES // (8 * n))
+        for lo in range(0, len(X), step):
+            Q = X[lo:lo + step]
+            # an estimate and an exact distance each lie within
+            # delta = 2 (d + 3) eps (q2 + max t2) of the true distance, so
+            # each of the k nearest rows has an estimate at most 4 delta above
+            # the k-th estimate; the margin is 8 delta, and tiny covers
+            # underflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                q2 = (Q ** 2).sum(axis=1)
+                approx = Q @ T.T
+                approx *= -2.0
+                approx += t2
+                approx += q2[:, None]
+                limit = np.partition(approx, k - 1, axis=1)[:, k - 1]
+                limit += 16 * (d + 3) * (np.finfo(np.float64).eps
+                                         * (q2 + t2.max())
+                                         + np.finfo(np.float64).tiny)
+                keep = approx <= limit[:, None]
+            # an overflowed estimate bounds nothing: score every row
+            keep[~np.isfinite(limit)] = True
+            for i, q in enumerate(Q):
+                cand = np.flatnonzero(keep[i])
+                d2 = ((T[cand] - q) ** 2).sum(axis=1)
+                # the k nearest are every row strictly nearer than the k-th
+                # distance, then the lowest-index rows at that distance
+                kth = np.partition(d2, k - 1)[k - 1]
+                nearer = cand[d2 < kth]
+                ties = cand[d2 == kth][:k - len(nearer)]
+                nearest = np.concatenate((nearer, ties))
+                votes = np.bincount(self._y_idx[nearest], minlength=k_classes)
+                out[lo + i] = int(np.argmax(votes))
         return self.classes_[out]

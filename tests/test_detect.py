@@ -1,8 +1,11 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from iiotsim import analytics
 from iiotsim.detect import (DecisionTreeClassifier, GaussianNBClassifier,
                             KNeighborsClassifier, LogisticRegressionOvR,
                             MinMaxScaler, ModelSpec, RandomForestClassifier,
@@ -99,6 +102,14 @@ class TestRandomForest:
         assert (p1 == p2).all()
 
 
+def nb_log_proba(model, X):
+    """log P(class | x) from a fitted GaussianNBClassifier's joint
+    log-likelihoods, normalised by log-sum-exp."""
+    jll = model._joint_log_likelihood(np.array(X, dtype=np.float64))
+    top = jll.max(axis=1, keepdims=True)
+    return jll - top - np.log(np.exp(jll - top).sum(axis=1, keepdims=True))
+
+
 class TestGaussianNB:
     def test_posterior_matches_closed_form(self):
         # symmetric two-gaussian toy: P(a | x) computed by hand
@@ -114,7 +125,7 @@ class TestGaussianNB:
         pa = likelihood(mu_a, var_a) * 0.5
         pb = likelihood(mu_b, var_b) * 0.5
         expected = pa / (pa + pb)
-        log_proba = model.predict_log_proba([[x]])
+        log_proba = nb_log_proba(model, [[x]])
         assert abs(math.exp(log_proba[0][0]) - expected) <= 1e-9
 
     def test_prediction_side(self):
@@ -496,3 +507,43 @@ class TestAgainstReference:
         model = KNeighborsClassifier(k=3).fit(X, y)
         assert model.predict([[0.0]])[0] == "b"
         assert ref_knn_predict(X, y, np.array([[0.0]]), 3)[0] == "b"
+
+    def test_knn_matches_reference_on_the_default_dataset(self, default_bundle):
+        # fold 0 of the CV that `iiotsim detect` runs, scaled as
+        # cross_validate scales it; rows repeat many times, so the k-th
+        # distance is often shared. With each training row's index as its
+        # label, a prediction is the lowest index among its neighbours.
+        rows = analytics.read_dataset_csv(
+            os.path.join(default_bundle.out_dir, "dataset.csv"))
+        X = np.array([r.features for r in rows])
+        y = np.array([r.label for r in rows])
+        train, val = stratified_kfold(y, 10, 42)[0][0]
+        scaler = MinMaxScaler().fit(X[train])
+        T, Q = scaler.transform(X[train]), scaler.transform(X[val])
+        for labels in (y[train], np.arange(len(train))):
+            model = KNeighborsClassifier(k=5).fit(T, labels)
+            assert (model.predict(Q) == ref_knn_predict(T, labels, Q, 5)
+                    ).all()
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160, 1e200])
+    def test_knn_matches_reference_across_blocks_and_scales(self, scale):
+        # a tied lattice of 1,200 rows puts 250 queries in several blocks;
+        # 1e-160 underflows the squares and 1e160 and 1e200 overflow them,
+        # which leaves no finite bound and scores every row
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 4, size=(1200, 3)) * (0.1 * scale)
+        y = rng.choice(["a", "b", "c"], size=1200)
+        Q = np.vstack([X[:100], (rng.integers(0, 4, size=(150, 3)) + 0.5)
+                       * (0.1 * scale)])
+        for k in range(1, 8):
+            model = KNeighborsClassifier(k=k).fit(X, y)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                pred = model.predict(Q)
+            with warnings.catch_warnings(record=True) as ref:
+                warnings.simplefilter("always")
+                expected = ref_knn_predict(X, y, Q, k)
+            assert (pred == expected).all()
+            # the filter's overflow is silent: only the exact distances warn
+            assert ({str(w.message) for w in got}
+                    <= {str(w.message) for w in ref})

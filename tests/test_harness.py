@@ -293,6 +293,26 @@ class TestCli:
         hunt_report = json.load(open(os.path.join(out, "hunt_report.json")))
         assert hunt_report["identified_attacker"] == "192.168.10.151"
 
+    def test_report_without_attack_windows_labels_every_row_normal(
+            self, tmp_path):
+        plan = small_plan(duration_s=20.0, attacks=[
+            {"id": "dos", "kind": "modbus_dos", "attacker": "attacker",
+             "target": "plc", "t_start_s": 5.0, "duration_s": 5.0,
+             "rate_per_s": 200, "addr_lo": 0, "addr_hi": 50}])
+        out = tmp_path / "out"
+        assert cli.main(["--quiet", "run", "--plan",
+                         self.write_plan(tmp_path, plan), "--out", str(out),
+                         "--only", "capture,windows"]) == 0
+        windows = out / "attack_windows.jsonl"
+        labels = {}
+        for present in (True, False):
+            if not present:
+                windows.unlink()
+            assert cli.main(["--quiet", "report", "--out", str(out)]) == 0
+            labels[present] = {r.label for r in analytics.read_dataset_csv(
+                out / "dataset.csv")}
+        assert labels == {True: {"normal", "modbus_dos"}, False: {"normal"}}
+
     def test_detect_rejects_fewer_than_two_folds(self, tmp_path, capsys):
         for folds in ("1", "0"):
             assert cli.main(["--quiet", "detect", "--out", str(tmp_path),
@@ -335,7 +355,10 @@ class TestCli:
                                       "hunt_malformed_capture",
                                       "hunt_without_capture",
                                       "hunt_missing_syslog",
-                                      "hunt_syslog_is_a_directory"])
+                                      "hunt_syslog_is_a_directory",
+                                      "detect_dataset_is_a_directory",
+                                      "report_capture_is_a_directory",
+                                      "report_windows_is_a_directory"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -386,6 +409,16 @@ class TestCli:
             analytics.write_conn_log([], out / "conn.log")
             (out / "capture.jsonl").write_text("")
             argv = ["hunt", "--out", str(out), "--syslog-truth", str(out)]
+        elif case == "detect_dataset_is_a_directory":
+            (out / "dataset.csv").mkdir()
+            argv = ["detect", "--out", str(out)]
+        elif case == "report_capture_is_a_directory":
+            (out / "capture.jsonl").mkdir()
+            argv = ["report", "--out", str(out)]
+        elif case == "report_windows_is_a_directory":
+            (out / "capture.jsonl").write_text("")
+            (out / "attack_windows.jsonl").mkdir()
+            argv = ["report", "--out", str(out)]
         elif case == "plan_without_mobile_role":
             # calibrating the COAP and DNS targets needs the mobile host
             plan = planmod.default_plan()
@@ -406,6 +439,13 @@ class TestCli:
         if case == "hunt_without_capture":
             assert error["error"] == f"no capture at {out / 'capture.jsonl'}"
             assert not (out / "hunt_report.json").exists()
+        if case == "detect_dataset_is_a_directory":
+            assert error["error"].startswith("cannot read dataset: ")
+            assert not (out / "detection_report.json").exists()
+        if case in ("report_capture_is_a_directory",
+                    "report_windows_is_a_directory"):
+            assert error["error"].startswith("cannot read bundle: ")
+            assert not (out / "metrics_report.json").exists()
         if case == "hunt_missing_syslog":
             assert error["error"] == f"no syslog at {tmp_path / 'nope.log'}"
             assert not (out / "hunt_report.json").exists()
