@@ -91,13 +91,17 @@ def cmd_report(args) -> int:
         return _fail(f"no capture at {capture_path}")
     except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
-    _, _, counts, dropped = harness.label_capture(
-        frames, windows, os.path.join(args.out, "conn.log"),
-        os.path.join(args.out, "dataset.csv"))
-    report = harness.capture_metrics(plan, frames)
-    report["class_counts"] = counts
-    report["dropped_rows"] = dropped
-    harness.write_json(report, os.path.join(args.out, "metrics_report.json"))
+    try:
+        _, _, counts, dropped = harness.label_capture(
+            frames, windows, os.path.join(args.out, "conn.log"),
+            os.path.join(args.out, "dataset.csv"))
+        report = harness.capture_metrics(plan, frames)
+        report["class_counts"] = counts
+        report["dropped_rows"] = dropped
+        harness.write_json(report,
+                           os.path.join(args.out, "metrics_report.json"))
+    except OSError as e:
+        return _fail(f"cannot write bundle: {e}")
     if not args.quiet:
         print(json.dumps(counts, indent=2))
     return 0
@@ -135,7 +139,10 @@ def cmd_hunt(args) -> int:
                                  truth_events=truth_events,
                                  search_pattern=args.pattern)
     out_path = os.path.join(args.out, "hunt_report.json")
-    harness.write_json(report, out_path)
+    try:
+        harness.write_json(report, out_path)
+    except OSError as e:
+        return _fail(f"cannot write hunt report: {e}")
     if not args.quiet:
         print(f"identified attacker: {report['identified_attacker']}")
         print(f"backdoor ports: {report['backdoor_ports']}")
@@ -177,7 +184,10 @@ def cmd_detect(args) -> int:
             print(f"{spec.kind}: accuracy "
                   f"{100 * res.metrics['accuracy']:.1f}%")
     out_path = os.path.join(args.out, "detection_report.json")
-    harness.write_json(report, out_path)
+    try:
+        harness.write_json(report, out_path)
+    except OSError as e:
+        return _fail(f"cannot write detection report: {e}")
     if not args.quiet:
         print()
         print(format_metrics_table(results))

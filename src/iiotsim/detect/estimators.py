@@ -4,6 +4,8 @@ All estimators follow the fit/predict convention, accept string or numeric
 labels, and are deterministic for a fixed random_state.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -51,83 +53,143 @@ class BaseEstimator:
 # ---------------------------------------------------------------------------
 
 class _RankedData:
-    """A training set in the form every node's split search reads.
+    """A training set in the form the split search reads.
 
     Built once per fit and shared by all trees of a forest. keys[f, i] packs
     the dense rank of X[i, f] among feature f's distinct values with the class
     of row i as rank * n_classes + y[i], so sorting a node's keys of one
     feature groups its rows by value, then by class. The keys are int16 when
-    they fit, which numpy sorts with a radix sort.
+    they fit. values holds each feature's distinct values in ascending
+    order, feature f's from first_value[f] on.
     """
 
     def __init__(self, X, y_idx, n_classes):
-        uniques = [np.unique(x, return_inverse=True) for x in X.T]
-        self.values = [values for values, _ in uniques]
-        self.n_values = max(len(values) for values in self.values)
-        top = self.n_values * n_classes
+        values = [np.unique(x) for x in X.T]
+        sizes = [len(v) for v in values]
+        self.values = np.concatenate(values)
+        self.first_value = np.cumsum(sizes) - sizes
+        self.n_values = max(sizes)
         self.keys = np.empty(X.T.shape, dtype=np.int16
-                             if top <= np.iinfo(np.int16).max + 1
+                             if self.n_values * n_classes <= 2 ** 15
                              else np.int64)
-        for f, (_, rank) in enumerate(uniques):
-            self.keys[f] = rank * n_classes + y_idx
+        for f, (v, x) in enumerate(zip(values, X.T)):
+            self.keys[f] = v.searchsorted(x) * n_classes + y_idx
         self.X = X
         self.y = y_idx
         self.n_classes = n_classes
 
 
-def _best_split(data, rows, counts, feature_ids, min_leaf):
-    """-> (weighted_gini, feature, threshold) or None.
+def _split_nodes(data, nodes, min_leaf) -> list:
+    """Splits nodes given as (rows, counts, feature_ids): a view of the
+    node's rows, its class counts and its candidate features.
 
-    The same split as a scan of every boundary between distinct values of
-    every candidate feature: the same Gini expression is evaluated at the
-    valid boundaries only, ties go to the lower feature and then the first
-    boundary, and the threshold is the midpoint of the values around it.
+    -> for each node None or (feature, threshold, n_left, left_counts). The
+    rows of a split node are reordered in place: the n_left rows at or below
+    the threshold first, each side in the order it had.
+
+    Each split is the one a scan of every boundary between distinct values
+    of every candidate feature finds: the same Gini expression is evaluated
+    at the valid boundaries only, ties go to the lower feature and then the
+    first boundary, and the threshold is the midpoint of the values around
+    it. The keys of every (node, feature) block are sorted as one array.
     """
-    n = len(rows)
-    k = data.n_classes
-    keys = data.keys[feature_ids].take(rows, axis=1)
-    keys.sort(axis=1, kind="stable")
+    k, n_values = data.n_classes, data.n_values
+    rows = np.concatenate([rows for rows, _, _ in nodes])
+    counts = np.array([counts for _, counts, _ in nodes])
+    sizes = counts.sum(axis=1)
+    feature_ids = np.array([feature_ids for _, _, feature_ids in nodes])
+    n_nodes, m = feature_ids.shape
+    # block s * m + j holds node s's keys of feature feature_ids[s, j], plus
+    # block * span, so that one sort orders the blocks too
+    span = n_values * k
+    keys = np.arange(0, n_nodes * m * span, span, dtype=np.int32
+                     if n_nodes * m * span <= 2 ** 31 else np.int64)
+    keys = keys.reshape(-1, m).T.repeat(sizes, axis=1)
+    at = (feature_ids * data.keys.shape[1]).T.repeat(sizes, axis=1)
+    at += rows
+    keys += data.keys.take(at)
     keys = keys.ravel()
-    # the last element of each run of one (feature, value, class)
+    keys.sort()
+    # the last element of each run of one (block, value, class)
     last = np.empty(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    last[n - 1::n] = True
+    last[-1] = True
     ends = last.nonzero()[0]
-    value, klass = np.divmod(keys[ends], k)
-    # number the segments, the runs of one (feature, value), from 0
-    block = ends // n
-    seg_key = block * data.n_values + value
-    seg = np.empty(len(ends), dtype=np.int64)
-    seg[0] = 0
-    np.cumsum(seg_key[1:] != seg_key[:-1], out=seg[1:])
-    # class counts up to each segment's end, running on through the blocks;
-    # every block before a segment's own holds each of the node's rows once
-    left = np.bincount(seg * k + klass, weights=np.diff(ends, prepend=-1),
+    # a segment is a run of one (block, value); tail marks the last run of
+    # each, and seg numbers them from 0
+    seg_key, klass = np.divmod(keys[ends], k)
+    tail = np.empty(len(ends), dtype=bool)
+    np.not_equal(seg_key[1:], seg_key[:-1], out=tail[:-1])
+    tail[-1] = True
+    seg = tail.cumsum() - tail
+    # class counts up to each segment's end, running on through the blocks,
+    # less those of the blocks before its own, each of which holds every row
+    # of its node once
+    left = np.bincount(seg * k + klass,
+                       weights=ends - np.concatenate(([-1], ends[:-1])),
                        minlength=(seg[-1] + 1) * k)
     left = left.reshape(-1, k).cumsum(axis=0)
-    through = left.sum(axis=1)
-    seg_block = (through - 1) // n
-    left -= seg_block[:, None] * counts
-    sizes = through - seg_block * n
-    cand = ((sizes >= min_leaf)
-            & (sizes <= n - max(min_leaf, 1))).nonzero()[0]
+    seg_key = seg_key[tail]
+    seg_block = seg_key // n_values
+    before = counts.repeat(m, axis=0)
+    left -= (before.cumsum(axis=0) - before)[seg_block]
+    seg_size = left.sum(axis=1)
+    seg_node = seg_block // m
+    n = sizes[seg_node]
+    cand = ((seg_size >= min_leaf)
+            & (seg_size <= n - max(min_leaf, 1))).nonzero()[0]
+    out = [None] * n_nodes
     if not len(cand):
-        return None
+        return out
     left_counts = left[cand]
-    sizes_l = sizes[cand]
+    sizes_l = seg_size[cand]
+    n = n[cand]
+    cand_node = seg_node[cand]
     sizes_r = n - sizes_l
     gini_l = 1.0 - ((left_counts / sizes_l[:, None]) ** 2).sum(axis=1)
-    right_counts = counts.astype(np.float64) - left_counts
+    right_counts = counts[cand_node].astype(np.float64) - left_counts
     gini_r = 1.0 - ((right_counts / sizes_r[:, None]) ** 2).sum(axis=1)
     weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
-    i = int(weighted.argmin())
-    s = cand[i]
-    j = int(seg_block[s])
-    end = j * n + int(sizes[s]) - 1
-    f = int(feature_ids[j])
-    values = data.values[f]
-    return (float(weighted[i]), f,
-            float((values[keys[end] // k] + values[keys[end + 1] // k]) / 2.0))
+    # the first minimum of each node: the least index among its candidates
+    # that equal its minimum
+    first = np.concatenate(([True], cand_node[1:] != cand_node[:-1]))
+    group = first.cumsum() - 1
+    first = first.nonzero()[0]
+    best = np.where(weighted == np.minimum.reduceat(weighted, first)[group],
+                    np.arange(len(cand)), len(cand))
+    best = cand[np.minimum.reduceat(best, first)]
+    f = feature_ids.ravel()[seg_block[best]]
+    # the values of the best segment and of the next, and their midpoint
+    value = seg_key[best[:, None] + [0, 1]] % n_values
+    value = data.values[data.first_value[f][:, None] + value]
+    thr = (value[:, 0] + value[:, 1]) / 2.0
+    # the rows at or below it are those of the segments up to the best, and
+    # of the next one too when the midpoint rounds up to its value
+    best += thr >= value[:, 1]
+    s = seg_node[best]
+    ok = seg_size[best] < sizes[s]
+    s, f, thr, best = s[ok], f[ok], thr[ok], best[ok]
+    for split in zip(s.tolist(), f.tolist(), thr.tolist(),
+                     seg_size[best].astype(np.int64).tolist(),
+                     left[best].astype(np.int64)):
+        out[split[0]] = split[1:]
+    # a stable sort by (node, side) puts those rows first in each split node;
+    # the sort keys are int16 when they fit, which numpy sorts by radix
+    feature = np.zeros(n_nodes, dtype=np.int64)
+    feature[s] = f
+    threshold = np.full(n_nodes, np.inf)
+    threshold[s] = thr
+    side = np.arange(0, 2 * n_nodes, 2, dtype=np.int16
+                     if n_nodes <= 2 ** 14 else np.int64).repeat(sizes)
+    side += data.X.take(np.multiply(rows, data.X.shape[1], dtype=np.int64)
+                        + feature.repeat(sizes)) > threshold.repeat(sizes)
+    rows = rows[side.argsort(kind="stable")]
+    start = 0
+    for (view, _, _), size, split in zip(nodes, sizes.tolist(), out):
+        if split is not None:
+            view[:] = rows[start:start + size]
+        start += size
+    return out
 
 
 def _feature_candidates(d, max_features, rng):
@@ -171,44 +233,103 @@ class _Tree:
         return self.klass[node]
 
 
-def _grow_tree(data, rows, max_depth, min_leaf, max_features, rng) -> _Tree:
-    """Greedy CART from the training rows `rows` of data (repeats allowed).
+# bytes of sort keys one batched split search holds: 32 K keys of 8 bytes,
+# so the arrays made from them stay a few MB however many nodes search
+_SPLIT_KEY_BYTES = 1 << 18
+# bytes of int32 row order the trees growing together hold: 50 trees of
+# 6,300 rows
+_FOREST_ROW_BYTES = 5 << 18
 
-    Nodes are grown depth first, left before right, and rng is drawn from
-    only at nodes that search for a split, in that order.
+
+class _GrowingTree:
+    """A tree being grown depth first, left before right. A node is a slice
+    of the tree's row order, and a split reorders its slice in place."""
+
+    def __init__(self, data, rows, rng):
+        self.rows = np.array(rows, dtype=np.int32)
+        self.rng = rng
+        self.feature, self.threshold, self.klass = [], [], []
+        self.left, self.right = [], []
+        # (lo, hi, depth, class counts, parent, the parent's left or right)
+        self.stack = [(0, len(self.rows), 0,
+                       np.bincount(data.y[self.rows],
+                                   minlength=data.n_classes), 0, None)]
+
+    def next_search(self, d, max_depth, min_leaf, max_features):
+        """Adds nodes up to the next one that searches for a split
+        -> (node, lo, hi, depth, counts, feature_ids), or None at the end."""
+        while self.stack:
+            lo, hi, depth, counts, parent, link = self.stack.pop()
+            node = len(self.feature)
+            if link is not None:
+                link[parent] = node
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.klass.append(int(counts.argmax()))
+            if np.count_nonzero(counts) == 1 or depth >= max_depth or \
+                    hi - lo < 2 * min_leaf:
+                continue
+            return (node, lo, hi, depth, counts,
+                    _feature_candidates(d, max_features, self.rng))
+        return None
+
+    def add_split(self, node, lo, hi, depth, counts, f, thr, n_left, left):
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.stack.append((lo + n_left, hi, depth + 1, counts - left, node,
+                           self.right))
+        self.stack.append((lo, lo + n_left, depth + 1, left, node,
+                           self.left))
+
+    def tree(self) -> _Tree:
+        return _Tree(self.feature, self.threshold, self.left, self.right,
+                     self.klass)
+
+
+def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
+    """Greedy CART trees, one per (rows, rng) pair of draws, where rows are
+    the training rows the tree sees (repeats allowed).
+
+    Each tree is the one grown alone: depth first, left before right, with
+    its rng drawn from only at nodes that search for a split, in that order.
+    Trees start in the order of draws, as many at once as _FOREST_ROW_BYTES
+    holds. In each step every growing tree adds nodes up to its next one
+    that searches, and the searches are split in batches of about
+    _SPLIT_KEY_BYTES of keys.
     """
-    feature, threshold, left, right, klass = [], [], [], [], []
-    d = data.X.shape[1]
-    # (rows, depth, parent, the parent's left or right list)
-    stack = [(rows, 0, 0, None)]
-    while stack:
-        rows, depth, parent, link = stack.pop()
-        node = len(feature)
-        if link is not None:
-            link[parent] = node
-        counts = np.bincount(data.y[rows], minlength=data.n_classes)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        klass.append(int(counts.argmax()))
-        if np.count_nonzero(counts) == 1 or depth >= max_depth or \
-                len(rows) < 2 * min_leaf:
-            continue
-        split = _best_split(data, rows, counts,
-                            _feature_candidates(d, max_features, rng),
-                            min_leaf)
-        if split is None:
-            continue
-        _, f, thr = split
-        mask = data.X[rows, f] <= thr
-        if np.count_nonzero(mask) in (0, len(rows)):
-            continue
-        feature[node] = f
-        threshold[node] = thr
-        stack.append((rows[~mask], depth + 1, node, right))
-        stack.append((rows[mask], depth + 1, node, left))
-    return _Tree(feature, threshold, left, right, klass)
+    d, n = data.keys.shape
+    budget = max(1, _SPLIT_KEY_BYTES // 8)
+    draws = iter(draws)
+    trees, growing = [], []
+    while True:
+        for rows, rng in itertools.islice(
+                draws, max(1, _FOREST_ROW_BYTES // (4 * n)) - len(growing)):
+            trees.append(_GrowingTree(data, rows, rng))
+            growing.append(trees[-1])
+        if not growing:
+            return [tree.tree() for tree in trees]
+        searches = []
+        for tree in growing:
+            search = tree.next_search(d, max_depth, min_leaf, max_features)
+            if search is not None:
+                searches.append((tree,) + search)
+        growing = [tree for tree, *_ in searches]
+        while searches:
+            # whole nodes, up to budget keys unless the first alone is more
+            keys = itertools.accumulate(len(feature_ids) * (hi - lo)
+                                        for _, _, lo, hi, _, _, feature_ids
+                                        in searches)
+            chunk = searches[:max(1, sum(total <= budget for total in keys))]
+            searches = searches[len(chunk):]
+            splits = _split_nodes(
+                data, [(tree.rows[lo:hi], counts, feature_ids)
+                       for tree, _, lo, hi, _, counts, feature_ids in chunk],
+                min_leaf)
+            for (tree, *search), split in zip(chunk, splits):
+                if split is not None:
+                    tree.add_split(*search[:5], *split)
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -229,9 +350,10 @@ class DecisionTreeClassifier(BaseEstimator):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
         data = _RankedData(X, y_idx, len(self.classes_))
-        self.tree_ = _grow_tree(data, np.arange(len(X)), self.max_depth,
-                                self.min_leaf, self.max_features,
-                                np.random.default_rng(self.random_state))
+        self.tree_ = _grow_forest(
+            data, [(np.arange(len(X)),
+                    np.random.default_rng(self.random_state))],
+            self.max_depth, self.min_leaf, self.max_features)[0]
         return self
 
     def predict(self, X):
@@ -242,8 +364,9 @@ class DecisionTreeClassifier(BaseEstimator):
 class RandomForestClassifier(BaseEstimator):
     """Bagged CART trees with per-node feature subsampling and majority vote.
 
-    With n_trees=1, bootstrap=False and max_features=None the forest is the
-    plain decision tree.
+    The trees grow together, and each is exactly the tree grown alone from
+    its bootstrap rows and seed. With n_trees=1, bootstrap=False and
+    max_features=None the forest is the plain decision tree.
     """
 
     def __init__(self, n_trees=100, max_depth=12, min_leaf=1,
@@ -261,16 +384,16 @@ class RandomForestClassifier(BaseEstimator):
         data = _RankedData(X, y_idx, len(self.classes_))
         rng = np.random.default_rng(self.random_state)
         n = len(X)
-        self.trees_ = []
-        for _ in range(self.n_trees):
-            if self.bootstrap:
-                rows = rng.integers(0, n, size=n)
-            else:
-                rows = np.arange(n)
-            tree_rng = np.random.default_rng(int(rng.integers(2**31)))
-            self.trees_.append(_grow_tree(data, rows, self.max_depth,
-                                          self.min_leaf, self.max_features,
-                                          tree_rng))
+
+        def draws():
+            # each tree's bootstrap rows and then its seed, tree by tree
+            for _ in range(self.n_trees):
+                rows = rng.integers(0, n, size=n) if self.bootstrap \
+                    else np.arange(n)
+                yield rows, np.random.default_rng(int(rng.integers(2**31)))
+
+        self.trees_ = _grow_forest(data, draws(), self.max_depth,
+                                   self.min_leaf, self.max_features)
         return self
 
     def predict(self, X):

@@ -12,6 +12,7 @@ from iiotsim.detect import (DecisionTreeClassifier, GaussianNBClassifier,
                             check_X_y, confusion_matrix, cross_validate,
                             format_metrics_table, metrics_from_confusion,
                             stratified_kfold)
+from iiotsim.detect import estimators
 from iiotsim.detect.estimators import binary_logistic_loss_and_grad
 
 
@@ -391,20 +392,43 @@ def ref_tree(X, y, max_depth=12, min_leaf=1, max_features=None,
                              (max_depth, min_leaf, max_features), rng)
 
 
-def ref_forest_predict(X, y, Q, n_trees, max_depth=12, min_leaf=1,
-                       max_features="sqrt", bootstrap=True, random_state=0):
+def ref_forest(X, y, n_trees, max_depth=12, min_leaf=1,
+               max_features="sqrt", bootstrap=True, random_state=0):
+    """-> (classes, roots): each tree grown alone, one after another, from
+    its bootstrap rows and then its seed, both drawn from the forest rng."""
     classes, y_idx = np.unique(y, return_inverse=True)
     rng = np.random.default_rng(random_state)
-    votes = np.zeros((len(Q), len(classes)), dtype=np.int64)
+    roots = []
     for _ in range(n_trees):
         idx = rng.integers(0, len(X), size=len(X)) if bootstrap \
             else np.arange(len(X))
         tree_rng = np.random.default_rng(int(rng.integers(2**31)))
-        root = ref_grow(X[idx], y_idx[idx], len(classes), 0,
-                        (max_depth, min_leaf, max_features), tree_rng)
+        roots.append(ref_grow(X[idx], y_idx[idx], len(classes), 0,
+                              (max_depth, min_leaf, max_features), tree_rng))
+    return classes, roots
+
+
+def ref_forest_predict(X, y, Q, n_trees, max_depth=12, min_leaf=1,
+                       max_features="sqrt", bootstrap=True, random_state=0):
+    classes, roots = ref_forest(X, y, n_trees, max_depth, min_leaf,
+                                max_features, bootstrap, random_state)
+    votes = np.zeros((len(Q), len(classes)), dtype=np.int64)
+    for root in roots:
         for i, row in enumerate(Q):
             votes[i, ref_walk(root, row)] += 1
     return classes[np.argmax(votes, axis=1)]
+
+
+def default_fold0(bundle):
+    """Fold 0 of the CV that `iiotsim detect` runs on the bundle's dataset,
+    scaled as cross_validate scales it -> (T, y_train, Q)."""
+    rows = analytics.read_dataset_csv(
+        os.path.join(bundle.out_dir, "dataset.csv"))
+    X = np.array([r.features for r in rows])
+    y = np.array([r.label for r in rows])
+    train, val = stratified_kfold(y, 10, 42)[0][0]
+    scaler = MinMaxScaler().fit(X[train])
+    return scaler.transform(X[train]), y[train], scaler.transform(X[val])
 
 
 def ref_knn_predict(X, y, Q, k):
@@ -464,6 +488,38 @@ class TestAgainstReference:
         assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                 ).all()
 
+    def test_forest_matches_reference_on_the_default_dataset(
+            self, default_bundle):
+        # each tree, grown together with the others, is the tree grown alone
+        # from its bootstrap rows and seed
+        T, y, _ = default_fold0(default_bundle)
+        model = RandomForestClassifier(n_trees=5, random_state=0).fit(T, y)
+        _, roots = ref_forest(T, y, 5, random_state=0)
+        assert [flat_preorder(tree) for tree in model.trees_] == \
+            [ref_preorder(root) for root in roots]
+
+    @pytest.mark.parametrize("keys, trees", [(1, 3), (1, 100), (200, 2),
+                                             (200, 100), (10 ** 9, 4)])
+    @pytest.mark.parametrize("max_features", ["sqrt", 2])
+    def test_forest_matches_reference_across_batches(
+            self, monkeypatch, keys, trees, max_features):
+        # a search batch of 1 key holds one node; of 200, one root or a few
+        # smaller nodes, so steps split mid-way. With 2 to 4 trees in flight
+        # later trees start while earlier ones still grow, and bootstrapped
+        # trees of different sizes finish at different steps.
+        X, y, Q = tied_dataset(31, n=70)
+        monkeypatch.setattr(estimators, "_SPLIT_KEY_BYTES", 8 * keys)
+        monkeypatch.setattr(estimators, "_FOREST_ROW_BYTES", 4 * 70 * trees)
+        for min_leaf in (1, 2, 3):
+            params = dict(n_trees=7, max_depth=7, min_leaf=min_leaf,
+                          max_features=max_features, random_state=min_leaf)
+            model = RandomForestClassifier(**params).fit(X, y)
+            _, roots = ref_forest(X, y, **params)
+            assert [flat_preorder(tree) for tree in model.trees_] == \
+                [ref_preorder(root) for root in roots]
+            assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
+                    ).all()
+
     def test_unbootstrapped_forest_matches_reference(self):
         X, y, Q = tied_dataset(21, n=80)
         params = dict(n_trees=3, bootstrap=False, max_features=None,
@@ -509,18 +565,11 @@ class TestAgainstReference:
         assert ref_knn_predict(X, y, np.array([[0.0]]), 3)[0] == "b"
 
     def test_knn_matches_reference_on_the_default_dataset(self, default_bundle):
-        # fold 0 of the CV that `iiotsim detect` runs, scaled as
-        # cross_validate scales it; rows repeat many times, so the k-th
-        # distance is often shared. With each training row's index as its
-        # label, a prediction is the lowest index among its neighbours.
-        rows = analytics.read_dataset_csv(
-            os.path.join(default_bundle.out_dir, "dataset.csv"))
-        X = np.array([r.features for r in rows])
-        y = np.array([r.label for r in rows])
-        train, val = stratified_kfold(y, 10, 42)[0][0]
-        scaler = MinMaxScaler().fit(X[train])
-        T, Q = scaler.transform(X[train]), scaler.transform(X[val])
-        for labels in (y[train], np.arange(len(train))):
+        # rows repeat many times, so the k-th distance is often shared. With
+        # each training row's index as its label, a prediction is the lowest
+        # index among its neighbours.
+        T, y, Q = default_fold0(default_bundle)
+        for labels in (y, np.arange(len(T))):
             model = KNeighborsClassifier(k=5).fit(T, labels)
             assert (model.predict(Q) == ref_knn_predict(T, labels, Q, 5)
                     ).all()

@@ -358,7 +358,10 @@ class TestCli:
                                       "hunt_syslog_is_a_directory",
                                       "detect_dataset_is_a_directory",
                                       "report_capture_is_a_directory",
-                                      "report_windows_is_a_directory"])
+                                      "report_windows_is_a_directory",
+                                      "detect_report_is_a_directory",
+                                      "report_conn_log_is_a_directory",
+                                      "hunt_report_is_a_directory"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -419,6 +422,23 @@ class TestCli:
             (out / "capture.jsonl").write_text("")
             (out / "attack_windows.jsonl").mkdir()
             argv = ["report", "--out", str(out)]
+        elif case == "detect_report_is_a_directory":
+            analytics.write_dataset_csv(
+                [analytics.DatasetRow(
+                    (float(i),) * len(analytics.FEATURE_COLUMNS),
+                    "normal" if i % 3 else "modbus_dos") for i in range(30)],
+                out / "dataset.csv")
+            (out / "detection_report.json").mkdir()
+            argv = ["detect", "--out", str(out), "--folds", "2"]
+        elif case == "report_conn_log_is_a_directory":
+            (out / "capture.jsonl").write_text("")
+            (out / "conn.log").mkdir()
+            argv = ["report", "--out", str(out)]
+        elif case == "hunt_report_is_a_directory":
+            analytics.write_conn_log([], out / "conn.log")
+            (out / "capture.jsonl").write_text("")
+            (out / "hunt_report.json").mkdir()
+            argv = ["hunt", "--out", str(out)]
         elif case == "plan_without_mobile_role":
             # calibrating the COAP and DNS targets needs the mobile host
             plan = planmod.default_plan()
@@ -446,6 +466,13 @@ class TestCli:
                     "report_windows_is_a_directory"):
             assert error["error"].startswith("cannot read bundle: ")
             assert not (out / "metrics_report.json").exists()
+        if case == "detect_report_is_a_directory":
+            assert error["error"].startswith("cannot write detection report: ")
+        if case == "report_conn_log_is_a_directory":
+            assert error["error"].startswith("cannot write bundle: ")
+            assert not (out / "metrics_report.json").exists()
+        if case == "hunt_report_is_a_directory":
+            assert error["error"].startswith("cannot write hunt report: ")
         if case == "hunt_missing_syslog":
             assert error["error"] == f"no syslog at {tmp_path / 'nope.log'}"
             assert not (out / "hunt_report.json").exists()
