@@ -9,8 +9,9 @@ import sys
 import numpy as np
 
 from . import analytics, attacks, harness, hunt as huntmod, plan as planmod
-from .detect import (DEFAULT_SPECS, cross_validate, detection_rates,
-                     format_detection_table, format_metrics_table)
+from .detect import (DEFAULT_SPECS, attack_detection, cross_validate,
+                     detection_rates, format_detection_table,
+                     format_metrics_table)
 from .netsim import iter_capture_jsonl, read_capture_jsonl
 
 
@@ -173,9 +174,9 @@ def cmd_detect(args) -> int:
         except ValueError as e:
             return _fail(f"cannot cross-validate {spec.kind}: {e}")
         results.append(res)
+        metrics = {k: v for k, v in res.metrics.items() if k != "per_class"}
         report["models"][spec.kind] = {
-            "metrics": {k: v for k, v in res.metrics.items()
-                        if k != "per_class"},
+            "metrics": {**metrics, **attack_detection(res)},
             "per_class": res.metrics["per_class"],
             "detection_rates": detection_rates(res, attack_labels),
             "warnings": res.warnings,

@@ -15,11 +15,12 @@ from .estimators import (
 from .evaluation import (
     DEFAULT_SPECS,
     CrossValResult,
-    MinMaxScaler,
     ModelSpec,
+    attack_detection,
     confusion_matrix,
     cross_validate,
     detection_rates,
+    fold_features,
     format_detection_table,
     format_metrics_table,
     metrics_from_confusion,
@@ -29,8 +30,9 @@ from .evaluation import (
 __all__ = [
     "BaseEstimator", "DecisionTreeClassifier", "GaussianNBClassifier",
     "KNeighborsClassifier", "LogisticRegressionOvR", "RandomForestClassifier",
-    "check_X_y", "check_array", "MinMaxScaler", "ModelSpec", "DEFAULT_SPECS",
-    "CrossValResult", "confusion_matrix", "cross_validate", "detection_rates",
+    "check_X_y", "check_array", "ModelSpec", "DEFAULT_SPECS",
+    "CrossValResult", "attack_detection", "confusion_matrix",
+    "cross_validate", "detection_rates", "fold_features",
     "format_detection_table", "format_metrics_table",
     "metrics_from_confusion", "stratified_kfold",
 ]

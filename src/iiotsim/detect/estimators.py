@@ -442,8 +442,14 @@ class GaussianNBClassifier(BaseEstimator):
 
 
 # ---------------------------------------------------------------------------
-# one-vs-rest logistic regression (full-batch gradient descent)
+# one-vs-rest logistic regression (Newton's method)
 # ---------------------------------------------------------------------------
+
+# a one-vs-rest fit stops after this many Newton steps, or sooner once no
+# parameter moves by more than the tolerance
+_NEWTON_MAX_STEPS = 50
+_NEWTON_TOL = 1e-8
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
@@ -472,29 +478,35 @@ def binary_logistic_loss_and_grad(params, X, t, l2=0.0) -> tuple:
 
 
 class LogisticRegressionOvR(BaseEstimator):
-    def __init__(self, learning_rate=0.1, epochs=500, l2=0.0):
-        self.learning_rate = learning_rate
-        self.epochs = epochs
+    """One binary logistic regression per class, each fitted by Newton's
+    method (iteratively reweighted least squares) on the mean cross-entropy
+    plus l2/2 |w|^2. The intercept is not penalised; l2 > 0 keeps the
+    Hessian positive definite, so a separable class still has a finite fit.
+    The class with the highest score wins."""
+
+    def __init__(self, l2=1e-4):
         self.l2 = l2
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
-        k = len(self.classes_)
-        d = X.shape[1]
-        self.coef_ = np.zeros((k, d))
-        self.intercept_ = np.zeros(k)
-        for c in range(k):
+        n, d = X.shape
+        design = np.hstack([X, np.ones((n, 1))])
+        ridge = np.diag(np.append(np.full(d, self.l2), 0.0))
+        params = np.zeros((len(self.classes_), d + 1))
+        for c, theta in enumerate(params):
             t = (y_idx == c).astype(np.float64)
-            params = np.zeros(d + 1)
-            w = params[:-1]
-            for _ in range(self.epochs):
-                # the loss itself is never used, so only its gradient is made
-                p = _sigmoid(X @ w + params[-1])
-                params -= self.learning_rate * _logistic_grad(X, t, w, p,
-                                                              self.l2)
-            self.coef_[c] = w
-            self.intercept_[c] = params[-1]
+            for _ in range(_NEWTON_MAX_STEPS):
+                p = _sigmoid(design @ theta)
+                grad = _logistic_grad(X, t, theta[:-1], p, self.l2)
+                weighted = design * np.sqrt(p * (1.0 - p))[:, None]
+                hessian = weighted.T @ weighted / n + ridge
+                step = np.linalg.solve(hessian, grad)
+                theta -= step
+                if np.abs(step).max() < _NEWTON_TOL:
+                    break
+        self.coef_ = params[:, :-1]
+        self.intercept_ = params[:, -1]
         return self
 
     def predict(self, X):

@@ -32,19 +32,23 @@ DEFAULT_SPECS = (ModelSpec("DT"), ModelSpec("RF"), ModelSpec("NB"),
                  ModelSpec("LR"), ModelSpec("KNN"))
 
 
-class MinMaxScaler:
-    """Per-feature min-max; fitted on training folds only."""
-
-    def fit(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        span[span == 0.0] = 1.0
-        self.span_ = span
-        return self
-
-    def transform(self, X):
-        return (np.asarray(X, dtype=np.float64) - self.min_) / self.span_
+def fold_features(X, train, val) -> tuple:
+    """-> (X_train, X_val): new arrays of the fold's rows, each column mapped
+    by a signed log1p, copysign(log1p(|x|), x), then z-scored with the
+    training rows' mean and std. A column constant on the training rows maps
+    them to 0."""
+    X_tr, X_va = X[train], X[val]
+    for part in (X_tr, X_va):
+        mag = np.log1p(np.abs(part))
+        np.copysign(mag, part, out=part)
+    lo = X_tr.min(axis=0)
+    constant = lo == X_tr.max(axis=0)
+    mean = np.where(constant, lo, X_tr.mean(axis=0))
+    std = np.where(constant, 1.0, X_tr.std(axis=0))
+    for part in (X_tr, X_va):
+        part -= mean
+        part /= std
+    return X_tr, X_va
 
 
 def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
@@ -62,7 +66,8 @@ def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         if len(idx) < k:
-            warnings.append(f"class {cls!r} has {len(idx)} rows for {k} folds")
+            warnings.append(f"class {str(cls)!r} has {len(idx)} rows for "
+                            f"{k} folds")
         idx = idx[rng.permutation(len(idx))]
         assignment[idx] = np.arange(len(idx)) % k
     folds = []
@@ -106,7 +111,8 @@ def metrics_from_confusion(cm, labels) -> dict:
             precision = tp / predicted
         else:
             precision = 0.0
-            notes.append(f"no predictions for class {label!r}; precision=0")
+            notes.append(f"no predictions for class {str(label)!r}; "
+                         "precision=0")
         f_measure = (2 * precision * recall / (precision + recall)
                      if precision + recall else 0.0)
         per_class[label] = {"precision": precision, "recall": recall,
@@ -133,16 +139,15 @@ class CrossValResult:
 def cross_validate(spec: ModelSpec, X, y, k: int = 10,
                    seed: int = 0) -> CrossValResult:
     """Stratified k-fold; per-fold confusion matrices are summed and the
-    aggregate metrics come from the summed matrix. Scaling parameters are
-    fitted on each training fold only."""
+    aggregate metrics come from the summed matrix. Every model sees the
+    features as fold_features maps them, fitted on the training fold."""
     X, y = check_X_y(X, y)
-    labels = [l for l in np.unique(y)]
+    labels = [str(l) for l in np.unique(y)]
     folds, warnings = stratified_kfold(y, k, seed)
     fold_matrices = []
     summed = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for train, val in folds:
-        scaler = MinMaxScaler().fit(X[train])
-        X_tr, X_va = scaler.transform(X[train]), scaler.transform(X[val])
+        X_tr, X_va = fold_features(X, train, val)
         model = spec.build()
         model.fit(X_tr, y[train])
         pred = model.predict(X_va)
@@ -159,6 +164,20 @@ def detection_rates(result: CrossValResult, attack_labels) -> dict:
     for label in attack_labels:
         if label in result.metrics["per_class"]:
             rates[label] = result.metrics["per_class"][label]["recall"]
+    return rates
+
+
+def attack_detection(result: CrossValResult, normal: str = "normal") -> dict:
+    """Attack vs normal from the summed matrix: the share of attack rows
+    predicted as any attack class, and of normal rows predicted as an attack
+    (each 0 when there are no such rows)."""
+    attack = np.array([label != normal for label in result.labels])
+    cm = result.confusion
+    rates = {}
+    for name, rows in (("attack_detection_rate", attack),
+                       ("false_alarm_rate", ~attack)):
+        total = cm[rows].sum()
+        rates[name] = cm[rows][:, attack].sum() / total if total else 0.0
     return rates
 
 

@@ -35,10 +35,12 @@ def aggregate_originators(conn_rows, resp_port: int) -> list:
 
 
 def reverse_connections(conn_rows, from_host: str, to_hosts) -> dict:
-    """Connections originated by from_host back toward any candidate host."""
+    """Connections originated by from_host back toward any candidate host.
+    ARP exchanges have no ports and are not connections."""
     to_hosts = set(to_hosts)
     rows = [r for r in conn_rows
-            if r["orig_h"] == from_host and r["resp_h"] in to_hosts]
+            if r["orig_h"] == from_host and r["resp_h"] in to_hosts
+            and r["proto"] != "ARP"]
     per_port: dict[int, dict] = {}
     for r in rows:
         slot = per_port.setdefault(r["resp_p"], {"count": 0, "duration": 0.0})

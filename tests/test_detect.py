@@ -1,17 +1,20 @@
+import json
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from iiotsim import analytics
-from iiotsim.detect import (DecisionTreeClassifier, GaussianNBClassifier,
-                            KNeighborsClassifier, LogisticRegressionOvR,
-                            MinMaxScaler, ModelSpec, RandomForestClassifier,
+from iiotsim import analytics, cli
+from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
+                            GaussianNBClassifier, KNeighborsClassifier,
+                            LogisticRegressionOvR, ModelSpec,
+                            RandomForestClassifier, attack_detection,
                             check_X_y, confusion_matrix, cross_validate,
-                            format_metrics_table, metrics_from_confusion,
-                            stratified_kfold)
+                            fold_features, format_metrics_table,
+                            metrics_from_confusion, stratified_kfold)
 from iiotsim.detect import estimators
 from iiotsim.detect.estimators import binary_logistic_loss_and_grad
 
@@ -156,9 +159,38 @@ class TestLogisticRegression:
 
     def test_learns_separable_data(self):
         X, y = toy_blobs(seed=5)
-        X = MinMaxScaler().fit(X).transform(X)
-        model = LogisticRegressionOvR(learning_rate=0.5, epochs=300).fit(X, y)
+        model = LogisticRegressionOvR().fit(X, y)
         assert (model.predict(X) == y).mean() == 1.0
+
+    def test_separable_class_and_constant_column_converge(self, monkeypatch):
+        # class "c" lies apart from the others on feature 0 and feature 2 is
+        # constant; on the raw rows the constant column and the intercept
+        # are collinear, and only the L2 term keeps the Hessian invertible
+        rng = np.random.default_rng(2)
+        X = np.column_stack([
+            np.concatenate([rng.normal(0, 1, 80), rng.normal(10, 1, 40)]),
+            rng.normal(size=120), np.full(120, 4.0)])
+        y = np.array(["a", "b"] * 40 + ["c"] * 40)
+        train, val = stratified_kfold(y, 5, seed=0)[0][0]
+        steps = []
+        sigmoid = estimators._sigmoid
+        monkeypatch.setattr(estimators, "_sigmoid",
+                            lambda z: steps.append(1) or sigmoid(z))
+        for X_tr, X_va in (fold_features(X, train, val), (X[train], X[val])):
+            steps.clear()
+            model = LogisticRegressionOvR().fit(X_tr, y[train])
+            # one sigmoid per Newton step: no class ran to the cap
+            assert len(steps) < 3 * estimators._NEWTON_MAX_STEPS
+            assert np.isfinite(model.coef_).all()
+            assert np.isfinite(model.intercept_).all()
+            assert (model.predict(X_va)[y[val] == "c"] == "c").all()
+            # each class's fit is the penalised optimum: its gradient is 0
+            for c, label in enumerate(model.classes_):
+                params = np.append(model.coef_[c], model.intercept_[c])
+                t = (y[train] == label).astype(np.float64)
+                _, grad = binary_logistic_loss_and_grad(params, X_tr, t,
+                                                        model.l2)
+                assert np.abs(grad).max() < 1e-9
 
 
 class TestStratifiedKFold:
@@ -248,6 +280,25 @@ class TestMetrics:
         assert m["per_class"]["b"]["precision"] == 0.0
         assert m["notes"]
 
+    def test_attack_detection_from_the_summed_matrix(self):
+        # rows: normal, dos, scan; 1 of 10 normal rows alarms, and of 10
+        # attack rows 7 are some attack (a dos row called scan counts)
+        cm = np.array([[9, 1, 0], [2, 3, 1], [1, 0, 3]])
+        labels = ["normal", "dos", "scan"]
+        res = CrossValResult(ModelSpec("NB"), labels, [cm], cm,
+                             metrics_from_confusion(cm, labels), [])
+        assert attack_detection(res) == {
+            "attack_detection_rate": pytest.approx(0.7),
+            "false_alarm_rate": pytest.approx(0.1)}
+
+    def test_messages_name_classes_as_plain_strings(self):
+        # numpy 2 writes a numpy string's repr as np.str_('rare')
+        y = np.array(["a"] * 50 + ["rare"] * 5)
+        _, warnings = stratified_kfold(y, 10, seed=0)
+        assert warnings == ["class 'rare' has 5 rows for 10 folds"]
+        m = metrics_from_confusion([[5, 0], [5, 0]], np.unique(y))
+        assert m["notes"] == ["no predictions for class 'rare'; precision=0"]
+
     def test_confusion_matrix_counts(self):
         cm = confusion_matrix(["a", "a", "b"], ["a", "b", "b"], ["a", "b"])
         assert cm.tolist() == [[1, 1], [0, 1]]
@@ -278,13 +329,46 @@ class TestCrossValidate:
         assert (sum(res.fold_matrices) == res.confusion).all()
         assert res.confusion.sum() == len(y)
 
-    def test_scaler_leakage_guard_structure(self):
-        # the scaler inside cross_validate is fitted per training fold; the
-        # helper itself must reproduce train-range scaling
-        X = np.array([[0.0], [5.0], [10.0]])
-        s = MinMaxScaler().fit(X)
-        out = s.transform(np.array([[20.0]]))
-        assert out[0][0] == 2.0
+    def test_fold_features_fit_on_the_training_rows_only(self):
+        # training rows 0-2: column 0 maps to -log 4, 0, log 4 (mean 0, std
+        # log 4 sqrt(2/3)), column 1 is constant and column 2 is 0, 1, 2.
+        # Row 3 validates; its huge and negative values must not move the
+        # statistics and must stay finite.
+        X = np.array([[-3.0, 2.0, 0.0], [0.0, 2.0, 1.0], [3.0, 2.0, 2.0],
+                      [1e300, -5.0, -1e9]])
+        before = X.copy()
+        X_tr, X_va = fold_features(X, np.array([0, 1, 2]), np.array([3]))
+        assert (X == before).all()
+        std = math.log(4) * math.sqrt(2 / 3)
+        assert X_tr[:, 0] == pytest.approx([-math.sqrt(1.5), 0.0,
+                                            math.sqrt(1.5)])
+        assert X_va[0, 0] == pytest.approx(math.log1p(1e300) / std)
+        assert (X_tr[:, 1] == 0.0).all()
+        assert X_va[0, 1] == pytest.approx(-math.log(6) - math.log(3))
+        logs = np.log1p([0.0, 1.0, 2.0])
+        assert X_va[0, 2] == pytest.approx(
+            (-math.log1p(1e9) - logs.mean()) / logs.std())
+        assert np.isfinite(X_va).all()
+        # np.std of 100 copies of log1p(2) is 2.2e-16, not 0: a constant
+        # column must still map to 0, not to rounding noise over 2.2e-16
+        X_tr, X_va = fold_features(np.full((120, 1), 2.0), np.arange(100),
+                                   np.arange(100, 120))
+        assert (X_tr == 0.0).all() and (X_va == 0.0).all()
+
+
+def test_every_model_detects_attacks_on_the_default_dataset(default_bundle,
+                                                           tmp_path):
+    # `iiotsim detect --seed 42`: each model must call at least 95% of the
+    # attack rows some attack class
+    shutil.copy(os.path.join(default_bundle.out_dir, "dataset.csv"), tmp_path)
+    assert cli.main(["--quiet", "detect", "--seed", "42",
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "detection_report.json").read_text()
+    assert "np.str_" not in text
+    rates = {kind: model["metrics"]["attack_detection_rate"]
+             for kind, model in json.loads(text)["models"].items()}
+    assert sorted(rates) == ["DT", "KNN", "LR", "NB", "RF"]
+    assert all(rate >= 0.95 for rate in rates.values()), rates
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +511,8 @@ def default_fold0(bundle):
     X = np.array([r.features for r in rows])
     y = np.array([r.label for r in rows])
     train, val = stratified_kfold(y, 10, 42)[0][0]
-    scaler = MinMaxScaler().fit(X[train])
-    return scaler.transform(X[train]), y[train], scaler.transform(X[val])
+    T, Q = fold_features(X, train, val)
+    return T, y[train], Q
 
 
 def ref_knn_predict(X, y, Q, k):

@@ -120,7 +120,7 @@ GOLDEN_DIGESTS = {
     "edge_historian.csv":
         "8ced631a291def45b829817c8b54cd496d2af69bec6ec6aa6cd71b055f0a1caf",
     "hunt_report.json":
-        "9ea40173293f144ab0bd8cba70c220b172b7931f6503a53b30bd5127a6424403",
+        "b8db730954b725304258b0ba0f7efd5a80788fe558881244a122cd7dbc34c615",
     "i2c_trace.txt":
         "f8dc9a6fd1392f64f32e3046c710eb68136533bb584819a6f4848605c6bda56a",
     "metrics_report.json":

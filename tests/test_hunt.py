@@ -65,6 +65,18 @@ class TestReverseConnections:
         assert out["total_duration"] == pytest.approx(1344.026)
         assert out["per_port"][4444]["count"] == 5
 
+    def test_arp_exchange_is_not_a_connection(self):
+        # the victim resolving the attacker's MAC is a port-less ARP row
+        rows = [row("192.168.10.1", "192.168.10.151", 4444, 94.0, 10,
+                    proto="TCP"),
+                row("192.168.10.1", "192.168.10.151", 0, 0.001, 42, orig_p=0,
+                    proto="ARP")]
+        out = hunt.reverse_connections(rows, "192.168.10.1",
+                                       ["192.168.10.151"])
+        assert out["rows"] == rows[:1]
+        assert out["total_duration"] == 94.0
+        assert list(out["per_port"]) == [4444]
+
     def test_empty_candidates(self):
         out = hunt.reverse_connections([row("a", "b", 4444, 1.0, 1)], "a", [])
         assert out["rows"] == []
