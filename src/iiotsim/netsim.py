@@ -779,12 +779,37 @@ def _parse_record(line: str):
     return rec if end == len(line) else json.loads(line)
 
 
+# The line write_capture_jsonl writes, as one regex for fullmatch. Each group
+# is a value whose text means to the reader what it means to json.loads: a
+# str without escapes or control characters, a JSON int ([0-9], not \d,
+# which takes other scripts' digits; no leading zero), true/false, and a
+# list of upper-case words. `len` is matched but not captured: wire_len
+# recomputes it. Any other line, valid or not, goes through _parse_record.
+_STR = r'"([^"\\\x00-\x1f]*)"'
+_INT = "(0|[1-9][0-9]*)"
+_BOOL = "(true|false)"
+_WRITER_FIELDS = (
+    ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
+    ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT), ("l4", _STR),
+    ("tcp_flags", r'(\[(?:"[A-Z]+"(?:, "[A-Z]+")*)?\])'),
+    ("len", "(?:0|[1-9][0-9]*)"), ("proto_tag", _STR),
+    ("payload_b64", _STR), ("segment", _STR), ("sender", _STR),
+    ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
+    ("deliver_ts_us", _INT), ("drop_reason", _STR), ("fw_denied", _BOOL))
+_writer_line = re.compile(
+    r"\{" + ", ".join(f'"{key}": {value}' for key, value in _WRITER_FIELDS)
+    + r"\}").fullmatch
+_JSON_BOOL = {"true": True, "false": False}
+
+
 def iter_capture_jsonl(path):
     """Frames of a capture.jsonl, one at a time, in file order; a malformed
     record raises ValueError naming the file and the record. Equal str
     values and flag tuples are one shared object."""
     share = _Memo(lambda v: v)
+    flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
     a2b = binascii.a2b_base64
+    b = _JSON_BOOL
     n = 0                                  # records turned into frames
     with open(path) as fh:
         try:
@@ -792,22 +817,36 @@ def iter_capture_jsonl(path):
                 line = line.strip()
                 if not line:
                     continue
-                rec = _parse_record(line)
-                if type(rec) is not dict:
-                    raise TypeError(f"record is a JSON {type(rec).__name__}, "
-                                    f"not an object")
-                get = rec.get
-                # positional, in the field order of Frame
-                frame = Frame(
-                    rec["ts_us"], share[get("segment", "")],
-                    share[get("sender", "")], share[rec["src_mac"]],
-                    share[rec["dst_mac"]], share[rec["src_ip"]],
-                    share[rec["dst_ip"]], rec["src_port"], rec["dst_port"],
-                    share[rec["l4"]], share[tuple(rec["tcp_flags"])],
-                    a2b(rec["payload_b64"]), share[rec["proto_tag"]],
-                    get("origin", True), get("final", False),
-                    get("delivered", False), get("deliver_ts_us", 0),
-                    share[get("drop_reason", "")], get("fw_denied", False))
+                m = _writer_line(line)
+                # the arguments of Frame, in its field order
+                if m is not None:
+                    (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
+                     l4, flags, tag, b64, segment, sender, origin, final,
+                     delivered, deliver_ts, drop, fw) = m.groups()
+                    args = (int(ts), share[segment], share[sender],
+                            share[src_mac], share[dst_mac], share[src_ip],
+                            share[dst_ip], int(src_port), int(dst_port),
+                            share[l4], flag_list[flags], a2b(b64), share[tag],
+                            b[origin], b[final], b[delivered], int(deliver_ts),
+                            share[drop], b[fw])
+                else:
+                    rec = _parse_record(line)
+                    if type(rec) is not dict:
+                        raise TypeError(f"record is a JSON "
+                                        f"{type(rec).__name__}, not an object")
+                    get = rec.get
+                    args = (
+                        rec["ts_us"], share[get("segment", "")],
+                        share[get("sender", "")], share[rec["src_mac"]],
+                        share[rec["dst_mac"]], share[rec["src_ip"]],
+                        share[rec["dst_ip"]], rec["src_port"],
+                        rec["dst_port"], share[rec["l4"]],
+                        share[tuple(rec["tcp_flags"])],
+                        a2b(rec["payload_b64"]), share[rec["proto_tag"]],
+                        get("origin", True), get("final", False),
+                        get("delivered", False), get("deliver_ts_us", 0),
+                        share[get("drop_reason", "")], get("fw_denied", False))
+                frame = Frame(*args)
                 n += 1
                 yield frame
         except (ValueError, KeyError, TypeError) as e:

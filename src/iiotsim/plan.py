@@ -51,8 +51,30 @@ def save_plan(plan: dict, path) -> None:
         fh.write("\n")
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", (int, float): "a number"}
+
+
+def _typed(errors, what, value, kind, default):
+    """value when it is of kind, else default and an error naming what."""
+    if isinstance(value, kind):
+        return value
+    errors.append(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return default
+
+
+def _objects(errors, what, items):
+    """(index, item) for the objects in items; any other item is an error
+    naming what and its index."""
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            yield i, item
+        else:
+            errors.append(f"{what} {i} must be an object, got {item!r}")
+
+
 def validate_plan(plan: dict) -> list:
-    """Full validation pass; returns every problem found, not just the first."""
+    """Full validation pass; returns every problem found, not just the first.
+    A field of the wrong JSON type is one of them."""
     errors = []
     if not isinstance(plan, dict):
         return ["plan must be a JSON object"]
@@ -64,20 +86,26 @@ def validate_plan(plan: dict) -> list:
     segments = plan.get("segments", {})
     if not segments:
         errors.append("no segments defined")
-    hosts = plan.get("hosts", [])
+    segments = _typed(errors, "segments", segments or {}, dict, {})
+    hosts = _typed(errors, "hosts", plan.get("hosts", []), list, [])
     host_ids = set()
     seen_macs = set()
     seen_ips = set()
-    for h in hosts:
+    for _, h in _objects(errors, "host", hosts):
         hid = h.get("id")
         if not hid:
             errors.append("host without id")
             continue
+        if not isinstance(hid, str):
+            errors.append(f"host id must be a string, got {hid!r}")
+            continue
         if hid in host_ids:
             errors.append(f"duplicate host id {hid!r}")
         host_ids.add(hid)
-        for iface in h.get("interfaces", []):
-            if len(iface) != 3:
+        for iface in _typed(errors, f"host {hid!r} interfaces",
+                            h.get("interfaces", []), list, []):
+            if not (isinstance(iface, list) and len(iface) == 3
+                    and all(isinstance(v, str) for v in iface)):
                 errors.append(f"host {hid!r}: malformed interface {iface!r}")
                 continue
             seg, mac, ip = iface
@@ -89,11 +117,12 @@ def validate_plan(plan: dict) -> list:
             if (seg, ip) in seen_ips:
                 errors.append(f"duplicate IP {ip!r} on segment {seg!r}")
             seen_ips.add((seg, ip))
-    roles = plan.get("roles", {})
+    roles = _typed(errors, "roles", plan.get("roles", {}), dict, {})
     missing = [r for r in REQUIRED_ROLES if r not in roles]
     if missing:
         errors.append(f"roles must name {', '.join(missing)}")
-    targets = plan.get("latency_targets_ms") or {}
+    targets = _typed(errors, "latency_targets_ms",
+                     plan.get("latency_targets_ms") or {}, dict, {})
     unnamed = {}     # role -> the latency targets that need it
     for proto, ends in TARGET_ROLES.items():
         if proto in targets:
@@ -103,29 +132,37 @@ def validate_plan(plan: dict) -> list:
     for role, protos in unnamed.items():
         errors.append(f"latency targets {', '.join(protos)} need "
                       f"role {role!r}")
+    def unknown_host(hid):      # hid may be any JSON value, even unhashable
+        return not isinstance(hid, str) or hid not in host_ids
+
     for role, hid in roles.items():
-        if hid not in host_ids:
+        if unknown_host(hid):
             errors.append(f"role {role!r} references unknown host {hid!r}")
-    acl = plan.get("acl", {})
+    acl = _typed(errors, "acl", plan.get("acl", {}), dict, {})
     if acl.get("default", "allow") not in ("allow", "deny"):
         errors.append(f"acl default must be allow|deny")
-    for i, rule in enumerate(acl.get("rules", [])):
+    for i, rule in _objects(errors, "acl rule", _typed(
+            errors, "acl rules", acl.get("rules", []), list, [])):
         if rule.get("action") not in ("allow", "deny"):
             errors.append(f"acl rule {i}: bad action {rule.get('action')!r}")
         if rule.get("direction") not in ("in", "out", "any"):
             errors.append(f"acl rule {i}: bad direction {rule.get('direction')!r}")
-    for key, cfg in plan.get("traffic", {}).items():
+    traffic = _typed(errors, "traffic", plan.get("traffic", {}), dict, {})
+    for key, cfg in traffic.items():
         entries = cfg if isinstance(cfg, list) else [cfg]
-        for entry in entries:
+        for _, entry in _objects(errors, f"traffic {key!r} entry", entries):
             hid = entry.get("host")
-            if hid is not None and hid not in host_ids:
+            if hid is not None and unknown_host(hid):
                 errors.append(f"traffic {key!r} references unknown host {hid!r}")
     attack_ids = set()
-    for a in plan.get("attacks", []):
+    for _, a in _objects(errors, "attack", _typed(
+            errors, "attacks", plan.get("attacks", []), list, [])):
         aid = a.get("id")
         kind = a.get("kind")
         if not aid:
             errors.append(f"attack without id: {a!r}")
+        elif not isinstance(aid, str):
+            errors.append(f"attack id must be a string, got {aid!r}")
         elif aid in attack_ids:
             errors.append(f"duplicate attack id {aid!r}")
         else:
@@ -134,16 +171,20 @@ def validate_plan(plan: dict) -> list:
             errors.append(f"attack {aid!r}: unknown kind {kind!r}")
         for ref in ("attacker", "victim_a", "victim_b", "target",
                     "broker_host"):
-            if ref in a and a[ref] not in host_ids:
+            if ref in a and unknown_host(a[ref]):
                 errors.append(f"attack {aid!r} references unknown host {a[ref]!r}")
-        t0 = a.get("t_start_s", 0)
-        dur = a.get("duration_s", 0)
+        t0 = _typed(errors, f"attack {aid!r}: t_start_s",
+                    a.get("t_start_s", 0), (int, float), 0)
+        dur = _typed(errors, f"attack {aid!r}: duration_s",
+                     a.get("duration_s", 0), (int, float), 0)
         if isinstance(duration, (int, float)) and duration > 0:
             if t0 < 0 or t0 > duration:
                 errors.append(f"attack {aid!r} starts outside the run")
             if t0 + dur > duration:
                 errors.append(f"attack {aid!r} extends past the end of the run")
-        if kind == "modbus_dos" and a.get("rate_per_s", 0) <= 0:
+        rate = a.get("rate_per_s", 0)
+        if kind == "modbus_dos" and (not isinstance(rate, (int, float))
+                                     or rate <= 0):
             errors.append(f"attack {aid!r}: rate_per_s must be positive")
     errors.extend(output_errors(plan.get("outputs") or []))
     return errors

@@ -359,16 +359,19 @@ class TestCrossValidate:
 def test_every_model_detects_attacks_on_the_default_dataset(default_bundle,
                                                            tmp_path):
     # `iiotsim detect --seed 42`: each model must call at least 95% of the
-    # attack rows some attack class
+    # attack rows some attack class, and at most 15% of the normal rows
     shutil.copy(os.path.join(default_bundle.out_dir, "dataset.csv"), tmp_path)
     assert cli.main(["--quiet", "detect", "--seed", "42",
                      "--out", str(tmp_path)]) == 0
     text = (tmp_path / "detection_report.json").read_text()
     assert "np.str_" not in text
-    rates = {kind: model["metrics"]["attack_detection_rate"]
-             for kind, model in json.loads(text)["models"].items()}
-    assert sorted(rates) == ["DT", "KNN", "LR", "NB", "RF"]
+    metrics = {kind: model["metrics"]
+               for kind, model in json.loads(text)["models"].items()}
+    assert sorted(metrics) == ["DT", "KNN", "LR", "NB", "RF"]
+    rates = {kind: m["attack_detection_rate"] for kind, m in metrics.items()}
     assert all(rate >= 0.95 for rate in rates.values()), rates
+    alarms = {kind: m["false_alarm_rate"] for kind, m in metrics.items()}
+    assert all(rate <= 0.15 for rate in alarms.values()), alarms
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import csv
 import filecmp
 import hashlib
 import importlib.resources
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -70,6 +72,69 @@ class TestPlanValidation:
             {"id": "x", "kind": "i2c_sniff", "t_start_s": 5.0,
              "duration_s": 60.0}])
         assert any("past the end" in e for e in planmod.validate_plan(plan))
+
+    # a field is deleted or set to one of these JSON values
+    MUTATIONS = (None, "null", '"x"', "-1", "[]", "{}")
+
+    @classmethod
+    def field_paths(cls, node, path=()):
+        """The key path of every field of node, at any depth."""
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return
+        for key, value in items:
+            yield path + (key,)
+            yield from cls.field_paths(value, path + (key,))
+
+    def mutated_plans(self, count, seed):
+        """count default plans, each with one field deleted or replaced,
+        drawn by seed from every field and mutation."""
+        cases = list(itertools.product(
+            self.field_paths(planmod.default_plan()), self.MUTATIONS))
+        for path, text in random.Random(seed).sample(cases, count):
+            plan = planmod.default_plan()
+            owner = plan
+            for key in path[:-1]:
+                owner = owner[key]
+            if text is None:
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = json.loads(text)
+            yield plan
+
+    def test_one_wrong_field_is_an_error_not_an_exception(self):
+        for plan in self.mutated_plans(600, seed=12):
+            errors = planmod.validate_plan(plan)
+            assert all(isinstance(e, str) for e in errors), errors
+
+    def test_wrong_typed_fields_are_named(self):
+        plan = planmod.default_plan()
+        plan["attacks"][0]["t_start_s"] = "x"
+        plan["hosts"][0]["interfaces"] = -1
+        plan["hosts"][1] = None
+        plan["traffic"] = "x"
+        errors = planmod.validate_plan(plan)
+        for error in ("host 'edge-gw' interfaces must be a list, got -1",
+                      "host 1 must be an object, got None",
+                      "traffic must be an object, got 'x'",
+                      "attack 'sniff-1': t_start_s must be a number, got 'x'"):
+            assert error in errors
+
+    def test_validate_command_exits_0_or_2_on_one_wrong_field(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "plan.json")
+        for plan in self.mutated_plans(100, seed=13):
+            planmod.save_plan(plan, path)
+            code = cli.main(["--quiet", "validate", "--plan", path])
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            if code == 2:
+                assert json.loads(err)["error"] == "plan is invalid"
+            else:
+                assert err == ""
 
 
 class TestCalibration:

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import io
 import itertools
 import json
@@ -389,7 +390,10 @@ class TestCaptureExport:
         assert back[0].payload == frames[0].payload
         assert back[0].tcp_flags == frames[0].tcp_flags
 
-    def test_writer_matches_json_dumps_of_every_record(self, tmp_path):
+    @staticmethod
+    def hard_frames():
+        """Quotes, backslashes, non-ASCII and control characters, empty and
+        all-256-byte payloads, and both values of every boolean."""
         texts = ["", "lan", 'quo"te', "back\\slash", "caf\u00e9 \U0001f600",
                  "ctl\x00\x1f\x7f\n\t"]
         flag_sets = [(), ("SYN",), ("ACK", "SYN"), ("ACK", "FIN", "PSH")]
@@ -408,12 +412,34 @@ class TestCaptureExport:
                 origin=bools[0], final=bools[1], delivered=bools[2],
                 deliver_ts_us=k * 7, drop_reason=text[3],
                 fw_denied=bools[3]))
+        return frames
+
+    def test_writer_matches_json_dumps_of_every_record(self, tmp_path):
+        frames = self.hard_frames()
         path = tmp_path / "capture.jsonl"
         write_capture_jsonl(frames, path)
         expected = "".join(json.dumps(frame_to_record(f)) + "\n"
                            for f in frames)
         assert path.read_bytes() == expected.encode()
         assert netsim.read_capture_jsonl(path) == frames
+
+    def test_hard_cases_read_back_through_both_paths(self, tmp_path,
+                                                     monkeypatch):
+        # every hard frame has escaped text, so it takes the fallback; its
+        # copy with plain text takes the strict path
+        hard = self.hard_frames()
+        frames = hard + [dataclasses.replace(
+            f, segment="lan", sender="", proto_tag="lan", drop_reason="")
+            for f in hard]
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        parsed = count_fallbacks(monkeypatch)
+        back = netsim.read_capture_jsonl(path)
+        assert back == frames
+        assert repr(back) == repr(frames)
+        assert len(parsed) == len(hard)
+        assert len({id(f.src_ip) for f in back}) == 1
+        assert len({id(f.tcp_flags) for f in back}) == 4
 
     def test_sorted_by_timestamp(self):
         sim = self.run_fixture()
@@ -446,6 +472,19 @@ def reference_read_capture(path):
             raise ValueError(f"{path}: bad capture record {len(out) + 1}: "
                              f"{type(e).__name__}: {e}") from e
     return out
+
+
+def count_fallbacks(monkeypatch):
+    """The lines iter_capture_jsonl hands to _parse_record from now on."""
+    parsed = []
+    parse = netsim._parse_record
+
+    def counted(line):
+        parsed.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(netsim, "_parse_record", counted)
+    return parsed
 
 
 class TestCaptureReader:
@@ -524,6 +563,66 @@ class TestCaptureReader:
             netsim.read_capture_jsonl(path)
         assert "bad capture record 3334: " in str(error.value)
         assert str(error.value) == str(reference_error.value)
+
+    @staticmethod
+    def ts_us(text):
+        return lambda line, rec: [line.replace(
+            f'"ts_us": {rec["ts_us"]},', f'"ts_us": {text},')]
+
+    # lines of JSON that the writer does not write: each is valid or not
+    # exactly as json.loads says, with its value or error
+    UNWRITTEN = {
+        "unicode_escape": lambda line, rec: [json.dumps(
+            dict(rec, proto_tag="caf\u00e9"))],
+        "escaped_quote": lambda line, rec: [json.dumps(
+            dict(rec, sender='h"1'))],
+        "ts_minus_zero": ts_us("-0"),
+        "ts_leading_zero": ts_us("01"),
+        "ts_float": ts_us("1.0"),
+        "ts_exponent": ts_us("1e3"),
+        "ts_underscore": ts_us("1_000"),
+        "ts_arabic_indic_digit": ts_us("\u0661"),
+        "doubled_spaces": lambda line, rec: [line.replace(", ", ",  ")],
+        "reordered_keys": lambda line, rec: [json.dumps(
+            dict(reversed(rec.items())))],
+        "no_segment": lambda line, rec: [json.dumps(
+            {k: v for k, v in rec.items() if k != "segment"})],
+        "lower_case_flags": lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags=["ack", "syn"]))],
+        "int_for_a_boolean": lambda line, rec: [json.dumps(
+            dict(rec, origin=1))],
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNWRITTEN))
+    def test_unwritten_line_reads_as_the_reference(self, tmp_path,
+                                                   monkeypatch, case):
+        frames = self.frames(20)
+        rec = frame_to_record(frames[12])
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {12: self.UNWRITTEN[case](
+            json.dumps(rec), rec)})
+        parsed = count_fallbacks(monkeypatch)
+        try:
+            expected = reference_read_capture(path)
+        except ValueError as e:
+            with pytest.raises(ValueError) as error:
+                netsim.read_capture_jsonl(path)
+            assert str(error.value) == str(e)
+        else:
+            back = netsim.read_capture_jsonl(path)
+            assert back == expected and repr(back) == repr(expected)
+        assert len(parsed) == 1
+
+    def test_writer_output_never_takes_the_fallback(self, tmp_path,
+                                                    monkeypatch):
+        def refuse(line):
+            raise AssertionError(f"fallback parse of {line!r}")
+
+        frames = self.frames()
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        monkeypatch.setattr(netsim, "_parse_record", refuse)
+        assert netsim.read_capture_jsonl(path) == frames
 
     @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
     def test_record_that_is_not_an_object(self, tmp_path, text):
