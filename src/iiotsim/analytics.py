@@ -8,13 +8,12 @@ import struct
 from dataclasses import dataclass, field
 
 from . import fieldbus
+from .cloud import decode_packet
 
 IDLE_TIMEOUT_US = 60_000_000
 
 PROTO_FEATURES = ("ARP", "COAP", "DNS", "HTTP", "HTTPS", "API", "MODBUS",
                   "MQTT", "SMTP", "OTHER")
-
-LABELS = ("normal", "arp_spoof", "poisoning", "modbus_dos", "rogue_mqtt")
 
 # attack-window kind -> dataset label; kinds outside this map are excluded
 # from the dataset (they model traffic the classifiers are not trained on)
@@ -167,13 +166,6 @@ class ResponseStats:
         return len(self.samples_ms)
 
 
-def _mqtt_packet(frame):
-    try:
-        return json.loads(frame.payload.decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
-
-
 # the proto_tags response_times pairs, in metrics_report.json order: the
 # server ports of the byte-stream protocols, None for those paired on an id
 RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
@@ -214,7 +206,9 @@ def response_times(frames, proto_tag: str) -> ResponseStats:
                 continue
             try:
                 body = json.loads(f.payload.decode())
-            except (ValueError, UnicodeDecodeError):
+            except ValueError:
+                continue
+            if not isinstance(body, dict):
                 continue
             mid = body.get("mid", body.get("id", 0))
             is_request = (body.get("code") in ("GET", "PUT")) if proto_tag == "COAP" \
@@ -227,8 +221,9 @@ def response_times(frames, proto_tag: str) -> ResponseStats:
                     samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
     elif proto_tag == "MQTT":
         for f in sel:
-            pkt = _mqtt_packet(f)
-            if pkt is None:
+            try:
+                pkt = decode_packet(f.payload)
+            except ValueError:
                 continue
             if pkt.get("type") == "PUBLISH" and pkt.get("qos") == 2 and \
                     not pkt.get("dup") and f.origin:

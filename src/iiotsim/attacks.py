@@ -3,6 +3,7 @@
 Each injector drives the fabric like a real tool would (gratuitous ARP,
 MODBUS read floods, rogue MQTT subscriptions, SYN scans, a webgui exploit
 with reverse shells) and emits an AttackWindow covering its activity.
+KINDS maps each plan attack `kind` to its injector class.
 """
 
 import json
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import MqttClient, decode_packet, encode_packet
-from .netsim import ArpFailure
+from .netsim import US_PER_S, ArpFailure, us
 
 ARP_SPOOF = "arp_spoof"
 TAMPER = "tamper"
@@ -19,8 +20,11 @@ I2C_SNIFF = "i2c_sniff"
 MODBUS_DOS = "modbus_dos"
 ROGUE_SUBSCRIBER = "rogue_subscriber"
 RECON = "recon"
+WEB_ENUM = "web_enum"
 EXPLOIT = "exploit"
 REVERSE_SHELL = "reverse_shell"
+
+DEFAULT_LISTENER_PORT = 4444
 
 
 @dataclass
@@ -78,6 +82,17 @@ def read_windows_jsonl(path) -> list:
     return out
 
 
+class Injector:
+    """One attack of a plan. A subclass's __init__(build, entry) reads the
+    entry's fields with their defaults and finds its hosts in the build;
+    schedule() arms the attack and returns the windows known before the
+    run, in the order they join the bundle's windows."""
+
+    def artifacts(self) -> dict:
+        """The bundle files this attack leaves: file name -> lines."""
+        return {}
+
+
 # ---------------------------------------------------------------------------
 # Spoofing / tampering: ARP cache poisoning with a pass-through MITM
 # ---------------------------------------------------------------------------
@@ -106,26 +121,26 @@ def scale_measurement_transform(k: float):
     return transform
 
 
-class ArpSpoof:
+class ArpSpoof(Injector):
     """Poison two victims' caches for each other's IP and forward in the
     middle; restores the true bindings when the window closes."""
 
-    def __init__(self, sim, attacker, victim_a, victim_b, t_start_us,
-                 duration_us, poison_period_us=2_000_000, transform=None,
-                 kind=ARP_SPOOF):
-        self.sim = sim
-        self.attacker = attacker
-        self.victim_a = victim_a
-        self.victim_b = victim_b
-        self.t_start_us = int(t_start_us)
-        self.t_end_us = int(t_start_us + duration_us)
-        self.poison_period_us = poison_period_us
-        self.transform = transform
-        self.kind = kind
+    kind = ARP_SPOOF
+    transform = None        # rewrites each forwarded payload when set
+
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.victim_a = build.hosts[a["victim_a"]]
+        self.victim_b = build.hosts[a["victim_b"]]
+        self.t_start_us = us(a["t_start_s"])
+        self.t_end_us = self.t_start_us + us(a["duration_s"])
+        self.poison_period_us = us(a.get("poison_period_s", 2.0))
         self.segment = self._shared_segment()
-        self.window = AttackWindow(kind, self.t_start_us, self.t_end_us,
-                                   attacker.host_id,
-                                   (victim_a.host_id, victim_b.host_id))
+        self.window = AttackWindow(self.kind, self.t_start_us, self.t_end_us,
+                                   self.attacker.host_id,
+                                   (self.victim_a.host_id,
+                                    self.victim_b.host_id))
 
     def _shared_segment(self) -> str:
         segs_a = {i.segment for i in self.victim_a.interfaces}
@@ -136,9 +151,9 @@ class ArpSpoof:
             raise ValueError("attacker and victims must share a segment")
         return sorted(shared)[0]
 
-    def schedule(self) -> AttackWindow:
+    def schedule(self) -> list:
         self.sim.schedule_at(self.t_start_us, self._begin)
-        return self.window
+        return [self.window]
 
     def _begin(self):
         self.window.t_start_us = self.sim.now_us
@@ -187,13 +202,23 @@ class ArpSpoof:
         self.attacker.forward_packet(frame, payload=payload)
 
 
+class Tamper(ArpSpoof):
+    """ArpSpoof that scales the MQTT telemetry it forwards by `scale`."""
+
+    kind = TAMPER
+
+    def __init__(self, build, a):
+        super().__init__(build, a)
+        self.transform = scale_measurement_transform(a.get("scale", 2.0))
+
+
 # ---------------------------------------------------------------------------
 # Repudiation: post-exploit system-log tampering
 # ---------------------------------------------------------------------------
 
-def log_tamper(sim, attacker, target_host, webgui, predicate: str,
-               ts_us: int | None = None) -> AttackWindow:
-    """Delete target syslog entries containing `predicate`.
+def log_tamper(sim, attacker, target_host, webgui,
+               predicate: str) -> AttackWindow:
+    """Delete target syslog entries containing `predicate`, now.
 
     Requires a shell foothold from a prior exploit; the fabric's ground-truth
     shadow keeps every entry, so the deletion is provable by diff.
@@ -202,74 +227,103 @@ def log_tamper(sim, attacker, target_host, webgui, predicate: str,
             attacker.iface_for_segment(attacker.interfaces[0].segment).ip
             not in webgui.footholds):
         raise PermissionError("log_tamper needs a shell foothold on the target")
-    now = sim.now_us if ts_us is None else ts_us
-    if predicate:
-        kept = [e for e in target_host.syslog if predicate not in e[1]]
-        deleted = len(target_host.syslog) - len(kept)
-        target_host.syslog[:] = kept
-    else:
-        deleted = 0
-    window = AttackWindow(LOG_TAMPER, now, now, attacker.host_id,
-                          (target_host.host_id,))
-    window.deleted = deleted
+    kept = [e for e in target_host.syslog
+            if not (predicate and predicate in e[1])]
+    window = AttackWindow(LOG_TAMPER, sim.now_us, sim.now_us,
+                          attacker.host_id, (target_host.host_id,))
+    window.deleted = len(target_host.syslog) - len(kept)
+    target_host.syslog[:] = kept
     return window
+
+
+class LogTamper(Injector):
+    """log_tamper at t_start_s. Its window joins the build's windows when it
+    fires; without a foothold it adds none and `error` says why."""
+
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.windows = build.windows
+        self.attacker = build.hosts[a["attacker"]]
+        self.target_host = build.hosts[a["target"]]
+        self.webgui = build.webgui
+        self.predicate = a.get("predicate", "shell")
+        self.t_start_us = us(a["t_start_s"])
+        self.window = None
+        self.error = ""
+
+    def schedule(self) -> list:
+        self.sim.schedule_at(self.t_start_us, self._fire)
+        return []
+
+    def _fire(self):
+        try:
+            self.window = log_tamper(self.sim, self.attacker,
+                                     self.target_host, self.webgui,
+                                     self.predicate)
+        except PermissionError:
+            self.error = "no foothold"
+            return
+        self.windows.append(self.window)
 
 
 # ---------------------------------------------------------------------------
 # Information disclosure: I2C bus sniffing
 # ---------------------------------------------------------------------------
 
-class I2cSniffer:
-    def __init__(self, sim, bus, t_start_us, duration_us, attacker_id="attacker"):
-        self.sim = sim
-        self.bus = bus
-        self.t_start_us = int(t_start_us)
-        self.t_end_us = int(t_start_us + duration_us)
-        self.attacker_id = attacker_id
+class I2cSniffer(Injector):
+    """A tap on the gateway's I2C bus; keeps the trace lines in its window."""
+
+    def __init__(self, build, a):
+        self.bus = build.i2c_bus
+        self.t_start_us = us(a["t_start_s"])
+        self.t_end_us = self.t_start_us + us(a["duration_s"])
         self.lines: list[str] = []
         self.window = AttackWindow(I2C_SNIFF, self.t_start_us, self.t_end_us,
-                                   attacker_id, (bus.bus_id,))
+                                   a.get("attacker", "attacker"),
+                                   (self.bus.bus_id,))
 
-    def schedule(self) -> AttackWindow:
+    def schedule(self) -> list:
         self.bus.attach_sniffer(self._observe)
-        return self.window
+        return [self.window]
 
     def _observe(self, ts_us, trace):
         if self.t_start_us <= ts_us < self.t_end_us:
             self.lines.append(trace)
+
+    def artifacts(self) -> dict:
+        return {"i2c_trace.txt": self.lines}
 
 
 # ---------------------------------------------------------------------------
 # DoS: MODBUS read flood against the PLC
 # ---------------------------------------------------------------------------
 
-class ModbusFlood:
-    def __init__(self, sim, attacker, plc_ip, rate_per_s, addr_lo, addr_hi,
-                 t_start_us, duration_us, reqs_per_conn=10):
-        if rate_per_s <= 0:
+class ModbusFlood(Injector):
+    def __init__(self, build, a):
+        self.rate_per_s = a["rate_per_s"]
+        if self.rate_per_s <= 0:
             raise ValueError("flood rate must be positive")
-        self.sim = sim
-        self.attacker = attacker
-        self.plc_ip = plc_ip
-        self.rate_per_s = rate_per_s
-        self.addr_lo = addr_lo
-        self.addr_hi = addr_hi
-        self.t_start_us = int(t_start_us)
-        self.duration_us = int(duration_us)
-        self.reqs_per_conn = reqs_per_conn
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.plc_ip = build.hosts[a["target"]].interfaces[0].ip
+        self.addr_lo = a.get("addr_lo", 0)
+        self.addr_hi = a.get("addr_hi", 199)
+        self.t_start_us = us(a["t_start_s"])
+        self.duration_us = us(a["duration_s"])
+        self.reqs_per_conn = a.get("reqs_per_conn", 10)
         self.requests_sent = 0
         self._conns: dict = {}
         self.window = AttackWindow(MODBUS_DOS, self.t_start_us,
                                    self.t_start_us + self.duration_us + 500_000,
-                                   attacker.host_id, (plc_ip,))
+                                   self.attacker.host_id, (self.plc_ip,))
 
-    def schedule(self) -> AttackWindow:
+    def schedule(self) -> list:
         n = int(self.rate_per_s * self.duration_us / 1_000_000)
         period = 1_000_000 / self.rate_per_s
         for i in range(n):
             ts = self.t_start_us + int(i * period)
             self.sim.schedule_at(ts, self._fire, i)
-        return self.window
+        return [self.window]
 
     def _fire(self, i):
         conn_idx = i // self.reqs_per_conn
@@ -312,29 +366,27 @@ class ModbusFlood:
 # Elevation of privilege: rogue MQTT subscriber
 # ---------------------------------------------------------------------------
 
-class RogueSubscriber:
+class RogueSubscriber(Injector):
     """Reconnecting subscriber script; collects 'topic: payload' lines."""
 
-    def __init__(self, sim, attacker, broker_ip, filters, t_start_us,
-                 duration_us, cycle_us=4_000_000):
-        self.sim = sim
-        self.attacker = attacker
-        self.broker_ip = broker_ip
-        self.filters = list(filters)
-        self.t_start_us = int(t_start_us)
-        self.t_end_us = int(t_start_us + duration_us)
-        self.cycle_us = cycle_us
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.broker_ip = build.hosts[a["broker_host"]].interfaces[0].ip
+        self.filters = list(a.get("filters", ["#", "$SYS/#"]))
+        self.t_start_us = us(a["t_start_s"])
+        self.t_end_us = self.t_start_us + us(a["duration_s"])
+        self.cycle_us = us(a.get("cycle_s", 4.0))
         self.transcript: list[str] = []
         self.refused = False
-        self._client = None
         self._cycle_n = 0
         self.window = AttackWindow(ROGUE_SUBSCRIBER, self.t_start_us,
-                                   self.t_end_us, attacker.host_id,
-                                   (broker_ip,))
+                                   self.t_end_us, self.attacker.host_id,
+                                   (self.broker_ip,))
 
-    def schedule(self) -> AttackWindow:
+    def schedule(self) -> list:
         self.sim.schedule_at(self.t_start_us, self._cycle)
-        return self.window
+        return [self.window]
 
     def _cycle(self):
         if self.sim.now_us >= self.t_end_us:
@@ -342,7 +394,6 @@ class RogueSubscriber:
         self._cycle_n += 1
         client = MqttClient(self.sim, self.attacker, self.broker_ip,
                             f"rogue-{self._cycle_n}")
-        self._client = client
         client.on_message = lambda topic, payload: self.transcript.append(
             f"{topic}: {payload}")
         client.on_connected = lambda c: c.subscribe(self.filters)
@@ -353,38 +404,41 @@ class RogueSubscriber:
         self.sim.schedule(self.cycle_us - 200_000, client.disconnect)
         self.sim.schedule(self.cycle_us, self._cycle)
 
+    def artifacts(self) -> dict:
+        return {"rogue_transcript.txt": self.transcript}
+
 
 # ---------------------------------------------------------------------------
-# Recon: SYN scan with service naming
+# Recon: SYN scan with service naming, and web directory enumeration
 # ---------------------------------------------------------------------------
 
 WELL_KNOWN = {22: "ssh", 25: "smtp", 53: "dns", 80: "http", 443: "https",
               502: "modbus", 1883: "mqtt", 5683: "coap", 8080: "http-alt"}
 
 
-class PortScan:
-    def __init__(self, sim, attacker, target_host, ports, t_start_us,
-                 gap_us=10_000):
-        self.sim = sim
-        self.attacker = attacker
-        self.target_host = target_host
-        self.ports = list(ports)
-        self.t_start_us = int(t_start_us)
-        self.gap_us = gap_us
+class PortScan(Injector):
+    GAP_US = 10_000         # between probes
+
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.target_host = build.hosts[a["target"]]
+        self.ports = list(a.get("ports", [443]))
+        self.t_start_us = us(a["t_start_s"])
         self.open_ports: dict[int, str] = {}
         self.report: dict = {}
         self.window = AttackWindow(
             RECON, self.t_start_us,
-            self.t_start_us + self.gap_us * (len(self.ports) + 2),
-            attacker.host_id, (target_host.host_id,))
+            self.t_start_us + self.GAP_US * (len(self.ports) + 2),
+            self.attacker.host_id, (self.target_host.host_id,))
 
-    def schedule(self) -> AttackWindow:
+    def schedule(self) -> list:
         target_ip = self.target_host.interfaces[0].ip
         for n, port in enumerate(self.ports):
-            self.sim.schedule_at(self.t_start_us + n * self.gap_us,
+            self.sim.schedule_at(self.t_start_us + n * self.GAP_US,
                                  self._probe, target_ip, port)
         self.sim.schedule_at(self.window.t_end_us, self._finish)
-        return self.window
+        return [self.window]
 
     def _probe(self, target_ip, port):
         stream = self.attacker.open_tcp(target_ip, port, "SCAN")
@@ -401,6 +455,56 @@ class PortScan:
                        "open_ports": {p: self.open_ports[p]
                                       for p in sorted(self.open_ports)},
                        "os": self.target_host.os_label}
+
+
+class WebEnum(Injector):
+    """Heavy directory-walk style enumeration of the web admin port: one
+    HTTPS session per `sessions`, each session_duration_s long at one
+    request per request_period_s, the next starting a second later."""
+
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.target_host = build.hosts[a["target"]]
+        self.sessions = a.get("sessions", 3)
+        self.session_us = us(a.get("session_duration_s", 70.0))
+        self.request_period_us = us(a.get("request_period_s", 1.0))
+        self.t_start_us = us(a["t_start_s"])
+        self.window = AttackWindow(
+            RECON, self.t_start_us,
+            self.t_start_us + self.sessions * (self.session_us + US_PER_S),
+            self.attacker.host_id, (self.target_host.host_id,))
+
+    def schedule(self) -> list:
+        for k in range(self.sessions):
+            self.sim.schedule_at(
+                self.t_start_us + k * (self.session_us + US_PER_S),
+                self._session, k)
+        return [self.window]
+
+    def _session(self, k):
+        stream = self.attacker.open_tcp(self.target_host.interfaces[0].ip,
+                                        443, "HTTPS")
+        n_req = max(1, self.session_us // self.request_period_us)
+        sent = 0
+
+        def send_next(s):
+            nonlocal sent
+            if s.state != "established":
+                return
+            sent += 1
+            s.write(json.dumps({"action": "get",
+                                "path": f"/admin/dir{k}/page{sent:04d}",
+                                "probe": "x" * 120}).encode())
+
+        def on_data(s, data):
+            if sent < n_req:
+                self.sim.schedule(self.request_period_us, send_next, s)
+            else:
+                s.close()
+
+        stream.on_established = send_next
+        stream.on_data = on_data
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +525,7 @@ class ReverseShellSession:
 class ShellListener:
     """Attacker-side handler bound on the reverse-shell port."""
 
-    def __init__(self, sim, command_gap_us=25_000_000):
-        self.sim = sim
-        self.command_gap_us = command_gap_us
-        self.sessions: list = []
+    def __init__(self):
         self.pending: list = []        # exploit-side handlers awaiting a shell
         self._output_handlers: dict = {}
 
@@ -432,7 +533,6 @@ class ShellListener:
         self.pending.append(on_shell)
 
     def on_open(self, stream):
-        self.sessions.append(stream)
         if self.pending:
             handler = self.pending.pop(0)
             handler(stream)
@@ -443,7 +543,7 @@ class ShellListener:
             handler(data)
 
 
-class ExploitWebgui:
+class ExploitWebgui(Injector):
     """Credentialed login + payload upload, then victim-originated shells.
 
     Fails cleanly when the target is not vulnerable or credentials are wrong;
@@ -451,32 +551,30 @@ class ExploitWebgui:
     attacker's listener, ended with an exact-duration reset.
     """
 
-    def __init__(self, sim, attacker, target_host, webgui, credentials,
-                 t_start_us, session_plan, listener_port=4444,
-                 command_gap_us=25_000_000, https_tag="HTTPS"):
-        self.sim = sim
-        self.attacker = attacker
-        self.target_host = target_host
-        self.webgui = webgui
-        self.credentials = credentials
-        self.t_start_us = int(t_start_us)
-        self.session_plan = list(session_plan)   # [(start_us, duration_us), ...]
-        self.listener_port = listener_port
-        self.command_gap_us = command_gap_us
-        self.https_tag = https_tag
-        self.listener = ShellListener(sim, command_gap_us)
+    def __init__(self, build, a):
+        self.sim = build.sim
+        self.attacker = build.hosts[a["attacker"]]
+        self.target_host = build.hosts[a["target"]]
+        self.credentials = tuple(a.get("credentials", ("admin", "admin")))
+        self.t_start_us = us(a["t_start_s"])
+        # [(start_us, duration_us), ...]
+        self.session_plan = [(us(s), us(d)) for s, d in a.get("sessions", [])]
+        self.listener_port = a.get("listener_port", DEFAULT_LISTENER_PORT)
+        self.command_gap_us = us(a.get("command_gap_s", 20.0))
+        self.listener = ShellListener()
         self.sessions: list[ReverseShellSession] = []
         self.succeeded = False
         self.failure = ""
-        last_end = max((s + d) for s, d in session_plan) if session_plan else t_start_us
+        attacker_id = self.attacker.host_id
+        victims = (self.target_host.host_id,)
         self.exploit_window = AttackWindow(EXPLOIT, self.t_start_us,
                                            self.t_start_us + 2_000_000,
-                                           attacker.host_id,
-                                           (target_host.host_id,))
+                                           attacker_id, victims)
         self.shell_window = AttackWindow(
             REVERSE_SHELL,
-            min((s for s, _ in session_plan), default=t_start_us),
-            last_end + 1_000, attacker.host_id, (target_host.host_id,))
+            min((s for s, _ in self.session_plan), default=self.t_start_us),
+            max((s + d for s, d in self.session_plan),
+                default=self.t_start_us) + 1_000, attacker_id, victims)
 
     def schedule(self) -> list:
         self.attacker.bind_tcp(self.listener_port, self.listener)
@@ -486,7 +584,7 @@ class ExploitWebgui:
     # stage 1: login and upload over the web admin port
     def _login(self):
         target_ip = self.target_host.interfaces[0].ip
-        stream = self.attacker.open_tcp(target_ip, 443, self.https_tag)
+        stream = self.attacker.open_tcp(target_ip, 443, "HTTPS")
         stage = {"n": 0}
         user, password = self.credentials
 
@@ -532,17 +630,13 @@ class ExploitWebgui:
 
         def on_shell(server_stream):
             # attacker side: drive commands over the victim-originated stream
-            k = {"i": 0}
-
             def issue_command():
                 if server_stream.state != "established":
                     return
-                cmd = commands[k["i"] % len(commands)]
-                k["i"] += 1
+                cmd = commands[len(record.commands) % len(commands)]
                 record.commands.append(cmd)
                 server_stream.write(cmd.encode())
-                if start_us + k["i"] * self.command_gap_us < \
-                        start_us + duration_us:
+                if len(record.commands) * self.command_gap_us < duration_us:
                     self.sim.schedule(self.command_gap_us, issue_command)
 
             self.listener._output_handlers[server_stream] = (
@@ -567,3 +661,17 @@ class ExploitWebgui:
 
         stream.on_data = on_data
         self.sim.schedule_at(start_us + duration_us, stream.reset)
+
+
+def backdoor_ports(injectors) -> list:
+    """The reverse-shell listener ports of the exploits among injectors,
+    else the default one: where a hunt looks for backdoor connections."""
+    return [i.listener_port for i in injectors
+            if isinstance(i, ExploitWebgui)] or [DEFAULT_LISTENER_PORT]
+
+
+# plan attack kind -> the injector class its entries build
+KINDS = {ARP_SPOOF: ArpSpoof, TAMPER: Tamper, LOG_TAMPER: LogTamper,
+         I2C_SNIFF: I2cSniffer, MODBUS_DOS: ModbusFlood,
+         ROGUE_SUBSCRIBER: RogueSubscriber, RECON: PortScan,
+         WEB_ENUM: WebEnum, EXPLOIT: ExploitWebgui}

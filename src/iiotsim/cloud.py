@@ -21,7 +21,12 @@ def encode_packet(pkt: dict) -> bytes:
 
 
 def decode_packet(raw: bytes) -> dict:
+    """The packet raw encodes; ValueError when it is not a JSON object of a
+    known packet type."""
     pkt = json.loads(raw.decode())
+    if not isinstance(pkt, dict):
+        raise ValueError(f"MQTT packet is a JSON {type(pkt).__name__}, "
+                         "not an object")
     if pkt.get("type") not in PACKET_TYPES:
         raise ValueError(f"bad MQTT packet type {pkt.get('type')!r}")
     return pkt

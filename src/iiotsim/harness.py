@@ -1,6 +1,7 @@
 """Scenario runner: builds the topology from a plan, schedules traffic and
 attacks, runs the simulation and emits the artifact bundle."""
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -10,18 +11,36 @@ from . import analytics, attacks, fieldbus, hunt, plan as planmod
 from .cloud import Broker
 from .gateway import EdgeGateway
 from .historian import iso_ms
-from .netsim import (Acl, AclRule, LinkProfile, Simulation, capture_export,
-                     write_capture_jsonl)
+from .netsim import (US_PER_S, Acl, AclRule, LinkProfile, Simulation,
+                     capture_export, us, write_capture_jsonl)
 from .plant import (Ds18b20Device, ModbusSlaveService, MplDevice, Plant, Plc,
                     SensorModel)
 from .fieldbus import I2cBus, OneWireBus
 from .services import MailService, WebGuiService
 
-US = 1_000_000
+_SNAPSHOT = {"method": "GET", "path": "/api/snapshot"}
+_STATUS = {"action": "get", "path": "/status"}
 
 
-def _us(seconds) -> int:
-    return int(round(seconds * US))
+def _coap_request(cfg, n) -> dict:
+    """A sensor read; each actuate_every-th cycle an LED toggle, on first."""
+    every = cfg.get("actuate_every", 0)
+    if every and n % every == 0:
+        return {"type": "CON", "code": "PUT", "mid": n,
+                "path": "/actuators/led1",
+                "payload": "on" if n // every % 2 else "off"}
+    return {"type": "CON", "code": "GET", "mid": n,
+            "path": "/sensors/mpl3115a2"}
+
+
+def _http_request(cfg, n) -> dict:
+    """A snapshot read, or every setpoint_every-th cycle the next setpoint."""
+    every = cfg.get("setpoint_every", 0)
+    values = cfg.get("setpoints", [])
+    if every and values and n % every == 0:
+        return {"method": "PUT", "path": "/api/setpoint",
+                "body": {"value": values[(n // every - 1) % len(values)]}}
+    return _SNAPSHOT
 
 
 @dataclass
@@ -56,7 +75,7 @@ class Build:
             plan_dict = planmod.calibrate(plan_dict)
         self.plan = plan_dict
         self.seed = plan_dict["seed"] if seed is None else seed
-        self.duration_us = _us(plan_dict["duration_s"])
+        self.duration_us = us(plan_dict["duration_s"])
         self.epoch = datetime.fromisoformat(
             plan_dict.get("epoch", "2019-07-18T06:00:00.000Z").replace(
                 "Z", "+00:00")).astimezone(timezone.utc)
@@ -123,7 +142,7 @@ class Build:
     # -- plant -------------------------------------------------------------
     def _build_plant(self):
         cfg = self.plan["plant"]
-        self.plant = Plant(self.sim, _us(cfg.get("tick_period_s", 1.0)))
+        self.plant = Plant(self.sim, us(cfg.get("tick_period_s", 1.0)))
         self.sensors = {}
         for sid, s in cfg["sensors"].items():
             self.sensors[sid] = self.plant.add_sensor(SensorModel(
@@ -148,7 +167,7 @@ class Build:
         self.broker = Broker(self.sim, self.cloud_host, self.epoch,
                              version=cfg.get("version", "iiotsim-broker 1.0"),
                              service_time_us=self.svc.get("MQTT", 3_660),
-                             sys_period_us=_us(cfg.get("sys_period_s", 10.0)),
+                             sys_period_us=us(cfg.get("sys_period_s", 10.0)),
                              acl_enabled=cfg.get("acl_enabled", False),
                              allowlist=cfg.get("allowlist", []))
         self.broker.start_sys_publisher()
@@ -166,15 +185,14 @@ class Build:
             self.sim, self.gw_host, self.plant, self.plc, self.plc_ip,
             self.i2c_bus, self.onewire_bus, self.epoch,
             broker_ip=self.cloud_host.interfaces[0].ip,
-            poll_period_us=_us(cfg.get("poll_period_s", 2.0)),
+            poll_period_us=us(cfg.get("poll_period_s", 2.0)),
             deadband=cfg.get("deadband"),
             service_times_us=self.svc,
             mail_ip=self.mail_host.interfaces[0].ip,
             notify_threshold_c=cfg.get("notify_threshold_c", 30.0),
-            notify_min_gap_us=_us(cfg.get("notify_min_gap_s", 60.0)),
+            notify_min_gap_us=us(cfg.get("notify_min_gap_s", 60.0)),
             mqtt_dup_every=cfg.get("mqtt_dup_every", 0),
-            mqtt_reconnect_every_us=_us(cfg.get("mqtt_reconnect_every_s", 0))
-            if cfg.get("mqtt_reconnect_every_s") else 0,
+            mqtt_reconnect_every_us=us(cfg.get("mqtt_reconnect_every_s") or 0),
             dns_table=cfg.get("dns", {}))
         for key in ("sim-temperature", "sim-pressure", "sim-humidity"):
             if key in self.sensors:
@@ -184,84 +202,53 @@ class Build:
     # -- scripted clients -----------------------------------------------------
     def _build_traffic(self):
         t = self.plan.get("traffic", {})
+        gw_ip = self.gw_host.interfaces[0].ip
         gw_ips = {i.segment: i.ip for i in self.gw_host.interfaces}
+
+        def gw_near(host):
+            return gw_ips.get(host.interfaces[0].segment, gw_ip)
+
+        # the start order is the order of the clients' events at equal times
         if "coap_client" in t:
-            cfg = t["coap_client"]
-            host = self.hosts[cfg["host"]]
-            gw_ip = gw_ips.get(host.interfaces[0].segment,
-                               self.gw_host.interfaces[0].ip)
-            self._coap_loop(host, gw_ip, _us(cfg["period_s"]),
-                            cfg.get("actuate_every", 0))
+            self._client(t["coap_client"], gw_near, 5683, "COAP",
+                         _coap_request)
         if "dns_client" in t:
-            cfg = t["dns_client"]
-            host = self.hosts[cfg["host"]]
-            gw_ip = gw_ips.get(host.interfaces[0].segment,
-                               self.gw_host.interfaces[0].ip)
-            self._dns_loop(host, gw_ip, _us(cfg["period_s"]))
+            self._client(t["dns_client"], gw_near, 53, "DNS",
+                         lambda cfg, n: {"q": "edge.local", "id": n})
         if "http_client" in t:
-            cfg = t["http_client"]
-            self._http_loop(self.hosts[cfg["host"]],
-                            self.gw_host.interfaces[0].ip, 80, "HTTP",
-                            _us(cfg["period_s"]),
-                            cfg.get("setpoint_every", 0),
-                            cfg.get("setpoints", []))
+            self._client(t["http_client"], lambda host: gw_ip, 80, "HTTP",
+                         _http_request, exchanges=1)
         if "api_client" in t:
-            cfg = t["api_client"]
-            self._http_loop(self.hosts[cfg["host"]],
-                            self.gw_host.interfaces[0].ip, 8080, "API",
-                            _us(cfg["period_s"]), 0, [])
+            self._client(t["api_client"], lambda host: gw_ip, 8080, "API",
+                         lambda cfg, n: _SNAPSHOT, exchanges=1)
         for cfg in t.get("webgui_clients", []):
-            host = self.hosts[cfg["host"]]
-            self._webgui_loop(host, self.router_ip_for(host),
-                              _us(cfg["period_s"]), cfg.get("requests", 2))
+            self._client(cfg, self.router_ip_for, 443, "HTTPS",
+                         lambda cfg, n: _STATUS,
+                         exchanges=cfg.get("requests", 2))
 
-    def _coap_loop(self, host, gw_ip, period_us, actuate_every):
-        state = {"n": 0, "led": False}
+    def _client(self, cfg, server_ip, port, tag, request, exchanges=None):
+        """Every cfg's period_s, cfg's host sends request(cfg, n) for cycle
+        n = 1, 2, ... to server_ip(host): as one UDP datagram, or, given
+        exchanges, on a new TCP connection that sends it again after each
+        reply until that many replies came, then closes."""
+        host = self.hosts[cfg["host"]]
+        ip = server_ip(host)
+        cycles = itertools.count(1)
 
-        def cycle():
-            state["n"] += 1
-            mid = state["n"]
-            if actuate_every and state["n"] % actuate_every == 0:
-                state["led"] = not state["led"]
-                req = {"type": "CON", "code": "PUT", "mid": mid,
-                       "path": "/actuators/led1",
-                       "payload": "on" if state["led"] else "off"}
-            else:
-                req = {"type": "CON", "code": "GET", "mid": mid,
-                       "path": "/sensors/mpl3115a2"}
-            host.send_udp(gw_ip, 5683, json.dumps(req).encode(), "COAP")
+        def datagram():
+            body = json.dumps(request(cfg, next(cycles))).encode()
+            host.send_udp(ip, port, body, tag)
 
-        self.sim.every(period_us, cycle)
+        def connection():
+            body = json.dumps(request(cfg, next(cycles))).encode()
+            replies = itertools.count(1)
+            stream = host.open_tcp(ip, port, tag)
+            stream.on_established = lambda s: s.write(body)
+            stream.on_data = lambda s, data: (
+                s.write(body) if next(replies) < exchanges else s.close())
 
-    def _dns_loop(self, host, gw_ip, period_us):
-        state = {"n": 0}
-
-        def cycle():
-            state["n"] += 1
-            host.send_udp(gw_ip, 53, json.dumps(
-                {"q": "edge.local", "id": state["n"]}).encode(), "DNS")
-
-        self.sim.every(period_us, cycle)
-
-    def _http_loop(self, host, gw_ip, port, tag, period_us, setpoint_every,
-                   setpoints):
-        state = {"n": 0}
-
-        def cycle():
-            state["n"] += 1
-            n = state["n"]
-            if setpoint_every and setpoints and n % setpoint_every == 0:
-                which = (n // setpoint_every - 1) % len(setpoints)
-                request = {"method": "PUT", "path": "/api/setpoint",
-                           "body": {"value": setpoints[which]}}
-            else:
-                request = {"method": "GET", "path": "/api/snapshot"}
-            stream = host.open_tcp(gw_ip, port, tag)
-            stream.on_established = lambda s: s.write(
-                json.dumps(request).encode())
-            stream.on_data = lambda s, data: s.close()
-
-        self.sim.every(period_us, cycle)
+        self.sim.every(us(cfg["period_s"]),
+                       datagram if exchanges is None else connection)
 
     def router_ip_for(self, host) -> str:
         """The router's address on the last of its segments that host is on,
@@ -270,147 +257,14 @@ class Build:
         ips = [i.ip for i in self.router.interfaces if i.segment in segs]
         return ips[-1] if ips else self.router.interfaces[0].ip
 
-    def _webgui_loop(self, host, router_ip, period_us, requests):
-        def cycle():
-            stream = host.open_tcp(router_ip, 443, "HTTPS")
-            left = {"n": requests}
-
-            def send_one(s):
-                s.write(json.dumps(
-                    {"action": "get", "path": "/status"}).encode())
-
-            def on_data(s, data):
-                left["n"] -= 1
-                if left["n"] > 0:
-                    send_one(s)
-                else:
-                    s.close()
-
-            stream.on_established = send_one
-            stream.on_data = on_data
-
-        self.sim.every(period_us, cycle)
-
     # -- attacks -----------------------------------------------------------------
     def _build_attacks(self):
         self.windows = []
         self.attack_objs = {}
         for a in self.plan.get("attacks", []):
-            kind = a["kind"]
-            aid = a["id"]
-            if kind in ("arp_spoof", "tamper"):
-                transform = None
-                if kind == "tamper":
-                    transform = attacks.scale_measurement_transform(
-                        a.get("scale", 2.0))
-                atk = attacks.ArpSpoof(
-                    self.sim, self.hosts[a["attacker"]],
-                    self.hosts[a["victim_a"]], self.hosts[a["victim_b"]],
-                    _us(a["t_start_s"]), _us(a["duration_s"]),
-                    poison_period_us=_us(a.get("poison_period_s", 2.0)),
-                    transform=transform, kind=kind)
-                self.windows.append(atk.schedule())
-            elif kind == "modbus_dos":
-                atk = attacks.ModbusFlood(
-                    self.sim, self.hosts[a["attacker"]],
-                    self.hosts[a["target"]].interfaces[0].ip,
-                    a["rate_per_s"], a.get("addr_lo", 0),
-                    a.get("addr_hi", 199), _us(a["t_start_s"]),
-                    _us(a["duration_s"]),
-                    reqs_per_conn=a.get("reqs_per_conn", 10))
-                self.windows.append(atk.schedule())
-            elif kind == "rogue_subscriber":
-                atk = attacks.RogueSubscriber(
-                    self.sim, self.hosts[a["attacker"]],
-                    self.hosts[a["broker_host"]].interfaces[0].ip,
-                    a.get("filters", ["#", "$SYS/#"]), _us(a["t_start_s"]),
-                    _us(a["duration_s"]), cycle_us=_us(a.get("cycle_s", 4.0)))
-                self.windows.append(atk.schedule())
-            elif kind == "i2c_sniff":
-                atk = attacks.I2cSniffer(self.sim, self.i2c_bus,
-                                         _us(a["t_start_s"]),
-                                         _us(a["duration_s"]))
-                self.windows.append(atk.schedule())
-            elif kind == "recon":
-                atk = attacks.PortScan(self.sim, self.hosts[a["attacker"]],
-                                       self.hosts[a["target"]],
-                                       a.get("ports", [443]),
-                                       _us(a["t_start_s"]))
-                self.windows.append(atk.schedule())
-            elif kind == "web_enum":
-                atk = self._web_enum(a)
-            elif kind == "exploit":
-                atk = attacks.ExploitWebgui(
-                    self.sim, self.hosts[a["attacker"]],
-                    self.hosts[a["target"]], self.webgui,
-                    tuple(a.get("credentials", ("admin", "admin"))),
-                    _us(a["t_start_s"]),
-                    [(_us(s), _us(d)) for s, d in a.get("sessions", [])],
-                    listener_port=a.get("listener_port", 4444),
-                    command_gap_us=_us(a.get("command_gap_s", 20.0)))
-                self.windows.extend(atk.schedule())
-            elif kind == "log_tamper":
-                atk = self._schedule_log_tamper(a)
-            else:
-                continue
-            self.attack_objs[aid] = atk
-
-    def _web_enum(self, a):
-        """Heavy directory-walk style enumeration of the web admin port."""
-        attacker = self.hosts[a["attacker"]]
-        target_ip = self.hosts[a["target"]].interfaces[0].ip
-        sessions = a.get("sessions", 3)
-        sess_dur = _us(a.get("session_duration_s", 70.0))
-        req_period = _us(a.get("request_period_s", 1.0))
-        window = attacks.AttackWindow(
-            attacks.RECON, _us(a["t_start_s"]),
-            _us(a["t_start_s"]) + sessions * (sess_dur + US), a["attacker"],
-            (a["target"],))
-        self.windows.append(window)
-
-        def run_session(k):
-            stream = attacker.open_tcp(target_ip, 443, "HTTPS")
-            n_req = max(1, sess_dur // req_period)
-            state = {"sent": 0}
-
-            def send_next(s):
-                if s.state != "established":
-                    return
-                state["sent"] += 1
-                s.write(json.dumps(
-                    {"action": "get",
-                     "path": f"/admin/dir{k}/page{state['sent']:04d}",
-                     "probe": "x" * 120}).encode())
-
-            def on_data(s, data):
-                if state["sent"] < n_req:
-                    self.sim.schedule(req_period, send_next, s)
-                else:
-                    s.close()
-
-            stream.on_established = send_next
-            stream.on_data = on_data
-
-        for k in range(sessions):
-            self.sim.schedule_at(_us(a["t_start_s"]) + k * (sess_dur + US),
-                                 run_session, k)
-        return window
-
-    def _schedule_log_tamper(self, a):
-        holder = {}
-
-        def fire():
-            try:
-                holder["window"] = attacks.log_tamper(
-                    self.sim, self.hosts[a["attacker"]],
-                    self.hosts[a["target"]], self.webgui,
-                    a.get("predicate", "shell"))
-                self.windows.append(holder["window"])
-            except PermissionError:
-                holder["error"] = "no foothold"
-
-        self.sim.schedule_at(_us(a["t_start_s"]), fire)
-        return holder
+            atk = attacks.KINDS[a["kind"]](self, a)
+            self.windows.extend(atk.schedule())
+            self.attack_objs[a["id"]] = atk
 
     def run(self, grace_us: int = 2_000_000) -> None:
         # the grace period drains in-flight exchanges; nothing new starts
@@ -485,12 +339,9 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         result.metrics = build_metrics_report(build, frames)
         write_json(result.metrics, path("metrics_report.json"))
 
-    # attack-side artifacts
-    for aid, atk in build.attack_objs.items():
-        if isinstance(atk, attacks.RogueSubscriber):
-            write_lines(atk.transcript, path("rogue_transcript.txt"))
-        if isinstance(atk, attacks.I2cSniffer):
-            write_lines(atk.lines, path("i2c_trace.txt"))
+    for atk in build.attack_objs.values():
+        for name, lines in atk.artifacts().items():
+            write_lines(lines, path(name))
 
     router_id = build.plan["roles"]["router"]
     write_lines(_syslog_lines(build, build.router.syslog),
@@ -590,7 +441,7 @@ def capture_metrics(plan: dict, frames) -> dict:
         for t0, rate in analytics.throughput_series(frames)]
     report["plc_request_rates"] = analytics.plc_request_rates(
         frames, _plan_ip(plan, "plc"), interval_us=1_000_000,
-        span_us=_us(plan["duration_s"]))
+        span_us=us(plan["duration_s"]))
     return report
 
 
@@ -625,21 +476,19 @@ def build_metrics_report(build: Build, frames) -> dict:
 
 
 def build_hunt_report(build: Build, frames, conversations) -> dict:
-    rows = [{"ts": c.ts_first_us / US, "orig_h": c.orig_ip,
+    rows = [{"ts": c.ts_first_us / US_PER_S, "orig_h": c.orig_ip,
              "orig_p": c.orig_port, "resp_h": c.resp_ip,
              "resp_p": c.resp_port, "proto": c.proto,
              "duration": round(c.duration_s, 6),
              "orig_bytes": c.orig_bytes, "resp_bytes": c.resp_bytes,
              "orig_pkts": c.orig_pkts, "resp_pkts": c.resp_pkts}
             for c in conversations]
-    backdoor_ports = [a.get("listener_port", 4444)
-                      for a in build.plan.get("attacks", [])
-                      if a["kind"] == "exploit"] or [4444]
     syslog_events, _ = hunt.parse_syslog(
         _syslog_lines(build, build.router.syslog))
     truth_events, _ = hunt.parse_syslog(
         _syslog_lines(build, build.sim.syslog_truth[build.router.host_id]))
     return hunt.hunt_report(rows, frames, build.router_ip_for(build.attacker),
-                            443, backdoor_ports=backdoor_ports,
+                            443, backdoor_ports=attacks.backdoor_ports(
+                                build.attack_objs.values()),
                             syslog_events=syslog_events,
                             truth_events=truth_events, search_pattern="shell")

@@ -11,7 +11,6 @@ import binascii
 import functools
 import heapq
 import json
-import json.scanner
 import re
 from base64 import b64encode
 from dataclasses import dataclass, field
@@ -22,6 +21,11 @@ US_PER_S = 1_000_000
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+
+
+def us(seconds) -> int:
+    """A plan's seconds as simulation microseconds."""
+    return int(round(seconds * US_PER_S))
 
 
 class NetConfigError(Exception):
@@ -763,20 +767,9 @@ def write_capture_jsonl(frames, path) -> None:
                 f'"fw_denied": {js[f.fw_denied]}}}\n')
 
 
-# the scanner json.loads runs: scan(s, i) -> (value, end) for the value at
-# s[i], or StopIteration when none starts there
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
-
-
 def _parse_record(line: str):
-    """json.loads(line) for a stripped line, without its per-call set-up:
-    the scanner must consume the whole line, and anything else falls back to
-    json.loads, which gives the same value or raises its own error."""
-    try:
-        rec, end = _scan_json(line, 0)
-    except StopIteration:
-        return json.loads(line)
-    return rec if end == len(line) else json.loads(line)
+    """A capture line the fast path did not take, as json.loads reads it."""
+    return json.loads(line)
 
 
 # The line write_capture_jsonl writes, as one regex for fullmatch. Each group

@@ -6,11 +6,11 @@ import copy
 import json
 from importlib import resources
 
+from .attacks import KINDS
+
 SCHEMA_VERSION = 1
 
-ATTACK_KINDS = ("arp_spoof", "tamper", "log_tamper", "i2c_sniff",
-                "modbus_dos", "rogue_subscriber", "recon", "web_enum",
-                "exploit")
+ATTACK_KINDS = tuple(KINDS)
 
 # artifact groups a plan's "outputs" (or `run --only`) selects; a missing or
 # empty list selects all of them

@@ -174,6 +174,31 @@ class TestResponseTimes:
         with pytest.raises(ValueError):
             analytics.response_times([], "GOPHER")
 
+    @pytest.mark.parametrize("proto,port,question,answer", [
+        ("COAP", 5683, {"type": "CON", "code": "GET", "mid": 5},
+         {"type": "ACK", "code": "2.05", "mid": 5}),
+        ("DNS", 53, {"q": "edge.local", "id": 5},
+         {"q": "edge.local", "id": 5, "a": "192.168.10.30"}),
+        ("MQTT", 1883, {"type": "PUBLISH", "qos": 2, "mid": 5},
+         {"type": "PUBCOMP", "mid": 5}),
+    ])
+    def test_json_bodies_that_are_not_objects_are_skipped(
+            self, proto, port, question, answer):
+        c, s = "10.0.0.1", "10.0.0.2"
+        frames = [mk_frame(0, c, 5000, s, port,
+                           payload=json.dumps(question).encode(), proto=proto)]
+        for n, body in enumerate((b"[1]", b'"x"', b"null", b"7"), start=1):
+            frames += [mk_frame(n * 100, c, 5000, s, port, payload=body,
+                                proto=proto),
+                       mk_frame(n * 100 + 50, s, port, c, 5000, payload=body,
+                                proto=proto)]
+        frames.append(mk_frame(2_000, s, port, c, 5000,
+                               payload=json.dumps(answer).encode(),
+                               proto=proto, deliver_ts_us=4_000))
+        stats = analytics.response_times(frames, proto)
+        assert stats.samples_ms == [4.0]
+        assert stats.unmatched == 0
+
 
 class TestJitter:
     def frames_at(self, arrivals_ms):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from iiotsim import attacks, fieldbus, harness
+from iiotsim import attacks, fieldbus, harness, plan as planmod
 
 from conftest import small_plan
 
@@ -35,6 +35,17 @@ def spoof_attack(t_start=20.2, duration=30.0, kind="arp_spoof", scale=None):
     return a
 
 
+def test_every_plan_kind_builds_its_injector():
+    assert planmod.ATTACK_KINDS == tuple(attacks.KINDS)
+    plan = planmod.default_plan()
+    build = harness.Build(plan)
+    built = {a["kind"]: type(build.attack_objs[a["id"]])
+             for a in plan["attacks"]}
+    assert built == attacks.KINDS
+    assert all(issubclass(cls, attacks.Injector)
+               for cls in attacks.KINDS.values())
+
+
 class TestArpSpoof:
     def test_all_routed_frames_carry_attacker_mac_in_window(self, tmp_path):
         plan = small_plan(duration_s=70.0, attacks=[spoof_attack()])
@@ -56,12 +67,11 @@ class TestArpSpoof:
         assert build.gw_host.arp_cache["192.168.10.1"][0] == ROUTER_MAC
 
     def test_cross_segment_victims_rejected(self):
-        plan = small_plan(duration_s=30.0)
-        build = harness.Build(plan)
+        build = harness.Build(small_plan(duration_s=30.0))
+        entry = dict(spoof_attack(t_start=1.0, duration=5.0),
+                     victim_b="cloud")
         with pytest.raises(ValueError):
-            attacks.ArpSpoof(build.sim, build.hosts["attacker"],
-                             build.hosts["edge-gw"], build.hosts["cloud"],
-                             1_000_000, 5_000_000)
+            attacks.ArpSpoof(build, entry)
 
     def test_window_ground_truth_recorded(self, tmp_path):
         plan = small_plan(duration_s=70.0, attacks=[spoof_attack()])
@@ -171,6 +181,41 @@ class TestLogTamper:
         assert len(before) - len(after) == window.deleted
 
 
+    def test_plan_entry_without_foothold_adds_no_window(self):
+        build = harness.Build(small_plan(duration_s=20.0, attacks=[
+            {"id": "lt", "kind": "log_tamper", "attacker": "attacker",
+             "target": "router", "t_start_s": 10.0}]))
+        build.run()
+        injector = build.attack_objs["lt"]
+        assert injector.error == "no foothold"
+        assert injector.window is None
+        assert build.windows == []
+
+    def test_plan_entry_after_exploit_joins_windows_at_its_start(
+            self, tmp_path):
+        plan = small_plan(duration_s=40.0, attacks=[
+            {"id": "x", "kind": "exploit", "attacker": "attacker",
+             "target": "router", "credentials": ["admin", "default"],
+             "t_start_s": 5.0, "command_gap_s": 2.0,
+             "sessions": [[10.0, 5.0]]},
+            {"id": "lt", "kind": "log_tamper", "attacker": "attacker",
+             "target": "router", "t_start_s": 25.0}])
+        result = harness.run(plan, str(tmp_path))
+        injector = result.attack_objs["lt"]
+        assert injector.error == ""
+        assert [w.kind for w in result.windows] == [
+            "exploit", "reverse_shell", "log_tamper"]
+        window = result.windows[-1]
+        assert window is injector.window
+        assert window.t_start_us == window.t_end_us == 25_000_000
+        assert (window.attacker, window.victims) == ("attacker", ("router",))
+        assert window.deleted > 0
+        assert all("shell" not in text
+                   for _, text in result.sim.hosts["router"].syslog)
+        lines = (tmp_path / "attack_windows.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1])["kind"] == "log_tamper"
+
+
 def extracted_values(lines) -> list:
     """mpl_decode every complete 6-byte read among sniffed trace lines."""
     out = []
@@ -215,6 +260,17 @@ class TestI2cSniff:
         build = harness.Build(plan)
         build.run()
         assert build.attack_objs["s"].lines == []
+
+
+    @pytest.mark.parametrize("attacker", [None, "mobile"])
+    def test_window_names_the_entry_attacker(self, attacker):
+        entry = {"id": "s", "kind": "i2c_sniff", "t_start_s": 1.0,
+                 "duration_s": 2.0}
+        if attacker:
+            entry["attacker"] = attacker
+        build = harness.Build(small_plan(duration_s=10.0, attacks=[entry]))
+        assert build.windows[0].attacker == (attacker or "attacker")
+        assert build.windows[0].victims == ("i2c-0",)
 
 
 class TestModbusFlood:
@@ -312,6 +368,30 @@ class TestPortScan:
              "target": "pc", "t_start_s": 5.0, "ports": [22, 80, 443]}])
         result = harness.run(plan, str(tmp_path))
         assert result.attack_objs["scan"].report["open_ports"] == {}
+
+
+class TestWebEnum:
+    def test_requests_per_session_and_window_bounds(self, tmp_path):
+        plan = small_plan(duration_s=30.0, attacks=[
+            {"id": "enum", "kind": "web_enum", "attacker": "attacker",
+             "target": "router", "t_start_s": 5.0, "sessions": 2,
+             "session_duration_s": 5.0, "request_period_s": 1.0}])
+        result = harness.run(plan, str(tmp_path))
+        window = result.windows[0]
+        assert (window.kind, window.attacker, window.victims) == (
+            "recon", "attacker", ("router",))
+        # two sessions of 5 s plus a second each
+        assert (window.t_start_us, window.t_end_us) == (5_000_000,
+                                                        17_000_000)
+        paths = {}
+        for f in result.sim.capture:
+            if f.sender == "attacker" and f.dst_port == 443 and f.payload:
+                assert window.t_start_us <= f.ts_us <= window.t_end_us
+                paths.setdefault(f.src_port, []).append(
+                    json.loads(f.payload)["path"])
+        assert sorted(paths.values()) == [
+            [f"/admin/dir{k}/page{i:04d}" for i in range(1, 6)]
+            for k in range(2)]
 
 
 class TestExploit:

@@ -33,6 +33,13 @@ class TestTopicMatch:
                 topic_match(flt, "station/PLC")
 
 
+@pytest.mark.parametrize("raw", [b"[1]", b'"CONNECT"', b"null", b"7",
+                                 b'{"type": "PING"}', b"{", b"\xff"])
+def test_decode_packet_rejects_what_is_not_a_packet(raw):
+    with pytest.raises(ValueError):
+        decode_packet(raw)
+
+
 def broker_pair(seed=21, acl_enabled=False, allowlist=(), dup_every=0):
     sim = Simulation(seed=seed)
     sim.add_segment("wan", LinkProfile(200, 0, 0))

@@ -311,6 +311,52 @@ class TestRunArtifacts:
         assert digests == GOLDEN_DIGESTS
 
 
+class TestClientScripts:
+    def test_requests_follow_the_cycle_count(self):
+        plan = small_plan(duration_s=24.0)
+        plan["traffic"] = {
+            "coap_client": {"host": "mobile", "period_s": 2.0,
+                            "actuate_every": 3},
+            "dns_client": {"host": "mobile", "period_s": 4.0},
+            "http_client": {"host": "wan-client", "period_s": 4.0,
+                            "setpoint_every": 2, "setpoints": [25.0, 30.0]},
+            "api_client": {"host": "pc", "period_s": 6.0},
+            "webgui_clients": [{"host": "pc", "period_s": 8.0,
+                                "requests": 3}]}
+        build = harness.Build(plan)
+        build.run()
+
+        def sent(tag):
+            """(server ip, client port, body) of each request of tag."""
+            ports = {"COAP": 5683, "DNS": 53, "HTTP": 80, "API": 8080,
+                     "HTTPS": 443}
+            return [(f.dst_ip, f.src_port, json.loads(f.payload))
+                    for f in build.sim.capture
+                    if f.origin and f.proto_tag == tag and f.payload
+                    and f.dst_port == ports[tag]]
+
+        coap = sent("COAP")
+        assert [body["mid"] for _, _, body in coap] == list(range(1, 13))
+        assert {ip for ip, _, _ in coap} == {"192.168.20.1"}
+        assert [(body["mid"], body["payload"]) for _, _, body in coap
+                if body["code"] == "PUT"] == [(3, "on"), (6, "off"),
+                                              (9, "on"), (12, "off")]
+        assert [body for _, _, body in sent("DNS")] == [
+            {"q": "edge.local", "id": n} for n in range(1, 7)]
+        snapshot = {"method": "GET", "path": "/api/snapshot"}
+        http = sent("HTTP")
+        assert {ip for ip, _, _ in http} == {"192.168.10.150"}
+        assert [body.get("body", {}).get("value") for _, _, body in http] \
+            == [None, 25.0, None, 30.0, None, 25.0]
+        assert [body for _, _, body in sent("API")] == [snapshot] * 4
+        gui = {}
+        for ip, port, body in sent("HTTPS"):
+            assert (ip, body) == ("192.168.10.1",
+                                  {"action": "get", "path": "/status"})
+            gui[port] = gui.get(port, 0) + 1
+        assert list(gui.values()) == [3, 3, 3]
+
+
 class TestCli:
     def write_plan(self, tmp_path, plan):
         path = tmp_path / "plan.json"
@@ -377,6 +423,22 @@ class TestCli:
             labels[present] = {r.label for r in analytics.read_dataset_csv(
                 out / "dataset.csv")}
         assert labels == {True: {"normal", "modbus_dos"}, False: {"normal"}}
+
+    @pytest.mark.parametrize("tag,port", [("COAP", 5683), ("DNS", 53),
+                                          ("MQTT", 1883)])
+    def test_report_skips_json_payloads_that_are_not_objects(
+            self, tmp_path, tag, port):
+        frame = netsim.Frame(
+            ts_us=0, segment="lan-a", sender="mobile",
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="192.168.10.20", dst_ip="192.168.10.30", src_port=5000,
+            dst_port=port, l4="UDP", tcp_flags=(), payload=b"[1]",
+            proto_tag=tag, origin=True, final=True, delivered=True,
+            deliver_ts_us=100)
+        netsim.write_capture_jsonl([frame], tmp_path / "capture.jsonl")
+        assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 0
+        metrics = json.load(open(tmp_path / "metrics_report.json"))
+        assert metrics["response_times_ms"][tag]["count"] == 0
 
     def test_detect_rejects_fewer_than_two_folds(self, tmp_path, capsys):
         for folds in ("1", "0"):
