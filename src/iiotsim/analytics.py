@@ -11,6 +11,10 @@ from . import fieldbus
 from .cloud import decode_packet
 
 IDLE_TIMEOUT_US = 60_000_000
+JITTER_WINDOW_US = 10_000_000
+JITTER_BOUND_MS = 30.0
+THROUGHPUT_INTERVAL_US = 10_000_000
+PLC_RATE_INTERVAL_US = 1_000_000
 
 PROTO_FEATURES = ("ARP", "COAP", "DNS", "HTTP", "HTTPS", "API", "MODBUS",
                   "MQTT", "SMTP", "OTHER")
@@ -56,11 +60,11 @@ class ConversationRecord:
         return self.orig_pkts + self.resp_pkts
 
 
-def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
+def build_conversations(frames) -> list:
     """Group delivered frames into direction-normalized conversations.
 
     Every delivered frame lands in exactly one conversation; a conversation
-    splits when the same 5-tuple goes idle longer than idle_timeout_us or
+    splits when the same 5-tuple goes idle longer than IDLE_TIMEOUT_US or
     restarts with a fresh SYN after teardown. Frames are walked in ts_us
     order, so each one is the latest of its conversation and sender.
     """
@@ -75,7 +79,7 @@ def build_conversations(frames, idle_timeout_us: int = IDLE_TIMEOUT_US) -> list:
         state = open_convs.get(key)
         if state is not None:
             conv, closed = state
-            stale = f.ts_us - conv.ts_last_us > idle_timeout_us
+            stale = f.ts_us - conv.ts_last_us > IDLE_TIMEOUT_US
             restart = closed and "SYN" in f.tcp_flags and not f.payload
             if stale or restart:
                 done.append(conv)
@@ -193,9 +197,9 @@ def response_times(frames, proto_tag: str) -> ResponseStats:
             if not f.payload or len(f.payload) < 8:
                 continue
             tid = struct.unpack(">H", f.payload[:2])[0]
-            if f.dst_port == 502 and f.origin:
+            if f.dst_port == fieldbus.MODBUS_PORT and f.origin:
                 pending.setdefault((f.src_ip, f.src_port, f.dst_ip, tid), f)
-            elif f.src_port == 502 and f.final:
+            elif f.src_port == fieldbus.MODBUS_PORT and f.final:
                 key = (f.dst_ip, f.dst_port, f.src_ip, tid)
                 req = pending.pop(key, None)
                 if req is not None:
@@ -264,19 +268,18 @@ class JitterWindow:
     gaps: int
 
 
-def jitter_series(frames, window_us: int = 10_000_000,
-                  bound_ms: float = 30.0) -> tuple:
+def jitter_series(frames) -> tuple:
     """Per-window mean |delta of consecutive inter-arrival gaps|.
 
     -> (windows, flagged) where flagged lists windows whose jitter exceeds
-    bound_ms. Windows with fewer than 3 deliveries are skipped.
+    JITTER_BOUND_MS. Windows with fewer than 3 deliveries are skipped.
     """
     arrivals = sorted(f.deliver_ts_us for f in frames if f.delivered)
     if not arrivals:
         return [], []
     buckets: dict[int, list] = {}
     for ts in arrivals:
-        buckets.setdefault(ts // window_us, []).append(ts)
+        buckets.setdefault(ts // JITTER_WINDOW_US, []).append(ts)
     windows = []
     for b in sorted(buckets):
         pts = buckets[b]
@@ -285,8 +288,8 @@ def jitter_series(frames, window_us: int = 10_000_000,
         gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
         diffs = [abs(gaps[i + 1] - gaps[i]) for i in range(len(gaps) - 1)]
         jitter_ms = (sum(diffs) / len(diffs)) / 1000.0
-        windows.append(JitterWindow(b * window_us, jitter_ms, len(gaps)))
-    flagged = [w for w in windows if w.jitter_ms > bound_ms]
+        windows.append(JitterWindow(b * JITTER_WINDOW_US, jitter_ms, len(gaps)))
+    flagged = [w for w in windows if w.jitter_ms > JITTER_BOUND_MS]
     return windows, flagged
 
 
@@ -294,54 +297,45 @@ def jitter_series(frames, window_us: int = 10_000_000,
 # throughput and PLC request rates
 # ---------------------------------------------------------------------------
 
-def throughput_series(frames, interval_us: int = 10_000_000) -> list:
+def throughput_series(frames) -> list:
     """Delivered payload bytes per interval -> [(t0_us, bytes_per_s), ...]."""
     buckets: dict[int, int] = {}
     for f in frames:
         if f.delivered:
-            buckets[f.deliver_ts_us // interval_us] = buckets.get(
-                f.deliver_ts_us // interval_us, 0) + len(f.payload)
-    return [(b * interval_us, buckets[b] / (interval_us / 1_000_000))
+            b = f.deliver_ts_us // THROUGHPUT_INTERVAL_US
+            buckets[b] = buckets.get(b, 0) + len(f.payload)
+    return [(b * THROUGHPUT_INTERVAL_US,
+             buckets[b] / (THROUGHPUT_INTERVAL_US / 1_000_000))
             for b in sorted(buckets)]
 
 
-def plc_request_rates(frames, plc_ip: str, interval_us: int = 10_000_000,
-                      port: int = 502, span_us: int | None = None) -> dict:
-    """Read (fn 3) / write (fn 5, 6) request rates toward the PLC."""
+def plc_request_rates(frames, plc_ip: str, span_us: int) -> dict:
+    """Read (fn 3) / write (fn 5, 6) request rates toward the PLC, per
+    interval and averaged over span_us."""
     reads: dict[int, int] = {}
     writes: dict[int, int] = {}
     total_read = total_write = 0
-    t_min = None
-    t_max = None
     for f in frames:
-        if f.dst_ip != plc_ip or f.dst_port != port or not f.origin:
+        if (f.dst_ip != plc_ip or f.dst_port != fieldbus.MODBUS_PORT
+                or not f.origin):
             continue
         if not f.payload or len(f.payload) < 8:
             continue
         fn = f.payload[7]
-        b = f.ts_us // interval_us
+        b = f.ts_us // PLC_RATE_INTERVAL_US
         if fn == fieldbus.READ_HOLDING_REGISTERS:
             reads[b] = reads.get(b, 0) + 1
             total_read += 1
         elif fn in (fieldbus.WRITE_SINGLE_COIL, fieldbus.WRITE_SINGLE_REGISTER):
             writes[b] = writes.get(b, 0) + 1
             total_write += 1
-        else:
-            continue
-        t_min = f.ts_us if t_min is None else min(t_min, f.ts_us)
-        t_max = f.ts_us if t_max is None else max(t_max, f.ts_us)
-    if span_us is not None:
-        span_s = span_us / 1_000_000
-    elif t_min is not None:
-        span_s = max(1e-9, (t_max - t_min) / 1_000_000)
-    else:
-        span_s = 1.0
-    secs = interval_us / 1_000_000
+    span_s = span_us / 1_000_000
+    secs = PLC_RATE_INTERVAL_US / 1_000_000
     series = []
     for b in sorted(set(reads) | set(writes)):
         r = reads.get(b, 0) / secs
         w = writes.get(b, 0) / secs
-        series.append({"t0_us": b * interval_us, "read_per_s": r,
+        series.append({"t0_us": b * PLC_RATE_INTERVAL_US, "read_per_s": r,
                        "write_per_s": w, "transfer_per_s": r + w})
     return {
         "read_per_s": total_read / span_s,

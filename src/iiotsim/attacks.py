@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import fieldbus
-from .cloud import MqttClient, decode_packet, encode_packet
+from .cloud import MQTT_PORT, MqttClient, decode_packet, encode_packet
 from .netsim import US_PER_S, ArpFailure, us
 
 ARP_SPOOF = "arp_spoof"
@@ -223,9 +223,9 @@ def log_tamper(sim, attacker, target_host, webgui,
     Requires a shell foothold from a prior exploit; the fabric's ground-truth
     shadow keeps every entry, so the deletion is provable by diff.
     """
-    if attacker.host_id not in webgui.footholds and (
-            attacker.iface_for_segment(attacker.interfaces[0].segment).ip
-            not in webgui.footholds):
+    footholds = webgui.footholds if webgui is not None else ()
+    if attacker.host_id not in footholds and (
+            attacker.interfaces[0].ip not in footholds):
         raise PermissionError("log_tamper needs a shell foothold on the target")
     kept = [e for e in target_host.syslog
             if not (predicate and predicate in e[1])]
@@ -280,7 +280,7 @@ class I2cSniffer(Injector):
         self.lines: list[str] = []
         self.window = AttackWindow(I2C_SNIFF, self.t_start_us, self.t_end_us,
                                    a.get("attacker", "attacker"),
-                                   (self.bus.bus_id,))
+                                   (fieldbus.I2C_BUS_ID,))
 
     def schedule(self) -> list:
         self.bus.attach_sniffer(self._observe)
@@ -344,7 +344,8 @@ class ModbusFlood(Injector):
             self.sim.schedule(100_000, self._close_conn, conn_idx)
 
     def _open_conn(self, conn_idx):
-        stream = self.attacker.open_tcp(self.plc_ip, 502, "MODBUS")
+        stream = self.attacker.open_tcp(self.plc_ip, fieldbus.MODBUS_PORT,
+                                        "MODBUS")
         conn = {"stream": stream, "backlog": []}
         self._conns[conn_idx] = conn
 
@@ -413,7 +414,8 @@ class RogueSubscriber(Injector):
 # ---------------------------------------------------------------------------
 
 WELL_KNOWN = {22: "ssh", 25: "smtp", 53: "dns", 80: "http", 443: "https",
-              502: "modbus", 1883: "mqtt", 5683: "coap", 8080: "http-alt"}
+              fieldbus.MODBUS_PORT: "modbus", MQTT_PORT: "mqtt",
+              5683: "coap", 8080: "http-alt"}
 
 
 class PortScan(Injector):

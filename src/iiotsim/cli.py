@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import analytics, attacks, harness, hunt as huntmod, plan as planmod
-from .detect import (DEFAULT_SPECS, attack_detection, cross_validate,
+from .detect import (DEFAULT_SPECS, NORMAL, attack_detection, cross_validate,
                      detection_rates, format_detection_table,
                      format_metrics_table)
 from .netsim import iter_capture_jsonl, read_capture_jsonl
@@ -167,7 +167,7 @@ def cmd_detect(args) -> int:
     y = np.array([r.label for r in rows])
     results = []
     report = {"folds": args.folds, "seed": args.seed or 0, "models": {}}
-    attack_labels = [l for l in sorted(set(y)) if l != "normal"]
+    attack_labels = [l for l in sorted(set(y)) if l != NORMAL]
     for spec in DEFAULT_SPECS:
         try:
             res = cross_validate(spec, X, y, k=args.folds, seed=args.seed or 0)
@@ -232,7 +232,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="out")
     p.add_argument("--victim", default="192.168.10.1")
     p.add_argument("--service-port", type=int, default=443)
-    p.add_argument("--backdoor-port", type=int, default=4444)
+    p.add_argument("--backdoor-port", type=int,
+                   default=attacks.DEFAULT_LISTENER_PORT)
     p.add_argument("--pattern", default="shell")
     p.add_argument("--syslog")
     p.add_argument("--syslog-truth")

@@ -8,6 +8,7 @@ from datetime import timedelta
 
 from .historian import Historian
 
+MQTT_PORT = 1883
 PACKET_TYPES = ("CONNECT", "CONNACK", "SUBSCRIBE", "SUBACK", "PUBLISH",
                 "PUBACK", "PUBREC", "PUBREL", "PUBCOMP", "DISCONNECT")
 
@@ -124,15 +125,12 @@ class _WindowCounter:
 
 
 class Broker:
-    """Single-node broker bound to a fabric host's TCP port 1883."""
+    """Single-node broker bound to a fabric host's MQTT port."""
 
-    def __init__(self, sim, host, epoch, version: str = "iiotsim-broker 1.0",
-                 port: int = 1883, service_time_us: int = 3660,
-                 sys_period_us: int = 10_000_000, acl_enabled: bool = False,
-                 allowlist=()):
+    def __init__(self, sim, host, epoch, version: str, service_time_us: int,
+                 sys_period_us: int, acl_enabled: bool, allowlist):
         self.sim = sim
         self.host = host
-        self.port = port
         self.version = version
         self.service_time_us = service_time_us
         self.sys_period_us = sys_period_us
@@ -145,7 +143,7 @@ class Broker:
         self.delivered_log: list = []     # (ts_us, client_id, topic, payload)
         self._load_bytes = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
         self._load_msgs = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
-        host.bind_tcp(port, self)
+        host.bind_tcp(MQTT_PORT, self)
 
     # -- fabric service interface ---------------------------------------
     def on_open(self, stream):
@@ -276,12 +274,11 @@ class MqttClient:
     retries (PUBLISH/PUBREL re-sends) for exactly-once testing."""
 
     def __init__(self, sim, host, broker_ip: str, client_id: str,
-                 port: int = 1883, dup_every: int = 0):
+                 dup_every: int = 0):
         self.sim = sim
         self.host = host
         self.broker_ip = broker_ip
         self.client_id = client_id
-        self.port = port
         self.dup_every = dup_every
         self.stream = None
         self.connected = False
@@ -295,7 +292,7 @@ class MqttClient:
         self.on_rejected = None
 
     def connect(self) -> None:
-        self.stream = self.host.open_tcp(self.broker_ip, self.port, "MQTT")
+        self.stream = self.host.open_tcp(self.broker_ip, MQTT_PORT, "MQTT")
         self.stream.on_established = self._on_established
         self.stream.on_data = self._on_data
         self.stream.on_refused = self._on_refused

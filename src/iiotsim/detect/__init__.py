@@ -14,6 +14,7 @@ from .estimators import (
 )
 from .evaluation import (
     DEFAULT_SPECS,
+    NORMAL,
     CrossValResult,
     ModelSpec,
     attack_detection,
@@ -30,7 +31,7 @@ from .evaluation import (
 __all__ = [
     "BaseEstimator", "DecisionTreeClassifier", "GaussianNBClassifier",
     "KNeighborsClassifier", "LogisticRegressionOvR", "RandomForestClassifier",
-    "check_X_y", "check_array", "ModelSpec", "DEFAULT_SPECS",
+    "check_X_y", "check_array", "ModelSpec", "DEFAULT_SPECS", "NORMAL",
     "CrossValResult", "attack_detection", "confusion_matrix",
     "cross_validate", "detection_rates", "fold_features",
     "format_detection_table", "format_metrics_table",

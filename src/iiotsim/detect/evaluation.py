@@ -8,6 +8,8 @@ from .estimators import (DecisionTreeClassifier, GaussianNBClassifier,
                          KNeighborsClassifier, LogisticRegressionOvR,
                          RandomForestClassifier, check_X_y)
 
+NORMAL = "normal"       # the dataset label of rows outside every attack
+
 
 @dataclass
 class ModelSpec:
@@ -167,11 +169,11 @@ def detection_rates(result: CrossValResult, attack_labels) -> dict:
     return rates
 
 
-def attack_detection(result: CrossValResult, normal: str = "normal") -> dict:
+def attack_detection(result: CrossValResult) -> dict:
     """Attack vs normal from the summed matrix: the share of attack rows
     predicted as any attack class, and of normal rows predicted as an attack
     (each 0 when there are no such rows)."""
-    attack = np.array([label != normal for label in result.labels])
+    attack = np.array([label != NORMAL for label in result.labels])
     cm = result.confusion
     rates = {}
     for name, rows in (("attack_detection_rate", attack),

@@ -9,6 +9,8 @@ import re
 import struct
 from dataclasses import dataclass
 
+MODBUS_PORT = 502
+I2C_BUS_ID = "i2c-0"        # the gateway's one I2C bus
 READ_HOLDING_REGISTERS = 3
 WRITE_SINGLE_COIL = 5
 WRITE_SINGLE_REGISTER = 6
@@ -186,8 +188,7 @@ class I2cBus:
     """Single-master bus: registered devices answer block reads; every
     transaction is rendered once and fanned out to attached sniffers."""
 
-    def __init__(self, bus_id: str = "i2c-0", service_time_us: int = 1340):
-        self.bus_id = bus_id
+    def __init__(self, service_time_us: int):
         self.service_time_us = service_time_us
         self.devices: dict[int, object] = {}   # addr7 -> device with read_block()
         self.txn_log: list[tuple] = []         # (start_us, end_us, trace)

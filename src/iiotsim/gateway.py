@@ -83,11 +83,10 @@ class EdgeGateway:
     """Owns the poll loop and every edge-facing service."""
 
     def __init__(self, sim, host, plant, plc, plc_ip, i2c_bus, onewire_bus,
-                 epoch, broker_ip=None, poll_period_us=2_000_000,
-                 deadband=None, service_times_us=None, mail_ip=None,
-                 notify_threshold_c=30.0, notify_min_gap_us=60_000_000,
-                 mqtt_dup_every=0, mqtt_reconnect_every_us=0,
-                 dns_table=None):
+                 epoch, broker_ip, poll_period_us, deadband,
+                 service_times_us, mail_ip, notify_threshold_c,
+                 notify_min_gap_us, mqtt_dup_every, mqtt_reconnect_every_us,
+                 dns_table):
         self.sim = sim
         self.host = host
         self.plant = plant
@@ -98,7 +97,6 @@ class EdgeGateway:
         self.poll_period_us = poll_period_us
         self.deadband = DeadbandPolicy(deadband)
         self.historian = Historian(epoch)
-        self.broker_ip = broker_ip
         self.mail_ip = mail_ip
         self.notify_threshold_c = notify_threshold_c
         self.notify_min_gap_us = notify_min_gap_us
@@ -108,31 +106,23 @@ class EdgeGateway:
         self.faults: list = []            # (ts_us, device_key, reason)
         self.sim_sensors: dict[str, object] = {}   # device_key -> SensorModel
         self.latest: dict[str, Reading] = {}
-        svc = service_times_us or {}
-        self.svc_coap_us = svc.get("COAP", 7260)
-        self.svc_dns_us = svc.get("DNS", 81)
-        self.svc_http_us = svc.get("HTTP", 346_310)
-        self.svc_api_us = svc.get("API", 10_020)
-        self.dns_table = dns_table or {}
-        self.mqtt = None
-        if broker_ip:
-            self.mqtt = MqttClient(sim, host, broker_ip, "edge-gw",
-                                   dup_every=mqtt_dup_every)
+        self.svc_us = service_times_us
+        self.dns_table = dns_table
+        self.mqtt = MqttClient(sim, host, broker_ip, "edge-gw",
+                               dup_every=mqtt_dup_every)
         self.mqtt_reconnect_every_us = mqtt_reconnect_every_us
         self._poll_seq = 0
         self.plant.on_actuator_command = self._on_actuator_event
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.mqtt is not None:
-            self.mqtt.connect()
-            if self.mqtt_reconnect_every_us:
-                self.sim.every(self.mqtt_reconnect_every_us,
-                               self._reconnect_mqtt)
+        self.mqtt.connect()
+        if self.mqtt_reconnect_every_us:
+            self.sim.every(self.mqtt_reconnect_every_us, self._reconnect_mqtt)
         self.host.bind_udp(5683, self._coap_service)
         self.host.bind_udp(53, self._dns_service)
-        self.host.bind_tcp(80, _HttpService(self, "HTTP", self.svc_http_us))
-        self.host.bind_tcp(8080, _HttpService(self, "API", self.svc_api_us))
+        self.host.bind_tcp(80, _HttpService(self, "HTTP", self.svc_us["HTTP"]))
+        self.host.bind_tcp(8080, _HttpService(self, "API", self.svc_us["API"]))
         self.sim.every(self.poll_period_us, self.poll_cycle)
 
     def _reconnect_mqtt(self) -> None:
@@ -198,8 +188,7 @@ class EdgeGateway:
         if self.deadband.decide(reading.device_key, profile[3], reading.value):
             msg = build_telemetry(reading)
             self.forwarded.append((reading.ts_us, msg.topic, msg.body))
-            if self.mqtt is not None:
-                self.mqtt.publish(msg.topic, msg.body, qos=2)
+            self.mqtt.publish(msg.topic, msg.body, qos=2)
         if reading.device_key == "plc":
             self._check_threshold(reading)
 
@@ -226,8 +215,6 @@ class EdgeGateway:
         if last is not None and now - last < self.notify_min_gap_us:
             return
         self._last_notify_us[kind] = now
-        if self.mail_ip is None:
-            return
         stream = self.host.open_tcp(self.mail_ip, 25, "SMTP")
         state = {"stage": 0}
 
@@ -291,7 +278,7 @@ class EdgeGateway:
         except ValueError:
             return
         response = self.coap_serve(request)
-        self.sim.schedule(self.svc_coap_us, host.send_udp, frame.src_ip,
+        self.sim.schedule(self.svc_us["COAP"], host.send_udp, frame.src_ip,
                           frame.src_port, json.dumps(response).encode(),
                           "COAP", frame.dst_port)
 
@@ -307,7 +294,7 @@ class EdgeGateway:
             answer["a"] = self.dns_table[name]
         else:
             answer["error"] = "NXDOMAIN"
-        self.sim.schedule(self.svc_dns_us, host.send_udp, frame.src_ip,
+        self.sim.schedule(self.svc_us["DNS"], host.send_udp, frame.src_ip,
                           frame.src_port, json.dumps(answer).encode(), "DNS",
                           frame.dst_port)
 

@@ -11,13 +11,21 @@ from . import analytics, attacks, fieldbus, hunt, plan as planmod
 from .cloud import Broker
 from .gateway import EdgeGateway
 from .historian import iso_ms
-from .netsim import (US_PER_S, Acl, AclRule, LinkProfile, Simulation,
-                     capture_export, us, write_capture_jsonl)
+from .netsim import (ROUTER_FORWARD_DELAY_US, US_PER_S, Acl, AclRule,
+                     LinkProfile, Simulation, capture_export, us,
+                     write_capture_jsonl)
 from .plant import (Ds18b20Device, ModbusSlaveService, MplDevice, Plant, Plc,
                     SensorModel)
-from .fieldbus import I2cBus, OneWireBus
+from .fieldbus import MODBUS_PORT, I2cBus, OneWireBus
 from .services import MailService, WebGuiService
 
+# what a plan gets for a service time that neither its service_times_us nor
+# a latency target sets, and for a missing epoch
+SERVICE_TIMES_US = {"MODBUS": 10_780, "SMTP": 12_180, "MQTT": 3_660,
+                    "I2C": 1_340, "COAP": 7_260, "DNS": 81, "HTTP": 346_310,
+                    "API": 10_020}
+DEFAULT_EPOCH = "2019-07-18T06:00:00.000Z"
+GRACE_US = 2_000_000    # run past the horizon to drain in-flight exchanges
 _SNAPSHOT = {"method": "GET", "path": "/api/snapshot"}
 _STATUS = {"action": "get", "path": "/status"}
 
@@ -77,11 +85,11 @@ class Build:
         self.seed = plan_dict["seed"] if seed is None else seed
         self.duration_us = us(plan_dict["duration_s"])
         self.epoch = datetime.fromisoformat(
-            plan_dict.get("epoch", "2019-07-18T06:00:00.000Z").replace(
+            plan_dict.get("epoch", DEFAULT_EPOCH).replace(
                 "Z", "+00:00")).astimezone(timezone.utc)
         self.sim = Simulation(self.seed)
         self.sim.horizon_us = self.duration_us
-        self.svc = dict(plan_dict.get("service_times_us", {}))
+        self.svc = {**SERVICE_TIMES_US, **plan_dict.get("service_times_us", {})}
         self._build_fabric()
         self._build_plant()
         self._build_cloud()
@@ -111,7 +119,8 @@ class Build:
                 gateway_ip=h.get("gateway"),
                 is_router=h.get("router", False),
                 acl=acl if h.get("router") else None,
-                forward_delay_us=p.get("router_forward_delay_us", 40))
+                forward_delay_us=p.get("router_forward_delay_us",
+                                       ROUTER_FORWARD_DELAY_US))
             host.wan_segments = set(h.get("wan_segments", []))
             host.os_label = h.get("os_label", "")
             host.banner = {int(k): v for k, v in h.get("banner", {}).items()}
@@ -135,8 +144,7 @@ class Build:
                                                  ("admin", "admin"))),
                 vulnerable=webgui_cfg.get("vulnerable", False))
             self.router.bind_tcp(443, self.webgui)
-        self.mail_svc = MailService(self.sim,
-                                    self.svc.get("SMTP", 12_180))
+        self.mail_svc = MailService(self.sim, self.svc["SMTP"])
         self.mail_host.bind_tcp(25, self.mail_svc)
 
     # -- plant -------------------------------------------------------------
@@ -155,9 +163,8 @@ class Build:
                        scan_period_us=plc_cfg.get("scan_period_ms", 100) * 1000,
                        setpoint_c=plc_cfg.get("setpoint_c", 30.0),
                        scan_phase_us=plc_cfg.get("scan_phase_ms", 13) * 1000)
-        self.plc_host.bind_tcp(502, ModbusSlaveService(
-            self.sim, self.plc.handle_modbus,
-            self.svc.get("MODBUS", 10_780)))
+        self.plc_host.bind_tcp(MODBUS_PORT, ModbusSlaveService(
+            self.sim, self.plc.handle_modbus, self.svc["MODBUS"]))
         self.plant.start()
         self.plc.start()
 
@@ -166,7 +173,7 @@ class Build:
         cfg = self.plan.get("broker", {})
         self.broker = Broker(self.sim, self.cloud_host, self.epoch,
                              version=cfg.get("version", "iiotsim-broker 1.0"),
-                             service_time_us=self.svc.get("MQTT", 3_660),
+                             service_time_us=self.svc["MQTT"],
                              sys_period_us=us(cfg.get("sys_period_s", 10.0)),
                              acl_enabled=cfg.get("acl_enabled", False),
                              allowlist=cfg.get("allowlist", []))
@@ -175,7 +182,7 @@ class Build:
     # -- gateway ----------------------------------------------------------------
     def _build_gateway(self):
         cfg = self.plan.get("gateway", {})
-        self.i2c_bus = I2cBus("i2c-0", self.svc.get("I2C", 1_340))
+        self.i2c_bus = I2cBus(self.svc["I2C"])
         self.i2c_bus.register(0x60, MplDevice(self.sensors["mpl-temp"],
                                               self.sensors["mpl-press"]))
         self.onewire_bus = OneWireBus()
@@ -266,10 +273,9 @@ class Build:
             self.windows.extend(atk.schedule())
             self.attack_objs[a["id"]] = atk
 
-    def run(self, grace_us: int = 2_000_000) -> None:
-        # the grace period drains in-flight exchanges; nothing new starts
-        # past the horizon
-        self.sim.run_until(self.duration_us + grace_us)
+    def run(self) -> None:
+        # nothing new starts past the horizon
+        self.sim.run_until(self.duration_us + GRACE_US)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +297,7 @@ def _syslog_lines(build, entries) -> list:
     return [f"{iso_ms(build.epoch, ts)} {text}" for ts, text in entries]
 
 
-def label_capture(frames, windows, conn_log_path=None, dataset_path=None):
+def label_capture(frames, windows, conn_log_path, dataset_path):
     """Conversations, conn.log, labelled rows and dataset.csv from a capture,
     for both `run` and `report`; a false path skips that file. Returns
     (conversations, rows, class_counts, dropped_rows)."""
@@ -407,8 +413,8 @@ def capture_metrics(plan: dict, frames) -> dict:
     # jitter over the periodic request flows
     flows = {
         "modbus-poll": [f for f in by_tag.get("MODBUS", ())
-                        if f.origin and f.src_ip == gw_ip and f.dst_port == 502
-                        and len(f.payload) >= 8
+                        if f.origin and f.src_ip == gw_ip
+                        and f.dst_port == MODBUS_PORT and len(f.payload) >= 8
                         and f.payload[7] == fieldbus.READ_HOLDING_REGISTERS],
         "dns-query": [f for f in by_tag.get("DNS", ())
                       if f.origin and f.dst_port == 53],
@@ -426,9 +432,10 @@ def capture_metrics(plan: dict, frames) -> dict:
             "windows": len(windows), "over_bound": len(flagged),
             "max_jitter_ms": max((w.jitter_ms for w in windows), default=0.0),
         }
-    under = sum(1 for w in all_windows if w.jitter_ms < 30.0)
+    bound = analytics.JITTER_BOUND_MS
+    under = sum(1 for w in all_windows if w.jitter_ms < bound)
     report["jitter"] = {
-        "bound_ms": 30.0,
+        "bound_ms": bound,
         "windows": len(all_windows),
         "under_bound": under,
         "fraction_under": under / len(all_windows) if all_windows else 1.0,
@@ -440,8 +447,7 @@ def capture_metrics(plan: dict, frames) -> dict:
         {"t0_us": t0, "bytes_per_s": rate}
         for t0, rate in analytics.throughput_series(frames)]
     report["plc_request_rates"] = analytics.plc_request_rates(
-        frames, _plan_ip(plan, "plc"), interval_us=1_000_000,
-        span_us=us(plan["duration_s"]))
+        frames, _plan_ip(plan, "plc"), us(plan["duration_s"]))
     return report
 
 

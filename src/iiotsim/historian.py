@@ -7,8 +7,6 @@ from datetime import datetime, timedelta, timezone
 CSV_HEADER = ("Record_ID", "Time", "Device_ID", "Device_Type", "Measurement",
               "Function", "Content_Type")
 
-DEFAULT_EPOCH = datetime(2019, 7, 18, 6, 0, 0, tzinfo=timezone.utc)
-
 
 def iso_ms(epoch: datetime, ts_us: int) -> str:
     t = epoch + timedelta(microseconds=ts_us)
@@ -43,7 +41,7 @@ class TelemetryRecord:
 class Historian:
     """Append-only store with gapless, strictly increasing record ids."""
 
-    def __init__(self, epoch: datetime = DEFAULT_EPOCH):
+    def __init__(self, epoch: datetime):
         self.epoch = epoch
         self.rows: list[TelemetryRecord] = []
         self._next_id = 1

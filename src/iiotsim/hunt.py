@@ -5,6 +5,8 @@ stream profiling and syslog parsing/search."""
 import re
 from dataclasses import dataclass
 
+SHELL_DOMINANCE = 0.80      # PSH/ACK + ACK share of a shell's data phase
+
 
 @dataclass
 class OriginatorSummary:
@@ -51,8 +53,7 @@ def reverse_connections(conn_rows, from_host: str, to_hosts) -> dict:
             "per_port": per_port}
 
 
-def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int,
-                        threshold: float = 0.80) -> dict:
+def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int) -> dict:
     """Flag-set histogram for the streams between two hosts on a port.
 
     Verdict is interactive-shell-like when PSH/ACK plus pure ACK dominate the
@@ -80,7 +81,7 @@ def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int,
         if flags in ({"PSH", "ACK"}, {"ACK"}):
             shell_like += 1
     dominance = shell_like / data_frames if data_frames else 0.0
-    positive = payload_frames > 0 and dominance > threshold
+    positive = payload_frames > 0 and dominance > SHELL_DOMINANCE
     return {"histogram": hist, "total_frames": total,
             "data_frames": data_frames, "payload_frames": payload_frames,
             "dominance": dominance,
@@ -129,13 +130,13 @@ def search_events(events, pattern: str) -> list:
 # ---------------------------------------------------------------------------
 
 def hunt_report(conn_rows, frames, victim_ip: str, service_port: int,
-                backdoor_ports=(4444,), syslog_events=None,
-                truth_events=None, search_pattern="shell") -> dict:
+                backdoor_ports, syslog_events, truth_events,
+                search_pattern: str) -> dict:
     """Ranked originators -> reverse connections -> flag profile -> syslog.
 
     Identifies which client of victim_ip:service_port the victim later
-    connected back to, profiles those streams, and checks the system log
-    (against the ground-truth shadow when provided)."""
+    connected back to on one of backdoor_ports, profiles those streams, and
+    checks the system log and its ground-truth shadow, each when not None."""
     ranked = aggregate_originators(conn_rows, service_port)
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)

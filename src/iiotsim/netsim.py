@@ -19,6 +19,7 @@ from random import Random
 
 US_PER_S = 1_000_000
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
+ROUTER_FORWARD_DELAY_US = 40    # a plan without router_forward_delay_us
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
@@ -257,7 +258,7 @@ class Simulation:
 
     def attach_host(self, host_id: str, interfaces, gateway_ip: str | None = None,
                     is_router: bool = False, acl: Acl | None = None,
-                    forward_delay_us: int = 40) -> "Host":
+                    forward_delay_us: int = ROUTER_FORWARD_DELAY_US) -> "Host":
         """interfaces: iterable of (segment_name, mac, ip)."""
         if host_id in self.hosts:
             raise NetConfigError(f"host {host_id!r} already attached")
@@ -344,8 +345,8 @@ class Interface:
 
 
 class Host:
-    def __init__(self, sim: Simulation, host_id: str, gateway_ip=None,
-                 is_router=False, acl=None, forward_delay_us=40):
+    def __init__(self, sim: Simulation, host_id: str, gateway_ip, is_router,
+                 acl, forward_delay_us):
         self.sim = sim
         self.host_id = host_id
         self.interfaces: list[Interface] = []

@@ -7,6 +7,7 @@ import json
 from importlib import resources
 
 from .attacks import KINDS
+from .netsim import ROUTER_FORWARD_DELAY_US
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +88,17 @@ def validate_plan(plan: dict) -> list:
     if not segments:
         errors.append("no segments defined")
     segments = _typed(errors, "segments", segments or {}, dict, {})
+    for name, seg in segments.items():
+        if _typed(errors, f"segment {name!r}", seg, dict, None) is None:
+            continue
+        for key in ("base_latency_us", "jitter_us"):
+            if not isinstance(seg.get(key), (int, float)) or not 0 <= seg[key]:
+                errors.append(f"segment {name!r}: {key} must be a "
+                              f"non-negative number, got {seg.get(key)!r}")
+        loss = seg.get("loss_rate", 0.0)
+        if not isinstance(loss, (int, float)) or not 0 <= loss <= 1:
+            errors.append(f"segment {name!r}: loss_rate must be a number "
+                          f"in [0, 1], got {loss!r}")
     hosts = _typed(errors, "hosts", plan.get("hosts", []), list, [])
     host_ids = set()
     seen_macs = set()
@@ -240,7 +252,7 @@ def one_way_us(plan: dict, src: str, dst: str) -> float:
     out_seg = segs_dst & segs_router
     if not in_seg or not out_seg:
         raise CalibrationError(f"no route between {src} and {dst}")
-    fwd = plan.get("router_forward_delay_us", 40)
+    fwd = plan.get("router_forward_delay_us", ROUTER_FORWARD_DELAY_US)
     return float(base[sorted(in_seg)[0]] + fwd + base[sorted(out_seg)[0]])
 
 

@@ -59,7 +59,7 @@ class Actuator:
 class Plant:
     """Owns sensors and actuators; ticked on a fixed cadence by the sim."""
 
-    def __init__(self, sim, tick_period_us: int = 1_000_000):
+    def __init__(self, sim, tick_period_us: int):
         self.sim = sim
         self.tick_period_us = tick_period_us
         self.sensors: dict[str, SensorModel] = {}
@@ -103,6 +103,8 @@ PLC_INPUT_REGISTER = 100
 PLC_SETPOINT_REGISTER = 101
 PLC_OUTPUT_COIL = 0
 DOS_LOAD_REF_PER_S = 500.0    # request rate at which scan jitter saturates
+PLC_ID = "plc"                # names the scan-jitter random lane
+MODBUS_TIMEOUT_US = 2_000_000
 
 
 class Plc:
@@ -114,14 +116,12 @@ class Plc:
     """
 
     def __init__(self, sim, plant: Plant, input_sensor: SensorModel,
-                 actuator_id: str, plc_id: str = "plc",
-                 scan_period_us: int = 100_000, setpoint_c: float = 30.0,
-                 scan_phase_us: int = 13_000):
+                 actuator_id: str, scan_period_us: int, setpoint_c: float,
+                 scan_phase_us: int):
         self.sim = sim
         self.plant = plant
         self.input_sensor = input_sensor
         self.actuator_id = actuator_id
-        self.plc_id = plc_id
         self.scan_period_us = scan_period_us
         self.scan_phase_us = scan_phase_us
         self.registers = {PLC_INPUT_REGISTER: self._scale(input_sensor.value),
@@ -133,7 +133,7 @@ class Plc:
         self.serial_log: list = []       # (ts, request bytes, response bytes)
         self._serial_tid = 0
         self._request_times: list = []   # external request arrivals (for load)
-        self._rng = sim.rng(f"plc/{plc_id}")
+        self._rng = sim.rng(f"plc/{PLC_ID}")
 
     @staticmethod
     def _scale(celsius: float) -> int:
@@ -142,10 +142,6 @@ class Plc:
     @property
     def setpoint_c(self) -> float:
         return self.registers[PLC_SETPOINT_REGISTER] / 10.0
-
-    def note_request(self) -> None:
-        """Called by the MODBUS slave for every external request."""
-        self._request_times.append(self.sim.now_us)
 
     def _load_factor(self) -> float:
         horizon = self.sim.now_us - 1_000_000
@@ -209,7 +205,7 @@ class Plc:
 
     # -- MODBUS slave table ------------------------------------------------
     def handle_modbus(self, request: fieldbus.ModbusAdu) -> fieldbus.ModbusAdu:
-        self.note_request()
+        self._request_times.append(self.sim.now_us)
         fn = request.function
         if fn == fieldbus.READ_HOLDING_REGISTERS:
             regs = []
@@ -240,8 +236,7 @@ class Plc:
         return fieldbus.exception_response(request, 1)
 
 
-def modbus_transact(host, slave_ip, request, on_response, port=502,
-                    proto_tag="MODBUS", timeout_us=2_000_000):
+def modbus_transact(host, slave_ip, request, on_response):
     """One MODBUS/TCP transaction over the fabric.
 
     Opens a connection, sends the encoded request, and calls
@@ -249,7 +244,7 @@ def modbus_transact(host, slave_ip, request, on_response, port=502,
     a garbled reply). The request/response pair lands in the capture with a
     matching transaction id.
     """
-    stream = host.open_tcp(slave_ip, port, proto_tag)
+    stream = host.open_tcp(slave_ip, fieldbus.MODBUS_PORT, "MODBUS")
     state = {"done": False}
 
     def finish(result):
@@ -278,14 +273,14 @@ def modbus_transact(host, slave_ip, request, on_response, port=502,
     stream.on_established = on_established
     stream.on_data = on_data
     stream.on_refused = lambda s: finish(None)
-    host.sim.schedule(timeout_us, timeout_check)
+    host.sim.schedule(MODBUS_TIMEOUT_US, timeout_check)
     return stream
 
 
 class ModbusSlaveService:
     """Fabric TCP service wrapping a register-table handler (the PLC)."""
 
-    def __init__(self, sim, handler, service_time_us: int = 10_000):
+    def __init__(self, sim, handler, service_time_us: int):
         self.sim = sim
         self.handler = handler            # fn(ModbusAdu) -> ModbusAdu
         self.service_time_us = service_time_us

@@ -2,11 +2,13 @@
 
 import json
 
+WEBGUI_SERVICE_TIME_US = 20_000
+
 
 class MailService:
     """Minimal mail-like responder: every client line gets one 250 OK."""
 
-    def __init__(self, sim, service_time_us: int = 12_180):
+    def __init__(self, sim, service_time_us: int):
         self.sim = sim
         self.service_time_us = service_time_us
         self.messages: list = []     # (ts_us, text)
@@ -25,13 +27,11 @@ class WebGuiService:
     """Router web admin on 443: page fetches, credential login, and the
     graph-upload path that arms a shell foothold on a vulnerable host."""
 
-    def __init__(self, sim, host, credentials: tuple = ("admin", "admin"),
-                 vulnerable: bool = False, service_time_us: int = 20_000):
+    def __init__(self, sim, host, credentials: tuple, vulnerable: bool):
         self.sim = sim
         self.host = host
         self.credentials = credentials
         self.vulnerable = vulnerable
-        self.service_time_us = service_time_us
         self.footholds: set = set()       # attacker host ids with shell access
         self._authed_streams: set = set()
 
@@ -69,4 +69,4 @@ class WebGuiService:
                 body = {"status": 403, "upload": "rejected"}
         else:
             body = {"status": 400}
-        stream.reply_after(self.service_time_us, json.dumps(body).encode())
+        stream.reply_after(WEBGUI_SERVICE_TIME_US, json.dumps(body).encode())

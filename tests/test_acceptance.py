@@ -204,7 +204,8 @@ def test_08_rogue_subscriber(default_bundle):
     rog_host = sim.attach_host("rog", [("wan", "00:50:56:c0:00:66",
                                         "192.168.2.66")])
     broker = Broker(sim, cloud, r.broker.historian.epoch,
-                    service_time_us=1000, sys_period_us=5_000_000)
+                    version="iiotsim-broker 1.0", service_time_us=1000,
+                    sys_period_us=5_000_000, acl_enabled=False, allowlist=())
     broker.start_sys_publisher()
     sim.horizon_us = 120_000_000
     publisher = MqttClient(sim, pub_host, "192.168.2.10", "pub")

@@ -208,8 +208,7 @@ class TestJitter:
 
     def test_equal_gaps_zero_jitter(self):
         frames = self.frames_at([10, 20, 30, 40, 50])
-        windows, flagged = analytics.jitter_series(frames,
-                                                   window_us=1_000_000)
+        windows, flagged = analytics.jitter_series(frames)
         assert len(windows) == 1
         assert windows[0].jitter_ms == 0.0
         assert flagged == []
@@ -217,20 +216,28 @@ class TestJitter:
     def test_hand_computed_value(self):
         # gaps 10, 20, 10 ms -> |10-20| and |20-10| -> mean 10 ms
         frames = self.frames_at([0, 10, 30, 40])
-        windows, _ = analytics.jitter_series(frames, window_us=1_000_000)
+        windows, _ = analytics.jitter_series(frames)
         assert windows[0].jitter_ms == pytest.approx(10.0)
 
     def test_threshold_flags_windows(self):
         frames = self.frames_at([0, 10, 100, 110, 220])
-        windows, flagged = analytics.jitter_series(frames,
-                                                   window_us=1_000_000,
-                                                   bound_ms=30.0)
+        windows, flagged = analytics.jitter_series(frames)
         assert flagged and flagged[0].jitter_ms > 30.0
 
     def test_small_windows_skipped(self):
         frames = self.frames_at([0, 10])
-        windows, _ = analytics.jitter_series(frames, window_us=1_000_000)
+        windows, _ = analytics.jitter_series(frames)
         assert windows == []
+
+    def test_ten_second_windows(self):
+        # 0..9.99 s and 10..13 s make two windows; 20 s alone is skipped
+        frames = self.frames_at([0, 1000, 3000, 9990, 10_000, 11_000, 13_000,
+                                 20_000])
+        windows, flagged = analytics.jitter_series(frames)
+        assert [w.t0_us for w in windows] == [0, 10_000_000]
+        assert [w.gaps for w in windows] == [3, 2]
+        assert windows[1].jitter_ms == pytest.approx(1000.0)
+        assert flagged == windows
 
 
 class TestThroughputAndRates:
@@ -239,7 +246,7 @@ class TestThroughputAndRates:
                            b"x" * 617, l4="UDP", proto="RAW",
                            deliver_ts_us=n * 1_000_000 + 50)
                   for n in range(10)]
-        series = analytics.throughput_series(frames, interval_us=10_000_000)
+        series = analytics.throughput_series(frames)
         assert series == [(0, 617.0)]
 
     def test_plc_rate_decomposition(self):

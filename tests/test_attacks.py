@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from iiotsim import attacks, fieldbus, harness, plan as planmod
+from iiotsim import attacks, cli, fieldbus, harness, plan as planmod
 
 from conftest import small_plan
 
@@ -190,6 +190,22 @@ class TestLogTamper:
         assert injector.error == "no foothold"
         assert injector.window is None
         assert build.windows == []
+
+    def test_router_without_webgui_gives_no_foothold(self, tmp_path):
+        plan = small_plan(duration_s=20.0, attacks=[
+            {"id": "lt", "kind": "log_tamper", "attacker": "attacker",
+             "target": "router", "t_start_s": 5.0}])
+        del next(h for h in plan["hosts"] if h["id"] == "router")["webgui"]
+        assert planmod.validate_plan(plan) == []
+        build = harness.Build(plan)
+        assert build.webgui is None
+        build.run()
+        assert build.attack_objs["lt"].error == "no foothold"
+        assert build.windows == []
+        path = tmp_path / "plan.json"
+        planmod.save_plan(plan, str(path))
+        assert cli.main(["--quiet", "run", "--plan", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
 
     def test_plan_entry_after_exploit_joins_windows_at_its_start(
             self, tmp_path):

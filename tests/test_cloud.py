@@ -46,7 +46,8 @@ def broker_pair(seed=21, acl_enabled=False, allowlist=(), dup_every=0):
     cloud = sim.attach_host("cloud", [("wan", "00:50:56:c0:00:10",
                                        "192.168.2.10")])
     gw = sim.attach_host("gw", [("wan", "00:50:56:c0:00:99", "192.168.2.99")])
-    broker = Broker(sim, cloud, EPOCH, service_time_us=1000,
+    broker = Broker(sim, cloud, EPOCH, version="iiotsim-broker 1.0",
+                    service_time_us=1000, sys_period_us=10_000_000,
                     acl_enabled=acl_enabled, allowlist=allowlist)
     client = MqttClient(sim, gw, "192.168.2.10", "pub", dup_every=dup_every)
     return sim, broker, client, gw

@@ -141,7 +141,7 @@ TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")
 
 class TestI2cBus:
     def make_bus(self, data=FIG_BYTES):
-        bus = fb.I2cBus()
+        bus = fb.I2cBus(service_time_us=1340)
 
         class Device:
             def read_block(self, register, n):

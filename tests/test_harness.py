@@ -116,12 +116,31 @@ class TestPlanValidation:
         plan["hosts"][0]["interfaces"] = -1
         plan["hosts"][1] = None
         plan["traffic"] = "x"
+        plan["segments"]["lan-a"]["base_latency_us"] = "x"
+        plan["segments"]["lan-a"]["loss_rate"] = 1.5
+        plan["segments"]["lan-w"]["jitter_us"] = -1
+        del plan["segments"]["wan"]["base_latency_us"]
+        plan["segments"]["wan"]["loss_rate"] = "x"
         errors = planmod.validate_plan(plan)
         for error in ("host 'edge-gw' interfaces must be a list, got -1",
                       "host 1 must be an object, got None",
                       "traffic must be an object, got 'x'",
-                      "attack 'sniff-1': t_start_s must be a number, got 'x'"):
+                      "attack 'sniff-1': t_start_s must be a number, got 'x'",
+                      "segment 'lan-a': base_latency_us must be a "
+                      "non-negative number, got 'x'",
+                      "segment 'lan-a': loss_rate must be a number in "
+                      "[0, 1], got 1.5",
+                      "segment 'lan-w': jitter_us must be a non-negative "
+                      "number, got -1",
+                      "segment 'wan': base_latency_us must be a non-negative "
+                      "number, got None",
+                      "segment 'wan': loss_rate must be a number in [0, 1], "
+                      "got 'x'"):
             assert error in errors
+        plan = planmod.default_plan()
+        plan["segments"]["wan"] = []
+        assert planmod.validate_plan(plan) == [
+            "segment 'wan' must be an object, got []"]
 
     def test_validate_command_exits_0_or_2_on_one_wrong_field(
             self, tmp_path, capsys):
@@ -146,6 +165,40 @@ class TestCalibration:
         assert svc["I2C"] == 1340
         # MQTT: (8.6 ms - 4 one-way crossings of 320 us) / 2
         assert svc["MQTT"] == int(round((8600 - 4 * 320) / 2))
+
+    # the service times of a plan that neither gives nor calibrates them
+    FALLBACK_US = {"MODBUS": 10_780, "SMTP": 12_180, "MQTT": 3_660,
+                   "I2C": 1_340, "COAP": 7_260, "DNS": 81, "HTTP": 346_310,
+                   "API": 10_020}
+
+    @staticmethod
+    def built_service_times(plan) -> dict:
+        build = harness.Build(plan)
+
+        def tcp(host, port):
+            return host._tcp_services[port].service_time_us
+
+        return {"MODBUS": tcp(build.plc_host, 502),
+                "SMTP": tcp(build.mail_host, 25),
+                "MQTT": build.broker.service_time_us,
+                "I2C": build.i2c_bus.service_time_us,
+                "COAP": build.gateway.svc_us["COAP"],
+                "DNS": build.gateway.svc_us["DNS"],
+                "HTTP": tcp(build.gw_host, 80),
+                "API": tcp(build.gw_host, 8080)}
+
+    def test_uncalibrated_services_take_the_fallback_times(self):
+        plan = small_plan(duration_s=10.0)
+        del plan["latency_targets_ms"]
+        assert plan["service_times_us"] == {}
+        assert self.built_service_times(plan) == self.FALLBACK_US
+
+    def test_one_target_calibrates_only_its_service(self):
+        plan = small_plan(duration_s=10.0)
+        plan["latency_targets_ms"] = {"MODBUS": 12.0}
+        # 12 ms minus one LAN round trip (2 x 80 us)
+        assert self.built_service_times(plan) == {**self.FALLBACK_US,
+                                                  "MODBUS": 12_000 - 160}
 
     def test_infeasible_target_detected(self):
         plan = planmod.default_plan()

@@ -187,7 +187,8 @@ class TestHuntChain:
             ["2019-10-01T22:00:00.000Z php: reverse shell opened"])
         report = hunt.hunt_report(conn, frames, "10.0.0.1", 443,
                                   backdoor_ports=(4444,),
-                                  syslog_events=events, truth_events=events)
+                                  syslog_events=events, truth_events=events,
+                                  search_pattern="shell")
         assert report["identified_attacker"] == "10.0.0.7"
         assert report["backdoor_ports"] == [4444]
         assert report["reverse_connections"]["count"] == 1

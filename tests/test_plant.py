@@ -80,7 +80,8 @@ def make_plc(seed=6, setpoint=30.0, init=25.0):
     sensor = plant.add_sensor(SensorModel("plc-temp", "tmp36", -40.0, 125.0,
                                           0.0, init))
     plant.add_actuator("led1")
-    plc = Plc(sim, plant, sensor, "led1", setpoint_c=setpoint)
+    plc = Plc(sim, plant, sensor, "led1", scan_period_us=100_000,
+              setpoint_c=setpoint, scan_phase_us=13_000)
     return sim, plant, sensor, plc
 
 
