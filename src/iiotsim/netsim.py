@@ -68,6 +68,8 @@ def parse_cidr(cidr: str) -> tuple:
         return 0, 0
     net, _, bits = cidr.partition("/")
     bits = int(bits) if bits else 32
+    if not 0 <= bits <= 32:
+        raise NetConfigError(f"bad CIDR {cidr!r}")
     mask = ((1 << bits) - 1) << (32 - bits)
     return ip_to_int(net) & mask, mask
 
@@ -129,20 +131,15 @@ class Frame:
 
 
 FLAG_LETTER = {"ACK": "A", "FIN": "F", "PSH": "P", "RST": "R", "SYN": "S"}
-VALID_FLAGS = frozenset(FLAG_LETTER)
+
+# the flag sets TcpStream and the router send, each a sorted tuple
+SYN, SYN_ACK, ACK = ("SYN",), ("ACK", "SYN"), ("ACK",)
+PSH_ACK, FIN_ACK, RST = ("ACK", "PSH"), ("ACK", "FIN"), ("RST",)
 
 
 @functools.cache
 def _flag_key(flags: tuple) -> str:
     return "".join(FLAG_LETTER[f] for f in flags)
-
-
-@functools.cache
-def _flags(*names) -> tuple:
-    bad = set(names) - VALID_FLAGS
-    if bad:
-        raise ValueError(f"unknown TCP flags {bad}")
-    return tuple(sorted(names))
 
 
 @dataclass
@@ -205,8 +202,9 @@ class Simulation:
         self._ip_owner: dict[tuple, "Host"] = {}   # (segment, ip) -> host
         self.syslog_truth: dict[str, list] = {}
         self._rngs: dict[str, Random] = {}
-        self._lanes: dict[str, tuple] = {}         # sender -> (data, ARP) lanes
-        self._fifo: dict[tuple, int] = {}          # (sender, segment) -> last deliver ts
+        # (sender, segment) -> [base latency, jitter, loss rate, (data lane,
+        # ARP lane), last deliver ts], built at the sender's first frame there
+        self._links: dict[tuple, list] = {}
 
     # -- clock ---------------------------------------------------------
     def rng(self, lane: str) -> Random:
@@ -241,8 +239,9 @@ class Simulation:
             self.schedule_at(ts, self._repeat, period, fn)
 
     def run_until(self, t_us: int) -> None:
-        while self._events and self._events[0][0] <= t_us:
-            ts, _, fn, args = heapq.heappop(self._events)
+        events, pop = self._events, heapq.heappop
+        while events and events[0][0] <= t_us:
+            ts, _, fn, args = pop(events)
             self.now_us = ts
             fn(*args)
         self.now_us = max(self.now_us, t_us)
@@ -272,6 +271,7 @@ class Simulation:
             if (seg_name, ip) in self._ip_owner:
                 raise NetConfigError(f"duplicate IP {ip} on segment {seg_name}")
             host.interfaces.append(Interface(seg_name, mac, ip))
+            host.own_macs.setdefault(ip, mac)
             self._mac_owner[mac] = host
             self._ip_owner[(seg_name, ip)] = host
             seg.hosts.append(host)
@@ -298,35 +298,41 @@ class Simulation:
         from one host on one wire.
         """
         self.capture.append(frame)
-        profile = self.segments[frame.segment].profile
-        # ARP keeps its own jitter lane so that attack-induced resolutions
-        # can never shift the delay sequence of a victim's data traffic
-        lanes = self._lanes.get(frame.sender)
-        if lanes is None:
-            lanes = self._lanes[frame.sender] = (
-                self.rng(f"net/{frame.sender}"),
-                self.rng(f"net/{frame.sender}/arp"))
+        key = (frame.sender, frame.segment)
+        link = self._links.get(key)
+        if link is None:
+            p = self.segments[frame.segment].profile
+            # ARP keeps its own jitter lane so that attack-induced resolutions
+            # can never shift the delay sequence of a victim's data traffic
+            link = self._links[key] = [
+                p.base_latency_us, p.jitter_us, p.loss_rate,
+                (self.rng(f"net/{frame.sender}"),
+                 self.rng(f"net/{frame.sender}/arp")), 0]
+        base, j, loss, lanes, last = link
         lane = lanes[frame.l4 == "ARP"]
-        if profile.loss_rate and lane.random() < profile.loss_rate:
+        if loss and lane.random() < loss:
             frame.drop_reason = "loss"
             return frame
-        jitter = 0
-        if profile.jitter_us:
-            jitter = int(round(lane.uniform(-profile.jitter_us,
-                                            profile.jitter_us)))
-        delay = max(0, profile.base_latency_us + jitter)
-        key = (frame.sender, frame.segment)
-        deliver_ts = max(frame.ts_us + delay, self._fifo.get(key, 0))
-        self._fifo[key] = deliver_ts
-        frame.deliver_ts_us = deliver_ts   # scheduled; delivered flag set on arrival
-        self.schedule_at(deliver_ts, self._deliver, frame)
+        delay = base
+        if j:
+            # Random.uniform(-j, j)'s own expression, so the float is equal
+            delay += round(-j + (j + j) * lane.random())
+        if delay <= 0:
+            delay = 0
+        deliver_ts = frame.ts_us + delay
+        if deliver_ts < last:
+            deliver_ts = last
+        # scheduled; the delivered flag is set on arrival
+        link[4] = frame.deliver_ts_us = deliver_ts
+        self._eseq += 1
+        heapq.heappush(self._events, (int(deliver_ts), self._eseq,
+                                      self._deliver, (frame,)))
         return frame
 
     def _deliver(self, frame: Frame) -> None:
         frame.delivered = True
-        seg = self.segments[frame.segment]
         if frame.dst_mac == BROADCAST_MAC:
-            for h in seg.hosts:
+            for h in self.segments[frame.segment].hosts:
                 if not any(i.mac == frame.src_mac for i in h.interfaces):
                     h.receive(frame)
             return
@@ -366,6 +372,7 @@ class Host:
         self._eph_port = 49152
         self._conntrack: set = set()
         self.ips: frozenset = frozenset()        # set by attach_host
+        self.own_macs: dict[str, str] = {}       # own ip -> its first MAC
         self._routes: dict[str, tuple] = {}     # dst_ip -> route(dst_ip)
 
     # -- identity helpers ------------------------------------------------
@@ -410,9 +417,9 @@ class Host:
         A cache miss emits the request/reply exchange into the capture and
         returns the time at which the answer is available.
         """
-        for i in self.interfaces:
-            if i.ip == target_ip:
-                return i.mac, self.sim.now_us
+        mac = self.own_macs.get(target_ip)
+        if mac is not None:
+            return mac, self.sim.now_us
         hit = self.arp_cache.get(target_ip)
         if hit is not None:
             return hit[0], self.sim.now_us
@@ -468,19 +475,26 @@ class Host:
     def send_ip(self, dst_ip: str, dst_port: int, payload: bytes, proto_tag: str,
                 l4: str = "UDP", tcp_flags: tuple = (), src_port: int = 0,
                 src_ip: str | None = None) -> Frame:
-        """tcp_flags is a sorted tuple, as _flags returns it."""
-        iface, next_hop = self.route(dst_ip)
-        mac, ready = self.arp_resolve(next_hop)
-        ts = max(ready, self.sim.now_us)
-        use_src_ip = src_ip or iface.ip
-        frame = Frame(ts_us=ts, segment=iface.segment, sender=self.host_id,
-                      src_mac=iface.mac, dst_mac=mac,
-                      src_ip=use_src_ip, dst_ip=dst_ip,
-                      src_port=src_port, dst_port=dst_port,
-                      l4=l4, tcp_flags=tcp_flags,
-                      payload=payload, proto_tag=proto_tag,
-                      origin=use_src_ip in self.ips)
-        return self.sim.transmit(frame)
+        """tcp_flags is a sorted tuple, such as SYN_ACK."""
+        hit = self._routes.get(dst_ip)
+        if hit is None:
+            hit = self._routes[dst_ip] = self._find_route(dst_ip)
+        iface, next_hop = hit
+        ts = self.sim.now_us
+        # the cache is read on every frame: a gratuitous ARP may rebind it
+        mac = self.own_macs.get(next_hop)
+        if mac is None:
+            hit = self.arp_cache.get(next_hop)
+            if hit is not None:
+                mac = hit[0]
+            else:
+                mac, ready = self.arp_resolve(next_hop)
+                ts = max(ready, ts)
+        src_ip = src_ip or iface.ip
+        return self.sim.transmit(Frame(
+            ts, iface.segment, self.host_id, iface.mac, mac, src_ip, dst_ip,
+            src_port, dst_port, l4, tcp_flags, payload, proto_tag,
+            src_ip in self.ips))
 
     def forward_packet(self, frame: Frame, payload=None) -> Frame | None:
         """Re-emit a packet (router hop or MITM pass-through); a packet with
@@ -528,7 +542,7 @@ class Host:
                     # reject: RST back to the origin so clients fail fast
                     self.send_ip(frame.src_ip, frame.src_port,
                                  b"", frame.proto_tag, l4="TCP",
-                                 tcp_flags=_flags("RST"),
+                                 tcp_flags=RST,
                                  src_port=frame.dst_port, src_ip=frame.dst_ip)
                 return
             self._conntrack.add(key)
@@ -558,7 +572,7 @@ class Host:
         iface, _ = self.route(dst_ip)
         stream = TcpStream(self, "client", iface.ip, sp, dst_ip, dst_port,
                            proto_tag)
-        stream._send(_flags("SYN"))
+        stream._send(SYN)
         return stream
 
     def _rx_local(self, frame: Frame) -> None:
@@ -572,7 +586,7 @@ class Host:
         key = (frame.dst_ip, frame.dst_port, frame.src_ip, frame.src_port)
         stream = self._streams.get(key)
         # a bare SYN on the key of a finished connection opens a new one
-        if stream is not None and not (frame.tcp_flags == ("SYN",) and
+        if stream is not None and not (frame.tcp_flags == SYN and
                                        stream.state in ("closed", "refused")):
             stream._rx(frame)
         elif "SYN" in frame.tcp_flags and frame.dst_port in self._tcp_services:
@@ -584,8 +598,7 @@ class Host:
         elif "RST" not in frame.tcp_flags:
             # closed port: refuse
             self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
-                         l4="TCP", tcp_flags=_flags("RST"),
-                         src_port=frame.dst_port)
+                         l4="TCP", tcp_flags=RST, src_port=frame.dst_port)
 
 
 class TcpStream:
@@ -616,14 +629,13 @@ class TcpStream:
     def _send(self, flags, payload: bytes = b""):
         local_ip, local_port, peer_ip, peer_port = self.key
         return self.host.send_ip(peer_ip, peer_port, payload, self.proto_tag,
-                                 l4="TCP", tcp_flags=flags, src_port=local_port,
-                                 src_ip=local_ip)
+                                 "TCP", flags, local_port, local_ip)
 
     def write(self, payload: bytes):
         if self.state not in ("established", "connecting"):
             raise RuntimeError(f"{self.side} stream not writable "
                                f"(state={self.state})")
-        return self._send(_flags("PSH", "ACK"), payload)
+        return self._send(PSH_ACK, payload)
 
     def reply_after(self, delay_us: int, payload: bytes) -> None:
         """Write payload after delay_us if the stream is still established."""
@@ -637,14 +649,14 @@ class TcpStream:
         if self.state in ("closed", "refused"):
             return
         self._local_fin = True
-        self._send(_flags("FIN", "ACK"))
+        self._send(FIN_ACK)
         if self._peer_fin:
             self._set_state("closed")
 
     def reset(self):
         if self.state in ("closed", "refused"):
             return
-        self._send(_flags("RST"))
+        self._send(RST)
         self._forget()
         self._set_state("closed")
 
@@ -660,36 +672,36 @@ class TcpStream:
 
     # -- inbound frame ---------------------------------------------------
     def _rx(self, frame: Frame):
-        flags = frame.tcp_flags       # sorted, as _flags builds them
+        flags = frame.tcp_flags       # sorted, like SYN_ACK
         if "RST" in flags:
             self._forget()
             if self.state not in ("closed", "refused"):
                 self._set_state("refused" if self.state == "connecting"
                                 else "closed")
             return
-        if flags == ("SYN",):
-            self._send(_flags("SYN", "ACK"))
+        if flags == SYN:
+            self._send(SYN_ACK)
             return
-        if flags == ("ACK", "SYN"):
-            self._send(_flags("ACK"))
+        if flags == SYN_ACK:
+            self._send(ACK)
             self._set_state("established")
             return
         if "FIN" in flags:
             self._peer_fin = True
-            self._send(_flags("ACK"))
+            self._send(ACK)
             if self._local_fin:
                 self._set_state("closed")
             else:
                 self.close()
             return
-        if flags == ("ACK",) and not frame.payload:
+        if flags == ACK and not frame.payload:
             if self.side == "server" and self.state == "connecting":
                 self._set_state("established")
             return
         if self.state == "closed":
             return   # late data on a torn-down stream is ignored
         if frame.payload:
-            self._send(_flags("ACK"))
+            self._send(ACK)
             if self.on_data:
                 self.on_data(self, frame.payload)
 

@@ -7,7 +7,8 @@ import json
 from importlib import resources
 
 from .attacks import KINDS
-from .netsim import ROUTER_FORWARD_DELAY_US
+from .netsim import (ROUTER_FORWARD_DELAY_US, NetConfigError, check_mac,
+                     ip_to_int, parse_cidr)
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +74,17 @@ def _objects(errors, what, items):
             errors.append(f"{what} {i} must be an object, got {item!r}")
 
 
+def _address(errors, what, value, parse):
+    """An error naming what unless value is a str netsim's parse accepts."""
+    if isinstance(value, str):
+        try:
+            parse(value)
+            return
+        except (NetConfigError, ValueError):
+            pass
+    errors.append(f"{what} {value!r} is not valid")
+
+
 def validate_plan(plan: dict) -> list:
     """Full validation pass; returns every problem found, not just the first.
     A field of the wrong JSON type is one of them."""
@@ -99,6 +111,9 @@ def validate_plan(plan: dict) -> list:
         if not isinstance(loss, (int, float)) or not 0 <= loss <= 1:
             errors.append(f"segment {name!r}: loss_rate must be a number "
                           f"in [0, 1], got {loss!r}")
+        if seg.get("subnet") is not None:
+            _address(errors, f"segment {name!r}: subnet", seg["subnet"],
+                     parse_cidr)
     hosts = _typed(errors, "hosts", plan.get("hosts", []), list, [])
     host_ids = set()
     seen_macs = set()
@@ -121,6 +136,8 @@ def validate_plan(plan: dict) -> list:
                 errors.append(f"host {hid!r}: malformed interface {iface!r}")
                 continue
             seg, mac, ip = iface
+            _address(errors, f"host {hid!r}: MAC address", mac, check_mac)
+            _address(errors, f"host {hid!r}: IPv4 address", ip, ip_to_int)
             if seg not in segments:
                 errors.append(f"host {hid!r} references unknown segment {seg!r}")
             if mac in seen_macs:

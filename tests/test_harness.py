@@ -95,20 +95,42 @@ class TestPlanValidation:
         cases = list(itertools.product(
             self.field_paths(planmod.default_plan()), self.MUTATIONS))
         for path, text in random.Random(seed).sample(cases, count):
-            plan = planmod.default_plan()
-            owner = plan
-            for key in path[:-1]:
-                owner = owner[key]
-            if text is None:
-                del owner[path[-1]]
-            else:
-                owner[path[-1]] = json.loads(text)
-            yield plan
+            yield self.mutated(planmod.default_plan(), path, text)
+
+    @staticmethod
+    def mutated(plan, path, text):
+        """plan with the field at path deleted (text None) or set to the
+        JSON text."""
+        owner = plan
+        for key in path[:-1]:
+            owner = owner[key]
+        if text is None:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = json.loads(text)
+        return plan
 
     def test_one_wrong_field_is_an_error_not_an_exception(self):
         for plan in self.mutated_plans(600, seed=12):
             errors = planmod.validate_plan(plan)
             assert all(isinstance(e, str) for e in errors), errors
+
+    def test_address_fields_fail_validation_not_the_run(self):
+        """Each segment's subnet and each interface's MAC and IP, deleted or
+        set to each mutation: the plan is invalid, or it builds and runs."""
+        paths = [path for path in self.field_paths(small_plan())
+                 if path[-1] == "subnet" or (path[2:3] == ("interfaces",)
+                                             and path[4:] in ((1,), (2,)))]
+        assert len(paths) == 3 + 2 * 11
+        texts = self.MUTATIONS + ("5", '"10.0.0.0/33"', '"02:00:00:00:00"',
+                                  '"192.168.10.256"')
+        ran = 0
+        for path, text in itertools.product(paths, texts):
+            plan = self.mutated(small_plan(duration_s=2.0), path, text)
+            if not planmod.validate_plan(plan):
+                harness.Build(plan).run()
+                ran += 1
+        assert ran == 2 * 3      # the subnets deleted or null
 
     def test_wrong_typed_fields_are_named(self):
         plan = planmod.default_plan()
@@ -121,6 +143,10 @@ class TestPlanValidation:
         plan["segments"]["lan-w"]["jitter_us"] = -1
         del plan["segments"]["wan"]["base_latency_us"]
         plan["segments"]["wan"]["loss_rate"] = "x"
+        plan["segments"]["lan-a"]["subnet"] = "x"
+        plan["segments"]["lan-w"]["subnet"] = 5
+        plan["hosts"][2]["interfaces"][0][1] = "b8:27:eb:aa:00"
+        plan["hosts"][3]["interfaces"][0][2] = "192.168.10.256"
         errors = planmod.validate_plan(plan)
         for error in ("host 'edge-gw' interfaces must be a list, got -1",
                       "host 1 must be an object, got None",
@@ -135,7 +161,12 @@ class TestPlanValidation:
                       "segment 'wan': base_latency_us must be a non-negative "
                       "number, got None",
                       "segment 'wan': loss_rate must be a number in [0, 1], "
-                      "got 'x'"):
+                      "got 'x'",
+                      "segment 'lan-a': subnet 'x' is not valid",
+                      "segment 'lan-w': subnet 5 is not valid",
+                      "host 'plc': MAC address 'b8:27:eb:aa:00' is not valid",
+                      "host 'pc': IPv4 address '192.168.10.256' is not "
+                      "valid"):
             assert error in errors
         plan = planmod.default_plan()
         plan["segments"]["wan"] = []

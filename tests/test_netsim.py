@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import random
 
 import pytest
 
@@ -73,6 +74,13 @@ class TestArp:
     def test_own_ip_resolves_to_own_mac(self):
         sim, gw, router = lan_pair()
         assert gw.arp_resolve("192.168.10.150")[0] == GW_MAC
+        # even with its own IP poisoned in its cache, and with no ARP frame
+        router.send_gratuitous_arp(gw, "192.168.10.150", ROUTER_MAC, "lan")
+        sim.run_until(10_000)
+        assert gw.arp_cache["192.168.10.150"][0] == ROUTER_MAC
+        frame = gw.send_ip("192.168.10.150", 9, b"x", "RAW", src_port=1)
+        assert frame.src_mac == frame.dst_mac == GW_MAC
+        assert [f.l4 for f in sim.capture] == ["ARP", "UDP"]
 
     def test_gratuitous_reply_overwrites(self):
         sim, gw, router = lan_pair()
@@ -111,6 +119,22 @@ class TestSendAndFirewall:
         sim.run_until(20_000)
         frame = gw.send_ip("192.168.10.1", 9, b"x", "RAW", src_port=1)
         assert frame.dst_mac == ATTACKER_MAC
+
+    def test_poisoned_cache_redirects_an_established_stream(self):
+        sim, gw, router = lan_pair()
+        attacker = sim.attach_host("attacker",
+                                   [("lan", ATTACKER_MAC, "192.168.10.151")])
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        sim.run_until(10_000)
+        assert stream.state == "established"
+        before = stream.write(b"a")
+        sim.run_until(20_000)
+        attacker.send_gratuitous_arp(gw, "192.168.10.1", ATTACKER_MAC, "lan")
+        sim.run_until(30_000)
+        after = stream.write(b"b")
+        assert before.tcp_flags == after.tcp_flags == ("ACK", "PSH")
+        assert (before.dst_mac, after.dst_mac) == (ROUTER_MAC, ATTACKER_MAC)
 
     def firewall(self):
         acl = Acl([AclRule("any", "any", "any", frozenset({9999}), "deny")],
@@ -674,3 +698,40 @@ class TestLinkProperties:
         first, second = run(), run()
         assert first == second
         assert "loss" in first
+
+    @pytest.mark.parametrize("jitter_us", [50, 10**16])
+    def test_draws_match_an_independent_reference(self, jitter_us):
+        """Every frame's loss, jitter, clamp at 0 and per-(sender, segment)
+        FIFO, against Random.uniform on the sender's data and ARP lanes. At
+        10**16 us a float step is 2 us, so only uniform's own expression
+        gives the same delays."""
+        base_us, loss = 30, 0.3
+        sim = Simulation(seed=21)
+        sim.add_segment("lan", LinkProfile(base_us, jitter_us, loss))
+        a = sim.attach_host("a", [("lan", "02:00:00:00:00:01", "10.0.0.1")])
+        b = sim.attach_host("b", [("lan", "02:00:00:00:00:02", "10.0.0.2")])
+        for n in range(300):
+            sim.run_until(n * 100)
+            a.send_udp("10.0.0.2", 7, b"x", "RAW")
+            if n % 3 == 0:
+                b.send_udp("10.0.0.1", 7, b"y", "RAW")
+            if n % 5 == 0:
+                a.send_gratuitous_arp(b, "10.0.0.1", "02:00:00:00:00:01",
+                                      "lan")
+        sim.run_until(4 * 10**16)
+        lanes, fifo, clamped = {}, {}, 0
+        for f in sim.capture:
+            lane = f"21/net/{f.sender}" + ("/arp" if f.l4 == "ARP" else "")
+            rng = lanes.setdefault(lane, random.Random(lane))
+            if rng.random() < loss:
+                assert (f.drop_reason, f.deliver_ts_us) == ("loss", 0)
+                continue
+            delay = base_us + int(round(rng.uniform(-jitter_us, jitter_us)))
+            clamped += delay < 0
+            key = (f.sender, f.segment)
+            fifo[key] = max(f.ts_us + max(0, delay), fifo.get(key, 0))
+            assert (f.drop_reason, f.deliver_ts_us) == ("", fifo[key])
+            assert f.delivered
+        assert clamped
+        assert {(f.l4, f.drop_reason) for f in sim.capture} == {
+            ("UDP", ""), ("UDP", "loss"), ("ARP", ""), ("ARP", "loss")}
