@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import MQTT_PORT, MqttClient, decode_packet, encode_packet
-from .netsim import US_PER_S, ArpFailure, us
+from .netsim import US_PER_S, ArpFailure
 
 ARP_SPOOF = "arp_spoof"
 TAMPER = "tamper"
@@ -25,6 +25,7 @@ EXPLOIT = "exploit"
 REVERSE_SHELL = "reverse_shell"
 
 DEFAULT_LISTENER_PORT = 4444
+DISCONNECT_LEAD_US = 200_000   # a rogue cycle's client leaves this early
 
 
 @dataclass
@@ -82,11 +83,31 @@ def read_windows_jsonl(path) -> list:
     return out
 
 
+def read_window(a) -> tuple:
+    """(t_start_us, duration_us) of the attack entry that a (plan.Fields)
+    reads."""
+    return a.time_us("t_start_s"), a.time_us("duration_s", 0)
+
+
 class Injector:
-    """One attack of a plan. A subclass's __init__(build, entry) reads the
-    entry's fields with their defaults and finds its hosts in the build;
+    """One attack of a plan, built from (build, entry). It reads the entry's
+    window, then setup(build, a) reads its other fields through a (a
+    plan.Fields into the build's errors) and finds its hosts in the build;
     schedule() arms the attack and returns the windows known before the
     run, in the order they join the bundle's windows."""
+
+    def __init__(self, build, entry):
+        a = build.read.of(entry, f"attack {entry.get('id')!r}: ")
+        self.sim = build.sim
+        self.t_start_us, self.duration_us = read_window(a)
+        self.t_end_us = self.t_start_us + self.duration_us
+        self.setup(build, a)
+
+    def reached(self, build, a, key):
+        """The host a names at key, once the attacker reaches it."""
+        host = build.host(a, key)
+        build.reach(f"{a.name}{key}", self.attacker, host.interfaces[0].ip)
+        return host
 
     def artifacts(self) -> dict:
         """The bundle files this attack leaves: file name -> lines."""
@@ -128,27 +149,24 @@ class ArpSpoof(Injector):
     kind = ARP_SPOOF
     transform = None        # rewrites each forwarded payload when set
 
-    def __init__(self, build, a):
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.victim_a = build.hosts[a["victim_a"]]
-        self.victim_b = build.hosts[a["victim_b"]]
-        self.t_start_us = us(a["t_start_s"])
-        self.t_end_us = self.t_start_us + us(a["duration_s"])
-        self.poison_period_us = us(a.get("poison_period_s", 2.0))
-        self.segment = self._shared_segment()
+    def setup(self, build, a):
+        self.attacker = build.host(a, "attacker")
+        self.victim_a = build.host(a, "victim_a")
+        self.victim_b = build.host(a, "victim_b")
+        self.poison_period_us = a.time_us("poison_period_s", 2.0, least=1)
+        self.segment = self._shared_segment(a)
         self.window = AttackWindow(self.kind, self.t_start_us, self.t_end_us,
                                    self.attacker.host_id,
                                    (self.victim_a.host_id,
                                     self.victim_b.host_id))
 
-    def _shared_segment(self) -> str:
+    def _shared_segment(self, a) -> str:
         segs_a = {i.segment for i in self.victim_a.interfaces}
         segs_b = {i.segment for i in self.victim_b.interfaces}
         segs_att = {i.segment for i in self.attacker.interfaces}
         shared = segs_a & segs_b & segs_att
         if not shared:
-            raise ValueError("attacker and victims must share a segment")
+            a.fail("attacker and victims must share a segment")
         return sorted(shared)[0]
 
     def schedule(self) -> list:
@@ -207,9 +225,10 @@ class Tamper(ArpSpoof):
 
     kind = TAMPER
 
-    def __init__(self, build, a):
-        super().__init__(build, a)
-        self.transform = scale_measurement_transform(a.get("scale", 2.0))
+    def setup(self, build, a):
+        super().setup(build, a)
+        self.transform = scale_measurement_transform(
+            a.get("scale", float, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +259,12 @@ class LogTamper(Injector):
     """log_tamper at t_start_s. Its window joins the build's windows when it
     fires; without a foothold it adds none and `error` says why."""
 
-    def __init__(self, build, a):
-        self.sim = build.sim
+    def setup(self, build, a):
         self.windows = build.windows
-        self.attacker = build.hosts[a["attacker"]]
-        self.target_host = build.hosts[a["target"]]
+        self.attacker = build.host(a, "attacker")
+        self.target_host = build.host(a, "target")
         self.webgui = build.webgui
-        self.predicate = a.get("predicate", "shell")
-        self.t_start_us = us(a["t_start_s"])
+        self.predicate = a.get("predicate", str, "shell")
         self.window = None
         self.error = ""
 
@@ -273,13 +290,11 @@ class LogTamper(Injector):
 class I2cSniffer(Injector):
     """A tap on the gateway's I2C bus; keeps the trace lines in its window."""
 
-    def __init__(self, build, a):
+    def setup(self, build, a):
         self.bus = build.i2c_bus
-        self.t_start_us = us(a["t_start_s"])
-        self.t_end_us = self.t_start_us + us(a["duration_s"])
         self.lines: list[str] = []
         self.window = AttackWindow(I2C_SNIFF, self.t_start_us, self.t_end_us,
-                                   a.get("attacker", "attacker"),
+                                   a.get("attacker", str, "attacker"),
                                    (fieldbus.I2C_BUS_ID,))
 
     def schedule(self) -> list:
@@ -299,18 +314,13 @@ class I2cSniffer(Injector):
 # ---------------------------------------------------------------------------
 
 class ModbusFlood(Injector):
-    def __init__(self, build, a):
-        self.rate_per_s = a["rate_per_s"]
-        if self.rate_per_s <= 0:
-            raise ValueError("flood rate must be positive")
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.plc_ip = build.hosts[a["target"]].interfaces[0].ip
-        self.addr_lo = a.get("addr_lo", 0)
-        self.addr_hi = a.get("addr_hi", 199)
-        self.t_start_us = us(a["t_start_s"])
-        self.duration_us = us(a["duration_s"])
-        self.reqs_per_conn = a.get("reqs_per_conn", 10)
+    def setup(self, build, a):
+        self.rate_per_s = a.get("rate_per_s", float, positive=True)
+        self.attacker = build.host(a, "attacker")
+        self.plc_ip = self.reached(build, a, "target").interfaces[0].ip
+        self.addr_lo = a.get("addr_lo", int, 0, lo=0, hi=0xFFFF)
+        self.addr_hi = a.get("addr_hi", int, 199, lo=0, hi=0xFFFF)
+        self.reqs_per_conn = a.get("reqs_per_conn", int, 10, lo=1)
         self.requests_sent = 0
         self._conns: dict = {}
         self.window = AttackWindow(MODBUS_DOS, self.t_start_us,
@@ -318,11 +328,10 @@ class ModbusFlood(Injector):
                                    self.attacker.host_id, (self.plc_ip,))
 
     def schedule(self) -> list:
-        n = int(self.rate_per_s * self.duration_us / 1_000_000)
         period = 1_000_000 / self.rate_per_s
-        for i in range(n):
-            ts = self.t_start_us + int(i * period)
-            self.sim.schedule_at(ts, self._fire, i)
+        self.sim.series(int(self.rate_per_s * self.duration_us / 1_000_000),
+                        lambda i: self.t_start_us + int(i * period),
+                        self._fire)
         return [self.window]
 
     def _fire(self, i):
@@ -370,14 +379,13 @@ class ModbusFlood(Injector):
 class RogueSubscriber(Injector):
     """Reconnecting subscriber script; collects 'topic: payload' lines."""
 
-    def __init__(self, build, a):
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.broker_ip = build.hosts[a["broker_host"]].interfaces[0].ip
-        self.filters = list(a.get("filters", ["#", "$SYS/#"]))
-        self.t_start_us = us(a["t_start_s"])
-        self.t_end_us = self.t_start_us + us(a["duration_s"])
-        self.cycle_us = us(a.get("cycle_s", 4.0))
+    def setup(self, build, a):
+        self.attacker = build.host(a, "attacker")
+        self.broker_ip = self.reached(build, a,
+                                      "broker_host").interfaces[0].ip
+        self.filters = a.get("filters", list, ["#", "$SYS/#"], of=str)
+        self.cycle_us = a.time_us("cycle_s", 4.0,
+                                  least=DISCONNECT_LEAD_US + 1)
         self.transcript: list[str] = []
         self.refused = False
         self._cycle_n = 0
@@ -402,7 +410,8 @@ class RogueSubscriber(Injector):
             self.refused = True
         client.on_rejected = rejected
         client.connect()
-        self.sim.schedule(self.cycle_us - 200_000, client.disconnect)
+        self.sim.schedule(self.cycle_us - DISCONNECT_LEAD_US,
+                          client.disconnect)
         self.sim.schedule(self.cycle_us, self._cycle)
 
     def artifacts(self) -> dict:
@@ -421,12 +430,10 @@ WELL_KNOWN = {22: "ssh", 25: "smtp", 53: "dns", 80: "http", 443: "https",
 class PortScan(Injector):
     GAP_US = 10_000         # between probes
 
-    def __init__(self, build, a):
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.target_host = build.hosts[a["target"]]
-        self.ports = list(a.get("ports", [443]))
-        self.t_start_us = us(a["t_start_s"])
+    def setup(self, build, a):
+        self.attacker = build.host(a, "attacker")
+        self.target_host = self.reached(build, a, "target")
+        self.ports = a.get("ports", list, [443], of=int, lo=0, hi=0xFFFF)
         self.open_ports: dict[int, str] = {}
         self.report: dict = {}
         self.window = AttackWindow(
@@ -435,10 +442,10 @@ class PortScan(Injector):
             self.attacker.host_id, (self.target_host.host_id,))
 
     def schedule(self) -> list:
-        target_ip = self.target_host.interfaces[0].ip
-        for n, port in enumerate(self.ports):
-            self.sim.schedule_at(self.t_start_us + n * self.GAP_US,
-                                 self._probe, target_ip, port)
+        self.sim.series(len(self.ports),
+                        lambda n: self.t_start_us + n * self.GAP_US,
+                        lambda n: self._probe(self.target_host.interfaces[0].ip,
+                                              self.ports[n]))
         self.sim.schedule_at(self.window.t_end_us, self._finish)
         return [self.window]
 
@@ -464,14 +471,12 @@ class WebEnum(Injector):
     HTTPS session per `sessions`, each session_duration_s long at one
     request per request_period_s, the next starting a second later."""
 
-    def __init__(self, build, a):
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.target_host = build.hosts[a["target"]]
-        self.sessions = a.get("sessions", 3)
-        self.session_us = us(a.get("session_duration_s", 70.0))
-        self.request_period_us = us(a.get("request_period_s", 1.0))
-        self.t_start_us = us(a["t_start_s"])
+    def setup(self, build, a):
+        self.attacker = build.host(a, "attacker")
+        self.target_host = self.reached(build, a, "target")
+        self.sessions = a.get("sessions", int, 3, lo=0)
+        self.session_us = a.time_us("session_duration_s", 70.0)
+        self.request_period_us = a.time_us("request_period_s", 1.0, least=1)
         self.window = AttackWindow(
             RECON, self.t_start_us,
             self.t_start_us + self.sessions * (self.session_us + US_PER_S),
@@ -553,16 +558,23 @@ class ExploitWebgui(Injector):
     attacker's listener, ended with an exact-duration reset.
     """
 
-    def __init__(self, build, a):
-        self.sim = build.sim
-        self.attacker = build.hosts[a["attacker"]]
-        self.target_host = build.hosts[a["target"]]
-        self.credentials = tuple(a.get("credentials", ("admin", "admin")))
-        self.t_start_us = us(a["t_start_s"])
+    def setup(self, build, a):
+        self.attacker = build.host(a, "attacker")
+        self.target_host = self.reached(build, a, "target")
+        self.credentials = tuple(a.get("credentials", list,
+                                       ["admin", "admin"], of=str))
+        if len(self.credentials) != 2:
+            a.fail("credentials must be a user and a password")
         # [(start_us, duration_us), ...]
-        self.session_plan = [(us(s), us(d)) for s, d in a.get("sessions", [])]
-        self.listener_port = a.get("listener_port", DEFAULT_LISTENER_PORT)
-        self.command_gap_us = us(a.get("command_gap_s", 20.0))
+        self.session_plan = []
+        for i, pair in enumerate(a.get("sessions", list, [], of=list)):
+            s = a.of(dict(zip(("start", "duration"), pair))
+                     if len(pair) == 2 else {}, f"{a.name}sessions {i}: ")
+            self.session_plan.append((s.time_us("start"),
+                                      s.time_us("duration")))
+        self.listener_port = a.get("listener_port", int,
+                                   DEFAULT_LISTENER_PORT, lo=1, hi=0xFFFF)
+        self.command_gap_us = a.time_us("command_gap_s", 20.0, least=1)
         self.listener = ShellListener()
         self.sessions: list[ReverseShellSession] = []
         self.succeeded = False

@@ -27,10 +27,7 @@ def _fail(message, errors=()):
 
 
 def cmd_validate(args) -> int:
-    try:
-        plan = planmod.load_plan(args.plan)
-    except planmod.PlanError as e:
-        return _fail("plan is invalid", e.errors)
+    plan = planmod.load_plan(args.plan)
     if not args.quiet:
         print(f"plan {args.plan} is valid "
               f"({len(plan.get('hosts', []))} hosts, "
@@ -39,10 +36,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        plan = _load_plan(args)
-    except planmod.PlanError as e:
-        return _fail("plan is invalid", e.errors)
+    plan = _load_plan(args)
     only = args.only.split(",") if args.only else None
     errors = planmod.output_errors(only or [])
     if errors:
@@ -58,13 +52,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        plan = _load_plan(args)
-        calibrated = planmod.calibrate(plan)
-    except planmod.PlanError as e:
-        return _fail("plan is invalid", e.errors)
-    except planmod.CalibrationError as e:
-        return _fail(f"calibration infeasible: {e}")
+    calibrated = planmod.calibrate(_load_plan(args))
     out = args.out_plan or (args.plan or "plan.calibrated.json")
     planmod.save_plan(calibrated, out)
     if not args.quiet:
@@ -76,10 +64,7 @@ def cmd_calibrate(args) -> int:
 def cmd_report(args) -> int:
     """Rebuild conn.log, dataset.csv and the capture-derived metrics from an
     existing capture, with the values `run` wrote."""
-    try:
-        plan = _load_plan(args)
-    except planmod.PlanError as e:
-        return _fail("plan is invalid", e.errors)
+    plan = _load_plan(args)
     capture_path = os.path.join(args.out, "capture.jsonl")
     windows_path = os.path.join(args.out, "attack_windows.jsonl")
     try:
@@ -247,7 +232,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_detect)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except planmod.PlanError as e:     # refused by load_plan or calibrate
+        return _fail("plan is invalid", e.errors)
 
 
 if __name__ == "__main__":

@@ -34,8 +34,8 @@ def decode_packet(raw: bytes) -> dict:
 
 
 def validate_filter(flt: str) -> None:
-    if not flt:
-        raise TopicFilterError("empty topic filter")
+    if not isinstance(flt, str) or not flt:
+        raise TopicFilterError(f"empty or not a string: {flt!r}")
     levels = flt.split("/")
     for i, lv in enumerate(levels):
         if lv == "#" and i != len(levels) - 1:
@@ -170,7 +170,10 @@ class Broker:
             self._reply(session, {"type": "CONNACK", "rc": 0})
         elif kind == "SUBSCRIBE":
             for flt in pkt.get("filters", ()):
-                validate_filter(flt)
+                try:
+                    validate_filter(flt)
+                except TopicFilterError:
+                    continue        # refused, not stored
                 if flt not in session.subscriptions:
                     session.subscriptions.append(flt)
             self._reply(session, {"type": "SUBACK", "mid": pkt.get("mid", 0)})

@@ -257,16 +257,17 @@ def mpl_decode(data) -> MplSample:
     return MplSample(tuple(data), celsius, kilopascal)
 
 
-def mpl_encode(celsius: float, kilopascal: float) -> bytes:
-    """Inverse of mpl_decode, quantizing to 1/16 degC and 0.25 Pa.
+# what mpl_encode can encode; the decode arithmetic is unsigned, so only the
+# non-negative part of the device's temperature range is representable
+MPL_CELSIUS, MPL_KILOPASCAL = (0.0, 85.0), (0.0, 110.0)
 
-    The decode arithmetic is unsigned, so only the non-negative part of the
-    device's temperature range is representable.
-    """
-    if not 0.0 <= celsius <= 85.0:
-        raise ValueError(f"celsius {celsius} outside encodable range [0, 85]")
-    if not 0.0 <= kilopascal <= 110.0:
-        raise ValueError(f"kilopascal {kilopascal} outside range [0, 110]")
+
+def mpl_encode(celsius: float, kilopascal: float) -> bytes:
+    """Inverse of mpl_decode, quantizing to 1/16 degC and 0.25 Pa."""
+    for value, (lo, hi), unit in ((celsius, MPL_CELSIUS, "celsius"),
+                                  (kilopascal, MPL_KILOPASCAL, "kilopascal")):
+        if not lo <= value <= hi:
+            raise ValueError(f"{unit} {value} outside range [{lo}, {hi}]")
     t = int(round(celsius * 16)) * 16
     p = int(round(kilopascal * 4000)) * 16
     d4, d5 = (t >> 8) & 0xFF, t & 0xF0

@@ -82,35 +82,34 @@ class DeadbandPolicy:
 class EdgeGateway:
     """Owns the poll loop and every edge-facing service."""
 
-    def __init__(self, sim, host, plant, plc, plc_ip, i2c_bus, onewire_bus,
-                 epoch, broker_ip, poll_period_us, deadband,
-                 service_times_us, mail_ip, notify_threshold_c,
-                 notify_min_gap_us, mqtt_dup_every, mqtt_reconnect_every_us,
-                 dns_table):
-        self.sim = sim
-        self.host = host
-        self.plant = plant
-        self.plc = plc
-        self.plc_ip = plc_ip
-        self.i2c_bus = i2c_bus
-        self.onewire_bus = onewire_bus
-        self.poll_period_us = poll_period_us
-        self.deadband = DeadbandPolicy(deadband)
-        self.historian = Historian(epoch)
-        self.mail_ip = mail_ip
-        self.notify_threshold_c = notify_threshold_c
-        self.notify_min_gap_us = notify_min_gap_us
+    def __init__(self, build, cfg):
+        """The gateway of a harness.Build, on its gateway host; cfg, a
+        plan.Fields, reads the plan's gateway settings."""
+        self.sim, self.host, self.plant = build.sim, build.gw_host, build.plant
+        self.plc, self.plc_ip = build.plc, build.plc_ip
+        self.i2c_bus, self.onewire_bus = build.i2c_bus, build.onewire_bus
+        self.poll_period_us = cfg.time_us("poll_period_s", 2.0, least=1)
+        self.deadband = DeadbandPolicy(cfg.get("deadband", dict, {}, lo=0,
+                                               of=float))
+        self.historian = Historian(build.epoch)
+        self.mail_ip = build.reach("gateway", self.host,
+                                   build.mail_host.interfaces[0].ip)
+        self.notify_threshold_c = cfg.get("notify_threshold_c", float, 30.0)
+        self.notify_min_gap_us = cfg.time_us("notify_min_gap_s", 60.0)
         self._last_notify_us = {}
         self.events: list = []            # (ts_us, kind, detail)
         self.forwarded: list = []         # (ts_us, topic, body) handed to MQTT
         self.faults: list = []            # (ts_us, device_key, reason)
         self.sim_sensors: dict[str, object] = {}   # device_key -> SensorModel
         self.latest: dict[str, Reading] = {}
-        self.svc_us = service_times_us
-        self.dns_table = dns_table
-        self.mqtt = MqttClient(sim, host, broker_ip, "edge-gw",
-                               dup_every=mqtt_dup_every)
-        self.mqtt_reconnect_every_us = mqtt_reconnect_every_us
+        self.svc_us = build.svc
+        self.dns_table = cfg.get("dns", dict, {}, of=str)
+        self.mqtt = MqttClient(self.sim, self.host, build.reach(
+            "gateway", self.host, build.cloud_host.interfaces[0].ip),
+            "edge-gw", dup_every=cfg.get("mqtt_dup_every", int, 0, lo=0))
+        # null, 0 or missing: no reconnects
+        self.mqtt_reconnect_every_us = cfg.time_us("mqtt_reconnect_every_s",
+                                                   None)
         self._poll_seq = 0
         self.plant.on_actuator_command = self._on_actuator_event
 

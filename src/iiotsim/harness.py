@@ -1,21 +1,20 @@
 """Scenario runner: builds the topology from a plan, schedules traffic and
 attacks, runs the simulation and emits the artifact bundle."""
 
+import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import analytics, attacks, fieldbus, hunt, plan as planmod
 from .cloud import Broker
 from .gateway import EdgeGateway
 from .historian import iso_ms
-from .netsim import (ROUTER_FORWARD_DELAY_US, US_PER_S, Acl, AclRule,
-                     LinkProfile, Simulation, capture_export, us,
-                     write_capture_jsonl)
-from .plant import (Ds18b20Device, ModbusSlaveService, MplDevice, Plant, Plc,
-                    SensorModel)
+from .netsim import (US_PER_S, Acl, AclRule, RouteError, Simulation,
+                     capture_export, parse_cidr, write_capture_jsonl)
+from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
+                    ModbusSlaveService, MplDevice, Plant, Plc, SensorModel)
 from .fieldbus import MODBUS_PORT, I2cBus, OneWireBus
 from .services import MailService, WebGuiService
 
@@ -26,13 +25,18 @@ SERVICE_TIMES_US = {"MODBUS": 10_780, "SMTP": 12_180, "MQTT": 3_660,
                     "API": 10_020}
 DEFAULT_EPOCH = "2019-07-18T06:00:00.000Z"
 GRACE_US = 2_000_000    # run past the horizon to drain in-flight exchanges
+ACL_ACTIONS = ("allow", "deny")
+# the plant sensors the PLC, the I2C bus and the 1-wire bus read -> the
+# range their device can encode
+DEVICE_SENSORS = {"plc-temp": (TMP36_MIN_C, TMP36_MAX_C),
+                  "mpl-temp": fieldbus.MPL_CELSIUS,
+                  "mpl-press": fieldbus.MPL_KILOPASCAL, "onewire": (None, None)}
 _SNAPSHOT = {"method": "GET", "path": "/api/snapshot"}
 _STATUS = {"action": "get", "path": "/status"}
 
 
-def _coap_request(cfg, n) -> dict:
-    """A sensor read; each actuate_every-th cycle an LED toggle, on first."""
-    every = cfg.get("actuate_every", 0)
+def _coap_request(every, n) -> dict:
+    """A sensor read; each every-th cycle an LED toggle, on first."""
     if every and n % every == 0:
         return {"type": "CON", "code": "PUT", "mid": n,
                 "path": "/actuators/led1",
@@ -41,55 +45,53 @@ def _coap_request(cfg, n) -> dict:
             "path": "/sensors/mpl3115a2"}
 
 
-def _http_request(cfg, n) -> dict:
-    """A snapshot read, or every setpoint_every-th cycle the next setpoint."""
-    every = cfg.get("setpoint_every", 0)
-    values = cfg.get("setpoints", [])
+def _http_request(every, values, n) -> dict:
+    """A snapshot read, or every every-th cycle the next of values."""
     if every and values and n % every == 0:
         return {"method": "PUT", "path": "/api/setpoint",
                 "body": {"value": values[(n // every - 1) % len(values)]}}
     return _SNAPSHOT
 
 
-@dataclass
-class RunResult:
-    plan: dict
-    seed: int
-    sim: Simulation
-    gateway: EdgeGateway
-    broker: Broker
-    plc: Plc
-    plant: Plant
-    windows: list
-    attack_objs: dict
-    conversations: list = field(default_factory=list)
-    dataset_rows: list = field(default_factory=list)
-    class_counts: dict = field(default_factory=dict)
-    dropped_rows: int = 0
-    metrics: dict = field(default_factory=dict)
-    hunt: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
+def _parse_epoch(text) -> datetime:
+    return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(
+        timezone.utc)
 
 
 class Build:
-    """Everything wired up and scheduled, ready for run_until()."""
+    """Everything wired up and scheduled, ready for run_until().
+
+    Building reads the plan through `read`, a plan.Outline: first the
+    outline, then every other field once, where it is used. A plan with a
+    bad field raises PlanError listing every error."""
 
     def __init__(self, plan_dict: dict, seed: int | None = None):
-        errors = planmod.validate_plan(plan_dict)
-        if errors:
-            raise planmod.PlanError(errors)
-        if not plan_dict.get("service_times_us") and plan_dict.get(
-                "latency_targets_ms"):
-            plan_dict = planmod.calibrate(plan_dict)
-        self.plan = plan_dict
-        self.seed = plan_dict["seed"] if seed is None else seed
-        self.duration_us = us(plan_dict["duration_s"])
-        self.epoch = datetime.fromisoformat(
-            plan_dict.get("epoch", DEFAULT_EPOCH).replace(
-                "Z", "+00:00")).astimezone(timezone.utc)
+        self.plan, self.read = plan_dict, planmod.Outline(plan_dict)
+        try:
+            self._build(seed)
+        except Exception as e:
+            if not self.read.errors:
+                raise
+            # a consequence of a field already found bad
+            raise planmod.PlanError(self.read.errors) from e
+        if self.read.errors:
+            raise planmod.PlanError(self.read.errors)
+
+    def _build(self, seed):
+        read = self.read
+        if read.errors:         # nothing can be wired
+            return
+        self.seed = read.get("seed", int, 0) if seed is None else seed
+        self.name = read.get("name", str, "")
+        self.duration_us = read.duration_us
+        self.epoch = _parse_epoch(read.parsed("epoch", _parse_epoch,
+                                              DEFAULT_EPOCH))
         self.sim = Simulation(self.seed)
         self.sim.horizon_us = self.duration_us
-        self.svc = {**SERVICE_TIMES_US, **plan_dict.get("service_times_us", {})}
+        self.targets = read.targets
+        given = read.get("service_times_us", dict, {}, lo=0, of=float)
+        self.svc = {**SERVICE_TIMES_US, **given, **(
+            {} if given else planmod.service_times(read, read.errors))}
         self._build_fabric()
         self._build_plant()
         self._build_cloud()
@@ -97,72 +99,102 @@ class Build:
         self._build_traffic()
         self._build_attacks()
 
+    def host(self, fields, key):
+        """The host named by the field key of fields, which must be given."""
+        return self.hosts.get(fields.get(key, str))
+
+    def reach(self, what, host, ip) -> str:
+        """ip, once host routes to it and its owner routes back; else an
+        error naming what."""
+        owner = next(h for h in self.hosts.values() if ip in h.ips)
+        try:
+            owner.route(host.route(ip)[0].ip)
+        except RouteError as e:
+            self.read.error(what, f"cannot reach {ip}: {e}")
+        return ip
+
     # -- fabric ----------------------------------------------------------
     def _build_fabric(self):
-        p = self.plan
-        for name, cfg in p["segments"].items():
-            self.sim.add_segment(name, LinkProfile(cfg["base_latency_us"],
-                                                   cfg["jitter_us"],
-                                                   cfg.get("loss_rate", 0.0)),
-                                 subnet=cfg.get("subnet"))
-        acl_cfg = p.get("acl", {})
-        rules = [AclRule(r["direction"], r.get("src", "any"),
-                         r.get("dst", "any"),
-                         frozenset(r["ports"]) if r.get("ports") else None,
-                         r["action"])
-                 for r in acl_cfg.get("rules", [])]
-        acl = Acl(rules, acl_cfg.get("default", "allow"))
+        for name, (profile, subnet) in self.read.segments.items():
+            self.sim.add_segment(name, profile, subnet=subnet)
+        cfg = self.read.obj("acl", {})
+        rules = [AclRule(r.one_of("direction", ("in", "out", "any")),
+                         r.parsed("src", parse_cidr, "any"),
+                         r.parsed("dst", parse_cidr, "any"),
+                         frozenset(r.get("ports", list, None, of=int, lo=0,
+                                             hi=65535) or ()) or None,
+                         r.one_of("action", ACL_ACTIONS))
+                 for r in cfg.objects("rules", "acl rule").values()]
+        acl = Acl(rules, cfg.one_of("default", ACL_ACTIONS, "allow"))
         self.hosts = {}
-        for h in p["hosts"]:
+        for hid, (h, interfaces, gateway) in self.read.hosts.items():
+            router = h.get("router", bool, False)
             host = self.sim.attach_host(
-                h["id"], [tuple(i) for i in h["interfaces"]],
-                gateway_ip=h.get("gateway"),
-                is_router=h.get("router", False),
-                acl=acl if h.get("router") else None,
-                forward_delay_us=p.get("router_forward_delay_us",
-                                       ROUTER_FORWARD_DELAY_US))
-            host.wan_segments = set(h.get("wan_segments", []))
-            host.os_label = h.get("os_label", "")
-            host.banner = {int(k): v for k, v in h.get("banner", {}).items()}
-            self.hosts[h["id"]] = host
-        roles = p["roles"]
+                hid, interfaces, gateway_ip=gateway, is_router=router,
+                acl=acl if router else None,
+                forward_delay_us=self.read.forward_delay_us)
+            host.wan_segments = set(h.get("wan_segments", list, [], of=str))
+            host.os_label = h.get("os_label", str, "")
+            banner = h.get("banner", dict, {}, of=str)
+            if not all(port.isdecimal() for port in banner):
+                h.error(f"{h.name}banner", f"keys must be ports, got {banner}")
+            host.banner = {int(p): v for p, v in banner.items()
+                           if p.isdecimal()}
+            self.hosts[hid] = host
+        roles = self.read.roles
         self.gw_host = self.hosts[roles["gateway"]]
         self.router = self.hosts[roles["router"]]
         self.plc_host = self.hosts[roles["plc"]]
         self.cloud_host = self.hosts[roles["broker"]]
         self.mail_host = self.hosts[roles["mail"]]
         self.attacker = self.hosts[roles["attacker"]]
-        self.plc_ip = self.plc_host.interfaces[0].ip
+        self.plc_ip = self.reach("gateway", self.gw_host,
+                                 self.plc_host.interfaces[0].ip)
 
-        webgui_cfg = next((h.get("webgui") for h in p["hosts"]
-                           if h["id"] == roles["router"]), None)
+        gui = self.read.hosts[roles["router"]][0].obj("webgui", None)
         self.webgui = None
-        if webgui_cfg:
+        if gui is not None:
             self.webgui = WebGuiService(
                 self.sim, self.router,
-                credentials=tuple(webgui_cfg.get("credentials",
-                                                 ("admin", "admin"))),
-                vulnerable=webgui_cfg.get("vulnerable", False))
+                credentials=tuple(gui.get("credentials", list,
+                                          ["admin", "admin"], of=str)),
+                vulnerable=gui.get("vulnerable", bool, False))
             self.router.bind_tcp(443, self.webgui)
         self.mail_svc = MailService(self.sim, self.svc["SMTP"])
         self.mail_host.bind_tcp(25, self.mail_svc)
 
     # -- plant -------------------------------------------------------------
     def _build_plant(self):
-        cfg = self.plan["plant"]
-        self.plant = Plant(self.sim, us(cfg.get("tick_period_s", 1.0)))
+        cfg = self.read.obj("plant")
+        self.plant = Plant(self.sim, cfg.time_us("tick_period_s", 1.0,
+                                                 least=1))
+        sensors = cfg.objects("sensors", "plant sensor", dict)
+        for sid in DEVICE_SENSORS:
+            if sid not in sensors:
+                cfg.error(f"{cfg.name}sensors", f"must have {sid!r}")
         self.sensors = {}
-        for sid, s in cfg["sensors"].items():
+        for sid, s in sensors.items():
+            low, high = DEVICE_SENSORS.get(sid, (None, None))
+            lo = s.get("lo", float, lo=low, hi=high)
+            hi = s.get("hi", float, lo=lo, hi=high)
             self.sensors[sid] = self.plant.add_sensor(SensorModel(
-                sid, s["kind"], s["lo"], s["hi"], s["walk_step"], s["init"]))
-        for act in cfg.get("actuators", []):
+                sid, s.get("kind", str), lo, hi, s.get("walk_step", float,
+                                                       lo=0),
+                s.get("init", float, lo=lo, hi=hi)))
+        actuators = cfg.get("actuators", list, ["led1"], of=str)
+        if not actuators:
+            cfg.error(f"{cfg.name}actuators", "must name the PLC's actuator")
+        for act in actuators:
             self.plant.add_actuator(act)
-        plc_cfg = cfg.get("plc", {})
+        plc_cfg = cfg.obj("plc", {})
         self.plc = Plc(self.sim, self.plant, self.sensors["plc-temp"],
-                       cfg.get("actuators", ["led1"])[0],
-                       scan_period_us=plc_cfg.get("scan_period_ms", 100) * 1000,
-                       setpoint_c=plc_cfg.get("setpoint_c", 30.0),
-                       scan_phase_us=plc_cfg.get("scan_phase_ms", 13) * 1000)
+                       actuators[0],
+                       # a scan jitters by up to -10%, to at least 1 us
+                       scan_period_us=plc_cfg.time_us(
+                           "scan_period_ms", 100, scale=1000, least=2),
+                       setpoint_c=plc_cfg.get("setpoint_c", float, 30.0),
+                       scan_phase_us=plc_cfg.time_us("scan_phase_ms", 13,
+                                                     scale=1000))
         self.plc_host.bind_tcp(MODBUS_PORT, ModbusSlaveService(
             self.sim, self.plc.handle_modbus, self.svc["MODBUS"]))
         self.plant.start()
@@ -170,37 +202,26 @@ class Build:
 
     # -- cloud ---------------------------------------------------------------
     def _build_cloud(self):
-        cfg = self.plan.get("broker", {})
+        cfg = self.read.obj("broker", {})
         self.broker = Broker(self.sim, self.cloud_host, self.epoch,
-                             version=cfg.get("version", "iiotsim-broker 1.0"),
+                             version=cfg.get("version", str,
+                                             "iiotsim-broker 1.0"),
                              service_time_us=self.svc["MQTT"],
-                             sys_period_us=us(cfg.get("sys_period_s", 10.0)),
-                             acl_enabled=cfg.get("acl_enabled", False),
-                             allowlist=cfg.get("allowlist", []))
+                             sys_period_us=cfg.time_us("sys_period_s", 10.0,
+                                                       least=1),
+                             acl_enabled=cfg.get("acl_enabled", bool, False),
+                             allowlist=cfg.get("allowlist", list, [], of=str))
         self.broker.start_sys_publisher()
 
     # -- gateway ----------------------------------------------------------------
     def _build_gateway(self):
-        cfg = self.plan.get("gateway", {})
         self.i2c_bus = I2cBus(self.svc["I2C"])
         self.i2c_bus.register(0x60, MplDevice(self.sensors["mpl-temp"],
                                               self.sensors["mpl-press"]))
         self.onewire_bus = OneWireBus()
         self.onewire_bus.register("onewire",
                                   Ds18b20Device(self.sensors["onewire"]))
-        self.gateway = EdgeGateway(
-            self.sim, self.gw_host, self.plant, self.plc, self.plc_ip,
-            self.i2c_bus, self.onewire_bus, self.epoch,
-            broker_ip=self.cloud_host.interfaces[0].ip,
-            poll_period_us=us(cfg.get("poll_period_s", 2.0)),
-            deadband=cfg.get("deadband"),
-            service_times_us=self.svc,
-            mail_ip=self.mail_host.interfaces[0].ip,
-            notify_threshold_c=cfg.get("notify_threshold_c", 30.0),
-            notify_min_gap_us=us(cfg.get("notify_min_gap_s", 60.0)),
-            mqtt_dup_every=cfg.get("mqtt_dup_every", 0),
-            mqtt_reconnect_every_us=us(cfg.get("mqtt_reconnect_every_s") or 0),
-            dns_table=cfg.get("dns", {}))
+        self.gateway = EdgeGateway(self, self.read.obj("gateway", {}))
         for key in ("sim-temperature", "sim-pressure", "sim-humidity"):
             if key in self.sensors:
                 self.gateway.sim_sensors[key] = self.sensors[key]
@@ -208,7 +229,7 @@ class Build:
 
     # -- scripted clients -----------------------------------------------------
     def _build_traffic(self):
-        t = self.plan.get("traffic", {})
+        clients = self.read.traffic
         gw_ip = self.gw_host.interfaces[0].ip
         gw_ips = {i.segment: i.ip for i in self.gw_host.interfaces}
 
@@ -216,45 +237,49 @@ class Build:
             return gw_ips.get(host.interfaces[0].segment, gw_ip)
 
         # the start order is the order of the clients' events at equal times
-        if "coap_client" in t:
-            self._client(t["coap_client"], gw_near, 5683, "COAP",
-                         _coap_request)
-        if "dns_client" in t:
-            self._client(t["dns_client"], gw_near, 53, "DNS",
-                         lambda cfg, n: {"q": "edge.local", "id": n})
-        if "http_client" in t:
-            self._client(t["http_client"], lambda host: gw_ip, 80, "HTTP",
-                         _http_request, exchanges=1)
-        if "api_client" in t:
-            self._client(t["api_client"], lambda host: gw_ip, 8080, "API",
-                         lambda cfg, n: _SNAPSHOT, exchanges=1)
-        for cfg in t.get("webgui_clients", []):
+        for cfg in clients.get("coap_client", ()):
+            self._client(cfg, gw_near, 5683, "COAP", functools.partial(
+                _coap_request, cfg.get("actuate_every", int, 0, lo=0)))
+        for cfg in clients.get("dns_client", ()):
+            self._client(cfg, gw_near, 53, "DNS",
+                         lambda n: {"q": "edge.local", "id": n})
+        for cfg in clients.get("http_client", ()):
+            self._client(cfg, lambda host: gw_ip, 80, "HTTP",
+                         functools.partial(
+                             _http_request,
+                             cfg.get("setpoint_every", int, 0, lo=0),
+                             cfg.get("setpoints", list, [], of=float)),
+                         exchanges=1)
+        for cfg in clients.get("api_client", ()):
+            self._client(cfg, lambda host: gw_ip, 8080, "API",
+                         lambda n: _SNAPSHOT, exchanges=1)
+        for cfg in clients.get("webgui_clients", ()):
             self._client(cfg, self.router_ip_for, 443, "HTTPS",
-                         lambda cfg, n: _STATUS,
-                         exchanges=cfg.get("requests", 2))
+                         lambda n: _STATUS,
+                         exchanges=cfg.get("requests", int, 2, lo=1))
 
     def _client(self, cfg, server_ip, port, tag, request, exchanges=None):
-        """Every cfg's period_s, cfg's host sends request(cfg, n) for cycle
-        n = 1, 2, ... to server_ip(host): as one UDP datagram, or, given
-        exchanges, on a new TCP connection that sends it again after each
-        reply until that many replies came, then closes."""
-        host = self.hosts[cfg["host"]]
-        ip = server_ip(host)
+        """Every cfg's period_s, cfg's host sends request(n) for cycle n = 1,
+        2, ... to server_ip(host): as one UDP datagram, or, given exchanges,
+        on a new TCP connection that sends it again after each reply until
+        that many replies came, then closes."""
+        host = self.host(cfg, "host")
+        ip = self.reach(f"{cfg.name}host", host, server_ip(host))
         cycles = itertools.count(1)
 
         def datagram():
-            body = json.dumps(request(cfg, next(cycles))).encode()
+            body = json.dumps(request(next(cycles))).encode()
             host.send_udp(ip, port, body, tag)
 
         def connection():
-            body = json.dumps(request(cfg, next(cycles))).encode()
+            body = json.dumps(request(next(cycles))).encode()
             replies = itertools.count(1)
             stream = host.open_tcp(ip, port, tag)
             stream.on_established = lambda s: s.write(body)
             stream.on_data = lambda s, data: (
                 s.write(body) if next(replies) < exchanges else s.close())
 
-        self.sim.every(us(cfg["period_s"]),
+        self.sim.every(cfg.time_us("period_s", least=1),
                        datagram if exchanges is None else connection)
 
     def router_ip_for(self, host) -> str:
@@ -268,7 +293,7 @@ class Build:
     def _build_attacks(self):
         self.windows = []
         self.attack_objs = {}
-        for a in self.plan.get("attacks", []):
+        for a in self.read.attacks:
             atk = attacks.KINDS[a["kind"]](self, a)
             self.windows.extend(atk.schedule())
             self.attack_objs[a["id"]] = atk
@@ -311,25 +336,26 @@ def label_capture(frames, windows, conn_log_path, dataset_path):
 
 
 def run(plan_dict: dict, out_dir: str, seed: int | None = None,
-        only=None) -> RunResult:
+        only=None) -> Build:
+    """Build and run the plan, and write its bundle to out_dir. The build
+    returned also holds the analytics: conversations, dataset_rows,
+    class_counts, dropped_rows, metrics, hunt and the paths written."""
     build = Build(plan_dict, seed=seed)
     build.run()
     os.makedirs(out_dir, exist_ok=True)
-    outputs = set(only or build.plan.get("outputs") or planmod.OUTPUTS)
-    result = RunResult(build.plan, build.seed, build.sim, build.gateway,
-                       build.broker, build.plc, build.plant, build.windows,
-                       build.attack_objs)
+    outputs = set(only or build.read.outputs or planmod.OUTPUTS)
+    build.paths, build.metrics, build.hunt = {}, {}, {}
     frames = capture_export(build.sim)
 
     def path(name):
-        result.paths[name] = p = os.path.join(out_dir, name)
+        build.paths[name] = p = os.path.join(out_dir, name)
         return p
 
     if "capture" in outputs:
         write_capture_jsonl(frames, path("capture.jsonl"))
 
-    (result.conversations, result.dataset_rows, result.class_counts,
-     result.dropped_rows) = label_capture(
+    (build.conversations, build.dataset_rows, build.class_counts,
+     build.dropped_rows) = label_capture(
         frames, build.windows, "conn_log" in outputs and path("conn.log"),
         "dataset" in outputs and path("dataset.csv"))
 
@@ -342,8 +368,8 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
                                     path("attack_windows.jsonl"))
 
     if "metrics" in outputs:
-        result.metrics = build_metrics_report(build, frames)
-        write_json(result.metrics, path("metrics_report.json"))
+        build.metrics = build_metrics_report(build, frames)
+        write_json(build.metrics, path("metrics_report.json"))
 
     for atk in build.attack_objs.values():
         for name, lines in atk.artifacts().items():
@@ -356,40 +382,36 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
                 path(f"syslog_{router_id}_truth.txt"))
 
     if "hunt" in outputs:
-        result.hunt = build_hunt_report(build, frames, result.conversations)
-        write_json(result.hunt, path("hunt_report.json"))
+        build.hunt = build_hunt_report(build, frames, build.conversations)
+        write_json(build.hunt, path("hunt_report.json"))
 
     summary = {
-        "plan": build.plan.get("name", ""),
+        "plan": build.name,
         "seed": build.seed,
         "duration_s": build.plan["duration_s"],
         "frames": len(frames),
-        "conversations": len(result.conversations),
+        "conversations": len(build.conversations),
         "edge_rows": len(build.gateway.historian.rows),
         "cloud_rows": len(build.broker.historian.rows),
         "forwarded": len(build.gateway.forwarded),
-        "class_counts": result.class_counts,
-        "dropped_rows": result.dropped_rows,
+        "class_counts": build.class_counts,
+        "dropped_rows": build.dropped_rows,
         "faults": len(build.gateway.faults),
         "windows": [w.to_json() for w in sorted(build.windows,
                                                 key=lambda w: w.t_start_us)],
     }
     write_json(summary, path("run_summary.json"))
-    return result
-
-
-def _plan_ip(plan: dict, role: str) -> str:
-    hid = plan["roles"][role]
-    return next(h["interfaces"][0][2] for h in plan["hosts"]
-                if h["id"] == hid)
+    return build
 
 
 def capture_metrics(plan: dict, frames) -> dict:
     """The part of metrics_report.json that the capture alone determines:
     packet sizes, network response times, jitter, throughput and PLC
     request rates over the plan's duration."""
-    targets = plan.get("latency_targets_ms", {})
-    gw_ip = _plan_ip(plan, "gateway")
+    read = planmod.Outline(plan)
+    targets = read.targets
+    gw_ip, plc_ip = (read.hosts[read.roles[role]][1][0][2]
+                     for role in ("gateway", "plc"))
     report = {"packet_stats": analytics.packet_size_stats(frames)}
     # delivered frames by proto_tag, in capture order: what response_times
     # and jitter_series look at
@@ -447,7 +469,7 @@ def capture_metrics(plan: dict, frames) -> dict:
         {"t0_us": t0, "bytes_per_s": rate}
         for t0, rate in analytics.throughput_series(frames)]
     report["plc_request_rates"] = analytics.plc_request_rates(
-        frames, _plan_ip(plan, "plc"), us(plan["duration_s"]))
+        frames, plc_ip, read.duration_us)
     return report
 
 
@@ -460,9 +482,8 @@ def build_metrics_report(build: Build, frames) -> dict:
     i2c = report["response_times_ms"]["I2C"] = {
         "mean_ms": sum(i2c_times) / len(i2c_times) if i2c_times else 0.0,
         "count": len(i2c_times), "unmatched": 0}
-    targets = build.plan.get("latency_targets_ms", {})
-    if "I2C" in targets:
-        i2c["target_ms"] = targets["I2C"]
+    if "I2C" in build.targets:
+        i2c["target_ms"] = build.targets["I2C"]
     scan_ts = [t for t, _, _ in build.plc.scan_log]
     period = build.plc.scan_period_us
     devs = [abs((scan_ts[i + 1] - scan_ts[i]) - period) / period

@@ -24,11 +24,6 @@ ROUTER_FORWARD_DELAY_US = 40    # a plan without router_forward_delay_us
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
 
-def us(seconds) -> int:
-    """A plan's seconds as simulation microseconds."""
-    return int(round(seconds * US_PER_S))
-
-
 class NetConfigError(Exception):
     """Invalid fabric configuration (duplicate address, bad MAC, ...)."""
 
@@ -221,17 +216,42 @@ class Simulation:
         self._eseq += 1
         heapq.heappush(self._events, (int(ts_us), self._eseq, fn, args))
 
+    def series(self, count: int, time_of, fn) -> None:
+        """Run fn(i) at time_of(i), non-decreasing, for i in range(count),
+        numbered now as count schedule_at calls would be, so in the same
+        order; each joins the heap only when the one before it runs."""
+        first = self._eseq + 1
+        self._eseq += count
+
+        def run(i):
+            if i + 1 < count:
+                heapq.heappush(self._events, (int(time_of(i + 1)),
+                                              first + i + 1, run, (i + 1,)))
+            fn(i)
+
+        if count > 0:
+            heapq.heappush(self._events, (int(time_of(0)), first, run, (0,)))
+
     def every(self, period, fn, first_us: int | None = None) -> None:
         """Run fn until the next run would start past the horizon. period is
         a delay in us or a function that returns the delay after each run;
-        the first run is first_us from now, else one period."""
-        if first_us is None:
-            first_us = period() if callable(period) else period
-        self._repeat_after(first_us, period, fn)
+        the first run is first_us from now, else one period. A period that
+        is not a positive int, which the clock could never pass, raises
+        ValueError naming fn."""
+        self._repeat_after(self._period(period, fn) if first_us is None
+                           else first_us, period, fn)
 
     def _repeat(self, period, fn) -> None:
         fn()
-        self._repeat_after(period() if callable(period) else period, period, fn)
+        self._repeat_after(self._period(period, fn), period, fn)
+
+    @staticmethod
+    def _period(period, fn) -> int:
+        delay = period() if callable(period) else period
+        if isinstance(delay, int) and delay > 0:
+            return delay
+        raise ValueError(f"{getattr(fn, '__qualname__', fn)}: period must be "
+                         f"a positive int of us, got {delay!r}")
 
     def _repeat_after(self, delay_us: int, period, fn) -> None:
         ts = self.now_us + int(delay_us)

@@ -307,6 +307,13 @@ class TestModbusFlood:
                     and f.payload and lo <= f.ts_us <= hi]
         assert len(captured) >= 0.9 * 400 * 5
 
+    def test_requests_join_the_heap_one_at_a_time(self):
+        build = harness.Build(self.flood_plan())
+        quiet = harness.Build(small_plan(duration_s=40.0))
+        # all 2,000 requests are numbered at build time, one is queued
+        assert build.sim._eseq == quiet.sim._eseq + 400 * 5
+        assert len(build.sim._events) == len(quiet.sim._events) + 1
+
     def test_zero_rate_rejected(self):
         plan = self.flood_plan(rate=0)
         with pytest.raises(Exception):

@@ -186,6 +186,44 @@ class TestPlanValidation:
             else:
                 assert err == ""
 
+    def test_one_wrong_read_field_is_invalid_or_runs(self):
+        """Mutations of the sections harness.Build reads: each plan is
+        invalid, or it builds and runs its first 2 s."""
+        sections = ("plant", "gateway", "broker", "traffic", "acl",
+                    "latency_targets_ms")
+        cases = [(path, text) for path in self.field_paths(
+            planmod.default_plan()) if path[0] in sections
+            for text in self.MUTATIONS]
+        ran = 0
+        for path, text in random.Random(14).sample(cases, 150):
+            plan = self.mutated(planmod.default_plan(), path, text)
+            if not planmod.validate_plan(plan):
+                harness.Build(plan).sim.run_until(2_000_000)
+                ran += 1
+        assert 0 < ran < 150
+
+    @pytest.mark.parametrize("path,text", [
+        (("plant", "tick_period_s"), "0"),
+        (("plant", "plc", "scan_period_ms"), "0.001"),
+        (("attacks", 1, "poison_period_s"), "0"),
+        (("attacks", 1, "poison_period_s"), "-1"),
+        (("attacks", 4, "cycle_s"), "0"),
+        (("attacks", 4, "cycle_s"), "0.1"),
+        (("attacks", 7, "command_gap_s"), "0"),
+        (("attacks", 6, "request_period_s"), "0"),
+        (("acl", "rules", 0, "src"), '"x"')])
+    def test_periods_and_acl_addresses_are_checked_where_read(
+            self, tmp_path, capsys, path, text):
+        """Each of these validated once; its run then hung or raised."""
+        path_text = str(tmp_path / "plan.json")
+        planmod.save_plan(self.mutated(planmod.default_plan(), path, text),
+                          path_text)
+        assert cli.main(["--quiet", "validate", "--plan", path_text]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "plan is invalid"
+        assert len(error["details"]) == 1
+        assert f"{path[-1]} " in error["details"][0]
+
 
 class TestCalibration:
     def test_solves_service_times(self):

@@ -274,6 +274,47 @@ class TestEventKernel:
         # c was scheduled before a's second run, so it runs first at 20
         assert seen == ["a", "b", "b", "c", "a", "b"]
 
+    @pytest.mark.parametrize("period", [0, -1, 2.5, None])
+    def test_every_refuses_a_period_that_is_not_a_positive_int(self, period):
+        sim = Simulation()
+        with pytest.raises(ValueError, match="tick: period must be"):
+            def tick():
+                pass
+            sim.every(period, tick)
+        assert sim._events == []
+
+    def test_every_refuses_a_period_function_that_returns_zero(self):
+        sim = Simulation()
+        sim.horizon_us = 100
+        seen = []
+        # a first run 0 us away is legal; the period after it is not
+        sim.every(lambda: 0, lambda: seen.append(sim.now_us), first_us=0)
+        with pytest.raises(ValueError, match="period must be a positive int "
+                                             "of us, got 0"):
+            sim.run_until(100)
+        assert seen == [0]
+
+    def test_series_runs_in_the_order_schedule_at_gives(self):
+        times = [5, 5, 7, 7, 7, 9]
+        runs = {}
+        for lazy in (False, True):
+            sim = Simulation()
+            seen = runs[lazy] = []
+            sim.schedule_at(7, seen.append, "before")
+            if lazy:
+                sim.series(len(times), times.__getitem__, seen.append)
+            else:
+                for i, ts in enumerate(times):
+                    sim.schedule_at(ts, seen.append, i)
+            sim.schedule_at(7, seen.append, "after")
+            # what a run schedules for its own time goes after the series
+            sim.schedule_at(5, lambda: sim.schedule(2, seen.append, "new"))
+            assert len(sim._events) == (4 if lazy else 3 + len(times))
+            sim.run_until(100)
+            assert sim._eseq == 3 + len(times) + 1
+        assert runs[True] == runs[False] == [
+            0, 1, "before", 2, 3, 4, "after", "new", 5]
+
 
 class EchoService:
     def __init__(self):
