@@ -60,36 +60,38 @@ class ConversationRecord:
         return self.orig_pkts + self.resp_pkts
 
 
-def build_conversations(frames) -> list:
-    """Group delivered frames into direction-normalized conversations.
+class Conversations:
+    """Delivered frames grouped into direction-normalized conversations,
+    fed one frame at a time in (ts_us, deliver_ts_us) order.
 
     Every delivered frame lands in exactly one conversation; a conversation
     splits when the same 5-tuple goes idle longer than IDLE_TIMEOUT_US or
-    restarts with a fresh SYN after teardown. Frames are walked in ts_us
-    order, so each one is the latest of its conversation and sender.
+    restarts with a fresh SYN after teardown. Each frame fed is the latest
+    of its conversation and sender.
     """
-    open_convs: dict = {}
-    done: list = []
-    for f in sorted(frames, key=lambda f: (f.ts_us, f.deliver_ts_us)):
+
+    def __init__(self):
+        self._open: dict = {}      # 5-tuple key -> (conversation, closed)
+        self._done: list = []
+
+    def add(self, f) -> None:
         if not f.delivered:
-            continue
+            return
         a = (f.src_ip, f.src_port)
         b = (f.dst_ip, f.dst_port)
         key = (a, b, f.l4) if a <= b else (b, a, f.l4)
-        state = open_convs.get(key)
+        state = self._open.get(key)
         if state is not None:
             conv, closed = state
             stale = f.ts_us - conv.ts_last_us > IDLE_TIMEOUT_US
             restart = closed and "SYN" in f.tcp_flags and not f.payload
             if stale or restart:
-                done.append(conv)
+                self._done.append(conv)
                 state = None
         if state is None:
             conv = ConversationRecord(f.ts_us, f.ts_us, f.src_ip, f.src_port,
                                       f.dst_ip, f.dst_port, f.proto_tag)
-            state = (conv, False)
-            open_convs[key] = state
-        conv, closed = state
+            closed = False
         conv.ts_last_us = f.ts_us
         is_orig = f.src_ip == conv.orig_ip and f.src_port == conv.orig_port
         if is_orig:
@@ -108,11 +110,27 @@ def build_conversations(frames) -> list:
             conv.sender_spans[f.sender] = [f.ts_us, f.ts_us]
         else:
             span[1] = f.ts_us
-        open_convs[key] = (conv, closed)
-    for conv, _ in open_convs.values():
-        done.append(conv)
-    done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
-    return done
+        self._open[key] = (conv, closed)
+
+    def result(self) -> list:
+        """Every conversation, by (first ts_us, orig_ip, orig_port)."""
+        done = self._done + [conv for conv, _ in self._open.values()]
+        done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
+        return done
+
+
+def _fed(acc, frames):
+    """acc after add() of every frame, in order."""
+    add = acc.add
+    for f in frames:
+        add(f)
+    return acc
+
+
+def build_conversations(frames) -> list:
+    """Conversations of the frames, walked in (ts_us, deliver_ts_us) order."""
+    return _fed(Conversations(), sorted(
+        frames, key=lambda f: (f.ts_us, f.deliver_ts_us))).result()
 
 
 def write_conn_log(conversations, path) -> None:
@@ -177,84 +195,101 @@ RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
                       "HTTPS": {443}}
 
 
-def response_times(frames, proto_tag: str) -> ResponseStats:
-    """Pair requests with responses per the protocol's own rule.
+class ResponseTimes:
+    """Request/response pairing for one protocol, fed that protocol's
+    delivered frames in ts_us order.
 
     MODBUS matches on transaction id, CoAP/DNS on message id, MQTT QoS-2 on
     PUBLISH->PUBCOMP per message id; byte-stream protocols (HTTP, API, SMTP,
     HTTPS) pair each client payload with the next server payload on the same
-    stream. Times run from the origin's send to the final delivery back.
+    stream. Times run from the origin's send to the final delivery back. A
+    pending request keeps only its ts_us.
     """
-    if proto_tag not in RESPONSE_PROTOCOLS:
-        raise ValueError(f"no request/response pairing rule for {proto_tag!r}")
-    sel = [f for f in frames if f.proto_tag == proto_tag and f.delivered]
-    sel.sort(key=lambda f: f.ts_us)
-    samples: list = []
-    pending: dict = {}
 
-    if proto_tag == "MODBUS":
-        for f in sel:
-            if not f.payload or len(f.payload) < 8:
-                continue
-            tid = struct.unpack(">H", f.payload[:2])[0]
-            if f.dst_port == fieldbus.MODBUS_PORT and f.origin:
-                pending.setdefault((f.src_ip, f.src_port, f.dst_ip, tid), f)
-            elif f.src_port == fieldbus.MODBUS_PORT and f.final:
-                key = (f.dst_ip, f.dst_port, f.src_ip, tid)
-                req = pending.pop(key, None)
-                if req is not None:
-                    samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
-    elif proto_tag in ("COAP", "DNS"):
-        for f in sel:
-            if not f.payload:
-                continue
-            try:
-                body = json.loads(f.payload.decode())
-            except ValueError:
-                continue
-            if not isinstance(body, dict):
-                continue
-            mid = body.get("mid", body.get("id", 0))
-            is_request = (body.get("code") in ("GET", "PUT")) if proto_tag == "COAP" \
-                else "q" in body and "a" not in body and "error" not in body
-            if is_request and f.origin:
-                pending.setdefault((f.src_ip, f.src_port, mid), f)
-            elif not is_request and f.final:
-                req = pending.pop((f.dst_ip, f.dst_port, mid), None)
-                if req is not None:
-                    samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
-    elif proto_tag == "MQTT":
-        for f in sel:
-            try:
-                pkt = decode_packet(f.payload)
-            except ValueError:
-                continue
-            if pkt.get("type") == "PUBLISH" and pkt.get("qos") == 2 and \
-                    not pkt.get("dup") and f.origin:
-                pending.setdefault((f.src_ip, f.src_port, pkt.get("mid")), f)
-            elif pkt.get("type") == "PUBCOMP" and f.final:
-                req = pending.pop((f.dst_ip, f.dst_port, pkt.get("mid")), None)
-                if req is not None:
-                    samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
-    else:
+    def __init__(self, proto_tag: str):
+        if proto_tag not in RESPONSE_PROTOCOLS:
+            raise ValueError(
+                f"no request/response pairing rule for {proto_tag!r}")
+        self.proto = proto_tag
+        self.samples: list = []
+        self.pending: dict = {}
+        self.ports = RESPONSE_PROTOCOLS[proto_tag]
+        self.add = {"MODBUS": self._add_modbus, "COAP": self._add_message,
+                    "DNS": self._add_message, "MQTT": self._add_mqtt}.get(
+                        proto_tag, self._add_stream)
+
+    def _answer(self, key, f) -> None:
+        ts = self.pending.pop(key, None)
+        if ts is not None:
+            self.samples.append((f.deliver_ts_us - ts) / 1000.0)
+
+    def _add_modbus(self, f) -> None:
+        if not f.payload or len(f.payload) < 8:
+            return
+        tid = struct.unpack(">H", f.payload[:2])[0]
+        if f.dst_port == fieldbus.MODBUS_PORT and f.origin:
+            self.pending.setdefault((f.src_ip, f.src_port, f.dst_ip, tid),
+                                    f.ts_us)
+        elif f.src_port == fieldbus.MODBUS_PORT and f.final:
+            self._answer((f.dst_ip, f.dst_port, f.src_ip, tid), f)
+
+    def _add_message(self, f) -> None:
+        if not f.payload:
+            return
+        try:
+            body = json.loads(f.payload.decode())
+        except ValueError:
+            return
+        if not isinstance(body, dict):
+            return
+        mid = body.get("mid", body.get("id", 0))
+        is_request = (body.get("code") in ("GET", "PUT")) \
+            if self.proto == "COAP" \
+            else "q" in body and "a" not in body and "error" not in body
+        if is_request and f.origin:
+            self.pending.setdefault((f.src_ip, f.src_port, mid), f.ts_us)
+        elif not is_request and f.final:
+            self._answer((f.dst_ip, f.dst_port, mid), f)
+
+    def _add_mqtt(self, f) -> None:
+        if not f.payload:
+            return
+        try:
+            pkt = decode_packet(f.payload)
+        except ValueError:
+            return
+        if pkt.get("type") == "PUBLISH" and pkt.get("qos") == 2 and \
+                not pkt.get("dup") and f.origin:
+            self.pending.setdefault((f.src_ip, f.src_port, pkt.get("mid")),
+                                    f.ts_us)
+        elif pkt.get("type") == "PUBCOMP" and f.final:
+            self._answer((f.dst_ip, f.dst_port, pkt.get("mid")), f)
+
+    def _add_stream(self, f) -> None:
         # sequential pairing, client payload -> next server payload per stream
-        ports = RESPONSE_PROTOCOLS[proto_tag]
-        for f in sel:
-            if not f.payload:
-                continue
-            if f.dst_port in ports and f.origin:
-                stream = (f.src_ip, f.src_port, f.dst_ip, f.dst_port)
-                pending.setdefault(stream, []).append(f)
-            elif f.src_port in ports and f.final:
-                stream = (f.dst_ip, f.dst_port, f.src_ip, f.src_port)
-                queue = pending.get(stream)
-                if queue:
-                    req = queue.pop(0)
-                    samples.append((f.deliver_ts_us - req.ts_us) / 1000.0)
+        if not f.payload:
+            return
+        if f.dst_port in self.ports and f.origin:
+            stream = (f.src_ip, f.src_port, f.dst_ip, f.dst_port)
+            self.pending.setdefault(stream, []).append(f.ts_us)
+        elif f.src_port in self.ports and f.final:
+            queue = self.pending.get((f.dst_ip, f.dst_port, f.src_ip,
+                                      f.src_port))
+            if queue:
+                self.samples.append((f.deliver_ts_us - queue.pop(0)) / 1000.0)
 
-    unmatched = sum(len(v) if isinstance(v, list) else 1
-                    for v in pending.values())
-    return ResponseStats(proto_tag, samples, unmatched)
+    def result(self) -> ResponseStats:
+        unmatched = sum(len(v) if isinstance(v, list) else 1
+                        for v in self.pending.values())
+        return ResponseStats(self.proto, self.samples, unmatched)
+
+
+def response_times(frames, proto_tag: str) -> ResponseStats:
+    """ResponseTimes of the frames' delivered proto_tag frames."""
+    acc = ResponseTimes(proto_tag)
+    return _fed(acc, sorted((f for f in frames
+                             if f.proto_tag == proto_tag and f.delivered),
+                            key=lambda f: f.ts_us)).result()
 
 
 # ---------------------------------------------------------------------------
@@ -268,97 +303,154 @@ class JitterWindow:
     gaps: int
 
 
+class JitterSeries:
+    """Per-window mean |delta of consecutive inter-arrival gaps|, fed
+    frames in any order; it keeps each delivered frame's deliver_ts_us."""
+
+    def __init__(self):
+        self.arrivals: list = []
+
+    def add(self, f) -> None:
+        if f.delivered:
+            self.arrivals.append(f.deliver_ts_us)
+
+    def result(self) -> tuple:
+        """-> (windows, flagged) where flagged lists windows whose jitter
+        exceeds JITTER_BOUND_MS. Windows with fewer than 3 deliveries are
+        skipped."""
+        buckets: dict[int, list] = {}
+        for ts in sorted(self.arrivals):
+            buckets.setdefault(ts // JITTER_WINDOW_US, []).append(ts)
+        windows = []
+        for b in sorted(buckets):
+            pts = buckets[b]
+            if len(pts) < 3:
+                continue
+            gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
+            diffs = [abs(gaps[i + 1] - gaps[i]) for i in range(len(gaps) - 1)]
+            jitter_ms = (sum(diffs) / len(diffs)) / 1000.0
+            windows.append(JitterWindow(b * JITTER_WINDOW_US, jitter_ms,
+                                        len(gaps)))
+        flagged = [w for w in windows if w.jitter_ms > JITTER_BOUND_MS]
+        return windows, flagged
+
+
 def jitter_series(frames) -> tuple:
-    """Per-window mean |delta of consecutive inter-arrival gaps|.
-
-    -> (windows, flagged) where flagged lists windows whose jitter exceeds
-    JITTER_BOUND_MS. Windows with fewer than 3 deliveries are skipped.
-    """
-    arrivals = sorted(f.deliver_ts_us for f in frames if f.delivered)
-    if not arrivals:
-        return [], []
-    buckets: dict[int, list] = {}
-    for ts in arrivals:
-        buckets.setdefault(ts // JITTER_WINDOW_US, []).append(ts)
-    windows = []
-    for b in sorted(buckets):
-        pts = buckets[b]
-        if len(pts) < 3:
-            continue
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-        diffs = [abs(gaps[i + 1] - gaps[i]) for i in range(len(gaps) - 1)]
-        jitter_ms = (sum(diffs) / len(diffs)) / 1000.0
-        windows.append(JitterWindow(b * JITTER_WINDOW_US, jitter_ms, len(gaps)))
-    flagged = [w for w in windows if w.jitter_ms > JITTER_BOUND_MS]
-    return windows, flagged
+    """JitterSeries of the frames: (windows, flagged)."""
+    return _fed(JitterSeries(), frames).result()
 
 
 # ---------------------------------------------------------------------------
-# throughput and PLC request rates
+# throughput, PLC request rates and packet sizes: sums, fed in any order
 # ---------------------------------------------------------------------------
+
+class Throughput:
+    """Delivered payload bytes per THROUGHPUT_INTERVAL_US."""
+
+    def __init__(self):
+        self.buckets: dict[int, int] = {}
+
+    def add(self, f) -> None:
+        if f.delivered:
+            b = f.deliver_ts_us // THROUGHPUT_INTERVAL_US
+            self.buckets[b] = self.buckets.get(b, 0) + len(f.payload)
+
+    def result(self) -> list:
+        """-> [(t0_us, bytes_per_s), ...]"""
+        return [(b * THROUGHPUT_INTERVAL_US,
+                 self.buckets[b] / (THROUGHPUT_INTERVAL_US / 1_000_000))
+                for b in sorted(self.buckets)]
+
 
 def throughput_series(frames) -> list:
     """Delivered payload bytes per interval -> [(t0_us, bytes_per_s), ...]."""
-    buckets: dict[int, int] = {}
-    for f in frames:
-        if f.delivered:
-            b = f.deliver_ts_us // THROUGHPUT_INTERVAL_US
-            buckets[b] = buckets.get(b, 0) + len(f.payload)
-    return [(b * THROUGHPUT_INTERVAL_US,
-             buckets[b] / (THROUGHPUT_INTERVAL_US / 1_000_000))
-            for b in sorted(buckets)]
+    return _fed(Throughput(), frames).result()
+
+
+class PlcRates:
+    """Read (fn 3) / write (fn 5, 6) requests toward the PLC, per
+    PLC_RATE_INTERVAL_US and averaged over span_us."""
+
+    def __init__(self, plc_ip: str, span_us: int):
+        self.plc_ip = plc_ip
+        self.span_us = span_us
+        self.reads: dict[int, int] = {}
+        self.writes: dict[int, int] = {}
+
+    def add(self, f) -> None:
+        if (f.dst_ip != self.plc_ip or f.dst_port != fieldbus.MODBUS_PORT
+                or not f.origin):
+            return
+        if not f.payload or len(f.payload) < 8:
+            return
+        fn = f.payload[7]
+        if fn == fieldbus.READ_HOLDING_REGISTERS:
+            counts = self.reads
+        elif fn in (fieldbus.WRITE_SINGLE_COIL,
+                    fieldbus.WRITE_SINGLE_REGISTER):
+            counts = self.writes
+        else:
+            return
+        b = f.ts_us // PLC_RATE_INTERVAL_US
+        counts[b] = counts.get(b, 0) + 1
+
+    def result(self) -> dict:
+        reads, writes = self.reads, self.writes
+        total_read = sum(reads.values())
+        total_write = sum(writes.values())
+        span_s = self.span_us / 1_000_000
+        secs = PLC_RATE_INTERVAL_US / 1_000_000
+        series = []
+        for b in sorted(set(reads) | set(writes)):
+            r = reads.get(b, 0) / secs
+            w = writes.get(b, 0) / secs
+            series.append({"t0_us": b * PLC_RATE_INTERVAL_US, "read_per_s": r,
+                           "write_per_s": w, "transfer_per_s": r + w})
+        return {
+            "read_per_s": total_read / span_s,
+            "write_per_s": total_write / span_s,
+            "transfer_per_s": (total_read + total_write) / span_s,
+            "series": series,
+        }
 
 
 def plc_request_rates(frames, plc_ip: str, span_us: int) -> dict:
     """Read (fn 3) / write (fn 5, 6) request rates toward the PLC, per
     interval and averaged over span_us."""
-    reads: dict[int, int] = {}
-    writes: dict[int, int] = {}
-    total_read = total_write = 0
-    for f in frames:
-        if (f.dst_ip != plc_ip or f.dst_port != fieldbus.MODBUS_PORT
-                or not f.origin):
-            continue
-        if not f.payload or len(f.payload) < 8:
-            continue
-        fn = f.payload[7]
-        b = f.ts_us // PLC_RATE_INTERVAL_US
-        if fn == fieldbus.READ_HOLDING_REGISTERS:
-            reads[b] = reads.get(b, 0) + 1
-            total_read += 1
-        elif fn in (fieldbus.WRITE_SINGLE_COIL, fieldbus.WRITE_SINGLE_REGISTER):
-            writes[b] = writes.get(b, 0) + 1
-            total_write += 1
-    span_s = span_us / 1_000_000
-    secs = PLC_RATE_INTERVAL_US / 1_000_000
-    series = []
-    for b in sorted(set(reads) | set(writes)):
-        r = reads.get(b, 0) / secs
-        w = writes.get(b, 0) / secs
-        series.append({"t0_us": b * PLC_RATE_INTERVAL_US, "read_per_s": r,
-                       "write_per_s": w, "transfer_per_s": r + w})
-    return {
-        "read_per_s": total_read / span_s,
-        "write_per_s": total_write / span_s,
-        "transfer_per_s": (total_read + total_write) / span_s,
-        "series": series,
-    }
+    return _fed(PlcRates(plc_ip, span_us), frames).result()
+
+
+class PacketSizes:
+    """Mean wire size and rate of the delivered frames."""
+
+    def __init__(self):
+        self.count = self.wire = 0
+        self.t0 = self.t1 = None     # first send, last delivery
+
+    def add(self, f) -> None:
+        if not f.delivered:
+            return
+        self.count += 1
+        self.wire += f.wire_len
+        if self.t0 is None or f.ts_us < self.t0:
+            self.t0 = f.ts_us
+        if self.t1 is None or f.deliver_ts_us > self.t1:
+            self.t1 = f.deliver_ts_us
+
+    def result(self) -> dict:
+        if not self.count:
+            return {"avg_packet_size_bytes": 0.0, "avg_bytes_per_s": 0.0,
+                    "avg_bits_per_s": 0.0}
+        span_s = max(1e-9, (self.t1 - self.t0) / 1_000_000)
+        return {
+            "avg_packet_size_bytes": self.wire / self.count,
+            "avg_bytes_per_s": self.wire / span_s,
+            "avg_bits_per_s": 8 * self.wire / span_s,
+        }
 
 
 def packet_size_stats(frames) -> dict:
-    delivered = [f for f in frames if f.delivered]
-    if not delivered:
-        return {"avg_packet_size_bytes": 0.0, "avg_bytes_per_s": 0.0,
-                "avg_bits_per_s": 0.0}
-    total_wire = sum(f.wire_len for f in delivered)
-    t0 = min(f.ts_us for f in delivered)
-    t1 = max(f.deliver_ts_us for f in delivered)
-    span_s = max(1e-9, (t1 - t0) / 1_000_000)
-    return {
-        "avg_packet_size_bytes": total_wire / len(delivered),
-        "avg_bytes_per_s": total_wire / span_s,
-        "avg_bits_per_s": 8 * total_wire / span_s,
-    }
+    return _fed(PacketSizes(), frames).result()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,28 @@ def decode_packet(raw: bytes) -> dict:
     return pkt
 
 
+def _read_packet(raw: bytes) -> dict:
+    """decode_packet, and ValueError for the fields the broker would choke
+    on: SUBSCRIBE filters that are not a list, a PUBLISH without a str topic
+    or payload, a qos outside 0-2 and an unhashable mid."""
+    pkt = decode_packet(raw)
+    kind = pkt["type"]
+    if kind == "SUBSCRIBE" and not isinstance(pkt.get("filters", []), list):
+        raise ValueError("SUBSCRIBE filters is not a list")
+    if kind == "PUBLISH":
+        if not isinstance(pkt.get("topic"), str):
+            raise ValueError("PUBLISH topic is not a str")
+        if not isinstance(pkt.get("payload", ""), str):
+            raise ValueError("PUBLISH payload is not a str")
+        if pkt.get("qos", 0) not in (0, 1, 2):
+            raise ValueError(f"PUBLISH qos {pkt.get('qos')!r} is not 0-2")
+    try:
+        hash(pkt.get("mid", 0))
+    except TypeError:
+        raise ValueError("mid is unhashable") from None
+    return pkt
+
+
 def validate_filter(flt: str) -> None:
     if not isinstance(flt, str) or not flt:
         raise TopicFilterError(f"empty or not a string: {flt!r}")
@@ -154,7 +176,7 @@ class Broker:
         if session is None:
             return
         try:
-            pkt = decode_packet(data)
+            pkt = _read_packet(data)
         except ValueError:
             return
         self.messages_received += 1

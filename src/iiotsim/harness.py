@@ -4,6 +4,7 @@ attacks, runs the simulation and emits the artifact bundle."""
 import functools
 import itertools
 import json
+import operator
 import os
 from datetime import datetime, timezone
 
@@ -322,17 +323,17 @@ def _syslog_lines(build, entries) -> list:
     return [f"{iso_ms(build.epoch, ts)} {text}" for ts, text in entries]
 
 
-def label_capture(frames, windows, conn_log_path, dataset_path):
-    """Conversations, conn.log, labelled rows and dataset.csv from a capture,
-    for both `run` and `report`; a false path skips that file. Returns
-    (conversations, rows, class_counts, dropped_rows)."""
-    conversations = analytics.build_conversations(frames)
+def label_conversations(conversations, windows, conn_log_path,
+                        dataset_path):
+    """conn.log, labelled rows and dataset.csv from the conversations, for
+    both `run` and `report`; a false path skips that file. Returns (rows,
+    class_counts, dropped_rows)."""
     if conn_log_path:
         analytics.write_conn_log(conversations, conn_log_path)
     rows, counts, dropped = analytics.label_dataset(conversations, windows)
     if dataset_path:
         analytics.write_dataset_csv(rows, dataset_path)
-    return conversations, rows, counts, dropped
+    return rows, counts, dropped
 
 
 def run(plan_dict: dict, out_dir: str, seed: int | None = None,
@@ -354,10 +355,13 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
     if "capture" in outputs:
         write_capture_jsonl(frames, path("capture.jsonl"))
 
-    (build.conversations, build.dataset_rows, build.class_counts,
-     build.dropped_rows) = label_capture(
-        frames, build.windows, "conn_log" in outputs and path("conn.log"),
-        "dataset" in outputs and path("dataset.csv"))
+    walk = CaptureWalk(build.plan, metrics="metrics" in outputs)
+    walk.feed(frames)
+    build.conversations = walk.conversations.result()
+    build.dataset_rows, build.class_counts, build.dropped_rows = \
+        label_conversations(build.conversations, build.windows,
+                            "conn_log" in outputs and path("conn.log"),
+                            "dataset" in outputs and path("dataset.csv"))
 
     if "historians" in outputs:
         build.gateway.historian.write_csv(path("edge_historian.csv"))
@@ -368,7 +372,7 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
                                     path("attack_windows.jsonl"))
 
     if "metrics" in outputs:
-        build.metrics = build_metrics_report(build, frames)
+        build.metrics = build_metrics_report(build, walk.metrics())
         write_json(build.metrics, path("metrics_report.json"))
 
     for atk in build.attack_objs.values():
@@ -404,79 +408,138 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
     return build
 
 
-def capture_metrics(plan: dict, frames) -> dict:
-    """The part of metrics_report.json that the capture alone determines:
-    packet sizes, network response times, jitter, throughput and PLC
-    request rates over the plan's duration."""
-    read = planmod.Outline(plan)
-    targets = read.targets
-    gw_ip, plc_ip = (read.hosts[read.roles[role]][1][0][2]
-                     for role in ("gateway", "plc"))
-    report = {"packet_stats": analytics.packet_size_stats(frames)}
-    # delivered frames by proto_tag, in capture order: what response_times
-    # and jitter_series look at
-    by_tag: dict[str, list] = {}
-    for f in frames:
-        if f.delivered:
-            by_tag.setdefault(f.proto_tag, []).append(f)
-    rts = {}
-    for proto in analytics.RESPONSE_PROTOCOLS:
-        stats = analytics.response_times(by_tag.get(proto, []), proto)
-        if stats.count == 0 and proto not in targets:
-            continue
-        rts[proto] = {"mean_ms": stats.mean_ms, "count": stats.count,
-                      "unmatched": stats.unmatched}
-        if proto in targets:
-            rts[proto]["target_ms"] = targets[proto]
-    report["response_times_ms"] = rts
-    report["modbus_mean_below_20ms"] = rts.get("MODBUS", {}).get(
-        "mean_ms", 0.0) < 20.0
-
-    # jitter over the periodic request flows
-    flows = {
-        "modbus-poll": [f for f in by_tag.get("MODBUS", ())
-                        if f.origin and f.src_ip == gw_ip
-                        and f.dst_port == MODBUS_PORT and len(f.payload) >= 8
-                        and f.payload[7] == fieldbus.READ_HOLDING_REGISTERS],
-        "dns-query": [f for f in by_tag.get("DNS", ())
-                      if f.origin and f.dst_port == 53],
-        "coap-request": [f for f in by_tag.get("COAP", ())
-                         if f.origin and f.dst_port == 5683],
-        "api-request": [f for f in by_tag.get("API", ())
-                        if f.origin and f.dst_port == 8080 and f.payload],
+def _jitter_flows(gw_ip: str) -> dict:
+    """The periodic request flows jitter is measured on, in
+    metrics_report.json order: name -> (proto_tag, which delivered frames of
+    that tag belong to the flow)."""
+    return {
+        "modbus-poll": ("MODBUS", lambda f: (
+            f.origin and f.src_ip == gw_ip and f.dst_port == MODBUS_PORT
+            and len(f.payload) >= 8
+            and f.payload[7] == fieldbus.READ_HOLDING_REGISTERS)),
+        "dns-query": ("DNS", lambda f: f.origin and f.dst_port == 53),
+        "coap-request": ("COAP", lambda f: f.origin and f.dst_port == 5683),
+        "api-request": ("API", lambda f: (f.origin and f.dst_port == 8080
+                                          and f.payload)),
     }
-    all_windows = []
-    flow_summaries = {}
-    for name, sel in flows.items():
-        windows, flagged = analytics.jitter_series(sel)
-        all_windows.extend(windows)
-        flow_summaries[name] = {
-            "windows": len(windows), "over_bound": len(flagged),
-            "max_jitter_ms": max((w.jitter_ms for w in windows), default=0.0),
+
+
+class CaptureWalk:
+    """Every capture analytic that `run` and `report` write, fed from one
+    pass over a capture in non-decreasing ts_us order, the order
+    capture_export and write_capture_jsonl give. The conversations take
+    each run of equal ts_us stably sorted by deliver_ts_us, which is
+    build_conversations' own (ts_us, deliver_ts_us) order; the other
+    analytics take the frames in capture order. No frame is kept past the
+    run of its ts_us. With metrics false only the conversations are fed,
+    for a `run` that writes no metrics report."""
+
+    def __init__(self, plan: dict, metrics: bool = True):
+        self.with_metrics = metrics
+        read = planmod.Outline(plan)
+        self.targets = read.targets
+        gw_ip, plc_ip = (read.hosts[read.roles[role]][1][0][2]
+                         for role in ("gateway", "plc"))
+        self.conversations = analytics.Conversations()
+        self.packet_sizes = analytics.PacketSizes()
+        self.throughput = analytics.Throughput()
+        self.plc_rates = analytics.PlcRates(plc_ip, read.duration_us)
+        self.response_times = {proto: analytics.ResponseTimes(proto)
+                               for proto in analytics.RESPONSE_PROTOCOLS}
+        self.jitter = {name: (tag, select, analytics.JitterSeries())
+                       for name, (tag, select)
+                       in _jitter_flows(gw_ip).items()}
+
+    def feed(self, frames, source="capture") -> None:
+        """Feed every frame; a frame whose ts_us is below its predecessor's
+        raises ValueError naming source and the record."""
+        add_conversation = self.conversations.add
+        metrics = self.with_metrics
+        add_sizes, add_throughput, add_plc = (
+            self.packet_sizes.add, self.throughput.add, self.plc_rates.add)
+        # delivered frames by proto_tag: their response-time pairing and
+        # jitter flow
+        pairing = {tag: acc.add for tag, acc in self.response_times.items()}
+        flows = {tag: (select, acc.add)
+                 for tag, select, acc in self.jitter.values()}
+        n = 0                                  # frames fed
+        last_ts = None
+        for ts, same_ts in itertools.groupby(
+                frames, key=operator.attrgetter("ts_us")):
+            if last_ts is not None and ts < last_ts:
+                raise ValueError(
+                    f"{source}: bad capture record {n + 1}: ts_us {ts} is "
+                    f"below the previous record's {last_ts}")
+            last_ts = ts
+            same_ts = list(same_ts)
+            n += len(same_ts)
+            for f in same_ts if metrics else ():
+                add_plc(f)
+                if f.delivered:
+                    add_sizes(f)
+                    add_throughput(f)
+                    add = pairing.get(f.proto_tag)
+                    if add is not None:
+                        add(f)
+                    flow = flows.get(f.proto_tag)
+                    if flow is not None and flow[0](f):
+                        flow[1](f)
+            if len(same_ts) > 1:
+                same_ts.sort(key=operator.attrgetter("deliver_ts_us"))
+            for f in same_ts:
+                add_conversation(f)
+
+    def metrics(self) -> dict:
+        """The part of metrics_report.json that the capture alone
+        determines: packet sizes, network response times, jitter,
+        throughput and PLC request rates over the plan's duration."""
+        targets = self.targets
+        report = {"packet_stats": self.packet_sizes.result()}
+        rts = {}
+        for proto, acc in self.response_times.items():
+            stats = acc.result()
+            if stats.count == 0 and proto not in targets:
+                continue
+            rts[proto] = {"mean_ms": stats.mean_ms, "count": stats.count,
+                          "unmatched": stats.unmatched}
+            if proto in targets:
+                rts[proto]["target_ms"] = targets[proto]
+        report["response_times_ms"] = rts
+        report["modbus_mean_below_20ms"] = rts.get("MODBUS", {}).get(
+            "mean_ms", 0.0) < 20.0
+
+        all_windows = []
+        flow_summaries = {}
+        for name, (_, _, acc) in self.jitter.items():
+            windows, flagged = acc.result()
+            all_windows.extend(windows)
+            flow_summaries[name] = {
+                "windows": len(windows), "over_bound": len(flagged),
+                "max_jitter_ms": max((w.jitter_ms for w in windows),
+                                     default=0.0),
+            }
+        bound = analytics.JITTER_BOUND_MS
+        under = sum(1 for w in all_windows if w.jitter_ms < bound)
+        report["jitter"] = {
+            "bound_ms": bound,
+            "windows": len(all_windows),
+            "under_bound": under,
+            "fraction_under": under / len(all_windows) if all_windows else 1.0,
+            "flows": flow_summaries,
+            "series": [{"t0_us": w.t0_us, "jitter_ms": w.jitter_ms}
+                       for w in sorted(all_windows, key=lambda w: w.t0_us)],
         }
-    bound = analytics.JITTER_BOUND_MS
-    under = sum(1 for w in all_windows if w.jitter_ms < bound)
-    report["jitter"] = {
-        "bound_ms": bound,
-        "windows": len(all_windows),
-        "under_bound": under,
-        "fraction_under": under / len(all_windows) if all_windows else 1.0,
-        "flows": flow_summaries,
-        "series": [{"t0_us": w.t0_us, "jitter_ms": w.jitter_ms}
-                   for w in sorted(all_windows, key=lambda w: w.t0_us)],
-    }
-    report["throughput_bytes_per_s"] = [
-        {"t0_us": t0, "bytes_per_s": rate}
-        for t0, rate in analytics.throughput_series(frames)]
-    report["plc_request_rates"] = analytics.plc_request_rates(
-        frames, plc_ip, read.duration_us)
-    return report
+        report["throughput_bytes_per_s"] = [
+            {"t0_us": t0, "bytes_per_s": rate}
+            for t0, rate in self.throughput.result()]
+        report["plc_request_rates"] = self.plc_rates.result()
+        return report
 
 
-def build_metrics_report(build: Build, frames) -> dict:
-    """capture_metrics plus what only the live simulation knows: the I2C
-    transaction time, the PLC scan regularity and the broker counters."""
-    report = capture_metrics(build.plan, frames)
+def build_metrics_report(build: Build, report: dict) -> dict:
+    """A CaptureWalk's metrics, plus what only the live simulation knows:
+    the I2C transaction time, the PLC scan regularity and the broker
+    counters."""
     i2c_times = [(end - start) / 1000.0
                  for start, end, _ in build.i2c_bus.txn_log]
     i2c = report["response_times_ms"]["I2C"] = {

@@ -710,6 +710,8 @@ class TcpStream:
             self._peer_fin = True
             self._send(ACK)
             if self._local_fin:
+                # that ACK was the last frame this side sends
+                self._forget()
                 self._set_state("closed")
             else:
                 self.close()
@@ -717,6 +719,8 @@ class TcpStream:
         if flags == ACK and not frame.payload:
             if self.side == "server" and self.state == "connecting":
                 self._set_state("established")
+            elif self.state == "closed":
+                self._forget()      # the peer's last ACK
             return
         if self.state == "closed":
             return   # late data on a torn-down stream is ignored
@@ -828,32 +832,40 @@ _writer_line = re.compile(
 _JSON_BOOL = {"true": True, "false": False}
 
 
-def iter_capture_jsonl(path):
+def iter_capture_jsonl(path, keep=None):
     """Frames of a capture.jsonl, one at a time, in file order; a malformed
     record raises ValueError naming the file and the record. Equal str
-    values and flag tuples are one shared object."""
+    values and flag tuples are one shared object. keep, when given, is
+    called with each record's (l4, src_ip, dst_ip) once the record is
+    parsed and checked, and only the records it is true of become frames."""
     share = _Memo(lambda v: v)
     flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
     a2b = binascii.a2b_base64
     b = _JSON_BOOL
-    n = 0                                  # records turned into frames
+    n = 0                                  # records read
     with open(path) as fh:
         try:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
+                n += 1
                 m = _writer_line(line)
-                # the arguments of Frame, in its field order
                 if m is not None:
                     (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
                      l4, flags, tag, b64, segment, sender, origin, final,
                      delivered, deliver_ts, drop, fw) = m.groups()
-                    args = (int(ts), share[segment], share[sender],
+                    ts, src_port, dst_port, deliver_ts = (
+                        int(ts), int(src_port), int(dst_port), int(deliver_ts))
+                    payload = a2b(b64)
+                    if keep is not None and not keep(l4, src_ip, dst_ip):
+                        continue
+                    # the arguments of Frame, in its field order
+                    args = (ts, share[segment], share[sender],
                             share[src_mac], share[dst_mac], share[src_ip],
-                            share[dst_ip], int(src_port), int(dst_port),
-                            share[l4], flag_list[flags], a2b(b64), share[tag],
-                            b[origin], b[final], b[delivered], int(deliver_ts),
+                            share[dst_ip], src_port, dst_port,
+                            share[l4], flag_list[flags], payload, share[tag],
+                            b[origin], b[final], b[delivered], deliver_ts,
                             share[drop], b[fw])
                 else:
                     rec = _parse_record(line)
@@ -872,11 +884,12 @@ def iter_capture_jsonl(path):
                         get("origin", True), get("final", False),
                         get("delivered", False), get("deliver_ts_us", 0),
                         share[get("drop_reason", "")], get("fw_denied", False))
-                frame = Frame(*args)
-                n += 1
-                yield frame
+                    if keep is not None and not keep(args[9], args[5],
+                                                     args[6]):
+                        continue
+                yield Frame(*args)
         except (ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}: bad capture record {n + 1}: "
+            raise ValueError(f"{path}: bad capture record {n}: "
                              f"{type(e).__name__}: {e}") from e
 
 

@@ -4,9 +4,13 @@ from datetime import datetime, timezone
 
 import pytest
 
-from iiotsim.cloud import (Broker, MqttClient, TopicFilterError, _WindowCounter,
-                           decode_packet, topic_match)
+from iiotsim import harness
+from iiotsim.cloud import (MQTT_PORT, Broker, MqttClient, TopicFilterError,
+                           _WindowCounter, decode_packet, encode_packet,
+                           topic_match)
 from iiotsim.netsim import LinkProfile, Simulation
+
+from conftest import small_plan
 
 EPOCH = datetime(2019, 7, 18, 6, 0, 0, tzinfo=timezone.utc)
 
@@ -266,3 +270,44 @@ class TestDeliveredSetEquivalence:
         assert len(station) == 25
         assert "$SYS/broker/version" in sys_topics
         assert "$SYS/broker/bytes/sent" in sys_topics
+
+
+# packets the broker cannot act on, each dropped like an undecodable one
+MALFORMED_PACKETS = [
+    {"type": "SUBSCRIBE", "filters": 5, "mid": 1},
+    {"type": "SUBSCRIBE", "filters": "station/#", "mid": 2},
+    {"type": "PUBLISH", "qos": 1, "mid": 3, "payload": "x"},
+    {"type": "PUBLISH", "topic": ["station"], "qos": 1, "mid": 4},
+    {"type": "PUBLISH", "topic": "station/x", "qos": 1, "mid": 5,
+     "payload": 7},
+    {"type": "PUBLISH", "topic": "station/x", "qos": 3, "mid": 6},
+    {"type": "PUBLISH", "topic": "station/x", "qos": -1, "mid": 7},
+    {"type": "PUBLISH", "topic": "station/x", "qos": [2], "mid": 8},
+    {"type": "PUBLISH", "topic": "station/x", "qos": 2, "mid": [9]},
+    {"type": "PUBLISH", "topic": "station/x", "qos": 1, "mid": {"n": 10}},
+    {"type": "SUBSCRIBE", "filters": ["station/#"], "mid": [11]},
+    {"type": "PUBREL", "mid": [12]},
+]
+
+
+def test_broker_drops_malformed_packets_and_the_run_goes_on():
+    build = harness.Build(small_plan(duration_s=30.0), seed=3)
+    sim = build.sim
+    stream = build.attacker.open_tcp(build.cloud_host.interfaces[0].ip,
+                                     MQTT_PORT, "MQTT")
+    replies = []
+    stream.on_established = lambda s: s.write(encode_packet(
+        {"type": "CONNECT", "client_id": "probe"}))
+    stream.on_data = lambda s, data: replies.append(decode_packet(data))
+    sim.run_until(1_000_000)
+    assert [p["type"] for p in replies] == ["CONNACK"]
+    for pkt in MALFORMED_PACKETS:
+        stream.write(encode_packet(pkt))
+        sim.run_until(sim.now_us + 500_000)
+    assert [p["type"] for p in replies] == ["CONNACK"]
+    assert stream.state == "established"
+    # the session still works, and the rest of the run goes on
+    stream.write(encode_packet({"type": "SUBSCRIBE", "filters": ["x/#"],
+                                "mid": 13}))
+    build.run()
+    assert replies[1:] == [{"type": "SUBACK", "mid": 13}]

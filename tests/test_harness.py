@@ -433,6 +433,80 @@ class TestRunArtifacts:
         assert digests == GOLDEN_DIGESTS
 
 
+class TestCaptureWalk:
+    def test_walk_equals_the_list_functions(self, bundle):
+        result, out = bundle
+        path = os.path.join(out, "capture.jsonl")
+        frames = netsim.read_capture_jsonl(path)
+        walk = harness.CaptureWalk(result.plan)
+        walk.feed(netsim.iter_capture_jsonl(path), path)
+        conversations = walk.conversations.result()
+        expected = analytics.build_conversations(frames)
+        assert len(conversations) > 50
+        # repr shows every field, flag_hist in its insertion order too
+        assert repr(conversations) == repr(expected)
+        assert (analytics.label_dataset(conversations, result.windows)
+                == analytics.label_dataset(expected, result.windows))
+
+        metrics = walk.metrics()
+        assert metrics["packet_stats"] == analytics.packet_size_stats(frames)
+        assert metrics["response_times_ms"]
+        for proto, entry in metrics["response_times_ms"].items():
+            stats = analytics.response_times(frames, proto)
+            assert stats.samples_ms == walk.response_times[proto].samples
+            assert (entry["mean_ms"], entry["count"], entry["unmatched"]) \
+                == (stats.mean_ms, stats.count, stats.unmatched)
+        gw_ip = result.gw_host.interfaces[0].ip
+        for name, (tag, select) in harness._jitter_flows(gw_ip).items():
+            windows, flagged = analytics.jitter_series(
+                [f for f in frames if f.proto_tag == tag and f.delivered
+                 and select(f)])
+            flow = metrics["jitter"]["flows"][name]
+            assert (flow["windows"], flow["over_bound"]) == (len(windows),
+                                                             len(flagged))
+        assert metrics["jitter"]["windows"] > 0
+        assert metrics["throughput_bytes_per_s"] == [
+            {"t0_us": t0, "bytes_per_s": rate}
+            for t0, rate in analytics.throughput_series(frames)]
+        assert metrics["plc_request_rates"] == analytics.plc_request_rates(
+            frames, result.plc_ip, result.read.duration_us)
+
+    def test_equal_ts_run_in_reverse_deliver_order(self, tmp_path):
+        def frame(ts, src, dst, flags, deliver, payload=b""):
+            return netsim.Frame(
+                ts, "lan", src[0], "02:00:00:00:00:01", "02:00:00:00:00:02",
+                src[0], dst[0], src[1], dst[1], "TCP", flags, payload,
+                "HTTP", delivered=True, deliver_ts_us=deliver)
+
+        a, b = ("10.0.0.1", 40000), ("10.0.0.2", 80)
+        # one ts_us, written latest delivery first: the first delivered
+        # frame (b -> a) makes b the originator, and the FIN it carries
+        # lets the SYN after it start a second conversation
+        frames = [frame(1000, a, b, ("SYN",), 1900),
+                  frame(1000, a, b, ("ACK", "PSH"), 1800, b"x"),
+                  frame(1000, b, a, ("ACK", "FIN"), 1100),
+                  frame(2000, a, b, ("ACK",), 2100)]
+        path = tmp_path / "capture.jsonl"
+        netsim.write_capture_jsonl(frames, path)
+        walk = harness.CaptureWalk(small_plan())
+        walk.feed(netsim.iter_capture_jsonl(path), path)
+        expected = analytics.build_conversations(frames)
+        # in file order it would be one conversation of 4, from a
+        assert [(c.orig_ip, c.total_pkts()) for c in expected] == [
+            ("10.0.0.1", 2), ("10.0.0.2", 2)]
+        assert repr(walk.conversations.result()) == repr(expected)
+
+    def test_a_frame_out_of_ts_order_is_refused(self):
+        walk = harness.CaptureWalk(small_plan())
+        frames = [netsim.Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
+                               "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
+                  for ts in (5, 5, 9, 7)]
+        with pytest.raises(ValueError) as error:
+            walk.feed(frames, "cap")
+        assert str(error.value) == ("cap: bad capture record 4: ts_us 7 is "
+                                    "below the previous record's 9")
+
+
 class TestClientScripts:
     def test_requests_follow_the_cycle_count(self):
         plan = small_plan(duration_s=24.0)
@@ -561,6 +635,48 @@ class TestCli:
         assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 0
         metrics = json.load(open(tmp_path / "metrics_report.json"))
         assert metrics["response_times_ms"][tag]["count"] == 0
+
+    @staticmethod
+    def copy_capture(bundle, out, edit):
+        """out/ holding the bundle's capture with its lines edited."""
+        with open(os.path.join(bundle[1], "capture.jsonl")) as fh:
+            lines = fh.readlines()
+        out.mkdir()
+        (out / "capture.jsonl").write_text("".join(edit(lines)))
+
+    REBUILT = ("conn.log", "dataset.csv", "metrics_report.json")
+
+    def test_report_refuses_a_capture_out_of_ts_order(self, bundle, tmp_path,
+                                                      capsys):
+        ts = [json.loads(line)["ts_us"] for line in
+              open(os.path.join(bundle[1], "capture.jsonl"))]
+        k = next(k for k in range(100, len(ts)) if ts[k] < ts[k + 1])
+
+        def swap(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+            return lines
+
+        out = tmp_path / "out"
+        self.copy_capture(bundle, out, swap)
+        assert cli.main(["--quiet", "report", "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == (
+            f"cannot read bundle: {out / 'capture.jsonl'}: bad capture "
+            f"record {k + 2}: ts_us {ts[k]} is below the previous record's "
+            f"{ts[k + 1]}")
+        assert not any((out / name).exists() for name in self.REBUILT)
+
+    def test_report_writes_nothing_when_the_last_record_is_bad(
+            self, bundle, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.copy_capture(bundle, out,
+                          lambda lines: lines[:-1] + [lines[-1][:60] + "\n"])
+        assert cli.main(["--quiet", "report", "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        n = sum(1 for _ in open(out / "capture.jsonl"))
+        assert error.startswith(f"cannot read bundle: {out / 'capture.jsonl'}"
+                                f": bad capture record {n}: ")
+        assert not any((out / name).exists() for name in self.REBUILT)
 
     def test_detect_rejects_fewer_than_two_folds(self, tmp_path, capsys):
         for folds in ("1", "0"):

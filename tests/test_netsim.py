@@ -373,6 +373,21 @@ class TestTcpStreams:
         assert len(fins) == 2      # one FIN per side
         assert stream.state == "closed"
 
+    @pytest.mark.parametrize("closer", ["client", "server"])
+    def test_orderly_close_frees_both_streams(self, closer):
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        if closer == "server":
+            svc.on_data = lambda s, data: s.close()
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = (
+            lambda s: s.close() if closer == "client" else s.write(b"bye"))
+        sim.run_until(1_000_000)
+        assert [f.tcp_flags for f in sim.capture][-1] == ("ACK",)
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+
     def test_reset_terminates(self):
         sim, gw, router = lan_pair()
         router.bind_tcp(443, EchoService())
@@ -688,6 +703,49 @@ class TestCaptureReader:
         write_capture_jsonl(frames, path)
         monkeypatch.setattr(netsim, "_parse_record", refuse)
         assert netsim.read_capture_jsonl(path) == frames
+
+    @staticmethod
+    def keep(l4, src_ip, dst_ip):
+        return l4 == "TCP" and "10.0.0.1" in (src_ip, dst_ip)
+
+    def test_keep_builds_only_the_frames_it_is_true_of(self, tmp_path,
+                                                       monkeypatch):
+        frames = self.frames(600)
+        path = tmp_path / "capture.jsonl"
+        # lines of both paths: a valid unwritten shape every 40 records
+        shapes = ("unicode_escape", "escaped_quote", "doubled_spaces",
+                  "reordered_keys", "no_segment")
+        replace = {}
+        for k, shape in enumerate(shapes * 3):
+            rec = frame_to_record(frames[7 + 40 * k])
+            replace[7 + 40 * k] = self.UNWRITTEN[shape](json.dumps(rec), rec)
+        self.write(path, frames, replace)
+        expected = [f for f in netsim.read_capture_jsonl(path)
+                    if self.keep(f.l4, f.src_ip, f.dst_ip)]
+        built = []
+
+        def frame(*args):
+            built.append(Frame(*args))
+            return built[-1]
+
+        monkeypatch.setattr(netsim, "Frame", frame)
+        kept = list(netsim.iter_capture_jsonl(path, keep=self.keep))
+        assert kept == expected and repr(kept) == repr(expected)
+        assert len(built) == len(kept)
+        assert 0 < len(kept) < len(frames) / 2
+
+    @pytest.mark.parametrize("garble", sorted(GARBLES))
+    def test_keep_still_checks_the_records_it_drops(self, tmp_path, garble):
+        frames = self.frames()
+        rec = frame_to_record(frames[3333])
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {3333: self.GARBLES[garble](
+            json.dumps(rec), rec)})
+        with pytest.raises(ValueError) as reference_error:
+            netsim.read_capture_jsonl(path)
+        with pytest.raises(ValueError) as error:
+            list(netsim.iter_capture_jsonl(path, keep=lambda *_: False))
+        assert str(error.value) == str(reference_error.value)
 
     @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
     def test_record_that_is_not_an_object(self, tmp_path, text):
