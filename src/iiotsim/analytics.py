@@ -3,12 +3,11 @@
 extraction with ground-truth labeling."""
 
 import csv
-import json
 import struct
 from dataclasses import dataclass, field
 
 from . import fieldbus
-from .cloud import decode_packet
+from .cloud import decode_packet, loads
 
 IDLE_TIMEOUT_US = 60_000_000
 JITTER_WINDOW_US = 10_000_000
@@ -195,6 +194,11 @@ RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
                       "HTTPS": {443}}
 
 
+# the JSON values that cannot key pending: a frame whose id is one is not
+# paired, as the broker drops such a packet
+_UNHASHABLE = (list, dict)
+
+
 class ResponseTimes:
     """Request/response pairing for one protocol, fed that protocol's
     delivered frames in ts_us order.
@@ -203,7 +207,8 @@ class ResponseTimes:
     PUBLISH->PUBCOMP per message id; byte-stream protocols (HTTP, API, SMTP,
     HTTPS) pair each client payload with the next server payload on the same
     stream. Times run from the origin's send to the final delivery back. A
-    pending request keeps only its ts_us.
+    pending request keeps only its ts_us. A CoAP, DNS or MQTT frame whose id
+    is a JSON list or object is not paired.
     """
 
     def __init__(self, proto_tag: str):
@@ -237,12 +242,14 @@ class ResponseTimes:
         if not f.payload:
             return
         try:
-            body = json.loads(f.payload.decode())
+            body = loads(f.payload.decode())
         except ValueError:
             return
         if not isinstance(body, dict):
             return
         mid = body.get("mid", body.get("id", 0))
+        if isinstance(mid, _UNHASHABLE):
+            return
         is_request = (body.get("code") in ("GET", "PUT")) \
             if self.proto == "COAP" \
             else "q" in body and "a" not in body and "error" not in body
@@ -258,12 +265,14 @@ class ResponseTimes:
             pkt = decode_packet(f.payload)
         except ValueError:
             return
+        mid = pkt.get("mid")
+        if isinstance(mid, _UNHASHABLE):
+            return
         if pkt.get("type") == "PUBLISH" and pkt.get("qos") == 2 and \
                 not pkt.get("dup") and f.origin:
-            self.pending.setdefault((f.src_ip, f.src_port, pkt.get("mid")),
-                                    f.ts_us)
+            self.pending.setdefault((f.src_ip, f.src_port, mid), f.ts_us)
         elif pkt.get("type") == "PUBCOMP" and f.final:
-            self._answer((f.dst_ip, f.dst_port, pkt.get("mid")), f)
+            self._answer((f.dst_ip, f.dst_port, mid), f)
 
     def _add_stream(self, f) -> None:
         # sequential pairing, client payload -> next server payload per stream

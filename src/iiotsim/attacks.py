@@ -10,7 +10,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import fieldbus
-from .cloud import MQTT_PORT, MqttClient, decode_packet, encode_packet
+from .cloud import (MQTT_PORT, MqttClient, decode_packet, dumps,
+                    encode_packet, loads)
 from .netsim import US_PER_S, ArpFailure
 
 ARP_SPOOF = "arp_spoof"
@@ -129,14 +130,14 @@ def scale_measurement_transform(k: float):
         if pkt.get("type") != "PUBLISH" or pkt.get("topic", "").startswith("$"):
             return payload
         try:
-            body = json.loads(pkt.get("payload", ""))
+            body = loads(pkt.get("payload", ""))
         except ValueError:
             return payload
         if not isinstance(body, dict) or "Measurement" not in body:
             return payload
         if isinstance(body["Measurement"], (int, float)):
             body["Measurement"] = body["Measurement"] * k
-            pkt["payload"] = json.dumps(body)
+            pkt["payload"] = dumps(body)
         return encode_packet(pkt)
 
     return transform
@@ -500,9 +501,9 @@ class WebEnum(Injector):
             if s.state != "established":
                 return
             sent += 1
-            s.write(json.dumps({"action": "get",
-                                "path": f"/admin/dir{k}/page{sent:04d}",
-                                "probe": "x" * 120}).encode())
+            s.write(dumps({"action": "get",
+                           "path": f"/admin/dir{k}/page{sent:04d}",
+                           "probe": "x" * 120}).encode())
 
         def on_data(s, data):
             if sent < n_req:
@@ -603,18 +604,18 @@ class ExploitWebgui(Injector):
         user, password = self.credentials
 
         def on_established(s):
-            s.write(json.dumps({"action": "login", "user": user,
-                                "password": password}).encode())
+            s.write(dumps({"action": "login", "user": user,
+                           "password": password}).encode())
 
         def on_data(s, data):
-            body = json.loads(data.decode())
+            body = loads(data.decode())
             if stage["n"] == 0:
                 stage["n"] = 1
                 if body.get("auth") != "ok":
                     self.failure = "bad credentials"
                     s.close()
                     return
-                s.write(json.dumps(
+                s.write(dumps(
                     {"action": "inject", "attacker": self.attacker.host_id,
                      "payload": "<?php graph callback ?>"}).encode())
             else:

@@ -1,10 +1,13 @@
 """Cloud tier: a minimal MQTT broker with QoS 0/1/2, topic matching,
 $SYS state topics and a historian fed by exactly-once deliveries."""
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import timedelta
+from json.decoder import JSONDecoder
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .historian import Historian
 
@@ -17,14 +20,38 @@ class TopicFilterError(Exception):
     pass
 
 
+_default = JSONEncoder().default
+_scan_once = JSONDecoder().scan_once
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj), by the C encoder json.dumps itself runs, without its
+    per-call set-up. The markers dict that catches a circular reference is
+    new on each call, because the encoder leaves it dirty after an error."""
+    return "".join(c_make_encoder({}, _default, encode_basestring_ascii,
+                                  None, ": ", ", ", False, False, True)(obj, 0))
+
+
+def loads(text: str):
+    """json.loads(text) of a str. The scan at index 0 is all json.loads does
+    for a text that is one JSON value with no surrounding whitespace; any
+    other text, valid or not, goes to json.loads itself, so its result and
+    its errors are json.loads's."""
+    try:
+        obj, end = _scan_once(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    return obj if end == len(text) else json.loads(text)
+
+
 def encode_packet(pkt: dict) -> bytes:
-    return json.dumps(pkt).encode()
+    return dumps(pkt).encode()
 
 
 def decode_packet(raw: bytes) -> dict:
     """The packet raw encodes; ValueError when it is not a JSON object of a
     known packet type."""
-    pkt = json.loads(raw.decode())
+    pkt = loads(raw.decode())
     if not isinstance(pkt, dict):
         raise ValueError(f"MQTT packet is a JSON {type(pkt).__name__}, "
                          "not an object")
@@ -69,8 +96,14 @@ def validate_filter(flt: str) -> None:
 
 
 def topic_match(flt: str, topic: str) -> bool:
-    """Wildcard match; '#'/'+' filters never match '$'-prefixed topics."""
+    """Wildcard match; '#'/'+' filters never match '$'-prefixed topics.
+    TopicFilterError when flt is not a valid filter."""
     validate_filter(flt)
+    return _match(flt, topic)
+
+
+def _match(flt: str, topic: str) -> bool:
+    """topic_match of a filter known to be valid."""
     if topic.startswith("$") and flt[0] in ("#", "+"):
         return False
     flevels = flt.split("/")
@@ -99,7 +132,7 @@ class CloudHistorian(Historian):
 
     def store(self, ts_us: int, topic: str, payload: str) -> int | None:
         try:
-            body = json.loads(payload)
+            body = loads(payload)
         except (ValueError, UnicodeDecodeError):
             self.quarantine.append((ts_us, topic, payload, "not JSON"))
             return None
@@ -165,6 +198,9 @@ class Broker:
         self.delivered_log: list = []     # (ts_us, client_id, topic, payload)
         self._load_bytes = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
         self._load_msgs = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
+        # stored filters passed validate_filter, so deliveries match them
+        # without checking them again, through a bounded memo
+        self._match = functools.lru_cache(maxsize=1024)(_match)
         host.bind_tcp(MQTT_PORT, self)
 
     # -- fabric service interface ---------------------------------------
@@ -240,8 +276,9 @@ class Broker:
             self.historian.store(ts, topic, payload)
         out = encode_packet({"type": "PUBLISH", "qos": 0, "topic": topic,
                              "payload": payload, "mid": 0})
+        match = self._match
         for session in self.sessions.values():
-            if any(topic_match(f, topic) for f in session.subscriptions):
+            if any(match(f, topic) for f in session.subscriptions):
                 self._push(session, out)
                 self.delivered_log.append((ts, session.client_id, topic,
                                            payload))

@@ -46,34 +46,69 @@ def _check_u16(name, value):
         raise ModbusCodecError(f"{name} {value} out of u16 range")
 
 
+# MBAP header (transaction id, protocol id 0, length of unit id + PDU, unit
+# id), then the PDU
+_HEAD = struct.Struct(">HHHBB")           # MBAP + function code
+_REQUEST = struct.Struct(">HHHBBHH")      # + address, count or value
+_HEAD_BYTE = struct.Struct(">HHHBBB")     # + byte count or exception code
+_ADDRESS_VALUE = struct.Struct(">HH")
+
+
+class _Registers(dict):
+    """Register count -> the Struct of that many big-endian registers,
+    compiled at its first use; a byte count holds at most 127."""
+
+    def __missing__(self, n):
+        packer = self[n] = struct.Struct(f">{n}H")
+        return packer
+
+
+_REGISTERS = _Registers()
+
+
+def pack_request(transaction_id: int, unit_id: int, function: int,
+                 address: int, count_or_value: int) -> bytes:
+    """encode_request of the ADU with these fields."""
+    if function not in SUPPORTED_FUNCTIONS:
+        raise ModbusCodecError(f"unsupported function {function}")
+    if function == READ_HOLDING_REGISTERS and \
+            not 1 <= count_or_value <= MAX_READ_COUNT:
+        raise ModbusCodecError(f"read count {count_or_value} out of range")
+    _check_u16("transaction_id", transaction_id)
+    _check_u16("address", address)
+    _check_u16("count_or_value", count_or_value)
+    return _REQUEST.pack(transaction_id, 0, 6, unit_id, function, address,
+                         count_or_value)
+
+
+def pack_read_response(transaction_id: int, unit_id: int, data) -> bytes:
+    """encode_response of a read-holding-registers ADU with these fields."""
+    for v in data:
+        _check_u16("register", v)
+    n = len(data)
+    return _HEAD_BYTE.pack(transaction_id, 0, 3 + 2 * n, unit_id,
+                           READ_HOLDING_REGISTERS, 2 * n) + \
+        _REGISTERS[n].pack(*data)
+
+
 def encode_request(adu: ModbusAdu) -> bytes:
-    if adu.function not in SUPPORTED_FUNCTIONS:
-        raise ModbusCodecError(f"unsupported function {adu.function}")
-    if adu.function == READ_HOLDING_REGISTERS and not 1 <= adu.count_or_value <= MAX_READ_COUNT:
-        raise ModbusCodecError(f"read count {adu.count_or_value} out of range")
-    _check_u16("transaction_id", adu.transaction_id)
-    _check_u16("address", adu.address)
-    _check_u16("count_or_value", adu.count_or_value)
-    pdu = struct.pack(">BHH", adu.function, adu.address, adu.count_or_value)
-    return struct.pack(">HHHB", adu.transaction_id, 0, len(pdu) + 1,
-                       adu.unit_id) + pdu
+    return pack_request(adu.transaction_id, adu.unit_id, adu.function,
+                        adu.address, adu.count_or_value)
 
 
 def decode_request(raw: bytes) -> ModbusAdu:
     if len(raw) < 8:
         raise ModbusCodecError("truncated MODBUS request")
-    tid, proto, length, unit = struct.unpack(">HHHB", raw[:7])
+    tid, proto, length, unit, fn = _HEAD.unpack_from(raw)
     if proto != 0:
         raise ModbusCodecError(f"bad protocol id {proto}")
-    pdu = raw[7:]
-    if len(pdu) != length - 1:
+    if len(raw) - 7 != length - 1:
         raise ModbusCodecError("length field does not match PDU")
-    fn = pdu[0]
     if fn not in SUPPORTED_FUNCTIONS:
         raise ModbusCodecError(f"unsupported function {fn}")
-    if len(pdu) != 5:
+    if len(raw) != _REQUEST.size:
         raise ModbusCodecError("truncated MODBUS request PDU")
-    addr, cov = struct.unpack(">HH", pdu[1:5])
+    addr, cov = _ADDRESS_VALUE.unpack_from(raw, 8)
     if fn == READ_HOLDING_REGISTERS and not 1 <= cov <= MAX_READ_COUNT:
         raise ModbusCodecError(f"read count {cov} out of range")
     return ModbusAdu(tid, unit, fn, addr, cov)
@@ -81,44 +116,39 @@ def decode_request(raw: bytes) -> ModbusAdu:
 
 def encode_response(adu: ModbusAdu) -> bytes:
     if adu.is_exception:
-        pdu = struct.pack(">BB", adu.function | 0x80, adu.exception_code)
-    elif adu.function == READ_HOLDING_REGISTERS:
-        for v in adu.data:
-            _check_u16("register", v)
-        pdu = struct.pack(">BB", adu.function, 2 * len(adu.data))
-        pdu += b"".join(struct.pack(">H", v) for v in adu.data)
-    elif adu.function in (WRITE_SINGLE_COIL, WRITE_SINGLE_REGISTER):
-        pdu = struct.pack(">BHH", adu.function, adu.address, adu.count_or_value)
-    else:
-        raise ModbusCodecError(f"unsupported function {adu.function}")
-    return struct.pack(">HHHB", adu.transaction_id, 0, len(pdu) + 1,
-                       adu.unit_id) + pdu
+        return _HEAD_BYTE.pack(adu.transaction_id, 0, 3, adu.unit_id,
+                               adu.function | 0x80, adu.exception_code)
+    if adu.function == READ_HOLDING_REGISTERS:
+        return pack_read_response(adu.transaction_id, adu.unit_id, adu.data)
+    if adu.function in (WRITE_SINGLE_COIL, WRITE_SINGLE_REGISTER):
+        # a write response echoes its request
+        return _REQUEST.pack(adu.transaction_id, 0, 6, adu.unit_id,
+                             adu.function, adu.address, adu.count_or_value)
+    raise ModbusCodecError(f"unsupported function {adu.function}")
 
 
 def decode_response(raw: bytes) -> ModbusAdu:
     if len(raw) < 9:
         raise ModbusCodecError("truncated MODBUS response")
-    tid, proto, length, unit = struct.unpack(">HHHB", raw[:7])
+    tid, proto, length, unit, fn = _HEAD.unpack_from(raw)
     if proto != 0:
         raise ModbusCodecError(f"bad protocol id {proto}")
-    pdu = raw[7:]
-    if len(pdu) != length - 1:
+    if len(raw) - 7 != length - 1:
         raise ModbusCodecError("length field does not match PDU")
-    fn = pdu[0]
     if fn & 0x80:
         base = fn & 0x7F
         if base not in SUPPORTED_FUNCTIONS:
             raise ModbusCodecError(f"unsupported function {base}")
-        return ModbusAdu(tid, unit, base, exception_code=pdu[1])
+        return ModbusAdu(tid, unit, base, exception_code=raw[8])
     if fn == READ_HOLDING_REGISTERS:
-        count = pdu[1]
-        if count % 2 or len(pdu) != 2 + count:
+        count = raw[8]
+        if count % 2 or len(raw) != 9 + count:
             raise ModbusCodecError("bad read response byte count")
-        vals = struct.unpack(f">{count // 2}H", pdu[2:])
-        return ModbusAdu(tid, unit, fn, data=tuple(vals),
+        return ModbusAdu(tid, unit, fn,
+                         data=_REGISTERS[count // 2].unpack_from(raw, 9),
                          count_or_value=count // 2)
     if fn in (WRITE_SINGLE_COIL, WRITE_SINGLE_REGISTER):
-        addr, val = struct.unpack(">HH", pdu[1:5])
+        addr, val = _ADDRESS_VALUE.unpack(raw[8:12])
         return ModbusAdu(tid, unit, fn, addr, val)
     raise ModbusCodecError(f"unsupported function {fn}")
 

@@ -2,11 +2,10 @@
 deadband-gated cloud forwarding, local historian, CoAP server, local/remote
 API, and mail-style notifications."""
 
-import json
 from dataclasses import dataclass
 
 from . import fieldbus
-from .cloud import MqttClient
+from .cloud import MqttClient, dumps, loads
 from .historian import Historian
 from .plant import (PLC_INPUT_REGISTER, PLC_SETPOINT_REGISTER,
                     modbus_transact)
@@ -44,13 +43,13 @@ class TelemetryMessage:
     body: str      # JSON text with exactly the five expected keys
 
     def parsed(self) -> dict:
-        return json.loads(self.body)
+        return loads(self.body)
 
 
 def build_telemetry(reading: Reading) -> TelemetryMessage:
     device_id, device_type, function, content_type, topic = DEVICE_PROFILES[
         reading.device_key]
-    body = json.dumps({
+    body = dumps({
         "Device ID": device_id,
         "Device Type": device_type,
         "Measurement": reading.value,
@@ -251,9 +250,9 @@ class EdgeGateway:
                 return {"type": rtype, "code": "5.00 Internal Server Error",
                         "mid": mid, "payload": ""}
             sample = fieldbus.mpl_decode(data)
-            payload = json.dumps({"Device Name": "MPL3115A2",
-                                  "data": {"Ctemp": {"Celsius": sample.celsius},
-                                           "Pressure": {"Pascalpre": sample.kilopascal}}})
+            payload = dumps({"Device Name": "MPL3115A2",
+                             "data": {"Ctemp": {"Celsius": sample.celsius},
+                                      "Pressure": {"Pascalpre": sample.kilopascal}}})
             return {"type": rtype, "code": "2.05 Content", "mid": mid,
                     "payload": payload}
         if code == "PUT" and path.startswith("/actuators/"):
@@ -273,18 +272,18 @@ class EdgeGateway:
 
     def _coap_service(self, host, frame) -> None:
         try:
-            request = json.loads(frame.payload.decode())
+            request = loads(frame.payload.decode())
         except ValueError:
             return
         response = self.coap_serve(request)
         self.sim.schedule(self.svc_us["COAP"], host.send_udp, frame.src_ip,
-                          frame.src_port, json.dumps(response).encode(),
+                          frame.src_port, dumps(response).encode(),
                           "COAP", frame.dst_port)
 
     # -- DNS-lite -------------------------------------------------------------
     def _dns_service(self, host, frame) -> None:
         try:
-            query = json.loads(frame.payload.decode())
+            query = loads(frame.payload.decode())
         except ValueError:
             return
         name = query.get("q", "")
@@ -294,7 +293,7 @@ class EdgeGateway:
         else:
             answer["error"] = "NXDOMAIN"
         self.sim.schedule(self.svc_us["DNS"], host.send_udp, frame.src_ip,
-                          frame.src_port, json.dumps(answer).encode(), "DNS",
+                          frame.src_port, dumps(answer).encode(), "DNS",
                           frame.dst_port)
 
     # -- API / Web-SCADA snapshot ----------------------------------------------
@@ -382,12 +381,12 @@ class _HttpService:
 
     def on_data(self, stream, data: bytes):
         try:
-            request = json.loads(data.decode())
+            request = loads(data.decode())
         except ValueError:
             request = {}
 
         def reply(status, body):
-            stream.reply_after(self.service_time_us, json.dumps(
+            stream.reply_after(self.service_time_us, dumps(
                 {"status": status, "body": body}).encode())
 
         self.gateway.api_handle(request, reply)

@@ -9,9 +9,9 @@ import os
 from datetime import datetime, timezone
 
 from . import analytics, attacks, fieldbus, hunt, plan as planmod
-from .cloud import Broker
+from .cloud import Broker, dumps
 from .gateway import EdgeGateway
-from .historian import iso_ms
+from .historian import IsoStamp
 from .netsim import (US_PER_S, Acl, AclRule, RouteError, Simulation,
                      capture_export, parse_cidr, write_capture_jsonl)
 from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
@@ -269,11 +269,11 @@ class Build:
         cycles = itertools.count(1)
 
         def datagram():
-            body = json.dumps(request(next(cycles))).encode()
+            body = dumps(request(next(cycles))).encode()
             host.send_udp(ip, port, body, tag)
 
         def connection():
-            body = json.dumps(request(next(cycles))).encode()
+            body = dumps(request(next(cycles))).encode()
             replies = itertools.count(1)
             stream = host.open_tcp(ip, port, tag)
             stream.on_established = lambda s: s.write(body)
@@ -320,7 +320,8 @@ def write_lines(lines, path) -> None:
 
 
 def _syslog_lines(build, entries) -> list:
-    return [f"{iso_ms(build.epoch, ts)} {text}" for ts, text in entries]
+    stamp = IsoStamp(build.epoch)
+    return [f"{stamp(ts)} {text}" for ts, text in entries]
 
 
 def label_conversations(conversations, windows, conn_log_path,

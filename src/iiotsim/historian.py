@@ -8,9 +8,24 @@ CSV_HEADER = ("Record_ID", "Time", "Device_ID", "Device_Type", "Measurement",
               "Function", "Content_Type")
 
 
-def iso_ms(epoch: datetime, ts_us: int) -> str:
-    t = epoch + timedelta(microseconds=ts_us)
-    return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
+class IsoStamp:
+    """Call with ts_us for the ISO-8601 UTC text, to the millisecond, of
+    epoch + ts_us. It keeps the text of the last second it formatted, so
+    stamps within one second format only their milliseconds."""
+
+    def __init__(self, epoch: datetime):
+        self._base = epoch.replace(microsecond=0)
+        self._base_us = epoch.microsecond
+        self._second = None
+        self._text = ""
+
+    def __call__(self, ts_us: int) -> str:
+        second, us = divmod(self._base_us + ts_us, 1_000_000)
+        if second != self._second:
+            self._second = second
+            self._text = (self._base + timedelta(seconds=second)).strftime(
+                "%Y-%m-%dT%H:%M:%S.")
+        return f"{self._text}{us // 1000:03d}Z"
 
 
 def parse_iso(epoch: datetime, text: str) -> int:
@@ -45,10 +60,11 @@ class Historian:
         self.epoch = epoch
         self.rows: list[TelemetryRecord] = []
         self._next_id = 1
+        self.iso_ms = IsoStamp(epoch)
 
     def insert(self, ts_us: int, device_id: str, device_type: str,
                measurement: float, function: str, content_type: str) -> int:
-        rec = TelemetryRecord(self._next_id, ts_us, iso_ms(self.epoch, ts_us),
+        rec = TelemetryRecord(self._next_id, ts_us, self.iso_ms(ts_us),
                               device_id, device_type, float(measurement),
                               function, content_type)
         self._next_id += 1

@@ -389,6 +389,9 @@ class Host:
         self._tcp_services: dict[int, object] = {}
         self._udp_services: dict[int, object] = {}
         self._streams: dict[tuple, "TcpStream"] = {}
+        # keys of streams freed when both ends closed at once: the peer's
+        # ACK of their FIN is still to come
+        self._fin_waits: set = set()
         self._eph_port = 49152
         self._conntrack: set = set()
         self.ips: frozenset = frozenset()        # set by attach_host
@@ -615,6 +618,8 @@ class Host:
             stream.on_established = svc.on_open
             stream.on_data = svc.on_data
             stream._rx(frame)
+        elif frame.tcp_flags == ACK and key in self._fin_waits:
+            self._fin_waits.discard(key)
         elif "RST" not in frame.tcp_flags:
             # closed port: refuse
             self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
@@ -636,6 +641,7 @@ class TcpStream:
         self.side = side             # "client" | "server"
         self.key = (local_ip, local_port, peer_ip, peer_port)
         host._streams[self.key] = self
+        host._fin_waits.discard(self.key)    # a new connection ends the wait
         self.client_ip = local_ip if side == "client" else peer_ip
         self.proto_tag = proto_tag
         self.state = "connecting"    # -> established | refused | closed
@@ -645,6 +651,7 @@ class TcpStream:
         self.on_refused = None
         self._local_fin = False
         self._peer_fin = False
+        self._fin_acked = False      # a bare ACK came after our FIN
 
     def _send(self, flags, payload: bytes = b""):
         local_ip, local_port, peer_ip, peer_port = self.key
@@ -712,6 +719,9 @@ class TcpStream:
             if self._local_fin:
                 # that ACK was the last frame this side sends
                 self._forget()
+                if not self._fin_acked:
+                    # the peer sent its FIN before it had ours
+                    self.host._fin_waits.add(self.key)
                 self._set_state("closed")
             else:
                 self.close()
@@ -721,6 +731,8 @@ class TcpStream:
                 self._set_state("established")
             elif self.state == "closed":
                 self._forget()      # the peer's last ACK
+            elif self._local_fin:
+                self._fin_acked = True
             return
         if self.state == "closed":
             return   # late data on a torn-down stream is ignored
@@ -830,6 +842,8 @@ _writer_line = re.compile(
     r"\{" + ", ".join(f'"{key}": {value}' for key, value in _WRITER_FIELDS)
     + r"\}").fullmatch
 _JSON_BOOL = {"true": True, "false": False}
+# the fields the readers of a Frame do arithmetic on
+_INT_FIELDS = ("ts_us", "src_port", "dst_port", "deliver_ts_us")
 
 
 def iter_capture_jsonl(path, keep=None):
@@ -873,6 +887,10 @@ def iter_capture_jsonl(path, keep=None):
                         raise TypeError(f"record is a JSON "
                                         f"{type(rec).__name__}, not an object")
                     get = rec.get
+                    for key in _INT_FIELDS:
+                        if key in rec and type(rec[key]) is not int:
+                            raise TypeError(f"{key} {rec[key]!r} is not an "
+                                            "integer")
                     args = (
                         rec["ts_us"], share[get("segment", "")],
                         share[get("sender", "")], share[rec["src_mac"]],

@@ -6,6 +6,7 @@ walks on its own seeded stream, so unrelated traffic can never perturb the
 process values.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import fieldbus
@@ -132,7 +133,7 @@ class Plc:
         self.scan_log: list = []         # (ts, input_value_x10, coil)
         self.serial_log: list = []       # (ts, request bytes, response bytes)
         self._serial_tid = 0
-        self._request_times: list = []   # external request arrivals (for load)
+        self._request_times = deque()    # external request arrivals (for load)
         self._rng = sim.rng(f"plc/{PLC_ID}")
 
     @staticmethod
@@ -146,32 +147,25 @@ class Plc:
     def _load_factor(self) -> float:
         horizon = self.sim.now_us - 1_000_000
         while self._request_times and self._request_times[0] < horizon:
-            self._request_times.pop(0)
+            self._request_times.popleft()
         return min(1.0, len(self._request_times) / DOS_LOAD_REF_PER_S)
 
     def _serial_read_input(self) -> None:
         """MODBUS-serial semantics toward the I/O slave carrying the sensor."""
-        self._serial_tid = (self._serial_tid + 1) & 0xFFFF
-        req = fieldbus.ModbusAdu(self._serial_tid, 1,
-                                 fieldbus.READ_HOLDING_REGISTERS, 0, 1)
-        resp = fieldbus.ModbusAdu(self._serial_tid, 1,
-                                  fieldbus.READ_HOLDING_REGISTERS,
-                                  data=(self.registers[PLC_INPUT_REGISTER],),
-                                  count_or_value=1)
-        self.serial_log.append((self.sim.now_us, fieldbus.encode_request(req),
-                                fieldbus.encode_response(resp)))
+        self._serial_tid = tid = (self._serial_tid + 1) & 0xFFFF
+        request = fieldbus.pack_request(tid, 1, fieldbus.READ_HOLDING_REGISTERS,
+                                        0, 1)
+        response = fieldbus.pack_read_response(
+            tid, 1, (self.registers[PLC_INPUT_REGISTER],))
+        self.serial_log.append((self.sim.now_us, request, response))
 
     def _serial_write_coil(self, on: bool) -> None:
-        self._serial_tid = (self._serial_tid + 1) & 0xFFFF
+        self._serial_tid = tid = (self._serial_tid + 1) & 0xFFFF
         value = fieldbus.COIL_ON if on else fieldbus.COIL_OFF
-        req = fieldbus.ModbusAdu(self._serial_tid, 1,
-                                 fieldbus.WRITE_SINGLE_COIL, PLC_OUTPUT_COIL,
-                                 value)
-        resp = fieldbus.ModbusAdu(self._serial_tid, 1,
-                                  fieldbus.WRITE_SINGLE_COIL, PLC_OUTPUT_COIL,
-                                  value)
-        self.serial_log.append((self.sim.now_us, fieldbus.encode_request(req),
-                                fieldbus.encode_response(resp)))
+        # the slave's response echoes the write
+        request = fieldbus.pack_request(tid, 1, fieldbus.WRITE_SINGLE_COIL,
+                                        PLC_OUTPUT_COIL, value)
+        self.serial_log.append((self.sim.now_us, request, request))
 
     def scan(self) -> tuple:
         if self.input_reachable:
@@ -301,8 +295,6 @@ class ModbusSlaveService:
 class MplDevice:
     """I2C adapter: renders the paired temperature/pressure walk as the
     six-byte register block starting at OUT_P_MSB (0x01)."""
-
-    BLOCK_REGISTER = 0x01
 
     def __init__(self, temp_sensor: SensorModel, pressure_sensor: SensorModel):
         self.temp_sensor = temp_sensor

@@ -1,6 +1,6 @@
 """Auxiliary victim-side services: the mail host and the router web admin."""
 
-import json
+from .cloud import dumps, loads
 
 WEBGUI_SERVICE_TIME_US = 20_000
 
@@ -40,7 +40,7 @@ class WebGuiService:
 
     def on_data(self, stream, data: bytes):
         try:
-            request = json.loads(data.decode())
+            request = loads(data.decode())
         except ValueError:
             request = {}
         action = request.get("action", "get")
@@ -69,4 +69,4 @@ class WebGuiService:
                 body = {"status": 403, "upload": "rejected"}
         else:
             body = {"status": 400}
-        stream.reply_after(WEBGUI_SERVICE_TIME_US, json.dumps(body).encode())
+        stream.reply_after(WEBGUI_SERVICE_TIME_US, dumps(body).encode())

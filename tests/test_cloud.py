@@ -6,8 +6,8 @@ import pytest
 
 from iiotsim import harness
 from iiotsim.cloud import (MQTT_PORT, Broker, MqttClient, TopicFilterError,
-                           _WindowCounter, decode_packet, encode_packet,
-                           topic_match)
+                           _WindowCounter, decode_packet, dumps,
+                           encode_packet, loads, topic_match)
 from iiotsim.netsim import LinkProfile, Simulation
 
 from conftest import small_plan
@@ -35,6 +35,55 @@ class TestTopicMatch:
         for flt in ("station/#/x", "sta#tion", "st+ation/x", ""):
             with pytest.raises(TopicFilterError):
                 topic_match(flt, "station/PLC")
+
+
+def outcome(fn, arg):
+    """fn(arg) as ("value", its repr) or ("error", its type and text)."""
+    try:
+        return "value", repr(fn(arg))
+    except Exception as e:
+        return "error", type(e), str(e)
+
+
+class TestJsonCodec:
+    @pytest.mark.parametrize("value", [
+        "caf\u00e9 \u65e5\u672c \U0001F600", 'quote " back \\ slash / tab \t',
+        "\x00\x1f\x7f\n\r\b\f", "", 0.1, -0.0, 1e16, 1e-7, 2.5e300,
+        123456789.123, float("nan"), float("inf"), float("-inf"), 10 ** 30,
+        -7, True, False, None, [], {},
+        {"type": "PUBLISH", "qos": 2, "topic": "station/PLC",
+         "payload": '{"Measurement": 23.4}', "mid": 65535},
+        {"a": [1, [2, {"b": None, "c": [True, False]}]], "": {"": []}},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none"},
+        ("tuple", "as", "list"),
+    ])
+    def test_dumps_is_json_dumps(self, value):
+        assert dumps(value) == json.dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), {"set": {1}}, [b"bytes"], {("tuple", "key"): 1}])
+    def test_dumps_refuses_what_json_dumps_refuses(self, value):
+        assert outcome(dumps, value)[:2] == outcome(json.dumps, value)[:2]
+        assert outcome(dumps, value)[0] == "error"
+
+    def test_dumps_refuses_a_circular_value_and_recovers(self):
+        inner = {"a": []}
+        outer = [inner]
+        inner["a"].append(outer)
+        assert outcome(dumps, outer) == outcome(json.dumps, outer)
+        assert outcome(dumps, outer)[1] is ValueError
+        # the failed call leaves no mark on these objects for the next one
+        inner["a"].pop()
+        assert dumps(outer) == '[{"a": []}]'
+        assert dumps([outer, outer]) == json.dumps([outer, outer])
+
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}', "[1, 2.5, null, true]", '"caf\\u00e9"', "1e16", "NaN",
+        "-Infinity", " 1", "1 ", "\n{}\t", "\ufeff{}", '{"a": 1} x', "1 2",
+        "[1][2]", "", " ", "{", "nul", "[1,]", '{"a" 1}', "01", '"\x01"',
+        '{"a": 1, "a": 2}', "[" * 3 + "]" * 3, '"\\ud800"'])
+    def test_loads_is_json_loads(self, text):
+        assert outcome(loads, text) == outcome(json.loads, text)
 
 
 @pytest.mark.parametrize("raw", [b"[1]", b'"CONNECT"', b"null", b"7",

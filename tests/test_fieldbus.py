@@ -1,5 +1,6 @@
 import random
 import re
+import struct
 
 import pytest
 
@@ -134,6 +135,192 @@ class TestModbusCodec:
         with pytest.raises(fb.ModbusCodecError):
             fb.encode_request(fb.ModbusAdu(1, 1, fb.READ_HOLDING_REGISTERS,
                                            0, 126))
+
+
+class ReferenceModbus:
+    """The struct.pack/unpack codec the Struct-compiled one replaced, kept
+    as the reference for its bytes, values, checks and messages."""
+
+    @staticmethod
+    def check_u16(name, value):
+        if not 0 <= value <= 0xFFFF:
+            raise fb.ModbusCodecError(f"{name} {value} out of u16 range")
+
+    @classmethod
+    def encode_request(cls, adu):
+        if adu.function not in fb.SUPPORTED_FUNCTIONS:
+            raise fb.ModbusCodecError(f"unsupported function {adu.function}")
+        if adu.function == fb.READ_HOLDING_REGISTERS and \
+                not 1 <= adu.count_or_value <= fb.MAX_READ_COUNT:
+            raise fb.ModbusCodecError(
+                f"read count {adu.count_or_value} out of range")
+        cls.check_u16("transaction_id", adu.transaction_id)
+        cls.check_u16("address", adu.address)
+        cls.check_u16("count_or_value", adu.count_or_value)
+        pdu = struct.pack(">BHH", adu.function, adu.address,
+                          adu.count_or_value)
+        return struct.pack(">HHHB", adu.transaction_id, 0, len(pdu) + 1,
+                           adu.unit_id) + pdu
+
+    @classmethod
+    def encode_response(cls, adu):
+        if adu.is_exception:
+            pdu = struct.pack(">BB", adu.function | 0x80, adu.exception_code)
+        elif adu.function == fb.READ_HOLDING_REGISTERS:
+            for v in adu.data:
+                cls.check_u16("register", v)
+            pdu = struct.pack(">BB", adu.function, 2 * len(adu.data))
+            pdu += b"".join(struct.pack(">H", v) for v in adu.data)
+        elif adu.function in (fb.WRITE_SINGLE_COIL, fb.WRITE_SINGLE_REGISTER):
+            pdu = struct.pack(">BHH", adu.function, adu.address,
+                              adu.count_or_value)
+        else:
+            raise fb.ModbusCodecError(f"unsupported function {adu.function}")
+        return struct.pack(">HHHB", adu.transaction_id, 0, len(pdu) + 1,
+                           adu.unit_id) + pdu
+
+    @staticmethod
+    def decode_request(raw):
+        if len(raw) < 8:
+            raise fb.ModbusCodecError("truncated MODBUS request")
+        tid, proto, length, unit = struct.unpack(">HHHB", raw[:7])
+        if proto != 0:
+            raise fb.ModbusCodecError(f"bad protocol id {proto}")
+        pdu = raw[7:]
+        if len(pdu) != length - 1:
+            raise fb.ModbusCodecError("length field does not match PDU")
+        fn = pdu[0]
+        if fn not in fb.SUPPORTED_FUNCTIONS:
+            raise fb.ModbusCodecError(f"unsupported function {fn}")
+        if len(pdu) != 5:
+            raise fb.ModbusCodecError("truncated MODBUS request PDU")
+        addr, cov = struct.unpack(">HH", pdu[1:5])
+        if fn == fb.READ_HOLDING_REGISTERS and \
+                not 1 <= cov <= fb.MAX_READ_COUNT:
+            raise fb.ModbusCodecError(f"read count {cov} out of range")
+        return fb.ModbusAdu(tid, unit, fn, addr, cov)
+
+    @staticmethod
+    def decode_response(raw):
+        if len(raw) < 9:
+            raise fb.ModbusCodecError("truncated MODBUS response")
+        tid, proto, length, unit = struct.unpack(">HHHB", raw[:7])
+        if proto != 0:
+            raise fb.ModbusCodecError(f"bad protocol id {proto}")
+        pdu = raw[7:]
+        if len(pdu) != length - 1:
+            raise fb.ModbusCodecError("length field does not match PDU")
+        fn = pdu[0]
+        if fn & 0x80:
+            base = fn & 0x7F
+            if base not in fb.SUPPORTED_FUNCTIONS:
+                raise fb.ModbusCodecError(f"unsupported function {base}")
+            return fb.ModbusAdu(tid, unit, base, exception_code=pdu[1])
+        if fn == fb.READ_HOLDING_REGISTERS:
+            count = pdu[1]
+            if count % 2 or len(pdu) != 2 + count:
+                raise fb.ModbusCodecError("bad read response byte count")
+            vals = struct.unpack(f">{count // 2}H", pdu[2:])
+            return fb.ModbusAdu(tid, unit, fn, data=tuple(vals),
+                                count_or_value=count // 2)
+        if fn in (fb.WRITE_SINGLE_COIL, fb.WRITE_SINGLE_REGISTER):
+            addr, val = struct.unpack(">HH", pdu[1:5])
+            return fb.ModbusAdu(tid, unit, fn, addr, val)
+        raise fb.ModbusCodecError(f"unsupported function {fn}")
+
+
+def outcome(fn, arg):
+    """fn(arg), or the type and text of the ModbusCodecError it raised, or
+    struct.error for a field that struct refused to pack or unpack (its text
+    names whichever bad field was packed first)."""
+    try:
+        return fn(arg)
+    except fb.ModbusCodecError as e:
+        return fb.ModbusCodecError, str(e)
+    except struct.error:
+        return struct.error, ""
+
+
+class TestModbusCodecAgainstReference:
+    U16_EDGES = (-1, 0, 1, 0xFFFF, 0x10000)
+
+    def adus(self, rng, n):
+        for _ in range(n):
+            fn = rng.choice((3, 5, 6, 3, 5, 6, 0, 4, 16))
+            tid, address, cov = (rng.choice(self.U16_EDGES) if rng.random()
+                                 < 0.2 else rng.randint(0, 0xFFFF)
+                                 for _ in range(3))
+            if fn == 3 and rng.random() < 0.7:
+                cov = rng.choice((0, 1, 2, fb.MAX_READ_COUNT,
+                                  fb.MAX_READ_COUNT + 1))
+            unit = rng.choice((0, 1, 255, 256)) if rng.random() < 0.1 else 1
+            data = tuple(rng.choice(self.U16_EDGES) if rng.random() < 0.05
+                         else rng.randint(0, 0xFFFF)
+                         for _ in range(rng.choice((0, 1, 2, 3, 125, 127,
+                                                    128))))
+            exc = rng.choice((0, 0, 0, 1, 2, 256))
+            yield fb.ModbusAdu(tid, unit, fn, address, cov, data, exc)
+
+    def test_encoders_give_the_reference_bytes_and_errors(self):
+        errors = set()
+        for adu in self.adus(random.Random(18), 4000):
+            for name in ("encode_request", "encode_response"):
+                got = outcome(getattr(fb, name), adu)
+                assert got == outcome(getattr(ReferenceModbus, name), adu)
+                if isinstance(got, tuple):
+                    errors.add(got[1].split(" ")[0])
+        # every check fired somewhere in the sweep
+        assert {"unsupported", "read", "transaction_id", "address",
+                "count_or_value", "register", ""} <= errors
+
+    def test_decoders_give_the_reference_values_and_errors(self):
+        rng = random.Random(19)
+        raws = []
+        for adu in self.adus(rng, 2000):
+            for encode in (ReferenceModbus.encode_request,
+                           ReferenceModbus.encode_response):
+                raw = outcome(encode, adu)
+                if isinstance(raw, bytes):
+                    raws += [raw, raw[:rng.randint(0, len(raw))],
+                             raw + bytes([rng.randint(0, 255)])]
+                    edited = bytearray(raw)
+                    edited[rng.randrange(len(raw))] = rng.randint(0, 255)
+                    raws.append(bytes(edited))
+        raws += [bytes(rng.randint(0, 255) for _ in range(rng.randint(0, 14)))
+                 for _ in range(2000)]
+        for raw in raws:
+            for name in ("decode_request", "decode_response"):
+                assert outcome(getattr(fb, name), raw) == outcome(
+                    getattr(ReferenceModbus, name), raw), (name, raw.hex())
+
+    @pytest.mark.parametrize("adu,message", [
+        (fb.ModbusAdu(0x10000, 1, 3, 0, 1),
+         "transaction_id 65536 out of u16 range"),
+        (fb.ModbusAdu(1, 1, 6, -1, 1), "address -1 out of u16 range"),
+        (fb.ModbusAdu(1, 1, 6, 0, 0x10000),
+         "count_or_value 65536 out of u16 range"),
+        (fb.ModbusAdu(1, 1, 3, 0, 0), "read count 0 out of range"),
+        (fb.ModbusAdu(1, 1, 16, 0, 1), "unsupported function 16"),
+    ])
+    def test_request_messages(self, adu, message):
+        with pytest.raises(fb.ModbusCodecError, match=f"^{message}$"):
+            fb.encode_request(adu)
+
+    @pytest.mark.parametrize("adu,message", [
+        (fb.ModbusAdu(1, 1, 3, data=(1, 0x10000)),
+         "register 65536 out of u16 range"),
+        (fb.ModbusAdu(1, 1, 3, data=(-1,)), "register -1 out of u16 range"),
+        (fb.ModbusAdu(1, 1, 4, 0, 1), "unsupported function 4"),
+    ])
+    def test_response_messages(self, adu, message):
+        with pytest.raises(fb.ModbusCodecError, match=f"^{message}$"):
+            fb.encode_response(adu)
+
+    def test_pack_functions_are_the_encoders(self):
+        assert fb.pack_request(7, 1, 6, 101, 250) == fb.encode_request(
+            fb.ModbusAdu(7, 1, 6, 101, 250))
+        assert fb.pack_read_response(7, 1, (164, 0xFFFF)) == \
+            fb.encode_response(fb.ModbusAdu(7, 1, 3, data=(164, 0xFFFF)))
 
 
 TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")

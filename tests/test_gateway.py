@@ -1,3 +1,4 @@
+import datetime
 import json
 
 import pytest
@@ -61,7 +62,6 @@ class TestDeadband:
 
 class TestHistorian:
     def make(self):
-        import datetime
         h = Historian(datetime.datetime(2019, 7, 12, 8, 0, 0,
                                         tzinfo=datetime.timezone.utc))
         return h
@@ -91,6 +91,28 @@ class TestHistorian:
                        t1="2019-07-12T00:00:00.000Z")
         assert rows == []
         assert "inverted" in h.last_warning
+
+    @staticmethod
+    def strftime_stamp(epoch, ts_us):
+        t = epoch + datetime.timedelta(microseconds=ts_us)
+        return t.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t.microsecond // 1000:03d}Z"
+
+    @pytest.mark.parametrize("epoch_us", [0, 500_000, 999_999])
+    def test_iso_ms_is_the_strftime_stamp(self, epoch_us):
+        epoch = datetime.datetime(2019, 12, 31, 23, 59, 59, epoch_us,
+                                  tzinfo=datetime.timezone.utc)
+        h = Historian(epoch)
+        # second, minute, day and year boundaries on both sides of the
+        # epoch's own millisecond, then back to a second already left
+        tss = [0, 1, 999, 1000, 499_999, 500_000, 500_001, 999_999,
+               1_000_000, 1_000_001, 1_499_999, 1_500_000, 60_000_000,
+               86_400_000_000, 86_400_000_001, 3_599_999_999, 0, 999_999,
+               -1, -500_000, -1_000_000]
+        assert [h.iso_ms(ts) for ts in tss] == [
+            self.strftime_stamp(epoch, ts) for ts in tss]
+        if epoch_us == 500_000:
+            assert h.iso_ms(0) == "2019-12-31T23:59:59.500Z"
+            assert h.iso_ms(500_000) == "2020-01-01T00:00:00.000Z"
 
     def test_last_actuator_record(self):
         h = self.make()

@@ -636,6 +636,58 @@ class TestCli:
         metrics = json.load(open(tmp_path / "metrics_report.json"))
         assert metrics["response_times_ms"][tag]["count"] == 0
 
+    @pytest.mark.parametrize("tag,port,payload,origin,final", [
+        ("COAP", 5683, '{"code": "GET", "mid": [1]}', True, False),
+        ("COAP", 5683, '{"code": "2.05 Content", "mid": {"a": 1}}', False,
+         True),
+        ("DNS", 53, '{"q": "plc.local", "id": [1]}', True, False),
+        ("DNS", 53, '{"q": "plc.local", "a": "x", "mid": [1]}', False, True),
+        ("MQTT", 1883, '{"type": "PUBLISH", "qos": 2, "topic": "t", '
+         '"mid": [1]}', True, False),
+        ("MQTT", 1883, '{"type": "PUBCOMP", "mid": [1]}', False, True),
+    ])
+    def test_report_skips_an_id_that_is_a_list_or_an_object(
+            self, tmp_path, tag, port, payload, origin, final):
+        frame = netsim.Frame(
+            ts_us=0, segment="lan-a", sender="mobile",
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="192.168.10.20", dst_ip="192.168.10.30", src_port=5000,
+            dst_port=port, l4="UDP", tcp_flags=(), payload=payload.encode(),
+            proto_tag=tag, origin=origin, final=final, delivered=True,
+            deliver_ts_us=100)
+        netsim.write_capture_jsonl([frame], tmp_path / "capture.jsonl")
+        assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 0
+        metrics = json.load(open(tmp_path / "metrics_report.json"))
+        stats = metrics["response_times_ms"][tag]
+        assert (stats["count"], stats["unmatched"]) == (0, 0)
+
+    @pytest.mark.parametrize("field", ["ts_us", "src_port", "dst_port",
+                                       "deliver_ts_us"])
+    @pytest.mark.parametrize("text", ['"5"', "true", "5.0"])
+    def test_report_refuses_a_time_or_port_that_is_not_an_integer(
+            self, tmp_path, capsys, field, text):
+        frames = [netsim.Frame(
+            ts_us=k, segment="lan-a", sender="mobile",
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="192.168.10.20", dst_ip="192.168.10.30", src_port=5000,
+            dst_port=502, l4="TCP", tcp_flags=("SYN",), payload=b"",
+            proto_tag="MODBUS", delivered=True, deliver_ts_us=k + 100)
+            for k in (10, 20, 30)]
+        path = tmp_path / "capture.jsonl"
+        netsim.write_capture_jsonl(frames, path)
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        lines[1] = lines[1].replace(f'"{field}": {rec[field]},',
+                                    f'"{field}": {text},')
+        assert lines[1] != json.dumps(rec) + "\n"
+        path.write_text("".join(lines))
+        assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == (
+            f"cannot read bundle: {path}: bad capture record 2: TypeError: "
+            f"{field} {json.loads(text)!r} is not an integer")
+        assert not any((tmp_path / name).exists() for name in self.REBUILT)
+
     @staticmethod
     def copy_capture(bundle, out, edit):
         """out/ holding the bundle's capture with its lines edited."""

@@ -388,6 +388,41 @@ class TestTcpStreams:
         assert stream.state == "closed"
         assert gw._streams == {} and router._streams == {}
 
+    def test_simultaneous_close_ends_without_resets(self):
+        # both ends send FIN at the same instant, so each FIN arrives
+        # before the ACK of the other
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        svc.on_open = lambda s: s.close()
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: sim.schedule(500, s.close)
+        sim.run_until(1_000_000)
+        tcp = [(f.ts_us, f.sender, f.tcp_flags) for f in sim.capture
+               if f.l4 == "TCP"]
+        assert tcp[-4:] == [(3500, "router", ("ACK", "FIN")),
+                            (3500, "edge-gw", ("ACK", "FIN")),
+                            (4000, "edge-gw", ("ACK",)),
+                            (4000, "router", ("ACK",))]
+        assert len(tcp) == 7
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+        assert gw._fin_waits == set() and router._fin_waits == set()
+
+    def test_ack_after_an_orderly_close_is_still_refused(self):
+        # only a stream freed in a simultaneous close absorbs a late ACK
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: s.close()
+        sim.run_until(1_000_000)
+        local_ip, local_port, peer_ip, peer_port = stream.key
+        gw.send_ip(peer_ip, peer_port, b"", "HTTPS", l4="TCP",
+                   tcp_flags=("ACK",), src_port=local_port)
+        sim.run_until(2_000_000)
+        assert sim.capture[-1].tcp_flags == ("RST",)
+        assert sim.capture[-1].sender == "router"
+
     def test_reset_terminates(self):
         sim, gw, router = lan_pair()
         router.bind_tcp(443, EchoService())
@@ -530,7 +565,8 @@ class TestCaptureExport:
 
 def reference_read_capture(path):
     """The line-by-line json.loads reader that iter_capture_jsonl replaced,
-    kept as the reference for its values, checks and record numbers."""
+    kept as the reference for its values, checks and record numbers. Like
+    the reader, it refuses a time or port that is not a JSON integer."""
     out = []
     with open(path) as fh:
         try:
@@ -539,6 +575,11 @@ def reference_read_capture(path):
                 if line:
                     rec = json.loads(line)
                     get = rec.get
+                    for key in ("ts_us", "src_port", "dst_port",
+                                "deliver_ts_us"):
+                        if key in rec and type(rec[key]) is not int:
+                            raise TypeError(f"{key} {rec[key]!r} is not an "
+                                            "integer")
                     out.append(Frame(
                         rec["ts_us"], get("segment", ""), get("sender", ""),
                         rec["src_mac"], rec["dst_mac"], rec["src_ip"],
