@@ -127,10 +127,13 @@ def scale_measurement_transform(k: float):
             pkt = decode_packet(payload)
         except (ValueError, UnicodeDecodeError):
             return payload
-        if pkt.get("type") != "PUBLISH" or pkt.get("topic", "").startswith("$"):
+        topic, body = pkt.get("topic", ""), pkt.get("payload", "")
+        # a field the broker would refuse is relayed as it came
+        if pkt.get("type") != "PUBLISH" or not isinstance(topic, str) or \
+                topic.startswith("$") or not isinstance(body, str):
             return payload
         try:
-            body = loads(pkt.get("payload", ""))
+            body = loads(body)
         except ValueError:
             return payload
         if not isinstance(body, dict) or "Measurement" not in body:

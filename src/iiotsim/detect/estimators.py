@@ -79,6 +79,89 @@ class _RankedData:
         self.n_classes = n_classes
 
 
+def _row_sum(rows) -> np.ndarray:
+    """Sums the rows of a 2-d float array into its first row, in place, in
+    the order numpy's pairwise summation adds the terms of one contiguous
+    row, so that the result is bit-equal to rows.T.sum(axis=1): below 8
+    terms in index order; up to 128 in 8 interleaved accumulators, added
+    pairwise, then the rest in order; beyond that each half apart, the first
+    a multiple of 8 long.
+
+    -> rows[0]
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _row_sum(rows[:half])
+        total += _row_sum(rows[half:])
+        return total
+    rest = 1
+    if n >= 8:
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            rows[:8] += rows[i:i + 8]
+        for step in (1, 2, 4):
+            rows[:8:2 * step] += rows[step:8:2 * step]
+    for row in rows[rest:]:
+        rows[0] += row
+    return rows[0]
+
+
+def _segment_counts(data, rows, sizes, counts, feature_ids) -> tuple:
+    """The class counts of the value segments of every (node, feature)
+    block, for nodes given as their rows laid end to end, their sizes, their
+    class-major counts and their candidate features.
+
+    Block s * m + j holds node s's rows keyed by feature feature_ids[s, j].
+    A segment is a run of rows of one (block, value), in block, then value
+    order. -> (seg_key, left): seg_key[t] is block * n_values + the value
+    rank of segment t, and left[c, t] counts the rows of class c in its
+    block up to segment t's end. The keys of every block are sorted as one
+    array.
+    """
+    k, n_values = data.n_classes, data.n_values
+    n_nodes, m = feature_ids.shape
+    # each key is offset by block * span, so that one sort orders the
+    # blocks too
+    span = n_values * k
+    keys = np.arange(0, n_nodes * m * span, span, dtype=np.int32
+                     if n_nodes * m * span <= 2 ** 31 else np.int64)
+    keys = keys.reshape(-1, m).T.repeat(sizes, axis=1)
+    at = (feature_ids * data.keys.shape[1]).T.repeat(sizes, axis=1)
+    at += rows
+    keys += data.keys.take(at)
+    # the arrays as long as the keys set the peak: each goes once used
+    del at
+    keys = keys.ravel()
+    keys.sort()
+    # the last element of each run of one (block, value, class)
+    last = np.empty(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1] = True
+    ends = last.nonzero()[0]
+    # tail marks the last run of each segment, and seg numbers them from 0
+    seg_key, klass = np.divmod(keys[ends], k)
+    del keys, last
+    tail = np.empty(len(ends), dtype=bool)
+    np.not_equal(seg_key[1:], seg_key[:-1], out=tail[:-1])
+    tail[-1] = True
+    seg = tail.cumsum() - tail
+    seg_key = seg_key[tail]
+    n_seg = len(seg_key)
+    # each run's length goes to its (class, segment), and each block's first
+    # segment takes away the counts of the block before, which holds every
+    # row of its node once, so one cumsum along a class's row starts again
+    # at every block
+    left = np.bincount(np.multiply(klass, n_seg, dtype=np.int64) + seg,
+                       weights=np.diff(ends, prepend=-1),
+                       minlength=k * n_seg).reshape(k, n_seg)
+    seg_block = seg_key // n_values
+    block_start = (seg_block[1:] != seg_block[:-1]).nonzero()[0] + 1
+    left[:, block_start] -= counts.repeat(m, axis=1)[:, :-1]
+    left.cumsum(axis=1, out=left)
+    return seg_key, left
+
+
 def _split_nodes(data, nodes, min_leaf) -> list:
     """Splits nodes given as (rows, counts, feature_ids): a view of the
     node's rows, its class counts and its candidate features.
@@ -91,49 +174,19 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     of every candidate feature finds: the same Gini expression is evaluated
     at the valid boundaries only, ties go to the lower feature and then the
     first boundary, and the threshold is the midpoint of the values around
-    it. The keys of every (node, feature) block are sorted as one array.
+    it.
     """
-    k, n_values = data.n_classes, data.n_values
+    n_values = data.n_values
     rows = np.concatenate([rows for rows, _, _ in nodes])
     counts = np.array([counts for _, counts, _ in nodes])
     sizes = counts.sum(axis=1)
+    # class-major: counts[c, s] is node s's count of class c
+    counts = np.ascontiguousarray(counts.T, dtype=np.float64)
     feature_ids = np.array([feature_ids for _, _, feature_ids in nodes])
     n_nodes, m = feature_ids.shape
-    # block s * m + j holds node s's keys of feature feature_ids[s, j], plus
-    # block * span, so that one sort orders the blocks too
-    span = n_values * k
-    keys = np.arange(0, n_nodes * m * span, span, dtype=np.int32
-                     if n_nodes * m * span <= 2 ** 31 else np.int64)
-    keys = keys.reshape(-1, m).T.repeat(sizes, axis=1)
-    at = (feature_ids * data.keys.shape[1]).T.repeat(sizes, axis=1)
-    at += rows
-    keys += data.keys.take(at)
-    keys = keys.ravel()
-    keys.sort()
-    # the last element of each run of one (block, value, class)
-    last = np.empty(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    last[-1] = True
-    ends = last.nonzero()[0]
-    # a segment is a run of one (block, value); tail marks the last run of
-    # each, and seg numbers them from 0
-    seg_key, klass = np.divmod(keys[ends], k)
-    tail = np.empty(len(ends), dtype=bool)
-    np.not_equal(seg_key[1:], seg_key[:-1], out=tail[:-1])
-    tail[-1] = True
-    seg = tail.cumsum() - tail
-    # class counts up to each segment's end, running on through the blocks,
-    # less those of the blocks before its own, each of which holds every row
-    # of its node once
-    left = np.bincount(seg * k + klass,
-                       weights=ends - np.concatenate(([-1], ends[:-1])),
-                       minlength=(seg[-1] + 1) * k)
-    left = left.reshape(-1, k).cumsum(axis=0)
-    seg_key = seg_key[tail]
+    seg_key, left = _segment_counts(data, rows, sizes, counts, feature_ids)
     seg_block = seg_key // n_values
-    before = counts.repeat(m, axis=0)
-    left -= (before.cumsum(axis=0) - before)[seg_block]
-    seg_size = left.sum(axis=1)
+    seg_size = left.sum(axis=0)
     seg_node = seg_block // m
     n = sizes[seg_node]
     cand = ((seg_size >= min_leaf)
@@ -141,14 +194,21 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     out = [None] * n_nodes
     if not len(cand):
         return out
-    left_counts = left[cand]
     sizes_l = seg_size[cand]
     n = n[cand]
     cand_node = seg_node[cand]
     sizes_r = n - sizes_l
-    gini_l = 1.0 - ((left_counts / sizes_l[:, None]) ** 2).sum(axis=1)
-    right_counts = counts[cand_node].astype(np.float64) - left_counts
-    gini_r = 1.0 - ((right_counts / sizes_r[:, None]) ** 2).sum(axis=1)
+    # each side's squared class shares, summed over the classes in the order
+    # .sum(axis=1) adds a row of them, so each Gini value keeps every bit
+    shares_l = left.take(cand, axis=1)
+    shares_r = counts.take(cand_node, axis=1)
+    shares_r -= shares_l
+    shares_l /= sizes_l
+    shares_r /= sizes_r
+    gini_l = 1.0 - _row_sum(np.square(shares_l, out=shares_l))
+    gini_r = 1.0 - _row_sum(np.square(shares_r, out=shares_r))
+    # the largest arrays of the search go before the per-node minimum
+    del shares_l, shares_r
     weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
     # the first minimum of each node: the least index among its candidates
     # that equal its minimum
@@ -171,7 +231,7 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     s, f, thr, best = s[ok], f[ok], thr[ok], best[ok]
     for split in zip(s.tolist(), f.tolist(), thr.tolist(),
                      seg_size[best].astype(np.int64).tolist(),
-                     left[best].astype(np.int64)):
+                     left.take(best, axis=1).T.astype(np.int64)):
         out[split[0]] = split[1:]
     # a stable sort by (node, side) puts those rows first in each split node;
     # the sort keys are int16 when they fit, which numpy sorts by radix
@@ -181,8 +241,9 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     threshold[s] = thr
     side = np.arange(0, 2 * n_nodes, 2, dtype=np.int16
                      if n_nodes <= 2 ** 14 else np.int64).repeat(sizes)
-    side += data.X.take(np.multiply(rows, data.X.shape[1], dtype=np.int64)
-                        + feature.repeat(sizes)) > threshold.repeat(sizes)
+    at = np.multiply(rows, data.X.shape[1], dtype=np.int64)
+    at += feature.repeat(sizes)
+    side += data.X.take(at) > threshold.repeat(sizes)
     rows = rows[side.argsort(kind="stable")]
     start = 0
     for (view, _, _), size, split in zip(nodes, sizes.tolist(), out):
@@ -190,18 +251,6 @@ def _split_nodes(data, nodes, min_leaf) -> list:
             view[:] = rows[start:start + size]
         start += size
     return out
-
-
-def _feature_candidates(d, max_features, rng):
-    if max_features is None:
-        return np.arange(d)
-    if max_features == "sqrt":
-        m = max(1, int(np.sqrt(d)))
-    else:
-        m = max(1, min(d, int(max_features)))
-    if m >= d:
-        return np.arange(d)
-    return np.sort(rng.choice(d, size=m, replace=False))
 
 
 class _Tree:
@@ -220,22 +269,35 @@ class _Tree:
         self.right = np.array(right, dtype=np.int64)
         self.klass = np.array(klass, dtype=np.int64)
 
-    def apply(self, X) -> np.ndarray:
-        """-> the class index of the leaf each row of X reaches."""
-        node = np.zeros(len(X), dtype=np.int64)
-        live = np.arange(len(X))
-        while len(live):
-            at = node[live]
-            split = self.feature[at] >= 0
-            live, at = live[split], at[split]
-            go_left = X[live, self.feature[at]] <= self.threshold[at]
-            node[live] = np.where(go_left, self.left[at], self.right[at])
-        return self.klass[node]
+
+def _leaf_classes(trees, X) -> np.ndarray:
+    """-> the class index of the leaf each row of X reaches in each tree, as
+    a (trees, rows) array. The trees' nodes are laid end to end, and each
+    step takes every (tree, row) pair still at a split one level down."""
+    sizes = [len(tree.feature) for tree in trees]
+    offset = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, klass = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in _Tree.__slots__)
+    left += offset.repeat(sizes)
+    right += offset.repeat(sizes)
+    node = offset.repeat(len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    live = np.arange(len(node))
+    while len(live):
+        at = node[live]
+        f = feature[at]
+        split = f >= 0
+        live, at = live[split], at[split]
+        go_left = X[row[live], f[split]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+    return klass[node].reshape(len(trees), len(X))
 
 
-# bytes of sort keys one batched split search holds: 32 K keys of 8 bytes,
-# so the arrays made from them stay a few MB however many nodes search
-_SPLIT_KEY_BYTES = 1 << 18
+# bytes of sort keys one batched split search holds: 128 K keys of 8 bytes,
+# five forest roots of 6,300 rows and 4 features, so the arrays made from
+# them stay a few MB however many nodes search
+_SPLIT_KEY_BYTES = 1 << 20
 # bytes of int32 row order the trees growing together hold: 50 trees of
 # 6,300 rows
 _FOREST_ROW_BYTES = 5 << 18
@@ -255,9 +317,12 @@ class _GrowingTree:
                        np.bincount(data.y[self.rows],
                                    minlength=data.n_classes), 0, None)]
 
-    def next_search(self, d, max_depth, min_leaf, max_features):
+    def next_search(self, every, m, max_depth, min_leaf):
         """Adds nodes up to the next one that searches for a split
-        -> (node, lo, hi, depth, counts, feature_ids), or None at the end."""
+        -> (node, lo, hi, depth, counts, feature_ids), or None at the end.
+
+        feature_ids are m features drawn without replacement, ascending, or
+        every feature when m covers them all."""
         while self.stack:
             lo, hi, depth, counts, parent, link = self.stack.pop()
             node = len(self.feature)
@@ -271,8 +336,12 @@ class _GrowingTree:
             if np.count_nonzero(counts) == 1 or depth >= max_depth or \
                     hi - lo < 2 * min_leaf:
                 continue
-            return (node, lo, hi, depth, counts,
-                    _feature_candidates(d, max_features, self.rng))
+            feature_ids = every
+            if m < len(every):
+                feature_ids = self.rng.choice(len(every), size=m,
+                                              replace=False)
+                feature_ids.sort()
+            return node, lo, hi, depth, counts, feature_ids
         return None
 
     def add_split(self, node, lo, hi, depth, counts, f, thr, n_left, left):
@@ -300,6 +369,13 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
     _SPLIT_KEY_BYTES of keys.
     """
     d, n = data.keys.shape
+    if max_features is None:
+        m = d
+    elif max_features == "sqrt":
+        m = max(1, int(np.sqrt(d)))
+    else:
+        m = max(1, min(d, int(max_features)))
+    every = np.arange(d)
     budget = max(1, _SPLIT_KEY_BYTES // 8)
     draws = iter(draws)
     trees, growing = [], []
@@ -312,7 +388,7 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
             return [tree.tree() for tree in trees]
         searches = []
         for tree in growing:
-            search = tree.next_search(d, max_depth, min_leaf, max_features)
+            search = tree.next_search(every, m, max_depth, min_leaf)
             if search is not None:
                 searches.append((tree,) + search)
         growing = [tree for tree, *_ in searches]
@@ -358,7 +434,7 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def predict(self, X):
         X = check_array(X)
-        return self.classes_[self.tree_.apply(X)]
+        return self.classes_[_leaf_classes([self.tree_], X)[0]]
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -398,9 +474,11 @@ class RandomForestClassifier(BaseEstimator):
 
     def predict(self, X):
         X = check_array(X)
-        votes = np.zeros((len(X), len(self.classes_)), dtype=np.int64)
-        for tree in self.trees_:
-            votes[np.arange(len(X)), tree.apply(X)] += 1
+        k = len(self.classes_)
+        # votes[row, class]; a tie goes to the lower class
+        votes = np.bincount((_leaf_classes(self.trees_, X)
+                             + np.arange(0, len(X) * k, k)).ravel(),
+                            minlength=len(X) * k).reshape(len(X), k)
         return self.classes_[np.argmax(votes, axis=1)]
 
 

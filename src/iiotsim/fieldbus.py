@@ -148,7 +148,9 @@ def decode_response(raw: bytes) -> ModbusAdu:
                          data=_REGISTERS[count // 2].unpack_from(raw, 9),
                          count_or_value=count // 2)
     if fn in (WRITE_SINGLE_COIL, WRITE_SINGLE_REGISTER):
-        addr, val = _ADDRESS_VALUE.unpack(raw[8:12])
+        if len(raw) < _REQUEST.size:
+            raise ModbusCodecError("truncated MODBUS response PDU")
+        addr, val = _ADDRESS_VALUE.unpack_from(raw, 8)
         return ModbusAdu(tid, unit, fn, addr, val)
     raise ModbusCodecError(f"unsupported function {fn}")
 

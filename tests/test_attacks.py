@@ -121,6 +121,16 @@ class TestTamper:
         assert transform(raw) == raw
         assert transform(b"\x01\x02") == b"\x01\x02"
 
+    @pytest.mark.parametrize("field", ["topic", "payload"])
+    def test_publish_with_a_field_that_is_not_a_str_passes_unmodified(
+            self, field):
+        transform = attacks.scale_measurement_transform(2.0)
+        pkt = {"type": "PUBLISH", "qos": 0, "topic": "plant/telemetry",
+               "mid": 0, "payload": '{"Measurement": 1.5}'}
+        pkt[field] = 5
+        raw = json.dumps(pkt).encode()
+        assert transform(raw) == raw
+
     def test_sys_topics_not_rewritten(self):
         transform = attacks.scale_measurement_transform(2.0)
         pkt = json.dumps({"type": "PUBLISH", "qos": 0,

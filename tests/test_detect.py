@@ -549,6 +549,14 @@ def tied_dataset(seed, n=90, d=6, n_classes=3):
     return X, y.astype(str), Q
 
 
+def nine_class_dataset(seed, n=300):
+    """tied_dataset's features with 9 classes, in part set by feature 0."""
+    X, _, Q = tied_dataset(seed, n=n)
+    rng = np.random.default_rng(seed)
+    klass = rng.integers(0, 9, size=n) + (X[:, 0] * 4).astype(int)
+    return X, np.array(list("abcdefghi"))[klass % 9], Q
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
@@ -560,6 +568,20 @@ class TestAgainstReference:
                                  random_state=seed)
         model = DecisionTreeClassifier(max_depth=8, min_leaf=min_leaf,
                                        max_features=max_features,
+                                       random_state=seed).fit(X, y)
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+        expected = classes[[ref_walk(root, row) for row in Q]]
+        assert (model.predict(Q) == expected).all()
+
+    @pytest.mark.parametrize("seed", [4, 6])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_nine_class_tree_matches_reference(self, seed, min_leaf):
+        # from 8 classes on, numpy sums a row of squared class shares
+        # pairwise; on these seeds a sum in index order picks another split
+        X, y, Q = nine_class_dataset(seed)
+        classes, root = ref_tree(X, y, max_depth=8, min_leaf=min_leaf,
+                                 random_state=seed)
+        model = DecisionTreeClassifier(max_depth=8, min_leaf=min_leaf,
                                        random_state=seed).fit(X, y)
         assert flat_preorder(model.tree_) == ref_preorder(root)
         expected = classes[[ref_walk(root, row) for row in Q]]
@@ -606,6 +628,21 @@ class TestAgainstReference:
                 [ref_preorder(root) for root in roots]
             assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                     ).all()
+
+    def test_forest_vote_ties_go_to_the_lower_class(self):
+        # an even number of trees of different depths, one of them a single
+        # leaf (its root drew the constant feature), tie on many queries
+        X, y, Q = tied_dataset(7, n=40)
+        params = dict(n_trees=4, max_depth=6, max_features=1, random_state=7)
+        model = RandomForestClassifier(**params).fit(X, y)
+        assert [len(tree.feature) for tree in model.trees_] == [1, 9, 19, 11]
+        classes, roots = ref_forest(X, y, **params)
+        votes = np.array([np.bincount([ref_walk(root, row) for root in roots],
+                                      minlength=len(classes)) for row in Q])
+        votes.sort(axis=1)
+        assert (votes[:, -1] == votes[:, -2]).any()
+        assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
+                ).all()
 
     def test_unbootstrapped_forest_matches_reference(self):
         X, y, Q = tied_dataset(21, n=80)

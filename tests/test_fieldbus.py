@@ -224,6 +224,8 @@ class ReferenceModbus:
             return fb.ModbusAdu(tid, unit, fn, data=tuple(vals),
                                 count_or_value=count // 2)
         if fn in (fb.WRITE_SINGLE_COIL, fb.WRITE_SINGLE_REGISTER):
+            if len(pdu) < 5:
+                raise fb.ModbusCodecError("truncated MODBUS response PDU")
             addr, val = struct.unpack(">HH", pdu[1:5])
             return fb.ModbusAdu(tid, unit, fn, addr, val)
         raise fb.ModbusCodecError(f"unsupported function {fn}")
@@ -315,6 +317,15 @@ class TestModbusCodecAgainstReference:
     def test_response_messages(self, adu, message):
         with pytest.raises(fb.ModbusCodecError, match=f"^{message}$"):
             fb.encode_response(adu)
+
+    @pytest.mark.parametrize("raw", ["000100000003010600",
+                                     "0001000000040105ff00",
+                                     "000100000005010600010a"])
+    def test_write_response_with_a_short_pdu(self, raw):
+        # a write response's PDU is function, address and value: 5 bytes
+        with pytest.raises(fb.ModbusCodecError,
+                           match="^truncated MODBUS response PDU$"):
+            fb.decode_response(bytes.fromhex(raw))
 
     def test_pack_functions_are_the_encoders(self):
         assert fb.pack_request(7, 1, 6, 101, 250) == fb.encode_request(

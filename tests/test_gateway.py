@@ -136,6 +136,17 @@ class TestHistorian:
         assert lines[1].startswith("1,2019-07-12T08:00:00.000Z,Slave 1,")
 
 
+class TruncatedWriteSlave:
+    """A TCP service that answers every request with a write-register
+    response whose PDU stops after its first address byte."""
+
+    def on_open(self, stream):
+        pass
+
+    def on_data(self, stream, data):
+        stream.write(bytes.fromhex("000100000003010600"))
+
+
 @pytest.fixture()
 def gw_build():
     plan = small_plan(duration_s=30.0)
@@ -178,6 +189,15 @@ class TestPollCycle:
     def test_silent_plc_faults_once_per_poll(self):
         build = harness.Build(small_plan(duration_s=10.0))
         build.plc_host.bind_tcp(502, SilentSlave())
+        build.run()
+        gw = build.gateway
+        assert gw._poll_seq == 5
+        assert [(d, r) for _, d, r in gw.faults] == [("plc", "unreachable")] * 5
+        assert "plc" not in gw.latest
+
+    def test_truncated_plc_reply_faults_once_per_poll(self):
+        build = harness.Build(small_plan(duration_s=10.0))
+        build.plc_host.bind_tcp(502, TruncatedWriteSlave())
         build.run()
         gw = build.gateway
         assert gw._poll_seq == 5
