@@ -227,7 +227,8 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     # of the next one too when the midpoint rounds up to its value
     best += thr >= value[:, 1]
     s = seg_node[best]
-    ok = seg_size[best] < sizes[s]
+    # a midpoint that overflows to +-inf puts every row on one side
+    ok = (seg_size[best] < sizes[s]) & np.isfinite(thr)
     s, f, thr, best = s[ok], f[ok], thr[ok], best[ok]
     for split in zip(s.tolist(), f.tolist(), thr.tolist(),
                      seg_size[best].astype(np.int64).tolist(),

@@ -389,9 +389,10 @@ class Host:
         self._tcp_services: dict[int, object] = {}
         self._udp_services: dict[int, object] = {}
         self._streams: dict[tuple, "TcpStream"] = {}
-        # keys of streams freed when both ends closed at once: the peer's
-        # ACK of their FIN is still to come
-        self._fin_waits: set = set()
+        # key -> the ACKs still to come to a stream freed when both ends
+        # closed at once (its data and FIN the peer had not yet ACKed)
+        self._acks_owed: dict[tuple, int] = {}
+        self._fin_waits = self._acks_owed.keys()   # their keys, as a set view
         self._eph_port = 49152
         self._conntrack: set = set()
         self.ips: frozenset = frozenset()        # set by attach_host
@@ -618,8 +619,10 @@ class Host:
             stream.on_established = svc.on_open
             stream.on_data = svc.on_data
             stream._rx(frame)
-        elif frame.tcp_flags == ACK and key in self._fin_waits:
-            self._fin_waits.discard(key)
+        elif frame.tcp_flags == ACK and key in self._acks_owed:
+            owed = self._acks_owed.pop(key) - 1
+            if owed:
+                self._acks_owed[key] = owed
         elif "RST" not in frame.tcp_flags:
             # closed port: refuse
             self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
@@ -641,7 +644,7 @@ class TcpStream:
         self.side = side             # "client" | "server"
         self.key = (local_ip, local_port, peer_ip, peer_port)
         host._streams[self.key] = self
-        host._fin_waits.discard(self.key)    # a new connection ends the wait
+        host._acks_owed.pop(self.key, None)  # a new connection ends the wait
         self.client_ip = local_ip if side == "client" else peer_ip
         self.proto_tag = proto_tag
         self.state = "connecting"    # -> established | refused | closed
@@ -651,7 +654,7 @@ class TcpStream:
         self.on_refused = None
         self._local_fin = False
         self._peer_fin = False
-        self._fin_acked = False      # a bare ACK came after our FIN
+        self._unacked = 0            # our data and FIN the peer has not ACKed
 
     def _send(self, flags, payload: bytes = b""):
         local_ip, local_port, peer_ip, peer_port = self.key
@@ -662,6 +665,8 @@ class TcpStream:
         if self.state not in ("established", "connecting"):
             raise RuntimeError(f"{self.side} stream not writable "
                                f"(state={self.state})")
+        if payload:
+            self._unacked += 1
         return self._send(PSH_ACK, payload)
 
     def reply_after(self, delay_us: int, payload: bytes) -> None:
@@ -676,6 +681,7 @@ class TcpStream:
         if self.state in ("closed", "refused"):
             return
         self._local_fin = True
+        self._unacked += 1
         self._send(FIN_ACK)
         if self._peer_fin:
             self._set_state("closed")
@@ -719,9 +725,9 @@ class TcpStream:
             if self._local_fin:
                 # that ACK was the last frame this side sends
                 self._forget()
-                if not self._fin_acked:
-                    # the peer sent its FIN before it had ours
-                    self.host._fin_waits.add(self.key)
+                if self._unacked:
+                    # the peer sent its FIN before it had all of ours
+                    self.host._acks_owed[self.key] = self._unacked
                 self._set_state("closed")
             else:
                 self.close()
@@ -729,10 +735,10 @@ class TcpStream:
         if flags == ACK and not frame.payload:
             if self.side == "server" and self.state == "connecting":
                 self._set_state("established")
-            elif self.state == "closed":
-                self._forget()      # the peer's last ACK
-            elif self._local_fin:
-                self._fin_acked = True
+            elif self._unacked:
+                self._unacked -= 1
+                if self.state == "closed" and not self._unacked:
+                    self._forget()      # the peer's last ACK
             return
         if self.state == "closed":
             return   # late data on a torn-down stream is ignored
@@ -824,17 +830,20 @@ def _parse_record(line: str):
 # The line write_capture_jsonl writes, as one regex for fullmatch. Each group
 # is a value whose text means to the reader what it means to json.loads: a
 # str without escapes or control characters, a JSON int ([0-9], not \d,
-# which takes other scripts' digits; no leading zero), true/false, and a
-# list of upper-case words. `len` is matched but not captured: wire_len
-# recomputes it. Any other line, valid or not, goes through _parse_record.
+# which takes other scripts' digits; no leading zero; at most 640 digits,
+# the least limit sys.set_int_max_str_digits allows, so int() takes it
+# whether or not the record is kept), true/false, and a list of upper-case
+# words. `len` is matched but not captured: wire_len recomputes it. Any
+# other line, valid or not, goes through _parse_record.
 _STR = r'"([^"\\\x00-\x1f]*)"'
-_INT = "(0|[1-9][0-9]*)"
+_DIGITS = "0|[1-9][0-9]{0,639}"
+_INT = f"({_DIGITS})"
 _BOOL = "(true|false)"
 _WRITER_FIELDS = (
     ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
     ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT), ("l4", _STR),
     ("tcp_flags", r'(\[(?:"[A-Z]+"(?:, "[A-Z]+")*)?\])'),
-    ("len", "(?:0|[1-9][0-9]*)"), ("proto_tag", _STR),
+    ("len", f"(?:{_DIGITS})"), ("proto_tag", _STR),
     ("payload_b64", _STR), ("segment", _STR), ("sender", _STR),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
     ("deliver_ts_us", _INT), ("drop_reason", _STR), ("fw_denied", _BOOL))
@@ -851,7 +860,8 @@ def iter_capture_jsonl(path, keep=None):
     record raises ValueError naming the file and the record. Equal str
     values and flag tuples are one shared object. keep, when given, is
     called with each record's (l4, src_ip, dst_ip) once the record is
-    parsed and checked, and only the records it is true of become frames."""
+    checked, and only the records it is true of become frames: a writer
+    line keep drops costs its match, three fields and its payload decode."""
     share = _Memo(lambda v: v)
     flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
     a2b = binascii.a2b_base64
@@ -866,14 +876,20 @@ def iter_capture_jsonl(path, keep=None):
                 n += 1
                 m = _writer_line(line)
                 if m is not None:
+                    if keep is not None:
+                        # the regex checked every field but the payload's
+                        # base64, so a dropped record costs that decode
+                        l4, src_ip, dst_ip, b64 = m.group(8, 4, 6, 11)
+                        payload = a2b(b64)
+                        if not keep(l4, src_ip, dst_ip):
+                            continue
                     (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
                      l4, flags, tag, b64, segment, sender, origin, final,
                      delivered, deliver_ts, drop, fw) = m.groups()
                     ts, src_port, dst_port, deliver_ts = (
                         int(ts), int(src_port), int(dst_port), int(deliver_ts))
-                    payload = a2b(b64)
-                    if keep is not None and not keep(l4, src_ip, dst_ip):
-                        continue
+                    if keep is None:
+                        payload = a2b(b64)
                     # the arguments of Frame, in its field order
                     args = (ts, share[segment], share[sender],
                             share[src_mac], share[dst_mac], share[src_ip],

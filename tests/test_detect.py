@@ -587,6 +587,21 @@ class TestAgainstReference:
         expected = classes[[ref_walk(root, row) for row in Q]]
         assert (model.predict(Q) == expected).all()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_split_whose_midpoint_overflows_matches_reference(self, sign):
+        # the best boundary's midpoint is +-inf, so X <= thr sends every row
+        # one way and the node is a leaf
+        X = sign * np.array([[1e308], [1.5e308], [1.7e308], [1.0]])
+        y = np.array(["a", "b", "b", "a"], dtype=object)
+        classes, root = ref_tree(X, y)
+        model = DecisionTreeClassifier().fit(X, y)
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+        assert np.isfinite(model.tree_.threshold[model.tree_.feature >= 0]
+                           ).all()
+        expected = classes[[ref_walk(root, row) for row in X]]
+        assert (model.predict(X) == expected).all()
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
     def test_bootstrapped_forest_matches_reference(self, seed, max_features):

@@ -409,6 +409,49 @@ class TestTcpStreams:
         assert gw._streams == {} and router._streams == {}
         assert gw._fin_waits == set() and router._fin_waits == set()
 
+    def test_simultaneous_close_right_after_a_write_ends_without_resets(
+            self):
+        # the server writes and closes as the client closes, so it is owed
+        # two ACKs (its data and its FIN) when the client's FIN frees it
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        svc.on_open = lambda s: (s.write(b"hello"), s.close())
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: sim.schedule(500, s.close)
+        sim.run_until(1_000_000)
+        tcp = [(f.ts_us, f.sender, f.tcp_flags) for f in sim.capture
+               if f.l4 == "TCP"]
+        assert tcp[3:] == [(3500, "router", ("ACK", "PSH")),
+                           (3500, "router", ("ACK", "FIN")),
+                           (3500, "edge-gw", ("ACK", "FIN")),
+                           (4000, "edge-gw", ("ACK",)),
+                           (4000, "edge-gw", ("ACK",)),
+                           (4000, "router", ("ACK",))]
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+        assert gw._acks_owed == {} and router._acks_owed == {}
+
+    def test_close_as_a_write_crosses_the_peers_fin_ends_without_resets(
+            self):
+        # the server's data and the client's FIN cross; the server closes on
+        # the FIN and waits for the ACKs of its data and its FIN
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        svc.on_open = lambda s: s.write(b"x")
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: sim.schedule(500, s.close)
+        sim.run_until(1_000_000)
+        tcp = [(f.ts_us, f.sender, f.tcp_flags) for f in sim.capture
+               if f.l4 == "TCP"]
+        assert tcp[-3:] == [(4000, "router", ("ACK",)),
+                            (4000, "router", ("ACK", "FIN")),
+                            (4500, "edge-gw", ("ACK",))]
+        assert all("RST" not in flags for _, _, flags in tcp)
+        assert gw._streams == {} and router._streams == {}
+        assert gw._acks_owed == {} and router._acks_owed == {}
+
     def test_ack_after_an_orderly_close_is_still_refused(self):
         # only a stream freed in a simultaneous close absorbs a late ACK
         sim, gw, router = lan_pair()
@@ -690,6 +733,11 @@ class TestCaptureReader:
         return lambda line, rec: [line.replace(
             f'"ts_us": {rec["ts_us"]},', f'"ts_us": {text},')]
 
+    @staticmethod
+    def wire_len(text):
+        return lambda line, rec: [line.replace(
+            f'"len": {rec["len"]},', f'"len": {text},')]
+
     # lines of JSON that the writer does not write: each is valid or not
     # exactly as json.loads says, with its value or error
     UNWRITTEN = {
@@ -702,6 +750,10 @@ class TestCaptureReader:
         "ts_float": ts_us("1.0"),
         "ts_exponent": ts_us("1e3"),
         "ts_underscore": ts_us("1_000"),
+        # past 640 digits int() may refuse an int, as json.loads does
+        "ts_641_digits": ts_us("1" * 641),
+        "ts_5000_digits": ts_us("1" * 5000),
+        "len_5000_digits": wire_len("1" * 5000),
         "ts_arabic_indic_digit": ts_us("\u0661"),
         "doubled_spaces": lambda line, rec: [line.replace(", ", ",  ")],
         "reordered_keys": lambda line, rec: [json.dumps(
@@ -787,6 +839,61 @@ class TestCaptureReader:
         with pytest.raises(ValueError) as error:
             list(netsim.iter_capture_jsonl(path, keep=lambda *_: False))
         assert str(error.value) == str(reference_error.value)
+
+    # the UNWRITTEN shapes json.loads reads as a record
+    READABLE = ("unicode_escape", "escaped_quote", "ts_minus_zero",
+                "ts_641_digits", "doubled_spaces", "reordered_keys",
+                "no_segment", "lower_case_flags", "int_for_a_boolean")
+
+    def test_keep_sees_every_record_once_in_file_order(self, tmp_path,
+                                                       monkeypatch):
+        frames = self.frames(600)
+        path = tmp_path / "capture.jsonl"
+        replace = {}
+        for k, shape in enumerate(self.READABLE * 2):
+            rec = frame_to_record(frames[5 + 31 * k])
+            replace[5 + 31 * k] = self.UNWRITTEN[shape](json.dumps(rec), rec)
+        self.write(path, frames, replace)
+        reference = reference_read_capture(path)
+        parsed = count_fallbacks(monkeypatch)
+        calls = []
+
+        def keep(*fields):
+            calls.append(fields)
+            return self.keep(*fields)
+
+        kept = list(netsim.iter_capture_jsonl(path, keep=keep))
+        assert calls == [(f.l4, f.src_ip, f.dst_ip) for f in reference]
+        expected = [f for f in reference if self.keep(f.l4, f.src_ip,
+                                                      f.dst_ip)]
+        assert kept == expected and repr(kept) == repr(expected)
+        # only the unwritten lines took the fallback, kept or dropped
+        assert parsed == [lines[0] for _, lines in sorted(replace.items())]
+        assert 0 < len(kept) < len(frames) / 2
+
+    @pytest.mark.parametrize("case", sorted(UNWRITTEN))
+    def test_keep_refuses_what_the_reference_refuses(self, tmp_path, case):
+        frames = self.frames(20)
+        rec = frame_to_record(frames[12])
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {12: self.UNWRITTEN[case](
+            json.dumps(rec), rec)})
+        calls = []
+
+        def drop(*fields):
+            calls.append(fields)
+            return False
+
+        try:
+            reference = reference_read_capture(path)
+        except ValueError as e:
+            with pytest.raises(ValueError) as error:
+                list(netsim.iter_capture_jsonl(path, keep=drop))
+            assert str(error.value) == str(e)
+            assert len(calls) == 12
+        else:
+            assert list(netsim.iter_capture_jsonl(path, keep=drop)) == []
+            assert calls == [(f.l4, f.src_ip, f.dst_ip) for f in reference]
 
     @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
     def test_record_that_is_not_an_object(self, tmp_path, text):
