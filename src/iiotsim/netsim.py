@@ -389,12 +389,10 @@ class Host:
         self._tcp_services: dict[int, object] = {}
         self._udp_services: dict[int, object] = {}
         self._streams: dict[tuple, "TcpStream"] = {}
-        # key -> the ACKs still to come to a stream freed when both ends
-        # closed at once (its data and FIN the peer had not yet ACKed)
-        self._acks_owed: dict[tuple, int] = {}
-        self._fin_waits = self._acks_owed.keys()   # their keys, as a set view
         self._eph_port = 49152
-        self._conntrack: set = set()
+        # originator's key -> [FINs, unACKed data and FINs from the
+        # originator, from the responder]; a TCP entry ends with its flow
+        self._conntrack: dict[tuple, list] = {}
         self.ips: frozenset = frozenset()        # set by attach_host
         self.own_macs: dict[str, str] = {}       # own ip -> its first MAC
         self._routes: dict[str, tuple] = {}     # dst_ip -> route(dst_ip)
@@ -557,7 +555,10 @@ class Host:
         direction = "in" if ingress_wan else "out"
         key = (frame.src_ip, frame.src_port, frame.dst_ip, frame.dst_port, frame.l4)
         rkey = (frame.dst_ip, frame.dst_port, frame.src_ip, frame.src_port, frame.l4)
-        if rkey not in self._conntrack:
+        flow = self._conntrack.get(rkey)
+        if flow is not None:
+            key, side = rkey, 2         # a reply on a tracked flow
+        else:
             verdict = self.acl.decide(direction, frame.src_ip, frame.dst_ip,
                                       frame.dst_port)
             if verdict == "deny":
@@ -569,7 +570,21 @@ class Host:
                                  tcp_flags=RST,
                                  src_port=frame.dst_port, src_ip=frame.dst_ip)
                 return
-            self._conntrack.add(key)
+            flow = self._conntrack.setdefault(key, [0, 0, 0])
+            side = 1
+        if frame.l4 == "TCP":
+            # count as TcpStream._unacked does on each end
+            flags = frame.tcp_flags
+            if "RST" in flags:
+                del self._conntrack[key]
+            elif frame.payload or "FIN" in flags:
+                flow[side] += 1
+                if "FIN" in flags:
+                    flow[0] += 1
+            elif flags == ACK and flow[3 - side]:
+                flow[3 - side] -= 1
+                if flow == [2, 0, 0]:
+                    del self._conntrack[key]
         self.sim.schedule(self.forward_delay_us, self.forward_packet, frame)
 
     # -- UDP ---------------------------------------------------------------
@@ -619,10 +634,6 @@ class Host:
             stream.on_established = svc.on_open
             stream.on_data = svc.on_data
             stream._rx(frame)
-        elif frame.tcp_flags == ACK and key in self._acks_owed:
-            owed = self._acks_owed.pop(key) - 1
-            if owed:
-                self._acks_owed[key] = owed
         elif "RST" not in frame.tcp_flags:
             # closed port: refuse
             self.send_ip(frame.src_ip, frame.src_port, b"", frame.proto_tag,
@@ -644,16 +655,14 @@ class TcpStream:
         self.side = side             # "client" | "server"
         self.key = (local_ip, local_port, peer_ip, peer_port)
         host._streams[self.key] = self
-        host._acks_owed.pop(self.key, None)  # a new connection ends the wait
         self.client_ip = local_ip if side == "client" else peer_ip
         self.proto_tag = proto_tag
-        self.state = "connecting"    # -> established | refused | closed
+        # -> established -> closing (our FIN is out) -> closed, or refused
+        self.state = "connecting"
         self.on_established = None   # server side: the service's on_open
         self.on_data = None          # fn(stream, bytes)
         self.on_closed = None
         self.on_refused = None
-        self._local_fin = False
-        self._peer_fin = False
         self._unacked = 0            # our data and FIN the peer has not ACKed
 
     def _send(self, flags, payload: bytes = b""):
@@ -678,13 +687,11 @@ class TcpStream:
             self.write(payload)
 
     def close(self):
-        if self.state in ("closed", "refused"):
+        if self.state not in ("connecting", "established"):
             return
-        self._local_fin = True
         self._unacked += 1
         self._send(FIN_ACK)
-        if self._peer_fin:
-            self._set_state("closed")
+        self.state = "closing"
 
     def reset(self):
         if self.state in ("closed", "refused"):
@@ -717,20 +724,8 @@ class TcpStream:
             return
         if flags == SYN_ACK:
             self._send(ACK)
-            self._set_state("established")
-            return
-        if "FIN" in flags:
-            self._peer_fin = True
-            self._send(ACK)
-            if self._local_fin:
-                # that ACK was the last frame this side sends
-                self._forget()
-                if self._unacked:
-                    # the peer sent its FIN before it had all of ours
-                    self.host._acks_owed[self.key] = self._unacked
-                self._set_state("closed")
-            else:
-                self.close()
+            if self.state == "connecting":
+                self._set_state("established")
             return
         if flags == ACK and not frame.payload:
             if self.side == "server" and self.state == "connecting":
@@ -741,7 +736,14 @@ class TcpStream:
                     self._forget()      # the peer's last ACK
             return
         if self.state == "closed":
-            return   # late data on a torn-down stream is ignored
+            return   # late data or FIN on a torn-down stream is ignored
+        if "FIN" in flags:
+            self._send(ACK)
+            self.close()                # our FIN, unless it is already out
+            if not self._unacked:
+                self._forget()          # the peer has ACKed all we sent
+            self._set_state("closed")
+            return
         if frame.payload:
             self._send(ACK)
             if self.on_data:

@@ -131,8 +131,6 @@ class Plc:
         self.input_reachable = True
         self.fault = False
         self.scan_log: list = []         # (ts, input_value_x10, coil)
-        self.serial_log: list = []       # (ts, request bytes, response bytes)
-        self._serial_tid = 0
         self._request_times = deque()    # external request arrivals (for load)
         self._rng = sim.rng(f"plc/{PLC_ID}")
 
@@ -150,23 +148,6 @@ class Plc:
             self._request_times.popleft()
         return min(1.0, len(self._request_times) / DOS_LOAD_REF_PER_S)
 
-    def _serial_read_input(self) -> None:
-        """MODBUS-serial semantics toward the I/O slave carrying the sensor."""
-        self._serial_tid = tid = (self._serial_tid + 1) & 0xFFFF
-        request = fieldbus.pack_request(tid, 1, fieldbus.READ_HOLDING_REGISTERS,
-                                        0, 1)
-        response = fieldbus.pack_read_response(
-            tid, 1, (self.registers[PLC_INPUT_REGISTER],))
-        self.serial_log.append((self.sim.now_us, request, response))
-
-    def _serial_write_coil(self, on: bool) -> None:
-        self._serial_tid = tid = (self._serial_tid + 1) & 0xFFFF
-        value = fieldbus.COIL_ON if on else fieldbus.COIL_OFF
-        # the slave's response echoes the write
-        request = fieldbus.pack_request(tid, 1, fieldbus.WRITE_SINGLE_COIL,
-                                        PLC_OUTPUT_COIL, value)
-        self.serial_log.append((self.sim.now_us, request, request))
-
     def scan(self) -> tuple:
         if self.input_reachable:
             volts = tmp36_voltage(self.input_sensor.value)
@@ -175,14 +156,12 @@ class Plc:
             self.fault = False
         else:
             self.fault = True   # keep the previous input value
-        self._serial_read_input()
         value = self.registers[PLC_INPUT_REGISTER]
         setpoint = self.registers[PLC_SETPOINT_REGISTER]
         coil_on = value > setpoint
         prev = self.coils[PLC_OUTPUT_COIL]
         self.coils[PLC_OUTPUT_COIL] = coil_on
         if coil_on != prev:
-            self._serial_write_coil(coil_on)
             self.plant.actuator_command(self.actuator_id,
                                         "ON" if coil_on else "OFF", "PLC")
         result = (self.sim.now_us, value, coil_on)

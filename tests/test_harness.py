@@ -432,6 +432,14 @@ class TestRunArtifacts:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()
         assert digests == GOLDEN_DIGESTS
 
+    def test_default_hour_holds_only_its_live_connections(self,
+                                                          default_bundle):
+        # the edge gateway's MQTT session: one stream at each end and the
+        # router's flow; every other stream and flow ended with its close
+        hosts = default_bundle.sim.hosts.values()
+        assert sum(len(h._streams) for h in hosts) <= 2
+        assert sum(len(h._conntrack) for h in hosts) <= 1
+
 
 class TestCaptureWalk:
     def test_walk_equals_the_list_functions(self, bundle):

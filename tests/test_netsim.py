@@ -12,6 +12,8 @@ from iiotsim.netsim import (Acl, AclRule, Frame, LinkProfile, Simulation,
                             capture_export, frame_to_record,
                             write_capture_jsonl)
 
+from conftest import SilentSlave
+
 GW_MAC = "b8:27:eb:61:e5:14"
 ROUTER_MAC = "00:0c:29:6e:a7:ca"
 ATTACKER_MAC = "00:0c:29:5b:a2:99"
@@ -136,9 +138,9 @@ class TestSendAndFirewall:
         assert before.tcp_flags == after.tcp_flags == ("ACK", "PSH")
         assert (before.dst_mac, after.dst_mac) == (ROUTER_MAC, ATTACKER_MAC)
 
-    def firewall(self):
-        acl = Acl([AclRule("any", "any", "any", frozenset({9999}), "deny")],
-                  default="allow")
+    def firewall(self, acl=None):
+        acl = acl or Acl([AclRule("any", "any", "any", frozenset({9999}),
+                                  "deny")], default="allow")
         sim = Simulation(seed=2)
         sim.add_segment("lan", LinkProfile(100, 0, 0))
         sim.add_segment("wan", LinkProfile(100, 0, 0))
@@ -186,6 +188,47 @@ class TestSendAndFirewall:
                          ("out", "192.168.10.150", "192.168.2.10", 80)]
         verdict = acl.decide("out", "192.168.10.150", "192.168.2.10", 80)
         assert verdict == "allow" and len(scans) == 2
+
+    def test_a_closed_flows_reverse_tuple_is_checked_again(self):
+        # inbound is denied, so only replies on a tracked flow come in
+        sim, gw, _ = self.firewall(Acl([AclRule("in", "any", "any", None,
+                                                "deny")]))
+        router, cloud = sim.hosts["router"], sim.hosts["cloud"]
+        cloud.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.2.10", 443, "HTTPS")
+        stream.on_established = lambda s: (s.write(b"ping"), s.close())
+        sim.run_until(1_000_000)
+        assert stream.state == "closed"
+        assert not any(f.fw_denied for f in sim.capture)
+        assert router._conntrack == {}
+        # the closed flow's reverse tuple, now from the WAN side
+        gw.bind_tcp(stream.key[1], EchoService())
+        inbound = cloud.open_tcp("192.168.10.150", stream.key[1], "HTTPS",
+                                 src_port=443)
+        sim.run_until(2_000_000)
+        assert inbound.state == "refused"
+        assert [f.tcp_flags for f in sim.capture if f.fw_denied] == [("SYN",)]
+        assert router._conntrack == {}
+
+    def test_a_simultaneous_close_across_the_router_ends_its_flow(self):
+        sim, gw, _ = self.firewall()
+        router, cloud = sim.hosts["router"], sim.hosts["cloud"]
+        svc = SilentSlave()
+        opened = []
+        svc.on_open = opened.append
+        cloud.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.2.10", 443, "HTTPS")
+        sim.run_until(100_000)
+        assert len(router._conntrack) == 1
+        for s in (stream, *opened):     # both ends at the same instant
+            s.write(b"bye")
+            s.close()
+        sim.run_until(1_000_000)
+        tcp = [f for f in sim.capture if f.l4 == "TCP"]
+        assert sum("FIN" in f.tcp_flags for f in tcp) == 4   # two per hop
+        assert all("RST" not in f.tcp_flags for f in tcp)
+        assert router._conntrack == {}
+        assert gw._streams == {} and cloud._streams == {}
 
     def test_router_drops_a_packet_it_cannot_route(self):
         sim, gw, _ = self.firewall()
@@ -407,7 +450,6 @@ class TestTcpStreams:
         assert len(tcp) == 7
         assert stream.state == "closed"
         assert gw._streams == {} and router._streams == {}
-        assert gw._fin_waits == set() and router._fin_waits == set()
 
     def test_simultaneous_close_right_after_a_write_ends_without_resets(
             self):
@@ -430,7 +472,6 @@ class TestTcpStreams:
                            (4000, "router", ("ACK",))]
         assert stream.state == "closed"
         assert gw._streams == {} and router._streams == {}
-        assert gw._acks_owed == {} and router._acks_owed == {}
 
     def test_close_as_a_write_crosses_the_peers_fin_ends_without_resets(
             self):
@@ -450,10 +491,80 @@ class TestTcpStreams:
                             (4500, "edge-gw", ("ACK",))]
         assert all("RST" not in flags for _, _, flags in tcp)
         assert gw._streams == {} and router._streams == {}
-        assert gw._acks_owed == {} and router._acks_owed == {}
+
+    def test_no_write_follows_the_streams_own_fin(self):
+        # both ends write and close at the same instant, so the server's
+        # echo of the client's data would follow its own FIN
+        sim, gw, router = lan_pair()
+        refused = []
+
+        def echo(s, data):
+            try:
+                s.write(b"echo:" + data)
+            except RuntimeError as exc:
+                refused.append(str(exc))
+
+        svc = EchoService()
+        svc.on_open = lambda s: (s.write(b"hello"), s.close())
+        svc.on_data = echo
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: sim.schedule(
+            500, lambda: (s.write(b"ping"), s.close()))
+        sim.run_until(1_000_000)
+        assert refused == ["server stream not writable (state=closing)"]
+        tcp = [f for f in sim.capture if f.l4 == "TCP"]
+        assert [f.payload for f in tcp if f.payload] == [b"hello", b"ping"]
+        assert all("RST" not in f.tcp_flags for f in tcp)
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+
+    def test_a_second_close_sends_nothing(self):
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.on_established = lambda s: (s.close(), s.close())
+        sim.run_until(1_000_000)
+        fins = [f.sender for f in sim.capture if "FIN" in f.tcp_flags]
+        assert fins == ["edge-gw", "router"]
+        assert all("RST" not in f.tcp_flags for f in sim.capture)
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+
+    def test_a_closing_stream_acks_and_delivers_the_peers_data(self):
+        # half-close: the client's FIN is out, the server still writes
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        got = []
+        stream.on_established = lambda s: (s.write(b"ping"), s.close())
+        stream.on_data = lambda s, data: got.append((s.state, data))
+        sim.run_until(1_000_000)
+        assert got == [("closing", b"echo:ping")]
+        echo = next(f for f in sim.capture if f.payload == b"echo:ping")
+        assert any(f.sender == "edge-gw" and f.tcp_flags == ("ACK",)
+                   and f.ts_us == echo.deliver_ts_us for f in sim.capture)
+        assert all("RST" not in f.tcp_flags for f in sim.capture)
+        assert stream.state == "closed"
+        assert gw._streams == {} and router._streams == {}
+
+    def test_a_stream_closed_while_connecting_stays_closing(self):
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.close()
+        assert stream.state == "closing"
+        events = []
+        stream.on_established = lambda s: events.append("established")
+        stream.on_closed = lambda s: events.append("closed")
+        sim.run_until(1_000_000)
+        # its SYN_ACK does not reopen it, and the peer's FIN closes it
+        assert events == ["closed"]
+        assert not any(f.payload for f in sim.capture if f.l4 == "TCP")
+        assert gw._streams == {}
 
     def test_ack_after_an_orderly_close_is_still_refused(self):
-        # only a stream freed in a simultaneous close absorbs a late ACK
+        # only a closed stream still owed ACKs absorbs a late ACK
         sim, gw, router = lan_pair()
         router.bind_tcp(443, EchoService())
         stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")

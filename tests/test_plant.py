@@ -2,10 +2,9 @@ import pytest
 
 from iiotsim import fieldbus as fb
 from iiotsim.netsim import LinkProfile, Simulation
-from iiotsim.plant import (PLC_INPUT_REGISTER, PLC_OUTPUT_COIL,
-                           PLC_SETPOINT_REGISTER, ModbusSlaveService, Plant,
-                           Plc, SensorModel, modbus_transact, tmp36_celsius,
-                           tmp36_voltage)
+from iiotsim.plant import (PLC_INPUT_REGISTER, PLC_SETPOINT_REGISTER,
+                           ModbusSlaveService, Plant, Plc, SensorModel,
+                           modbus_transact, tmp36_celsius, tmp36_voltage)
 
 from conftest import SilentSlave
 
@@ -113,43 +112,6 @@ class TestPlcScan:
         plc.scan()
         assert plc.fault
         assert plc.registers[PLC_INPUT_REGISTER] == before
-
-    def test_serial_log_entries_decode(self):
-        sim, plant, sensor, plc = make_plc(init=35.0)
-        plc.scan()
-        assert plc.serial_log
-        ts, req, resp = plc.serial_log[0]
-        r = fb.decode_request(req)
-        assert r.function == fb.READ_HOLDING_REGISTERS
-        assert fb.decode_response(resp).data == (plc.registers[PLC_INPUT_REGISTER],)
-
-    def test_serial_log_is_the_encoded_adus(self):
-        # reads and coil writes in both directions, across the tid wrap
-        sim, plant, sensor, plc = make_plc(setpoint=30.0, init=29.0)
-        plc._serial_tid = 0xFFFD
-        for value in (29.0, 31.0, 31.5, 29.5, 28.0, 32.0, 120.0, -40.0):
-            sensor.value = value
-            plc.scan()
-        expected, tid, coil_was = [], 0xFFFD, False
-        for ts, value, coil in plc.scan_log:
-            tid = (tid + 1) & 0xFFFF
-            expected.append((
-                ts, fb.encode_request(fb.ModbusAdu(
-                    tid, 1, fb.READ_HOLDING_REGISTERS, 0, 1)),
-                fb.encode_response(fb.ModbusAdu(
-                    tid, 1, fb.READ_HOLDING_REGISTERS, data=(value,),
-                    count_or_value=1))))
-            if coil != coil_was:
-                tid = (tid + 1) & 0xFFFF
-                write = fb.ModbusAdu(tid, 1, fb.WRITE_SINGLE_COIL,
-                                     PLC_OUTPUT_COIL,
-                                     fb.COIL_ON if coil else fb.COIL_OFF)
-                expected.append((ts, fb.encode_request(write),
-                                 fb.encode_response(write)))
-                coil_was = coil
-        # -40 degC scales to the u16 register 65136, above the setpoint
-        assert len(expected) == 8 + 3
-        assert plc.serial_log == expected
 
     def test_closed_loop_single_transition_on_crossing(self):
         # monotonically rising input crossing the setpoint flips the coil
