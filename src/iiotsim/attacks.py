@@ -569,12 +569,13 @@ class ExploitWebgui(Injector):
                                        ["admin", "admin"], of=str))
         if len(self.credentials) != 2:
             a.fail("credentials must be a user and a password")
-        # [(start_us, duration_us), ...]
+        end_us = self.t_start_us + 2_000_000   # the login and upload window
+        # [(start_us, duration_us), ...], armed once the upload succeeds
         self.session_plan = []
         for i, pair in enumerate(a.get("sessions", list, [], of=list)):
             s = a.of(dict(zip(("start", "duration"), pair))
                      if len(pair) == 2 else {}, f"{a.name}sessions {i}: ")
-            self.session_plan.append((s.time_us("start"),
+            self.session_plan.append((s.time_us("start", least=end_us),
                                       s.time_us("duration")))
         self.listener_port = a.get("listener_port", int,
                                    DEFAULT_LISTENER_PORT, lo=1, hi=0xFFFF)
@@ -585,8 +586,7 @@ class ExploitWebgui(Injector):
         self.failure = ""
         attacker_id = self.attacker.host_id
         victims = (self.target_host.host_id,)
-        self.exploit_window = AttackWindow(EXPLOIT, self.t_start_us,
-                                           self.t_start_us + 2_000_000,
+        self.exploit_window = AttackWindow(EXPLOIT, self.t_start_us, end_us,
                                            attacker_id, victims)
         self.shell_window = AttackWindow(
             REVERSE_SHELL,

@@ -221,7 +221,7 @@ class Broker:
         kind = pkt["type"]
         if kind == "CONNECT":
             session.client_id = pkt.get("client_id", "")
-            if self.acl_enabled and stream.client_ip not in self.allowlist:
+            if self.acl_enabled and stream.peer_ip not in self.allowlist:
                 self._reply(session, {"type": "CONNACK", "rc": 5})
                 self.sim.schedule(self.service_time_us, stream.reset)
                 return

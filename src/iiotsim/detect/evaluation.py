@@ -10,6 +10,11 @@ from .estimators import (DecisionTreeClassifier, GaussianNBClassifier,
 
 NORMAL = "normal"       # the dataset label of rows outside every attack
 
+# model kind -> the estimator class a ModelSpec of that kind builds
+ESTIMATORS = {"DT": DecisionTreeClassifier, "RF": RandomForestClassifier,
+              "NB": GaussianNBClassifier, "LR": LogisticRegressionOvR,
+              "KNN": KNeighborsClassifier}
+
 
 @dataclass
 class ModelSpec:
@@ -17,17 +22,10 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def build(self):
-        if self.kind == "DT":
-            return DecisionTreeClassifier(**self.params)
-        if self.kind == "RF":
-            return RandomForestClassifier(**self.params)
-        if self.kind == "NB":
-            return GaussianNBClassifier(**self.params)
-        if self.kind == "LR":
-            return LogisticRegressionOvR(**self.params)
-        if self.kind == "KNN":
-            return KNeighborsClassifier(**self.params)
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        cls = ESTIMATORS.get(self.kind)
+        if cls is None:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        return cls(**self.params)
 
 
 DEFAULT_SPECS = (ModelSpec("DT"), ModelSpec("RF"), ModelSpec("NB"),

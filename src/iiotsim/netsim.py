@@ -132,6 +132,11 @@ SYN, SYN_ACK, ACK = ("SYN",), ("ACK", "SYN"), ("ACK",)
 PSH_ACK, FIN_ACK, RST = ("ACK", "PSH"), ("ACK", "FIN"), ("RST",)
 
 
+def owes_ack(flags: tuple, payload: bytes) -> bool:
+    """Whether the peer pays for the segment with a bare ACK."""
+    return bool(payload) or "FIN" in flags or flags == SYN_ACK
+
+
 @functools.cache
 def _flag_key(flags: tuple) -> str:
     return "".join(FLAG_LETTER[f] for f in flags)
@@ -212,9 +217,14 @@ class Simulation:
         self.schedule_at(self.now_us + int(delay_us), fn, *args)
 
     def schedule_at(self, ts_us: int, fn, *args) -> None:
-        """Run fn(*args) at ts_us; equal times run in scheduling order."""
+        """Run fn(*args) at ts_us; equal times run in scheduling order. A
+        time before now raises ValueError naming fn."""
+        ts_us = int(ts_us)
+        if ts_us < self.now_us:
+            raise ValueError(f"{getattr(fn, '__qualname__', fn)}: cannot run "
+                             f"at {ts_us} us, before now ({self.now_us} us)")
         self._eseq += 1
-        heapq.heappush(self._events, (int(ts_us), self._eseq, fn, args))
+        heapq.heappush(self._events, (ts_us, self._eseq, fn, args))
 
     def series(self, count: int, time_of, fn) -> None:
         """Run fn(i) at time_of(i), non-decreasing, for i in range(count),
@@ -390,8 +400,8 @@ class Host:
         self._udp_services: dict[int, object] = {}
         self._streams: dict[tuple, "TcpStream"] = {}
         self._eph_port = 49152
-        # originator's key -> [FINs, unACKed data and FINs from the
-        # originator, from the responder]; a TCP entry ends with its flow
+        # originator's key -> [FINs, segments owing an ACK (owes_ack) from
+        # the originator, from the responder]; a TCP entry ends with its flow
         self._conntrack: dict[tuple, list] = {}
         self.ips: frozenset = frozenset()        # set by attach_host
         self.own_macs: dict[str, str] = {}       # own ip -> its first MAC
@@ -437,20 +447,20 @@ class Host:
         """Resolve target_ip on the local segment -> (mac, ready_ts_us).
 
         A cache miss emits the request/reply exchange into the capture and
-        returns the time at which the answer is available.
+        returns the time at which the answer is available, as a hit does.
         """
         mac = self.own_macs.get(target_ip)
         if mac is not None:
             return mac, self.sim.now_us
         hit = self.arp_cache.get(target_ip)
         if hit is not None:
-            return hit[0], self.sim.now_us
+            return hit[0], max(hit[1], self.sim.now_us)
         iface, _ = self.route(target_ip)
-        if self.sim.owner_of_ip(iface.segment, target_ip) is None and target_ip != iface.ip:
+        owner = self.sim.owner_of_ip(iface.segment, target_ip)
+        if owner is None:
             # request goes out, nobody answers
             self._emit_arp(iface, BROADCAST_MAC, target_ip, op="request")
             raise ArpFailure(f"no ARP responder for {target_ip} on {iface.segment}")
-        owner = self.sim.owner_of_ip(iface.segment, target_ip)
         req, req_offset = self._emit_arp(iface, BROADCAST_MAC, target_ip,
                                          op="request")
         # reply is sent by the owner once the request lands
@@ -507,11 +517,9 @@ class Host:
         mac = self.own_macs.get(next_hop)
         if mac is None:
             hit = self.arp_cache.get(next_hop)
-            if hit is not None:
-                mac = hit[0]
-            else:
-                mac, ready = self.arp_resolve(next_hop)
-                ts = max(ready, ts)
+            mac, ready = hit if hit is not None else self.arp_resolve(next_hop)
+            if ready > ts:
+                ts = ready      # the ARP reply is still in flight
         src_ip = src_ip or iface.ip
         return self.sim.transmit(Frame(
             ts, iface.segment, self.host_id, iface.mac, mac, src_ip, dst_ip,
@@ -577,7 +585,7 @@ class Host:
             flags = frame.tcp_flags
             if "RST" in flags:
                 del self._conntrack[key]
-            elif frame.payload or "FIN" in flags:
+            elif owes_ack(flags, frame.payload):
                 flow[side] += 1
                 if "FIN" in flags:
                     flow[0] += 1
@@ -609,8 +617,7 @@ class Host:
                  src_port: int | None = None) -> "TcpStream":
         sp = src_port if src_port is not None else self.ephemeral_port()
         iface, _ = self.route(dst_ip)
-        stream = TcpStream(self, "client", iface.ip, sp, dst_ip, dst_port,
-                           proto_tag)
+        stream = TcpStream(self, iface.ip, sp, dst_ip, dst_port, proto_tag)
         stream._send(SYN)
         return stream
 
@@ -630,7 +637,7 @@ class Host:
             stream._rx(frame)
         elif "SYN" in frame.tcp_flags and frame.dst_port in self._tcp_services:
             svc = self._tcp_services[frame.dst_port]
-            stream = TcpStream(self, "server", *key, frame.proto_tag)
+            stream = TcpStream(self, *key, frame.proto_tag)
             stream.on_established = svc.on_open
             stream.on_data = svc.on_data
             stream._rx(frame)
@@ -649,13 +656,12 @@ class TcpStream:
     statistics and stream profiling.
     """
 
-    def __init__(self, host, side, local_ip, local_port, peer_ip, peer_port,
+    def __init__(self, host, local_ip, local_port, peer_ip, peer_port,
                  proto_tag):
         self.host = host
-        self.side = side             # "client" | "server"
         self.key = (local_ip, local_port, peer_ip, peer_port)
         host._streams[self.key] = self
-        self.client_ip = local_ip if side == "client" else peer_ip
+        self.peer_ip = peer_ip
         self.proto_tag = proto_tag
         # -> established -> closing (our FIN is out) -> closed, or refused
         self.state = "connecting"
@@ -663,19 +669,18 @@ class TcpStream:
         self.on_data = None          # fn(stream, bytes)
         self.on_closed = None
         self.on_refused = None
-        self._unacked = 0            # our data and FIN the peer has not ACKed
+        self._unacked = 0            # our segments owing an ACK (owes_ack)
 
     def _send(self, flags, payload: bytes = b""):
+        if owes_ack(flags, payload):
+            self._unacked += 1
         local_ip, local_port, peer_ip, peer_port = self.key
         return self.host.send_ip(peer_ip, peer_port, payload, self.proto_tag,
                                  "TCP", flags, local_port, local_ip)
 
     def write(self, payload: bytes):
         if self.state not in ("established", "connecting"):
-            raise RuntimeError(f"{self.side} stream not writable "
-                               f"(state={self.state})")
-        if payload:
-            self._unacked += 1
+            raise RuntimeError(f"stream not writable (state={self.state})")
         return self._send(PSH_ACK, payload)
 
     def reply_after(self, delay_us: int, payload: bytes) -> None:
@@ -689,7 +694,6 @@ class TcpStream:
     def close(self):
         if self.state not in ("connecting", "established"):
             return
-        self._unacked += 1
         self._send(FIN_ACK)
         self.state = "closing"
 
@@ -728,26 +732,23 @@ class TcpStream:
                 self._set_state("established")
             return
         if flags == ACK and not frame.payload:
-            if self.side == "server" and self.state == "connecting":
-                self._set_state("established")
-            elif self._unacked:
+            if self._unacked:
                 self._unacked -= 1
-                if self.state == "closed" and not self._unacked:
+                if self.state == "connecting":
+                    self._set_state("established")  # our SYN_ACK is paid
+                elif self.state == "closed" and not self._unacked:
                     self._forget()      # the peer's last ACK
             return
-        if self.state == "closed":
-            return   # late data or FIN on a torn-down stream is ignored
+        if self.state == "closed" or not owes_ack(flags, frame.payload):
+            return   # owes no ACK, or comes late to a torn-down stream
+        self._send(ACK)                 # for the data or the FIN
         if "FIN" in flags:
-            self._send(ACK)
             self.close()                # our FIN, unless it is already out
             if not self._unacked:
                 self._forget()          # the peer has ACKed all we sent
             self._set_state("closed")
-            return
-        if frame.payload:
-            self._send(ACK)
-            if self.on_data:
-                self.on_data(self, frame.payload)
+        elif self.on_data:
+            self.on_data(self, frame.payload)
 
 
 # ---------------------------------------------------------------------------

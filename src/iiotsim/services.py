@@ -53,18 +53,18 @@ class WebGuiService:
                 body = {"status": 200, "auth": "ok"}
                 self.sim.log_syslog(self.host,
                                     f"webgui: login {request.get('user')} "
-                                    f"from {stream.client_ip}")
+                                    f"from {stream.peer_ip}")
             else:
                 body = {"status": 401, "auth": "denied"}
                 self.sim.log_syslog(self.host,
-                                    f"webgui: failed login from {stream.client_ip}")
+                                    f"webgui: failed login from {stream.peer_ip}")
         elif action == "inject":
             if stream in self._authed_streams and self.vulnerable:
-                self.footholds.add(request.get("attacker", stream.client_ip))
+                self.footholds.add(request.get("attacker", stream.peer_ip))
                 body = {"status": 200, "upload": "ok"}
                 self.sim.log_syslog(self.host,
                                     "webgui: graph payload uploaded from "
-                                    f"{stream.client_ip}")
+                                    f"{stream.peer_ip}")
             else:
                 body = {"status": 403, "upload": "rejected"}
         else:

@@ -304,6 +304,21 @@ class TestMetrics:
         assert cm.tolist() == [[1, 1], [0, 1]]
 
 
+class TestModelSpec:
+    def test_each_kind_builds_its_estimator_with_its_params(self):
+        for kind, cls in (("DT", DecisionTreeClassifier),
+                          ("RF", RandomForestClassifier),
+                          ("NB", GaussianNBClassifier),
+                          ("LR", LogisticRegressionOvR),
+                          ("KNN", KNeighborsClassifier)):
+            assert type(ModelSpec(kind).build()) is cls
+        assert ModelSpec("RF", {"n_trees": 5}).build().n_trees == 5
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown model kind 'SVM'"):
+            ModelSpec("SVM").build()
+
+
 class TestCrossValidate:
     def test_metrics_row_format(self):
         X, y = toy_blobs(n=30, seed=8)

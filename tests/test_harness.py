@@ -224,6 +224,19 @@ class TestPlanValidation:
         assert len(error["details"]) == 1
         assert f"{path[-1]} " in error["details"][0]
 
+    def test_an_exploit_session_before_its_window_ends_is_refused(self):
+        """Sessions are armed when the upload succeeds, so such a session
+        was scheduled in the past and the clock ran backwards."""
+        plan = planmod.default_plan()
+        exploit = plan["attacks"][7]
+        assert (exploit["id"], exploit["t_start_s"]) == ("exploit-1", 1990.0)
+        exploit["sessions"].append([1000.0, 100.0])
+        assert planmod.validate_plan(plan) == [
+            "attack 'exploit-1': sessions 5: start must be a time of at least "
+            "1992000000 us, got 1000.0"]
+        exploit["sessions"][-1][0] = 1992.0     # the window's end itself
+        assert planmod.validate_plan(plan) == []
+
 
 class TestCalibration:
     def test_solves_service_times(self):

@@ -29,6 +29,23 @@ def lan_pair(jitter_us=0, base_us=500, loss=0.0, acl=None):
     return sim, gw, router
 
 
+def tcp_stamped_in_send_order(sim):
+    """Each host's TCP frames, in the order it sent them, carry times that
+    never go down."""
+    last = {}
+    for f in sim.capture:
+        if f.l4 == "TCP":
+            if f.ts_us < last.get(f.sender, 0):
+                return False
+            last[f.sender] = f.ts_us
+    return True
+
+
+def holds_nothing(sim):
+    return all(not h._streams and not h._conntrack
+               for h in sim.hosts.values())
+
+
 class TestAttach:
     def test_attach_and_count(self):
         sim, gw, router = lan_pair()
@@ -72,6 +89,16 @@ class TestArp:
         mac, ready = gw.arp_resolve("192.168.10.1")
         assert mac == ROUTER_MAC
         assert len(sim.capture) == n_frames
+
+    def test_a_hit_waits_for_the_reply_in_flight(self):
+        sim, gw, router = lan_pair()
+        mac, ready = gw.arp_resolve("192.168.10.1")
+        assert ready > sim.now_us
+        assert gw.arp_resolve("192.168.10.1") == (ROUTER_MAC, ready)
+        frame = gw.send_ip("192.168.10.1", 9, b"x", "RAW", src_port=1)
+        assert frame.ts_us == ready
+        sim.run_until(ready + 1)
+        assert gw.arp_resolve("192.168.10.1") == (ROUTER_MAC, ready + 1)
 
     def test_own_ip_resolves_to_own_mac(self):
         sim, gw, router = lan_pair()
@@ -230,6 +257,26 @@ class TestSendAndFirewall:
         assert router._conntrack == {}
         assert gw._streams == {} and cloud._streams == {}
 
+    def test_a_close_as_the_stream_opens_across_the_router_ends_its_flow(
+            self):
+        # every hop's FIN follows its SYN while ARP still resolves the next
+        # hop, so the server gets the FIN before the handshake's last ACK
+        sim, gw, _ = self.firewall()
+        cloud = sim.hosts["cloud"]
+        cloud.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.2.10", 443, "HTTPS")
+        stream.close()
+        sim.run_until(1_000_000)
+        assert tcp_stamped_in_send_order(sim)
+        assert [(f.segment, f.tcp_flags) for f in sim.capture
+                if f.sender == "router" and f.l4 == "TCP"] == [
+            ("wan", ("SYN",)), ("wan", ("ACK", "FIN")),
+            ("lan", ("ACK", "SYN")), ("lan", ("ACK",)),
+            ("lan", ("ACK", "FIN")), ("wan", ("ACK",)), ("wan", ("ACK",))]
+        assert all("RST" not in f.tcp_flags for f in sim.capture)
+        assert stream.state == "closed"
+        assert holds_nothing(sim)
+
     def test_router_drops_a_packet_it_cannot_route(self):
         sim, gw, _ = self.firewall()
         frame = gw.send_udp("8.8.8.8", 53, b"x", "DNS")
@@ -336,6 +383,23 @@ class TestEventKernel:
                                              "of us, got 0"):
             sim.run_until(100)
         assert seen == [0]
+
+    def test_schedule_at_refuses_a_time_before_now(self):
+        sim = Simulation()
+        sim.run_until(100)
+
+        def tick():
+            pass
+
+        with pytest.raises(ValueError, match="tick: cannot run at 99 us, "
+                                             r"before now \(100 us\)"):
+            sim.schedule_at(99, tick)
+        with pytest.raises(ValueError, match="tick: cannot run at 90 us"):
+            sim.schedule(-10, tick)
+        assert sim._events == []
+        sim.schedule_at(100, tick)      # now itself is not the past
+        sim.run_until(100)
+        assert sim._eseq == 1 and sim._events == []
 
     def test_series_runs_in_the_order_schedule_at_gives(self):
         times = [5, 5, 7, 7, 7, 9]
@@ -512,12 +576,34 @@ class TestTcpStreams:
         stream.on_established = lambda s: sim.schedule(
             500, lambda: (s.write(b"ping"), s.close()))
         sim.run_until(1_000_000)
-        assert refused == ["server stream not writable (state=closing)"]
+        assert refused == ["stream not writable (state=closing)"]
         tcp = [f for f in sim.capture if f.l4 == "TCP"]
         assert [f.payload for f in tcp if f.payload] == [b"hello", b"ping"]
         assert all("RST" not in f.tcp_flags for f in tcp)
         assert stream.state == "closed"
         assert gw._streams == {} and router._streams == {}
+
+    def test_a_close_as_the_stream_opens_ends_without_resets(self):
+        # the FIN follows the SYN while ARP still resolves the peer, and the
+        # server gets it before the handshake's last ACK, which pays only
+        # for the SYN_ACK
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.close()
+        sim.run_until(1_000_000)
+        assert tcp_stamped_in_send_order(sim)
+        tcp = [(f.ts_us, f.sender, f.tcp_flags) for f in sim.capture
+               if f.l4 == "TCP"]
+        assert tcp == [(1000, "edge-gw", ("SYN",)),
+                       (1000, "edge-gw", ("ACK", "FIN")),
+                       (2500, "router", ("ACK", "SYN")),
+                       (2500, "router", ("ACK",)),
+                       (2500, "router", ("ACK", "FIN")),
+                       (3000, "edge-gw", ("ACK",)),
+                       (3000, "edge-gw", ("ACK",))]
+        assert stream.state == "closed"
+        assert holds_nothing(sim)
 
     def test_a_second_close_sends_nothing(self):
         sim, gw, router = lan_pair()
