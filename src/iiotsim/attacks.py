@@ -325,8 +325,8 @@ class ModbusFlood(Injector):
         self.addr_lo = a.get("addr_lo", int, 0, lo=0, hi=0xFFFF)
         self.addr_hi = a.get("addr_hi", int, 199, lo=0, hi=0xFFFF)
         self.reqs_per_conn = a.get("reqs_per_conn", int, 10, lo=1)
-        self.requests_sent = 0
-        self._conns: dict = {}
+        self.requests_sent = 0      # written, whether sent or still held
+        self._stream = None         # the connection of the current requests
         self.window = AttackWindow(MODBUS_DOS, self.t_start_us,
                                    self.t_start_us + self.duration_us + 500_000,
                                    self.attacker.host_id, (self.plc_ip,))
@@ -339,41 +339,19 @@ class ModbusFlood(Injector):
         return [self.window]
 
     def _fire(self, i):
-        conn_idx = i // self.reqs_per_conn
         slot = i % self.reqs_per_conn
         if slot == 0:
-            self._open_conn(conn_idx)
-        conn = self._conns[conn_idx]
+            self._stream = self.attacker.open_tcp(
+                self.plc_ip, fieldbus.MODBUS_PORT, "MODBUS")
+        stream = self._stream
         addr = self.addr_lo + (i % max(1, self.addr_hi - self.addr_lo + 1))
         request = fieldbus.ModbusAdu((i + 1) & 0xFFFF, 1,
                                      fieldbus.READ_HOLDING_REGISTERS, addr, 1)
-        raw = fieldbus.encode_request(request)
-        if conn["stream"].state == "established":
-            conn["stream"].write(raw)
+        if stream.state in ("connecting", "established"):
+            stream.write(fieldbus.encode_request(request))
             self.requests_sent += 1
-        else:
-            conn["backlog"].append(raw)
         if slot == self.reqs_per_conn - 1:
-            self.sim.schedule(100_000, self._close_conn, conn_idx)
-
-    def _open_conn(self, conn_idx):
-        stream = self.attacker.open_tcp(self.plc_ip, fieldbus.MODBUS_PORT,
-                                        "MODBUS")
-        conn = {"stream": stream, "backlog": []}
-        self._conns[conn_idx] = conn
-
-        def on_established(s):
-            for raw in conn["backlog"]:
-                s.write(raw)
-                self.requests_sent += 1
-            conn["backlog"].clear()
-
-        stream.on_established = on_established
-
-    def _close_conn(self, conn_idx):
-        conn = self._conns.get(conn_idx)
-        if conn and conn["stream"].state == "established":
-            conn["stream"].close()
+            self.sim.schedule(100_000, stream.close)
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +477,20 @@ class WebEnum(Injector):
         n_req = max(1, self.session_us // self.request_period_us)
         sent = 0
 
-        def send_next(s):
+        def request():
             nonlocal sent
-            if s.state != "established":
-                return
             sent += 1
-            s.write(dumps({"action": "get",
-                           "path": f"/admin/dir{k}/page{sent:04d}",
-                           "probe": "x" * 120}).encode())
+            return dumps({"action": "get",
+                          "path": f"/admin/dir{k}/page{sent:04d}",
+                          "probe": "x" * 120}).encode()
 
         def on_data(s, data):
             if sent < n_req:
-                self.sim.schedule(self.request_period_us, send_next, s)
+                s.reply_after(self.request_period_us, request())
             else:
                 s.close()
 
-        stream.on_established = send_next
+        stream.write(request())
         stream.on_data = on_data
 
 
@@ -533,25 +509,8 @@ class ReverseShellSession:
     outputs: list = field(default_factory=list)
 
 
-class ShellListener:
-    """Attacker-side handler bound on the reverse-shell port."""
-
-    def __init__(self):
-        self.pending: list = []        # exploit-side handlers awaiting a shell
-        self._output_handlers: dict = {}
-
-    def expect(self, on_shell) -> None:
-        self.pending.append(on_shell)
-
-    def on_open(self, stream):
-        if self.pending:
-            handler = self.pending.pop(0)
-            handler(stream)
-
-    def on_data(self, stream, data: bytes):
-        handler = self._output_handlers.get(stream)
-        if handler is not None:
-            handler(data)
+SHELL_COMMANDS = ("id", "whoami", "uname -a", "cat /etc/passwd",
+                  "netstat -an")
 
 
 class ExploitWebgui(Injector):
@@ -559,7 +518,8 @@ class ExploitWebgui(Injector):
 
     Fails cleanly when the target is not vulnerable or credentials are wrong;
     on success every session is a TCP stream FROM the victim TO the
-    attacker's listener, ended with an exact-duration reset.
+    attacker's listener, ended with an exact-duration reset. The exploit is
+    its own listener service, bound on listener_port.
     """
 
     def setup(self, build, a):
@@ -580,8 +540,8 @@ class ExploitWebgui(Injector):
         self.listener_port = a.get("listener_port", int,
                                    DEFAULT_LISTENER_PORT, lo=1, hi=0xFFFF)
         self.command_gap_us = a.time_us("command_gap_s", 20.0, least=1)
-        self.listener = ShellListener()
         self.sessions: list[ReverseShellSession] = []
+        self._shells: dict = {}     # listener stream -> its session
         self.succeeded = False
         self.failure = ""
         attacker_id = self.attacker.host_id
@@ -595,7 +555,7 @@ class ExploitWebgui(Injector):
                 default=self.t_start_us) + 1_000, attacker_id, victims)
 
     def schedule(self) -> list:
-        self.attacker.bind_tcp(self.listener_port, self.listener)
+        self.attacker.bind_tcp(self.listener_port, self)
         self.sim.schedule_at(self.t_start_us, self._login)
         return [self.exploit_window, self.shell_window]
 
@@ -603,12 +563,10 @@ class ExploitWebgui(Injector):
     def _login(self):
         target_ip = self.target_host.interfaces[0].ip
         stream = self.attacker.open_tcp(target_ip, 443, "HTTPS")
-        stage = {"n": 0}
         user, password = self.credentials
-
-        def on_established(s):
-            s.write(dumps({"action": "login", "user": user,
-                           "password": password}).encode())
+        stream.write(dumps({"action": "login", "user": user,
+                            "password": password}).encode())
+        stage = {"n": 0}
 
         def on_data(s, data):
             body = loads(data.decode())
@@ -629,7 +587,6 @@ class ExploitWebgui(Injector):
                 else:
                     self.failure = "target not vulnerable"
 
-        stream.on_established = on_established
         stream.on_data = on_data
 
     def _arm_sessions(self):
@@ -642,26 +599,6 @@ class ExploitWebgui(Injector):
                                      self.target_host.host_id, start_us,
                                      duration_us)
         self.sessions.append(record)
-
-        commands = ["id", "whoami", "uname -a", "cat /etc/passwd",
-                    "netstat -an"]
-
-        def on_shell(server_stream):
-            # attacker side: drive commands over the victim-originated stream
-            def issue_command():
-                if server_stream.state != "established":
-                    return
-                cmd = commands[len(record.commands) % len(commands)]
-                record.commands.append(cmd)
-                server_stream.write(cmd.encode())
-                if len(record.commands) * self.command_gap_us < duration_us:
-                    self.sim.schedule(self.command_gap_us, issue_command)
-
-            self.listener._output_handlers[server_stream] = (
-                lambda data: record.outputs.append(data.decode()))
-            self.sim.schedule(1_000, issue_command)
-
-        self.listener.expect(on_shell)
 
         # reverse direction: the victim originates the stream
         stream = self.target_host.open_tcp(attacker_ip, self.listener_port,
@@ -679,6 +616,26 @@ class ExploitWebgui(Injector):
 
         stream.on_data = on_data
         self.sim.schedule_at(start_us + duration_us, stream.reset)
+
+    # the attacker side: the n-th shell to reach the listener is session n
+    def on_open(self, stream):
+        if len(self._shells) < len(self.sessions):
+            record = self._shells[stream] = self.sessions[len(self._shells)]
+            self.sim.schedule(1_000, self._issue_command, stream, record)
+
+    def on_data(self, stream, data: bytes):
+        if stream in self._shells:
+            self._shells[stream].outputs.append(data.decode())
+
+    def _issue_command(self, stream, record):
+        if stream.state != "established":
+            return
+        cmd = SHELL_COMMANDS[len(record.commands) % len(SHELL_COMMANDS)]
+        record.commands.append(cmd)
+        stream.write(cmd.encode())
+        if len(record.commands) * self.command_gap_us < record.duration_us:
+            self.sim.schedule(self.command_gap_us, self._issue_command,
+                              stream, record)
 
 
 def backdoor_ports(injectors) -> list:

@@ -355,14 +355,11 @@ class MqttClient:
 
     def connect(self) -> None:
         self.stream = self.host.open_tcp(self.broker_ip, MQTT_PORT, "MQTT")
-        self.stream.on_established = self._on_established
+        self.stream.write(encode_packet({"type": "CONNECT",
+                                         "client_id": self.client_id}))
         self.stream.on_data = self._on_data
         self.stream.on_refused = self._on_refused
         self.stream.on_closed = self._on_closed
-
-    def _on_established(self, stream):
-        stream.write(encode_packet({"type": "CONNECT",
-                                    "client_id": self.client_id}))
 
     def _on_refused(self, stream):
         self.connected = False

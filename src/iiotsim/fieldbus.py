@@ -66,34 +66,17 @@ class _Registers(dict):
 _REGISTERS = _Registers()
 
 
-def pack_request(transaction_id: int, unit_id: int, function: int,
-                 address: int, count_or_value: int) -> bytes:
-    """encode_request of the ADU with these fields."""
-    if function not in SUPPORTED_FUNCTIONS:
-        raise ModbusCodecError(f"unsupported function {function}")
-    if function == READ_HOLDING_REGISTERS and \
-            not 1 <= count_or_value <= MAX_READ_COUNT:
-        raise ModbusCodecError(f"read count {count_or_value} out of range")
-    _check_u16("transaction_id", transaction_id)
-    _check_u16("address", address)
-    _check_u16("count_or_value", count_or_value)
-    return _REQUEST.pack(transaction_id, 0, 6, unit_id, function, address,
-                         count_or_value)
-
-
-def pack_read_response(transaction_id: int, unit_id: int, data) -> bytes:
-    """encode_response of a read-holding-registers ADU with these fields."""
-    for v in data:
-        _check_u16("register", v)
-    n = len(data)
-    return _HEAD_BYTE.pack(transaction_id, 0, 3 + 2 * n, unit_id,
-                           READ_HOLDING_REGISTERS, 2 * n) + \
-        _REGISTERS[n].pack(*data)
-
-
 def encode_request(adu: ModbusAdu) -> bytes:
-    return pack_request(adu.transaction_id, adu.unit_id, adu.function,
-                        adu.address, adu.count_or_value)
+    if adu.function not in SUPPORTED_FUNCTIONS:
+        raise ModbusCodecError(f"unsupported function {adu.function}")
+    if adu.function == READ_HOLDING_REGISTERS and \
+            not 1 <= adu.count_or_value <= MAX_READ_COUNT:
+        raise ModbusCodecError(f"read count {adu.count_or_value} out of range")
+    _check_u16("transaction_id", adu.transaction_id)
+    _check_u16("address", adu.address)
+    _check_u16("count_or_value", adu.count_or_value)
+    return _REQUEST.pack(adu.transaction_id, 0, 6, adu.unit_id, adu.function,
+                         adu.address, adu.count_or_value)
 
 
 def decode_request(raw: bytes) -> ModbusAdu:
@@ -119,7 +102,12 @@ def encode_response(adu: ModbusAdu) -> bytes:
         return _HEAD_BYTE.pack(adu.transaction_id, 0, 3, adu.unit_id,
                                adu.function | 0x80, adu.exception_code)
     if adu.function == READ_HOLDING_REGISTERS:
-        return pack_read_response(adu.transaction_id, adu.unit_id, adu.data)
+        for v in adu.data:
+            _check_u16("register", v)
+        n = len(adu.data)
+        return _HEAD_BYTE.pack(adu.transaction_id, 0, 3 + 2 * n, adu.unit_id,
+                               READ_HOLDING_REGISTERS, 2 * n) + \
+            _REGISTERS[n].pack(*adu.data)
     if adu.function in (WRITE_SINGLE_COIL, WRITE_SINGLE_REGISTER):
         # a write response echoes its request
         return _REQUEST.pack(adu.transaction_id, 0, 6, adu.unit_id,

@@ -214,10 +214,8 @@ class EdgeGateway:
             return
         self._last_notify_us[kind] = now
         stream = self.host.open_tcp(self.mail_ip, 25, "SMTP")
+        stream.write(b"HELLO edge-gw")
         state = {"stage": 0}
-
-        def on_established(s):
-            s.write(b"HELLO edge-gw")
 
         def on_data(s, data):
             if state["stage"] == 0:
@@ -230,7 +228,6 @@ class EdgeGateway:
         def on_refused(s):
             self.events.append((self.sim.now_us, "notify-failure", text))
 
-        stream.on_established = on_established
         stream.on_data = on_data
         stream.on_refused = on_refused
 

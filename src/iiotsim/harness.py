@@ -276,7 +276,7 @@ class Build:
             body = dumps(request(next(cycles))).encode()
             replies = itertools.count(1)
             stream = host.open_tcp(ip, port, tag)
-            stream.on_established = lambda s: s.write(body)
+            stream.write(body)
             stream.on_data = lambda s, data: (
                 s.write(body) if next(replies) < exchanges else s.close())
 

@@ -650,7 +650,10 @@ class Host:
 class TcpStream:
     """One endpoint of a flag+payload fidelity stream: handshake, PSH/ACK
     data, FIN/RST close. A connection is a client stream on one host and a
-    server stream on the other.
+    server stream on the other. Data written while the handshake is pending,
+    and a FIN behind it, is held and sent in order as the handshake ends (a
+    client's SYN_ACK, a server's last ACK), so a service's on_open runs
+    before its on_data; a RST or refusal drops it.
 
     No sequence numbers or retransmission; enough for conversation
     statistics and stream profiling.
@@ -663,13 +666,14 @@ class TcpStream:
         host._streams[self.key] = self
         self.peer_ip = peer_ip
         self.proto_tag = proto_tag
-        # -> established -> closing (our FIN is out) -> closed, or refused
+        # -> established -> closing (FIN sent or held) -> closed, or refused
         self.state = "connecting"
         self.on_established = None   # server side: the service's on_open
         self.on_data = None          # fn(stream, bytes)
         self.on_closed = None
         self.on_refused = None
         self._unacked = 0            # our segments owing an ACK (owes_ack)
+        self._held = []              # (flags, payload) made while connecting
 
     def _send(self, flags, payload: bytes = b""):
         if owes_ack(flags, payload):
@@ -681,6 +685,9 @@ class TcpStream:
     def write(self, payload: bytes):
         if self.state not in ("established", "connecting"):
             raise RuntimeError(f"stream not writable (state={self.state})")
+        if self.state == "connecting":      # sent as the handshake ends
+            self._held.append((PSH_ACK, payload))
+            return None
         return self._send(PSH_ACK, payload)
 
     def reply_after(self, delay_us: int, payload: bytes) -> None:
@@ -694,7 +701,10 @@ class TcpStream:
     def close(self):
         if self.state not in ("connecting", "established"):
             return
-        self._send(FIN_ACK)
+        if self._held:                      # the FIN waits behind the data
+            self._held.append((FIN_ACK, b""))
+        else:
+            self._send(FIN_ACK)
         self.state = "closing"
 
     def reset(self):
@@ -709,6 +719,14 @@ class TcpStream:
         callback = getattr(self, f"on_{state}")
         if callback:
             callback(self)
+
+    def _handshake_done(self) -> None:
+        """Send what was held, then open, unless closed meanwhile."""
+        for flags, payload in self._held:
+            self._send(flags, payload)
+        self._held.clear()
+        if self.state == "connecting":
+            self._set_state("established")
 
     def _forget(self) -> None:
         if self.host._streams.get(self.key) is self:
@@ -728,14 +746,13 @@ class TcpStream:
             return
         if flags == SYN_ACK:
             self._send(ACK)
-            if self.state == "connecting":
-                self._set_state("established")
+            self._handshake_done()
             return
         if flags == ACK and not frame.payload:
             if self._unacked:
                 self._unacked -= 1
                 if self.state == "connecting":
-                    self._set_state("established")  # our SYN_ACK is paid
+                    self._handshake_done()      # our SYN_ACK is paid
                 elif self.state == "closed" and not self._unacked:
                     self._forget()      # the peer's last ACK
             return

@@ -176,11 +176,13 @@ class Fields:
         return self._read(key, default, lambda v: _parses(parse, v))
 
     def time_us(self, key, default=_NEEDED, scale=US_PER_S, least=0):
-        """The field, a number of seconds (of 1/scale s), in whole us."""
+        """The field, a number of seconds (of 1/scale s), in whole us; an
+        error states the bound least (in us) in the field's own unit."""
         value = self.get(key, float, default)
         if value is not None and int(round(value * scale)) < least:
+            unit = "s" if scale == US_PER_S else "ms"
             self.error(f"{self.name}{key}", f"must be a time of at least "
-                       f"{least} us, got {value!r}")
+                       f"{least / scale} {unit}, got {value!r}")
             value = None if default is _NEEDED else default
         return None if value is None else int(round(value * scale))
 

@@ -218,15 +218,13 @@ def modbus_transact(host, slave_ip, request, on_response):
     matching transaction id.
     """
     stream = host.open_tcp(slave_ip, fieldbus.MODBUS_PORT, "MODBUS")
+    stream.write(fieldbus.encode_request(request))
     state = {"done": False}
 
     def finish(result):
         if not state["done"]:
             state["done"] = True
             on_response(result)
-
-    def on_established(s):
-        s.write(fieldbus.encode_request(request))
 
     def on_data(s, raw):
         try:
@@ -243,7 +241,6 @@ def modbus_transact(host, slave_ip, request, on_response):
                 stream.close()
             finish(None)
 
-    stream.on_established = on_established
     stream.on_data = on_data
     stream.on_refused = lambda s: finish(None)
     host.sim.schedule(MODBUS_TIMEOUT_US, timeout_check)

@@ -300,10 +300,10 @@ class TestI2cSniff:
 
 
 class TestModbusFlood:
-    def flood_plan(self, rate=400, duration=5.0):
+    def flood_plan(self, rate=400, duration=5.0, target="plc"):
         return small_plan(duration_s=40.0, attacks=[
             {"id": "dos", "kind": "modbus_dos", "attacker": "attacker",
-             "target": "plc", "t_start_s": 10.1, "duration_s": duration,
+             "target": target, "t_start_s": 10.1, "duration_s": duration,
              "rate_per_s": rate, "addr_lo": 0, "addr_hi": 199,
              "reqs_per_conn": 10}])
 
@@ -316,6 +316,17 @@ class TestModbusFlood:
                     if f.sender == "attacker" and f.proto_tag == "MODBUS"
                     and f.payload and lo <= f.ts_us <= hi]
         assert len(captured) >= 0.9 * 400 * 5
+
+    def test_a_flood_at_a_closed_port_writes_only_while_connecting(
+            self, tmp_path):
+        # each connection's first request is held, then dropped by the RST;
+        # the rest find the stream refused and are not written
+        result = harness.run(self.flood_plan(target="router"), str(tmp_path))
+        assert result.attack_objs["dos"].requests_sent == 400 * 5 // 10
+        sent = [f for f in result.sim.capture
+                if f.sender == "attacker" and f.proto_tag == "MODBUS"]
+        assert len(sent) == 400 * 5 // 10
+        assert all(f.tcp_flags == ("SYN",) for f in sent)
 
     def test_requests_join_the_heap_one_at_a_time(self):
         build = harness.Build(self.flood_plan())

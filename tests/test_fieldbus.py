@@ -327,12 +327,6 @@ class TestModbusCodecAgainstReference:
                            match="^truncated MODBUS response PDU$"):
             fb.decode_response(bytes.fromhex(raw))
 
-    def test_pack_functions_are_the_encoders(self):
-        assert fb.pack_request(7, 1, 6, 101, 250) == fb.encode_request(
-            fb.ModbusAdu(7, 1, 6, 101, 250))
-        assert fb.pack_read_response(7, 1, (164, 0xFFFF)) == \
-            fb.encode_response(fb.ModbusAdu(7, 1, 3, data=(164, 0xFFFF)))
-
 
 TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")
 

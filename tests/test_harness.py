@@ -233,9 +233,18 @@ class TestPlanValidation:
         exploit["sessions"].append([1000.0, 100.0])
         assert planmod.validate_plan(plan) == [
             "attack 'exploit-1': sessions 5: start must be a time of at least "
-            "1992000000 us, got 1000.0"]
+            "1992.0 s, got 1000.0"]
         exploit["sessions"][-1][0] = 1992.0     # the window's end itself
         assert planmod.validate_plan(plan) == []
+
+    def test_a_time_fields_bound_is_stated_in_its_own_unit(self):
+        plan = planmod.default_plan()
+        plan["plant"]["tick_period_s"] = 0
+        plan["plant"]["plc"]["scan_period_ms"] = 0.001
+        assert planmod.validate_plan(plan) == [
+            "plant.tick_period_s must be a time of at least 1e-06 s, got 0",
+            "plant.plc.scan_period_ms must be a time of at least 0.002 ms, "
+            "got 0.001"]
 
 
 class TestCalibration:

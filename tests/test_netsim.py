@@ -277,6 +277,35 @@ class TestSendAndFirewall:
         assert stream.state == "closed"
         assert holds_nothing(sim)
 
+    def test_a_write_and_close_as_the_stream_opens_across_the_router(self):
+        # both wait for the handshake, so every hop carries them after its
+        # last ACK and the server echoes while established
+        sim, gw, _ = self.firewall()
+        cloud = sim.hosts["cloud"]
+        svc = EchoService()
+        states = []
+        svc.on_data = lambda s, data: (states.append(s.state),
+                                       s.write(b"echo:" + data))
+        cloud.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.2.10", 443, "HTTPS")
+        got = []
+        stream.on_data = lambda s, data: got.append((s.state, data))
+        stream.write(b"ping")
+        stream.close()
+        sim.run_until(1_000_000)
+        assert tcp_stamped_in_send_order(sim)
+        assert [(f.segment, f.tcp_flags) for f in sim.capture
+                if f.sender in ("edge-gw", "router") and f.l4 == "TCP"
+                and f.dst_ip == "192.168.2.10"][:6] == [
+            ("lan", ("SYN",)), ("wan", ("SYN",)),
+            ("lan", ("ACK",)), ("lan", ("ACK", "PSH")),
+            ("lan", ("ACK", "FIN")), ("wan", ("ACK",))]
+        assert states == ["established"]
+        assert got == [("closing", b"echo:ping")]
+        assert all("RST" not in f.tcp_flags for f in sim.capture)
+        assert stream.state == "closed"
+        assert holds_nothing(sim)
+
     def test_router_drops_a_packet_it_cannot_route(self):
         sim, gw, _ = self.firewall()
         frame = gw.send_udp("8.8.8.8", 53, b"x", "DNS")
@@ -604,6 +633,67 @@ class TestTcpStreams:
                        (3000, "edge-gw", ("ACK",))]
         assert stream.state == "closed"
         assert holds_nothing(sim)
+
+    def test_a_write_as_the_stream_opens_reaches_an_open_service(self):
+        sim, gw, router = lan_pair()
+        seen = []
+        svc = EchoService()
+        svc.on_open = lambda s: seen.append(("open", s.state))
+        svc.on_data = lambda s, data: seen.append(("data", s.state, data))
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.write(b"early")
+        sim.run_until(1_000_000)
+        assert seen == [("open", "established"),
+                        ("data", "established", b"early")]
+        tcp = [(f.ts_us, f.sender, f.tcp_flags) for f in sim.capture
+               if f.l4 == "TCP"]
+        assert tcp == [(1000, "edge-gw", ("SYN",)),
+                       (2500, "router", ("ACK", "SYN")),
+                       (3000, "edge-gw", ("ACK",)),
+                       (3000, "edge-gw", ("ACK", "PSH")),
+                       (3500, "router", ("ACK",))]
+
+    def test_a_write_and_close_as_the_stream_opens_follow_the_handshake(
+            self):
+        # the data and then the FIN are held until the SYN_ACK, and leave
+        # right after the handshake's last ACK
+        sim, gw, router = lan_pair()
+        svc = EchoService()
+        states = []
+        svc.on_data = lambda s, data: (states.append(s.state),
+                                       s.write(b"echo:" + data))
+        router.bind_tcp(443, svc)
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        got = []
+        stream.on_data = lambda s, data: got.append((s.state, data))
+        assert stream.write(b"ping") is None
+        stream.close()
+        assert stream.state == "closing"
+        sim.run_until(1_000_000)
+        assert tcp_stamped_in_send_order(sim)
+        sent = [(f.ts_us, f.tcp_flags) for f in sim.capture
+                if f.sender == "edge-gw" and f.l4 == "TCP"]
+        assert sent[:4] == [(1000, ("SYN",)), (3000, ("ACK",)),
+                            (3000, ("ACK", "PSH")), (3000, ("ACK", "FIN"))]
+        assert not any(f.payload for f in sim.capture
+                       if f.l4 == "TCP" and f.ts_us < 3000)
+        assert states == ["established"]
+        assert got == [("closing", b"echo:ping")]
+        assert all("RST" not in f.tcp_flags for f in sim.capture)
+        assert stream.state == "closed"
+        assert holds_nothing(sim)
+
+    def test_a_refused_connect_drops_its_held_write(self):
+        sim, gw, router = lan_pair()
+        stream = gw.open_tcp("192.168.10.1", 4000, "RAW")
+        stream.write(b"x")
+        sim.run_until(1_000_000)
+        assert stream.state == "refused"
+        assert [(f.sender, f.tcp_flags) for f in sim.capture
+                if f.l4 == "TCP"] == [("edge-gw", ("SYN",)),
+                                      ("router", ("RST",))]
+        assert gw._streams == {} and router._streams == {}
 
     def test_a_second_close_sends_nothing(self):
         sim, gw, router = lan_pair()
