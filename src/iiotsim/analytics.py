@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import decode_packet, loads
+from .services import WEBGUI_PORT
 
 IDLE_TIMEOUT_US = 60_000_000
 JITTER_WINDOW_US = 10_000_000
@@ -132,16 +133,21 @@ def build_conversations(frames) -> list:
         frames, key=lambda f: (f.ts_us, f.deliver_ts_us))).result()
 
 
+def conn_row(c: ConversationRecord) -> dict:
+    """c's conn.log row, as read_conn_log reads its line back."""
+    flags = ",".join(f"{k}:{v}" for k, v in c.flag_hist.items())
+    return dict(zip(CONN_LOG_COLUMNS, (
+        c.ts_first_us / 1_000_000, c.orig_ip, c.orig_port, c.resp_ip,
+        c.resp_port, c.proto, c.duration_s, c.orig_bytes, c.resp_bytes,
+        c.orig_pkts, c.resp_pkts, flags or "-")))
+
+
 def write_conn_log(conversations, path) -> None:
     with open(path, "w") as fh:
         fh.write("\t".join(CONN_LOG_COLUMNS) + "\n")
         for c in conversations:
-            flags = ",".join(f"{k}:{v}" for k, v in c.flag_hist.items())
-            fh.write("\t".join((
-                f"{c.ts_first_us / 1_000_000:.6f}", c.orig_ip,
-                str(c.orig_port), c.resp_ip, str(c.resp_port), c.proto,
-                f"{c.duration_s:.6f}", str(c.orig_bytes), str(c.resp_bytes),
-                str(c.orig_pkts), str(c.resp_pkts), flags or "-")) + "\n")
+            fh.write("\t".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                               for v in conn_row(c).values()) + "\n")
 
 
 def read_conn_log(path) -> list:
@@ -191,7 +197,7 @@ class ResponseStats:
 # server ports of the byte-stream protocols, None for those paired on an id
 RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
                       "HTTP": {80}, "API": {8080}, "SMTP": {25}, "MQTT": None,
-                      "HTTPS": {443}}
+                      "HTTPS": {WEBGUI_PORT}}
 
 
 # the JSON values that cannot key pending: a frame whose id is one is not

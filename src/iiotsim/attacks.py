@@ -13,6 +13,7 @@ from . import fieldbus
 from .cloud import (MQTT_PORT, MqttClient, decode_packet, dumps,
                     encode_packet, loads)
 from .netsim import US_PER_S, ArpFailure
+from .services import WEBGUI_PORT
 
 ARP_SPOOF = "arp_spoof"
 TAMPER = "tamper"
@@ -473,7 +474,7 @@ class WebEnum(Injector):
 
     def _session(self, k):
         stream = self.attacker.open_tcp(self.target_host.interfaces[0].ip,
-                                        443, "HTTPS")
+                                        WEBGUI_PORT, "HTTPS")
         n_req = max(1, self.session_us // self.request_period_us)
         sent = 0
 
@@ -562,7 +563,7 @@ class ExploitWebgui(Injector):
     # stage 1: login and upload over the web admin port
     def _login(self):
         target_ip = self.target_host.interfaces[0].ip
-        stream = self.attacker.open_tcp(target_ip, 443, "HTTPS")
+        stream = self.attacker.open_tcp(target_ip, WEBGUI_PORT, "HTTPS")
         user, password = self.credentials
         stream.write(dumps({"action": "login", "user": user,
                             "password": password}).encode())

@@ -57,7 +57,10 @@ def cmd_run(args) -> int:
 def cmd_calibrate(args) -> int:
     calibrated = planmod.calibrate(_load_plan(args))
     out = args.out_plan or (args.plan or "plan.calibrated.json")
-    planmod.save_plan(calibrated, out)
+    try:
+        planmod.save_plan(calibrated, out)
+    except OSError as e:
+        return _fail(f"cannot write plan: {e}")
     if not args.quiet:
         print(json.dumps(calibrated["service_times_us"], indent=2))
         print(f"wrote {out}")
@@ -108,6 +111,8 @@ def _syslog_events(path):
 
 
 def cmd_hunt(args) -> int:
+    """Rebuild the plan's hunt report, as `run` wrote it, from the bundle."""
+    build = harness.Build(_load_plan(args))
     conn_path = os.path.join(args.out, "conn.log")
     capture_path = os.path.join(args.out, "capture.jsonl")
     missing = {conn_path: "conn.log", capture_path: "capture"}
@@ -115,21 +120,14 @@ def cmd_hunt(args) -> int:
         rows = analytics.read_conn_log(conn_path)
         syslog_events, truth_events = (
             _syslog_events(path) for path in (args.syslog, args.syslog_truth))
-        # every record is read and checked, but the flag profiles count only
-        # the victim's TCP frames, so only those become frames
-        frames = list(iter_capture_jsonl(
-            capture_path, keep=lambda l4, src_ip, dst_ip: (
-                l4 == "TCP" and args.victim in (src_ip, dst_ip))))
+        report = harness.build_hunt_report(
+            build, rows,
+            lambda keep: list(iter_capture_jsonl(capture_path, keep=keep)),
+            syslog_events, truth_events)
     except FileNotFoundError as e:
         return _fail(f"no {missing.get(e.filename, 'syslog')} at {e.filename}")
     except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
-    report = huntmod.hunt_report(rows, frames, args.victim,
-                                 args.service_port,
-                                 backdoor_ports=[args.backdoor_port],
-                                 syslog_events=syslog_events,
-                                 truth_events=truth_events,
-                                 search_pattern=args.pattern)
     out_path = os.path.join(args.out, "hunt_report.json")
     try:
         harness.write_json(report, out_path)
@@ -154,6 +152,9 @@ def cmd_detect(args) -> int:
         return _fail(f"cannot read dataset: {e}")
     if not rows:
         return _fail("dataset is empty")
+    if args.folds > len(rows):
+        return _fail(f"--folds must be at most the dataset's {len(rows)} "
+                     f"rows, got {args.folds}")
     X = np.array([r.features for r in rows])
     y = np.array([r.label for r in rows])
     results = []
@@ -220,12 +221,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("hunt", help="run the hunting chain over conn.log")
+    p.add_argument("--plan", help="plan file (defaults to the shipped plan)")
     p.add_argument("--out", default="out")
-    p.add_argument("--victim", default="192.168.10.1")
-    p.add_argument("--service-port", type=int, default=443)
-    p.add_argument("--backdoor-port", type=int,
-                   default=attacks.DEFAULT_LISTENER_PORT)
-    p.add_argument("--pattern", default="shell")
     p.add_argument("--syslog")
     p.add_argument("--syslog-truth")
     p.set_defaults(fn=cmd_hunt)

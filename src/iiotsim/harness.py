@@ -12,12 +12,12 @@ from . import analytics, attacks, fieldbus, hunt, plan as planmod
 from .cloud import Broker, dumps
 from .gateway import EdgeGateway
 from .historian import IsoStamp
-from .netsim import (US_PER_S, Acl, AclRule, RouteError, Simulation,
-                     capture_export, parse_cidr, write_capture_jsonl)
+from .netsim import (Acl, AclRule, RouteError, Simulation, capture_export,
+                     parse_cidr, write_capture_jsonl)
 from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
                     ModbusSlaveService, MplDevice, Plant, Plc, SensorModel)
 from .fieldbus import MODBUS_PORT, I2cBus, OneWireBus
-from .services import MailService, WebGuiService
+from .services import WEBGUI_PORT, MailService, WebGuiService
 
 # what a plan gets for a service time that neither its service_times_us nor
 # a latency target sets, and for a missing epoch
@@ -160,7 +160,7 @@ class Build:
                 credentials=tuple(gui.get("credentials", list,
                                           ["admin", "admin"], of=str)),
                 vulnerable=gui.get("vulnerable", bool, False))
-            self.router.bind_tcp(443, self.webgui)
+            self.router.bind_tcp(WEBGUI_PORT, self.webgui)
         self.mail_svc = MailService(self.sim, self.svc["SMTP"])
         self.mail_host.bind_tcp(25, self.mail_svc)
 
@@ -255,7 +255,7 @@ class Build:
             self._client(cfg, lambda host: gw_ip, 8080, "API",
                          lambda n: _SNAPSHOT, exchanges=1)
         for cfg in clients.get("webgui_clients", ()):
-            self._client(cfg, self.router_ip_for, 443, "HTTPS",
+            self._client(cfg, self.router_ip_for, WEBGUI_PORT, "HTTPS",
                          lambda n: _STATUS,
                          exchanges=cfg.get("requests", int, 2, lo=1))
 
@@ -381,13 +381,16 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
             write_lines(lines, path(name))
 
     router_id = build.plan["roles"]["router"]
-    write_lines(_syslog_lines(build, build.router.syslog),
-                path(f"syslog_{router_id}.txt"))
-    write_lines(_syslog_lines(build, build.sim.syslog_truth[router_id]),
-                path(f"syslog_{router_id}_truth.txt"))
+    syslog = _syslog_lines(build, build.router.syslog)
+    truth = _syslog_lines(build, build.sim.syslog_truth[router_id])
+    write_lines(syslog, path(f"syslog_{router_id}.txt"))
+    write_lines(truth, path(f"syslog_{router_id}_truth.txt"))
 
     if "hunt" in outputs:
-        build.hunt = build_hunt_report(build, frames, build.conversations)
+        build.hunt = build_hunt_report(
+            build, [analytics.conn_row(c) for c in build.conversations],
+            lambda keep: frames, hunt.parse_syslog(syslog)[0],
+            hunt.parse_syslog(truth)[0])
         write_json(build.hunt, path("hunt_report.json"))
 
     summary = {
@@ -566,20 +569,17 @@ def build_metrics_report(build: Build, report: dict) -> dict:
     return report
 
 
-def build_hunt_report(build: Build, frames, conversations) -> dict:
-    rows = [{"ts": c.ts_first_us / US_PER_S, "orig_h": c.orig_ip,
-             "orig_p": c.orig_port, "resp_h": c.resp_ip,
-             "resp_p": c.resp_port, "proto": c.proto,
-             "duration": round(c.duration_s, 6),
-             "orig_bytes": c.orig_bytes, "resp_bytes": c.resp_bytes,
-             "orig_pkts": c.orig_pkts, "resp_pkts": c.resp_pkts}
-            for c in conversations]
-    syslog_events, _ = hunt.parse_syslog(
-        _syslog_lines(build, build.router.syslog))
-    truth_events, _ = hunt.parse_syslog(
-        _syslog_lines(build, build.sim.syslog_truth[build.router.host_id]))
-    return hunt.hunt_report(rows, frames, build.router_ip_for(build.attacker),
-                            443, backdoor_ports=attacks.backdoor_ports(
-                                build.attack_objs.values()),
-                            syslog_events=syslog_events,
-                            truth_events=truth_events, search_pattern="shell")
+def build_hunt_report(build: Build, conn_rows, read_frames, syslog_events,
+                      truth_events) -> dict:
+    """The hunt of `run` and `iiotsim hunt`, as the plan sets it: on the
+    router's address facing the attacker, for clients of its web admin port
+    and the exploits' listener ports, with a syslog search for "shell".
+    read_frames(keep) gives a list of the capture's frames, at least those
+    whose (l4, src_ip, dst_ip) keep is true of: the victim's TCP frames."""
+    victim = build.router_ip_for(build.attacker)
+    frames = read_frames(lambda l4, src_ip, dst_ip: (
+        l4 == "TCP" and victim in (src_ip, dst_ip)))
+    return hunt.hunt_report(
+        conn_rows, frames, victim, WEBGUI_PORT,
+        attacks.backdoor_ports(build.attack_objs.values()), syslog_events,
+        truth_events, "shell")

@@ -64,10 +64,8 @@ def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int) -> dict:
     shell_like = 0
     total = 0
     for f in frames:
-        if f.l4 != "TCP":
-            continue
-        pair = {f.src_ip, f.dst_ip}
-        if pair != {ip_a, ip_b} or port not in (f.src_port, f.dst_port):
+        if (f.l4 != "TCP" or {f.src_ip, f.dst_ip} != {ip_a, ip_b}
+                or port not in (f.src_port, f.dst_port)):
             continue
         total += 1
         key = f.flag_key()
@@ -141,13 +139,9 @@ def hunt_report(conn_rows, frames, victim_ip: str, service_port: int,
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)
     suspects = sorted({r["resp_h"] for r in reverse["rows"]})
-    profiles = {}
-    for suspect in suspects:
-        for port in backdoor_ports:
-            if any(r["resp_p"] == port for r in reverse["rows"]
-                   if r["resp_h"] == suspect):
-                profiles[f"{suspect}:{port}"] = stream_flag_profile(
-                    frames, victim_ip, suspect, port)
+    called = {(r["resp_h"], r["resp_p"]) for r in reverse["rows"]}
+    profiles = {f"{s}:{p}": stream_flag_profile(frames, victim_ip, s, p)
+                for s in suspects for p in backdoor_ports if (s, p) in called}
     syslog_part = {}
     if syslog_events is not None:
         hits = search_events(syslog_events, search_pattern)

@@ -2,6 +2,7 @@
 
 from .cloud import dumps, loads
 
+WEBGUI_PORT = 443           # the router's web admin
 WEBGUI_SERVICE_TIME_US = 20_000
 
 
@@ -24,7 +25,7 @@ class MailService:
 
 
 class WebGuiService:
-    """Router web admin on 443: page fetches, credential login, and the
+    """Router web admin on WEBGUI_PORT: page fetches, credential login, and the
     graph-upload path that arms a shell foothold on a vulnerable host."""
 
     def __init__(self, sim, host, credentials: tuple, vulnerable: bool):

@@ -454,6 +454,13 @@ class TestRunArtifacts:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()
         assert digests == GOLDEN_DIGESTS
 
+    def test_conn_row_is_the_row_conn_log_reads_back(self, default_bundle):
+        rows = analytics.read_conn_log(
+            os.path.join(default_bundle.out_dir, "conn.log"))
+        assert len(rows) == 7057
+        assert [analytics.conn_row(c)
+                for c in default_bundle.conversations] == rows
+
     def test_default_hour_holds_only_its_live_connections(self,
                                                           default_bundle):
         # the edge gateway's MQTT session: one stream at each end and the
@@ -597,15 +604,16 @@ class TestCli:
         planmod.save_plan(bad, bad_path)
         assert cli.main(["validate", "--plan", str(bad_path)]) == 2
 
-    def test_run_report_hunt_detect_chain(self, tmp_path):
+    @pytest.mark.parametrize("listener_port", [4444, 5555])
+    def test_run_report_hunt_detect_chain(self, tmp_path, listener_port):
         plan = small_plan(duration_s=60.0, attacks=[
             {"id": "dos", "kind": "modbus_dos", "attacker": "attacker",
              "target": "plc", "t_start_s": 20.1, "duration_s": 5.0,
              "rate_per_s": 200, "addr_lo": 0, "addr_hi": 50},
             {"id": "x", "kind": "exploit", "attacker": "attacker",
              "target": "router", "credentials": ["admin", "default"],
-             "t_start_s": 5.0, "listener_port": 4444, "command_gap_s": 5.0,
-             "sessions": [[30.0, 15.0]]},
+             "t_start_s": 5.0, "listener_port": listener_port,
+             "command_gap_s": 5.0, "sessions": [[30.0, 15.0]]},
         ])
         path = self.write_plan(tmp_path, plan)
         out = str(tmp_path / "out")
@@ -622,13 +630,25 @@ class TestCli:
         del run_metrics["plc_scan"], run_metrics["broker"]
         assert (json.dumps(report_metrics, indent=2)
                 == json.dumps(run_metrics, indent=2))
-        assert cli.main(["--quiet", "hunt", "--out", out]) == 0
+        # hunt rebuilds the run's hunt report for the plan's backdoor port
+        hunt_path = os.path.join(out, "hunt_report.json")
+        with open(hunt_path, "rb") as fh:
+            run_hunt = fh.read()
+        os.remove(hunt_path)
+        assert cli.main(["--quiet", "hunt", "--plan", path, "--out", out,
+                         "--syslog", os.path.join(out, "syslog_router.txt"),
+                         "--syslog-truth",
+                         os.path.join(out, "syslog_router_truth.txt")]) == 0
+        with open(hunt_path, "rb") as fh:
+            assert fh.read() == run_hunt
         assert cli.main(["--quiet", "detect", "--out", out,
                          "--folds", "2"]) == 0
         report = json.load(open(os.path.join(out, "detection_report.json")))
         assert set(report["models"]) == {"DT", "RF", "NB", "LR", "KNN"}
-        hunt_report = json.load(open(os.path.join(out, "hunt_report.json")))
+        hunt_report = json.loads(run_hunt)
         assert hunt_report["identified_attacker"] == "192.168.10.151"
+        assert list(hunt_report["flag_profiles"]) == [
+            f"192.168.10.151:{listener_port}"]
 
     def test_report_without_attack_windows_labels_every_row_normal(
             self, tmp_path):
@@ -767,6 +787,20 @@ class TestCli:
             error = json.loads(capsys.readouterr().err)
             assert "--folds" in error["error"]
 
+    def test_detect_rejects_more_folds_than_rows(self, tmp_path, capsys):
+        analytics.write_dataset_csv(
+            [analytics.DatasetRow(
+                (float(i),) * len(analytics.FEATURE_COLUMNS),
+                "normal" if i % 3 else "modbus_dos") for i in range(30)],
+            tmp_path / "dataset.csv")
+        assert cli.main(["--quiet", "detect", "--out", str(tmp_path),
+                         "--folds", "31"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "--folds must be at most the dataset's 30 rows, got 31"
+        assert not (tmp_path / "detection_report.json").exists()
+        assert cli.main(["--quiet", "detect", "--out", str(tmp_path),
+                         "--folds", "30"]) == 0
+
     def test_calibrate_cli(self, tmp_path):
         path = self.write_plan(tmp_path, small_plan(duration_s=10.0))
         out_plan = str(tmp_path / "cal.json")
@@ -808,7 +842,8 @@ class TestCli:
                                       "report_windows_is_a_directory",
                                       "detect_report_is_a_directory",
                                       "report_conn_log_is_a_directory",
-                                      "hunt_report_is_a_directory"])
+                                      "hunt_report_is_a_directory",
+                                      "calibrate_plan_is_a_directory"])
     def test_bad_input_gives_structured_error(self, tmp_path, capsys, case):
         out = tmp_path / "out"
         out.mkdir()
@@ -844,7 +879,7 @@ class TestCli:
             del records[1]["dst_mac"]
             (out / "capture.jsonl").write_text(
                 "".join(json.dumps(r) + "\n" for r in records))
-            argv = ["hunt", "--out", str(out), "--victim", "192.168.10.1"]
+            argv = ["hunt", "--out", str(out)]
         elif case == "hunt_without_capture":
             # the flag profiles need the capture: no 0-frame answer
             analytics.write_conn_log([], out / "conn.log")
@@ -886,6 +921,8 @@ class TestCli:
             (out / "capture.jsonl").write_text("")
             (out / "hunt_report.json").mkdir()
             argv = ["hunt", "--out", str(out)]
+        elif case == "calibrate_plan_is_a_directory":
+            argv = ["calibrate", "--out-plan", str(out)]
         elif case == "plan_without_mobile_role":
             # calibrating the COAP and DNS targets needs the mobile host
             plan = planmod.default_plan()
@@ -920,6 +957,8 @@ class TestCli:
             assert not (out / "metrics_report.json").exists()
         if case == "hunt_report_is_a_directory":
             assert error["error"].startswith("cannot write hunt report: ")
+        if case == "calibrate_plan_is_a_directory":
+            assert error["error"].startswith("cannot write plan: ")
         if case == "hunt_missing_syslog":
             assert error["error"] == f"no syslog at {tmp_path / 'nope.log'}"
             assert not (out / "hunt_report.json").exists()
