@@ -101,13 +101,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _syslog_events(path):
-    """The timestamped events of a syslog file, or None when no path is
-    given; a missing file raises FileNotFoundError."""
-    if not path:
+def _syslog_events(given, default):
+    """The timestamped events of the syslog file at the given path, else at
+    the bundle's default path. A missing file raises FileNotFoundError when
+    its path was given, and is None when it is the default."""
+    try:
+        with open(given or default) as fh:
+            return huntmod.parse_syslog(fh.readlines())[0]
+    except FileNotFoundError:
+        if given:
+            raise
         return None
-    with open(path) as fh:
-        return huntmod.parse_syslog(fh.readlines())[0]
 
 
 def cmd_hunt(args) -> int:
@@ -119,7 +123,9 @@ def cmd_hunt(args) -> int:
     try:
         rows = analytics.read_conn_log(conn_path)
         syslog_events, truth_events = (
-            _syslog_events(path) for path in (args.syslog, args.syslog_truth))
+            _syslog_events(given, os.path.join(args.out, name))
+            for given, name in zip((args.syslog, args.syslog_truth),
+                                   build.syslog_names()))
         report = harness.build_hunt_report(
             build, rows,
             lambda keep: list(iter_capture_jsonl(capture_path, keep=keep)),
@@ -223,8 +229,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("hunt", help="run the hunting chain over conn.log")
     p.add_argument("--plan", help="plan file (defaults to the shipped plan)")
     p.add_argument("--out", default="out")
-    p.add_argument("--syslog")
-    p.add_argument("--syslog-truth")
+    p.add_argument("--syslog", help="router syslog (defaults to the "
+                   "bundle's syslog_<router>.txt, if there is one)")
+    p.add_argument("--syslog-truth", help="router syslog before tampering "
+                   "(defaults to the bundle's syslog_<router>_truth.txt, if "
+                   "there is one)")
     p.set_defaults(fn=cmd_hunt)
 
     p = sub.add_parser("detect",

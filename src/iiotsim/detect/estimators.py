@@ -60,7 +60,9 @@ class _RankedData:
     of row i as rank * n_classes + y[i], so sorting a node's keys of one
     feature groups its rows by value, then by class. The keys are int16 when
     they fit. values holds each feature's distinct values in ascending
-    order, feature f's from first_value[f] on.
+    order, feature f's from first_value[f] on. pair[i] numbers row i's
+    distinct (values, class) pair, which its key column spells out, and
+    pair_row[p] is a row of pair p.
     """
 
     def __init__(self, X, y_idx, n_classes):
@@ -74,6 +76,16 @@ class _RankedData:
                              else np.int64)
         for f, (v, x) in enumerate(zip(values, X.T)):
             self.keys[f] = v.searchsorted(x) * n_classes + y_idx
+        # a pair is a run of equal key columns in lexicographic order, and
+        # its row is the first of the run, the lowest of the pair
+        order = np.lexsort(self.keys)
+        keys = self.keys[:, order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
+        self.pair = np.empty(len(order), dtype=np.intp)
+        self.pair[order] = first.cumsum() - 1
+        self.pair_row = order[first].astype(np.int32)
         self.X = X
         self.y = y_idx
         self.n_classes = n_classes
@@ -107,54 +119,61 @@ def _row_sum(rows) -> np.ndarray:
     return rows[0]
 
 
-def _segment_counts(data, rows, sizes, counts, feature_ids) -> tuple:
+def _segment_counts(data, rows, weights, lens, counts, feature_ids) -> tuple:
     """The class counts of the value segments of every (node, feature)
-    block, for nodes given as their rows laid end to end, their sizes, their
-    class-major counts and their candidate features.
+    block, for nodes given as their distinct rows laid end to end with the
+    weight of each, their numbers of rows, their class-major counts and
+    their candidate features.
 
     Block s * m + j holds node s's rows keyed by feature feature_ids[s, j].
     A segment is a run of rows of one (block, value), in block, then value
     order. -> (seg_key, left): seg_key[t] is block * n_values + the value
-    rank of segment t, and left[c, t] counts the rows of class c in its
-    block up to segment t's end. The keys of every block are sorted as one
-    array.
+    rank of segment t, and left[c, t] sums the weights of the rows of class
+    c in its block up to segment t's end. The keys of every block are sorted
+    as one array.
     """
     k, n_values = data.n_classes, data.n_values
     n_nodes, m = feature_ids.shape
     # each key is offset by block * span, so that one sort orders the
-    # blocks too
+    # blocks too, and carries its row's weight in its low bits, so that the
+    # weights sort with their keys
     span = n_values * k
+    shift = int(weights.max()).bit_length()
     keys = np.arange(0, n_nodes * m * span, span, dtype=np.int32
-                     if n_nodes * m * span <= 2 ** 31 else np.int64)
-    keys = keys.reshape(-1, m).T.repeat(sizes, axis=1)
-    at = (feature_ids * data.keys.shape[1]).T.repeat(sizes, axis=1)
+                     if n_nodes * m * span << shift <= 2 ** 31 else np.int64)
+    keys = keys.reshape(-1, m).T.repeat(lens, axis=1)
+    at = (feature_ids * data.keys.shape[1]).T.repeat(lens, axis=1)
     at += rows
     keys += data.keys.take(at)
     # the arrays as long as the keys set the peak: each goes once used
     del at
+    keys <<= shift
+    keys |= weights
     keys = keys.ravel()
     keys.sort()
-    # the last element of each run of one (block, value, class)
-    last = np.empty(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    last[-1] = True
-    ends = last.nonzero()[0]
+    weight = np.bitwise_and(keys, (1 << shift) - 1)
+    keys >>= shift
+    # the first element of each run of one (block, value, class)
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
     # tail marks the last run of each segment, and seg numbers them from 0
-    seg_key, klass = np.divmod(keys[ends], k)
-    del keys, last
-    tail = np.empty(len(ends), dtype=bool)
+    seg_key, klass = np.divmod(keys[starts], k)
+    weight = np.add.reduceat(weight, starts, dtype=weight.dtype)
+    del keys, first
+    tail = np.empty(len(starts), dtype=bool)
     np.not_equal(seg_key[1:], seg_key[:-1], out=tail[:-1])
     tail[-1] = True
     seg = tail.cumsum() - tail
     seg_key = seg_key[tail]
     n_seg = len(seg_key)
-    # each run's length goes to its (class, segment), and each block's first
+    # each run's weight goes to its (class, segment), and each block's first
     # segment takes away the counts of the block before, which holds every
     # row of its node once, so one cumsum along a class's row starts again
     # at every block
     left = np.bincount(np.multiply(klass, n_seg, dtype=np.int64) + seg,
-                       weights=np.diff(ends, prepend=-1),
-                       minlength=k * n_seg).reshape(k, n_seg)
+                       weights=weight, minlength=k * n_seg).reshape(k, n_seg)
     seg_block = seg_key // n_values
     block_start = (seg_block[1:] != seg_block[:-1]).nonzero()[0] + 1
     left[:, block_start] -= counts.repeat(m, axis=1)[:, :-1]
@@ -163,12 +182,15 @@ def _segment_counts(data, rows, sizes, counts, feature_ids) -> tuple:
 
 
 def _split_nodes(data, nodes, min_leaf) -> list:
-    """Splits nodes given as (rows, counts, feature_ids): a view of the
-    node's rows, its class counts and its candidate features.
+    """Splits nodes given as (rows, weights, counts, feature_ids): views of
+    the node's distinct rows and of the weight of each, its class counts and
+    its candidate features. A row of weight w stands for w equal rows, and
+    every size is a sum of weights.
 
     -> for each node None or (feature, threshold, n_left, left_counts). The
-    rows of a split node are reordered in place: the n_left rows at or below
-    the threshold first, each side in the order it had.
+    rows and weights of a split node are reordered in place: the n_left
+    distinct rows at or below the threshold first, each side in the order
+    it had.
 
     Each split is the one a scan of every boundary between distinct values
     of every candidate feature finds: the same Gini expression is evaluated
@@ -177,14 +199,17 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     it.
     """
     n_values = data.n_values
-    rows = np.concatenate([rows for rows, _, _ in nodes])
-    counts = np.array([counts for _, counts, _ in nodes])
+    rows = np.concatenate([rows for rows, _, _, _ in nodes])
+    weights = np.concatenate([weights for _, weights, _, _ in nodes])
+    lens = [len(rows) for rows, _, _, _ in nodes]
+    counts = np.array([counts for _, _, counts, _ in nodes])
     sizes = counts.sum(axis=1)
     # class-major: counts[c, s] is node s's count of class c
     counts = np.ascontiguousarray(counts.T, dtype=np.float64)
-    feature_ids = np.array([feature_ids for _, _, feature_ids in nodes])
+    feature_ids = np.array([feature_ids for _, _, _, feature_ids in nodes])
     n_nodes, m = feature_ids.shape
-    seg_key, left = _segment_counts(data, rows, sizes, counts, feature_ids)
+    seg_key, left = _segment_counts(data, rows, weights, lens, counts,
+                                    feature_ids)
     seg_block = seg_key // n_values
     seg_size = left.sum(axis=0)
     seg_node = seg_block // m
@@ -230,10 +255,6 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     # a midpoint that overflows to +-inf puts every row on one side
     ok = (seg_size[best] < sizes[s]) & np.isfinite(thr)
     s, f, thr, best = s[ok], f[ok], thr[ok], best[ok]
-    for split in zip(s.tolist(), f.tolist(), thr.tolist(),
-                     seg_size[best].astype(np.int64).tolist(),
-                     left.take(best, axis=1).T.astype(np.int64)):
-        out[split[0]] = split[1:]
     # a stable sort by (node, side) puts those rows first in each split node;
     # the sort keys are int16 when they fit, which numpy sorts by radix
     feature = np.zeros(n_nodes, dtype=np.int64)
@@ -241,15 +262,22 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     threshold = np.full(n_nodes, np.inf)
     threshold[s] = thr
     side = np.arange(0, 2 * n_nodes, 2, dtype=np.int16
-                     if n_nodes <= 2 ** 14 else np.int64).repeat(sizes)
+                     if n_nodes <= 2 ** 14 else np.int64).repeat(lens)
     at = np.multiply(rows, data.X.shape[1], dtype=np.int64)
-    at += feature.repeat(sizes)
-    side += data.X.take(at) > threshold.repeat(sizes)
-    rows = rows[side.argsort(kind="stable")]
+    at += feature.repeat(lens)
+    side += data.X.take(at) > threshold.repeat(lens)
+    n_left = np.bincount(side, minlength=2 * n_nodes)[::2]
+    order = side.argsort(kind="stable")
+    rows, weights = rows[order], weights[order]
+    for split in zip(s.tolist(), f.tolist(), thr.tolist(),
+                     n_left[s].tolist(),
+                     left.take(best, axis=1).T.astype(np.int64)):
+        out[split[0]] = split[1:]
     start = 0
-    for (view, _, _), size, split in zip(nodes, sizes.tolist(), out):
+    for (view, view_weights, _, _), size, split in zip(nodes, lens, out):
         if split is not None:
             view[:] = rows[start:start + size]
+            view_weights[:] = weights[start:start + size]
         start += size
     return out
 
@@ -296,34 +324,46 @@ def _leaf_classes(trees, X) -> np.ndarray:
 
 
 # bytes of sort keys one batched split search holds: 128 K keys of 8 bytes,
-# five forest roots of 6,300 rows and 4 features, so the arrays made from
-# them stay a few MB however many nodes search
+# eighteen forest roots of 1,750 distinct rows and 4 features, so the arrays
+# made from them stay a few MB however many nodes search
 _SPLIT_KEY_BYTES = 1 << 20
-# bytes of int32 row order the trees growing together hold: 50 trees of
-# 6,300 rows
+# bytes of int32 row order the trees growing together would hold if each
+# held every training row: 50 trees of 6,300 rows
 _FOREST_ROW_BYTES = 5 << 18
 
 
 class _GrowingTree:
-    """A tree being grown depth first, left before right. A node is a slice
-    of the tree's row order, and a split reorders its slice in place."""
+    """A tree being grown on its distinct (row, class) pairs, each weighted
+    by how often the tree's rows hold it. A node is a slice of the tree's
+    order of those rows and their weights, and a split reorders its slice in
+    place. Nodes are numbered as they are added, which is preorder unless
+    they were added level by level."""
 
     def __init__(self, data, rows, rng):
-        self.rows = np.array(rows, dtype=np.int32)
+        weights = np.bincount(data.pair[rows], minlength=len(data.pair_row))
+        pairs = weights.nonzero()[0]
+        self.rows = data.pair_row[pairs]
+        self.weights = weights[pairs].astype(np.int32)
         self.rng = rng
         self.feature, self.threshold, self.klass = [], [], []
         self.left, self.right = [], []
+        self.level_order = False
         # (lo, hi, depth, class counts, parent, the parent's left or right)
         self.stack = [(0, len(self.rows), 0,
-                       np.bincount(data.y[self.rows],
-                                   minlength=data.n_classes), 0, None)]
+                       np.bincount(data.y[rows], minlength=data.n_classes),
+                       0, None)]
 
-    def next_search(self, every, m, max_depth, min_leaf):
-        """Adds nodes up to the next one that searches for a split
-        -> (node, lo, hi, depth, counts, feature_ids), or None at the end.
+    def next_searches(self, every, m, max_depth, min_leaf):
+        """Adds nodes up to the next ones that search for a split
+        -> a list of (node, lo, hi, depth, counts, feature_ids), empty at
+        the end.
 
-        feature_ids are m features drawn without replacement, ascending, or
-        every feature when m covers them all."""
+        A tree that draws m < len(every) features without replacement at
+        each search adds its nodes depth first, left before right, and stops
+        at each search, so that its rng draws in that order; feature_ids are
+        ascending. A tree that searches every feature adds every node it
+        holds and searches them all at once, level by level."""
+        searches = []
         while self.stack:
             lo, hi, depth, counts, parent, link = self.stack.pop()
             node = len(self.feature)
@@ -334,16 +374,22 @@ class _GrowingTree:
             self.left.append(-1)
             self.right.append(-1)
             self.klass.append(int(counts.argmax()))
+            # a node weighs at least its number of distinct rows, so only a
+            # node with few of them needs its weight summed
             if np.count_nonzero(counts) == 1 or depth >= max_depth or \
-                    hi - lo < 2 * min_leaf:
+                    hi - lo < 2 * min_leaf and counts.sum() < 2 * min_leaf:
                 continue
-            feature_ids = every
             if m < len(every):
                 feature_ids = self.rng.choice(len(every), size=m,
                                               replace=False)
                 feature_ids.sort()
-            return node, lo, hi, depth, counts, feature_ids
-        return None
+                return [(node, lo, hi, depth, counts, feature_ids)]
+            searches.append((node, lo, hi, depth, counts, every))
+            self.level_order = True
+        if not searches:
+            # grown: the forest holds the rows of growing trees only
+            self.rows = self.weights = None
+        return searches
 
     def add_split(self, node, lo, hi, depth, counts, f, thr, n_left, left):
         self.feature[node] = f
@@ -354,8 +400,26 @@ class _GrowingTree:
                            self.left))
 
     def tree(self) -> _Tree:
-        return _Tree(self.feature, self.threshold, self.left, self.right,
-                     self.klass)
+        """-> the grown tree, its nodes in preorder."""
+        if not self.level_order:
+            return _Tree(self.feature, self.threshold, self.left, self.right,
+                         self.klass)
+        order, todo = [], [0]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            if self.feature[node] >= 0:
+                todo += (self.right[node], self.left[node])
+        feature, threshold, left, right, klass = (
+            np.array(column)[order] for column in (
+                self.feature, self.threshold, self.left, self.right,
+                self.klass))
+        # preorder[node] is the node's place in preorder
+        preorder = np.argsort(order)
+        split = feature >= 0
+        left[split] = preorder[left[split]]
+        right[split] = preorder[right[split]]
+        return _Tree(feature, threshold, left, right, klass)
 
 
 def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
@@ -365,9 +429,9 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
     Each tree is the one grown alone: depth first, left before right, with
     its rng drawn from only at nodes that search for a split, in that order.
     Trees start in the order of draws, as many at once as _FOREST_ROW_BYTES
-    holds. In each step every growing tree adds nodes up to its next one
-    that searches, and the searches are split in batches of about
-    _SPLIT_KEY_BYTES of keys.
+    holds. In each step every growing tree adds nodes up to its next ones
+    that search (_GrowingTree.next_searches), and the searches are split in
+    batches of about _SPLIT_KEY_BYTES of keys.
     """
     d, n = data.keys.shape
     if max_features is None:
@@ -387,12 +451,10 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
             growing.append(trees[-1])
         if not growing:
             return [tree.tree() for tree in trees]
-        searches = []
-        for tree in growing:
-            search = tree.next_search(every, m, max_depth, min_leaf)
-            if search is not None:
-                searches.append((tree,) + search)
-        growing = [tree for tree, *_ in searches]
+        searches = [(tree,) + search for tree in growing
+                    for search in tree.next_searches(every, m, max_depth,
+                                                     min_leaf)]
+        growing = list(dict.fromkeys(tree for tree, *_ in searches))
         while searches:
             # whole nodes, up to budget keys unless the first alone is more
             keys = itertools.accumulate(len(feature_ids) * (hi - lo)
@@ -401,7 +463,8 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
             chunk = searches[:max(1, sum(total <= budget for total in keys))]
             searches = searches[len(chunk):]
             splits = _split_nodes(
-                data, [(tree.rows[lo:hi], counts, feature_ids)
+                data, [(tree.rows[lo:hi], tree.weights[lo:hi], counts,
+                        feature_ids)
                        for tree, _, lo, hi, _, counts, feature_ids in chunk],
                 min_leaf)
             for (tree, *search), split in zip(chunk, splits):
@@ -629,7 +692,9 @@ class KNeighborsClassifier(BaseEstimator):
         return self
 
     def predict(self, X):
-        X = check_array(X)
+        # a prediction depends on the query's values only, so each distinct
+        # query is scored once
+        X, back = np.unique(check_array(X), axis=0, return_inverse=True)
         T, t2, k = self._X, self._t2, self.k
         n, d = T.shape
         out = np.empty(len(X), dtype=np.int64)
@@ -666,4 +731,4 @@ class KNeighborsClassifier(BaseEstimator):
                 nearest = np.concatenate((nearer, ties))
                 votes = np.bincount(self._y_idx[nearest], minlength=k_classes)
                 out[lo + i] = int(np.argmax(votes))
-        return self.classes_[out]
+        return self.classes_[out[back.ravel()]]

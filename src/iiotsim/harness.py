@@ -283,6 +283,12 @@ class Build:
         self.sim.every(cfg.time_us("period_s", least=1),
                        datagram if exchanges is None else connection)
 
+    def syslog_names(self) -> tuple:
+        """-> the file names of the router's syslog and of its truth copy in
+        the bundle."""
+        router_id = self.router.host_id
+        return f"syslog_{router_id}.txt", f"syslog_{router_id}_truth.txt"
+
     def router_ip_for(self, host) -> str:
         """The router's address on the last of its segments that host is on,
         else its first address."""
@@ -380,11 +386,10 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         for name, lines in atk.artifacts().items():
             write_lines(lines, path(name))
 
-    router_id = build.plan["roles"]["router"]
     syslog = _syslog_lines(build, build.router.syslog)
-    truth = _syslog_lines(build, build.sim.syslog_truth[router_id])
-    write_lines(syslog, path(f"syslog_{router_id}.txt"))
-    write_lines(truth, path(f"syslog_{router_id}_truth.txt"))
+    truth = _syslog_lines(build, build.sim.syslog_truth[build.router.host_id])
+    for lines, name in zip((syslog, truth), build.syslog_names()):
+        write_lines(lines, path(name))
 
     if "hunt" in outputs:
         build.hunt = build_hunt_report(

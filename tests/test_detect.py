@@ -572,6 +572,23 @@ def nine_class_dataset(seed, n=300):
     return X, np.array(list("abcdefghi"))[klass % 9], Q
 
 
+def repeated_dataset(seed, n_distinct=40, d=4):
+    """Distinct rows that each repeat 1 to 6 times, shuffled, and a few of
+    them also under a second label, so that identical x carry different
+    classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(n_distinct, d)) * 0.5
+    y = np.where(X[:, 0] + X[:, 1] > 2.0, "b", "a").astype(object)
+    y[rng.random(n_distinct) < 0.2] = "c"
+    counts = rng.integers(1, 7, size=n_distinct)
+    X, y = X.repeat(counts, axis=0), y.repeat(counts)
+    relabel = rng.choice(len(X), size=len(X) // 8, replace=False)
+    X = np.vstack([X, X[relabel]])
+    y = np.concatenate([y, np.where(y[relabel] == "a", "b", "a")])
+    order = rng.permutation(len(X))
+    return X[order], y[order].astype(str)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
@@ -659,6 +676,43 @@ class TestAgainstReference:
             assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                     ).all()
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_trees_on_repeated_rows_match_reference(self, monkeypatch, seed,
+                                                    min_leaf):
+        # trees grow on distinct (row, class) pairs weighted by their count;
+        # a search batch of 40 keys splits steps mid-way
+        X, y = repeated_dataset(seed)
+        monkeypatch.setattr(estimators, "_SPLIT_KEY_BYTES", 8 * 40)
+        _, root = ref_tree(X, y, max_depth=8, min_leaf=min_leaf)
+        model = DecisionTreeClassifier(max_depth=8,
+                                       min_leaf=min_leaf).fit(X, y)
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+        params = dict(n_trees=6, max_depth=7, min_leaf=min_leaf,
+                      max_features=2, random_state=seed)
+        model = RandomForestClassifier(**params).fit(X, y)
+        _, roots = ref_forest(X, y, **params)
+        assert [flat_preorder(tree) for tree in model.trees_] == \
+            [ref_preorder(root) for root in roots]
+        assert (model.predict(X) == ref_forest_predict(X, y, X, **params)
+                ).all()
+
+    @pytest.mark.parametrize("min_leaf", [2, 3])
+    def test_node_of_few_distinct_rows_but_enough_weight_splits(self,
+                                                                min_leaf):
+        # two distinct rows of weight 3 each: fewer distinct rows than
+        # 2 * min_leaf, but six rows, so the root splits 3 | 3
+        X = np.array([[0.0]] * 3 + [[1.0]] * 3)
+        y = np.array(["a"] * 3 + ["b"] * 3)
+        _, root = ref_tree(X, y, min_leaf=min_leaf)
+        model = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
+        assert model.tree_.feature.tolist() == [0, -1, -1]
+        assert flat_preorder(model.tree_) == ref_preorder(root)
+        model = RandomForestClassifier(n_trees=1, bootstrap=False,
+                                       max_features=None,
+                                       min_leaf=min_leaf).fit(X, y)
+        assert flat_preorder(model.trees_[0]) == ref_preorder(root)
+
     def test_forest_vote_ties_go_to_the_lower_class(self):
         # an even number of trees of different depths, one of them a single
         # leaf (its root drew the constant feature), tie on many queries
@@ -727,6 +781,22 @@ class TestAgainstReference:
             model = KNeighborsClassifier(k=5).fit(T, labels)
             assert (model.predict(Q) == ref_knn_predict(T, labels, Q, 5)
                     ).all()
+
+    def test_knn_repeated_queries_across_blocks_match_reference(
+            self, monkeypatch):
+        # each distinct query is scored once; with 3 distinct queries per
+        # block, the repeats of one query fall in other blocks of the
+        # queries as given
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 3, size=(50, 2)).astype(np.float64)
+        y = rng.choice(["a", "b", "c"], size=50)
+        distinct = np.vstack([X[:8], rng.integers(0, 3, size=(12, 2)) + 0.5])
+        Q = distinct.repeat(rng.integers(1, 5, size=len(distinct)), axis=0)
+        Q = Q[rng.permutation(len(Q))]
+        monkeypatch.setattr(estimators, "_KNN_BLOCK_BYTES", 8 * 50 * 3)
+        for k in (1, 4):
+            model = KNeighborsClassifier(k=k).fit(X, y)
+            assert (model.predict(Q) == ref_knn_predict(X, y, Q, k)).all()
 
     @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160, 1e200])
     def test_knn_matches_reference_across_blocks_and_scales(self, scale):

@@ -650,6 +650,22 @@ class TestCli:
         assert list(hunt_report["flag_profiles"]) == [
             f"192.168.10.151:{listener_port}"]
 
+    def test_hunt_out_alone_rebuilds_the_runs_hunt_report(
+            self, default_bundle, tmp_path):
+        # without --syslog and --syslog-truth, hunt reads the plan router's
+        # syslog and its truth copy from the bundle
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("conn.log", "capture.jsonl", "syslog_router.txt",
+                     "syslog_router_truth.txt"):
+            os.symlink(os.path.join(default_bundle.out_dir, name), out / name)
+        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
+        with open(os.path.join(default_bundle.out_dir, "hunt_report.json"),
+                  "rb") as fh:
+            run_hunt = fh.read()
+        assert (out / "hunt_report.json").read_bytes() == run_hunt
+        assert json.loads(run_hunt)["syslog"]["tampered"] is True
+
     def test_report_without_attack_windows_labels_every_row_normal(
             self, tmp_path):
         plan = small_plan(duration_s=20.0, attacks=[
