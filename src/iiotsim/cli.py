@@ -68,10 +68,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Rebuild conn.log, dataset.csv and the capture-derived metrics from an
-    existing capture, with the values `run` wrote. The capture is read in
-    one streaming walk, and nothing is written until it has ended."""
-    walk = harness.CaptureWalk(_load_plan(args))
+    """Rebuild conn.log, dataset.csv and metrics_report.json from an
+    existing capture and its attack windows, as `run` wrote them. The
+    capture is read in one streaming walk, and nothing is written until it
+    has ended."""
+    walk = harness.CaptureWalk(harness.Build(_load_plan(args)))
     capture_path = os.path.join(args.out, "capture.jsonl")
     windows_path = os.path.join(args.out, "attack_windows.jsonl")
     try:
@@ -89,11 +90,9 @@ def cmd_report(args) -> int:
             walk.conversations.result(), windows,
             os.path.join(args.out, "conn.log"),
             os.path.join(args.out, "dataset.csv"))
-        report = walk.metrics()
-        report["class_counts"] = counts
-        report["dropped_rows"] = dropped
-        harness.write_json(report,
-                           os.path.join(args.out, "metrics_report.json"))
+        harness.write_json(
+            harness.build_metrics_report(walk, counts, dropped),
+            os.path.join(args.out, "metrics_report.json"))
     except OSError as e:
         return _fail(f"cannot write bundle: {e}")
     if not args.quiet:

@@ -373,9 +373,6 @@ class _HttpService:
         self.tag = tag
         self.service_time_us = service_time_us
 
-    def on_open(self, stream):
-        pass
-
     def on_data(self, stream, data: bytes):
         try:
             request = loads(data.decode())

@@ -362,13 +362,17 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
     if "capture" in outputs:
         write_capture_jsonl(frames, path("capture.jsonl"))
 
-    walk = CaptureWalk(build.plan, metrics="metrics" in outputs)
+    walk = CaptureWalk(build, metrics="metrics" in outputs)
     walk.feed(frames)
     build.conversations = walk.conversations.result()
     build.dataset_rows, build.class_counts, build.dropped_rows = \
         label_conversations(build.conversations, build.windows,
                             "conn_log" in outputs and path("conn.log"),
                             "dataset" in outputs and path("dataset.csv"))
+    if "metrics" in outputs:
+        build.metrics = build_metrics_report(walk, build.class_counts,
+                                             build.dropped_rows)
+        write_json(build.metrics, path("metrics_report.json"))
 
     if "historians" in outputs:
         build.gateway.historian.write_csv(path("edge_historian.csv"))
@@ -377,10 +381,6 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
     if "windows" in outputs:
         attacks.write_windows_jsonl(build.windows,
                                     path("attack_windows.jsonl"))
-
-    if "metrics" in outputs:
-        build.metrics = build_metrics_report(build, walk.metrics())
-        write_json(build.metrics, path("metrics_report.json"))
 
     for atk in build.attack_objs.values():
         for name, lines in atk.artifacts().items():
@@ -410,6 +410,7 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         "class_counts": build.class_counts,
         "dropped_rows": build.dropped_rows,
         "faults": len(build.gateway.faults),
+        **live_figures(build),
         "windows": [w.to_json() for w in sorted(build.windows,
                                                 key=lambda w: w.t_start_us)],
     }
@@ -443,18 +444,16 @@ class CaptureWalk:
     run of its ts_us. With metrics false only the conversations are fed,
     for a `run` that writes no metrics report."""
 
-    def __init__(self, plan: dict, metrics: bool = True):
+    def __init__(self, build: Build, metrics: bool = True):
         self.with_metrics = metrics
-        read = planmod.Outline(plan)
-        self.targets = read.targets
-        gw_ip, plc_ip = (read.hosts[read.roles[role]][1][0][2]
-                         for role in ("gateway", "plc"))
+        self.targets = build.targets
         self.conversations = analytics.Conversations()
         self.packet_sizes = analytics.PacketSizes()
         self.throughput = analytics.Throughput()
-        self.plc_rates = analytics.PlcRates(plc_ip, read.duration_us)
+        self.plc_rates = analytics.PlcRates(build.plc_ip, build.duration_us)
         self.response_times = {proto: analytics.ResponseTimes(proto)
                                for proto in analytics.RESPONSE_PROTOCOLS}
+        gw_ip = build.gw_host.interfaces[0].ip
         self.jitter = {name: (tag, select, analytics.JitterSeries())
                        for name, (tag, select)
                        in _jitter_flows(gw_ip).items()}
@@ -514,8 +513,9 @@ class CaptureWalk:
             if proto in targets:
                 rts[proto]["target_ms"] = targets[proto]
         report["response_times_ms"] = rts
-        report["modbus_mean_below_20ms"] = rts.get("MODBUS", {}).get(
-            "mean_ms", 0.0) < 20.0
+        modbus = rts.get("MODBUS", {})
+        report["modbus_mean_below_20ms"] = (
+            modbus["mean_ms"] < 20.0 if modbus.get("count") else None)
 
         all_windows = []
         flow_summaries = {}
@@ -545,33 +545,40 @@ class CaptureWalk:
         return report
 
 
-def build_metrics_report(build: Build, report: dict) -> dict:
-    """A CaptureWalk's metrics, plus what only the live simulation knows:
+def build_metrics_report(walk: CaptureWalk, class_counts,
+                         dropped_rows) -> dict:
+    """metrics_report.json, as `run` and `report` write it: what the
+    capture and the attack windows determine, the walk's metrics followed
+    by the labelled rows' class counts and the rows dropped."""
+    return {**walk.metrics(), "class_counts": class_counts,
+            "dropped_rows": dropped_rows}
+
+
+def live_figures(build: Build) -> dict:
+    """The run_summary.json sections that only the live simulation knows:
     the I2C transaction time, the PLC scan regularity and the broker
     counters."""
     i2c_times = [(end - start) / 1000.0
                  for start, end, _ in build.i2c_bus.txn_log]
-    i2c = report["response_times_ms"]["I2C"] = {
-        "mean_ms": sum(i2c_times) / len(i2c_times) if i2c_times else 0.0,
-        "count": len(i2c_times), "unmatched": 0}
+    i2c = {"mean_ms": sum(i2c_times) / len(i2c_times) if i2c_times else 0.0,
+           "count": len(i2c_times), "unmatched": 0}
     if "I2C" in build.targets:
         i2c["target_ms"] = build.targets["I2C"]
     scan_ts = [t for t, _, _ in build.plc.scan_log]
     period = build.plc.scan_period_us
     devs = [abs((scan_ts[i + 1] - scan_ts[i]) - period) / period
             for i in range(len(scan_ts) - 1)]
-    report["plc_scan"] = {
-        "scans": len(scan_ts),
-        "period_us": period,
-        "max_period_deviation": max(devs, default=0.0),
+    return {
+        "response_times_ms": {"I2C": i2c},
+        "plc_scan": {"scans": len(scan_ts), "period_us": period,
+                     "max_period_deviation": max(devs, default=0.0)},
+        "broker": {
+            "bytes_sent": build.broker.bytes_sent,
+            "messages_received": build.broker.messages_received,
+            "historian_rows": len(build.broker.historian.rows),
+            "quarantined": len(build.broker.historian.quarantine),
+        },
     }
-    report["broker"] = {
-        "bytes_sent": build.broker.bytes_sent,
-        "messages_received": build.broker.messages_received,
-        "historian_rows": len(build.broker.historian.rows),
-        "quarantined": len(build.broker.historian.quarantine),
-    }
-    return report
 
 
 def build_hunt_report(build: Build, conn_rows, read_frames, syslog_events,

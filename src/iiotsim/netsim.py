@@ -607,7 +607,8 @@ class Host:
 
     # -- TCP ---------------------------------------------------------------
     def bind_tcp(self, port: int, service) -> None:
-        """service needs .on_open(stream) and .on_data(stream, data)."""
+        """service needs .on_data(stream, data), and may have
+        .on_open(stream), called as a connection to it opens."""
         self._tcp_services[port] = service
 
     def unbind_tcp(self, port: int) -> None:
@@ -638,7 +639,7 @@ class Host:
         elif "SYN" in frame.tcp_flags and frame.dst_port in self._tcp_services:
             svc = self._tcp_services[frame.dst_port]
             stream = TcpStream(self, *key, frame.proto_tag)
-            stream.on_established = svc.on_open
+            stream.on_established = getattr(svc, "on_open", None)
             stream.on_data = svc.on_data
             stream._rx(frame)
         elif "RST" not in frame.tcp_flags:

@@ -255,9 +255,6 @@ class ModbusSlaveService:
         self.handler = handler            # fn(ModbusAdu) -> ModbusAdu
         self.service_time_us = service_time_us
 
-    def on_open(self, stream):
-        pass
-
     def on_data(self, stream, data: bytes):
         try:
             request = fieldbus.decode_request(data)

@@ -14,9 +14,6 @@ class MailService:
         self.service_time_us = service_time_us
         self.messages: list = []     # (ts_us, text)
 
-    def on_open(self, stream):
-        pass
-
     def on_data(self, stream, data: bytes):
         text = data.decode(errors="replace")
         if text.startswith("MSG "):
@@ -35,9 +32,6 @@ class WebGuiService:
         self.vulnerable = vulnerable
         self.footholds: set = set()       # attacker host ids with shell access
         self._authed_streams: set = set()
-
-    def on_open(self, stream):
-        pass
 
     def on_data(self, stream, data: bytes):
         try:

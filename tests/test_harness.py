@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -300,7 +301,11 @@ class TestCalibration:
     def test_measured_means_within_twenty_percent_short_run(self, tmp_path):
         plan = planmod.calibrate(small_plan(duration_s=120.0))
         result = harness.run(plan, str(tmp_path))
-        rts = result.metrics["response_times_ms"]
+        # the I2C mean comes from the live bus, so run_summary.json holds it
+        with open(tmp_path / "run_summary.json") as fh:
+            live = json.load(fh)["response_times_ms"]
+        assert list(live) == ["I2C"]
+        rts = {**result.metrics["response_times_ms"], **live}
         for proto, target in plan["latency_targets_ms"].items():
             measured = rts[proto]["mean_ms"]
             assert rts[proto]["count"] > 0, proto
@@ -333,11 +338,11 @@ GOLDEN_DIGESTS = {
     "i2c_trace.txt":
         "f8dc9a6fd1392f64f32e3046c710eb68136533bb584819a6f4848605c6bda56a",
     "metrics_report.json":
-        "ad58ace10a081e86f54a7491688ab1905a15be69e4789d9ad7f5604bf3df6cec",
+        "5d5e2a650a0f37765aea408352413b81570b338b7279e14d62dc0b55bae3712c",
     "rogue_transcript.txt":
         "8502b3682eb8ea9d295f287f1531226ba841496685a47993797908c4beb5fa8e",
     "run_summary.json":
-        "0bae671fef39def67c24d8d03f475d816c4f509786b278b71c753c91ca1db2d0",
+        "0435314a5c8aea487baf5f0575e1e31808726954bcb17fa0293fb2494d3c4118",
     "syslog_router.txt":
         "3bb1dd4eea508ef7258a80cf93c952498f4f627b57b561a686c570366ed1600e",
     "syslog_router_truth.txt":
@@ -419,6 +424,14 @@ class TestRunArtifacts:
         names = set(os.listdir(tmp_path))
         assert set(ARTIFACTS) | {"hunt_report.json"} <= names
 
+    def test_no_modbus_response_time_gives_no_modbus_verdict(self, tmp_path):
+        # the gateway's first poll would come after the run has ended
+        plan = small_plan(duration_s=10.0)
+        plan["gateway"]["poll_period_s"] = 30.0
+        metrics = harness.run(plan, str(tmp_path)).metrics
+        assert metrics["response_times_ms"]["MODBUS"]["count"] == 0
+        assert metrics["modbus_mean_below_20ms"] is None
+
     def test_no_attack_plan_yields_only_normal(self, tmp_path):
         plan = small_plan(duration_s=30.0)
         result = harness.run(plan, str(tmp_path))
@@ -475,7 +488,7 @@ class TestCaptureWalk:
         result, out = bundle
         path = os.path.join(out, "capture.jsonl")
         frames = netsim.read_capture_jsonl(path)
-        walk = harness.CaptureWalk(result.plan)
+        walk = harness.CaptureWalk(result)
         walk.feed(netsim.iter_capture_jsonl(path), path)
         conversations = walk.conversations.result()
         expected = analytics.build_conversations(frames)
@@ -525,7 +538,7 @@ class TestCaptureWalk:
                   frame(2000, a, b, ("ACK",), 2100)]
         path = tmp_path / "capture.jsonl"
         netsim.write_capture_jsonl(frames, path)
-        walk = harness.CaptureWalk(small_plan())
+        walk = harness.CaptureWalk(harness.Build(small_plan()))
         walk.feed(netsim.iter_capture_jsonl(path), path)
         expected = analytics.build_conversations(frames)
         # in file order it would be one conversation of 4, from a
@@ -533,8 +546,15 @@ class TestCaptureWalk:
             ("10.0.0.1", 2), ("10.0.0.2", 2)]
         assert repr(walk.conversations.result()) == repr(expected)
 
+    def test_an_empty_walk_gives_no_modbus_verdict(self):
+        walk = harness.CaptureWalk(harness.Build(planmod.default_plan()))
+        walk.feed([])
+        metrics = walk.metrics()
+        assert metrics["response_times_ms"]["MODBUS"]["count"] == 0
+        assert metrics["modbus_mean_below_20ms"] is None
+
     def test_a_frame_out_of_ts_order_is_refused(self):
-        walk = harness.CaptureWalk(small_plan())
+        walk = harness.CaptureWalk(harness.Build(small_plan()))
         frames = [netsim.Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
                                "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
                   for ts in (5, 5, 9, 7)]
@@ -619,17 +639,13 @@ class TestCli:
         out = str(tmp_path / "out")
         metrics_path = os.path.join(out, "metrics_report.json")
         assert cli.main(["--quiet", "run", "--plan", path, "--out", out]) == 0
-        run_metrics = json.load(open(metrics_path))
+        with open(metrics_path, "rb") as fh:
+            run_metrics = fh.read()
         assert cli.main(["--quiet", "report", "--plan", path,
                          "--out", out]) == 0
-        # report rebuilds every capture-derived entry with the run's values;
-        # only the entries that need live simulation state differ
-        report_metrics = json.load(open(metrics_path))
-        del report_metrics["class_counts"], report_metrics["dropped_rows"]
-        del run_metrics["response_times_ms"]["I2C"]
-        del run_metrics["plc_scan"], run_metrics["broker"]
-        assert (json.dumps(report_metrics, indent=2)
-                == json.dumps(run_metrics, indent=2))
+        # report rebuilds the run's metrics report, every key of it
+        with open(metrics_path, "rb") as fh:
+            assert fh.read() == run_metrics
         # hunt rebuilds the run's hunt report for the plan's backdoor port
         hunt_path = os.path.join(out, "hunt_report.json")
         with open(hunt_path, "rb") as fh:
@@ -649,6 +665,30 @@ class TestCli:
         assert hunt_report["identified_attacker"] == "192.168.10.151"
         assert list(hunt_report["flag_profiles"]) == [
             f"192.168.10.151:{listener_port}"]
+
+    def test_report_in_place_leaves_every_file_of_the_run(self, tmp_path):
+        # metrics_report.json holds only what the capture and the attack
+        # windows determine, so report rewrites the run's bytes
+        plan = small_plan(duration_s=30.0, attacks=[
+            {"id": "dos", "kind": "modbus_dos", "attacker": "attacker",
+             "target": "plc", "t_start_s": 10.1, "duration_s": 5.0,
+             "rate_per_s": 200, "addr_lo": 0, "addr_hi": 50},
+            {"id": "s", "kind": "arp_spoof", "attacker": "attacker",
+             "victim_a": "edge-gw", "victim_b": "router", "t_start_s": 18.2,
+             "duration_s": 8.0}])
+        path = self.write_plan(tmp_path, plan)
+        out, ran = tmp_path / "out", tmp_path / "ran"
+        assert cli.main(["--quiet", "run", "--plan", path,
+                         "--out", str(out)]) == 0
+        shutil.copytree(out, ran)
+        assert cli.main(["--quiet", "report", "--plan", path,
+                         "--out", str(out)]) == 0
+        names = sorted(os.listdir(ran))
+        assert "metrics_report.json" in names
+        assert sorted(os.listdir(out)) == names
+        match, mismatch, errors = filecmp.cmpfiles(ran, out, names,
+                                                   shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_hunt_out_alone_rebuilds_the_runs_hunt_report(
             self, default_bundle, tmp_path):
