@@ -48,6 +48,8 @@ class ConversationRecord:
     resp_pkts: int = 0
     flag_hist: dict = field(default_factory=dict)
     sender_spans: dict = field(default_factory=dict)   # host -> [min_ts, max_ts]
+    # a RST or FIN was seen, so a bare SYN starts a new conversation
+    closed: bool = field(default=False, repr=False, compare=False)
 
     @property
     def duration_s(self) -> float:
@@ -71,50 +73,60 @@ class Conversations:
     """
 
     def __init__(self):
-        self._open: dict = {}      # 5-tuple key -> (conversation, closed)
+        self._open: dict = {}      # 5-tuple key -> open conversation
         self._done: list = []
+        # TCP flag tuple -> (flag_key, has SYN, closes the conversation)
+        self._flag_facts: dict = {}
 
     def add(self, f) -> None:
         if not f.delivered:
             return
+        ts = f.ts_us
         a = (f.src_ip, f.src_port)
         b = (f.dst_ip, f.dst_port)
-        key = (a, b, f.l4) if a <= b else (b, a, f.l4)
-        state = self._open.get(key)
-        if state is not None:
-            conv, closed = state
-            stale = f.ts_us - conv.ts_last_us > IDLE_TIMEOUT_US
-            restart = closed and "SYN" in f.tcp_flags and not f.payload
-            if stale or restart:
-                self._done.append(conv)
-                state = None
-        if state is None:
-            conv = ConversationRecord(f.ts_us, f.ts_us, f.src_ip, f.src_port,
-                                      f.dst_ip, f.dst_port, f.proto_tag)
-            closed = False
-        conv.ts_last_us = f.ts_us
-        is_orig = f.src_ip == conv.orig_ip and f.src_port == conv.orig_port
-        if is_orig:
+        l4 = f.l4
+        key = (a, b, l4) if a <= b else (b, a, l4)
+        facts = None
+        if l4 == "TCP":
+            flags = f.tcp_flags
+            facts = self._flag_facts.get(flags)
+            if facts is None:
+                facts = self._flag_facts[flags] = (
+                    f.flag_key(), "SYN" in flags,
+                    "RST" in flags or "FIN" in flags)
+        conv = self._open.get(key)
+        # only a TCP conversation is ever closed, so facts is set there
+        if conv is not None and (
+                ts - conv.ts_last_us > IDLE_TIMEOUT_US
+                or conv.closed and facts[1] and not f.payload):
+            self._done.append(conv)
+            conv = None
+        if conv is None:
+            conv = self._open[key] = ConversationRecord(
+                ts, ts, f.src_ip, f.src_port, f.dst_ip, f.dst_port,
+                f.proto_tag)
+        conv.ts_last_us = ts
+        if f.src_ip == conv.orig_ip and f.src_port == conv.orig_port:
             conv.orig_pkts += 1
             conv.orig_bytes += len(f.payload)
         else:
             conv.resp_pkts += 1
             conv.resp_bytes += len(f.payload)
-        if f.l4 == "TCP":
-            fk = f.flag_key()
-            conv.flag_hist[fk] = conv.flag_hist.get(fk, 0) + 1
-            if "RST" in f.tcp_flags or "FIN" in f.tcp_flags:
-                closed = True
+        if facts is not None:
+            hist = conv.flag_hist
+            fk = facts[0]
+            hist[fk] = hist.get(fk, 0) + 1
+            if facts[2]:
+                conv.closed = True
         span = conv.sender_spans.get(f.sender)
         if span is None:
-            conv.sender_spans[f.sender] = [f.ts_us, f.ts_us]
+            conv.sender_spans[f.sender] = [ts, ts]
         else:
-            span[1] = f.ts_us
-        self._open[key] = (conv, closed)
+            span[1] = ts
 
     def result(self) -> list:
         """Every conversation, by (first ts_us, orig_ip, orig_port)."""
-        done = self._done + [conv for conv, _ in self._open.values()]
+        done = self._done + list(self._open.values())
         done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
         return done
 

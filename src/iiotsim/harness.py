@@ -2,6 +2,7 @@
 attacks, runs the simulation and emits the artifact bundle."""
 
 import functools
+import gc
 import itertools
 import json
 import operator
@@ -347,7 +348,23 @@ def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         only=None) -> Build:
     """Build and run the plan, and write its bundle to out_dir. The build
     returned also holds the analytics: conversations, dataset_rows,
-    class_counts, dropped_rows, metrics, hunt and the paths written."""
+    class_counts, dropped_rows, metrics, hunt and the paths written.
+
+    The cyclic garbage collector is paused for the run and then put back
+    as it was. Its passes would scan every live Frame of the capture and
+    find next to nothing to free: reference counting frees the run's
+    objects, and the few cycles it leaves (an MqttClient and its TcpStream
+    per rogue-subscriber connection) wait for the next pass after it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(plan_dict, out_dir, seed, only)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(plan_dict, out_dir, seed, only) -> Build:
     build = Build(plan_dict, seed=seed)
     build.run()
     os.makedirs(out_dir, exist_ok=True)
@@ -465,37 +482,47 @@ class CaptureWalk:
         metrics = self.with_metrics
         add_sizes, add_throughput, add_plc = (
             self.packet_sizes.add, self.throughput.add, self.plc_rates.add)
-        # delivered frames by proto_tag: their response-time pairing and
-        # jitter flow
+        # delivered frames by proto_tag: their response-time pairing's add,
+        # and their jitter flow's selection and add; None where there is none
         pairing = {tag: acc.add for tag, acc in self.response_times.items()}
         flows = {tag: (select, acc.add)
                  for tag, select, acc in self.jitter.values()}
-        n = 0                                  # frames fed
+        by_tag = {tag: (pairing.get(tag), *flows.get(tag, (None, None)))
+                  for tag in pairing.keys() | flows.keys()}
+        untagged = (None, None, None)
+        same_ts = []            # the frames of ts_us last_ts, in order
         last_ts = None
-        for ts, same_ts in itertools.groupby(
-                frames, key=operator.attrgetter("ts_us")):
-            if last_ts is not None and ts < last_ts:
-                raise ValueError(
-                    f"{source}: bad capture record {n + 1}: ts_us {ts} is "
-                    f"below the previous record's {last_ts}")
-            last_ts = ts
-            same_ts = list(same_ts)
-            n += len(same_ts)
-            for f in same_ts if metrics else ():
+        deliver_ts = operator.attrgetter("deliver_ts_us")
+
+        def flush():
+            if len(same_ts) > 1:
+                same_ts.sort(key=deliver_ts)
+            for g in same_ts:
+                add_conversation(g)
+            same_ts.clear()
+
+        for n, f in enumerate(frames, 1):
+            ts = f.ts_us
+            if ts != last_ts:
+                if same_ts:
+                    if ts < last_ts:
+                        raise ValueError(
+                            f"{source}: bad capture record {n}: ts_us {ts} "
+                            f"is below the previous record's {last_ts}")
+                    flush()
+                last_ts = ts
+            same_ts.append(f)
+            if metrics:
                 add_plc(f)
                 if f.delivered:
                     add_sizes(f)
                     add_throughput(f)
-                    add = pairing.get(f.proto_tag)
-                    if add is not None:
-                        add(f)
-                    flow = flows.get(f.proto_tag)
-                    if flow is not None and flow[0](f):
-                        flow[1](f)
-            if len(same_ts) > 1:
-                same_ts.sort(key=operator.attrgetter("deliver_ts_us"))
-            for f in same_ts:
-                add_conversation(f)
+                    pair, select, flow = by_tag.get(f.proto_tag, untagged)
+                    if pair is not None:
+                        pair(f)
+                    if select is not None and select(f):
+                        flow(f)
+        flush()
 
     def metrics(self) -> dict:
         """The part of metrics_report.json that the capture alone

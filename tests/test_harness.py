@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import gc
 import hashlib
 import importlib.resources
 import itertools
@@ -483,7 +484,27 @@ class TestRunArtifacts:
         assert sum(len(h._conntrack) for h in hosts) <= 1
 
 
+def tcp_frame(ts, src, dst, flags, deliver, payload=b""):
+    """A delivered TCP frame from src to dst, each an (ip, port)."""
+    return netsim.Frame(
+        ts, "lan", src[0], "02:00:00:00:00:01", "02:00:00:00:00:02", src[0],
+        dst[0], src[1], dst[1], "TCP", flags, payload, "HTTP",
+        delivered=True, deliver_ts_us=deliver)
+
+
+def walked(frames, source="capture") -> harness.CaptureWalk:
+    walk = harness.CaptureWalk(harness.Build(small_plan()))
+    walk.feed(frames, source)
+    return walk
+
+
+def origins(conversations) -> list:
+    return [(c.orig_ip, c.total_pkts()) for c in conversations]
+
+
 class TestCaptureWalk:
+    A, B, C = ("10.0.0.1", 40000), ("10.0.0.2", 80), ("10.0.0.3", 40001)
+
     def test_walk_equals_the_list_functions(self, bundle):
         result, out = bundle
         path = os.path.join(out, "capture.jsonl")
@@ -522,29 +543,69 @@ class TestCaptureWalk:
             frames, result.plc_ip, result.read.duration_us)
 
     def test_equal_ts_run_in_reverse_deliver_order(self, tmp_path):
-        def frame(ts, src, dst, flags, deliver, payload=b""):
-            return netsim.Frame(
-                ts, "lan", src[0], "02:00:00:00:00:01", "02:00:00:00:00:02",
-                src[0], dst[0], src[1], dst[1], "TCP", flags, payload,
-                "HTTP", delivered=True, deliver_ts_us=deliver)
-
-        a, b = ("10.0.0.1", 40000), ("10.0.0.2", 80)
+        a, b = self.A, self.B
         # one ts_us, written latest delivery first: the first delivered
         # frame (b -> a) makes b the originator, and the FIN it carries
         # lets the SYN after it start a second conversation
-        frames = [frame(1000, a, b, ("SYN",), 1900),
-                  frame(1000, a, b, ("ACK", "PSH"), 1800, b"x"),
-                  frame(1000, b, a, ("ACK", "FIN"), 1100),
-                  frame(2000, a, b, ("ACK",), 2100)]
+        frames = [tcp_frame(1000, a, b, ("SYN",), 1900),
+                  tcp_frame(1000, a, b, ("ACK", "PSH"), 1800, b"x"),
+                  tcp_frame(1000, b, a, ("ACK", "FIN"), 1100),
+                  tcp_frame(2000, a, b, ("ACK",), 2100)]
         path = tmp_path / "capture.jsonl"
         netsim.write_capture_jsonl(frames, path)
-        walk = harness.CaptureWalk(harness.Build(small_plan()))
-        walk.feed(netsim.iter_capture_jsonl(path), path)
+        walk = walked(netsim.iter_capture_jsonl(path), path)
         expected = analytics.build_conversations(frames)
         # in file order it would be one conversation of 4, from a
-        assert [(c.orig_ip, c.total_pkts()) for c in expected] == [
-            ("10.0.0.1", 2), ("10.0.0.2", 2)]
+        assert origins(expected) == [("10.0.0.1", 2), ("10.0.0.2", 2)]
         assert repr(walk.conversations.result()) == repr(expected)
+
+    def test_an_equal_ts_run_that_ends_the_capture_is_fed(self):
+        a, b, c = self.A, self.B, self.C
+        frames = [tcp_frame(500, c, b, ("SYN",), 600),
+                  tcp_frame(1000, a, b, ("SYN",), 1900),
+                  tcp_frame(1000, a, b, ("ACK", "PSH"), 1800, b"x"),
+                  tcp_frame(1000, b, a, ("ACK", "FIN"), 1100)]
+        expected = analytics.build_conversations(frames)
+        assert origins(expected) == [("10.0.0.3", 1), ("10.0.0.1", 1),
+                                     ("10.0.0.2", 2)]
+        assert repr(walked(frames).conversations.result()) == repr(expected)
+
+    def test_a_one_record_capture(self):
+        frames = [tcp_frame(1000, self.A, self.B, ("SYN",), 1100)]
+        walk = walked(frames)
+        assert origins(walk.conversations.result()) == [("10.0.0.1", 1)]
+        assert walk.metrics()["packet_stats"] == \
+            analytics.packet_size_stats(frames)
+
+    @pytest.mark.parametrize("t0", [0, -7])
+    def test_a_capture_that_starts_at_or_before_zero(self, tmp_path, t0):
+        a, b = self.A, self.B
+        # the SYN is delivered after the ACK sent later: only the runs of
+        # equal ts_us are taken in delivery order
+        frames = [tcp_frame(t0, a, b, ("SYN",), t0 + 5000),
+                  tcp_frame(t0, b, a, ("ACK", "FIN"), t0 + 100),
+                  tcp_frame(t0 + 1000, a, b, ("ACK",), t0 + 1100)]
+        path = tmp_path / "capture.jsonl"
+        netsim.write_capture_jsonl(frames, path)
+        # a negative ts_us is not a writer line: the JSON reader takes it
+        walk = walked(netsim.iter_capture_jsonl(path), path)
+        expected = analytics.build_conversations(frames)
+        assert origins(expected) == [("10.0.0.1", 2), ("10.0.0.2", 1)]
+        assert repr(walk.conversations.result()) == repr(expected)
+
+    def test_a_flag_set_no_stream_sends_keys_and_closes(self):
+        a, b = self.A, self.B
+        frames = [tcp_frame(1000, a, b, ("SYN",), 1100),
+                  tcp_frame(1200, b, a, ("ACK", "SYN"), 1300),
+                  tcp_frame(1400, a, b, ("ACK",), 1500),
+                  tcp_frame(1600, a, b, ("ACK", "FIN", "PSH"), 1700, b"bye"),
+                  tcp_frame(5000, a, b, ("SYN",), 5100)]
+        rows = [analytics.conn_row(c)
+                for c in walked(frames).conversations.result()]
+        assert [(r["ts"], r["orig_bytes"], r["flags"]) for r in rows] == [
+            (0.001, 3, "S:1,AS:1,A:1,AFP:1"), (0.005, 0, "S:1")]
+        assert rows == [analytics.conn_row(c)
+                        for c in analytics.build_conversations(frames)]
 
     def test_an_empty_walk_gives_no_modbus_verdict(self):
         walk = harness.CaptureWalk(harness.Build(planmod.default_plan()))
@@ -554,14 +615,73 @@ class TestCaptureWalk:
         assert metrics["modbus_mean_below_20ms"] is None
 
     def test_a_frame_out_of_ts_order_is_refused(self):
-        walk = harness.CaptureWalk(harness.Build(small_plan()))
-        frames = [netsim.Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
-                               "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
-                  for ts in (5, 5, 9, 7)]
-        with pytest.raises(ValueError) as error:
-            walk.feed(frames, "cap")
-        assert str(error.value) == ("cap: bad capture record 4: ts_us 7 is "
-                                    "below the previous record's 9")
+        for times, record in (((5, 5, 9, 7), 4), ((5, 9, 7), 3)):
+            frames = [netsim.Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
+                                   "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
+                      for ts in times]
+            with pytest.raises(ValueError) as error:
+                walked(frames, "cap")
+            assert str(error.value) == (
+                f"cap: bad capture record {record}: ts_us 7 is below the "
+                "previous record's 9")
+
+
+class TestCollectorPause:
+    """harness.run pauses the cyclic garbage collector and puts it back."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        collecting = gc.isenabled()
+        yield
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_run_pauses_the_collector_and_puts_it_back(
+            self, tmp_path, monkeypatch, collecting):
+        during = []
+        write = harness.write_capture_jsonl
+
+        def write_and_look(frames, path):
+            during.append(gc.isenabled())
+            write(frames, path)
+
+        monkeypatch.setattr(harness, "write_capture_jsonl", write_and_look)
+        gc.enable() if collecting else gc.disable()
+        harness.run(small_plan(duration_s=5.0), str(tmp_path))
+        assert during == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_run_that_raises_puts_the_collector_back(self, tmp_path,
+                                                       collecting):
+        out = tmp_path / "a_file"
+        out.write_text("")
+        gc.enable() if collecting else gc.disable()
+        with pytest.raises(FileExistsError):
+            harness.run(small_plan(duration_s=5.0), str(out))
+        assert gc.isenabled() is collecting
+
+    def test_a_paused_run_leaves_little_cyclic_garbage(self, tmp_path):
+        # each rogue-subscriber connection leaves a cycle (its MqttClient
+        # and TcpStream); the default hour's connections leave 6,099 cyclic
+        # objects for 179,639 frames, 3.4%
+        plan = small_plan(duration_s=60.0, attacks=[
+            {"id": "dos", "kind": "modbus_dos", "attacker": "attacker",
+             "target": "plc", "t_start_s": 20.0, "duration_s": 2.0,
+             "rate_per_s": 1000, "addr_lo": 0, "addr_hi": 199,
+             "reqs_per_conn": 10},
+            {"id": "rogue", "kind": "rogue_subscriber",
+             "attacker": "attacker", "broker_host": "cloud",
+             "filters": ["#", "$SYS/#"], "t_start_s": 10.0,
+             "duration_s": 40.0, "cycle_s": 4.0}])
+        gc.collect()
+        gc.disable()
+        build = harness.run(plan, str(tmp_path))
+        garbage = gc.collect()
+        assert garbage < 0.05 * len(build.sim.capture)
 
 
 class TestClientScripts:
