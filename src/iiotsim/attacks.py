@@ -44,12 +44,6 @@ class AttackWindow:
     effect_start_us: int | None = None
     effect_end_us: int | None = None
 
-    @property
-    def effect(self) -> tuple:
-        start = self.t_start_us if self.effect_start_us is None else self.effect_start_us
-        end = self.t_end_us if self.effect_end_us is None else self.effect_end_us
-        return start, end
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "t_start_us": self.t_start_us,
                 "t_end_us": self.t_end_us, "attacker": self.attacker,
@@ -64,6 +58,23 @@ def write_windows_jsonl(windows, path) -> None:
             fh.write(json.dumps(w.to_json()) + "\n")
 
 
+def _check_window(d) -> None:
+    """TypeError unless the window record d has JSON int times (not "5",
+    true or 5.0, as the capture reader takes them), int or null effect_*
+    times, and string kind, attacker and victims."""
+    for key in ("t_start_us", "t_end_us", "effect_start_us", "effect_end_us"):
+        if key.startswith("effect_") and d.get(key) is None:
+            continue
+        if type(d[key]) is not int:
+            raise TypeError(f"{key} {d[key]!r} is not an integer")
+    for key in ("kind", "attacker"):
+        if type(d[key]) is not str:
+            raise TypeError(f"{key} {d[key]!r} is not a string")
+    if type(d["victims"]) is not list or not all(
+            type(v) is str for v in d["victims"]):
+        raise TypeError(f"victims {d['victims']!r} is not a list of strings")
+
+
 def read_windows_jsonl(path) -> list:
     """Attack windows of an attack_windows.jsonl; a malformed record raises
     ValueError."""
@@ -74,6 +85,7 @@ def read_windows_jsonl(path) -> list:
                 line = line.strip()
                 if line:
                     d = json.loads(line)
+                    _check_window(d)
                     out.append(AttackWindow(d["kind"], d["t_start_us"],
                                             d["t_end_us"], d["attacker"],
                                             tuple(d["victims"]),
@@ -324,7 +336,8 @@ class ModbusFlood(Injector):
         self.attacker = build.host(a, "attacker")
         self.plc_ip = self.reached(build, a, "target").interfaces[0].ip
         self.addr_lo = a.get("addr_lo", int, 0, lo=0, hi=0xFFFF)
-        self.addr_hi = a.get("addr_hi", int, 199, lo=0, hi=0xFFFF)
+        self.addr_hi = a.get("addr_hi", int, max(199, self.addr_lo),
+                             lo=self.addr_lo, hi=0xFFFF)
         self.reqs_per_conn = a.get("reqs_per_conn", int, 10, lo=1)
         self.requests_sent = 0      # written, whether sent or still held
         self._stream = None         # the connection of the current requests
@@ -345,7 +358,7 @@ class ModbusFlood(Injector):
             self._stream = self.attacker.open_tcp(
                 self.plc_ip, fieldbus.MODBUS_PORT, "MODBUS")
         stream = self._stream
-        addr = self.addr_lo + (i % max(1, self.addr_hi - self.addr_lo + 1))
+        addr = self.addr_lo + i % (self.addr_hi - self.addr_lo + 1)
         request = fieldbus.ModbusAdu((i + 1) & 0xFFFF, 1,
                                      fieldbus.READ_HOLDING_REGISTERS, addr, 1)
         if stream.state in ("connecting", "established"):

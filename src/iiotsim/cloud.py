@@ -95,15 +95,9 @@ def validate_filter(flt: str) -> None:
             raise TopicFilterError(f"'+' must stand alone: {flt!r}")
 
 
-def topic_match(flt: str, topic: str) -> bool:
-    """Wildcard match; '#'/'+' filters never match '$'-prefixed topics.
-    TopicFilterError when flt is not a valid filter."""
-    validate_filter(flt)
-    return _match(flt, topic)
-
-
 def _match(flt: str, topic: str) -> bool:
-    """topic_match of a filter known to be valid."""
+    """Wildcard match of a valid filter; '#'/'+' filters never match
+    '$'-prefixed topics."""
     if topic.startswith("$") and flt[0] in ("#", "+"):
         return False
     flevels = flt.split("/")

@@ -41,12 +41,6 @@ class BaseEstimator:
             raise ValueError("training data must contain at least 2 classes")
         return y_idx
 
-    def fit(self, X, y):
-        raise NotImplementedError
-
-    def predict(self, X):
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 # CART decision tree (Gini impurity)
@@ -598,25 +592,12 @@ def _sigmoid(z):
 
 
 def _logistic_grad(X, t, w, p, l2) -> np.ndarray:
-    """The gradient part of binary_logistic_loss_and_grad, given the
-    predicted probabilities p = sigmoid(X w + b)."""
+    """The gradient of the mean cross-entropy of sigmoid(X w + b) plus
+    l2/2 |w|^2, given the predicted probabilities p = sigmoid(X w + b)."""
     n = len(X)
     grad_w = X.T @ (p - t) / n + l2 * w
     grad_b = np.mean(p - t)
     return np.concatenate([grad_w, [grad_b]])
-
-
-def binary_logistic_loss_and_grad(params, X, t, l2=0.0) -> tuple:
-    """Cross-entropy of sigmoid(X w + b) plus L2 on w.
-
-    params stacks [w..., b]; returns (loss, grad) for gradient checking.
-    """
-    w, b = params[:-1], params[-1]
-    p = _sigmoid(X @ w + b)
-    eps = 1e-12
-    loss = -np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))
-    loss += 0.5 * l2 * float(w @ w)
-    return loss, _logistic_grad(X, t, w, p, l2)
 
 
 class LogisticRegressionOvR(BaseEstimator):

@@ -5,7 +5,6 @@ sniffer trace grammar, the MPL3115A2 six-byte sample codec and a DS18B20
 style 1-wire temperature read.
 """
 
-import re
 import struct
 from dataclasses import dataclass
 
@@ -152,9 +151,6 @@ def exception_response(request: ModbusAdu, code: int) -> ModbusAdu:
 # I2C bus with sniffer trace rendering
 # ---------------------------------------------------------------------------
 
-TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")
-
-
 class I2cNack(Exception):
     """Device absent: the address byte was not acknowledged."""
 
@@ -181,27 +177,6 @@ class I2cTransaction:
             parts.append(f"{b:02X}{mark}")
         parts.append("]")
         return "".join(parts)
-
-
-def parse_trace(line: str) -> I2cTransaction:
-    """Invert render(): recover the transaction from a trace line."""
-    if not TRACE_RE.match(line):
-        raise ValueError(f"not a valid trace line: {line!r}")
-    body = line[1:-1]
-    if "[" in body:
-        first, second = body.split("[", 1)
-    else:
-        first, second = body, ""
-    head = [(int(first[i:i + 2], 16), first[i + 2]) for i in range(0, len(first), 3)]
-    addr_byte, addr_mark = head[0]
-    if addr_mark == "-":
-        return I2cTransaction(addr_byte >> 1, 0, (), acked=False)
-    register = head[1][0] if len(head) > 1 else 0
-    data = []
-    if second:
-        toks = [(int(second[i:i + 2], 16), second[i + 2]) for i in range(0, len(second), 3)]
-        data = [b for b, _ in toks[1:]]
-    return I2cTransaction(addr_byte >> 1, register, tuple(data))
 
 
 class I2cBus:

@@ -42,9 +42,6 @@ class TelemetryMessage:
     topic: str
     body: str      # JSON text with exactly the five expected keys
 
-    def parsed(self) -> dict:
-        return loads(self.body)
-
 
 def build_telemetry(reading: Reading) -> TelemetryMessage:
     device_id, device_type, function, content_type, topic = DEVICE_PROFILES[
@@ -119,8 +116,8 @@ class EdgeGateway:
             self.sim.every(self.mqtt_reconnect_every_us, self._reconnect_mqtt)
         self.host.bind_udp(5683, self._coap_service)
         self.host.bind_udp(53, self._dns_service)
-        self.host.bind_tcp(80, _HttpService(self, "HTTP", self.svc_us["HTTP"]))
-        self.host.bind_tcp(8080, _HttpService(self, "API", self.svc_us["API"]))
+        self.host.bind_tcp(80, _HttpService(self, self.svc_us["HTTP"]))
+        self.host.bind_tcp(8080, _HttpService(self, self.svc_us["API"]))
         self.sim.every(self.poll_period_us, self.poll_cycle)
 
     def _reconnect_mqtt(self) -> None:
@@ -366,11 +363,10 @@ class EdgeGateway:
 
 class _HttpService:
     """Request/response JSON service shared by the WAN HTTP port and the
-    local API port (they differ in tag and service time)."""
+    local API port (they differ in service time)."""
 
-    def __init__(self, gateway: EdgeGateway, tag: str, service_time_us: int):
+    def __init__(self, gateway: EdgeGateway, service_time_us: int):
         self.gateway = gateway
-        self.tag = tag
         self.service_time_us = service_time_us
 
     def on_data(self, stream, data: bytes):

@@ -612,13 +612,13 @@ def build_hunt_report(build: Build, conn_rows, read_frames, syslog_events,
                       truth_events) -> dict:
     """The hunt of `run` and `iiotsim hunt`, as the plan sets it: on the
     router's address facing the attacker, for clients of its web admin port
-    and the exploits' listener ports, with a syslog search for "shell".
+    and the exploits' listener ports.
     read_frames(keep) gives a list of the capture's frames, at least those
     whose (l4, src_ip, dst_ip) keep is true of: the victim's TCP frames."""
     victim = build.router_ip_for(build.attacker)
     frames = read_frames(lambda l4, src_ip, dst_ip: (
         l4 == "TCP" and victim in (src_ip, dst_ip)))
     return hunt.hunt_report(
-        conn_rows, frames, victim, WEBGUI_PORT,
+        conn_rows, frames, victim,
         attacks.backdoor_ports(build.attack_objs.values()), syslog_events,
-        truth_events, "shell")
+        truth_events)

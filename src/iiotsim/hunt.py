@@ -5,7 +5,10 @@ stream profiling and syslog parsing/search."""
 import re
 from dataclasses import dataclass
 
+from .services import WEBGUI_PORT
+
 SHELL_DOMINANCE = 0.80      # PSH/ACK + ACK share of a shell's data phase
+SYSLOG_PATTERN = "shell"    # what an exploit leaves in the victim's syslog
 
 
 @dataclass
@@ -127,15 +130,15 @@ def search_events(events, pattern: str) -> list:
 # the full hunt chain
 # ---------------------------------------------------------------------------
 
-def hunt_report(conn_rows, frames, victim_ip: str, service_port: int,
-                backdoor_ports, syslog_events, truth_events,
-                search_pattern: str) -> dict:
+def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports,
+                syslog_events, truth_events) -> dict:
     """Ranked originators -> reverse connections -> flag profile -> syslog.
 
-    Identifies which client of victim_ip:service_port the victim later
+    Identifies which client of victim_ip's web admin port the victim later
     connected back to on one of backdoor_ports, profiles those streams, and
-    checks the system log and its ground-truth shadow, each when not None."""
-    ranked = aggregate_originators(conn_rows, service_port)
+    searches the system log and its ground-truth shadow, each when not None,
+    for SYSLOG_PATTERN."""
+    ranked = aggregate_originators(conn_rows, WEBGUI_PORT)
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)
     suspects = sorted({r["resp_h"] for r in reverse["rows"]})
@@ -144,10 +147,10 @@ def hunt_report(conn_rows, frames, victim_ip: str, service_port: int,
                 for s in suspects for p in backdoor_ports if (s, p) in called}
     syslog_part = {}
     if syslog_events is not None:
-        hits = search_events(syslog_events, search_pattern)
-        syslog_part = {"pattern": search_pattern, "hits": len(hits)}
+        hits = search_events(syslog_events, SYSLOG_PATTERN)
+        syslog_part = {"pattern": SYSLOG_PATTERN, "hits": len(hits)}
         if truth_events is not None:
-            truth_hits = search_events(truth_events, search_pattern)
+            truth_hits = search_events(truth_events, SYSLOG_PATTERN)
             syslog_part["truth_hits"] = len(truth_hits)
             syslog_part["tampered"] = len(truth_hits) != len(hits)
     return {

@@ -611,12 +611,9 @@ class Host:
         .on_open(stream), called as a connection to it opens."""
         self._tcp_services[port] = service
 
-    def unbind_tcp(self, port: int) -> None:
-        self._tcp_services.pop(port, None)
-
-    def open_tcp(self, dst_ip: str, dst_port: int, proto_tag: str,
-                 src_port: int | None = None) -> "TcpStream":
-        sp = src_port if src_port is not None else self.ephemeral_port()
+    def open_tcp(self, dst_ip: str, dst_port: int,
+                 proto_tag: str) -> "TcpStream":
+        sp = self.ephemeral_port()
         iface, _ = self.route(dst_ip)
         stream = TcpStream(self, iface.ip, sp, dst_ip, dst_port, proto_tag)
         stream._send(SYN)
@@ -773,38 +770,9 @@ class TcpStream:
 # capture export / import
 # ---------------------------------------------------------------------------
 
-EXPORT_FIELDS = ("ts_us", "src_mac", "dst_mac", "src_ip", "src_port", "dst_ip",
-                 "dst_port", "l4", "tcp_flags", "len", "proto_tag", "payload_b64")
-
-
 def capture_export(sim: Simulation) -> list[Frame]:
     """The capture in ts_us order (frames of equal ts_us keep their order)."""
     return sorted(sim.capture, key=lambda f: f.ts_us)
-
-
-def frame_to_record(f: Frame) -> dict:
-    return {
-        "ts_us": f.ts_us,
-        "src_mac": f.src_mac,
-        "dst_mac": f.dst_mac,
-        "src_ip": f.src_ip,
-        "src_port": f.src_port,
-        "dst_ip": f.dst_ip,
-        "dst_port": f.dst_port,
-        "l4": f.l4,
-        "tcp_flags": list(f.tcp_flags),
-        "len": f.wire_len,
-        "proto_tag": f.proto_tag,
-        "payload_b64": b64encode(f.payload).decode(),
-        "segment": f.segment,
-        "sender": f.sender,
-        "origin": f.origin,
-        "final": f.final,
-        "delivered": f.delivered,
-        "deliver_ts_us": f.deliver_ts_us,
-        "drop_reason": f.drop_reason,
-        "fw_denied": f.fw_denied,
-    }
 
 
 class _Memo(dict):
@@ -820,8 +788,9 @@ class _Memo(dict):
 
 
 def write_capture_jsonl(frames, path) -> None:
-    """One line per frame, byte-equal to json.dumps(frame_to_record(f)):
-    the same key order, the same str escaping, memoised per value."""
+    """One line per frame: the JSON object of _WRITER_FIELDS' keys, in that
+    order, with `len` the wire length and the payload in base64, byte-equal
+    to json.dumps of it (the same str escaping), memoised per value."""
     q = _Memo(encode_basestring_ascii)
     flags = _Memo(lambda t: json.dumps(list(t)))
     js = {True: "true", False: "false"}

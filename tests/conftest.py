@@ -1,8 +1,14 @@
+import re
 import time
+from base64 import b64encode
 
+import numpy as np
 import pytest
 
 from iiotsim import harness, plan as planmod
+from iiotsim.cloud import _match, validate_filter
+from iiotsim.detect.estimators import _logistic_grad, _sigmoid
+from iiotsim.fieldbus import I2cTransaction
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +46,90 @@ class SilentSlave:
 @pytest.fixture()
 def tiny_plan():
     return small_plan
+
+
+def unbind_tcp(host, port) -> None:
+    """Take the TCP service off host's port: a SYN to it is then refused."""
+    host._tcp_services.pop(port, None)
+
+
+def effect(window) -> tuple:
+    """(start, end) of when an attack window's manipulation is live at the
+    victim: its effect_* bounds, each defaulting to the window's own."""
+    start = (window.t_start_us if window.effect_start_us is None
+             else window.effect_start_us)
+    end = window.t_end_us if window.effect_end_us is None else window.effect_end_us
+    return start, end
+
+
+def frame_to_record(f) -> dict:
+    """A frame's capture record, key for key: the reference that
+    netsim.write_capture_jsonl's lines equal, byte for byte, under
+    json.dumps."""
+    return {
+        "ts_us": f.ts_us,
+        "src_mac": f.src_mac,
+        "dst_mac": f.dst_mac,
+        "src_ip": f.src_ip,
+        "src_port": f.src_port,
+        "dst_ip": f.dst_ip,
+        "dst_port": f.dst_port,
+        "l4": f.l4,
+        "tcp_flags": list(f.tcp_flags),
+        "len": f.wire_len,
+        "proto_tag": f.proto_tag,
+        "payload_b64": b64encode(f.payload).decode(),
+        "segment": f.segment,
+        "sender": f.sender,
+        "origin": f.origin,
+        "final": f.final,
+        "delivered": f.delivered,
+        "deliver_ts_us": f.deliver_ts_us,
+        "drop_reason": f.drop_reason,
+        "fw_denied": f.fw_denied,
+    }
+
+
+# the grammar of fieldbus.I2cTransaction.render's sniffer lines
+TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")
+
+
+def parse_trace(line: str) -> I2cTransaction:
+    """Invert I2cTransaction.render(): the transaction of a trace line."""
+    if not TRACE_RE.match(line):
+        raise ValueError(f"not a valid trace line: {line!r}")
+    body = line[1:-1]
+    if "[" in body:
+        first, second = body.split("[", 1)
+    else:
+        first, second = body, ""
+    head = [(int(first[i:i + 2], 16), first[i + 2])
+            for i in range(0, len(first), 3)]
+    addr_byte, addr_mark = head[0]
+    if addr_mark == "-":
+        return I2cTransaction(addr_byte >> 1, 0, (), acked=False)
+    register = head[1][0] if len(head) > 1 else 0
+    data = []
+    if second:
+        toks = [(int(second[i:i + 2], 16), second[i + 2])
+                for i in range(0, len(second), 3)]
+        data = [b for b, _ in toks[1:]]
+    return I2cTransaction(addr_byte >> 1, register, tuple(data))
+
+
+def topic_match(flt: str, topic: str) -> bool:
+    """Wildcard match, as the broker matches a subscription: TopicFilterError
+    when flt is not a valid filter."""
+    validate_filter(flt)
+    return _match(flt, topic)
+
+
+def binary_logistic_loss_and_grad(params, X, t, l2=0.0) -> tuple:
+    """Cross-entropy of sigmoid(X w + b) plus L2 on w, with the gradient
+    LogisticRegressionOvR's fit uses; params stacks [w..., b]."""
+    w, b = params[:-1], params[-1]
+    p = _sigmoid(X @ w + b)
+    eps = 1e-12
+    loss = -np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))
+    loss += 0.5 * l2 * float(w @ w)
+    return loss, _logistic_grad(X, t, w, p, l2)

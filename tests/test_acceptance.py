@@ -13,9 +13,10 @@ import pytest
 from iiotsim import analytics, fieldbus, harness, hunt, plan as planmod
 from iiotsim.cloud import Broker, MqttClient, decode_packet
 from iiotsim.detect import ModelSpec, cross_validate, metrics_from_confusion
-from iiotsim.detect.estimators import binary_logistic_loss_and_grad
 from iiotsim.gateway import Reading, build_telemetry
 from iiotsim.netsim import LinkProfile, Simulation
+
+from conftest import binary_logistic_loss_and_grad, effect
 
 ATTACKER_MAC = "00:0c:29:5b:a2:99"
 LOCAL_IPS = {"192.168.10.150", "192.168.10.1", "192.168.10.20",
@@ -121,9 +122,9 @@ def routed_gw_frames(result):
 def test_05_arp_spoof_redirection(default_bundle):
     r = default_bundle
     spoof = next(w for w in r.windows if w.kind == "arp_spoof")
-    mitm_effects = [w.effect for w in r.windows
+    mitm_effects = [effect(w) for w in r.windows
                     if w.kind in ("arp_spoof", "tamper")]
-    lo, hi = spoof.effect
+    lo, hi = effect(spoof)
     inside = outside = inside_hit = outside_hit = 0
     for f in routed_gw_frames(r):
         if lo <= f.ts_us <= hi:
@@ -142,7 +143,7 @@ def test_05_arp_spoof_redirection(default_bundle):
 def test_06_tampering_divergence(default_bundle):
     r = default_bundle
     tamper = next(w for w in r.windows if w.kind == "tamper")
-    lo, hi = tamper.effect
+    lo, hi = effect(tamper)
     fw = r.gateway.forwarded
     rows = r.broker.historian.rows
     assert len(fw) == len(rows)

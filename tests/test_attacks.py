@@ -4,7 +4,7 @@ import pytest
 
 from iiotsim import attacks, cli, fieldbus, harness, plan as planmod
 
-from conftest import small_plan
+from conftest import TRACE_RE, effect, parse_trace, small_plan
 
 ATTACKER_MAC = "00:0c:29:5b:a2:99"
 ROUTER_MAC = "00:0c:29:6e:a7:ca"
@@ -51,7 +51,7 @@ class TestArpSpoof:
         plan = small_plan(duration_s=70.0, attacks=[spoof_attack()])
         result = harness.run(plan, str(tmp_path))
         window = result.windows[0]
-        lo, hi = window.effect
+        lo, hi = effect(window)
         inside = [f for f in routed_gw_frames(result) if lo <= f.ts_us <= hi]
         outside = [f for f in routed_gw_frames(result)
                    if not (lo <= f.ts_us <= hi)]
@@ -80,7 +80,7 @@ class TestArpSpoof:
         assert w.kind == "arp_spoof"
         assert w.attacker == "attacker"
         assert set(w.victims) == {"edge-gw", "router"}
-        assert w.t_start_us <= w.effect[0] < w.effect[1] <= w.t_end_us
+        assert w.t_start_us <= effect(w)[0] < effect(w)[1] <= w.t_end_us
 
 
 def forwarded_vs_cloud(result):
@@ -96,7 +96,7 @@ class TestTamper:
                           attacks=[spoof_attack(kind="tamper", scale=2.0,
                                                 t_start=20.2, duration=40.0)])
         result = harness.run(plan, str(tmp_path))
-        lo, hi = result.windows[0].effect
+        lo, hi = effect(result.windows[0])
         n_in = 0
         for (ts, topic, body), row in forwarded_vs_cloud(result):
             edge_val = json.loads(body)["Measurement"]
@@ -246,7 +246,7 @@ def extracted_values(lines) -> list:
     """mpl_decode every complete 6-byte read among sniffed trace lines."""
     out = []
     for line in lines:
-        txn = fieldbus.parse_trace(line)
+        txn = parse_trace(line)
         if txn.acked and len(txn.data) == 6:
             sample = fieldbus.mpl_decode(bytes(txn.data))
             out.append((sample.celsius, sample.kilopascal))
@@ -276,8 +276,8 @@ class TestI2cSniff:
         build = harness.Build(plan)
         build.run()
         for line in build.attack_objs["s"].lines:
-            assert fieldbus.TRACE_RE.match(line)
-            fieldbus.parse_trace(line)
+            assert TRACE_RE.match(line)
+            parse_trace(line)
 
     def test_empty_window(self):
         plan = small_plan(duration_s=10.0, attacks=[
@@ -334,6 +334,16 @@ class TestModbusFlood:
         # all 2,000 requests are numbered at build time, one is queued
         assert build.sim._eseq == quiet.sim._eseq + 400 * 5
         assert len(build.sim._events) == len(quiet.sim._events) + 1
+
+    def test_address_range_is_read_from_addr_lo_up(self):
+        plan = self.flood_plan()
+        plan["attacks"][0].update(addr_lo=100, addr_hi=50)
+        assert planmod.validate_plan(plan) == [
+            "attack 'dos': addr_hi must be an integer in [100, 65535], got 50"]
+        del plan["attacks"][0]["addr_hi"]
+        for lo, hi in ((100, 199), (300, 300)):
+            plan["attacks"][0]["addr_lo"] = lo
+            assert harness.Build(plan).attack_objs["dos"].addr_hi == hi
 
     def test_zero_rate_rejected(self):
         plan = self.flood_plan(rate=0)
@@ -489,3 +499,30 @@ class TestExploit:
         assert not atk.succeeded
         assert atk.failure == "target not vulnerable"
         assert not [c for c in result.conversations if c.resp_port == 4444]
+
+
+class TestReadWindows:
+    RECORD = {"kind": "modbus_dos", "t_start_us": 200_200_000,
+              "t_end_us": 260_700_000, "attacker": "attacker",
+              "victims": ["192.168.20.25"], "effect_start_us": None,
+              "effect_end_us": None}
+
+    def write(self, tmp_path, **change):
+        path = tmp_path / "attack_windows.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n"
+                        + json.dumps({**self.RECORD, **change}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_start_us", "200200000"), ("t_start_us", True),
+        ("t_start_us", 200200000.0), ("t_end_us", "260700000"),
+        ("t_end_us", None), ("effect_start_us", "200300000"),
+        ("effect_end_us", 1.5), ("effect_end_us", False),
+        ("kind", 3), ("attacker", None), ("victims", "192.168.20.25"),
+        ("victims", [3]), ("victims", None)])
+    def test_a_record_of_the_wrong_kind_is_refused(self, tmp_path, key,
+                                                    value):
+        path = self.write(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"bad window record 2: "
+                                             f"TypeError: {key} "):
+            attacks.read_windows_jsonl(path)

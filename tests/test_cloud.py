@@ -7,10 +7,10 @@ import pytest
 from iiotsim import harness
 from iiotsim.cloud import (MQTT_PORT, Broker, MqttClient, TopicFilterError,
                            _WindowCounter, decode_packet, dumps,
-                           encode_packet, loads, topic_match)
+                           encode_packet, loads)
 from iiotsim.netsim import LinkProfile, Simulation
 
-from conftest import small_plan
+from conftest import small_plan, topic_match
 
 EPOCH = datetime(2019, 7, 18, 6, 0, 0, tzinfo=timezone.utc)
 

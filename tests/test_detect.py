@@ -16,7 +16,8 @@ from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
                             fold_features, format_metrics_table,
                             metrics_from_confusion, stratified_kfold)
 from iiotsim.detect import estimators
-from iiotsim.detect.estimators import binary_logistic_loss_and_grad
+
+from conftest import binary_logistic_loss_and_grad
 
 
 def toy_blobs(n=60, seed=0):

@@ -1,10 +1,11 @@
 import random
-import re
 import struct
 
 import pytest
 
 from iiotsim import fieldbus as fb
+
+from conftest import TRACE_RE, parse_trace
 
 FIG_BYTES = bytes.fromhex("5C847017F000")
 
@@ -328,9 +329,6 @@ class TestModbusCodecAgainstReference:
             fb.decode_response(bytes.fromhex(raw))
 
 
-TRACE_RE = re.compile(r"^\[([0-9A-F]{2}[+\-])+(\[([0-9A-F]{2}[+\-])+)?\]$")
-
-
 class TestI2cBus:
     def make_bus(self, data=FIG_BYTES):
         bus = fb.I2cBus(service_time_us=1340)
@@ -370,7 +368,7 @@ class TestI2cBus:
             txn = fb.I2cTransaction(addr, reg, data)
             line = txn.render()
             assert TRACE_RE.match(line), line
-            assert fb.parse_trace(line) == txn
+            assert parse_trace(line) == txn
 
     def test_sniffer_sees_the_same_line(self):
         bus = self.make_bus()

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from iiotsim import harness
+from iiotsim.cloud import loads
 from iiotsim.gateway import DeadbandPolicy, Reading, build_telemetry
 from iiotsim.historian import Historian
 
-from conftest import SilentSlave, small_plan
+from conftest import SilentSlave, small_plan, unbind_tcp
 
 FIG8_BODY = ('{"Device ID": "Slave 7", "Device Type": "I2C slave", '
              '"Measurement": 94.34675, "Function": "I/O Pressure Sensor", '
@@ -24,14 +25,14 @@ class TestTelemetryFormat:
     def test_plc_topic_and_function(self):
         msg = build_telemetry(Reading("plc", 16.407, 0))
         assert msg.topic == "station/PLC"
-        body = msg.parsed()
+        body = loads(msg.body)
         assert body["Function"] == "PLC Temperature Sensor"
         assert body["Device Type"] == "PLC MODBUS"
 
     def test_body_has_exactly_five_keys(self):
         for key in ("mpl", "plc", "onewire", "sim-humidity",
                     "sim-temperature", "sim-pressure"):
-            body = build_telemetry(Reading(key, 1.0, 0)).parsed()
+            body = loads(build_telemetry(Reading(key, 1.0, 0)).body)
             assert set(body) == {"Device ID", "Device Type", "Measurement",
                                  "Function", "Content Type"}
             assert isinstance(body["Measurement"], (int, float))
@@ -178,7 +179,7 @@ class TestPollCycle:
     def test_plc_unreachable_faults_but_others_read(self):
         plan = small_plan(duration_s=10.0)
         build = harness.Build(plan)
-        build.plc_host.unbind_tcp(502)
+        unbind_tcp(build.plc_host, 502)
         build.run()
         gw = build.gateway
         assert any(d == "plc" for _, d, _ in gw.faults)
@@ -276,7 +277,7 @@ class TestNotify:
         plan["plant"]["sensors"]["plc-temp"]["init"] = 35.0
         plan["plant"]["sensors"]["plc-temp"]["walk_step"] = 0.0
         build = harness.Build(plan)
-        build.mail_host.unbind_tcp(25)
+        unbind_tcp(build.mail_host, 25)
         build.run()
         assert any(kind == "notify-failure"
                    for _, kind, _ in build.gateway.events)

@@ -16,7 +16,7 @@ import pytest
 import iiotsim
 from iiotsim import analytics, cli, harness, netsim, plan as planmod
 
-from conftest import small_plan
+from conftest import frame_to_record, small_plan
 
 
 class TestPlanValidation:
@@ -1016,6 +1016,7 @@ class TestCli:
                                       "detect_dataset_is_a_directory",
                                       "report_capture_is_a_directory",
                                       "report_windows_is_a_directory",
+                                      "report_garbled_window",
                                       "detect_report_is_a_directory",
                                       "report_conn_log_is_a_directory",
                                       "hunt_report_is_a_directory",
@@ -1047,7 +1048,7 @@ class TestCli:
             # hunt keeps only the victim's frames but still checks the
             # others: the second record lacks dst_mac and names neither IP
             analytics.write_conn_log([], out / "conn.log")
-            records = [netsim.frame_to_record(netsim.Frame(
+            records = [frame_to_record(netsim.Frame(
                 0, "lan", "a", "02:00:00:00:00:01", "02:00:00:00:00:02",
                 src_ip, "192.168.10.1" if n == 0 else "10.0.0.2", 5000, 80,
                 "TCP", ("SYN",), b"", "HTTP"))
@@ -1079,6 +1080,13 @@ class TestCli:
         elif case == "report_windows_is_a_directory":
             (out / "capture.jsonl").write_text("")
             (out / "attack_windows.jsonl").mkdir()
+            argv = ["report", "--out", str(out)]
+        elif case == "report_garbled_window":
+            (out / "capture.jsonl").write_text("")
+            (out / "attack_windows.jsonl").write_text(json.dumps(
+                {"kind": "modbus_dos", "t_start_us": "200200000",
+                 "t_end_us": 260700000, "attacker": "attacker",
+                 "victims": ["192.168.20.25"]}) + "\n")
             argv = ["report", "--out", str(out)]
         elif case == "detect_report_is_a_directory":
             analytics.write_dataset_csv(
@@ -1125,6 +1133,10 @@ class TestCli:
         if case in ("report_capture_is_a_directory",
                     "report_windows_is_a_directory"):
             assert error["error"].startswith("cannot read bundle: ")
+            assert not (out / "metrics_report.json").exists()
+        if case == "report_garbled_window":
+            assert "bad window record 1: TypeError: t_start_us" in error[
+                "error"]
             assert not (out / "metrics_report.json").exists()
         if case == "detect_report_is_a_directory":
             assert error["error"].startswith("cannot write detection report: ")

@@ -185,10 +185,9 @@ class TestHuntChain:
                                     ("ACK",)))
         events, _ = hunt.parse_syslog(
             ["2019-10-01T22:00:00.000Z php: reverse shell opened"])
-        report = hunt.hunt_report(conn, frames, "10.0.0.1", 443,
+        report = hunt.hunt_report(conn, frames, "10.0.0.1",
                                   backdoor_ports=(4444,),
-                                  syslog_events=events, truth_events=events,
-                                  search_pattern="shell")
+                                  syslog_events=events, truth_events=events)
         assert report["identified_attacker"] == "10.0.0.7"
         assert report["backdoor_ports"] == [4444]
         assert report["reverse_connections"]["count"] == 1

@@ -6,7 +6,7 @@ from iiotsim.plant import (PLC_INPUT_REGISTER, PLC_SETPOINT_REGISTER,
                            ModbusSlaveService, Plant, Plc, SensorModel,
                            modbus_transact, tmp36_celsius, tmp36_voltage)
 
-from conftest import SilentSlave
+from conftest import SilentSlave, unbind_tcp
 
 
 def make_plant(seed=5, tick_us=1_000_000):
@@ -203,7 +203,7 @@ class TestModbusTransact:
 
     def test_unreachable_slave_reports_none(self):
         sim, master, plc = self.wired()
-        sim.hosts["plc"].unbind_tcp(502)
+        unbind_tcp(sim.hosts["plc"], 502)
         got = []
         modbus_transact(master, "10.0.0.2",
                         fb.ModbusAdu(3, 1, fb.READ_HOLDING_REGISTERS,

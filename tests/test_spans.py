@@ -20,11 +20,17 @@ class LookupTracer:
         self.names.append((owner.__name__, attr))
 
 
-def test_every_name_the_traced_benchmark_wraps_exists():
+def wrapped_names() -> list:
+    """(owner's __name__, attribute) of every name spans.instrument wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     tracer = LookupTracer()
     spans.instrument(tracer)
-    assert ("iiotsim.harness", "build_metrics_report") in tracer.names
-    assert ("iiotsim.cli", "cmd_report") in tracer.names
+    return tracer.names
+
+
+def test_every_name_the_traced_benchmark_wraps_exists():
+    names = wrapped_names()
+    assert ("iiotsim.harness", "build_metrics_report") in names
+    assert ("iiotsim.cli", "cmd_report") in names
