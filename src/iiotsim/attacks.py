@@ -61,7 +61,8 @@ def write_windows_jsonl(windows, path) -> None:
 def _check_window(d) -> None:
     """TypeError unless the window record d has JSON int times (not "5",
     true or 5.0, as the capture reader takes them), int or null effect_*
-    times, and string kind, attacker and victims."""
+    times, and string kind, attacker and victims; ValueError unless its
+    times are in order, with the effect_* times inside the window."""
     for key in ("t_start_us", "t_end_us", "effect_start_us", "effect_end_us"):
         if key.startswith("effect_") and d.get(key) is None:
             continue
@@ -73,6 +74,16 @@ def _check_window(d) -> None:
     if type(d["victims"]) is not list or not all(
             type(v) is str for v in d["victims"]):
         raise TypeError(f"victims {d['victims']!r} is not a list of strings")
+    start, end = d["t_start_us"], d["t_end_us"]
+    if end < start:
+        raise ValueError(f"t_end_us {end} is before t_start_us {start}")
+    effect = [d.get("effect_start_us"), d.get("effect_end_us")]
+    for key, ts in zip(("effect_start_us", "effect_end_us"), effect):
+        if ts is not None and not start <= ts <= end:
+            raise ValueError(f"{key} {ts} is outside [{start}, {end}]")
+    if None not in effect and effect[0] > effect[1]:
+        raise ValueError(f"effect_end_us {effect[1]} is before "
+                         f"effect_start_us {effect[0]}")
 
 
 def read_windows_jsonl(path) -> list:
@@ -489,22 +500,19 @@ class WebEnum(Injector):
         stream = self.attacker.open_tcp(self.target_host.interfaces[0].ip,
                                         WEBGUI_PORT, "HTTPS")
         n_req = max(1, self.session_us // self.request_period_us)
-        sent = 0
 
-        def request():
-            nonlocal sent
-            sent += 1
+        def request(n):
             return dumps({"action": "get",
-                          "path": f"/admin/dir{k}/page{sent:04d}",
+                          "path": f"/admin/dir{k}/page{n:04d}",
                           "probe": "x" * 120}).encode()
 
         def on_data(s, data):
-            if sent < n_req:
-                s.reply_after(self.request_period_us, request())
+            if s.replies < n_req:
+                s.reply_after(self.request_period_us, request(s.replies + 1))
             else:
                 s.close()
 
-        stream.write(request())
+        stream.write(request(1))
         stream.on_data = on_data
 
 
@@ -514,10 +522,6 @@ class WebEnum(Injector):
 
 @dataclass
 class ReverseShellSession:
-    listener_ip: str
-    listener_port: int
-    victim: str
-    t_start_us: int
     duration_us: int
     commands: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
@@ -580,12 +584,10 @@ class ExploitWebgui(Injector):
         user, password = self.credentials
         stream.write(dumps({"action": "login", "user": user,
                             "password": password}).encode())
-        stage = {"n": 0}
 
         def on_data(s, data):
             body = loads(data.decode())
-            if stage["n"] == 0:
-                stage["n"] = 1
+            if s.replies == 1:
                 if body.get("auth") != "ok":
                     self.failure = "bad credentials"
                     s.close()
@@ -609,10 +611,7 @@ class ExploitWebgui(Injector):
 
     def _open_session(self, n, start_us, duration_us):
         attacker_ip = self.attacker.interfaces[0].ip
-        record = ReverseShellSession(attacker_ip, self.listener_port,
-                                     self.target_host.host_id, start_us,
-                                     duration_us)
-        self.sessions.append(record)
+        self.sessions.append(ReverseShellSession(duration_us))
 
         # reverse direction: the victim originates the stream
         stream = self.target_host.open_tcp(attacker_ip, self.listener_port,

@@ -330,8 +330,9 @@ class _GrowingTree:
     """A tree being grown on its distinct (row, class) pairs, each weighted
     by how often the tree's rows hold it. A node is a slice of the tree's
     order of those rows and their weights, and a split reorders its slice in
-    place. Nodes are numbered as they are added, which is preorder unless
-    they were added level by level."""
+    place. Nodes are numbered as they are added (next_searches says in
+    which order); a descent follows left and right, so any numbering
+    serves."""
 
     def __init__(self, data, rows, rng):
         weights = np.bincount(data.pair[rows], minlength=len(data.pair_row))
@@ -341,7 +342,6 @@ class _GrowingTree:
         self.rng = rng
         self.feature, self.threshold, self.klass = [], [], []
         self.left, self.right = [], []
-        self.level_order = False
         # (lo, hi, depth, class counts, parent, the parent's left or right)
         self.stack = [(0, len(self.rows), 0,
                        np.bincount(data.y[rows], minlength=data.n_classes),
@@ -379,7 +379,6 @@ class _GrowingTree:
                 feature_ids.sort()
                 return [(node, lo, hi, depth, counts, feature_ids)]
             searches.append((node, lo, hi, depth, counts, every))
-            self.level_order = True
         if not searches:
             # grown: the forest holds the rows of growing trees only
             self.rows = self.weights = None
@@ -394,26 +393,9 @@ class _GrowingTree:
                            self.left))
 
     def tree(self) -> _Tree:
-        """-> the grown tree, its nodes in preorder."""
-        if not self.level_order:
-            return _Tree(self.feature, self.threshold, self.left, self.right,
-                         self.klass)
-        order, todo = [], [0]
-        while todo:
-            node = todo.pop()
-            order.append(node)
-            if self.feature[node] >= 0:
-                todo += (self.right[node], self.left[node])
-        feature, threshold, left, right, klass = (
-            np.array(column)[order] for column in (
-                self.feature, self.threshold, self.left, self.right,
-                self.klass))
-        # preorder[node] is the node's place in preorder
-        preorder = np.argsort(order)
-        split = feature >= 0
-        left[split] = preorder[left[split]]
-        right[split] = preorder[right[split]]
-        return _Tree(feature, threshold, left, right, klass)
+        """-> the grown tree, its nodes numbered as they were added."""
+        return _Tree(self.feature, self.threshold, self.left, self.right,
+                     self.klass)
 
 
 def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:

@@ -229,7 +229,6 @@ MPL_KPA_QUANTUM = 0.00025          # 0.25 Pa
 
 @dataclass
 class MplSample:
-    raw: tuple
     celsius: float
     kilopascal: float
 
@@ -249,7 +248,7 @@ def mpl_decode(data) -> MplSample:
     celsius = temp_raw / 16.0
     pressure_raw = (d[1] * 65536 + d[2] * 256 + (d[3] & 0xF0)) // 16
     kilopascal = (pressure_raw / 4.0) / 1000.0
-    return MplSample(tuple(data), celsius, kilopascal)
+    return MplSample(celsius, kilopascal)
 
 
 # what mpl_encode can encode; the decode arithmetic is unsigned, so only the

@@ -212,11 +212,9 @@ class EdgeGateway:
         self._last_notify_us[kind] = now
         stream = self.host.open_tcp(self.mail_ip, 25, "SMTP")
         stream.write(b"HELLO edge-gw")
-        state = {"stage": 0}
 
         def on_data(s, data):
-            if state["stage"] == 0:
-                state["stage"] = 1
+            if s.replies == 1:
                 s.write(f"MSG {text}".encode())
             else:
                 self.events.append((self.sim.now_us, "notified", text))

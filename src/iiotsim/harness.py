@@ -7,12 +7,11 @@ import itertools
 import json
 import operator
 import os
-from datetime import datetime, timezone
 
 from . import analytics, attacks, fieldbus, hunt, plan as planmod
 from .cloud import Broker, dumps
 from .gateway import EdgeGateway
-from .historian import IsoStamp
+from .historian import IsoStamp, parse_iso
 from .netsim import (Acl, AclRule, RouteError, Simulation, capture_export,
                      parse_cidr, write_capture_jsonl)
 from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
@@ -55,11 +54,6 @@ def _http_request(every, values, n) -> dict:
     return _SNAPSHOT
 
 
-def _parse_epoch(text) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(
-        timezone.utc)
-
-
 class Build:
     """Everything wired up and scheduled, ready for run_until().
 
@@ -86,8 +80,7 @@ class Build:
         self.seed = read.get("seed", int, 0) if seed is None else seed
         self.name = read.get("name", str, "")
         self.duration_us = read.duration_us
-        self.epoch = _parse_epoch(read.parsed("epoch", _parse_epoch,
-                                              DEFAULT_EPOCH))
+        self.epoch = parse_iso(read.parsed("epoch", parse_iso, DEFAULT_EPOCH))
         self.sim = Simulation(self.seed)
         self.sim.horizon_us = self.duration_us
         self.targets = read.targets
@@ -275,11 +268,10 @@ class Build:
 
         def connection():
             body = dumps(request(next(cycles))).encode()
-            replies = itertools.count(1)
             stream = host.open_tcp(ip, port, tag)
             stream.write(body)
             stream.on_data = lambda s, data: (
-                s.write(body) if next(replies) < exchanges else s.close())
+                s.write(body) if s.replies < exchanges else s.close())
 
         self.sim.every(cfg.time_us("period_s", least=1),
                        datagram if exchanges is None else connection)

@@ -28,12 +28,11 @@ class IsoStamp:
         return f"{self._text}{us // 1000:03d}Z"
 
 
-def parse_iso(epoch: datetime, text: str) -> int:
-    """ISO-8601 UTC text -> simulated microseconds relative to epoch."""
+def parse_iso(text: str) -> datetime:
+    """ISO-8601 text -> the UTC datetime it names; a time without an offset
+    is UTC, whatever the machine's time zone."""
     t = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return round((t - epoch).total_seconds() * 1_000_000)
+    return t.replace(tzinfo=t.tzinfo or timezone.utc).astimezone(timezone.utc)
 
 
 @dataclass
@@ -105,7 +104,8 @@ class Historian:
         if value is None:
             return None
         if isinstance(value, str):
-            return parse_iso(self.epoch, value)
+            return round((parse_iso(value) - self.epoch).total_seconds()
+                         * 1_000_000)
         return int(value)
 
     def write_csv(self, path) -> None:

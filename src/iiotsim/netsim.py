@@ -670,6 +670,7 @@ class TcpStream:
         self.on_data = None          # fn(stream, bytes)
         self.on_closed = None
         self.on_refused = None
+        self.replies = 0             # data segments handed to on_data
         self._unacked = 0            # our segments owing an ACK (owes_ack)
         self._held = []              # (flags, payload) made while connecting
 
@@ -763,6 +764,7 @@ class TcpStream:
                 self._forget()          # the peer has ACKed all we sent
             self._set_state("closed")
         elif self.on_data:
+            self.replies += 1
             self.on_data(self, frame.payload)
 
 
@@ -822,17 +824,18 @@ def _parse_record(line: str):
 # str without escapes or control characters, a JSON int ([0-9], not \d,
 # which takes other scripts' digits; no leading zero; at most 640 digits,
 # the least limit sys.set_int_max_str_digits allows, so int() takes it
-# whether or not the record is kept), true/false, and a list of upper-case
-# words. `len` is matched but not captured: wire_len recomputes it. Any
+# whether or not the record is kept), true/false, and a list of TCP flag
+# names. `len` is matched but not captured: wire_len recomputes it. Any
 # other line, valid or not, goes through _parse_record.
 _STR = r'"([^"\\\x00-\x1f]*)"'
 _DIGITS = "0|[1-9][0-9]{0,639}"
 _INT = f"({_DIGITS})"
 _BOOL = "(true|false)"
+_FLAG = '"(?:ACK|FIN|PSH|RST|SYN)"'
 _WRITER_FIELDS = (
     ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
     ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT), ("l4", _STR),
-    ("tcp_flags", r'(\[(?:"[A-Z]+"(?:, "[A-Z]+")*)?\])'),
+    ("tcp_flags", fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'),
     ("len", f"(?:{_DIGITS})"), ("proto_tag", _STR),
     ("payload_b64", _STR), ("segment", _STR), ("sender", _STR),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
@@ -841,8 +844,10 @@ _writer_line = re.compile(
     r"\{" + ", ".join(f'"{key}": {value}' for key, value in _WRITER_FIELDS)
     + r"\}").fullmatch
 _JSON_BOOL = {"true": True, "false": False}
-# the fields the readers of a Frame do arithmetic on
-_INT_FIELDS = ("ts_us", "src_port", "dst_port", "deliver_ts_us")
+# the fields the readers of a Frame do arithmetic on, and those it keys
+# and compares as text: what the writer writes as JSON ints and strings
+_INT_FIELDS, _STR_FIELDS = (tuple(key for key, value in _WRITER_FIELDS
+                                  if value is kind) for kind in (_INT, _STR))
 
 
 def iter_capture_jsonl(path, keep=None):
@@ -897,13 +902,23 @@ def iter_capture_jsonl(path, keep=None):
                         if key in rec and type(rec[key]) is not int:
                             raise TypeError(f"{key} {rec[key]!r} is not an "
                                             "integer")
+                    for key in _STR_FIELDS:
+                        if key in rec and type(rec[key]) is not str:
+                            raise TypeError(f"{key} {rec[key]!r} is not a "
+                                            "string")
+                    flags = tuple(rec["tcp_flags"])
+                    if type(rec["tcp_flags"]) is not list or not all(
+                            type(f) is str and f in FLAG_LETTER
+                            for f in flags):
+                        raise TypeError(f"tcp_flags {rec['tcp_flags']!r} is "
+                                        "not a list of TCP flags")
                     args = (
                         rec["ts_us"], share[get("segment", "")],
                         share[get("sender", "")], share[rec["src_mac"]],
                         share[rec["dst_mac"]], share[rec["src_ip"]],
                         share[rec["dst_ip"]], rec["src_port"],
                         rec["dst_port"], share[rec["l4"]],
-                        share[tuple(rec["tcp_flags"])],
+                        share[flags],
                         a2b(rec["payload_b64"]), share[rec["proto_tag"]],
                         get("origin", True), get("final", False),
                         get("delivered", False), get("deliver_ts_us", 0),

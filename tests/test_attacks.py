@@ -526,3 +526,26 @@ class TestReadWindows:
         with pytest.raises(ValueError, match=f"bad window record 2: "
                                              f"TypeError: {key} "):
             attacks.read_windows_jsonl(path)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"t_start_us": 260_700_000, "t_end_us": 200_200_000},
+         "t_end_us 200200000 is before t_start_us 260700000"),
+        ({"effect_start_us": 200_100_000},
+         r"effect_start_us 200100000 is outside \[200200000, 260700000\]"),
+        ({"effect_end_us": 260_700_001},
+         r"effect_end_us 260700001 is outside \[200200000, 260700000\]"),
+        ({"effect_start_us": 230_000_000, "effect_end_us": 220_000_000},
+         "effect_end_us 220000000 is before effect_start_us 230000000")])
+    def test_times_out_of_order_are_refused(self, tmp_path, change, error):
+        path = self.write(tmp_path, **change)
+        with pytest.raises(ValueError, match=f"bad window record 2: "
+                                             f"ValueError: {error}"):
+            attacks.read_windows_jsonl(path)
+
+    def test_times_at_their_bounds_are_read(self, tmp_path):
+        path = self.write(tmp_path, t_end_us=200_200_000,
+                          effect_start_us=200_200_000,
+                          effect_end_us=200_200_000)
+        window = attacks.read_windows_jsonl(path)[1]
+        assert (window.t_start_us, window.t_end_us, window.effect_start_us,
+                window.effect_end_us) == (200_200_000,) * 4

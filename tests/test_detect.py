@@ -477,13 +477,17 @@ def ref_preorder(node):
 
 
 def flat_preorder(tree):
-    """The fitted array tree in the same form; node ids are preorder."""
-    out = []
-    for i, f in enumerate(tree.feature.tolist()):
+    """The fitted array tree in the same form, walked from node 0 through
+    left and right, whatever the node ids."""
+    out, todo = [], [0]
+    while todo:
+        i = todo.pop()
+        f = int(tree.feature[i])
         if f < 0:
             out.append((-1, None, int(tree.klass[i])))
         else:
             out.append((f, float(tree.threshold[i]), None))
+            todo += (int(tree.right[i]), int(tree.left[i]))
     return out
 
 

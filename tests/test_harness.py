@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -451,6 +452,28 @@ class TestRunArtifacts:
         match, mismatch, errors = filecmp.cmpfiles(
             out_a, out_b, os.listdir(out_a), shallow=False)
         assert mismatch == [] and errors == []
+
+    def test_an_epoch_without_an_offset_is_utc_in_any_time_zone(
+            self, tmp_path, monkeypatch):
+        plan = small_plan(duration_s=30.0)
+        plan["epoch"] = "2019-07-18T06:00:00"
+        outs = [tmp_path / "utc", tmp_path / "new_york"]
+        try:
+            for out, tz in zip(outs, ("UTC", "America/New_York")):
+                monkeypatch.setenv("TZ", tz)
+                time.tzset()
+                harness.run(plan, str(out))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        names = sorted(os.listdir(outs[0]))
+        assert sorted(os.listdir(outs[1])) == names
+        match, mismatch, errors = filecmp.cmpfiles(*outs, names,
+                                                   shallow=False)
+        assert mismatch == [] and errors == []
+        with open(outs[0] / "edge_historian.csv") as fh:
+            first = list(csv.reader(fh))[1]
+        assert first[1].startswith("2019-07-18T06:00:")
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1004,7 +1027,19 @@ class TestCli:
         assert "'captur'" in error["details"][0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["empty_plan", "missing_plan",
+    # a case whose capture's second (TCP) record has fields replaced -> the
+    # TypeError that report names it with
+    GARBLED_RECORDS = {
+        "report_ip_a_number": ({"src_ip": 5}, "src_ip 5 is not a string"),
+        "report_flags_a_string": ({"tcp_flags": "SYN"},
+                                  "tcp_flags 'SYN' is not a list of TCP "
+                                  "flags"),
+        "report_lower_case_flags": ({"tcp_flags": ["ack"]},
+                                    "tcp_flags ['ack'] is not a list of TCP "
+                                    "flags")}
+
+    @pytest.mark.parametrize("case", [*GARBLED_RECORDS,
+                                      "empty_plan", "missing_plan",
                                       "truncated_capture", "garbled_conn_log",
                                       "garbled_dataset", "one_class_dataset",
                                       "plan_without_roles",
@@ -1088,6 +1123,16 @@ class TestCli:
                  "t_end_us": 260700000, "attacker": "attacker",
                  "victims": ["192.168.20.25"]}) + "\n")
             argv = ["report", "--out", str(out)]
+        elif case in self.GARBLED_RECORDS:
+            path = out / "capture.jsonl"
+            netsim.write_capture_jsonl(
+                [tcp_frame(ts, ("10.0.0.1", 5000), ("10.0.0.2", 80),
+                           ("SYN",), ts + 100) for ts in (10, 20, 30)], path)
+            lines = path.read_text().splitlines()
+            lines[1] = json.dumps({**json.loads(lines[1]),
+                                   **self.GARBLED_RECORDS[case][0]})
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["report", "--out", str(out)]
         elif case == "detect_report_is_a_directory":
             analytics.write_dataset_csv(
                 [analytics.DatasetRow(
@@ -1137,6 +1182,11 @@ class TestCli:
         if case == "report_garbled_window":
             assert "bad window record 1: TypeError: t_start_us" in error[
                 "error"]
+            assert not (out / "metrics_report.json").exists()
+        if case in self.GARBLED_RECORDS:
+            assert error["error"].endswith(
+                "bad capture record 2: TypeError: "
+                + self.GARBLED_RECORDS[case][1])
             assert not (out / "metrics_report.json").exists()
         if case == "detect_report_is_a_directory":
             assert error["error"].startswith("cannot write detection report: ")

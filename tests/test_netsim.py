@@ -706,6 +706,26 @@ class TestTcpStreams:
         assert stream.state == "closed"
         assert gw._streams == {} and router._streams == {}
 
+    def test_replies_counts_the_data_handed_to_on_data(self):
+        # the count is taken before the call, so the n-th reply sees n
+        sim, gw, router = lan_pair()
+        router.bind_tcp(443, EchoService())
+        stream = gw.open_tcp("192.168.10.1", 443, "HTTPS")
+        stream.write(b"0")
+        seen = []
+
+        def on_data(s, data):
+            seen.append((s.replies, data))
+            if s.replies < 3:
+                s.write(b"%d" % s.replies)
+            else:
+                s.close()
+
+        stream.on_data = on_data
+        sim.run_until(1_000_000)
+        assert seen == [(1, b"echo:0"), (2, b"echo:1"), (3, b"echo:2")]
+        assert stream.replies == 3 and stream.state == "closed"
+
     def test_a_closing_stream_acks_and_delivers_the_peers_data(self):
         # half-close: the client's FIN is out, the server still writes
         sim, gw, router = lan_pair()
@@ -895,7 +915,9 @@ class TestCaptureExport:
 def reference_read_capture(path):
     """The line-by-line json.loads reader that iter_capture_jsonl replaced,
     kept as the reference for its values, checks and record numbers. Like
-    the reader, it refuses a time or port that is not a JSON integer."""
+    the reader, it refuses a time or port that is not a JSON integer, a
+    field the writer writes as text that is not a JSON string, and flags
+    that are not a list of TCP flag names."""
     out = []
     with open(path) as fh:
         try:
@@ -909,11 +931,23 @@ def reference_read_capture(path):
                         if key in rec and type(rec[key]) is not int:
                             raise TypeError(f"{key} {rec[key]!r} is not an "
                                             "integer")
+                    for key in ("src_mac", "dst_mac", "src_ip", "dst_ip", "l4",
+                                "proto_tag", "payload_b64", "segment",
+                                "sender", "drop_reason"):
+                        if key in rec and type(rec[key]) is not str:
+                            raise TypeError(f"{key} {rec[key]!r} is not a "
+                                            "string")
+                    flags = tuple(rec["tcp_flags"])
+                    if type(rec["tcp_flags"]) is not list or any(
+                            f not in ("ACK", "FIN", "PSH", "RST", "SYN")
+                            for f in flags):
+                        raise TypeError(f"tcp_flags {rec['tcp_flags']!r} is "
+                                        "not a list of TCP flags")
                     out.append(Frame(
                         rec["ts_us"], get("segment", ""), get("sender", ""),
                         rec["src_mac"], rec["dst_mac"], rec["src_ip"],
                         rec["dst_ip"], rec["src_port"], rec["dst_port"],
-                        rec["l4"], tuple(rec["tcp_flags"]),
+                        rec["l4"], flags,
                         base64.b64decode(rec["payload_b64"]), rec["proto_tag"],
                         get("origin", True), get("final", False),
                         get("delivered", False), get("deliver_ts_us", 0),
@@ -998,6 +1032,11 @@ class TestCaptureReader:
             dict(rec, payload_b64="abc"))],
         "flags_not_a_list": lambda line, rec: [json.dumps(
             dict(rec, tcp_flags=7))],
+        "ip_a_number": lambda line, rec: [json.dumps(dict(rec, src_ip=5))],
+        "flags_a_string": lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags="SYN"))],
+        "unknown_flag": lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags=["ACK", "SYNX"]))],
     }
 
     @pytest.mark.parametrize("garble", sorted(GARBLES))
@@ -1129,7 +1168,7 @@ class TestCaptureReader:
     # the UNWRITTEN shapes json.loads reads as a record
     READABLE = ("unicode_escape", "escaped_quote", "ts_minus_zero",
                 "ts_641_digits", "doubled_spaces", "reordered_keys",
-                "no_segment", "lower_case_flags", "int_for_a_boolean")
+                "no_segment", "int_for_a_boolean")
 
     def test_keep_sees_every_record_once_in_file_order(self, tmp_path,
                                                        monkeypatch):
