@@ -326,6 +326,83 @@ _SPLIT_KEY_BYTES = 1 << 20
 _FOREST_ROW_BYTES = 5 << 18
 
 
+# feature subsets a tree draws at a time: the block that _bounded checks and
+# Floyd's algorithm fills with numpy array operations
+_SUBSET_BLOCK = 32
+
+
+def _bounded(words, bound):
+    """Lemire's draws in [0, bound), one per 32-bit word, as numpy's bounded
+    integer draws make them: (word * bound) >> 32, unless the product's low
+    32 bits fall below (2**32 - bound) % bound, where numpy rejects the word
+    and draws again. -> the draws as uint64, or None when any is rejected."""
+    product = words * bound
+    if ((product & 0xFFFFFFFF) < (2 ** 32 - bound) % bound).any():
+        return None
+    return product >> 32
+
+
+def _floyd(draws, d, m) -> np.ndarray:
+    """-> the sorted subsets of range(d) that Floyd's algorithm picks from
+    each row of draws, one per row: for j from d - m to d - 1 the row's draw
+    in [0, j], or j when it repeats an earlier pick."""
+    subsets = draws[:, :m].astype(np.int64)
+    for k in range(1, m):
+        repeat = (subsets[:, :k] == subsets[:, k:k + 1]).any(axis=1)
+        subsets[repeat, k] = d - m + k
+    subsets.sort(axis=1)
+    return subsets
+
+
+def _feature_subsets(rng, d, m):
+    """Yields np.sort(rng.choice(d, size=m, replace=False)), 0 < m < d, call
+    after call, from the bits rng.choice would draw them from.
+
+    Where d <= 10000 or m <= d // 50, numpy runs Floyd's algorithm, then
+    shuffles the subset with m - 1 draws in [0, i] for i from m - 1 down to
+    1, which sorting undoes. Each draw is _bounded's from one 32-bit word,
+    and PCG64 hands out the low half of each 64-bit output, then the high
+    half. So a block of _SUBSET_BLOCK subsets is computed at once from the
+    generator's raw output. A block in which a word would be rejected is
+    drawn again by rng.choice from the state at its start, as is every
+    subset outside that regime.
+    """
+    if d > 10000 and m > d // 50:
+        while True:
+            yield np.sort(rng.choice(d, size=m, replace=False))
+    bg = rng.bit_generator
+
+    def held():
+        # the high half of an output the generator holds for its next word
+        state = bg.state
+        return [state["uinteger"]] if state["has_uint32"] else []
+
+    half = held()
+    bound = np.concatenate((np.arange(d - m + 1, d + 1),
+                            np.arange(m, 1, -1))).astype(np.uint64)
+    n_words = _SUBSET_BLOCK * len(bound)
+    while True:
+        start = bg.state
+        start["has_uint32"], start["uinteger"] = \
+            (1, half[0]) if half else (0, 0)
+        words = bg.random_raw((n_words - len(half) + 1) // 2)
+        words = np.concatenate((np.array(half, dtype=np.uint64),
+                                np.column_stack((words & 0xFFFFFFFF,
+                                                 words >> 32)).ravel()))
+        half = words[n_words:].tolist()
+        draws = _bounded(words[:n_words].reshape(_SUBSET_BLOCK, -1), bound)
+        if draws is None:
+            bg.state = start
+            block = [np.sort(rng.choice(d, size=m, replace=False))
+                     for _ in range(_SUBSET_BLOCK)]
+            half = held()
+        else:
+            block = _floyd(draws, d, m)
+        # between blocks a growing tree holds its block alone
+        del start, words, draws
+        yield from block
+
+
 class _GrowingTree:
     """A tree being grown on its distinct (row, class) pairs, each weighted
     by how often the tree's rows hold it. A node is a slice of the tree's
@@ -334,12 +411,14 @@ class _GrowingTree:
     which order); a descent follows left and right, so any numbering
     serves."""
 
-    def __init__(self, data, rows, rng):
+    def __init__(self, data, rows, subsets):
         weights = np.bincount(data.pair[rows], minlength=len(data.pair_row))
         pairs = weights.nonzero()[0]
         self.rows = data.pair_row[pairs]
         self.weights = weights[pairs].astype(np.int32)
-        self.rng = rng
+        # the feature subsets of _feature_subsets, or None for a tree that
+        # searches every feature
+        self.subsets = subsets
         self.feature, self.threshold, self.klass = [], [], []
         self.left, self.right = [], []
         # (lo, hi, depth, class counts, parent, the parent's left or right)
@@ -347,16 +426,16 @@ class _GrowingTree:
                        np.bincount(data.y[rows], minlength=data.n_classes),
                        0, None)]
 
-    def next_searches(self, every, m, max_depth, min_leaf):
+    def next_searches(self, every, max_depth, min_leaf):
         """Adds nodes up to the next ones that search for a split
         -> a list of (node, lo, hi, depth, counts, feature_ids), empty at
         the end.
 
-        A tree that draws m < len(every) features without replacement at
-        each search adds its nodes depth first, left before right, and stops
-        at each search, so that its rng draws in that order; feature_ids are
-        ascending. A tree that searches every feature adds every node it
-        holds and searches them all at once, level by level."""
+        A tree that draws a feature subset at each search adds its nodes
+        depth first, left before right, and stops at each search, so that it
+        draws in that order; feature_ids are ascending. A tree that searches
+        every feature adds every node it holds and searches them all at
+        once, level by level."""
         searches = []
         while self.stack:
             lo, hi, depth, counts, parent, link = self.stack.pop()
@@ -373,15 +452,13 @@ class _GrowingTree:
             if np.count_nonzero(counts) == 1 or depth >= max_depth or \
                     hi - lo < 2 * min_leaf and counts.sum() < 2 * min_leaf:
                 continue
-            if m < len(every):
-                feature_ids = self.rng.choice(len(every), size=m,
-                                              replace=False)
-                feature_ids.sort()
-                return [(node, lo, hi, depth, counts, feature_ids)]
+            if self.subsets is not None:
+                return [(node, lo, hi, depth, counts, next(self.subsets))]
             searches.append((node, lo, hi, depth, counts, every))
         if not searches:
-            # grown: the forest holds the rows of growing trees only
-            self.rows = self.weights = None
+            # grown: the forest holds the rows and draws of growing trees
+            # only
+            self.rows = self.weights = self.subsets = None
         return searches
 
     def add_split(self, node, lo, hi, depth, counts, f, thr, n_left, left):
@@ -403,7 +480,8 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
     the training rows the tree sees (repeats allowed).
 
     Each tree is the one grown alone: depth first, left before right, with
-    its rng drawn from only at nodes that search for a split, in that order.
+    the next of its rng's feature subsets (_feature_subsets) taken at each
+    node that searches for a split, in that order.
     Trees start in the order of draws, as many at once as _FOREST_ROW_BYTES
     holds. In each step every growing tree adds nodes up to its next ones
     that search (_GrowingTree.next_searches), and the searches are split in
@@ -423,12 +501,13 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
     while True:
         for rows, rng in itertools.islice(
                 draws, max(1, _FOREST_ROW_BYTES // (4 * n)) - len(growing)):
-            trees.append(_GrowingTree(data, rows, rng))
+            trees.append(_GrowingTree(
+                data, rows, _feature_subsets(rng, d, m) if m < d else None))
             growing.append(trees[-1])
         if not growing:
             return [tree.tree() for tree in trees]
         searches = [(tree,) + search for tree in growing
-                    for search in tree.next_searches(every, m, max_depth,
+                    for search in tree.next_searches(every, max_depth,
                                                      min_leaf)]
         growing = list(dict.fromkeys(tree for tree, *_ in searches))
         while searches:
@@ -573,13 +652,13 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-def _logistic_grad(X, t, w, p, l2) -> np.ndarray:
+def _logistic_grad(X, t, counts, w, p, l2) -> np.ndarray:
     """The gradient of the mean cross-entropy of sigmoid(X w + b) plus
-    l2/2 |w|^2, given the predicted probabilities p = sigmoid(X w + b)."""
-    n = len(X)
-    grad_w = X.T @ (p - t) / n + l2 * w
-    grad_b = np.mean(p - t)
-    return np.concatenate([grad_w, [grad_b]])
+    l2/2 |w|^2 over rows of which row i of X, with target t[i], stands for
+    counts[i], given the predicted probabilities p = sigmoid(X w + b)."""
+    residual = counts * (p - t)
+    n = counts.sum()
+    return np.append(X.T @ residual / n + l2 * w, residual.sum() / n)
 
 
 class LogisticRegressionOvR(BaseEstimator):
@@ -587,7 +666,11 @@ class LogisticRegressionOvR(BaseEstimator):
     method (iteratively reweighted least squares) on the mean cross-entropy
     plus l2/2 |w|^2. The intercept is not penalised; l2 > 0 keeps the
     Hessian positive definite, so a separable class still has a finite fit.
-    The class with the highest score wins."""
+    The class with the highest score wins.
+
+    The fit reads each distinct (row, class) pair once, weighted by the
+    number of training rows that hold it; the loss is still the mean over
+    every row."""
 
     def __init__(self, l2=1e-4):
         self.l2 = l2
@@ -596,15 +679,29 @@ class LogisticRegressionOvR(BaseEstimator):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
         n, d = X.shape
-        design = np.hstack([X, np.ones((n, 1))])
+        # a pair is a run of equal (row, class) in lexicographic order, and
+        # its row is the first of the run; the keys are compared one column
+        # at a time, so no copy of X is sorted
+        keys = (*X.T, y_idx)
+        order = np.lexsort(keys)
+        first = np.zeros(n, dtype=bool)
+        first[0] = True
+        for key in keys:
+            key = key[order]
+            first[1:] |= key[1:] != key[:-1]
+        rows = order[first]
+        counts = np.diff(first.nonzero()[0], append=n).astype(np.float64)
+        design = np.hstack([X[rows], np.ones((len(rows), 1))])
+        klass = y_idx[rows]
         ridge = np.diag(np.append(np.full(d, self.l2), 0.0))
         params = np.zeros((len(self.classes_), d + 1))
         for c, theta in enumerate(params):
-            t = (y_idx == c).astype(np.float64)
+            t = (klass == c).astype(np.float64)
             for _ in range(_NEWTON_MAX_STEPS):
                 p = _sigmoid(design @ theta)
-                grad = _logistic_grad(X, t, theta[:-1], p, self.l2)
-                weighted = design * np.sqrt(p * (1.0 - p))[:, None]
+                grad = _logistic_grad(design[:, :-1], t, counts, theta[:-1],
+                                      p, self.l2)
+                weighted = design * np.sqrt(counts * p * (1.0 - p))[:, None]
                 hessian = weighted.T @ weighted / n + ridge
                 step = np.linalg.solve(hessian, grad)
                 theta -= step

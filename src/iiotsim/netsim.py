@@ -844,10 +844,12 @@ _writer_line = re.compile(
     r"\{" + ", ".join(f'"{key}": {value}' for key, value in _WRITER_FIELDS)
     + r"\}").fullmatch
 _JSON_BOOL = {"true": True, "false": False}
-# the fields the readers of a Frame do arithmetic on, and those it keys
-# and compares as text: what the writer writes as JSON ints and strings
-_INT_FIELDS, _STR_FIELDS = (tuple(key for key, value in _WRITER_FIELDS
-                                  if value is kind) for kind in (_INT, _STR))
+# the fields the readers of a Frame do arithmetic on, those it keys and
+# compares as text, and those it tests for truth: what the writer writes as
+# JSON ints, strings and booleans
+_INT_FIELDS, _STR_FIELDS, _BOOL_FIELDS = (
+    tuple(key for key, value in _WRITER_FIELDS if value is kind)
+    for kind in (_INT, _STR, _BOOL))
 
 
 def iter_capture_jsonl(path, keep=None):
@@ -906,6 +908,13 @@ def iter_capture_jsonl(path, keep=None):
                         if key in rec and type(rec[key]) is not str:
                             raise TypeError(f"{key} {rec[key]!r} is not a "
                                             "string")
+                    # 0 and 1 stay readable: they test as the truth values
+                    # they stand for
+                    for key in _BOOL_FIELDS:
+                        if key in rec and (type(rec[key]) not in (bool, int)
+                                           or rec[key] not in (0, 1)):
+                            raise TypeError(f"{key} {rec[key]!r} is not a "
+                                            "boolean")
                     flags = tuple(rec["tcp_flags"])
                     if type(rec["tcp_flags"]) is not list or not all(
                             type(f) is str and f in FLAG_LETTER

@@ -7,6 +7,7 @@ import pytest
 
 from iiotsim import harness, plan as planmod
 from iiotsim.cloud import _match, validate_filter
+from iiotsim.detect import estimators
 from iiotsim.detect.estimators import _logistic_grad, _sigmoid
 from iiotsim.fieldbus import I2cTransaction
 
@@ -124,12 +125,42 @@ def topic_match(flt: str, topic: str) -> bool:
     return _match(flt, topic)
 
 
-def binary_logistic_loss_and_grad(params, X, t, l2=0.0) -> tuple:
+def binary_logistic_loss_and_grad(params, X, t, l2=0.0,
+                                  counts=None) -> tuple:
     """Cross-entropy of sigmoid(X w + b) plus L2 on w, with the gradient
-    LogisticRegressionOvR's fit uses; params stacks [w..., b]."""
+    LogisticRegressionOvR's fit uses; params stacks [w..., b]. Row i stands
+    for counts[i] rows (1 each when counts is None), and the loss is the
+    mean over them."""
+    if counts is None:
+        counts = np.ones(len(X))
     w, b = params[:-1], params[-1]
     p = _sigmoid(X @ w + b)
     eps = 1e-12
-    loss = -np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))
+    loss = -np.sum(counts * (t * np.log(p + eps)
+                             + (1 - t) * np.log(1 - p + eps))) / counts.sum()
     loss += 0.5 * l2 * float(w @ w)
-    return loss, _logistic_grad(X, t, w, p, l2)
+    return loss, _logistic_grad(X, t, counts, w, p, l2)
+
+
+def reference_logistic_fit(X, y, l2=1e-4) -> tuple:
+    """LogisticRegressionOvR's Newton fit with every training row in its
+    sums, as it was before it read distinct (row, class) pairs: the
+    reference the pair fit is compared with -> (classes, coef, intercept)."""
+    classes, y_idx = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    design = np.hstack([X, np.ones((n, 1))])
+    ridge = np.diag(np.append(np.full(d, l2), 0.0))
+    params = np.zeros((len(classes), d + 1))
+    for c, theta in enumerate(params):
+        t = (y_idx == c).astype(np.float64)
+        for _ in range(estimators._NEWTON_MAX_STEPS):
+            p = _sigmoid(design @ theta)
+            grad = np.append(X.T @ (p - t) / n + l2 * theta[:-1],
+                             np.mean(p - t))
+            weighted = design * np.sqrt(p * (1.0 - p))[:, None]
+            hessian = weighted.T @ weighted / n + ridge
+            step = np.linalg.solve(hessian, grad)
+            theta -= step
+            if np.abs(step).max() < estimators._NEWTON_TOL:
+                break
+    return classes, params[:, :-1], params[:, -1]

@@ -17,7 +17,8 @@ from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
                             metrics_from_confusion, stratified_kfold)
 from iiotsim.detect import estimators
 
-from conftest import binary_logistic_loss_and_grad
+from conftest import (binary_logistic_loss_and_grad,
+                      reference_logistic_fit)
 
 
 def toy_blobs(n=60, seed=0):
@@ -143,20 +144,62 @@ class TestGaussianNB:
 
 class TestLogisticRegression:
     def test_gradient_matches_central_differences(self):
+        # the weighted case is the gradient fit takes on distinct pairs
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 5))
         t = (rng.random(40) > 0.5).astype(np.float64)
-        for l2 in (0.0, 0.01):
+        for l2, counts in ((0.0, None), (0.01, None),
+                           (0.01, rng.integers(1, 6, size=40) * 1.0)):
             params = rng.normal(size=6) * 0.5
-            _, grad = binary_logistic_loss_and_grad(params, X, t, l2)
+            _, grad = binary_logistic_loss_and_grad(params, X, t, l2, counts)
             eps = 1e-6
             for j in range(len(params)):
                 up = params.copy(); up[j] += eps
                 dn = params.copy(); dn[j] -= eps
-                lu, _ = binary_logistic_loss_and_grad(up, X, t, l2)
-                ld, _ = binary_logistic_loss_and_grad(dn, X, t, l2)
+                lu, _ = binary_logistic_loss_and_grad(up, X, t, l2, counts)
+                ld, _ = binary_logistic_loss_and_grad(dn, X, t, l2, counts)
                 numeric = (lu - ld) / (2 * eps)
                 assert abs(numeric - grad[j]) <= 1e-5
+
+    def test_weighted_gradient_is_the_gradient_over_repeated_rows(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 4))
+        t = (rng.random(30) > 0.5).astype(np.float64)
+        counts = rng.integers(1, 5, size=30)
+        params = rng.normal(size=5) * 0.5
+        loss, grad = binary_logistic_loss_and_grad(params, X, t, 0.01,
+                                                   counts * 1.0)
+        loss_rows, grad_rows = binary_logistic_loss_and_grad(
+            params, X.repeat(counts, axis=0), t.repeat(counts), 0.01)
+        assert loss == pytest.approx(loss_rows, rel=1e-12)
+        assert np.allclose(grad, grad_rows, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_fit_matches_the_fit_on_every_row(self, seed):
+        # repeated rows, some under two labels, and a copy of a dataset
+        # with every row twice
+        X, y = repeated_dataset(seed)
+        T, labels, _ = tied_dataset(seed)
+        for X, y in ((X, y), (np.vstack([T, T]), np.concatenate([labels,
+                                                                 labels]))):
+            model = LogisticRegressionOvR().fit(X, y)
+            classes, coef, intercept = reference_logistic_fit(X, y)
+            assert (model.classes_ == classes).all()
+            assert np.abs(model.coef_ - coef).max() < 1e-9
+            assert np.abs(model.intercept_ - intercept).max() < 1e-9
+            scores = X @ coef.T + intercept
+            assert (model.predict(X) == classes[scores.argmax(axis=1)]).all()
+
+    def test_pair_fit_matches_the_fit_on_every_row_on_the_default_dataset(
+            self, default_bundle):
+        T, y, Q = default_fold0(default_bundle)
+        model = LogisticRegressionOvR().fit(T, y)
+        classes, coef, intercept = reference_logistic_fit(T, y)
+        assert np.abs(model.coef_ - coef).max() < 1e-9
+        assert np.abs(model.intercept_ - intercept).max() < 1e-9
+        for X in (T, Q):
+            scores = X @ coef.T + intercept
+            assert (model.predict(X) == classes[scores.argmax(axis=1)]).all()
 
     def test_learns_separable_data(self):
         X, y = toy_blobs(seed=5)
@@ -192,6 +235,45 @@ class TestLogisticRegression:
                 _, grad = binary_logistic_loss_and_grad(params, X_tr, t,
                                                         model.l2)
                 assert np.abs(grad).max() < 1e-9
+
+
+class TestFeatureSubsets:
+    @staticmethod
+    def generators(seed, half):
+        """Two generators in one state; with half, each holds the high half
+        of an output for its next 32-bit word."""
+        pair = [np.random.default_rng(seed) for _ in range(2)]
+        if half:
+            for rng in pair:
+                rng.choice(3, size=2, replace=False)
+            assert pair[0].bit_generator.state["has_uint32"]
+        return pair
+
+    @pytest.mark.parametrize("d, m", [(18, 4), (18, 1), (18, 17), (2, 1),
+                                      (10001, 100), (10001, 300)])
+    def test_subsets_are_rng_choice_call_after_call(self, monkeypatch, d, m):
+        # 70 calls run into a third block of 32; at (10001, 100) some words
+        # are rejected, and (10001, 300) is outside Floyd's regime
+        results = []
+        bounded = estimators._bounded
+        monkeypatch.setattr(estimators, "_bounded",
+                            lambda *a: results.append(bounded(*a))
+                            or results[-1])
+        for seed in range(300):
+            rng, twin = self.generators(seed, half=seed % 2 == 1)
+            subsets = estimators._feature_subsets(twin, d, m)
+            for _ in range(70):
+                expected = np.sort(rng.choice(d, size=m, replace=False))
+                got = next(subsets)
+                assert got.dtype == expected.dtype
+                assert (got == expected).all()
+        rejected = sum(r is None for r in results)
+        if (d, m) == (10001, 300):
+            assert not results
+        elif d == 10001:
+            assert 0 < rejected < len(results)
+        else:
+            assert rejected == 0 and len(results) == 3 * 300
 
 
 class TestStratifiedKFold:
@@ -732,6 +814,29 @@ class TestAgainstReference:
         assert (votes[:, -1] == votes[:, -2]).any()
         assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                 ).all()
+
+    @pytest.mark.parametrize("block", [3, 32])
+    def test_forest_drawn_by_rng_choice_on_every_block_matches_reference(
+            self, monkeypatch, block):
+        # every block takes the path of a rejected word: the state at its
+        # start is restored and rng.choice draws the block; blocks of 3
+        # subsets hand that state on mid-tree
+        blocks = []
+        monkeypatch.setattr(estimators, "_bounded",
+                            lambda words, bound: blocks.append(1))
+        monkeypatch.setattr(estimators, "_SUBSET_BLOCK", block)
+        X, y, Q = tied_dataset(31, n=70)
+        for max_features in ("sqrt", 2):
+            params = dict(n_trees=7, max_depth=7, max_features=max_features,
+                          random_state=3)
+            model = RandomForestClassifier(**params).fit(X, y)
+            _, roots = ref_forest(X, y, **params)
+            assert [flat_preorder(tree) for tree in model.trees_] == \
+                [ref_preorder(root) for root in roots]
+            assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
+                    ).all()
+        # each of the 14 trees drew a block, and blocks of 3 ran out
+        assert len(blocks) > 14 if block == 3 else len(blocks) >= 14
 
     def test_unbootstrapped_forest_matches_reference(self):
         X, y, Q = tied_dataset(21, n=80)

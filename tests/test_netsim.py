@@ -916,8 +916,9 @@ def reference_read_capture(path):
     """The line-by-line json.loads reader that iter_capture_jsonl replaced,
     kept as the reference for its values, checks and record numbers. Like
     the reader, it refuses a time or port that is not a JSON integer, a
-    field the writer writes as text that is not a JSON string, and flags
-    that are not a list of TCP flag names."""
+    field the writer writes as text that is not a JSON string, a field it
+    writes as true or false that is neither those nor the integer 0 or 1,
+    and flags that are not a list of TCP flag names."""
     out = []
     with open(path) as fh:
         try:
@@ -937,6 +938,13 @@ def reference_read_capture(path):
                         if key in rec and type(rec[key]) is not str:
                             raise TypeError(f"{key} {rec[key]!r} is not a "
                                             "string")
+                    for key in ("origin", "final", "delivered", "fw_denied"):
+                        if key in rec and not (rec[key] is True
+                                               or rec[key] is False
+                                               or type(rec[key]) is int
+                                               and rec[key] in (0, 1)):
+                            raise TypeError(f"{key} {rec[key]!r} is not a "
+                                            "boolean")
                     flags = tuple(rec["tcp_flags"])
                     if type(rec["tcp_flags"]) is not list or any(
                             f not in ("ACK", "FIN", "PSH", "RST", "SYN")
@@ -1037,6 +1045,8 @@ class TestCaptureReader:
             dict(rec, tcp_flags="SYN"))],
         "unknown_flag": lambda line, rec: [json.dumps(
             dict(rec, tcp_flags=["ACK", "SYNX"]))],
+        "boolean_a_string": lambda line, rec: [json.dumps(
+            dict(rec, delivered="false"))],
     }
 
     @pytest.mark.parametrize("garble", sorted(GARBLES))
@@ -1089,6 +1099,10 @@ class TestCaptureReader:
             dict(rec, tcp_flags=["ack", "syn"]))],
         "int_for_a_boolean": lambda line, rec: [json.dumps(
             dict(rec, origin=1))],
+        "two_for_a_boolean": lambda line, rec: [json.dumps(
+            dict(rec, final=2))],
+        "float_for_a_boolean": lambda line, rec: [json.dumps(
+            dict(rec, fw_denied=0.0))],
     }
 
     @pytest.mark.parametrize("case", sorted(UNWRITTEN))
