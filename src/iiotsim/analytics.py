@@ -154,12 +154,12 @@ def conn_row(c: ConversationRecord) -> dict:
         c.orig_pkts, c.resp_pkts, flags or "-")))
 
 
-def write_conn_log(conversations, path) -> None:
+def write_conn_log(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write("\t".join(CONN_LOG_COLUMNS) + "\n")
-        for c in conversations:
+        for row in rows:
             fh.write("\t".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                               for v in conn_row(c).values()) + "\n")
+                               for v in row.values()) + "\n")
 
 
 def read_conn_log(path) -> list:

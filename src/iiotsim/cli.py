@@ -2,13 +2,14 @@
 detect over scenario plans and artifact directories."""
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import analytics, attacks, harness, hunt as huntmod, plan as planmod
+from . import analytics, attacks, harness, plan as planmod
 from .detect import (DEFAULT_SPECS, NORMAL, attack_detection, cross_validate,
                      detection_rates, format_detection_table,
                      format_metrics_table)
@@ -68,45 +69,45 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Rebuild conn.log, dataset.csv and metrics_report.json from an
-    existing capture and its attack windows, as `run` wrote them. The
-    capture is read in one streaming walk, and nothing is written until it
-    has ended."""
-    walk = harness.CaptureWalk(harness.Build(_load_plan(args)))
+    """Rebuild conn.log, dataset.csv and the metrics and hunt reports as
+    `run` wrote them, from one read of the bundle's capture, its attack
+    windows and the router syslogs the plan names, where it has them."""
+    build = harness.Build(_load_plan(args))
     capture_path = os.path.join(args.out, "capture.jsonl")
-    windows_path = os.path.join(args.out, "attack_windows.jsonl")
     try:
-        walk.feed(iter_capture_jsonl(capture_path), capture_path)
         try:
-            windows = attacks.read_windows_jsonl(windows_path)
+            windows = attacks.read_windows_jsonl(
+                os.path.join(args.out, "attack_windows.jsonl"))
         except FileNotFoundError:  # a bundle without attack windows
             windows = []
-    except FileNotFoundError:
-        return _fail(f"no capture at {capture_path}")
+        syslogs = [_read_syslog(None, os.path.join(args.out, name))
+                   for name in build.syslog_names()]
     except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
     try:
-        _, counts, dropped = harness.label_conversations(
-            walk.conversations.result(), windows,
-            os.path.join(args.out, "conn.log"),
-            os.path.join(args.out, "dataset.csv"))
-        harness.write_json(
-            harness.build_metrics_report(walk, counts, dropped),
-            os.path.join(args.out, "metrics_report.json"))
+        harness.derive(build, iter_capture_jsonl(capture_path), windows,
+                       syslogs, functools.partial(os.path.join, args.out),
+                       planmod.OUTPUTS)
+    except ValueError as e:     # a bad capture record
+        return _fail(f"cannot read bundle: {e}")
     except OSError as e:
-        return _fail(f"cannot write bundle: {e}")
+        if e.filename != capture_path:      # an output, not the capture
+            return _fail(f"cannot write bundle: {e}")
+        if isinstance(e, FileNotFoundError):
+            return _fail(f"no capture at {capture_path}")
+        return _fail(f"cannot read bundle: {e}")
     if not args.quiet:
-        print(json.dumps(counts, indent=2))
+        print(json.dumps(build.class_counts, indent=2))
     return 0
 
 
-def _syslog_events(given, default):
-    """The timestamped events of the syslog file at the given path, else at
-    the bundle's default path. A missing file raises FileNotFoundError when
-    its path was given, and is None when it is the default."""
+def _read_syslog(given, default):
+    """The lines of the syslog file at the given path, else at the bundle's
+    default path. A missing file raises FileNotFoundError when its path was
+    given, and is None when it is the default."""
     try:
         with open(given or default) as fh:
-            return huntmod.parse_syslog(fh.readlines())[0]
+            return fh.readlines()
     except FileNotFoundError:
         if given:
             raise
@@ -114,21 +115,19 @@ def _syslog_events(given, default):
 
 
 def cmd_hunt(args) -> int:
-    """Rebuild the plan's hunt report, as `run` wrote it, from the bundle."""
+    """Rebuild the plan's hunt report, as `run` wrote it, from the bundle's
+    conn.log and the hunt's frames of its capture."""
     build = harness.Build(_load_plan(args))
     conn_path = os.path.join(args.out, "conn.log")
     capture_path = os.path.join(args.out, "capture.jsonl")
     missing = {conn_path: "conn.log", capture_path: "capture"}
     try:
         rows = analytics.read_conn_log(conn_path)
-        syslog_events, truth_events = (
-            _syslog_events(given, os.path.join(args.out, name))
-            for given, name in zip((args.syslog, args.syslog_truth),
-                                   build.syslog_names()))
-        report = harness.build_hunt_report(
-            build, rows,
-            lambda keep: list(iter_capture_jsonl(capture_path, keep=keep)),
-            syslog_events, truth_events)
+        syslogs = [_read_syslog(given, os.path.join(args.out, name))
+                   for given, name in zip((args.syslog, args.syslog_truth),
+                                          build.syslog_names())]
+        frames = list(iter_capture_jsonl(capture_path, keep=build.hunts))
+        report = harness.build_hunt_report(build, rows, frames, *syslogs)
     except FileNotFoundError as e:
         return _fail(f"no {missing.get(e.filename, 'syslog')} at {e.filename}")
     except (OSError, ValueError) as e:
@@ -162,6 +161,7 @@ def cmd_detect(args) -> int:
                      f"rows, got {args.folds}")
     X = np.array([r.features for r in rows])
     y = np.array([r.label for r in rows])
+    del rows        # the five cross-validations need only X and y
     results = []
     report = {"folds": args.folds, "seed": args.seed or 0, "models": {}}
     attack_labels = [l for l in sorted(set(y)) if l != NORMAL]

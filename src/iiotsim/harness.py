@@ -143,6 +143,8 @@ class Build:
         self.cloud_host = self.hosts[roles["broker"]]
         self.mail_host = self.hosts[roles["mail"]]
         self.attacker = self.hosts[roles["attacker"]]
+        # the hunt's victim: the router's address facing the attacker
+        self.victim = self.router_ip_for(self.attacker)
         self.plc_ip = self.reach("gateway", self.gw_host,
                                  self.plc_host.interfaces[0].ip)
 
@@ -282,6 +284,10 @@ class Build:
         router_id = self.router.host_id
         return f"syslog_{router_id}.txt", f"syslog_{router_id}_truth.txt"
 
+    def hunts(self, l4, src_ip, dst_ip) -> bool:
+        """Whether the hunt reads a frame: TCP to or from the victim."""
+        return l4 == "TCP" and self.victim in (src_ip, dst_ip)
+
     def router_ip_for(self, host) -> str:
         """The router's address on the last of its segments that host is on,
         else its first address."""
@@ -318,22 +324,32 @@ def write_lines(lines, path) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def _syslog_lines(build, entries) -> list:
-    stamp = IsoStamp(build.epoch)
-    return [f"{stamp(ts)} {text}" for ts, text in entries]
-
-
-def label_conversations(conversations, windows, conn_log_path,
-                        dataset_path):
-    """conn.log, labelled rows and dataset.csv from the conversations, for
-    both `run` and `report`; a false path skips that file. Returns (rows,
-    class_counts, dropped_rows)."""
-    if conn_log_path:
-        analytics.write_conn_log(conversations, conn_log_path)
-    rows, counts, dropped = analytics.label_dataset(conversations, windows)
-    if dataset_path:
-        analytics.write_dataset_csv(rows, dataset_path)
-    return rows, counts, dropped
+def derive(build, frames, windows, syslogs, path, outputs) -> None:
+    """`run`'s and `report`'s one walk of a capture's frames, then the
+    analytics, set on build, and the conn_log, hunt, dataset and metrics
+    files outputs names, each written to path(file name). windows label the
+    rows; syslogs are the router's syslog's and truth copy's lines, or None."""
+    walk = CaptureWalk(build, "metrics" in outputs, "hunt" in outputs)
+    walk.feed(frames)
+    build.conversations = walk.conversations.result()
+    build.metrics, build.hunt = {}, {}
+    # the conn rows go before labelling, whose peak holds the conversations
+    rows = ([analytics.conn_row(c) for c in build.conversations]
+            if "conn_log" in outputs or "hunt" in outputs else [])
+    if "conn_log" in outputs:
+        analytics.write_conn_log(rows, path("conn.log"))
+    if "hunt" in outputs:
+        build.hunt = build_hunt_report(build, rows, walk.hunt_frames, *syslogs)
+        write_json(build.hunt, path("hunt_report.json"))
+    del rows
+    build.dataset_rows, build.class_counts, build.dropped_rows = \
+        analytics.label_dataset(build.conversations, windows)
+    if "dataset" in outputs:
+        analytics.write_dataset_csv(build.dataset_rows, path("dataset.csv"))
+    if "metrics" in outputs:
+        build.metrics = build_metrics_report(walk, build.class_counts,
+                                             build.dropped_rows)
+        write_json(build.metrics, path("metrics_report.json"))
 
 
 def run(plan_dict: dict, out_dir: str, seed: int | None = None,
@@ -361,7 +377,7 @@ def _run(plan_dict, out_dir, seed, only) -> Build:
     build.run()
     os.makedirs(out_dir, exist_ok=True)
     outputs = set(only or build.read.outputs or planmod.OUTPUTS)
-    build.paths, build.metrics, build.hunt = {}, {}, {}
+    build.paths = {}
     frames = capture_export(build.sim)
 
     def path(name):
@@ -371,17 +387,10 @@ def _run(plan_dict, out_dir, seed, only) -> Build:
     if "capture" in outputs:
         write_capture_jsonl(frames, path("capture.jsonl"))
 
-    walk = CaptureWalk(build, metrics="metrics" in outputs)
-    walk.feed(frames)
-    build.conversations = walk.conversations.result()
-    build.dataset_rows, build.class_counts, build.dropped_rows = \
-        label_conversations(build.conversations, build.windows,
-                            "conn_log" in outputs and path("conn.log"),
-                            "dataset" in outputs and path("dataset.csv"))
-    if "metrics" in outputs:
-        build.metrics = build_metrics_report(walk, build.class_counts,
-                                             build.dropped_rows)
-        write_json(build.metrics, path("metrics_report.json"))
+    stamp = IsoStamp(build.epoch)
+    syslogs = [[f"{stamp(ts)} {text}" for ts, text in entries] for entries in (
+        build.router.syslog, build.sim.syslog_truth[build.router.host_id])]
+    derive(build, frames, build.windows, syslogs, path, outputs)
 
     if "historians" in outputs:
         build.gateway.historian.write_csv(path("edge_historian.csv"))
@@ -395,17 +404,8 @@ def _run(plan_dict, out_dir, seed, only) -> Build:
         for name, lines in atk.artifacts().items():
             write_lines(lines, path(name))
 
-    syslog = _syslog_lines(build, build.router.syslog)
-    truth = _syslog_lines(build, build.sim.syslog_truth[build.router.host_id])
-    for lines, name in zip((syslog, truth), build.syslog_names()):
+    for lines, name in zip(syslogs, build.syslog_names()):
         write_lines(lines, path(name))
-
-    if "hunt" in outputs:
-        build.hunt = build_hunt_report(
-            build, [analytics.conn_row(c) for c in build.conversations],
-            lambda keep: frames, hunt.parse_syslog(syslog)[0],
-            hunt.parse_syslog(truth)[0])
-        write_json(build.hunt, path("hunt_report.json"))
 
     summary = {
         "plan": build.name,
@@ -450,11 +450,13 @@ class CaptureWalk:
     each run of equal ts_us stably sorted by deliver_ts_us, which is
     build_conversations' own (ts_us, deliver_ts_us) order; the other
     analytics take the frames in capture order. No frame is kept past the
-    run of its ts_us. With metrics false only the conversations are fed,
-    for a `run` that writes no metrics report."""
+    run of its ts_us but those build.hunts, in hunt_frames. A `run` that
+    writes no metrics or no hunt report sets metrics or hunt false."""
 
-    def __init__(self, build: Build, metrics: bool = True):
+    def __init__(self, build: Build, metrics: bool = True, hunt: bool = True):
         self.with_metrics = metrics
+        self.keep = build.hunts if hunt else None
+        self.hunt_frames = []
         self.targets = build.targets
         self.conversations = analytics.Conversations()
         self.packet_sizes = analytics.PacketSizes()
@@ -467,11 +469,11 @@ class CaptureWalk:
                        for name, (tag, select)
                        in _jitter_flows(gw_ip).items()}
 
-    def feed(self, frames, source="capture") -> None:
-        """Feed every frame; a frame whose ts_us is below its predecessor's
-        raises ValueError naming source and the record."""
+    def feed(self, frames) -> None:
+        """Feed every frame, in non-decreasing ts_us order."""
         add_conversation = self.conversations.add
         metrics = self.with_metrics
+        keep, hunted = self.keep, self.hunt_frames.append
         add_sizes, add_throughput, add_plc = (
             self.packet_sizes.add, self.throughput.add, self.plc_rates.add)
         # delivered frames by proto_tag: their response-time pairing's add,
@@ -493,17 +495,14 @@ class CaptureWalk:
                 add_conversation(g)
             same_ts.clear()
 
-        for n, f in enumerate(frames, 1):
+        for f in frames:
             ts = f.ts_us
             if ts != last_ts:
-                if same_ts:
-                    if ts < last_ts:
-                        raise ValueError(
-                            f"{source}: bad capture record {n}: ts_us {ts} "
-                            f"is below the previous record's {last_ts}")
-                    flush()
+                flush()
                 last_ts = ts
             same_ts.append(f)
+            if keep is not None and keep(f.l4, f.src_ip, f.dst_ip):
+                hunted(f)
             if metrics:
                 add_plc(f)
                 if f.delivered:
@@ -600,17 +599,11 @@ def live_figures(build: Build) -> dict:
     }
 
 
-def build_hunt_report(build: Build, conn_rows, read_frames, syslog_events,
-                      truth_events) -> dict:
-    """The hunt of `run` and `iiotsim hunt`, as the plan sets it: on the
-    router's address facing the attacker, for clients of its web admin port
-    and the exploits' listener ports.
-    read_frames(keep) gives a list of the capture's frames, at least those
-    whose (l4, src_ip, dst_ip) keep is true of: the victim's TCP frames."""
-    victim = build.router_ip_for(build.attacker)
-    frames = read_frames(lambda l4, src_ip, dst_ip: (
-        l4 == "TCP" and victim in (src_ip, dst_ip)))
+def build_hunt_report(build: Build, conn_rows, frames, syslog,
+                      truth) -> dict:
+    """The hunt of `run`, `report` and `iiotsim hunt`, as the plan sets it:
+    on the victim, for clients of its web admin port and the exploits'
+    listener ports, over frames that hold at least those build.hunts."""
     return hunt.hunt_report(
-        conn_rows, frames, victim,
-        attacks.backdoor_ports(build.attack_objs.values()), syslog_events,
-        truth_events)
+        conn_rows, frames, build.victim,
+        attacks.backdoor_ports(build.attack_objs.values()), syslog, truth)

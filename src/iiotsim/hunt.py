@@ -130,14 +130,14 @@ def search_events(events, pattern: str) -> list:
 # the full hunt chain
 # ---------------------------------------------------------------------------
 
-def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports,
-                syslog_events, truth_events) -> dict:
+def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports, syslog,
+                truth) -> dict:
     """Ranked originators -> reverse connections -> flag profile -> syslog.
 
     Identifies which client of victim_ip's web admin port the victim later
     connected back to on one of backdoor_ports, profiles those streams, and
-    searches the system log and its ground-truth shadow, each when not None,
-    for SYSLOG_PATTERN."""
+    searches the lines of the system log and of its ground-truth shadow,
+    each when not None, for SYSLOG_PATTERN."""
     ranked = aggregate_originators(conn_rows, WEBGUI_PORT)
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)
@@ -146,11 +146,11 @@ def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports,
     profiles = {f"{s}:{p}": stream_flag_profile(frames, victim_ip, s, p)
                 for s in suspects for p in backdoor_ports if (s, p) in called}
     syslog_part = {}
-    if syslog_events is not None:
-        hits = search_events(syslog_events, SYSLOG_PATTERN)
+    if syslog is not None:
+        hits = search_events(parse_syslog(syslog)[0], SYSLOG_PATTERN)
         syslog_part = {"pattern": SYSLOG_PATTERN, "hits": len(hits)}
-        if truth_events is not None:
-            truth_hits = search_events(truth_events, SYSLOG_PATTERN)
+        if truth is not None:
+            truth_hits = search_events(parse_syslog(truth)[0], SYSLOG_PATTERN)
             syslog_part["truth_hits"] = len(truth_hits)
             syslog_part["tampered"] = len(truth_hits) != len(hits)
     return {

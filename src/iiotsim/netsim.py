@@ -854,16 +854,18 @@ _INT_FIELDS, _STR_FIELDS, _BOOL_FIELDS = (
 
 def iter_capture_jsonl(path, keep=None):
     """Frames of a capture.jsonl, one at a time, in file order; a malformed
-    record raises ValueError naming the file and the record. Equal str
-    values and flag tuples are one shared object. keep, when given, is
-    called with each record's (l4, src_ip, dst_ip) once the record is
-    checked, and only the records it is true of become frames: a writer
-    line keep drops costs its match, three fields and its payload decode."""
+    record, or one whose ts_us is below its predecessor's, raises ValueError
+    naming the file and the record. Equal str values and flag tuples are one
+    shared object. keep, when given, is called with each record's (l4,
+    src_ip, dst_ip) once the record is checked, and only the records it is
+    true of become frames: a writer line keep drops costs its match, ts_us,
+    three fields and its payload decode."""
     share = _Memo(lambda v: v)
     flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
     a2b = binascii.a2b_base64
     b = _JSON_BOOL
     n = 0                                  # records read
+    last_ts = float("-inf")
     with open(path) as fh:
         try:
             for line in fh:
@@ -873,20 +875,25 @@ def iter_capture_jsonl(path, keep=None):
                 n += 1
                 m = _writer_line(line)
                 if m is not None:
+                    if keep is None:
+                        fields = m.groups()
+                        ts, b64 = fields[0], fields[10]
+                    else:           # all a record keep drops needs
+                        ts, l4, src_ip, dst_ip, b64 = m.group(1, 8, 4, 6, 11)
+                    # the regex checked every field but the payload's base64
+                    payload, ts = a2b(b64), int(ts)
+                    if ts < last_ts:
+                        break
+                    last_ts = ts
                     if keep is not None:
-                        # the regex checked every field but the payload's
-                        # base64, so a dropped record costs that decode
-                        l4, src_ip, dst_ip, b64 = m.group(8, 4, 6, 11)
-                        payload = a2b(b64)
                         if not keep(l4, src_ip, dst_ip):
                             continue
-                    (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
-                     l4, flags, tag, b64, segment, sender, origin, final,
-                     delivered, deliver_ts, drop, fw) = m.groups()
-                    ts, src_port, dst_port, deliver_ts = (
-                        int(ts), int(src_port), int(dst_port), int(deliver_ts))
-                    if keep is None:
-                        payload = a2b(b64)
+                        fields = m.groups()
+                    (_, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
+                     l4, flags, tag, _, segment, sender, origin, final,
+                     delivered, deliver_ts, drop, fw) = fields
+                    src_port, dst_port, deliver_ts = (
+                        int(src_port), int(dst_port), int(deliver_ts))
                     # the arguments of Frame, in its field order
                     args = (ts, share[segment], share[sender],
                             share[src_mac], share[dst_mac], share[src_ip],
@@ -932,13 +939,22 @@ def iter_capture_jsonl(path, keep=None):
                         get("origin", True), get("final", False),
                         get("delivered", False), get("deliver_ts_us", 0),
                         share[get("drop_reason", "")], get("fw_denied", False))
+                    ts = args[0]
+                    if ts < last_ts:
+                        break
+                    last_ts = ts
                     if keep is not None and not keep(args[9], args[5],
                                                      args[6]):
                         continue
                 yield Frame(*args)
+            else:
+                return
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad capture record {n}: "
                              f"{type(e).__name__}: {e}") from e
+    # the loop broke at a record out of ts_us order
+    raise ValueError(f"{path}: bad capture record {n}: ts_us {ts} is below "
+                     f"the previous record's {last_ts}")
 
 
 def read_capture_jsonl(path) -> list[Frame]:

@@ -99,7 +99,7 @@ class TestConnLog:
     def test_round_trip(self, tmp_path):
         convs = analytics.build_conversations(seven_frame_stream())
         path = tmp_path / "conn.log"
-        analytics.write_conn_log(convs, path)
+        analytics.write_conn_log(map(analytics.conn_row, convs), path)
         header = path.read_text().splitlines()[0].split("\t")
         assert tuple(header) == analytics.CONN_LOG_COLUMNS
         rows = analytics.read_conn_log(path)

@@ -515,9 +515,9 @@ def tcp_frame(ts, src, dst, flags, deliver, payload=b""):
         delivered=True, deliver_ts_us=deliver)
 
 
-def walked(frames, source="capture") -> harness.CaptureWalk:
+def walked(frames) -> harness.CaptureWalk:
     walk = harness.CaptureWalk(harness.Build(small_plan()))
-    walk.feed(frames, source)
+    walk.feed(frames)
     return walk
 
 
@@ -533,7 +533,7 @@ class TestCaptureWalk:
         path = os.path.join(out, "capture.jsonl")
         frames = netsim.read_capture_jsonl(path)
         walk = harness.CaptureWalk(result)
-        walk.feed(netsim.iter_capture_jsonl(path), path)
+        walk.feed(netsim.iter_capture_jsonl(path))
         conversations = walk.conversations.result()
         expected = analytics.build_conversations(frames)
         assert len(conversations) > 50
@@ -576,7 +576,7 @@ class TestCaptureWalk:
                   tcp_frame(2000, a, b, ("ACK",), 2100)]
         path = tmp_path / "capture.jsonl"
         netsim.write_capture_jsonl(frames, path)
-        walk = walked(netsim.iter_capture_jsonl(path), path)
+        walk = walked(netsim.iter_capture_jsonl(path))
         expected = analytics.build_conversations(frames)
         # in file order it would be one conversation of 4, from a
         assert origins(expected) == [("10.0.0.1", 2), ("10.0.0.2", 2)]
@@ -611,7 +611,7 @@ class TestCaptureWalk:
         path = tmp_path / "capture.jsonl"
         netsim.write_capture_jsonl(frames, path)
         # a negative ts_us is not a writer line: the JSON reader takes it
-        walk = walked(netsim.iter_capture_jsonl(path), path)
+        walk = walked(netsim.iter_capture_jsonl(path))
         expected = analytics.build_conversations(frames)
         assert origins(expected) == [("10.0.0.1", 2), ("10.0.0.2", 1)]
         assert repr(walk.conversations.result()) == repr(expected)
@@ -637,16 +637,20 @@ class TestCaptureWalk:
         assert metrics["response_times_ms"]["MODBUS"]["count"] == 0
         assert metrics["modbus_mean_below_20ms"] is None
 
-    def test_a_frame_out_of_ts_order_is_refused(self):
-        for times, record in (((5, 5, 9, 7), 4), ((5, 9, 7), 3)):
-            frames = [netsim.Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
-                                   "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
-                      for ts in times]
-            with pytest.raises(ValueError) as error:
-                walked(frames, "cap")
-            assert str(error.value) == (
-                f"cap: bad capture record {record}: ts_us 7 is below the "
-                "previous record's 9")
+    def test_hunt_frames_are_what_hunt_reads(self, bundle):
+        result, out = bundle
+        path = os.path.join(out, "capture.jsonl")
+        walk = harness.CaptureWalk(result)
+        walk.feed(netsim.iter_capture_jsonl(path))
+        read = list(netsim.iter_capture_jsonl(path, keep=result.hunts))
+        assert walk.hunt_frames == read and repr(walk.hunt_frames) == repr(
+            read)
+        assert 0 < len(read) < sum(1 for _ in open(path)) / 10
+        assert all(f.l4 == "TCP" and result.victim in (f.src_ip, f.dst_ip)
+                   for f in read)
+        unhunted = harness.CaptureWalk(result, hunt=False)
+        unhunted.feed(netsim.iter_capture_jsonl(path))
+        assert unhunted.hunt_frames == []
 
 
 class TestCollectorPause:
@@ -784,15 +788,19 @@ class TestCli:
         assert cli.main(["--quiet", "run", "--plan", path, "--out", out]) == 0
         with open(metrics_path, "rb") as fh:
             run_metrics = fh.read()
-        assert cli.main(["--quiet", "report", "--plan", path,
-                         "--out", out]) == 0
-        # report rebuilds the run's metrics report, every key of it
-        with open(metrics_path, "rb") as fh:
-            assert fh.read() == run_metrics
-        # hunt rebuilds the run's hunt report for the plan's backdoor port
         hunt_path = os.path.join(out, "hunt_report.json")
         with open(hunt_path, "rb") as fh:
             run_hunt = fh.read()
+        os.remove(hunt_path)
+        assert cli.main(["--quiet", "report", "--plan", path,
+                         "--out", out]) == 0
+        # report rebuilds the run's metrics report, every key of it, and
+        # its hunt report for the plan's backdoor port
+        with open(metrics_path, "rb") as fh:
+            assert fh.read() == run_metrics
+        with open(hunt_path, "rb") as fh:
+            assert fh.read() == run_hunt
+        # and so does hunt
         os.remove(hunt_path)
         assert cli.main(["--quiet", "hunt", "--plan", path, "--out", out,
                          "--syslog", os.path.join(out, "syslog_router.txt"),
@@ -832,6 +840,65 @@ class TestCli:
         match, mismatch, errors = filecmp.cmpfiles(ran, out, names,
                                                    shallow=False)
         assert (mismatch, errors) == ([], [])
+
+    def test_report_rebuilds_its_four_files_and_writes_no_other(
+            self, bundle, tmp_path):
+        # perfbench's reanalyse hard-links every other bundle file into its
+        # working directory: a write to one would reach the set-up bundle
+        ran = bundle[1]
+        out = tmp_path / "out"
+        shutil.copytree(ran, out)
+        for name in self.REBUILT:
+            (out / name).unlink()
+
+        def files():
+            return {name: (os.stat(out / name).st_mtime_ns,
+                           (out / name).read_bytes())
+                    for name in sorted(os.listdir(out))}
+
+        before = files()
+        assert cli.main(["--quiet", "report", "--out", str(out), "--plan",
+                         self.write_plan(tmp_path, bundle[0].plan)]) == 0
+        after = files()
+        assert sorted(after) == sorted(os.listdir(ran))
+        for name in self.REBUILT:
+            with open(os.path.join(ran, name), "rb") as fh:
+                assert after.pop(name)[1] == fh.read(), name
+        assert after == before
+
+    def test_report_and_hunt_write_one_hunt_report_on_the_default_bundle(
+            self, default_bundle, tmp_path):
+        ran = default_bundle.out_dir
+        plan = self.write_plan(tmp_path, default_bundle.plan)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("capture.jsonl", "attack_windows.jsonl",
+                     "syslog_router.txt", "syslog_router_truth.txt"):
+            os.symlink(os.path.join(ran, name), out / name)
+        assert cli.main(["--quiet", "report", "--plan", plan,
+                         "--out", str(out)]) == 0
+        for name in self.REBUILT:
+            with open(os.path.join(ran, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+        reported = (out / "hunt_report.json").read_bytes()
+        (out / "hunt_report.json").unlink()
+        assert cli.main(["--quiet", "hunt", "--plan", plan,
+                         "--out", str(out)]) == 0
+        assert (out / "hunt_report.json").read_bytes() == reported
+        assert json.loads(reported)["syslog"]["tampered"] is True
+
+    def test_report_without_syslogs_hunts_as_hunt_does(self, bundle,
+                                                       tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("capture.jsonl", "attack_windows.jsonl"):
+            shutil.copy(os.path.join(bundle[1], name), out)
+        assert cli.main(["--quiet", "report", "--out", str(out)]) == 0
+        reported = (out / "hunt_report.json").read_bytes()
+        assert json.loads(reported)["syslog"] == {}
+        (out / "hunt_report.json").unlink()
+        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
+        assert (out / "hunt_report.json").read_bytes() == reported
 
     def test_hunt_out_alone_rebuilds_the_runs_hunt_report(
             self, default_bundle, tmp_path):
@@ -945,10 +1012,12 @@ class TestCli:
         out.mkdir()
         (out / "capture.jsonl").write_text("".join(edit(lines)))
 
-    REBUILT = ("conn.log", "dataset.csv", "metrics_report.json")
+    REBUILT = ("conn.log", "dataset.csv", "metrics_report.json",
+               "hunt_report.json")
 
-    def test_report_refuses_a_capture_out_of_ts_order(self, bundle, tmp_path,
-                                                      capsys):
+    def swap_two_records(self, bundle, out) -> str:
+        """out/ holding the bundle's capture with two records of rising
+        ts_us swapped -> the error that refuses it."""
         ts = [json.loads(line)["ts_us"] for line in
               open(os.path.join(bundle[1], "capture.jsonl"))]
         k = next(k for k in range(100, len(ts)) if ts[k] < ts[k + 1])
@@ -957,15 +1026,28 @@ class TestCli:
             lines[k], lines[k + 1] = lines[k + 1], lines[k]
             return lines
 
-        out = tmp_path / "out"
         self.copy_capture(bundle, out, swap)
+        return (f"cannot read bundle: {out / 'capture.jsonl'}: bad capture "
+                f"record {k + 2}: ts_us {ts[k]} is below the previous "
+                f"record's {ts[k + 1]}")
+
+    def test_report_refuses_a_capture_out_of_ts_order(self, bundle, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        expected = self.swap_two_records(bundle, out)
         assert cli.main(["--quiet", "report", "--out", str(out)]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error == (
-            f"cannot read bundle: {out / 'capture.jsonl'}: bad capture "
-            f"record {k + 2}: ts_us {ts[k]} is below the previous record's "
-            f"{ts[k + 1]}")
+        assert json.loads(capsys.readouterr().err)["error"] == expected
         assert not any((out / name).exists() for name in self.REBUILT)
+
+    def test_hunt_refuses_a_capture_out_of_ts_order(self, bundle, tmp_path,
+                                                    capsys):
+        # as report does, though hunt keeps few of the records it checks
+        out = tmp_path / "out"
+        expected = self.swap_two_records(bundle, out)
+        shutil.copy(os.path.join(bundle[1], "conn.log"), out)
+        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == expected
+        assert not (out / "hunt_report.json").exists()
 
     def test_report_writes_nothing_when_the_last_record_is_bad(
             self, bundle, tmp_path, capsys):

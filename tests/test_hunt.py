@@ -183,11 +183,10 @@ class TestHuntChain:
                                     ("PSH", "ACK"), b"x"))
             frames.append(tcp_frame(11 + n, "10.0.0.1", "10.0.0.7", 600, 4444,
                                     ("ACK",)))
-        events, _ = hunt.parse_syslog(
-            ["2019-10-01T22:00:00.000Z php: reverse shell opened"])
+        syslog = ["2019-10-01T22:00:00.000Z php: reverse shell opened\n"]
         report = hunt.hunt_report(conn, frames, "10.0.0.1",
-                                  backdoor_ports=(4444,),
-                                  syslog_events=events, truth_events=events)
+                                  backdoor_ports=(4444,), syslog=syslog,
+                                  truth=syslog)
         assert report["identified_attacker"] == "10.0.0.7"
         assert report["backdoor_ports"] == [4444]
         assert report["reverse_connections"]["count"] == 1

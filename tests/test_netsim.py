@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -892,9 +893,9 @@ class TestCaptureExport:
         # every hard frame has escaped text, so it takes the fallback; its
         # copy with plain text takes the strict path
         hard = self.hard_frames()
-        frames = hard + [dataclasses.replace(
-            f, segment="lan", sender="", proto_tag="lan", drop_reason="")
-            for f in hard]
+        # each copy follows its frame, at the same ts_us
+        frames = [g for f in hard for g in (f, dataclasses.replace(
+            f, segment="lan", sender="", proto_tag="lan", drop_reason=""))]
         path = tmp_path / "capture.jsonl"
         write_capture_jsonl(frames, path)
         parsed = count_fallbacks(monkeypatch)
@@ -918,7 +919,8 @@ def reference_read_capture(path):
     the reader, it refuses a time or port that is not a JSON integer, a
     field the writer writes as text that is not a JSON string, a field it
     writes as true or false that is neither those nor the integer 0 or 1,
-    and flags that are not a list of TCP flag names."""
+    flags that are not a list of TCP flag names, and a record whose ts_us
+    is below the previous record's."""
     out = []
     with open(path) as fh:
         try:
@@ -951,7 +953,7 @@ def reference_read_capture(path):
                             for f in flags):
                         raise TypeError(f"tcp_flags {rec['tcp_flags']!r} is "
                                         "not a list of TCP flags")
-                    out.append(Frame(
+                    frame = Frame(
                         rec["ts_us"], get("segment", ""), get("sender", ""),
                         rec["src_mac"], rec["dst_mac"], rec["src_ip"],
                         rec["dst_ip"], rec["src_port"], rec["dst_port"],
@@ -959,11 +961,18 @@ def reference_read_capture(path):
                         base64.b64decode(rec["payload_b64"]), rec["proto_tag"],
                         get("origin", True), get("final", False),
                         get("delivered", False), get("deliver_ts_us", 0),
-                        get("drop_reason", ""), get("fw_denied", False)))
+                        get("drop_reason", ""), get("fw_denied", False))
+                    if out and frame.ts_us < out[-1].ts_us:
+                        break
+                    out.append(frame)
+            else:
+                return out
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad capture record {len(out) + 1}: "
                              f"{type(e).__name__}: {e}") from e
-    return out
+    raise ValueError(f"{path}: bad capture record {len(out) + 1}: ts_us "
+                     f"{frame.ts_us} is below the previous record's "
+                     f"{out[-1].ts_us}")
 
 
 def count_fallbacks(monkeypatch):
@@ -1179,10 +1188,10 @@ class TestCaptureReader:
             list(netsim.iter_capture_jsonl(path, keep=lambda *_: False))
         assert str(error.value) == str(reference_error.value)
 
-    # the UNWRITTEN shapes json.loads reads as a record
-    READABLE = ("unicode_escape", "escaped_quote", "ts_minus_zero",
-                "ts_641_digits", "doubled_spaces", "reordered_keys",
-                "no_segment", "int_for_a_boolean")
+    # the UNWRITTEN shapes json.loads reads as a record, whose ts_us stays
+    # in order anywhere
+    READABLE = ("unicode_escape", "escaped_quote", "doubled_spaces",
+                "reordered_keys", "no_segment", "int_for_a_boolean")
 
     def test_keep_sees_every_record_once_in_file_order(self, tmp_path,
                                                        monkeypatch):
@@ -1210,6 +1219,54 @@ class TestCaptureReader:
         assert parsed == [lines[0] for _, lines in sorted(replace.items())]
         assert 0 < len(kept) < len(frames) / 2
 
+    def test_keep_reads_ts_shapes_that_keep_the_order(self, tmp_path):
+        # "-0" for the first two records' 0 and 1000, and a 641-digit time
+        # for the last two records'
+        frames = self.frames(600)
+        path = tmp_path / "capture.jsonl"
+        replace = {k: self.UNWRITTEN[shape](json.dumps(rec), rec)
+                   for k, shape in ((0, "ts_minus_zero"), (1, "ts_minus_zero"),
+                                    (598, "ts_641_digits"),
+                                    (599, "ts_641_digits"))
+                   for rec in [frame_to_record(frames[k])]}
+        self.write(path, frames, replace)
+        reference = reference_read_capture(path)
+        assert [f.ts_us for f in reference[:3]] == [0, 0, 2000]
+        assert reference[598].ts_us == reference[599].ts_us == int("1" * 641)
+        calls = []
+
+        def keep(*fields):
+            calls.append(fields)
+            return self.keep(*fields)
+
+        kept = list(netsim.iter_capture_jsonl(path, keep=keep))
+        assert calls == [(f.l4, f.src_ip, f.dst_ip) for f in reference]
+        expected = [f for f in reference if self.keep(f.l4, f.src_ip,
+                                                      f.dst_ip)]
+        assert kept == expected and repr(kept) == repr(expected)
+        assert list(netsim.iter_capture_jsonl(path)) == reference
+
+    def test_a_record_out_of_ts_order_is_refused(self, tmp_path):
+        # writer lines, and JSON lines (a negative ts_us is not a writer
+        # line), read whole and through a keep that drops every record
+        for shift in (0, -100):
+            for times, record in (((5, 5, 9, 7), 4), ((5, 9, 7), 3)):
+                frames = [Frame(ts + shift, "lan", "h", "m", "m", "10.0.0.1",
+                                "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
+                          for ts in times]
+                path = tmp_path / "capture.jsonl"
+                write_capture_jsonl(frames, path)
+                for keep in (None, lambda *_: False):
+                    with pytest.raises(ValueError) as error:
+                        list(netsim.iter_capture_jsonl(path, keep=keep))
+                    assert str(error.value) == (
+                        f"{path}: bad capture record {record}: ts_us "
+                        f"{7 + shift} is below the previous record's "
+                        f"{9 + shift}")
+                with pytest.raises(ValueError) as reference_error:
+                    reference_read_capture(path)
+                assert str(reference_error.value) == str(error.value)
+
     @pytest.mark.parametrize("case", sorted(UNWRITTEN))
     def test_keep_refuses_what_the_reference_refuses(self, tmp_path, case):
         frames = self.frames(20)
@@ -1229,7 +1286,11 @@ class TestCaptureReader:
             with pytest.raises(ValueError) as error:
                 list(netsim.iter_capture_jsonl(path, keep=drop))
             assert str(error.value) == str(e)
-            assert len(calls) == 12
+            # keep saw every record before the refused one: the 13th, or
+            # the 14th, below a 13th whose ts_us has 641 digits
+            refused = int(re.search(r"bad capture record (\d+): ",
+                                    str(e)).group(1))
+            assert refused in (13, 14) and len(calls) == refused - 1
         else:
             assert list(netsim.iter_capture_jsonl(path, keep=drop)) == []
             assert calls == [(f.l4, f.src_ip, f.dst_ip) for f in reference]
