@@ -33,7 +33,7 @@ CONN_LOG_COLUMNS = ("ts", "orig_h", "orig_p", "resp_h", "resp_p", "proto",
                     "resp_pkts", "flags")
 
 
-@dataclass
+@dataclass(slots=True)
 class ConversationRecord:
     ts_first_us: int
     ts_last_us: int
@@ -47,7 +47,9 @@ class ConversationRecord:
     orig_pkts: int = 0
     resp_pkts: int = 0
     flag_hist: dict = field(default_factory=dict)
-    sender_spans: dict = field(default_factory=dict)   # host -> [min_ts, max_ts]
+    # sender -> [first ts_us, last ts_us], for the senders that labelling
+    # reads (the attack windows' attackers) alone
+    sender_spans: dict = field(default_factory=dict)
     # a RST or FIN was seen, so a bare SYN starts a new conversation
     closed: bool = field(default=False, repr=False, compare=False)
 
@@ -69,10 +71,12 @@ class Conversations:
     Every delivered frame lands in exactly one conversation; a conversation
     splits when the same 5-tuple goes idle longer than IDLE_TIMEOUT_US or
     restarts with a fresh SYN after teardown. Each frame fed is the latest
-    of its conversation and sender.
+    of its conversation and sender. A conversation keeps the span of each
+    of senders that sent in it, and of no other sender.
     """
 
-    def __init__(self):
+    def __init__(self, senders):
+        self._senders = frozenset(senders)
         self._open: dict = {}      # 5-tuple key -> open conversation
         self._done: list = []
         # TCP flag tuple -> (flag_key, has SYN, closes the conversation)
@@ -118,15 +122,21 @@ class Conversations:
             hist[fk] = hist.get(fk, 0) + 1
             if facts[2]:
                 conv.closed = True
-        span = conv.sender_spans.get(f.sender)
-        if span is None:
-            conv.sender_spans[f.sender] = [ts, ts]
-        else:
-            span[1] = ts
+        sender = f.sender
+        if sender in self._senders:
+            span = conv.sender_spans.get(sender)
+            if span is None:
+                conv.sender_spans[sender] = [ts, ts]
+            else:
+                span[1] = ts
 
     def result(self) -> list:
-        """Every conversation, by (first ts_us, orig_ip, orig_port)."""
-        done = self._done + list(self._open.values())
+        """Every conversation, by (first ts_us, orig_ip, orig_port). The
+        open conversations' index is let go: a frame fed after this starts
+        a new conversation."""
+        done = self._done
+        done.extend(self._open.values())
+        self._open.clear()
         done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
         return done
 
@@ -139,9 +149,10 @@ def _fed(acc, frames):
     return acc
 
 
-def build_conversations(frames) -> list:
-    """Conversations of the frames, walked in (ts_us, deliver_ts_us) order."""
-    return _fed(Conversations(), sorted(
+def build_conversations(frames, senders) -> list:
+    """Conversations of the frames, walked in (ts_us, deliver_ts_us) order,
+    with the spans of senders."""
+    return _fed(Conversations(senders), sorted(
         frames, key=lambda f: (f.ts_us, f.deliver_ts_us))).result()
 
 
@@ -217,6 +228,12 @@ RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
 _UNHASHABLE = (list, dict)
 
 
+# proto_tag -> the ResponseTimes method that pairs it; the byte-stream
+# protocols take _add_stream
+_PAIRING_RULES = {"MODBUS": "_add_modbus", "COAP": "_add_message",
+                  "DNS": "_add_message", "MQTT": "_add_mqtt"}
+
+
 class ResponseTimes:
     """Request/response pairing for one protocol, fed that protocol's
     delivered frames in ts_us order.
@@ -237,9 +254,14 @@ class ResponseTimes:
         self.samples: list = []
         self.pending: dict = {}
         self.ports = RESPONSE_PROTOCOLS[proto_tag]
-        self.add = {"MODBUS": self._add_modbus, "COAP": self._add_message,
-                    "DNS": self._add_message, "MQTT": self._add_mqtt}.get(
-                        proto_tag, self._add_stream)
+
+    @property
+    def add(self):
+        """The pairing rule of the protocol, as a method taking a frame.
+        It is looked up, not stored: a stored bound method would make the
+        accumulator a cycle that outlives its last reference while the
+        collector is paused."""
+        return getattr(self, _PAIRING_RULES.get(self.proto, "_add_stream"))
 
     def _answer(self, key, f) -> None:
         ts = self.pending.pop(key, None)
@@ -490,7 +512,7 @@ FEATURE_COLUMNS = ("duration", "orig_pkts", "resp_pkts", "orig_bytes",
                        f"proto_{p}" for p in PROTO_FEATURES)
 
 
-@dataclass
+@dataclass(slots=True)
 class DatasetRow:
     features: tuple
     label: str
@@ -510,9 +532,15 @@ def conversation_features(conv: ConversationRecord) -> tuple:
             mean_pkt, mean_gap) + onehot
 
 
+def span_senders(windows) -> frozenset:
+    """The senders whose spans label_for reads: the windows' attackers."""
+    return frozenset(w.attacker for w in windows)
+
+
 def label_for(conv: ConversationRecord, windows) -> tuple:
     """-> (label, dropped) by attacker-attributed overlap; earliest window
-    start wins when several kinds touch one conversation."""
+    start wins when several kinds touch one conversation. conv needs the
+    spans of span_senders(windows)."""
     hits = []
     for w in windows:
         span = conv.sender_spans.get(w.attacker)

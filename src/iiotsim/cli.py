@@ -68,6 +68,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@harness.collector_paused
 def cmd_report(args) -> int:
     """Rebuild conn.log, dataset.csv and the metrics and hunt reports as
     `run` wrote them, from one read of the bundle's capture, its attack
@@ -114,6 +115,7 @@ def _read_syslog(given, default):
         return None
 
 
+@harness.collector_paused
 def cmd_hunt(args) -> int:
     """Rebuild the plan's hunt report, as `run` wrote it, from the bundle's
     conn.log and the hunt's frames of its capture."""

@@ -328,51 +328,79 @@ def derive(build, frames, windows, syslogs, path, outputs) -> None:
     """`run`'s and `report`'s one walk of a capture's frames, then the
     analytics, set on build, and the conn_log, hunt, dataset and metrics
     files outputs names, each written to path(file name). windows label the
-    rows; syslogs are the router's syslog's and truth copy's lines, or None."""
-    walk = CaptureWalk(build, "metrics" in outputs, "hunt" in outputs)
+    rows; syslogs are the router's syslog's and truth copy's lines, or None.
+
+    Nothing is written before the walk ends. Each conn.log row is written
+    as it is made, and only the rows the hunt reads are kept; the walk, the
+    hunt's frames with it, goes before labelling."""
+    hunting = "hunt" in outputs
+    walk = CaptureWalk(build, analytics.span_senders(windows),
+                       "metrics" in outputs, hunting)
     walk.feed(frames)
     build.conversations = walk.conversations.result()
+    capture_metrics = walk.metrics() if "metrics" in outputs else None
     build.metrics, build.hunt = {}, {}
-    # the conn rows go before labelling, whose peak holds the conversations
-    rows = ([analytics.conn_row(c) for c in build.conversations]
-            if "conn_log" in outputs or "hunt" in outputs else [])
+    hunt_rows = []
+
+    def conn_rows():
+        for c in build.conversations:
+            row = analytics.conn_row(c)
+            if hunting and hunt.reads_row(row, build.victim):
+                hunt_rows.append(row)
+            yield row
+
     if "conn_log" in outputs:
-        analytics.write_conn_log(rows, path("conn.log"))
-    if "hunt" in outputs:
-        build.hunt = build_hunt_report(build, rows, walk.hunt_frames, *syslogs)
+        analytics.write_conn_log(conn_rows(), path("conn.log"))
+    elif hunting:       # the rows, for the hunt's alone
+        for _ in conn_rows():
+            pass
+    if hunting:
+        build.hunt = build_hunt_report(build, hunt_rows, walk.hunt_frames,
+                                       *syslogs)
         write_json(build.hunt, path("hunt_report.json"))
-    del rows
+    del walk, hunt_rows
     build.dataset_rows, build.class_counts, build.dropped_rows = \
         analytics.label_dataset(build.conversations, windows)
     if "dataset" in outputs:
         analytics.write_dataset_csv(build.dataset_rows, path("dataset.csv"))
-    if "metrics" in outputs:
-        build.metrics = build_metrics_report(walk, build.class_counts,
-                                             build.dropped_rows)
+    if capture_metrics is not None:
+        build.metrics = build_metrics_report(
+            capture_metrics, build.class_counts, build.dropped_rows)
         write_json(build.metrics, path("metrics_report.json"))
 
 
+def collector_paused(fn):
+    """fn, run with the cyclic garbage collector paused, which is put back
+    as fn found it when fn returns or raises.
+
+    `run`, `report` and `hunt` work this way. A pass would scan every live
+    Frame and find next to nothing to free: reference counting frees what
+    they drop, and the few cycles they leave (an MqttClient and its
+    TcpStream per rogue-subscriber connection, and the JSON encoder) wait
+    for the next pass. Nothing is allocated after the collector is back,
+    so that pass, which scans what fn allocated and still holds, comes
+    after fn's caller takes the result."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
+@collector_paused
 def run(plan_dict: dict, out_dir: str, seed: int | None = None,
         only=None) -> Build:
-    """Build and run the plan, and write its bundle to out_dir. The build
-    returned also holds the analytics: conversations, dataset_rows,
-    class_counts, dropped_rows, metrics, hunt and the paths written.
-
-    The cyclic garbage collector is paused for the run and then put back
-    as it was. Its passes would scan every live Frame of the capture and
-    find next to nothing to free: reference counting frees the run's
-    objects, and the few cycles it leaves (an MqttClient and its TcpStream
-    per rogue-subscriber connection) wait for the next pass after it."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(plan_dict, out_dir, seed, only)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _run(plan_dict, out_dir, seed, only) -> Build:
+    """Build and run the plan, and write its bundle to out_dir, with the
+    collector paused. The build returned also holds the analytics:
+    conversations, dataset_rows, class_counts, dropped_rows, metrics, hunt
+    and the paths written."""
     build = Build(plan_dict, seed=seed)
     build.run()
     os.makedirs(out_dir, exist_ok=True)
@@ -448,17 +476,19 @@ class CaptureWalk:
     pass over a capture in non-decreasing ts_us order, the order
     capture_export and write_capture_jsonl give. The conversations take
     each run of equal ts_us stably sorted by deliver_ts_us, which is
-    build_conversations' own (ts_us, deliver_ts_us) order; the other
-    analytics take the frames in capture order. No frame is kept past the
-    run of its ts_us but those build.hunts, in hunt_frames. A `run` that
-    writes no metrics or no hunt report sets metrics or hunt false."""
+    build_conversations' own (ts_us, deliver_ts_us) order, and keep the
+    spans of senders; the other analytics take the frames in capture
+    order. No frame is kept past the run of its ts_us but those
+    build.hunts, in hunt_frames. A `run` that writes no metrics or no hunt
+    report sets metrics or hunt false."""
 
-    def __init__(self, build: Build, metrics: bool = True, hunt: bool = True):
+    def __init__(self, build: Build, senders, metrics: bool = True,
+                 hunt: bool = True):
         self.with_metrics = metrics
         self.keep = build.hunts if hunt else None
         self.hunt_frames = []
         self.targets = build.targets
-        self.conversations = analytics.Conversations()
+        self.conversations = analytics.Conversations(senders)
         self.packet_sizes = analytics.PacketSizes()
         self.throughput = analytics.Throughput()
         self.plc_rates = analytics.PlcRates(build.plc_ip, build.duration_us)
@@ -563,12 +593,12 @@ class CaptureWalk:
         return report
 
 
-def build_metrics_report(walk: CaptureWalk, class_counts,
+def build_metrics_report(capture_metrics: dict, class_counts,
                          dropped_rows) -> dict:
     """metrics_report.json, as `run` and `report` write it: what the
-    capture and the attack windows determine, the walk's metrics followed
+    capture and the attack windows determine, a walk's metrics() followed
     by the labelled rows' class counts and the rows dropped."""
-    return {**walk.metrics(), "class_counts": class_counts,
+    return {**capture_metrics, "class_counts": class_counts,
             "dropped_rows": dropped_rows}
 
 

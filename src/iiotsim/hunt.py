@@ -56,6 +56,13 @@ def reverse_connections(conn_rows, from_host: str, to_hosts) -> dict:
             "per_port": per_port}
 
 
+def reads_row(row, victim_ip: str) -> bool:
+    """Whether hunt_report on victim_ip reads the conn.log row: a connection
+    to the web admin port, which aggregate_originators ranks, or one that
+    victim_ip originated, among which reverse_connections looks."""
+    return row["resp_p"] == WEBGUI_PORT or row["orig_h"] == victim_ip
+
+
 def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int) -> dict:
     """Flag-set histogram for the streams between two hosts on a port.
 
@@ -137,7 +144,8 @@ def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports, syslog,
     Identifies which client of victim_ip's web admin port the victim later
     connected back to on one of backdoor_ports, profiles those streams, and
     searches the lines of the system log and of its ground-truth shadow,
-    each when not None, for SYSLOG_PATTERN."""
+    each when not None, for SYSLOG_PATTERN. conn_rows need hold only the
+    rows reads_row keeps."""
     ranked = aggregate_originators(conn_rows, WEBGUI_PORT)
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)

@@ -5,7 +5,7 @@ from base64 import b64encode
 import numpy as np
 import pytest
 
-from iiotsim import harness, plan as planmod
+from iiotsim import analytics, harness, plan as planmod
 from iiotsim.cloud import _match, validate_filter
 from iiotsim.detect import estimators
 from iiotsim.detect.estimators import _logistic_grad, _sigmoid
@@ -164,3 +164,45 @@ def reference_logistic_fit(X, y, l2=1e-4) -> tuple:
             if np.abs(step).max() < estimators._NEWTON_TOL:
                 break
     return classes, params[:, :-1], params[:, -1]
+
+
+def reference_conversations(frames) -> list:
+    """Conversations of the delivered frames with every sender's span, as
+    they were built before spans were kept for the attack windows'
+    attackers alone: the frames in (ts_us, deliver_ts_us) order, grouped
+    by direction-normalized 5-tuple and split on an idle gap over
+    IDLE_TIMEOUT_US or on a bare SYN after a FIN or RST."""
+    live, done = {}, []
+    for f in sorted((f for f in frames if f.delivered),
+                    key=lambda f: (f.ts_us, f.deliver_ts_us)):
+        ends = sorted([(f.src_ip, f.src_port), (f.dst_ip, f.dst_port)])
+        key = (*ends, f.l4)
+        tcp = f.l4 == "TCP"
+        conv = live.get(key)
+        if conv is not None and (
+                f.ts_us - conv.ts_last_us > analytics.IDLE_TIMEOUT_US
+                or conv.closed and tcp and "SYN" in f.tcp_flags
+                and not f.payload):
+            done.append(conv)
+            conv = None
+        if conv is None:
+            conv = live[key] = analytics.ConversationRecord(
+                f.ts_us, f.ts_us, f.src_ip, f.src_port, f.dst_ip, f.dst_port,
+                f.proto_tag)
+        conv.ts_last_us = f.ts_us
+        if (f.src_ip, f.src_port) == (conv.orig_ip, conv.orig_port):
+            conv.orig_pkts += 1
+            conv.orig_bytes += len(f.payload)
+        else:
+            conv.resp_pkts += 1
+            conv.resp_bytes += len(f.payload)
+        if tcp:
+            fk = f.flag_key()
+            conv.flag_hist[fk] = conv.flag_hist.get(fk, 0) + 1
+            if {"FIN", "RST"} & set(f.tcp_flags):
+                conv.closed = True
+        conv.sender_spans.setdefault(f.sender, [f.ts_us, f.ts_us])[1] = \
+            f.ts_us
+    done.extend(live.values())
+    done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
+    return done

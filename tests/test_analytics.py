@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -38,7 +40,7 @@ def seven_frame_stream():
 
 class TestBuildConversations:
     def test_seven_frame_fixture_hand_counts(self):
-        convs = analytics.build_conversations(seven_frame_stream())
+        convs = analytics.build_conversations(seven_frame_stream(), ())
         assert len(convs) == 1
         c = convs[0]
         assert (c.orig_ip, c.orig_port) == ("10.0.0.1", 5000)
@@ -51,8 +53,16 @@ class TestBuildConversations:
         assert c.duration_s == pytest.approx(0.0032)
         assert c.flag_hist == {"S": 1, "AS": 1, "A": 1, "AP": 2, "AF": 2}
 
+    def test_spans_are_kept_for_the_senders_given_alone(self):
+        frames = seven_frame_stream()
+        spanned = analytics.build_conversations(frames,
+                                                ["10.0.0.1", "10.0.0.9"])
+        assert spanned[0].sender_spans == {"10.0.0.1": [1_000, 4_000]}
+        assert analytics.build_conversations(frames, ())[0].sender_spans \
+            == {}
+
     def test_empty_capture(self):
-        assert analytics.build_conversations([]) == []
+        assert analytics.build_conversations([], ()) == []
 
     def test_interleaved_flows_partition(self):
         frames = []
@@ -61,7 +71,7 @@ class TestBuildConversations:
                                    "10.0.0.2", 80, ("PSH", "ACK"), b"a"))
             frames.append(mk_frame(1_050 + n * 100, "10.0.0.3", 6000,
                                    "10.0.0.2", 80, ("PSH", "ACK"), b"bb"))
-        convs = analytics.build_conversations(frames)
+        convs = analytics.build_conversations(frames, ())
         assert len(convs) == 2
         assert sum(c.total_pkts() for c in convs) == len(frames)
 
@@ -69,7 +79,7 @@ class TestBuildConversations:
         c, s = "10.0.0.1", "10.0.0.2"
         frames = [mk_frame(0, c, 5000, s, 80, ("PSH", "ACK"), b"x"),
                   mk_frame(61_000_000, c, 5000, s, 80, ("PSH", "ACK"), b"x")]
-        assert len(analytics.build_conversations(frames)) == 2
+        assert len(analytics.build_conversations(frames, ())) == 2
 
     def test_syn_restart_after_close_splits(self):
         c, s = "10.0.0.1", "10.0.0.2"
@@ -78,18 +88,18 @@ class TestBuildConversations:
                   mk_frame(200, c, 5000, s, 80, ("RST",)),
                   mk_frame(5_000, c, 5000, s, 80, ("SYN",)),
                   mk_frame(5_100, c, 5000, s, 80, ("PSH", "ACK"), b"y")]
-        assert len(analytics.build_conversations(frames)) == 2
+        assert len(analytics.build_conversations(frames, ())) == 2
 
     def test_undelivered_frames_excluded(self):
         frames = [mk_frame(0, "10.0.0.1", 1, "10.0.0.2", 2, (), b"x",
                            l4="UDP", delivered=False)]
-        assert analytics.build_conversations(frames) == []
+        assert analytics.build_conversations(frames, ()) == []
 
     def test_conservation_on_simulated_run(self, tmp_path):
         plan = small_plan(duration_s=30.0)
         result = harness.run(plan, str(tmp_path))
         frames = [f for f in result.sim.capture if f.delivered]
-        convs = analytics.build_conversations(frames)
+        convs = analytics.build_conversations(frames, ())
         assert sum(c.total_bytes() for c in convs) == \
             sum(len(f.payload) for f in frames)
         assert sum(c.total_pkts() for c in convs) == len(frames)
@@ -97,7 +107,7 @@ class TestBuildConversations:
 
 class TestConnLog:
     def test_round_trip(self, tmp_path):
-        convs = analytics.build_conversations(seven_frame_stream())
+        convs = analytics.build_conversations(seven_frame_stream(), ())
         path = tmp_path / "conn.log"
         analytics.write_conn_log(map(analytics.conn_row, convs), path)
         header = path.read_text().splitlines()[0].split("\t")
@@ -109,6 +119,23 @@ class TestConnLog:
 
 
 class TestResponseTimes:
+    @pytest.mark.parametrize("proto", list(analytics.RESPONSE_PROTOCOLS))
+    def test_reference_counting_frees_an_accumulator(self, proto):
+        # the walk runs with the collector paused: an accumulator in a
+        # cycle would hold its samples and pending requests until a pass
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            acc = analytics.ResponseTimes(proto)
+            acc.add(mk_frame(0, "10.0.0.1", 5000, "10.0.0.2", 80,
+                             ("PSH", "ACK"), b"x", proto=proto))
+            gone = weakref.ref(acc)
+            del acc
+            assert gone() is None
+        finally:
+            if collecting:
+                gc.enable()
+
     def test_modbus_subtraction(self):
         from iiotsim import fieldbus as fb
         req_raw = fb.encode_request(fb.ModbusAdu(7, 1, 3, 100, 1))
@@ -275,48 +302,49 @@ def window(kind, lo, hi, attacker="attacker"):
 
 
 class TestLabeling:
-    def conv(self, sender, t0, t1, proto="MODBUS"):
+    def conv(self, sender, t0, t1, windows, proto="MODBUS"):
         frames = [mk_frame(t0, "10.0.0.5", 5000, "10.0.0.9", 502,
                            ("PSH", "ACK"), b"x", proto=proto, sender=sender),
                   mk_frame(t1, "10.0.0.5", 5000, "10.0.0.9", 502,
                            ("PSH", "ACK"), b"x", proto=proto, sender=sender)]
-        return analytics.build_conversations(frames)[0]
+        return analytics.build_conversations(
+            frames, analytics.span_senders(windows))[0]
 
     def test_attacker_conversation_in_window_labeled(self):
-        conv = self.conv("attacker", 1_000, 2_000)
-        rows, counts, dropped = analytics.label_dataset(
-            [conv], [window("modbus_dos", 0, 10_000)])
+        windows = [window("modbus_dos", 0, 10_000)]
+        conv = self.conv("attacker", 1_000, 2_000, windows)
+        rows, counts, dropped = analytics.label_dataset([conv], windows)
         assert rows[0].label == "modbus_dos"
 
     def test_benign_traffic_in_window_stays_normal(self):
-        conv = self.conv("edge-gw", 1_000, 2_000)
-        rows, counts, dropped = analytics.label_dataset(
-            [conv], [window("modbus_dos", 0, 10_000)])
+        windows = [window("modbus_dos", 0, 10_000)]
+        conv = self.conv("edge-gw", 1_000, 2_000, windows)
+        rows, counts, dropped = analytics.label_dataset([conv], windows)
         assert rows[0].label == "normal"
 
     def test_attacker_conversation_outside_window_normal(self):
-        conv = self.conv("attacker", 50_000, 60_000)
-        rows, counts, dropped = analytics.label_dataset(
-            [conv], [window("modbus_dos", 0, 10_000)])
+        windows = [window("modbus_dos", 0, 10_000)]
+        conv = self.conv("attacker", 50_000, 60_000, windows)
+        rows, counts, dropped = analytics.label_dataset([conv], windows)
         assert rows[0].label == "normal"
 
     def test_unmapped_kind_drops_row(self):
-        conv = self.conv("attacker", 1_000, 2_000)
-        rows, counts, dropped = analytics.label_dataset(
-            [conv], [window("recon", 0, 10_000)])
+        windows = [window("recon", 0, 10_000)]
+        conv = self.conv("attacker", 1_000, 2_000, windows)
+        rows, counts, dropped = analytics.label_dataset([conv], windows)
         assert rows == []
         assert dropped == 1
 
     def test_overlapping_kinds_take_earliest_start(self):
-        conv = self.conv("attacker", 5_000, 6_000)
-        rows, _, _ = analytics.label_dataset(
-            [conv], [window("tamper", 1_000, 10_000),
-                     window("arp_spoof", 2_000, 10_000)])
+        windows = [window("tamper", 1_000, 10_000),
+                   window("arp_spoof", 2_000, 10_000)]
+        conv = self.conv("attacker", 5_000, 6_000, windows)
+        rows, _, _ = analytics.label_dataset([conv], windows)
         assert rows[0].label == "poisoning"
 
     def test_labeling_deterministic(self):
-        conv = self.conv("attacker", 1_000, 2_000)
         windows = [window("modbus_dos", 0, 10_000)]
+        conv = self.conv("attacker", 1_000, 2_000, windows)
         a = analytics.label_dataset([conv], windows)
         b = analytics.label_dataset([conv], windows)
         assert a[0][0].label == b[0][0].label
@@ -327,7 +355,7 @@ DATASET_HEADER = ",".join(analytics.FEATURE_COLUMNS + ("label",))
 
 class TestDatasetFeatures:
     def test_features_finite_and_csv_round_trip(self, tmp_path):
-        convs = analytics.build_conversations(seven_frame_stream())
+        convs = analytics.build_conversations(seven_frame_stream(), ())
         rows, _, _ = analytics.label_dataset(convs, [])
         for v in rows[0].features:
             assert v == v and abs(v) != float("inf")
@@ -351,12 +379,12 @@ class TestDatasetFeatures:
     def test_zero_duration_yields_finite_rates(self):
         frames = [mk_frame(1_000, "10.0.0.1", 1, "10.0.0.2", 2, (), b"xx",
                            l4="UDP", proto="DNS")]
-        convs = analytics.build_conversations(frames)
+        convs = analytics.build_conversations(frames, ())
         feats = analytics.conversation_features(convs[0])
         assert all(v == v and abs(v) != float("inf") for v in feats)
 
     def test_proto_one_hot(self):
-        convs = analytics.build_conversations(seven_frame_stream())
+        convs = analytics.build_conversations(seven_frame_stream(), ())
         feats = analytics.conversation_features(convs[0])
         onehot = feats[8:]
         assert sum(onehot) == 1.0

@@ -1,9 +1,10 @@
 import csv
+import os
 
 import pytest
 
-from iiotsim import hunt
-from iiotsim.netsim import Frame
+from iiotsim import analytics, harness, hunt
+from iiotsim.netsim import Frame, capture_export
 
 
 def write_syslog_csv(events, path, rejects=None, reject_path=None) -> None:
@@ -81,6 +82,45 @@ class TestReverseConnections:
         out = hunt.reverse_connections([row("a", "b", 4444, 1.0, 1)], "a", [])
         assert out["rows"] == []
         assert out["total_duration"] == 0.0
+
+
+class TestReadsRow:
+    VICTIM = "192.168.10.1"
+
+    def rows(self):
+        victim = self.VICTIM
+        return [
+            row("192.168.10.151", victim, 443, 30.0, 900),  # web-admin client
+            row("192.168.10.30", victim, 443, 2.0, 100),
+            row(victim, "192.168.10.151", 4444, 94.0, 10, proto="TCP"),
+            row(victim, "192.168.10.151", 0, 0.001, 42, orig_p=0,
+                proto="ARP"),
+            row("192.168.10.30", "192.168.10.151", 4444, 5.0, 10,
+                proto="TCP"),
+            row("192.168.10.30", victim, 53, 0.1, 30, proto="DNS"),
+        ]
+
+    def test_keeps_the_rows_the_hunt_reads(self):
+        rows = self.rows()
+        kept = [r for r in rows if hunt.reads_row(r, self.VICTIM)]
+        assert kept == rows[:4]
+        report = hunt.hunt_report(kept, [], self.VICTIM, [4444], None, None)
+        assert report == hunt.hunt_report(rows, [], self.VICTIM, [4444],
+                                          None, None)
+        assert report["identified_attacker"] == "192.168.10.151"
+
+    def test_on_the_default_bundle(self, default_bundle):
+        build = default_bundle
+        rows = analytics.read_conn_log(os.path.join(build.out_dir,
+                                                    "conn.log"))
+        kept = [r for r in rows if hunt.reads_row(r, build.victim)]
+        assert 0 < len(kept) < len(rows) / 10
+        frames = [f for f in capture_export(build.sim)
+                  if build.hunts(f.l4, f.src_ip, f.dst_ip)]
+        report = harness.build_hunt_report(build, kept, frames, None, None)
+        assert report == harness.build_hunt_report(build, rows, frames, None,
+                                                   None)
+        assert report["flag_profiles"]
 
 
 def tcp_frame(ts, src, dst, sport, dport, flags, payload=b""):
