@@ -46,10 +46,11 @@ class ConversationRecord:
     resp_bytes: int = 0
     orig_pkts: int = 0
     resp_pkts: int = 0
-    flag_hist: dict = field(default_factory=dict)
+    # flag key -> count of the TCP frames, None until the first one
+    flag_hist: dict | None = None
     # sender -> [first ts_us, last ts_us], for the senders that labelling
-    # reads (the attack windows' attackers) alone
-    sender_spans: dict = field(default_factory=dict)
+    # reads (the attack windows' attackers) alone; None until the first
+    sender_spans: dict | None = None
     # a RST or FIN was seen, so a bare SYN starts a new conversation
     closed: bool = field(default=False, repr=False, compare=False)
 
@@ -72,12 +73,14 @@ class Conversations:
     splits when the same 5-tuple goes idle longer than IDLE_TIMEOUT_US or
     restarts with a fresh SYN after teardown. Each frame fed is the latest
     of its conversation and sender. A conversation keeps the span of each
-    of senders that sent in it, and of no other sender.
+    of senders that sent in it, and of no other sender. Its flag_hist and
+    sender_spans are None until it has a TCP frame and a span to keep.
     """
 
     def __init__(self, senders):
         self._senders = frozenset(senders)
-        self._open: dict = {}      # 5-tuple key -> open conversation
+        # (ip, port, ip, port, l4), the lower end first -> open conversation
+        self._open: dict = {}
         self._done: list = []
         # TCP flag tuple -> (flag_key, has SYN, closes the conversation)
         self._flag_facts: dict = {}
@@ -86,10 +89,12 @@ class Conversations:
         if not f.delivered:
             return
         ts = f.ts_us
-        a = (f.src_ip, f.src_port)
-        b = (f.dst_ip, f.dst_port)
-        l4 = f.l4
-        key = (a, b, l4) if a <= b else (b, a, l4)
+        src_ip, src_port, dst_ip, dst_port, l4 = (
+            f.src_ip, f.src_port, f.dst_ip, f.dst_port, f.l4)
+        if src_ip < dst_ip or src_ip == dst_ip and src_port <= dst_port:
+            key = (src_ip, src_port, dst_ip, dst_port, l4)
+        else:
+            key = (dst_ip, dst_port, src_ip, src_port, l4)
         facts = None
         if l4 == "TCP":
             flags = f.tcp_flags
@@ -107,10 +112,9 @@ class Conversations:
             conv = None
         if conv is None:
             conv = self._open[key] = ConversationRecord(
-                ts, ts, f.src_ip, f.src_port, f.dst_ip, f.dst_port,
-                f.proto_tag)
+                ts, ts, src_ip, src_port, dst_ip, dst_port, f.proto_tag)
         conv.ts_last_us = ts
-        if f.src_ip == conv.orig_ip and f.src_port == conv.orig_port:
+        if src_ip == conv.orig_ip and src_port == conv.orig_port:
             conv.orig_pkts += 1
             conv.orig_bytes += len(f.payload)
         else:
@@ -119,16 +123,23 @@ class Conversations:
         if facts is not None:
             hist = conv.flag_hist
             fk = facts[0]
-            hist[fk] = hist.get(fk, 0) + 1
+            if hist is None:
+                conv.flag_hist = {fk: 1}
+            else:
+                hist[fk] = hist.get(fk, 0) + 1
             if facts[2]:
                 conv.closed = True
         sender = f.sender
         if sender in self._senders:
-            span = conv.sender_spans.get(sender)
-            if span is None:
-                conv.sender_spans[sender] = [ts, ts]
+            spans = conv.sender_spans
+            if spans is None:
+                conv.sender_spans = {sender: [ts, ts]}
             else:
-                span[1] = ts
+                span = spans.get(sender)
+                if span is None:
+                    spans[sender] = [ts, ts]
+                else:
+                    span[1] = ts
 
     def result(self) -> list:
         """Every conversation, by (first ts_us, orig_ip, orig_port). The
@@ -158,7 +169,7 @@ def build_conversations(frames, senders) -> list:
 
 def conn_row(c: ConversationRecord) -> dict:
     """c's conn.log row, as read_conn_log reads its line back."""
-    flags = ",".join(f"{k}:{v}" for k, v in c.flag_hist.items())
+    flags = ",".join(f"{k}:{v}" for k, v in (c.flag_hist or {}).items())
     return dict(zip(CONN_LOG_COLUMNS, (
         c.ts_first_us / 1_000_000, c.orig_ip, c.orig_port, c.resp_ip,
         c.resp_port, c.proto, c.duration_s, c.orig_bytes, c.resp_bytes,
@@ -173,14 +184,17 @@ def write_conn_log(rows, path) -> None:
                                for v in row.values()) + "\n")
 
 
-def read_conn_log(path) -> list:
+def read_conn_log(path, keep=None) -> list:
     """conn.log rows as dicts with numeric fields parsed; a malformed row
-    raises ValueError."""
+    raises ValueError naming its line in the file. keep, when given, is
+    called with each parsed row, and only the rows it is true of are
+    kept."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split("\t")
+        n = 1                                  # the line read last
         try:
-            for line in fh:
+            for n, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -190,9 +204,10 @@ def read_conn_log(path) -> list:
                     row[k] = int(row[k])
                 for k in ("ts", "duration"):
                     row[k] = float(row[k])
-                out.append(row)
+                if keep is None or keep(row):
+                    out.append(row)
         except (ValueError, KeyError) as e:
-            raise ValueError(f"{path}: bad conn.log row {len(out) + 1}: "
+            raise ValueError(f"{path}: bad conn.log row at line {n}: "
                              f"{type(e).__name__}: {e}") from e
     return out
 
@@ -541,9 +556,12 @@ def label_for(conv: ConversationRecord, windows) -> tuple:
     """-> (label, dropped) by attacker-attributed overlap; earliest window
     start wins when several kinds touch one conversation. conv needs the
     spans of span_senders(windows)."""
+    spans = conv.sender_spans
+    if not spans:
+        return "normal", False
     hits = []
     for w in windows:
-        span = conv.sender_spans.get(w.attacker)
+        span = spans.get(w.attacker)
         if span is None:
             continue
         if w.t_start_us <= span[1] and span[0] <= w.t_end_us:
@@ -557,19 +575,41 @@ def label_for(conv: ConversationRecord, windows) -> tuple:
     return label, False
 
 
+class LabelledRows:
+    """The dataset rows of conversations, in their order: a sized,
+    re-iterable view that builds each DatasetRow from its conversation and
+    its label as it is read. labels has one entry per conversation, None
+    for one left out of the dataset."""
+
+    def __init__(self, conversations, labels):
+        self._conversations = conversations
+        self._labels = labels
+        self._size = len(labels) - labels.count(None)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        for conv, label in zip(self._conversations, self._labels):
+            if label is not None:
+                yield DatasetRow(conversation_features(conv), label)
+
+
 def label_dataset(conversations, windows) -> tuple:
-    """-> (rows, class_counts, dropped_count)"""
-    rows = []
+    """-> (rows, class_counts, dropped_count), rows a LabelledRows view of
+    conversations, which must not change while it is read."""
+    labels = []
     counts: dict[str, int] = {}
     dropped = 0
     for conv in conversations:
         label, drop = label_for(conv, windows)
         if drop:
             dropped += 1
+            labels.append(None)
             continue
-        rows.append(DatasetRow(conversation_features(conv), label))
+        labels.append(label)
         counts[label] = counts.get(label, 0) + 1
-    return rows, counts, dropped
+    return LabelledRows(conversations, labels), counts, dropped
 
 
 def write_dataset_csv(rows, path) -> None:

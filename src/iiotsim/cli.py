@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import analytics, attacks, harness, plan as planmod
+from . import analytics, attacks, harness, hunt, plan as planmod
 from .detect import (DEFAULT_SPECS, NORMAL, attack_detection, cross_validate,
                      detection_rates, format_detection_table,
                      format_metrics_table)
@@ -117,14 +117,15 @@ def _read_syslog(given, default):
 
 @harness.collector_paused
 def cmd_hunt(args) -> int:
-    """Rebuild the plan's hunt report, as `run` wrote it, from the bundle's
-    conn.log and the hunt's frames of its capture."""
+    """Rebuild the plan's hunt report, as `run` wrote it, from the hunt's
+    rows of the bundle's conn.log and the hunt's frames of its capture."""
     build = harness.Build(_load_plan(args))
     conn_path = os.path.join(args.out, "conn.log")
     capture_path = os.path.join(args.out, "capture.jsonl")
     missing = {conn_path: "conn.log", capture_path: "capture"}
     try:
-        rows = analytics.read_conn_log(conn_path)
+        rows = analytics.read_conn_log(conn_path, keep=functools.partial(
+            hunt.reads_row, victim_ip=build.victim))
         syslogs = [_read_syslog(given, os.path.join(args.out, name))
                    for given, name in zip((args.syslog, args.syslog_truth),
                                           build.syslog_names())]

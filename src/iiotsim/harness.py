@@ -332,7 +332,9 @@ def derive(build, frames, windows, syslogs, path, outputs) -> None:
 
     Nothing is written before the walk ends. Each conn.log row is written
     as it is made, and only the rows the hunt reads are kept; the walk, the
-    hunt's frames with it, goes before labelling."""
+    hunt's frames with it, goes before labelling. The dataset rows are a
+    view of the conversations and their labels, each row made as
+    dataset.csv is written."""
     hunting = "hunt" in outputs
     walk = CaptureWalk(build, analytics.span_senders(windows),
                        "metrics" in outputs, hunting)

@@ -12,7 +12,6 @@ import functools
 import heapq
 import json
 import re
-from base64 import b64encode
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from random import Random
@@ -115,15 +114,17 @@ class Frame:
 
     @property
     def wire_len(self) -> int:
-        if self.l4 == "TCP":
-            return 54 + len(self.payload)
-        if self.l4 == "UDP":
-            return 42 + len(self.payload)
-        return 42  # ARP
+        header, counted = WIRE_LEN.get(self.l4, ARP_WIRE_LEN)
+        return header + len(self.payload) if counted else header
 
     def flag_key(self) -> str:
         return _flag_key(self.tcp_flags)
 
+
+# l4 -> (header bytes, whether the payload counts) of a frame's wire
+# length; any other l4 is ARP's, 42 bytes whatever the payload
+WIRE_LEN = {"TCP": (54, True), "UDP": (42, True)}
+ARP_WIRE_LEN = (42, False)
 
 FLAG_LETTER = {"ACK": "A", "FIN": "F", "PSH": "P", "RST": "R", "SYN": "S"}
 
@@ -789,29 +790,60 @@ class _Memo(dict):
         return value
 
 
+# the most characters write_capture_jsonl passes to one write, but for a
+# line that is longer on its own
+WRITE_BATCH = 256 * 1024
+
+
 def write_capture_jsonl(frames, path) -> None:
     """One line per frame: the JSON object of _WRITER_FIELDS' keys, in that
     order, with `len` the wire length and the payload in base64, byte-equal
-    to json.dumps of it (the same str escaping), memoised per value."""
-    q = _Memo(encode_basestring_ascii)
-    flags = _Memo(lambda t: json.dumps(list(t)))
+    to json.dumps of it (the same str escaping). A line is the frame's
+    numbers and payload between segments of text memoised per value of
+    the few-valued fields they hold, and lines are written in batches of
+    at most WRITE_BATCH characters."""
+    q = encode_basestring_ascii
     js = {True: "true", False: "false"}
+    addresses = _Memo(lambda k: (
+        f', "src_mac": {q(k[0])}, "dst_mac": {q(k[1])}, '
+        f'"src_ip": {q(k[2])}, "src_port": '))
+    destination = _Memo(lambda ip: f', "dst_ip": {q(ip)}, "dst_port": ')
+
+    def kind(k):
+        l4, flags, tag = k
+        return (f', "l4": {q(l4)}, "tcp_flags": {json.dumps(list(flags))}, '
+                '"len": ', *WIRE_LEN.get(l4, ARP_WIRE_LEN),
+                f', "proto_tag": {q(tag)}, "payload_b64": "')
+
+    kinds = _Memo(kind)
+    route = _Memo(lambda k: (
+        f'", "segment": {q(k[0])}, "sender": {q(k[1])}, '
+        f'"origin": {js[k[2]]}, "final": {js[k[3]]}, '
+        f'"delivered": {js[k[4]]}, "deliver_ts_us": '))
+    fate = _Memo(lambda k: (
+        f', "drop_reason": {q(k[0])}, "fw_denied": {js[k[1]]}}}\n'))
+    b2a = binascii.b2a_base64
+    batch, size = [], 0
     with open(path, "w") as fh:
         for f in frames:
-            fh.write(
-                f'{{"ts_us": {f.ts_us}, "src_mac": {q[f.src_mac]}, '
-                f'"dst_mac": {q[f.dst_mac]}, "src_ip": {q[f.src_ip]}, '
-                f'"src_port": {f.src_port}, "dst_ip": {q[f.dst_ip]}, '
-                f'"dst_port": {f.dst_port}, "l4": {q[f.l4]}, '
-                f'"tcp_flags": {flags[f.tcp_flags]}, "len": {f.wire_len}, '
-                f'"proto_tag": {q[f.proto_tag]}, '
-                f'"payload_b64": "{b64encode(f.payload).decode()}", '
-                f'"segment": {q[f.segment]}, "sender": {q[f.sender]}, '
-                f'"origin": {js[f.origin]}, "final": {js[f.final]}, '
-                f'"delivered": {js[f.delivered]}, '
-                f'"deliver_ts_us": {f.deliver_ts_us}, '
-                f'"drop_reason": {q[f.drop_reason]}, '
-                f'"fw_denied": {js[f.fw_denied]}}}\n')
+            before_len, header, counted, after_len = kinds[
+                f.l4, f.tcp_flags, f.proto_tag]
+            payload = f.payload
+            line = (
+                f'{{"ts_us": {f.ts_us}'
+                f'{addresses[f.src_mac, f.dst_mac, f.src_ip]}{f.src_port}'
+                f'{destination[f.dst_ip]}{f.dst_port}{before_len}'
+                f'{header + len(payload) if counted else header}{after_len}'
+                f'{b2a(payload, newline=False).decode()}'
+                f'{route[f.segment, f.sender, f.origin, f.final, f.delivered]}'
+                f'{f.deliver_ts_us}{fate[f.drop_reason, f.fw_denied]}')
+            if size + len(line) > WRITE_BATCH and batch:
+                fh.write("".join(batch))
+                batch.clear()
+                size = 0
+            batch.append(line)
+            size += len(line)
+        fh.write("".join(batch))
 
 
 def _parse_record(line: str):

@@ -166,12 +166,28 @@ def reference_logistic_fit(X, y, l2=1e-4) -> tuple:
     return classes, params[:, :-1], params[:, -1]
 
 
+def reference_label_dataset(conversations, windows) -> tuple:
+    """label_dataset as it was before its rows became a view: (the list
+    of every row, built at once, class_counts, dropped_count)."""
+    rows, counts, dropped = [], {}, 0
+    for conv in conversations:
+        label, drop = analytics.label_for(conv, windows)
+        if drop:
+            dropped += 1
+            continue
+        rows.append(analytics.DatasetRow(
+            analytics.conversation_features(conv), label))
+        counts[label] = counts.get(label, 0) + 1
+    return rows, counts, dropped
+
+
 def reference_conversations(frames) -> list:
     """Conversations of the delivered frames with every sender's span, as
     they were built before spans were kept for the attack windows'
     attackers alone: the frames in (ts_us, deliver_ts_us) order, grouped
     by direction-normalized 5-tuple and split on an idle gap over
-    IDLE_TIMEOUT_US or on a bare SYN after a FIN or RST."""
+    IDLE_TIMEOUT_US or on a bare SYN after a FIN or RST. A conversation's
+    flag_hist is None until its first TCP frame, as the walk's is."""
     live, done = {}, []
     for f in sorted((f for f in frames if f.delivered),
                     key=lambda f: (f.ts_us, f.deliver_ts_us)):
@@ -198,9 +214,13 @@ def reference_conversations(frames) -> list:
             conv.resp_bytes += len(f.payload)
         if tcp:
             fk = f.flag_key()
+            if conv.flag_hist is None:
+                conv.flag_hist = {}
             conv.flag_hist[fk] = conv.flag_hist.get(fk, 0) + 1
             if {"FIN", "RST"} & set(f.tcp_flags):
                 conv.closed = True
+        if conv.sender_spans is None:
+            conv.sender_spans = {}
         conv.sender_spans.setdefault(f.sender, [f.ts_us, f.ts_us])[1] = \
             f.ts_us
     done.extend(live.values())

@@ -58,8 +58,44 @@ class TestBuildConversations:
         spanned = analytics.build_conversations(frames,
                                                 ["10.0.0.1", "10.0.0.9"])
         assert spanned[0].sender_spans == {"10.0.0.1": [1_000, 4_000]}
+        # a conversation no span sender sent in keeps no span dict at all
         assert analytics.build_conversations(frames, ())[0].sender_spans \
-            == {}
+            is None
+
+    def test_a_udp_conversation_keeps_no_flag_histogram(self):
+        c, s = "10.0.0.1", "10.0.0.2"
+        frames = [mk_frame(0, c, 5353, s, 53, l4="UDP", proto="DNS"),
+                  mk_frame(50, s, 53, c, 5353, l4="UDP", proto="DNS")]
+        convs = analytics.build_conversations(frames, [c])
+        assert len(convs) == 1 and convs[0].total_pkts() == 2
+        assert convs[0].flag_hist is None
+        assert convs[0].sender_spans == {c: [0, 0]}
+        assert analytics.conn_row(convs[0])["flags"] == "-"
+
+    @pytest.mark.parametrize("request_end,reply_end", [
+        # one address, two ports: ordered by port
+        (("10.0.0.1", 5000), ("10.0.0.1", 80)),
+        (("10.0.0.1", 80), ("10.0.0.1", 5000)),
+        # one port, two addresses: ordered by address
+        (("10.0.0.2", 7), ("10.0.0.1", 7)),
+        (("10.0.0.1", 7), ("10.0.0.2", 7)),
+        # the lower address has the higher port
+        (("10.0.0.1", 9000), ("10.0.0.2", 80)),
+        (("10.0.0.2", 80), ("10.0.0.1", 9000)),
+    ])
+    def test_a_frame_and_its_reply_are_one_conversation(self, request_end,
+                                                        reply_end):
+        for l4 in ("TCP", "UDP"):
+            frames = [mk_frame(0, *request_end, *reply_end, l4=l4),
+                      mk_frame(10, *reply_end, *request_end, l4=l4),
+                      mk_frame(20, *request_end, *reply_end, l4=l4)]
+            convs = analytics.build_conversations(frames, ())
+            assert [(c.orig_ip, c.orig_port, c.orig_pkts, c.resp_pkts)
+                    for c in convs] == [(*request_end, 2, 1)]
+        # the same two ends under TCP and UDP are two conversations
+        frames = [mk_frame(0, *request_end, *reply_end, l4="TCP"),
+                  mk_frame(10, *reply_end, *request_end, l4="UDP")]
+        assert len(analytics.build_conversations(frames, ())) == 2
 
     def test_empty_capture(self):
         assert analytics.build_conversations([], ()) == []
@@ -116,6 +152,44 @@ class TestConnLog:
         assert rows[0]["orig_h"] == "10.0.0.1"
         assert rows[0]["duration"] == pytest.approx(0.0032)
         assert rows[0]["orig_bytes"] == 10
+
+    def test_keep_keeps_the_rows_of_a_filtered_full_read(self, tmp_path):
+        frames = []
+        for n in range(12):
+            frames.append(mk_frame(1_000 * n, f"10.0.0.{n % 4 + 1}",
+                                   5000 + n, "10.0.0.9", (80, 443)[n % 2],
+                                   ("PSH", "ACK"), b"x" * n))
+        path = tmp_path / "conn.log"
+        analytics.write_conn_log(map(analytics.conn_row,
+                                     analytics.build_conversations(frames,
+                                                                   ())), path)
+        full = analytics.read_conn_log(path)
+        assert len(full) == 12
+
+        def keep(row):
+            return row["resp_p"] == 443 and row["orig_h"] != "10.0.0.2"
+
+        kept = analytics.read_conn_log(path, keep=keep)
+        assert kept == [r for r in full if keep(r)]
+        assert 0 < len(kept) < len(full)
+        assert analytics.read_conn_log(path, keep=lambda row: False) == []
+
+    def test_a_bad_row_after_dropped_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "conn.log"
+        analytics.write_conn_log(map(analytics.conn_row,
+                                     analytics.build_conversations(
+                                         seven_frame_stream(), ())), path)
+        good = path.read_text().splitlines()
+        # header, the row three times, a blank line, then a bad orig_p on
+        # line 6 of the file
+        bad = good[1].split("\t")
+        bad[2] = "x"
+        path.write_text("\n".join(good + good[1:] * 2 + ["", "\t".join(bad)])
+                        + "\n")
+        for keep in (None, lambda row: False):
+            with pytest.raises(ValueError,
+                               match="conn.log row at line 6: ValueError"):
+                analytics.read_conn_log(path, keep=keep)
 
 
 class TestResponseTimes:
@@ -314,25 +388,25 @@ class TestLabeling:
         windows = [window("modbus_dos", 0, 10_000)]
         conv = self.conv("attacker", 1_000, 2_000, windows)
         rows, counts, dropped = analytics.label_dataset([conv], windows)
-        assert rows[0].label == "modbus_dos"
+        assert list(rows)[0].label == "modbus_dos"
 
     def test_benign_traffic_in_window_stays_normal(self):
         windows = [window("modbus_dos", 0, 10_000)]
         conv = self.conv("edge-gw", 1_000, 2_000, windows)
         rows, counts, dropped = analytics.label_dataset([conv], windows)
-        assert rows[0].label == "normal"
+        assert list(rows)[0].label == "normal"
 
     def test_attacker_conversation_outside_window_normal(self):
         windows = [window("modbus_dos", 0, 10_000)]
         conv = self.conv("attacker", 50_000, 60_000, windows)
         rows, counts, dropped = analytics.label_dataset([conv], windows)
-        assert rows[0].label == "normal"
+        assert list(rows)[0].label == "normal"
 
     def test_unmapped_kind_drops_row(self):
         windows = [window("recon", 0, 10_000)]
         conv = self.conv("attacker", 1_000, 2_000, windows)
         rows, counts, dropped = analytics.label_dataset([conv], windows)
-        assert rows == []
+        assert list(rows) == [] and len(rows) == 0
         assert dropped == 1
 
     def test_overlapping_kinds_take_earliest_start(self):
@@ -340,14 +414,14 @@ class TestLabeling:
                    window("arp_spoof", 2_000, 10_000)]
         conv = self.conv("attacker", 5_000, 6_000, windows)
         rows, _, _ = analytics.label_dataset([conv], windows)
-        assert rows[0].label == "poisoning"
+        assert list(rows)[0].label == "poisoning"
 
     def test_labeling_deterministic(self):
         windows = [window("modbus_dos", 0, 10_000)]
         conv = self.conv("attacker", 1_000, 2_000, windows)
         a = analytics.label_dataset([conv], windows)
         b = analytics.label_dataset([conv], windows)
-        assert a[0][0].label == b[0][0].label
+        assert list(a[0])[0].label == list(b[0])[0].label
 
 
 DATASET_HEADER = ",".join(analytics.FEATURE_COLUMNS + ("label",))
@@ -357,6 +431,7 @@ class TestDatasetFeatures:
     def test_features_finite_and_csv_round_trip(self, tmp_path):
         convs = analytics.build_conversations(seven_frame_stream(), ())
         rows, _, _ = analytics.label_dataset(convs, [])
+        rows = list(rows)
         for v in rows[0].features:
             assert v == v and abs(v) != float("inf")
         path = tmp_path / "dataset.csv"

@@ -17,7 +17,14 @@ import pytest
 import iiotsim
 from iiotsim import analytics, cli, harness, netsim, plan as planmod
 
-from conftest import frame_to_record, reference_conversations, small_plan
+from conftest import (frame_to_record, reference_conversations,
+                      reference_label_dataset, small_plan)
+
+
+def as_lists(labelled) -> tuple:
+    """label_dataset's result with its rows view read into a list."""
+    rows, counts, dropped = labelled
+    return list(rows), counts, dropped
 
 
 class TestPlanValidation:
@@ -498,6 +505,21 @@ class TestRunArtifacts:
         assert [analytics.conn_row(c)
                 for c in default_bundle.conversations] == rows
 
+    def test_dataset_rows_are_a_view_equal_to_the_written_rows(
+            self, default_bundle):
+        rows = default_bundle.dataset_rows
+        written = analytics.read_dataset_csv(
+            os.path.join(default_bundle.out_dir, "dataset.csv"))
+        reference = reference_label_dataset(default_bundle.conversations,
+                                            default_bundle.windows)
+        assert len(rows) == len(written) == len(reference[0]) > 7000
+        assert list(rows) == written == reference[0]
+        # a second read builds the same rows again
+        assert list(rows) == written
+        assert (default_bundle.class_counts, default_bundle.dropped_rows) \
+            == reference[1:]
+        assert not isinstance(rows, list)
+
     def test_default_hour_holds_only_its_live_connections(self,
                                                           default_bundle):
         # the edge gateway's MQTT session: one stream at each end and the
@@ -545,8 +567,10 @@ class TestCaptureWalk:
         assert len(conversations) > 50
         # repr shows every field, flag_hist in its insertion order too
         assert repr(conversations) == repr(expected)
-        assert (analytics.label_dataset(conversations, result.windows)
-                == analytics.label_dataset(expected, result.windows))
+        assert (as_lists(analytics.label_dataset(conversations,
+                                                 result.windows))
+                == as_lists(analytics.label_dataset(expected,
+                                                    result.windows)))
 
         metrics = walk.metrics()
         assert metrics["packet_stats"] == analytics.packet_size_stats(frames)
@@ -679,13 +703,15 @@ class TestAttackerSpans:
         reference = reference_conversations(frames)
         assert [analytics.conn_row(c) for c in conversations] == [
             analytics.conn_row(c) for c in reference]
+        # a conversation no attacker sent in keeps no span dict at all
         assert [c.sender_spans for c in conversations] == [
             {s: span for s, span in c.sender_spans.items() if s in attackers}
-            for c in reference]
-        kept = sum(len(c.sender_spans) for c in conversations)
+            or None for c in reference]
+        kept = sum(len(c.sender_spans or ()) for c in conversations)
         assert 0 < kept < sum(len(c.sender_spans) for c in reference) / 4
-        labelled = analytics.label_dataset(conversations, build.windows)
-        assert labelled == analytics.label_dataset(reference, build.windows)
+        labelled = as_lists(analytics.label_dataset(conversations,
+                                                    build.windows))
+        assert labelled == reference_label_dataset(reference, build.windows)
         assert len(labelled[1]) > 1
 
 

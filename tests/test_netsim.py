@@ -888,6 +888,54 @@ class TestCaptureExport:
         assert path.read_bytes() == expected.encode()
         assert netsim.read_capture_jsonl(path) == frames
 
+    def test_writer_lines_equal_json_dumps_on_edge_frames(self, tmp_path):
+        # every flag tuple under each l4, ARP frames with payloads, empty
+        # payloads, ports 0 and 65535 and escaped or non-ASCII text, each
+        # memoised segment's fields met with other values around them
+        flag_sets = [c for n in range(len(netsim.FLAG_LETTER) + 1)
+                     for c in itertools.combinations(
+                         sorted(netsim.FLAG_LETTER), n)]
+        texts = ["", "lan", 'quo"te', "back\\slash", "caf\u00e9 \U0001f600",
+                 "ctl\x00\x1f\x7f\n\t"]
+        frames = []
+        for k, (flags, l4) in enumerate(itertools.product(
+                flag_sets, ("TCP", "UDP", "ARP"))):
+            t = [texts[(k * 7 // n) % len(texts)] for n in range(1, 9)]
+            frames.append(Frame(
+                ts_us=k, segment=t[0], sender=t[1], src_mac=t[2],
+                dst_mac=t[3], src_ip=t[4], dst_ip=t[5],
+                src_port=(0, 65535, k)[k % 3],
+                dst_port=(65535, 0, 1)[k // 3 % 3], l4=l4, tcp_flags=flags,
+                payload=bytes(range(k % 7 * 3)), proto_tag=t[6],
+                origin=k % 2 == 0, final=k % 4 < 2, delivered=k % 3 == 0,
+                deliver_ts_us=k * 11, drop_reason=t[7],
+                fw_denied=k % 5 == 0))
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps(frame_to_record(f)) for f in frames]
+        arp = [json.loads(line) for line in lines if '"l4": "ARP"' in line]
+        assert {rec["len"] for rec in arp} == {42}
+        assert any(rec["payload_b64"] for rec in arp)
+        assert {tuple(json.loads(line)["tcp_flags"]) for line in lines} \
+            == set(flag_sets) and len(flag_sets) == 32
+
+    def test_writer_lines_cross_write_batches_whole(self, tmp_path):
+        # lines that fill several batches, one longer than a batch alone
+        big = 3 * netsim.WRITE_BATCH // 4
+        frames = [Frame(
+            ts_us=k, segment="lan", sender="a", src_mac="02:00:00:00:00:01",
+            dst_mac="02:00:00:00:00:02", src_ip="10.0.0.1",
+            dst_ip="10.0.0.2", src_port=1, dst_port=2, l4="UDP",
+            tcp_flags=(), payload=bytes([k % 256]) * (
+                big if k in (3, 4, 9) else k * 1_000),
+            proto_tag="COAP") for k in range(12)]
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        assert path.read_text() == "".join(
+            json.dumps(frame_to_record(f)) + "\n" for f in frames)
+        assert len(path.read_text().splitlines()[3]) > netsim.WRITE_BATCH
+
     def test_hard_cases_read_back_through_both_paths(self, tmp_path,
                                                      monkeypatch):
         # every hard frame has escaped text, so it takes the fallback; its
