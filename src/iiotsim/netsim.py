@@ -20,7 +20,10 @@ US_PER_S = 1_000_000
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 ROUTER_FORWARD_DELAY_US = 40    # a plan without router_forward_delay_us
 
-_MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+_MAC_RE = re.compile(r"([0-9a-f]{2}:){5}[0-9a-f]{2}")
+# four octets of 1-3 ASCII digits each: int() alone would also take
+# spaces, signs, underscores and other scripts' digits
+_IPV4_RE = re.compile(r"\.".join([r"([0-9]{1,3})"] * 4))
 
 
 class NetConfigError(Exception):
@@ -37,19 +40,19 @@ class ArpFailure(Exception):
 
 def check_mac(mac: str) -> str:
     mac = mac.lower()
-    if not _MAC_RE.match(mac):
+    if not _MAC_RE.fullmatch(mac):
         raise NetConfigError(f"bad MAC address {mac!r}")
     return mac
 
 
 def ip_to_int(ip: str) -> int:
-    parts = ip.split(".")
-    if len(parts) != 4:
+    m = _IPV4_RE.fullmatch(ip)
+    if m is None:
         raise NetConfigError(f"bad IPv4 address {ip!r}")
     val = 0
-    for p in parts:
+    for p in m.groups():
         n = int(p)
-        if not 0 <= n <= 255:
+        if n > 255:
             raise NetConfigError(f"bad IPv4 address {ip!r}")
         val = (val << 8) | n
     return val
@@ -846,147 +849,103 @@ def write_capture_jsonl(frames, path) -> None:
         fh.write("".join(batch))
 
 
-def _parse_record(line: str):
-    """A capture line the fast path did not take, as json.loads reads it."""
-    return json.loads(line)
-
-
-# The line write_capture_jsonl writes, as one regex for fullmatch. Each group
-# is a value whose text means to the reader what it means to json.loads: a
-# str without escapes or control characters, a JSON int ([0-9], not \d,
+# The line write_capture_jsonl writes, with its "\n", as one regex for
+# fullmatch: the one capture format. Each group is a value whose text means
+# to the reader what it means to json.loads: a JSON int ([0-9], not \d,
 # which takes other scripts' digits; no leading zero; at most 640 digits,
 # the least limit sys.set_int_max_str_digits allows, so int() takes it
-# whether or not the record is kept), true/false, and a list of TCP flag
-# names. `len` is matched but not captured: wire_len recomputes it. Any
-# other line, valid or not, goes through _parse_record.
-_STR = r'"([^"\\\x00-\x1f]*)"'
+# whether or not the record is kept), true/false, one of the kernel's three
+# l4s, TCP flag names, and a str without escapes or control characters but
+# for the two a plan names freely, segment and sender, which take JSON's
+# escapes (unrolled, so a name without one costs what a str does). No str
+# takes a surrogate, which is how the reader sees a byte that is not UTF-8.
+# `len` is matched but not captured: wire_len recomputes it.
+_PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+_STR = f'"({_PLAIN})"'
+_NAME = fr'"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)"'
 _DIGITS = "0|[1-9][0-9]{0,639}"
 _INT = f"({_DIGITS})"
 _BOOL = "(true|false)"
 _FLAG = '"(?:ACK|FIN|PSH|RST|SYN)"'
 _WRITER_FIELDS = (
     ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
-    ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT), ("l4", _STR),
+    ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT),
+    ("l4", '"(TCP|UDP|ARP)"'),
     ("tcp_flags", fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'),
     ("len", f"(?:{_DIGITS})"), ("proto_tag", _STR),
-    ("payload_b64", _STR), ("segment", _STR), ("sender", _STR),
+    ("payload_b64", _STR), ("segment", _NAME), ("sender", _NAME),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
     ("deliver_ts_us", _INT), ("drop_reason", _STR), ("fw_denied", _BOOL))
-_writer_line = re.compile(
-    r"\{" + ", ".join(f'"{key}": {value}' for key, value in _WRITER_FIELDS)
-    + r"\}").fullmatch
-_JSON_BOOL = {"true": True, "false": False}
-# the fields the readers of a Frame do arithmetic on, those it keys and
-# compares as text, and those it tests for truth: what the writer writes as
-# JSON ints, strings and booleans
-_INT_FIELDS, _STR_FIELDS, _BOOL_FIELDS = (
-    tuple(key for key, value in _WRITER_FIELDS if value is kind)
-    for kind in (_INT, _STR, _BOOL))
+# the writer's line up to the text that follows each field, compiled only
+# to name the field a refused line departs at
+_WRITER_PREFIXES = tuple(
+    r"\{" + ", ".join(f'"{f}": {v}' for f, v in _WRITER_FIELDS[:k])
+    + (", " if k < len(_WRITER_FIELDS) else r"\}\n")
+    for k in range(1, len(_WRITER_FIELDS) + 1))
+_writer_line = re.compile(_WRITER_PREFIXES[-1]).fullmatch
+
+
+def _departure(line: str) -> str:
+    """The first writer field at which line departs from the writer's."""
+    return next(key for (key, _), prefix in zip(_WRITER_FIELDS,
+                                                _WRITER_PREFIXES)
+                if re.match(prefix, line) is None)
 
 
 def iter_capture_jsonl(path, keep=None):
-    """Frames of a capture.jsonl, one at a time, in file order; a malformed
-    record, or one whose ts_us is below its predecessor's, raises ValueError
-    naming the file and the record. Equal str values and flag tuples are one
-    shared object. keep, when given, is called with each record's (l4,
-    src_ip, dst_ip) once the record is checked, and only the records it is
-    true of become frames: a writer line keep drops costs its match, ts_us,
-    three fields and its payload decode."""
+    """Frames of a capture.jsonl, one at a time, in file order. A line not the
+    writer's, or whose payload is not base64 or ts_us is below its
+    predecessor's, raises ValueError naming the file, the record (its line
+    number) and the field. Equal str values and flag tuples are one shared
+    object. keep, when given, is called with each checked record's (l4, src_ip,
+    dst_ip), and only the records it is true of become frames: a line keep
+    drops costs its match, ts_us, three fields and its payload decode."""
     share = _Memo(lambda v: v)
+    names = _Memo(lambda raw: share[json.loads(f'"{raw}"')])
     flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
     a2b = binascii.a2b_base64
-    b = _JSON_BOOL
-    n = 0                                  # records read
+    b = {"true": True, "false": False}
     last_ts = float("-inf")
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as a surrogate, refused at its line
+    with open(path, errors="surrogateescape") as fh:
         try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                n += 1
+            for n, line in enumerate(fh, 1):
                 m = _writer_line(line)
-                if m is not None:
-                    if keep is None:
-                        fields = m.groups()
-                        ts, b64 = fields[0], fields[10]
-                    else:           # all a record keep drops needs
-                        ts, l4, src_ip, dst_ip, b64 = m.group(1, 8, 4, 6, 11)
-                    # the regex checked every field but the payload's base64
-                    payload, ts = a2b(b64), int(ts)
-                    if ts < last_ts:
-                        break
-                    last_ts = ts
-                    if keep is not None:
-                        if not keep(l4, src_ip, dst_ip):
-                            continue
-                        fields = m.groups()
-                    (_, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port,
-                     l4, flags, tag, _, segment, sender, origin, final,
-                     delivered, deliver_ts, drop, fw) = fields
-                    src_port, dst_port, deliver_ts = (
-                        int(src_port), int(dst_port), int(deliver_ts))
-                    # the arguments of Frame, in its field order
-                    args = (ts, share[segment], share[sender],
-                            share[src_mac], share[dst_mac], share[src_ip],
-                            share[dst_ip], src_port, dst_port,
-                            share[l4], flag_list[flags], payload, share[tag],
-                            b[origin], b[final], b[delivered], deliver_ts,
-                            share[drop], b[fw])
-                else:
-                    rec = _parse_record(line)
-                    if type(rec) is not dict:
-                        raise TypeError(f"record is a JSON "
-                                        f"{type(rec).__name__}, not an object")
-                    get = rec.get
-                    for key in _INT_FIELDS:
-                        if key in rec and type(rec[key]) is not int:
-                            raise TypeError(f"{key} {rec[key]!r} is not an "
-                                            "integer")
-                    for key in _STR_FIELDS:
-                        if key in rec and type(rec[key]) is not str:
-                            raise TypeError(f"{key} {rec[key]!r} is not a "
-                                            "string")
-                    # 0 and 1 stay readable: they test as the truth values
-                    # they stand for
-                    for key in _BOOL_FIELDS:
-                        if key in rec and (type(rec[key]) not in (bool, int)
-                                           or rec[key] not in (0, 1)):
-                            raise TypeError(f"{key} {rec[key]!r} is not a "
-                                            "boolean")
-                    flags = tuple(rec["tcp_flags"])
-                    if type(rec["tcp_flags"]) is not list or not all(
-                            type(f) is str and f in FLAG_LETTER
-                            for f in flags):
-                        raise TypeError(f"tcp_flags {rec['tcp_flags']!r} is "
-                                        "not a list of TCP flags")
-                    args = (
-                        rec["ts_us"], share[get("segment", "")],
-                        share[get("sender", "")], share[rec["src_mac"]],
-                        share[rec["dst_mac"]], share[rec["src_ip"]],
-                        share[rec["dst_ip"]], rec["src_port"],
-                        rec["dst_port"], share[rec["l4"]],
-                        share[flags],
-                        a2b(rec["payload_b64"]), share[rec["proto_tag"]],
-                        get("origin", True), get("final", False),
-                        get("delivered", False), get("deliver_ts_us", 0),
-                        share[get("drop_reason", "")], get("fw_denied", False))
-                    ts = args[0]
-                    if ts < last_ts:
-                        break
-                    last_ts = ts
-                    if keep is not None and not keep(args[9], args[5],
-                                                     args[6]):
+                if m is None:
+                    why = (f"the line departs from the writer's at "
+                           f"{_departure(line)}")
+                    break
+                if keep is None:
+                    fields = m.groups()
+                    ts, b64 = fields[0], fields[10]
+                else:               # all a record keep drops needs
+                    ts, l4, src_ip, dst_ip, b64 = m.group(1, 8, 4, 6, 11)
+                # the regex checked every field but the payload's base64
+                payload, ts = a2b(b64), int(ts)
+                if ts < last_ts:
+                    why = (f"ts_us {ts} is below the previous record's "
+                           f"{last_ts}")
+                    break
+                last_ts = ts
+                if keep is not None:
+                    if not keep(l4, src_ip, dst_ip):
                         continue
-                yield Frame(*args)
+                    fields = m.groups()
+                (_, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port, l4,
+                 flags, tag, _, segment, sender, origin, final, delivered,
+                 deliver_ts, drop, fw) = fields
+                # the arguments of Frame, in its field order
+                yield Frame(ts, names[segment], names[sender], share[src_mac],
+                            share[dst_mac], share[src_ip], share[dst_ip],
+                            int(src_port), int(dst_port), share[l4],
+                            flag_list[flags], payload, share[tag], b[origin],
+                            b[final], b[delivered], int(deliver_ts),
+                            share[drop], b[fw])
             else:
                 return
-        except (ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}: bad capture record {n}: "
-                             f"{type(e).__name__}: {e}") from e
-    # the loop broke at a record out of ts_us order
-    raise ValueError(f"{path}: bad capture record {n}: ts_us {ts} is below "
-                     f"the previous record's {last_ts}")
+        except binascii.Error as e:
+            why = f"payload_b64 is not base64: {e}"
+    raise ValueError(f"{path}: bad capture record {n}: {why}")
 
 
 def read_capture_jsonl(path) -> list[Frame]:

@@ -77,6 +77,22 @@ class TestPlanValidation:
         plan["outputs"] = []
         assert planmod.validate_plan(plan) == []
 
+    # address text the validators once let through: a MAC that `$` matched
+    # before its newline, and octets that int() read; the last is pc's
+    # address in Arabic-Indic digits, on pc's segment
+    @pytest.mark.parametrize("index,value", [
+        (1, "b8:27:eb:aa:00:02\n"), (2, " 192.168.10.20"),
+        (2, "+192.168.10.20"), (2, "1_92.168.10.20"),
+        (2, "\u0661\u0669\u0662.168.10.30")])
+    def test_address_text_the_writer_would_escape_is_refused(self, index,
+                                                             value):
+        plan = planmod.default_plan()
+        plc = next(h for h in plan["hosts"] if h["id"] == "plc")
+        plc["interfaces"][0][index] = value
+        field = ("MAC address", "IPv4 address")[index - 1]
+        assert (f"host 'plc': {field} {value!r} is not valid"
+                in planmod.validate_plan(plan))
+
     def test_attack_past_end_of_run(self):
         plan = small_plan(duration_s=10.0, attacks=[
             {"id": "x", "kind": "i2c_sniff", "t_start_s": 5.0,
@@ -631,17 +647,14 @@ class TestCaptureWalk:
             analytics.packet_size_stats(frames)
 
     @pytest.mark.parametrize("t0", [0, -7])
-    def test_a_capture_that_starts_at_or_before_zero(self, tmp_path, t0):
+    def test_a_capture_that_starts_at_or_before_zero(self, t0):
         a, b = self.A, self.B
         # the SYN is delivered after the ACK sent later: only the runs of
         # equal ts_us are taken in delivery order
         frames = [tcp_frame(t0, a, b, ("SYN",), t0 + 5000),
                   tcp_frame(t0, b, a, ("ACK", "FIN"), t0 + 100),
                   tcp_frame(t0 + 1000, a, b, ("ACK",), t0 + 1100)]
-        path = tmp_path / "capture.jsonl"
-        netsim.write_capture_jsonl(frames, path)
-        # a negative ts_us is not a writer line: the JSON reader takes it
-        walk = walked(netsim.iter_capture_jsonl(path))
+        walk = walked(frames)
         expected = analytics.build_conversations(frames, SPANNED)
         assert origins(expected) == [("10.0.0.1", 2), ("10.0.0.2", 1)]
         assert repr(walk.conversations.result()) == repr(expected)
@@ -807,6 +820,45 @@ class TestCollectorPause:
         build = harness.run(plan, str(tmp_path))
         garbage = gc.collect()
         assert garbage < 0.05 * len(build.sim.capture)
+
+
+# a host id and a segment name that hold a quote, a backslash and
+# non-ASCII text, which the capture writer escapes
+ESCAPED_HOST, ESCAPED_SEGMENT = 'edge-gw \u00e9 "1" \\', 'lan\\\u00e4 "a"'
+
+
+def escaped_names_plan() -> dict:
+    """The default topology for 30 s without attacks, with the gateway's
+    id and its first segment's name replaced by names the writer escapes."""
+    text = json.dumps(small_plan(duration_s=30.0))
+    return json.loads(text.replace(
+        '"edge-gw"', json.dumps(ESCAPED_HOST)).replace(
+        '"lan-a"', json.dumps(ESCAPED_SEGMENT)))
+
+
+class TestEscapedNames:
+    def test_report_and_hunt_rebuild_the_bundle(self, tmp_path):
+        plan = escaped_names_plan()
+        plan_path = str(tmp_path / "plan.json")
+        planmod.save_plan(plan, plan_path)
+        out, rebuilt = tmp_path / "run", tmp_path / "rebuilt"
+        build = harness.run(plan, str(out))
+        frames = netsim.read_capture_jsonl(out / "capture.jsonl")
+        assert frames == netsim.capture_export(build.sim)
+        assert ESCAPED_HOST in {f.sender for f in frames}
+        assert ESCAPED_SEGMENT in {f.segment for f in frames}
+        shutil.copytree(out, rebuilt)
+        for name in TestCli.REBUILT:
+            os.remove(rebuilt / name)
+        assert cli.main(["--quiet", "report", "--plan", plan_path,
+                         "--out", str(rebuilt)]) == 0
+        for name in TestCli.REBUILT:
+            assert filecmp.cmp(out / name, rebuilt / name, shallow=False)
+        os.remove(rebuilt / "hunt_report.json")
+        assert cli.main(["--quiet", "hunt", "--plan", plan_path,
+                         "--out", str(rebuilt)]) == 0
+        assert filecmp.cmp(out / "hunt_report.json",
+                           rebuilt / "hunt_report.json", shallow=False)
 
 
 class TestClientScripts:
@@ -1098,8 +1150,8 @@ class TestCli:
         assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == (
-            f"cannot read bundle: {path}: bad capture record 2: TypeError: "
-            f"{field} {json.loads(text)!r} is not an integer")
+            f"cannot read bundle: {path}: bad capture record 2: the line "
+            f"departs from the writer's at {field}")
         assert not any((tmp_path / name).exists() for name in self.REBUILT)
 
     @staticmethod
@@ -1146,6 +1198,39 @@ class TestCli:
         assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == expected
         assert not (out / "hunt_report.json").exists()
+
+    # an edit of the capture's 101st line -> why report and hunt refuse it
+    REFUSED_LINES = {
+        "reordered_keys": (lambda line: json.dumps(
+            dict(reversed(json.loads(line).items()))) + "\n",
+            "the line departs from the writer's at ts_us"),
+        "blank_line": (lambda line: "\n" + line,
+                       "the line departs from the writer's at ts_us"),
+        "escaped_proto_tag": (lambda line: json.dumps(
+            {**json.loads(line), "proto_tag": "caf\u00e9"}) + "\n",
+            "the line departs from the writer's at proto_tag"),
+        "bad_base64": (lambda line: json.dumps(
+            {**json.loads(line), "payload_b64": "abc"}) + "\n",
+            "payload_b64 is not base64: Incorrect padding")}
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_LINES))
+    def test_report_and_hunt_refuse_a_line_alike(self, bundle, tmp_path,
+                                                 capsys, case):
+        edit, why = self.REFUSED_LINES[case]
+        out = tmp_path / "out"
+
+        def edited(lines):
+            lines[100] = edit(lines[100])
+            return lines
+
+        self.copy_capture(bundle, out, edited)
+        shutil.copy(os.path.join(bundle[1], "conn.log"), out)
+        expected = (f"cannot read bundle: {out / 'capture.jsonl'}: bad "
+                    f"capture record 101: {why}")
+        for command in ("report", "hunt"):
+            assert cli.main(["--quiet", command, "--out", str(out)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == expected
+        assert sorted(os.listdir(out)) == ["capture.jsonl", "conn.log"]
 
     def test_report_writes_nothing_when_the_last_record_is_bad(
             self, bundle, tmp_path, capsys):
@@ -1208,15 +1293,11 @@ class TestCli:
         assert not out.exists()
 
     # a case whose capture's second (TCP) record has fields replaced -> the
-    # TypeError that report names it with
+    # field report names it at
     GARBLED_RECORDS = {
-        "report_ip_a_number": ({"src_ip": 5}, "src_ip 5 is not a string"),
-        "report_flags_a_string": ({"tcp_flags": "SYN"},
-                                  "tcp_flags 'SYN' is not a list of TCP "
-                                  "flags"),
-        "report_lower_case_flags": ({"tcp_flags": ["ack"]},
-                                    "tcp_flags ['ack'] is not a list of TCP "
-                                    "flags")}
+        "report_ip_a_number": ({"src_ip": 5}, "src_ip"),
+        "report_flags_a_string": ({"tcp_flags": "SYN"}, "tcp_flags"),
+        "report_lower_case_flags": ({"tcp_flags": ["ack"]}, "tcp_flags")}
 
     @pytest.mark.parametrize("case", [*GARBLED_RECORDS,
                                       "empty_plan", "missing_plan",
@@ -1348,7 +1429,9 @@ class TestCli:
         if case in ("plan_without_roles", "plan_without_mobile_role"):
             assert error["error"] == "plan is invalid"
         if case == "hunt_malformed_capture":
-            assert "bad capture record 2: KeyError" in error["error"]
+            assert error["error"].endswith(
+                "bad capture record 2: the line departs from the writer's at "
+                "dst_mac")
         if case == "hunt_without_capture":
             assert error["error"] == f"no capture at {out / 'capture.jsonl'}"
             assert not (out / "hunt_report.json").exists()
@@ -1365,7 +1448,7 @@ class TestCli:
             assert not (out / "metrics_report.json").exists()
         if case in self.GARBLED_RECORDS:
             assert error["error"].endswith(
-                "bad capture record 2: TypeError: "
+                "bad capture record 2: the line departs from the writer's at "
                 + self.GARBLED_RECORDS[case][1])
             assert not (out / "metrics_report.json").exists()
         if case == "detect_report_is_a_directory":
