@@ -216,6 +216,15 @@ def read_conn_log(path, keep=None) -> list:
 # response-time extraction
 # ---------------------------------------------------------------------------
 
+def left_sum(values):
+    """sum(values) as Python 3.10 and 3.11 add floats: left to right. From
+    3.12, sum() compensates, which would move the bundle's bytes."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass
 class ResponseStats:
     proto: str
@@ -224,7 +233,8 @@ class ResponseStats:
 
     @property
     def mean_ms(self) -> float:
-        return sum(self.samples_ms) / len(self.samples_ms) if self.samples_ms else 0.0
+        return (left_sum(self.samples_ms) / len(self.samples_ms)
+                if self.samples_ms else 0.0)
 
     @property
     def count(self) -> int:

@@ -610,7 +610,8 @@ def live_figures(build: Build) -> dict:
     counters."""
     i2c_times = [(end - start) / 1000.0
                  for start, end, _ in build.i2c_bus.txn_log]
-    i2c = {"mean_ms": sum(i2c_times) / len(i2c_times) if i2c_times else 0.0,
+    i2c = {"mean_ms": (analytics.left_sum(i2c_times) / len(i2c_times)
+                       if i2c_times else 0.0),
            "count": len(i2c_times), "unmatched": 0}
     if "I2C" in build.targets:
         i2c["target_ms"] = build.targets["I2C"]

@@ -70,44 +70,6 @@ class Historian:
         self.rows.append(rec)
         return rec.record_id
 
-    def query(self, device_id: str | None = None, device_type: str | None = None,
-              content_type: str | None = None, t0: str | int | None = None,
-              t1: str | int | None = None) -> list[TelemetryRecord]:
-        """Filter by device / type / content and closed time interval [t0, t1].
-
-        Interval bounds accept ISO text or raw microseconds; an inverted
-        interval yields an empty result (flagged on self.last_warning).
-        """
-        self.last_warning = ""
-        lo = self._bound(t0)
-        hi = self._bound(t1)
-        if lo is not None and hi is not None and lo > hi:
-            self.last_warning = f"inverted interval: {t0!r} > {t1!r}"
-            return []
-        out = []
-        for r in self.rows:
-            if device_id is not None and r.device_id != device_id:
-                continue
-            if device_type is not None and r.device_type != device_type:
-                continue
-            if content_type is not None and r.content_type != content_type:
-                continue
-            if lo is not None and r.ts_us < lo:
-                continue
-            if hi is not None and r.ts_us > hi:
-                continue
-            out.append(r)
-        out.sort(key=lambda r: (r.ts_us, r.record_id))
-        return out
-
-    def _bound(self, value):
-        if value is None:
-            return None
-        if isinstance(value, str):
-            return round((parse_iso(value) - self.epoch).total_seconds()
-                         * 1_000_000)
-        return int(value)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

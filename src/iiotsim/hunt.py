@@ -5,6 +5,7 @@ stream profiling and syslog parsing/search."""
 import re
 from dataclasses import dataclass
 
+from .analytics import left_sum
 from .services import WEBGUI_PORT
 
 SHELL_DOMINANCE = 0.80      # PSH/ACK + ACK share of a shell's data phase
@@ -52,7 +53,7 @@ def reverse_connections(conn_rows, from_host: str, to_hosts) -> dict:
         slot["count"] += 1
         slot["duration"] += r["duration"]
     return {"rows": rows,
-            "total_duration": sum(r["duration"] for r in rows),
+            "total_duration": left_sum(r["duration"] for r in rows),
             "per_port": per_port}
 
 

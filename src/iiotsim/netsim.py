@@ -21,9 +21,12 @@ BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 ROUTER_FORWARD_DELAY_US = 40    # a plan without router_forward_delay_us
 
 _MAC_RE = re.compile(r"([0-9a-f]{2}:){5}[0-9a-f]{2}")
-# four octets of 1-3 ASCII digits each: int() alone would also take
-# spaces, signs, underscores and other scripts' digits
-_IPV4_RE = re.compile(r"\.".join([r"([0-9]{1,3})"] * 4))
+# four octets of 1-3 ASCII digits each and a prefix length of 1-2, none
+# with a leading zero: int() alone would also take spaces, signs,
+# underscores and other scripts' digits, and "010" would be a second text
+# for 10
+_IPV4_RE = re.compile(r"\.".join([r"(0|[1-9][0-9]{0,2})"] * 4))
+_PREFIX_RE = re.compile(r"0|[1-9][0-9]?")
 
 
 class NetConfigError(Exception):
@@ -63,10 +66,10 @@ def parse_cidr(cidr: str) -> tuple:
     address matches itself."""
     if cidr in ("any", "*"):
         return 0, 0
-    net, _, bits = cidr.partition("/")
-    bits = int(bits) if bits else 32
-    if not 0 <= bits <= 32:
+    net, slash, bits = cidr.partition("/")
+    if slash and not (_PREFIX_RE.fullmatch(bits) and int(bits) <= 32):
         raise NetConfigError(f"bad CIDR {cidr!r}")
+    bits = int(bits) if slash else 32
     mask = ((1 << bits) - 1) << (32 - bits)
     return ip_to_int(net) & mask, mask
 

@@ -1,11 +1,13 @@
+import os
 import re
+import shutil
 import time
 from base64 import b64encode
 
 import numpy as np
 import pytest
 
-from iiotsim import analytics, harness, plan as planmod
+from iiotsim import analytics, cli, harness, plan as planmod
 from iiotsim.cloud import _match, validate_filter
 from iiotsim.detect import estimators
 from iiotsim.detect.estimators import _logistic_grad, _sigmoid
@@ -23,6 +25,41 @@ def default_bundle(tmp_path_factory):
     result.wall_seconds = time.time() - t0
     result.out_dir = str(out)
     return result
+
+
+# (dataset seed, CV seed) of each `detect` run whose report
+# tests/golden.sha256 pins
+GOLDEN_DETECT_RUNS = ((42, 42), (42, 7), (7, 42), (43, 42), (43, 7))
+
+
+@pytest.fixture(scope="session")
+def golden_bundles(default_bundle, tmp_path_factory):
+    """seed -> the run of the shipped plan at that seed, written to its own
+    directory, as `iiotsim run --seed` writes it; seed 42's is
+    default_bundle."""
+    builds = {42: default_bundle}
+    for seed in (7, 43):
+        out = tmp_path_factory.mktemp(f"seed{seed}")
+        builds[seed] = harness.run(planmod.default_plan(), str(out), seed=seed)
+        builds[seed].out_dir = str(out)
+    return builds
+
+
+@pytest.fixture(scope="session")
+def golden_detections(golden_bundles, tmp_path_factory):
+    """detect-seed<S>-cv<C> -> the directory where `iiotsim detect --seed C`
+    ran on a copy of the seed-S bundle's dataset.csv."""
+    root = tmp_path_factory.mktemp("golden")
+    dirs = {}
+    for seed, cv in GOLDEN_DETECT_RUNS:
+        name = f"detect-seed{seed}-cv{cv}"
+        dirs[name] = out = root / name
+        out.mkdir()
+        shutil.copy(os.path.join(golden_bundles[seed].out_dir, "dataset.csv"),
+                    out)
+        assert cli.main(["--quiet", "detect", "--seed", str(cv),
+                         "--out", str(out)]) == 0
+    return dirs
 
 
 def small_plan(duration_s=60.0, attacks=()):

@@ -193,6 +193,12 @@ class TestConnLog:
 
 
 class TestResponseTimes:
+    def test_mean_adds_left_to_right_on_every_python(self):
+        # Python 3.12's compensated sum() makes this 1.0 / 3; the bundle's
+        # bytes are those of 3.10 and 3.11's left-to-right sum
+        stats = analytics.ResponseStats("MODBUS", [1e16, 1.0, -1e16], 0)
+        assert stats.mean_ms == 0.0
+
     @pytest.mark.parametrize("proto", list(analytics.RESPONSE_PROTOCOLS))
     def test_reference_counting_frees_an_accumulator(self, proto):
         # the walk runs with the collector paused: an accumulator in a

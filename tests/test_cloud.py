@@ -265,13 +265,6 @@ class TestCloudStore:
         assert broker.historian.store(0, "station/x", "not json") is None
         assert len(broker.historian.quarantine) == 2
 
-    def test_interval_query_shared_semantics(self):
-        sim, broker, client, gw = broker_pair()
-        broker.historian.store(5_000_000, "station/I2Cslave", BODY)
-        rows = broker.historian.query(t0="2019-07-18T06:00:01.000Z",
-                                      t1="2019-07-18T06:00:10.000Z")
-        assert len(rows) == 1
-
 
 class TestBrokerAcl:
     def test_allowlist_refuses_unknown_client(self):

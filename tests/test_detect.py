@@ -1,13 +1,12 @@
 import json
 import math
 import os
-import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from iiotsim import analytics, cli
+from iiotsim import analytics
 from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
                             GaussianNBClassifier, KNeighborsClassifier,
                             LogisticRegressionOvR, ModelSpec,
@@ -454,14 +453,12 @@ class TestCrossValidate:
         assert (X_tr == 0.0).all() and (X_va == 0.0).all()
 
 
-def test_every_model_detects_attacks_on_the_default_dataset(default_bundle,
-                                                           tmp_path):
+def test_every_model_detects_attacks_on_the_default_dataset(
+        golden_detections):
     # `iiotsim detect --seed 42`: each model must call at least 95% of the
     # attack rows some attack class, and at most 15% of the normal rows
-    shutil.copy(os.path.join(default_bundle.out_dir, "dataset.csv"), tmp_path)
-    assert cli.main(["--quiet", "detect", "--seed", "42",
-                     "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "detection_report.json").read_text()
+    text = (golden_detections["detect-seed42-cv42"]
+            / "detection_report.json").read_text()
     assert "np.str_" not in text
     metrics = {kind: model["metrics"]
                for kind, model in json.loads(text)["models"].items()}

@@ -78,12 +78,13 @@ class TestPlanValidation:
         assert planmod.validate_plan(plan) == []
 
     # address text the validators once let through: a MAC that `$` matched
-    # before its newline, and octets that int() read; the last is pc's
-    # address in Arabic-Indic digits, on pc's segment
+    # before its newline, and octets that int() read; the last two are pc's
+    # address on pc's segment, in Arabic-Indic digits and with leading
+    # zeros, which the duplicate-IP check compared as text
     @pytest.mark.parametrize("index,value", [
         (1, "b8:27:eb:aa:00:02\n"), (2, " 192.168.10.20"),
         (2, "+192.168.10.20"), (2, "1_92.168.10.20"),
-        (2, "\u0661\u0669\u0662.168.10.30")])
+        (2, "\u0661\u0669\u0662.168.10.30"), (2, "192.168.010.030")])
     def test_address_text_the_writer_would_escape_is_refused(self, index,
                                                              value):
         plan = planmod.default_plan()
@@ -237,10 +238,16 @@ class TestPlanValidation:
         (("attacks", 4, "cycle_s"), "0.1"),
         (("attacks", 7, "command_gap_s"), "0"),
         (("attacks", 6, "request_period_s"), "0"),
-        (("acl", "rules", 0, "src"), '"x"')])
+        (("acl", "rules", 0, "src"), '"x"'),
+        (("segments", "lan-a", "subnet"), '"192.168.10.0/ 24"'),
+        (("segments", "lan-a", "subnet"), '"192.168.10.0/\u0662\u0664"'),
+        (("segments", "lan-a", "subnet"), '"192.168.10.0/+24"'),
+        (("segments", "lan-a", "subnet"), '"192.168.10.0/2_4"')])
     def test_periods_and_acl_addresses_are_checked_where_read(
             self, tmp_path, capsys, path, text):
-        """Each of these validated once; its run then hung or raised."""
+        """Each of these validated once; its run then hung or raised, or,
+        for a subnet, took a prefix length int() read from other text than
+        1-2 ASCII digits."""
         path_text = str(tmp_path / "plan.json")
         planmod.save_plan(self.mutated(planmod.default_plan(), path, text),
                           path_text)
@@ -342,37 +349,22 @@ ARTIFACTS = ("capture.jsonl", "conn.log", "edge_historian.csv",
              "metrics_report.json", "run_summary.json")
 
 
-# SHA-256 of every file of the default bundle: the shipped plan at seed 42.
-# A change that alters any byte must update this table and say why in
-# CHANGES.md.
-GOLDEN_DIGESTS = {
-    "attack_windows.jsonl":
-        "d5f1b78aad3fcf3bc7e6b8f86985fd2f3b20050752348779ffc5ccc2607c7b36",
-    "capture.jsonl":
-        "8ad6e407b91cc457b2e0eb986208b2a00fcceef375131499004ca25f5fbe65e5",
-    "cloud_historian.csv":
-        "985146a68d0235a2722ba268f999f1baa141e8721bee213e447b33c6b512f669",
-    "conn.log":
-        "756fd4e632b4161c7820c1636c9b7ba274408e6cf3f91921e572064c0de091a5",
-    "dataset.csv":
-        "d8cb3fcb5dd3f9686b755e7b30f4fe0eb5ec89f03b4ea994e77b90136b4d7d96",
-    "edge_historian.csv":
-        "8ced631a291def45b829817c8b54cd496d2af69bec6ec6aa6cd71b055f0a1caf",
-    "hunt_report.json":
-        "b8db730954b725304258b0ba0f7efd5a80788fe558881244a122cd7dbc34c615",
-    "i2c_trace.txt":
-        "f8dc9a6fd1392f64f32e3046c710eb68136533bb584819a6f4848605c6bda56a",
-    "metrics_report.json":
-        "5d5e2a650a0f37765aea408352413b81570b338b7279e14d62dc0b55bae3712c",
-    "rogue_transcript.txt":
-        "8502b3682eb8ea9d295f287f1531226ba841496685a47993797908c4beb5fa8e",
-    "run_summary.json":
-        "0435314a5c8aea487baf5f0575e1e31808726954bcb17fa0293fb2494d3c4118",
-    "syslog_router.txt":
-        "3bb1dd4eea508ef7258a80cf93c952498f4f627b57b561a686c570366ed1600e",
-    "syslog_router_truth.txt":
-        "0e3b95cf92f8f5145f493a499e9cf2b4d7b09496ee276e76dc0c68f6fcdf2f8a",
-}
+# SHA-256 of every file of the golden bundles and detection reports, in
+# sha256sum's format. A change that alters any byte must update it and say
+# why in CHANGES.md.
+GOLDEN_MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "golden.sha256")
+
+
+def digests(directory, prefix, skip=()) -> dict:
+    """prefix/name -> SHA-256 of each file in directory but those skipped."""
+    out = {}
+    for name in os.listdir(directory):
+        if name not in skip:
+            with open(os.path.join(directory, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out[f"{prefix}/{name}"] = digest
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -506,13 +498,19 @@ class TestRunArtifacts:
                            shallow=False)
         assert not same
 
-    def test_default_bundle_matches_golden_digests(self, default_bundle):
-        out = default_bundle.out_dir
-        digests = {}
-        for name in os.listdir(out):
-            with open(os.path.join(out, name), "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert digests == GOLDEN_DIGESTS
+    def test_bundles_and_detection_reports_match_the_golden_manifest(
+            self, golden_bundles, golden_detections):
+        """Every file `run` writes at seeds 42, 7 and 43, and each pinned
+        detection report, is in the manifest with its digest, and nothing
+        else is."""
+        got = {}
+        for seed, build in golden_bundles.items():
+            got.update(digests(build.out_dir, f"seed{seed}"))
+        for name, out in golden_detections.items():
+            got.update(digests(out, name, skip=("dataset.csv",)))
+        with open(GOLDEN_MANIFEST) as fh:
+            pinned = {name: digest for digest, name in map(str.split, fh)}
+        assert got == pinned
 
     def test_conn_row_is_the_row_conn_log_reads_back(self, default_bundle):
         rows = analytics.read_conn_log(
@@ -701,12 +699,9 @@ class TestAttackerSpans:
     its conversations label as those with every sender's span did."""
 
     @pytest.mark.parametrize("seed", [7, 42, 43])
-    def test_labels_equal_the_full_span_reference(self, default_bundle,
+    def test_labels_equal_the_full_span_reference(self, golden_bundles,
                                                   seed):
-        build = default_bundle
-        if seed != 42:
-            build = harness.Build(planmod.default_plan(), seed=seed)
-            harness.collector_paused(build.run)()
+        build = golden_bundles[seed]
         frames = netsim.capture_export(build.sim)
         attackers = analytics.span_senders(build.windows)
         walk = harness.CaptureWalk(build, attackers, metrics=False,

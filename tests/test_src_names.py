@@ -1,7 +1,9 @@
 """No test-only code in src/: every function, class and method that
 src/iiotsim defines is named somewhere in src/iiotsim, so the testbed runs
-it. A name counts as a Name, an attribute, an import or an exact string
-constant (getattr(svc, "on_open") names on_open). Dunders are exempt, and
+it. A name counts as an attribute, an import or an exact string constant
+(getattr(svc, "on_open") names on_open), and, for a function or class, as a
+Name too: a local variable of a method's name does not reach the method.
+Dunders are exempt, and
 so is each name perfbench/spans.py wraps: the benchmark's traced run looks
 those up by name, so a span dropped there makes its name count here again.
 A reference that only tests compare against belongs in tests/conftest.py."""
@@ -28,33 +30,39 @@ def src_trees() -> dict:
     return trees
 
 
-def named(trees) -> set:
-    """Every name the modules use as a Name, attribute, import or string."""
-    out = set()
+def named(trees) -> tuple:
+    """(every name the modules use as a Name, every name they use as an
+    attribute, import or string)."""
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                out.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                out.update(node.name.split("."))
+                attrs.update(node.name.split("."))
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):
-                out.add(node.value)
-    return out
+                attrs.add(node.value)
+    return names, attrs
 
 
 def unnamed_definitions(trees) -> list:
     """(file, line, name) of each definition no module names."""
-    used = named(trees) | {attr for _, attr in wrapped_names()}
+    names, attrs = named(trees)
+    attrs |= {attr for _, attr in wrapped_names()}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(child) for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for child in node.body if isinstance(child, functions)}
     return sorted(
         (path, node.lineno, node.name)
         for path, tree in trees.items() for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
+        if isinstance(node, (*functions, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used)
+        and node.name not in attrs
+        and (id(node) in methods or node.name not in names))
 
 
 def test_every_definition_in_src_is_named_in_src():
@@ -67,9 +75,13 @@ def test_the_rule_flags_a_definition_only_a_test_names():
         "def only_tested():\n    pass\n\n"
         "class Service:\n"
         "    def on_open(self):\n        pass\n"
+        "    def query(self):\n        pass\n"
         "    def __repr__(self):\n        return ''\n\n"
         "def start(svc):\n"
         "    used()\n"
-        "    return Service, getattr(svc, 'on_open')\n")}
+        "    query = svc.rows\n"
+        "    return Service, getattr(svc, 'on_open'), query\n")}
+    # the local query does not name the method query
     assert unnamed_definitions(trees) == [("m.py", 4, "only_tested"),
-                                          ("m.py", 13, "start")]
+                                          ("m.py", 10, "query"),
+                                          ("m.py", 15, "start")]
