@@ -374,7 +374,6 @@ def response_times(frames, proto_tag: str) -> ResponseStats:
 class JitterWindow:
     t0_us: int
     jitter_ms: float
-    gaps: int
 
 
 class JitterSeries:
@@ -403,8 +402,7 @@ class JitterSeries:
             gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
             diffs = [abs(gaps[i + 1] - gaps[i]) for i in range(len(gaps) - 1)]
             jitter_ms = (sum(diffs) / len(diffs)) / 1000.0
-            windows.append(JitterWindow(b * JITTER_WINDOW_US, jitter_ms,
-                                        len(gaps)))
+            windows.append(JitterWindow(b * JITTER_WINDOW_US, jitter_ms))
         flagged = [w for w in windows if w.jitter_ms > JITTER_BOUND_MS]
         return windows, flagged
 

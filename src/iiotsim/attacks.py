@@ -276,16 +276,14 @@ def log_tamper(sim, attacker, target_host, webgui,
         raise PermissionError("log_tamper needs a shell foothold on the target")
     kept = [e for e in target_host.syslog
             if not (predicate and predicate in e[1])]
-    window = AttackWindow(LOG_TAMPER, sim.now_us, sim.now_us,
-                          attacker.host_id, (target_host.host_id,))
-    window.deleted = len(target_host.syslog) - len(kept)
     target_host.syslog[:] = kept
-    return window
+    return AttackWindow(LOG_TAMPER, sim.now_us, sim.now_us,
+                        attacker.host_id, (target_host.host_id,))
 
 
 class LogTamper(Injector):
     """log_tamper at t_start_s. Its window joins the build's windows when it
-    fires; without a foothold it adds none and `error` says why."""
+    fires; without a foothold it adds none."""
 
     def setup(self, build, a):
         self.windows = build.windows
@@ -293,8 +291,6 @@ class LogTamper(Injector):
         self.target_host = build.host(a, "target")
         self.webgui = build.webgui
         self.predicate = a.get("predicate", str, "shell")
-        self.window = None
-        self.error = ""
 
     def schedule(self) -> list:
         self.sim.schedule_at(self.t_start_us, self._fire)
@@ -302,13 +298,11 @@ class LogTamper(Injector):
 
     def _fire(self):
         try:
-            self.window = log_tamper(self.sim, self.attacker,
-                                     self.target_host, self.webgui,
-                                     self.predicate)
+            window = log_tamper(self.sim, self.attacker, self.target_host,
+                                self.webgui, self.predicate)
         except PermissionError:
-            self.error = "no foothold"
             return
-        self.windows.append(self.window)
+        self.windows.append(window)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +344,6 @@ class ModbusFlood(Injector):
         self.addr_hi = a.get("addr_hi", int, max(199, self.addr_lo),
                              lo=self.addr_lo, hi=0xFFFF)
         self.reqs_per_conn = a.get("reqs_per_conn", int, 10, lo=1)
-        self.requests_sent = 0      # written, whether sent or still held
         self._stream = None         # the connection of the current requests
         self.window = AttackWindow(MODBUS_DOS, self.t_start_us,
                                    self.t_start_us + self.duration_us + 500_000,
@@ -374,7 +367,6 @@ class ModbusFlood(Injector):
                                      fieldbus.READ_HOLDING_REGISTERS, addr, 1)
         if stream.state in ("connecting", "established"):
             stream.write(fieldbus.encode_request(request))
-            self.requests_sent += 1
         if slot == self.reqs_per_conn - 1:
             self.sim.schedule(100_000, stream.close)
 
@@ -394,7 +386,6 @@ class RogueSubscriber(Injector):
         self.cycle_us = a.time_us("cycle_s", 4.0,
                                   least=DISCONNECT_LEAD_US + 1)
         self.transcript: list[str] = []
-        self.refused = False
         self._cycle_n = 0
         self.window = AttackWindow(ROGUE_SUBSCRIBER, self.t_start_us,
                                    self.t_end_us, self.attacker.host_id,
@@ -413,9 +404,6 @@ class RogueSubscriber(Injector):
         client.on_message = lambda topic, payload: self.transcript.append(
             f"{topic}: {payload}")
         client.on_connected = lambda c: c.subscribe(self.filters)
-        def rejected(c):
-            self.refused = True
-        client.on_rejected = rejected
         client.connect()
         self.sim.schedule(self.cycle_us - DISCONNECT_LEAD_US,
                           client.disconnect)
@@ -524,7 +512,6 @@ class WebEnum(Injector):
 class ReverseShellSession:
     duration_us: int
     commands: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
 
 
 SHELL_COMMANDS = ("id", "whoami", "uname -a", "cat /etc/passwd",
@@ -560,8 +547,6 @@ class ExploitWebgui(Injector):
         self.command_gap_us = a.time_us("command_gap_s", 20.0, least=1)
         self.sessions: list[ReverseShellSession] = []
         self._shells: dict = {}     # listener stream -> its session
-        self.succeeded = False
-        self.failure = ""
         attacker_id = self.attacker.host_id
         victims = (self.target_host.host_id,)
         self.exploit_window = AttackWindow(EXPLOIT, self.t_start_us, end_us,
@@ -589,7 +574,6 @@ class ExploitWebgui(Injector):
             body = loads(data.decode())
             if s.replies == 1:
                 if body.get("auth") != "ok":
-                    self.failure = "bad credentials"
                     s.close()
                     return
                 s.write(dumps(
@@ -598,10 +582,7 @@ class ExploitWebgui(Injector):
             else:
                 s.close()
                 if body.get("upload") == "ok":
-                    self.succeeded = True
                     self._arm_sessions()
-                else:
-                    self.failure = "target not vulnerable"
 
         stream.on_data = on_data
 
@@ -637,8 +618,7 @@ class ExploitWebgui(Injector):
             self.sim.schedule(1_000, self._issue_command, stream, record)
 
     def on_data(self, stream, data: bytes):
-        if stream in self._shells:
-            self._shells[stream].outputs.append(data.decode())
+        """The shell's answers reach the capture; the script keeps none."""
 
     def _issue_command(self, stream, record):
         if stream.state != "established":

@@ -146,7 +146,6 @@ class CloudHistorian(Historian):
 @dataclass
 class _Session:
     stream: object
-    client_id: str = ""
     subscriptions: list = field(default_factory=list)
     inflight: dict = field(default_factory=dict)     # mid -> (topic, payload)
     completed: set = field(default_factory=set)      # mids already released
@@ -189,7 +188,6 @@ class Broker:
         self.sessions: dict = {}           # stream -> _Session, open order
         self.bytes_sent = 0
         self.messages_received = 0
-        self.delivered_log: list = []     # (ts_us, client_id, topic, payload)
         self._load_bytes = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
         self._load_msgs = {m: _WindowCounter(m * 60) for m in (1, 5, 15)}
         # stored filters passed validate_filter, so deliveries match them
@@ -214,7 +212,6 @@ class Broker:
             c.add(self.sim.now_us, 1)
         kind = pkt["type"]
         if kind == "CONNECT":
-            session.client_id = pkt.get("client_id", "")
             if self.acl_enabled and stream.peer_ip not in self.allowlist:
                 self._reply(session, {"type": "CONNACK", "rc": 5})
                 self.sim.schedule(self.service_time_us, stream.reset)
@@ -265,17 +262,14 @@ class Broker:
 
     def _deliver(self, topic: str, payload: str) -> None:
         """Exactly-once fan-out to matching subscribers plus historian feed."""
-        ts = self.sim.now_us
         if not topic.startswith("$"):
-            self.historian.store(ts, topic, payload)
+            self.historian.store(self.sim.now_us, topic, payload)
         out = encode_packet({"type": "PUBLISH", "qos": 0, "topic": topic,
                              "payload": payload, "mid": 0})
         match = self._match
         for session in self.sessions.values():
             if any(match(f, topic) for f in session.subscriptions):
                 self._push(session, out)
-                self.delivered_log.append((ts, session.client_id, topic,
-                                           payload))
 
     def _reply(self, session: _Session, pkt: dict) -> None:
         self.sim.schedule(self.service_time_us, self._push, session,
@@ -342,10 +336,8 @@ class MqttClient:
         self._publish_count = 0
         self._pending: dict[int, dict] = {}
         self._queue: list = []
-        self.completed_mids: list[int] = []
         self.on_message = None       # fn(topic, payload) for subscriber use
         self.on_connected = None
-        self.on_rejected = None
 
     def connect(self) -> None:
         self.stream = self.host.open_tcp(self.broker_ip, MQTT_PORT, "MQTT")
@@ -406,8 +398,6 @@ class MqttClient:
                     self.on_connected(self)
             else:
                 self.connected = False
-                if self.on_rejected:
-                    self.on_rejected(self)
             return
         if kind == "PUBREC":
             mid = pkt["mid"]
@@ -417,10 +407,7 @@ class MqttClient:
                 stream.write(rel)
             return
         if kind == "PUBCOMP":
-            mid = pkt["mid"]
-            if mid in self._pending:
-                del self._pending[mid]
-                self.completed_mids.append(mid)
+            self._pending.pop(pkt["mid"], None)
             return
         if kind == "PUBLISH":
             if self.on_message:

@@ -130,7 +130,6 @@ def metrics_from_confusion(cm, labels) -> dict:
 class CrossValResult:
     spec: ModelSpec
     labels: list
-    fold_matrices: list
     confusion: np.ndarray
     metrics: dict
     warnings: list
@@ -144,17 +143,14 @@ def cross_validate(spec: ModelSpec, X, y, k: int = 10,
     X, y = check_X_y(X, y)
     labels = [str(l) for l in np.unique(y)]
     folds, warnings = stratified_kfold(y, k, seed)
-    fold_matrices = []
     summed = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for train, val in folds:
         X_tr, X_va = fold_features(X, train, val)
         model = spec.build()
         model.fit(X_tr, y[train])
         pred = model.predict(X_va)
-        cm = confusion_matrix(y[val], pred, labels)
-        fold_matrices.append(cm)
-        summed += cm
-    return CrossValResult(spec, labels, fold_matrices, summed,
+        summed += confusion_matrix(y[val], pred, labels)
+    return CrossValResult(spec, labels, summed,
                           metrics_from_confusion(summed, labels), warnings)
 
 

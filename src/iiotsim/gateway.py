@@ -93,7 +93,6 @@ class EdgeGateway:
         self.notify_threshold_c = cfg.get("notify_threshold_c", float, 30.0)
         self.notify_min_gap_us = cfg.time_us("notify_min_gap_s", 60.0)
         self._last_notify_us = {}
-        self.events: list = []            # (ts_us, kind, detail)
         self.forwarded: list = []         # (ts_us, topic, body) handed to MQTT
         self.faults: list = []            # (ts_us, device_key, reason)
         self.sim_sensors: dict[str, object] = {}   # device_key -> SensorModel
@@ -171,7 +170,6 @@ class EdgeGateway:
 
     def _fault(self, device_key: str, reason: str) -> None:
         self.faults.append((self.sim.now_us, device_key, reason))
-        self.events.append((self.sim.now_us, "fault", f"{device_key}: {reason}"))
         self.sim.log_syslog(self.host, f"gateway: poll fault {device_key} {reason}")
 
     def _ingest(self, reading: Reading) -> None:
@@ -217,14 +215,9 @@ class EdgeGateway:
             if s.replies == 1:
                 s.write(f"MSG {text}".encode())
             else:
-                self.events.append((self.sim.now_us, "notified", text))
                 s.close()
 
-        def on_refused(s):
-            self.events.append((self.sim.now_us, "notify-failure", text))
-
         stream.on_data = on_data
-        stream.on_refused = on_refused
 
     # -- CoAP ---------------------------------------------------------------
     def coap_serve(self, request: dict) -> dict:

@@ -13,7 +13,7 @@ from .cloud import Broker, dumps
 from .gateway import EdgeGateway
 from .historian import IsoStamp, parse_iso
 from .netsim import (Acl, AclRule, RouteError, Simulation, capture_export,
-                     parse_cidr, write_capture_jsonl)
+                     ip_to_int, parse_cidr, write_capture_jsonl)
 from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
                     ModbusSlaveService, MplDevice, Plant, Plc, SensorModel)
 from .fieldbus import MODBUS_PORT, I2cBus, OneWireBus
@@ -157,8 +157,7 @@ class Build:
                                           ["admin", "admin"], of=str)),
                 vulnerable=gui.get("vulnerable", bool, False))
             self.router.bind_tcp(WEBGUI_PORT, self.webgui)
-        self.mail_svc = MailService(self.sim, self.svc["SMTP"])
-        self.mail_host.bind_tcp(25, self.mail_svc)
+        self.mail_host.bind_tcp(25, MailService(self.svc["SMTP"]))
 
     # -- plant -------------------------------------------------------------
     def _build_plant(self):
@@ -207,7 +206,8 @@ class Build:
                              sys_period_us=cfg.time_us("sys_period_s", 10.0,
                                                        least=1),
                              acl_enabled=cfg.get("acl_enabled", bool, False),
-                             allowlist=cfg.get("allowlist", list, [], of=str))
+                             allowlist=cfg.parsed("allowlist", ip_to_int, [],
+                                                  list))
         self.broker.start_sys_publisher()
 
     # -- gateway ----------------------------------------------------------------

@@ -102,19 +102,14 @@ def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int) -> dict:
 # system logs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SyslogEvent:
-    timestamp: str
-    event: str
-
-
 # timestamp token must lead with a digit (ISO text or epoch seconds)
-_SYSLOG_RE = re.compile(r"^(\d\S*)\s+(.*)$")
+_SYSLOG_RE = re.compile(r"^\d\S*\s+(.*)$")
 
 
 def parse_syslog(lines) -> tuple:
-    """-> (events, rejects): timestamp-prefixed lines become two-column
-    events; unparseable lines are preserved, never dropped."""
+    """-> (events, rejects): the event text after the timestamp of each
+    timestamp-prefixed line; unparseable lines are preserved, never
+    dropped."""
     events = []
     rejects = []
     for line in lines:
@@ -125,13 +120,13 @@ def parse_syslog(lines) -> tuple:
         if m is None:
             rejects.append(line)
             continue
-        events.append(SyslogEvent(m.group(1), m.group(2)))
+        events.append(m.group(1))
     return events, rejects
 
 
 def search_events(events, pattern: str) -> list:
     rx = re.compile(pattern)
-    return [e for e in events if rx.search(e.event)]
+    return [e for e in events if rx.search(e)]
 
 
 # ---------------------------------------------------------------------------

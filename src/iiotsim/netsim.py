@@ -19,6 +19,9 @@ from random import Random
 US_PER_S = 1_000_000
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 ROUTER_FORWARD_DELAY_US = 40    # a plan without router_forward_delay_us
+# every proto_tag the testbed sends, so every one a capture line may hold
+PROTO_TAGS = ("API", "ARP", "COAP", "DNS", "HTTP", "HTTPS", "MODBUS", "MQTT",
+              "SCAN", "SMTP", "TCP")
 
 _MAC_RE = re.compile(r"([0-9a-f]{2}:){5}[0-9a-f]{2}")
 # four octets of 1-3 ASCII digits each and a prefix length of 1-2, none
@@ -817,6 +820,8 @@ def write_capture_jsonl(frames, path) -> None:
 
     def kind(k):
         l4, flags, tag = k
+        if tag not in PROTO_TAGS:
+            raise ValueError(f"proto_tag {tag!r} is not one of {PROTO_TAGS}")
         return (f', "l4": {q(l4)}, "tcp_flags": {json.dumps(list(flags))}, '
                 '"len": ', *WIRE_LEN.get(l4, ARP_WIRE_LEN),
                 f', "proto_tag": {q(tag)}, "payload_b64": "')
@@ -857,25 +862,28 @@ def write_capture_jsonl(frames, path) -> None:
 # to the reader what it means to json.loads: a JSON int ([0-9], not \d,
 # which takes other scripts' digits; no leading zero; at most 640 digits,
 # the least limit sys.set_int_max_str_digits allows, so int() takes it
-# whether or not the record is kept), true/false, one of the kernel's three
-# l4s, TCP flag names, and a str without escapes or control characters but
-# for the two a plan names freely, segment and sender, which take JSON's
-# escapes (unrolled, so a name without one costs what a str does). No str
-# takes a surrogate, which is how the reader sees a byte that is not UTF-8.
-# `len` is matched but not captured: wire_len recomputes it.
+# whether or not the record is kept), a port in 0-65535, true/false, one of
+# the kernel's three l4s, TCP flag names, one of PROTO_TAGS, and a str
+# without escapes or control characters but for the two a plan names
+# freely, segment and sender, which take JSON's escapes (unrolled, so a name
+# without one costs what a str does). No str takes a surrogate, which is how
+# the reader sees a byte that is not UTF-8. `len` is matched but not
+# captured: wire_len recomputes it.
 _PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 _STR = f'"({_PLAIN})"'
 _NAME = fr'"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)"'
 _DIGITS = "0|[1-9][0-9]{0,639}"
 _INT = f"({_DIGITS})"
+_PORT = ("(0|[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
+         "|655[0-2][0-9]|6553[0-5])")
 _BOOL = "(true|false)"
 _FLAG = '"(?:ACK|FIN|PSH|RST|SYN)"'
 _WRITER_FIELDS = (
     ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
-    ("src_port", _INT), ("dst_ip", _STR), ("dst_port", _INT),
+    ("src_port", _PORT), ("dst_ip", _STR), ("dst_port", _PORT),
     ("l4", '"(TCP|UDP|ARP)"'),
     ("tcp_flags", fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'),
-    ("len", f"(?:{_DIGITS})"), ("proto_tag", _STR),
+    ("len", f"(?:{_DIGITS})"), ("proto_tag", f'"({"|".join(PROTO_TAGS)})"'),
     ("payload_b64", _STR), ("segment", _NAME), ("sender", _NAME),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
     ("deliver_ts_us", _INT), ("drop_reason", _STR), ("fw_denied", _BOOL))

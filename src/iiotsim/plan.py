@@ -171,9 +171,12 @@ class Fields:
         return self._read(key, default, lambda v: v in options,
                           "one of " + ", ".join(options))
 
-    def parsed(self, key, parse, default=_NEEDED):
-        """The field, a string that parse accepts."""
-        return self._read(key, default, lambda v: _parses(parse, v))
+    def parsed(self, key, parse, default=_NEEDED, kind=str):
+        """The field, a string that parse accepts; with kind list, a list
+        of such strings."""
+        fits = lambda v: _parses(parse, v)
+        return self._read(key, default, fits if kind is str else (
+            lambda v: isinstance(v, list) and all(map(fits, v))))
 
     def time_us(self, key, default=_NEEDED, scale=US_PER_S, least=0):
         """The field, a number of seconds (of 1/scale s), in whole us; an

@@ -65,7 +65,6 @@ class Plant:
         self.tick_period_us = tick_period_us
         self.sensors: dict[str, SensorModel] = {}
         self.actuators: dict[str, Actuator] = {}
-        self.actuator_events: list = []          # (ts, id, state, source)
         self.on_actuator_command = None          # hook(event tuple)
 
     def add_sensor(self, sensor: SensorModel) -> SensorModel:
@@ -93,10 +92,9 @@ class Plant:
         if state not in ("ON", "OFF"):
             raise ValueError(f"bad actuator state {state!r}")
         act.state = state
-        event = (self.sim.now_us, actuator_id, state, source)
-        self.actuator_events.append(event)
         if self.on_actuator_command:
-            self.on_actuator_command(event)
+            self.on_actuator_command((self.sim.now_us, actuator_id, state,
+                                      source))
         return act
 
 
@@ -129,7 +127,6 @@ class Plc:
                           PLC_SETPOINT_REGISTER: self._scale(setpoint_c)}
         self.coils = {PLC_OUTPUT_COIL: False}
         self.input_reachable = True
-        self.fault = False
         self.scan_log: list = []         # (ts, input_value_x10, coil)
         self._request_times = deque()    # external request arrivals (for load)
         self._rng = sim.rng(f"plc/{PLC_ID}")
@@ -149,13 +146,10 @@ class Plc:
         return min(1.0, len(self._request_times) / DOS_LOAD_REF_PER_S)
 
     def scan(self) -> tuple:
-        if self.input_reachable:
+        if self.input_reachable:    # else the previous input value stays
             volts = tmp36_voltage(self.input_sensor.value)
             celsius = tmp36_celsius(volts)
             self.registers[PLC_INPUT_REGISTER] = self._scale(celsius)
-            self.fault = False
-        else:
-            self.fault = True   # keep the previous input value
         value = self.registers[PLC_INPUT_REGISTER]
         setpoint = self.registers[PLC_SETPOINT_REGISTER]
         coil_on = value > setpoint

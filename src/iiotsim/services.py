@@ -9,15 +9,10 @@ WEBGUI_SERVICE_TIME_US = 20_000
 class MailService:
     """Minimal mail-like responder: every client line gets one 250 OK."""
 
-    def __init__(self, sim, service_time_us: int):
-        self.sim = sim
+    def __init__(self, service_time_us: int):
         self.service_time_us = service_time_us
-        self.messages: list = []     # (ts_us, text)
 
     def on_data(self, stream, data: bytes):
-        text = data.decode(errors="replace")
-        if text.startswith("MSG "):
-            self.messages.append((self.sim.now_us, text[4:]))
         stream.reply_after(self.service_time_us, b"250 OK")
 
 

@@ -74,8 +74,9 @@ def test_03_qos2_exactly_once(default_bundle):
             key = (pkt["type"], pkt.get("mid"))
             firsts.setdefault(key, f.ts_us)
     assert dups > 0, "duplicate retries must actually be injected"
+    assert r.gateway.mqtt._pending == {}     # every handshake completed
     checked = 0
-    for mid in r.gateway.mqtt.completed_mids:
+    for mid in [mid for kind, mid in firsts if kind == "PUBLISH"]:
         seq = [firsts.get(("PUBLISH", mid)), firsts.get(("PUBREC", mid)),
                firsts.get(("PUBREL", mid)), firsts.get(("PUBCOMP", mid))]
         assert None not in seq, mid
@@ -221,21 +222,29 @@ def test_08_rogue_subscriber(default_bundle):
     publisher.connect()
 
     sent = itertools.count()
+    published = []
 
     def pump():
-        publisher.publish("station/PLC", json.dumps(
+        published.append(json.dumps(
             {"Device ID": "Slave 2", "Device Type": "PLC MODBUS",
              "Measurement": float(next(sent)),
              "Function": "PLC Temperature Sensor",
-             "Content Type": "Temperature"}), qos=2)
+             "Content Type": "Temperature"}))
+        publisher.publish("station/PLC", published[-1], qos=2)
     sim.every(2_000_000, pump, first_us=1_000_000)
     sim.run_until(125_000_000)
     delivered = set(got)
-    expected = {(t, p) for _, cid, t, p in broker.delivered_log
-                if cid == "rogue"}
+    # the broker's deliveries to the rogue, as they crossed the wire
+    expected = set()
+    for f in sim.capture:
+        if f.proto_tag == "MQTT" and f.dst_ip == "192.168.2.66" and f.payload:
+            pkt = decode_packet(f.payload)
+            if pkt["type"] == "PUBLISH":
+                expected.add((pkt["topic"], pkt["payload"]))
     assert delivered == expected
-    station = {p for t, p in delivered if t == "station/PLC"}
-    assert len(station) == 60   # every publish while subscribed, exactly once
+    station = [p for t, p in got if t == "station/PLC"]
+    # every publish while subscribed, exactly once
+    assert station == published and len(station) == 60
     assert any(t.startswith("$SYS/") for t, _ in delivered)
     ok(8, f"transcript discloses broker state and telemetry "
           f"({len(transcript)} lines); delivered set == published set "

@@ -342,7 +342,8 @@ class TestJitter:
                                  20_000])
         windows, flagged = analytics.jitter_series(frames)
         assert [w.t0_us for w in windows] == [0, 10_000_000]
-        assert [w.gaps for w in windows] == [3, 2]
+        # gaps 1, 2 and 6.99 s in the first window, 1 and 2 s in the second
+        assert windows[0].jitter_ms == pytest.approx(2995.0)
         assert windows[1].jitter_ms == pytest.approx(1000.0)
         assert flagged == windows
 

@@ -164,9 +164,9 @@ class TestLogTamper:
         before = list(build.router.syslog)
         matches = [e for e in before if "shell" in e[1]]
         assert matches
-        window = attacks.log_tamper(build.sim, build.hosts["attacker"],
-                                    build.router, build.webgui, "shell")
-        assert window.deleted == len(matches)
+        attacks.log_tamper(build.sim, build.hosts["attacker"], build.router,
+                           build.webgui, "shell")
+        assert len(before) - len(build.router.syslog) == len(matches)
         assert all("shell" not in e[1] for e in build.router.syslog)
         truth = build.sim.syslog_truth["router"]
         assert [e for e in truth if "shell" in e[1]] == matches
@@ -174,9 +174,8 @@ class TestLogTamper:
     def test_empty_predicate_is_noop(self):
         build = self.exploited_build()
         before = list(build.router.syslog)
-        window = attacks.log_tamper(build.sim, build.hosts["attacker"],
-                                    build.router, build.webgui, "")
-        assert window.deleted == 0
+        attacks.log_tamper(build.sim, build.hosts["attacker"], build.router,
+                           build.webgui, "")
         assert build.router.syslog == before
 
     def test_syslog_row_count_delta_matches_deletions(self):
@@ -185,10 +184,12 @@ class TestLogTamper:
         fmt = lambda entries: [f"2019-01-01T00:00:00.000Z {t}"
                                for _, t in entries]
         before, _ = parse_syslog(fmt(build.router.syslog))
-        window = attacks.log_tamper(build.sim, build.hosts["attacker"],
-                                    build.router, build.webgui, "shell")
+        matches = [text for text in before if "shell" in text]
+        assert matches
+        attacks.log_tamper(build.sim, build.hosts["attacker"], build.router,
+                           build.webgui, "shell")
         after, _ = parse_syslog(fmt(build.router.syslog))
-        assert len(before) - len(after) == window.deleted
+        assert len(before) - len(after) == len(matches)
 
 
     def test_plan_entry_without_foothold_adds_no_window(self):
@@ -196,10 +197,8 @@ class TestLogTamper:
             {"id": "lt", "kind": "log_tamper", "attacker": "attacker",
              "target": "router", "t_start_s": 10.0}]))
         build.run()
-        injector = build.attack_objs["lt"]
-        assert injector.error == "no foothold"
-        assert injector.window is None
         assert build.windows == []
+        assert build.router.syslog == build.sim.syslog_truth["router"]
 
     def test_router_without_webgui_gives_no_foothold(self, tmp_path):
         plan = small_plan(duration_s=20.0, attacks=[
@@ -210,8 +209,8 @@ class TestLogTamper:
         build = harness.Build(plan)
         assert build.webgui is None
         build.run()
-        assert build.attack_objs["lt"].error == "no foothold"
         assert build.windows == []
+        assert build.router.syslog == build.sim.syslog_truth["router"]
         path = tmp_path / "plan.json"
         planmod.save_plan(plan, str(path))
         assert cli.main(["--quiet", "run", "--plan", str(path),
@@ -227,17 +226,14 @@ class TestLogTamper:
             {"id": "lt", "kind": "log_tamper", "attacker": "attacker",
              "target": "router", "t_start_s": 25.0}])
         result = harness.run(plan, str(tmp_path))
-        injector = result.attack_objs["lt"]
-        assert injector.error == ""
         assert [w.kind for w in result.windows] == [
             "exploit", "reverse_shell", "log_tamper"]
         window = result.windows[-1]
-        assert window is injector.window
         assert window.t_start_us == window.t_end_us == 25_000_000
         assert (window.attacker, window.victims) == ("attacker", ("router",))
-        assert window.deleted > 0
-        assert all("shell" not in text
-                   for _, text in result.sim.hosts["router"].syslog)
+        tampered = (tmp_path / "syslog_router.txt").read_text()
+        truth = (tmp_path / "syslog_router_truth.txt").read_text()
+        assert "shell" not in tampered and "shell" in truth
         lines = (tmp_path / "attack_windows.jsonl").read_text().splitlines()
         assert json.loads(lines[-1])["kind"] == "log_tamper"
 
@@ -309,8 +305,6 @@ class TestModbusFlood:
 
     def test_request_volume(self, tmp_path):
         result = harness.run(self.flood_plan(), str(tmp_path))
-        atk = result.attack_objs["dos"]
-        assert atk.requests_sent >= 0.9 * 400 * 5
         lo, hi = result.windows[0].t_start_us, result.windows[0].t_end_us
         captured = [f for f in result.sim.capture
                     if f.sender == "attacker" and f.proto_tag == "MODBUS"
@@ -322,7 +316,6 @@ class TestModbusFlood:
         # each connection's first request is held, then dropped by the RST;
         # the rest find the stream refused and are not written
         result = harness.run(self.flood_plan(target="router"), str(tmp_path))
-        assert result.attack_objs["dos"].requests_sent == 400 * 5 // 10
         sent = [f for f in result.sim.capture
                 if f.sender == "attacker" and f.proto_tag == "MODBUS"]
         assert len(sent) == 400 * 5 // 10
@@ -398,9 +391,18 @@ class TestRogueSubscriber:
     def test_acl_refuses_connection(self, tmp_path):
         result = harness.run(self.rogue_plan(["#"], acl=True),
                              str(tmp_path))
-        atk = result.attack_objs["r"]
-        assert atk.refused
-        assert atk.transcript == []
+        assert result.attack_objs["r"].transcript == []
+        rogue_ip = result.sim.hosts["attacker"].interfaces[0].ip
+        sent = [json.loads(f.payload)["type"] for f in result.sim.capture
+                if f.proto_tag == "MQTT" and f.src_ip == rogue_ip
+                and f.payload]
+        acks = [json.loads(f.payload) for f in result.sim.capture
+                if f.proto_tag == "MQTT" and f.dst_ip == rogue_ip
+                and f.payload]
+        # every cycle's CONNECT is answered with a refusal, and nothing else
+        assert sent and set(sent) == {"CONNECT"}
+        assert len(acks) == len(sent)
+        assert all(a == {"type": "CONNACK", "rc": 5} for a in acks)
 
 
 class TestPortScan:
@@ -477,27 +479,32 @@ class TestExploit:
 
     def test_commands_and_root_marker(self, tmp_path):
         result = harness.run(self.exploit_plan(), str(tmp_path))
-        atk = result.attack_objs["x"]
-        assert atk.succeeded
-        assert atk.sessions[0].commands
-        assert all("uid=0(root)" in out for out in atk.sessions[0].outputs)
-        assert any("reverse shell" in text for _, text in
-                   result.sim.hosts["router"].syslog)
+        syslog = [text for _, text in result.sim.hosts["router"].syslog]
+        assert any("graph payload uploaded" in text for text in syslog)
+        assert any("reverse shell" in text for text in syslog)
+        # the victim opened each shell, so the listener's port is 4444
+        commands = [f.payload for f in result.sim.capture
+                    if f.src_port == 4444 and f.payload]
+        outputs = [f.payload for f in result.sim.capture
+                   if f.dst_port == 4444 and f.payload]
+        assert commands
+        assert outputs == [c + b": uid=0(root) gid=0(wheel)"
+                           for c in commands]
 
     def test_wrong_credentials_fail(self, tmp_path):
         result = harness.run(self.exploit_plan(credentials=("admin", "wrong")),
                              str(tmp_path))
-        atk = result.attack_objs["x"]
-        assert not atk.succeeded
-        assert atk.failure == "bad credentials"
+        syslog = [text for _, text in result.sim.hosts["router"].syslog]
+        assert any("webgui: failed login" in text for text in syslog)
+        assert not any("graph payload uploaded" in text for text in syslog)
         assert not [c for c in result.conversations if c.resp_port == 4444]
 
     def test_not_vulnerable_fails(self, tmp_path):
         result = harness.run(self.exploit_plan(vulnerable=False),
                              str(tmp_path))
-        atk = result.attack_objs["x"]
-        assert not atk.succeeded
-        assert atk.failure == "target not vulnerable"
+        syslog = [text for _, text in result.sim.hosts["router"].syslog]
+        assert any("webgui: login admin" in text for text in syslog)
+        assert not any("graph payload uploaded" in text for text in syslog)
         assert not [c for c in result.conversations if c.resp_port == 4444]
 
 

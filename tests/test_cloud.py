@@ -130,6 +130,7 @@ class TestQos2:
         client.connect()
         sim.run_until(100_000)
         mid = client.publish("station/PLC", BODY, qos=2)
+        assert list(client._pending) == [mid]
         sim.run_until(1_000_000)
         sequence = []
         for ptype in ("PUBLISH", "PUBREC", "PUBREL", "PUBCOMP"):
@@ -138,7 +139,7 @@ class TestQos2:
             assert all(pkt["mid"] == mid for _, pkt in hits)
             sequence.append(min(f.ts_us for f, _ in hits))
         assert sequence == sorted(sequence)
-        assert client.completed_mids == [mid]
+        assert client._pending == {}      # the PUBCOMP completed it
 
     def test_qos0_publish_has_no_acks(self):
         sim, broker, client, gw = broker_pair()
@@ -181,7 +182,7 @@ class TestQos2:
         assert len(publishes) > 20
         # ...yet the historian gained exactly one row per publish
         assert len(broker.historian.rows) == 20
-        assert len(client.completed_mids) == 20
+        assert client._pending == {}
 
 
 class TestSysTopics:
@@ -270,11 +271,10 @@ class TestBrokerAcl:
     def test_allowlist_refuses_unknown_client(self):
         sim, broker, client, gw = broker_pair(acl_enabled=True,
                                               allowlist=("10.9.9.9",))
-        rejected = []
-        client.on_rejected = lambda c: rejected.append(True)
         client.connect()
         sim.run_until(1_000_000)
-        assert rejected
+        assert [pkt for _, pkt in mqtt_frames(sim, "CONNACK")] == [
+            {"type": "CONNACK", "rc": 5}]
         assert not client.connected
 
 
@@ -299,6 +299,7 @@ class TestDeliveredSetEquivalence:
                                "Function": "PLC Temperature Sensor",
                                "Content Type": "Temperature"})
             client.publish("station/PLC", body, qos=2)
+            published.append(("station/PLC", body))
             sim.run_until(sim.now_us + 200_000)
             if n % 5 == 0:
                 broker.sys_tick()
@@ -306,9 +307,12 @@ class TestDeliveredSetEquivalence:
         sim.run_until(sim.now_us + 2_000_000)
         station = {(t, p) for t, p in got if t.startswith("station/")}
         sys_topics = {t for t, _ in got if t.startswith("$SYS/")}
-        expected_station = {(t, p) for _, cid, t, p in broker.delivered_log
-                            if cid == "rogue" and t.startswith("station/")}
-        assert station == expected_station
+        # what the rogue got is what crossed the wire to it
+        wire = {(pkt["topic"], pkt["payload"])
+                for f, pkt in mqtt_frames(sim, "PUBLISH")
+                if f.dst_ip == "192.168.2.66"}
+        assert {(t, p) for t, p in got} == wire
+        assert station == set(published)
         assert len(station) == 25
         assert "$SYS/broker/version" in sys_topics
         assert "$SYS/broker/bytes/sent" in sys_topics

@@ -367,7 +367,7 @@ class TestMetrics:
         # attack rows 7 are some attack (a dos row called scan counts)
         cm = np.array([[9, 1, 0], [2, 3, 1], [1, 0, 3]])
         labels = ["normal", "dos", "scan"]
-        res = CrossValResult(ModelSpec("NB"), labels, [cm], cm,
+        res = CrossValResult(ModelSpec("NB"), labels, cm,
                              metrics_from_confusion(cm, labels), [])
         assert attack_detection(res) == {
             "attack_detection_rate": pytest.approx(0.7),
@@ -423,7 +423,13 @@ class TestCrossValidate:
     def test_fold_matrices_sum_to_aggregate(self):
         X, y = toy_blobs(n=40, seed=6)
         res = cross_validate(ModelSpec("NB"), X, y, k=5, seed=3)
-        assert (sum(res.fold_matrices) == res.confusion).all()
+        fold_matrices = []
+        for train, val in stratified_kfold(y, 5, 3)[0]:
+            X_tr, X_va = fold_features(X, train, val)
+            model = ModelSpec("NB").build().fit(X_tr, y[train])
+            fold_matrices.append(confusion_matrix(
+                y[val], model.predict(X_va), res.labels))
+        assert (sum(fold_matrices) == res.confusion).all()
         assert res.confusion.sum() == len(y)
 
     def test_fold_features_fit_on_the_training_rows_only(self):

@@ -222,7 +222,8 @@ class TestCoapServe:
                               "path": "/actuators/led1", "payload": "on"})
         assert resp["code"] == "2.04 Changed"
         assert gw_build.plant.actuators["led1"].state == "ON"
-        assert gw_build.plant.actuator_events[-1][3] == "coap-client"
+        assert gw.host.syslog[-1][1] == (
+            "gateway: actuator led1 -> ON (source coap-client)")
 
     def test_unknown_path(self, gw_build):
         resp = gw_build.gateway.coap_serve({"type": "CON", "code": "GET",
@@ -241,6 +242,13 @@ class TestCoapServe:
         assert resp["type"] == "NON"
 
 
+def mail_texts(build) -> list:
+    """The text of each message the gateway's notifications sent."""
+    return [f.payload.decode()[4:] for f in build.sim.capture
+            if f.sender == "edge-gw" and f.dst_port == 25
+            and f.payload.startswith(b"MSG ")]
+
+
 class TestNotify:
     def test_threshold_warning_reaches_mail_host(self):
         plan = small_plan(duration_s=20.0)
@@ -248,16 +256,20 @@ class TestNotify:
         plan["plant"]["sensors"]["plc-temp"]["walk_step"] = 0.0
         build = harness.Build(plan)
         build.run()
-        texts = [t for _, t in build.mail_svc.messages]
+        texts = mail_texts(build)
         assert any("warning" in t and "35.0" in t for t in texts)
-        assert any(kind == "notified" for _, kind, _ in build.gateway.events)
+        # the mail host answered both lines of each message
+        oks = [f for f in build.sim.capture
+               if f.sender == build.mail_host.host_id and f.src_port == 25
+               and f.payload == b"250 OK"]
+        assert len(oks) == 2 * len(texts)
 
     def test_actuator_confirmation_message(self):
         plan = small_plan(duration_s=20.0)
         build = harness.Build(plan)
         build.gateway.plant.actuator_command("led1", "ON", "test")
         build.run()
-        texts = [t for _, t in build.mail_svc.messages]
+        texts = mail_texts(build)
         assert any("confirmation" in t and "led1" in t for t in texts)
 
     def test_mail_host_down_logs_failure(self):
@@ -267,8 +279,10 @@ class TestNotify:
         build = harness.Build(plan)
         unbind_tcp(build.mail_host, 25)
         build.run()
-        assert any(kind == "notify-failure"
-                   for _, kind, _ in build.gateway.events)
+        refusals = [f for f in build.sim.capture
+                    if f.src_port == 25 and f.tcp_flags == ("RST",)]
+        assert refusals
+        assert mail_texts(build) == []
 
 
 class TestApi:

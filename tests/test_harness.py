@@ -242,12 +242,15 @@ class TestPlanValidation:
         (("segments", "lan-a", "subnet"), '"192.168.10.0/ 24"'),
         (("segments", "lan-a", "subnet"), '"192.168.10.0/\u0662\u0664"'),
         (("segments", "lan-a", "subnet"), '"192.168.10.0/+24"'),
-        (("segments", "lan-a", "subnet"), '"192.168.10.0/2_4"')])
+        (("segments", "lan-a", "subnet"), '"192.168.10.0/2_4"'),
+        (("broker", "allowlist"), '["192.168.010.150"]'),
+        (("broker", "allowlist"), '["x"]')])
     def test_periods_and_acl_addresses_are_checked_where_read(
             self, tmp_path, capsys, path, text):
         """Each of these validated once; its run then hung or raised, or,
         for a subnet, took a prefix length int() read from other text than
-        1-2 ASCII digits."""
+        1-2 ASCII digits, or, for the broker's allowlist, which it compares
+        with each client's address text, matched no client."""
         path_text = str(tmp_path / "plan.json")
         planmod.save_plan(self.mutated(planmod.default_plan(), path, text),
                           path_text)
@@ -1204,6 +1207,12 @@ class TestCli:
         "escaped_proto_tag": (lambda line: json.dumps(
             {**json.loads(line), "proto_tag": "caf\u00e9"}) + "\n",
             "the line departs from the writer's at proto_tag"),
+        "unknown_proto_tag": (lambda line: json.dumps(
+            {**json.loads(line), "proto_tag": "x"}) + "\n",
+            "the line departs from the writer's at proto_tag"),
+        "port_above_65535": (lambda line: json.dumps(
+            {**json.loads(line), "src_port": 70000}) + "\n",
+            "the line departs from the writer's at src_port"),
         "bad_base64": (lambda line: json.dumps(
             {**json.loads(line), "payload_b64": "abc"}) + "\n",
             "payload_b64 is not base64: Incorrect padding")}

@@ -1,24 +1,9 @@
-import csv
 import os
 
 import pytest
 
 from iiotsim import analytics, harness, hunt
 from iiotsim.netsim import Frame, capture_export
-
-
-def write_syslog_csv(events, path, rejects=None, reject_path=None) -> None:
-    """Parsed syslog events as a two-column CSV, and the rejected lines
-    to reject_path."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("timestamp", "event"))
-        for e in events:
-            w.writerow((e.timestamp, e.event))
-    if reject_path is not None:
-        with open(reject_path, "w") as fh:
-            for line in rejects or ():
-                fh.write(line + "\n")
 
 
 def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS"):
@@ -178,26 +163,17 @@ class TestSyslog:
 
     def test_parse_two_columns_and_rejects(self):
         events, rejects = hunt.parse_syslog(self.LINES)
-        assert len(events) == 3
-        assert events[0].timestamp == "2019-10-01T22:38:42.000Z"
-        assert events[0].event == "webgui: login admin from 10.0.0.7"
+        # the timestamp column is read and dropped
+        assert events == ["webgui: login admin from 10.0.0.7",
+                          "php: reverse shell payload executed",
+                          "sh: payload command 'id' uid=0(root)"]
         assert rejects == ["not a syslog line at all"]
 
     def test_search(self):
         events, _ = hunt.parse_syslog(self.LINES)
         hits = hunt.search_events(events, "shell")
         assert len(hits) == 1
-        assert hunt.search_events(events, "uid=0")[0].event.startswith("sh:")
-
-    def test_csv_and_reject_file(self, tmp_path):
-        events, rejects = hunt.parse_syslog(self.LINES)
-        csv_path = tmp_path / "log.csv"
-        rej_path = tmp_path / "log.rejects"
-        write_syslog_csv(events, csv_path, rejects, rej_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "timestamp,event"
-        assert len(lines) == 4
-        assert rej_path.read_text().strip() == "not a syslog line at all"
+        assert hunt.search_events(events, "uid=0")[0].startswith("sh:")
 
     def test_empty_log(self):
         events, rejects = hunt.parse_syslog([])

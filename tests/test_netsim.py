@@ -871,7 +871,8 @@ class TestCaptureExport:
                 src_mac="02:00:00:00:00:01", dst_mac=netsim.BROADCAST_MAC,
                 src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=k,
                 dst_port=65535 - k, l4=("TCP", "UDP", "ARP")[k % 3],
-                tcp_flags=flags, payload=payload, proto_tag=text[2],
+                tcp_flags=flags, payload=payload,
+                proto_tag=netsim.PROTO_TAGS[k % len(netsim.PROTO_TAGS)],
                 origin=bools[0], final=bools[1], delivered=bools[2],
                 deliver_ts_us=k * 7, drop_reason=text[3],
                 fw_denied=bools[3]))
@@ -903,7 +904,8 @@ class TestCaptureExport:
                 dst_mac=t[3], src_ip=t[4], dst_ip=t[5],
                 src_port=(0, 65535, k)[k % 3],
                 dst_port=(65535, 0, 1)[k // 3 % 3], l4=l4, tcp_flags=flags,
-                payload=bytes(range(k % 7 * 3)), proto_tag=t[6],
+                payload=bytes(range(k % 7 * 3)),
+                proto_tag=netsim.PROTO_TAGS[k % len(netsim.PROTO_TAGS)],
                 origin=k % 2 == 0, final=k % 4 < 2, delivered=k % 3 == 0,
                 deliver_ts_us=k * 11, drop_reason=t[7],
                 fw_denied=k % 5 == 0))
@@ -916,6 +918,16 @@ class TestCaptureExport:
         assert any(rec["payload_b64"] for rec in arp)
         assert {tuple(json.loads(line)["tcp_flags"]) for line in lines} \
             == set(flag_sets) and len(flag_sets) == 32
+
+    @pytest.mark.parametrize("tag", ["x", "modbus", "UDP", ""])
+    def test_writer_refuses_a_tag_the_reader_would(self, tmp_path, tag):
+        frame = Frame(ts_us=0, segment="lan", sender="a",
+                      src_mac="02:00:00:00:00:01",
+                      dst_mac="02:00:00:00:00:02", src_ip="10.0.0.1",
+                      dst_ip="10.0.0.2", src_port=1, dst_port=2, l4="UDP",
+                      tcp_flags=(), payload=b"", proto_tag=tag)
+        with pytest.raises(ValueError, match="proto_tag"):
+            write_capture_jsonl([frame], tmp_path / "capture.jsonl")
 
     def test_writer_lines_cross_write_batches_whole(self, tmp_path):
         # lines that fill several batches, one longer than a batch alone
@@ -1091,6 +1103,16 @@ class TestCaptureReader:
             dict(rec, dst_ip="\u0661\u0660.0.0.1"))], "dst_ip"),
         "unknown_l4": (lambda line, rec: [json.dumps(dict(rec, l4="x"))],
                        "l4"),
+        "unknown_proto_tag": (lambda line, rec: [json.dumps(
+            dict(rec, proto_tag="x"))], "proto_tag"),
+        "proto_tag_in_lower_case": (lambda line, rec: [json.dumps(
+            dict(rec, proto_tag="modbus"))], "proto_tag"),
+        "src_port_above_65535": (lambda line, rec: [json.dumps(
+            dict(rec, src_port=70000))], "src_port"),
+        "dst_port_65536": (lambda line, rec: [json.dumps(
+            dict(rec, dst_port=65536))], "dst_port"),
+        "port_of_six_digits": (lambda line, rec: [json.dumps(
+            dict(rec, src_port=100000))], "src_port"),
         # a name whose escape JSON has not
         "bad_escape_in_a_name": (lambda line, rec: [json.dumps(
             dict(rec, sender="h\\q")).replace("h\\\\q", "h\\q")],

@@ -1,20 +1,35 @@
-"""No test-only code in src/: every function, class and method that
-src/iiotsim defines is named somewhere in src/iiotsim, so the testbed runs
-it. A name counts as an attribute, an import or an exact string constant
-(getattr(svc, "on_open") names on_open), and, for a function or class, as a
-Name too: a local variable of a method's name does not reach the method.
-Dunders are exempt, and
-so is each name perfbench/spans.py wraps: the benchmark's traced run looks
-those up by name, so a span dropped there makes its name count here again.
-A reference that only tests compare against belongs in tests/conftest.py."""
+"""No test-only code or state in src/.
+
+Definitions: every function, class and method that src/iiotsim defines is
+named somewhere in src/iiotsim, so the testbed runs it. A name counts as an
+attribute, an import or an exact string constant (getattr(svc, "on_open")
+names on_open), and, for a function or class, as a Name too: a local
+variable of a method's name does not reach the method. Dunders are exempt,
+and so is each name perfbench/spans.py wraps: the benchmark's traced run
+looks those up by name, so a span dropped there makes its name count here
+again. A reference that only tests compare against belongs in
+tests/conftest.py.
+
+Stored state: every attribute src/iiotsim stores (self.x = ..., obj.x = ...,
+x += ...) or declares as a class field (a dataclass's x: int) is read
+somewhere, by name, in src/iiotsim or perfbench/*.py. A read is an attribute
+load that is not the receiver of append, extend, add, update or clear, or a
+string constant; a list only ever appended to is a transcript nothing reads.
+A test observes the run through its bundle, its capture, its logs or a hook
+src/ already calls, not through state kept for it."""
 
 import ast
+import glob
 import os
 
 from test_spans import wrapped_names
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src", "iiotsim")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "iiotsim")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+GROWERS = {"append", "extend", "add", "update", "clear"}
+# read only as getattr(self, f"on_{state}") in netsim.TcpStream._set_state
+READ_THROUGH_GETATTR = {"on_established", "on_closed", "on_refused"}
 
 
 def src_trees() -> dict:
@@ -85,3 +100,87 @@ def test_the_rule_flags_a_definition_only_a_test_names():
     assert unnamed_definitions(trees) == [("m.py", 4, "only_tested"),
                                           ("m.py", 10, "query"),
                                           ("m.py", 15, "start")]
+
+
+def reads(tree) -> set:
+    """Every attribute tree loads, but as the receiver of a GROWERS call,
+    and every string constant in it."""
+    grown = {id(node.func.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in GROWERS}
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load) and id(node) not in grown)
+            or (isinstance(node, ast.Constant)
+                and isinstance(node.value, str))}
+
+
+def stored(trees) -> list:
+    """(file, line, name) of each attribute store and class field."""
+    out = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Store):
+                out.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                out.extend((path, item.lineno, item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name))
+    return out
+
+
+def unread_state(trees, other_trees=()) -> list:
+    """(file, line, name) of each store or field of trees whose name
+    neither trees nor other_trees read."""
+    read = set().union(*map(reads, [*trees.values(), *other_trees]))
+    return sorted(s for s in stored(trees) if s[2] not in read)
+
+
+def perfbench_trees() -> list:
+    trees = []
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path) as fh:
+            trees.append(ast.parse(fh.read()))
+    return trees
+
+
+def test_all_state_src_stores_is_read():
+    unread = unread_state(src_trees(), perfbench_trees())
+    assert [s for s in unread if s[2] not in READ_THROUGH_GETATTR] == []
+    # an exemption whose name src/ no longer stores goes too
+    assert {s[2] for s in unread} == READ_THROUGH_GETATTR
+
+
+def test_the_rule_flags_state_only_a_test_reads():
+    trees = {"m.py": ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\n"
+        "class Window:\n"
+        "    t0: int\n"
+        "    gaps: int\n\n"
+        "class Client:\n"
+        "    def __init__(self):\n"
+        "        self.sent = []\n"
+        "        self.log = []\n"
+        "        self.count = 0\n"
+        "        self.hook = None\n"
+        "        self.done = set()\n\n"
+        "    def send(self, w):\n"
+        "        self.sent.append(w.t0)\n"
+        "        self.log.append(self.sent[-1])\n"
+        "        self.done.add(w)\n"
+        "        self.count += 1\n"
+        "        w.closed = True\n"
+        "        return getattr(self, 'hook'), w in self.done\n")}
+    # appended to, counted up or set, and never read
+    assert unread_state(trees) == [("m.py", 6, "gaps"), ("m.py", 11, "log"),
+                                   ("m.py", 12, "count"),
+                                   ("m.py", 20, "count"),
+                                   ("m.py", 21, "closed")]
+    # a load elsewhere, such as in perfbench, reads it
+    assert unread_state(trees, [ast.parse("print(run.log, w.closed)")]) == [
+        ("m.py", 6, "gaps"), ("m.py", 12, "count"), ("m.py", 20, "count")]
