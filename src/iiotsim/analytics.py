@@ -4,6 +4,7 @@ extraction with ground-truth labeling."""
 
 import csv
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 from . import fieldbus
@@ -628,10 +629,13 @@ def write_dataset_csv(rows, path) -> None:
             w.writerow([repr(v) for v in r.features] + [r.label])
 
 
-def read_dataset_csv(path) -> list:
-    """Rows of a dataset.csv; a bad header or row raises ValueError."""
+def read_dataset_csv(path) -> tuple:
+    """-> (features, labels) of a dataset.csv: features an array('d') of
+    every row's FEATURE_COLUMNS values end to end, each float() of its
+    cell, and labels the rows' label strings in order. A bad header or row
+    raises ValueError."""
     columns = list(FEATURE_COLUMNS + ("label",))
-    out = []
+    features, labels = array("d"), []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, None) != columns:
@@ -643,9 +647,10 @@ def read_dataset_csv(path) -> list:
             if len(row) != len(columns):
                 raise ValueError(f"{path}: row {n} has {len(row)} fields, "
                                  f"expected {len(columns)}")
+            label = row.pop()
             try:
-                features = tuple(float(v) for v in row[:-1])
+                features.extend(map(float, row))
             except ValueError as e:
                 raise ValueError(f"{path}: row {n}: {e}") from e
-            out.append(DatasetRow(features, row[-1]))
-    return out
+            labels.append(label)
+    return features, labels

@@ -399,7 +399,7 @@ class RogueSubscriber(Injector):
         if self.sim.now_us >= self.t_end_us:
             return
         self._cycle_n += 1
-        client = MqttClient(self.sim, self.attacker, self.broker_ip,
+        client = MqttClient(self.attacker, self.broker_ip,
                             f"rogue-{self._cycle_n}")
         client.on_message = lambda topic, payload: self.transcript.append(
             f"{topic}: {payload}")

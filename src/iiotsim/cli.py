@@ -152,19 +152,21 @@ def cmd_detect(args) -> int:
         return _fail(f"--folds must be at least 2, got {args.folds}")
     dataset_path = os.path.join(args.out, "dataset.csv")
     try:
-        rows = analytics.read_dataset_csv(dataset_path)
+        features, labels = analytics.read_dataset_csv(dataset_path)
     except FileNotFoundError:
         return _fail(f"no dataset at {dataset_path}")
     except (OSError, ValueError) as e:
         return _fail(f"cannot read dataset: {e}")
-    if not rows:
+    if not labels:
         return _fail("dataset is empty")
-    if args.folds > len(rows):
-        return _fail(f"--folds must be at most the dataset's {len(rows)} "
+    if args.folds > len(labels):
+        return _fail(f"--folds must be at most the dataset's {len(labels)} "
                      f"rows, got {args.folds}")
-    X = np.array([r.features for r in rows])
-    y = np.array([r.label for r in rows])
-    del rows        # the five cross-validations need only X and y
+    # X is a view of the reader's buffer: no float object per value
+    X = np.frombuffer(features, dtype=np.float64).reshape(
+        len(labels), len(analytics.FEATURE_COLUMNS))
+    y = np.array(labels)
+    del labels      # the five cross-validations need only X and y
     results = []
     report = {"folds": args.folds, "seed": args.seed or 0, "models": {}}
     attack_labels = [l for l in sorted(set(y)) if l != NORMAL]

@@ -323,9 +323,8 @@ class MqttClient:
     """Publisher session with QoS-2 handshake and optional duplicate
     retries (PUBLISH/PUBREL re-sends) for exactly-once testing."""
 
-    def __init__(self, sim, host, broker_ip: str, client_id: str,
+    def __init__(self, host, broker_ip: str, client_id: str,
                  dup_every: int = 0):
-        self.sim = sim
         self.host = host
         self.broker_ip = broker_ip
         self.client_id = client_id

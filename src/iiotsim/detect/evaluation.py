@@ -81,10 +81,11 @@ def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
 def confusion_matrix(y_true, y_pred, labels) -> np.ndarray:
     labels = list(labels)
     index = {l: i for i, l in enumerate(labels)}
-    cm = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        cm[index[t], index[p]] += 1
-    return cm
+    n = len(labels)
+    codes = [index[t] * n + index[p] for t, p in zip(
+        np.asarray(y_true).tolist(), np.asarray(y_pred).tolist())]
+    return np.bincount(np.array(codes, dtype=np.int64),
+                       minlength=n * n).reshape(n, n)
 
 
 def metrics_from_confusion(cm, labels) -> dict:

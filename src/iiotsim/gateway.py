@@ -99,7 +99,7 @@ class EdgeGateway:
         self.latest: dict[str, Reading] = {}
         self.svc_us = build.svc
         self.dns_table = cfg.get("dns", dict, {}, of=str)
-        self.mqtt = MqttClient(self.sim, self.host, build.reach(
+        self.mqtt = MqttClient(self.host, build.reach(
             "gateway", self.host, build.cloud_host.interfaces[0].ip),
             "edge-gw", dup_every=cfg.get("mqtt_dup_every", int, 0, lo=0))
         # null, 0 or missing: no reconnects

@@ -173,9 +173,9 @@ class Build:
             low, high = DEVICE_SENSORS.get(sid, (None, None))
             lo = s.get("lo", float, lo=low, hi=high)
             hi = s.get("hi", float, lo=lo, hi=high)
+            s.get("kind", str)      # the plan names each sensor's model
             self.sensors[sid] = self.plant.add_sensor(SensorModel(
-                sid, s.get("kind", str), lo, hi, s.get("walk_step", float,
-                                                       lo=0),
+                sid, lo, hi, s.get("walk_step", float, lo=0),
                 s.get("init", float, lo=lo, hi=hi)))
         actuators = cfg.get("actuators", list, ["led1"], of=str)
         if not actuators:
@@ -192,7 +192,7 @@ class Build:
                        scan_phase_us=plc_cfg.time_us("scan_phase_ms", 13,
                                                      scale=1000))
         self.plc_host.bind_tcp(MODBUS_PORT, ModbusSlaveService(
-            self.sim, self.plc.handle_modbus, self.svc["MODBUS"]))
+            self.plc.handle_modbus, self.svc["MODBUS"]))
         self.plant.start()
         self.plc.start()
 

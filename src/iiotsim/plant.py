@@ -34,7 +34,6 @@ class SensorModel:
     """Bounded random walk in engineering units."""
 
     sensor_id: str
-    kind: str                  # tmp36 | ds18b20 | mpl-temp | mpl-pressure | sim-*
     lo: float
     hi: float
     walk_step: float
@@ -53,7 +52,6 @@ class SensorModel:
 
 @dataclass
 class Actuator:
-    actuator_id: str
     state: str = "OFF"
 
 
@@ -72,7 +70,7 @@ class Plant:
         return sensor
 
     def add_actuator(self, actuator_id: str) -> Actuator:
-        act = Actuator(actuator_id)
+        act = Actuator()
         self.actuators[actuator_id] = act
         return act
 
@@ -244,8 +242,7 @@ def modbus_transact(host, slave_ip, request, on_response):
 class ModbusSlaveService:
     """Fabric TCP service wrapping a register-table handler (the PLC)."""
 
-    def __init__(self, sim, handler, service_time_us: int):
-        self.sim = sim
+    def __init__(self, handler, service_time_us: int):
         self.handler = handler            # fn(ModbusAdu) -> ModbusAdu
         self.service_time_us = service_time_us
 

@@ -203,6 +203,17 @@ def reference_logistic_fit(X, y, l2=1e-4) -> tuple:
     return classes, params[:, :-1], params[:, -1]
 
 
+def reference_confusion_matrix(y_true, y_pred, labels) -> np.ndarray:
+    """confusion_matrix as it was before it counted with np.bincount: one
+    cell increment per row."""
+    labels = list(labels)
+    index = {l: i for i, l in enumerate(labels)}
+    cm = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        cm[index[t], index[p]] += 1
+    return cm
+
+
 def reference_label_dataset(conversations, windows) -> tuple:
     """label_dataset as it was before its rows became a view: (the list
     of every row, built at once, class_counts, dropped_count)."""

@@ -213,8 +213,8 @@ def test_08_rogue_subscriber(default_bundle):
                     sys_period_us=5_000_000, acl_enabled=False, allowlist=())
     broker.start_sys_publisher()
     sim.horizon_us = 120_000_000
-    publisher = MqttClient(sim, pub_host, "192.168.2.10", "pub")
-    rog = MqttClient(sim, rog_host, "192.168.2.10", "rogue")
+    publisher = MqttClient(pub_host, "192.168.2.10", "pub")
+    rog = MqttClient(rog_host, "192.168.2.10", "rogue")
     got = []
     rog.on_message = lambda t, p: got.append((t, p))
     rog.on_connected = lambda c: c.subscribe(["#", "$SYS/#"])

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from array import array
 
 import pytest
 
@@ -443,9 +444,33 @@ class TestDatasetFeatures:
             assert v == v and abs(v) != float("inf")
         path = tmp_path / "dataset.csv"
         analytics.write_dataset_csv(rows, path)
-        back = analytics.read_dataset_csv(path)
-        assert back[0].features == rows[0].features
-        assert back[0].label == "normal"
+        features, labels = analytics.read_dataset_csv(path)
+        assert features == array("d", [v for r in rows for v in r.features])
+        assert labels == [r.label for r in rows] == ["normal"] * len(rows)
+
+    def test_read_gives_float_of_each_cell_and_labels_in_order(
+            self, tmp_path):
+        cells = [["0.1", "-0.0", "5e-324", "1.7976931348623157e+308",
+                  "0.30000000000000004", "2.2250738585072014e-308", "1e22",
+                  "123456789012345678901234567890", " 7.5", "1E-7", "-3",
+                  "0", "1.0", "0.0", "1.0", "0.0", "0.0", "0.0", "rogue_mqtt"],
+                 [repr(float(i) / 7) for i in range(18)] + ["normal"],
+                 ["inf", "-inf", "nan"] + ["2.5"] * 15 + ["arp_spoof"]]
+        path = tmp_path / "dataset.csv"
+        path.write_text(DATASET_HEADER + "\n" + "".join(
+            ",".join(row) + "\n" for row in cells))
+        features, labels = analytics.read_dataset_csv(path)
+        assert [v.hex() for v in features] == [
+            float(c).hex() for row in cells for c in row[:-1]]
+        assert labels == ["rogue_mqtt", "normal", "arp_spoof"]
+
+    def test_read_skips_a_blank_line(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(f"{DATASET_HEADER}\n{'1,' * 18}normal\n\n"
+                        f"{'2,' * 18}modbus_dos\n")
+        features, labels = analytics.read_dataset_csv(path)
+        assert features == array("d", [1.0] * 18 + [2.0] * 18)
+        assert labels == ["normal", "modbus_dos"]
 
     @pytest.mark.parametrize("header,row,where", [
         ("a,b", "1,x", "row 1"),

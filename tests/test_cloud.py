@@ -102,7 +102,7 @@ def broker_pair(seed=21, acl_enabled=False, allowlist=(), dup_every=0):
     broker = Broker(sim, cloud, EPOCH, version="iiotsim-broker 1.0",
                     service_time_us=1000, sys_period_us=10_000_000,
                     acl_enabled=acl_enabled, allowlist=allowlist)
-    client = MqttClient(sim, gw, "192.168.2.10", "pub", dup_every=dup_every)
+    client = MqttClient(gw, "192.168.2.10", "pub", dup_every=dup_every)
     return sim, broker, client, gw
 
 
@@ -157,7 +157,7 @@ class TestQos2:
         for n in range(2):
             host = sim.attach_host(f"sub{n}", [("wan", f"00:50:56:c0:00:2{n}",
                                                 f"192.168.2.2{n}")])
-            sub = MqttClient(sim, host, "192.168.2.10", f"sub{n}")
+            sub = MqttClient(host, "192.168.2.10", f"sub{n}")
             got = []
             sub.on_message = lambda t, p, got=got: got.append((t, p))
             sub.on_connected = lambda c: c.subscribe(["station/#"])
@@ -192,7 +192,7 @@ class TestSysTopics:
         for n in range(2):
             host = sim.attach_host(f"sub{n}", [("wan", f"00:50:56:c0:00:3{n}",
                                                 f"192.168.2.3{n}")])
-            sub = MqttClient(sim, host, "192.168.2.10", f"sub{n}")
+            sub = MqttClient(host, "192.168.2.10", f"sub{n}")
             sub.on_connected = lambda c: c.subscribe(filters)
             sub.connect()
         sim.run_until(1_000_000)
@@ -283,7 +283,7 @@ class TestDeliveredSetEquivalence:
         sim, broker, client, gw = broker_pair()
         host = sim.attach_host("rogue", [("wan", "00:50:56:c0:00:66",
                                           "192.168.2.66")])
-        rogue = MqttClient(sim, host, "192.168.2.10", "rogue")
+        rogue = MqttClient(host, "192.168.2.10", "rogue")
         got = []
         rogue.on_message = lambda t, p: got.append((t, p))
         rogue.on_connected = lambda c: c.subscribe(["#", "$SYS/#"])

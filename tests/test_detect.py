@@ -1,12 +1,14 @@
+import csv
 import json
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from iiotsim import analytics
+from iiotsim import analytics, cli
 from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
                             GaussianNBClassifier, KNeighborsClassifier,
                             LogisticRegressionOvR, ModelSpec,
@@ -17,7 +19,7 @@ from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
 from iiotsim.detect import estimators
 
 from conftest import (binary_logistic_loss_and_grad,
-                      reference_logistic_fit)
+                      reference_confusion_matrix, reference_logistic_fit)
 
 
 def toy_blobs(n=60, seed=0):
@@ -385,6 +387,24 @@ class TestMetrics:
         cm = confusion_matrix(["a", "a", "b"], ["a", "b", "b"], ["a", "b"])
         assert cm.tolist() == [[1, 1], [0, 1]]
 
+    def test_confusion_matrix_is_the_loops(self):
+        rng = np.random.default_rng(3)
+        labels = ["arp_spoof", "modbus_dos", "normal", "rogue_mqtt"]
+        y_true = np.array(labels)[rng.integers(0, 4, 700)]
+        # rogue_mqtt is never predicted
+        y_pred = np.array(labels[:3])[rng.integers(0, 3, 700)]
+        cm = confusion_matrix(y_true, y_pred, labels)
+        ref = reference_confusion_matrix(y_true, y_pred, labels)
+        assert cm.dtype == ref.dtype == np.int64
+        assert np.array_equal(cm, ref)
+        assert not cm[:, 3].any() and cm[3].sum() > 0
+        assert np.array_equal(confusion_matrix([], [], labels),
+                              np.zeros((4, 4), dtype=np.int64))
+        with pytest.raises(KeyError):
+            confusion_matrix(["a", "c"], ["a", "a"], ["a", "b"])
+        with pytest.raises(KeyError):
+            confusion_matrix(["a", "b"], ["a", "c"], ["a", "b"])
+
 
 class TestModelSpec:
     def test_each_kind_builds_its_estimator_with_its_params(self):
@@ -614,13 +634,41 @@ def ref_forest_predict(X, y, Q, n_trees, max_depth=12, min_leaf=1,
 def default_fold0(bundle):
     """Fold 0 of the CV that `iiotsim detect` runs on the bundle's dataset,
     scaled as cross_validate scales it -> (T, y_train, Q)."""
-    rows = analytics.read_dataset_csv(
+    features, labels = analytics.read_dataset_csv(
         os.path.join(bundle.out_dir, "dataset.csv"))
-    X = np.array([r.features for r in rows])
-    y = np.array([r.label for r in rows])
+    X = np.array(features).reshape(len(labels), -1)
+    y = np.array(labels)
     train, val = stratified_kfold(y, 10, 42)[0][0]
     T, Q = fold_features(X, train, val)
     return T, y[train], Q
+
+
+def test_detect_reads_each_dataset_cell_bit_for_bit(default_bundle, tmp_path,
+                                                    monkeypatch):
+    """The X and y that `iiotsim detect` cross-validates on the golden
+    seed-42 dataset.csv are float() of each feature cell, bit for bit, and
+    the labels in order."""
+    shutil.copy(os.path.join(default_bundle.out_dir, "dataset.csv"), tmp_path)
+    with open(tmp_path / "dataset.csv", newline="") as fh:
+        cells = list(csv.reader(fh))[1:]
+
+    class Seen(Exception):
+        pass
+
+    seen = []
+
+    def stop(spec, X, y, k, seed):
+        seen.append((X, y))
+        raise Seen
+
+    monkeypatch.setattr(cli, "cross_validate", stop)
+    with pytest.raises(Seen):
+        cli.main(["--quiet", "detect", "--seed", "42", "--out", str(tmp_path)])
+    (X, y), = seen
+    ref = np.array([[float(c) for c in row[:-1]] for row in cells])
+    assert X.shape == ref.shape == (7038, len(analytics.FEATURE_COLUMNS))
+    assert X.dtype == np.float64 and X.tobytes() == ref.tobytes()
+    assert y.tolist() == [row[-1] for row in cells]
 
 
 def ref_knn_predict(X, y, Q, k):

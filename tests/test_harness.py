@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -525,14 +526,17 @@ class TestRunArtifacts:
     def test_dataset_rows_are_a_view_equal_to_the_written_rows(
             self, default_bundle):
         rows = default_bundle.dataset_rows
-        written = analytics.read_dataset_csv(
+        features, labels = analytics.read_dataset_csv(
             os.path.join(default_bundle.out_dir, "dataset.csv"))
         reference = reference_label_dataset(default_bundle.conversations,
                                             default_bundle.windows)
-        assert len(rows) == len(written) == len(reference[0]) > 7000
-        assert list(rows) == written == reference[0]
+        assert len(rows) == len(labels) == len(reference[0]) > 7000
+        assert list(rows) == reference[0]
+        assert features == array("d", [v for r in reference[0]
+                                       for v in r.features])
+        assert labels == [r.label for r in reference[0]]
         # a second read builds the same rows again
-        assert list(rows) == written
+        assert list(rows) == reference[0]
         assert (default_bundle.class_counts, default_bundle.dropped_rows) \
             == reference[1:]
         assert not isinstance(rows, list)
@@ -1080,8 +1084,8 @@ class TestCli:
             if not present:
                 windows.unlink()
             assert cli.main(["--quiet", "report", "--out", str(out)]) == 0
-            labels[present] = {r.label for r in analytics.read_dataset_csv(
-                out / "dataset.csv")}
+            labels[present] = set(analytics.read_dataset_csv(
+                out / "dataset.csv")[1])
         assert labels == {True: {"normal", "modbus_dos"}, False: {"normal"}}
 
     @pytest.mark.parametrize("tag,port", [("COAP", 5683), ("DNS", 53),

@@ -21,15 +21,15 @@ class TestSensorWalk:
         # prior value from a recorded humidity row; the next step stays
         # within +-walk_step of it (intersected with the range)
         sim, plant = make_plant()
-        s = plant.add_sensor(SensorModel("sim-humidity", "sim-humidity",
-                                         10.0, 90.0, 2.0, 28.08))
+        s = plant.add_sensor(SensorModel("sim-humidity", 10.0, 90.0, 2.0,
+                                         28.08))
         plant.tick()
         assert 26.08 <= s.value <= 30.08
         assert 10.0 <= s.value <= 90.0
 
     def test_clamped_at_range_max(self):
         sim, plant = make_plant()
-        s = plant.add_sensor(SensorModel("s", "sim-temp", 0.0, 30.0, 5.0, 30.0))
+        s = plant.add_sensor(SensorModel("s", 0.0, 30.0, 5.0, 30.0))
         for _ in range(50):
             plant.tick()
             assert s.value <= 30.0
@@ -37,8 +37,7 @@ class TestSensorWalk:
     def test_rerun_identical_series(self):
         def series():
             sim, plant = make_plant(seed=77)
-            s = plant.add_sensor(SensorModel("s", "sim-temp", 0.0, 50.0,
-                                             0.7, 25.0))
+            s = plant.add_sensor(SensorModel("s", 0.0, 50.0, 0.7, 25.0))
             out = []
             for _ in range(100):
                 plant.tick()
@@ -48,14 +47,14 @@ class TestSensorWalk:
 
     def test_stopped_sensor_holds_value(self):
         sim, plant = make_plant()
-        s = plant.add_sensor(SensorModel("s", "sim-temp", 0.0, 50.0, 1.0, 25.0))
+        s = plant.add_sensor(SensorModel("s", 0.0, 50.0, 1.0, 25.0))
         s.running = False
         plant.tick()
         assert s.value == 25.0
 
     def test_initial_value_must_be_in_range(self):
         with pytest.raises(ValueError):
-            SensorModel("s", "sim-temp", 0.0, 10.0, 1.0, 11.0)
+            SensorModel("s", 0.0, 10.0, 1.0, 11.0)
 
 
 class TestTmp36:
@@ -77,8 +76,8 @@ class TestTmp36:
 
 def make_plc(seed=6, setpoint=30.0, init=25.0):
     sim, plant = make_plant(seed=seed)
-    sensor = plant.add_sensor(SensorModel("plc-temp", "tmp36", -40.0, 125.0,
-                                          0.0, init))
+    sensor = plant.add_sensor(SensorModel("plc-temp", -40.0, 125.0, 0.0,
+                                          init))
     plant.add_actuator("led1")
     plc = Plc(sim, plant, sensor, "led1", scan_period_us=100_000,
               setpoint_c=setpoint, scan_phase_us=13_000)
@@ -178,7 +177,7 @@ class TestModbusTransact:
                                          "10.0.0.1")])
         slave = sim.attach_host("plc", [("lan", "02:00:00:00:00:02",
                                          "10.0.0.2")])
-        slave.bind_tcp(502, ModbusSlaveService(sim, plc.handle_modbus,
+        slave.bind_tcp(502, ModbusSlaveService(plc.handle_modbus,
                                                service_time_us=1000))
         return sim, master, plc
 
