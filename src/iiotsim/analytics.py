@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import decode_packet, loads
-from .services import WEBGUI_PORT
+from .services import API_PORT, HTTP_PORT, SMTP_PORT, WEBGUI_PORT
 
 IDLE_TIMEOUT_US = 60_000_000
 JITTER_WINDOW_US = 10_000_000
@@ -245,7 +245,8 @@ class ResponseStats:
 # the proto_tags response_times pairs, in metrics_report.json order: the
 # server ports of the byte-stream protocols, None for those paired on an id
 RESPONSE_PROTOCOLS = {"MODBUS": None, "COAP": None, "DNS": None,
-                      "HTTP": {80}, "API": {8080}, "SMTP": {25}, "MQTT": None,
+                      "HTTP": {HTTP_PORT}, "API": {API_PORT},
+                      "SMTP": {SMTP_PORT}, "MQTT": None,
                       "HTTPS": {WEBGUI_PORT}}
 
 

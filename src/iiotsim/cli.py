@@ -59,7 +59,7 @@ def cmd_calibrate(args) -> int:
     calibrated = planmod.calibrate(_load_plan(args))
     out = args.out_plan or (args.plan or "plan.calibrated.json")
     try:
-        planmod.save_plan(calibrated, out)
+        harness.write_json(calibrated, out)
     except OSError as e:
         return _fail(f"cannot write plan: {e}")
     if not args.quiet:
@@ -118,21 +118,19 @@ def _read_syslog(given, default):
 @harness.collector_paused
 def cmd_hunt(args) -> int:
     """Rebuild the plan's hunt report, as `run` wrote it, from the hunt's
-    rows of the bundle's conn.log and the hunt's frames of its capture."""
+    rows of the bundle's conn.log and the router's syslogs."""
     build = harness.Build(_load_plan(args))
     conn_path = os.path.join(args.out, "conn.log")
-    capture_path = os.path.join(args.out, "capture.jsonl")
-    missing = {conn_path: "conn.log", capture_path: "capture"}
     try:
         rows = analytics.read_conn_log(conn_path, keep=functools.partial(
             hunt.reads_row, victim_ip=build.victim))
         syslogs = [_read_syslog(given, os.path.join(args.out, name))
                    for given, name in zip((args.syslog, args.syslog_truth),
                                           build.syslog_names())]
-        frames = list(iter_capture_jsonl(capture_path, keep=build.hunts))
-        report = harness.build_hunt_report(build, rows, frames, *syslogs)
+        report = harness.build_hunt_report(build, rows, *syslogs)
     except FileNotFoundError as e:
-        return _fail(f"no {missing.get(e.filename, 'syslog')} at {e.filename}")
+        what = "conn.log" if e.filename == conn_path else "syslog"
+        return _fail(f"no {what} at {e.filename}")
     except (OSError, ValueError) as e:
         return _fail(f"cannot read bundle: {e}")
     out_path = os.path.join(args.out, "hunt_report.json")
@@ -230,7 +228,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("hunt", help="run the hunting chain over conn.log")
+    p = sub.add_parser("hunt", help="run the hunting chain over conn.log "
+                       "and the router syslogs")
     p.add_argument("--plan", help="plan file (defaults to the shipped plan)")
     p.add_argument("--out", default="out")
     p.add_argument("--syslog", help="router syslog (defaults to the "

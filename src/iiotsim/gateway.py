@@ -9,6 +9,7 @@ from .cloud import MqttClient, dumps, loads
 from .historian import Historian
 from .plant import (PLC_INPUT_REGISTER, PLC_SETPOINT_REGISTER,
                     modbus_transact)
+from .services import API_PORT, COAP_PORT, DNS_PORT, HTTP_PORT, SMTP_PORT
 
 # telemetry identity per device class: (Device_ID, Device_Type, Function,
 # Content_Type, topic)
@@ -113,10 +114,10 @@ class EdgeGateway:
         self.mqtt.connect()
         if self.mqtt_reconnect_every_us:
             self.sim.every(self.mqtt_reconnect_every_us, self._reconnect_mqtt)
-        self.host.bind_udp(5683, self._coap_service)
-        self.host.bind_udp(53, self._dns_service)
-        self.host.bind_tcp(80, _HttpService(self, self.svc_us["HTTP"]))
-        self.host.bind_tcp(8080, _HttpService(self, self.svc_us["API"]))
+        self.host.bind_udp(COAP_PORT, self._coap_service)
+        self.host.bind_udp(DNS_PORT, self._dns_service)
+        self.host.bind_tcp(HTTP_PORT, _HttpService(self, self.svc_us["HTTP"]))
+        self.host.bind_tcp(API_PORT, _HttpService(self, self.svc_us["API"]))
         self.sim.every(self.poll_period_us, self.poll_cycle)
 
     def _reconnect_mqtt(self) -> None:
@@ -208,7 +209,7 @@ class EdgeGateway:
         if last is not None and now - last < self.notify_min_gap_us:
             return
         self._last_notify_us[kind] = now
-        stream = self.host.open_tcp(self.mail_ip, 25, "SMTP")
+        stream = self.host.open_tcp(self.mail_ip, SMTP_PORT, "SMTP")
         stream.write(b"HELLO edge-gw")
 
         def on_data(s, data):

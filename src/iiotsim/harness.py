@@ -4,7 +4,6 @@ attacks, runs the simulation and emits the artifact bundle."""
 import functools
 import gc
 import itertools
-import json
 import operator
 import os
 
@@ -14,10 +13,12 @@ from .gateway import EdgeGateway
 from .historian import IsoStamp, parse_iso
 from .netsim import (Acl, AclRule, RouteError, Simulation, capture_export,
                      ip_to_int, parse_cidr, write_capture_jsonl)
-from .plant import (TMP36_MAX_C, TMP36_MIN_C, Ds18b20Device,
-                    ModbusSlaveService, MplDevice, Plant, Plc, SensorModel)
+from .plan import write_json
+from .plant import (TMP36_MAX_C, TMP36_MIN_C, ModbusSlaveService,
+                    MplDevice, Plant, Plc, SensorModel)
 from .fieldbus import MODBUS_PORT, I2cBus, OneWireBus
-from .services import WEBGUI_PORT, MailService, WebGuiService
+from .services import (API_PORT, COAP_PORT, DNS_PORT, HTTP_PORT, SMTP_PORT,
+                       WEBGUI_PORT, MailService, WebGuiService)
 
 # what a plan gets for a service time that neither its service_times_us nor
 # a latency target sets, and for a missing epoch
@@ -157,7 +158,7 @@ class Build:
                                           ["admin", "admin"], of=str)),
                 vulnerable=gui.get("vulnerable", bool, False))
             self.router.bind_tcp(WEBGUI_PORT, self.webgui)
-        self.mail_host.bind_tcp(25, MailService(self.svc["SMTP"]))
+        self.mail_host.bind_tcp(SMTP_PORT, MailService(self.svc["SMTP"]))
 
     # -- plant -------------------------------------------------------------
     def _build_plant(self):
@@ -216,8 +217,7 @@ class Build:
         self.i2c_bus.register(0x60, MplDevice(self.sensors["mpl-temp"],
                                               self.sensors["mpl-press"]))
         self.onewire_bus = OneWireBus()
-        self.onewire_bus.register("onewire",
-                                  Ds18b20Device(self.sensors["onewire"]))
+        self.onewire_bus.register("onewire", self.sensors["onewire"])
         self.gateway = EdgeGateway(self, self.read.obj("gateway", {}))
         for key in ("sim-temperature", "sim-pressure", "sim-humidity"):
             if key in self.sensors:
@@ -235,20 +235,20 @@ class Build:
 
         # the start order is the order of the clients' events at equal times
         for cfg in clients.get("coap_client", ()):
-            self._client(cfg, gw_near, 5683, "COAP", functools.partial(
+            self._client(cfg, gw_near, COAP_PORT, "COAP", functools.partial(
                 _coap_request, cfg.get("actuate_every", int, 0, lo=0)))
         for cfg in clients.get("dns_client", ()):
-            self._client(cfg, gw_near, 53, "DNS",
+            self._client(cfg, gw_near, DNS_PORT, "DNS",
                          lambda n: {"q": "edge.local", "id": n})
         for cfg in clients.get("http_client", ()):
-            self._client(cfg, lambda host: gw_ip, 80, "HTTP",
+            self._client(cfg, lambda host: gw_ip, HTTP_PORT, "HTTP",
                          functools.partial(
                              _http_request,
                              cfg.get("setpoint_every", int, 0, lo=0),
                              cfg.get("setpoints", list, [], of=float)),
                          exchanges=1)
         for cfg in clients.get("api_client", ()):
-            self._client(cfg, lambda host: gw_ip, 8080, "API",
+            self._client(cfg, lambda host: gw_ip, API_PORT, "API",
                          lambda n: _SNAPSHOT, exchanges=1)
         for cfg in clients.get("webgui_clients", ()):
             self._client(cfg, self.router_ip_for, WEBGUI_PORT, "HTTPS",
@@ -284,10 +284,6 @@ class Build:
         router_id = self.router.host_id
         return f"syslog_{router_id}.txt", f"syslog_{router_id}_truth.txt"
 
-    def hunts(self, l4, src_ip, dst_ip) -> bool:
-        """Whether the hunt reads a frame: TCP to or from the victim."""
-        return l4 == "TCP" and self.victim in (src_ip, dst_ip)
-
     def router_ip_for(self, host) -> str:
         """The router's address on the last of its segments that host is on,
         else its first address."""
@@ -313,12 +309,6 @@ class Build:
 # artifact emission
 # ---------------------------------------------------------------------------
 
-def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def write_lines(lines, path) -> None:
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -331,13 +321,12 @@ def derive(build, frames, windows, syslogs, path, outputs) -> None:
     rows; syslogs are the router's syslog's and truth copy's lines, or None.
 
     Nothing is written before the walk ends. Each conn.log row is written
-    as it is made, and only the rows the hunt reads are kept; the walk, the
-    hunt's frames with it, goes before labelling. The dataset rows are a
-    view of the conversations and their labels, each row made as
-    dataset.csv is written."""
+    as it is made, and only the rows the hunt reads are kept; the walk goes
+    before labelling. The dataset rows are a view of the conversations and
+    their labels, each row made as dataset.csv is written."""
     hunting = "hunt" in outputs
     walk = CaptureWalk(build, analytics.span_senders(windows),
-                       "metrics" in outputs, hunting)
+                       "metrics" in outputs)
     walk.feed(frames)
     build.conversations = walk.conversations.result()
     capture_metrics = walk.metrics() if "metrics" in outputs else None
@@ -357,8 +346,7 @@ def derive(build, frames, windows, syslogs, path, outputs) -> None:
         for _ in conn_rows():
             pass
     if hunting:
-        build.hunt = build_hunt_report(build, hunt_rows, walk.hunt_frames,
-                                       *syslogs)
+        build.hunt = build_hunt_report(build, hunt_rows, *syslogs)
         write_json(build.hunt, path("hunt_report.json"))
     del walk, hunt_rows
     build.dataset_rows, build.class_counts, build.dropped_rows = \
@@ -466,9 +454,10 @@ def _jitter_flows(gw_ip: str) -> dict:
             f.origin and f.src_ip == gw_ip and f.dst_port == MODBUS_PORT
             and len(f.payload) >= 8
             and f.payload[7] == fieldbus.READ_HOLDING_REGISTERS)),
-        "dns-query": ("DNS", lambda f: f.origin and f.dst_port == 53),
-        "coap-request": ("COAP", lambda f: f.origin and f.dst_port == 5683),
-        "api-request": ("API", lambda f: (f.origin and f.dst_port == 8080
+        "dns-query": ("DNS", lambda f: f.origin and f.dst_port == DNS_PORT),
+        "coap-request": ("COAP", lambda f: (f.origin
+                                            and f.dst_port == COAP_PORT)),
+        "api-request": ("API", lambda f: (f.origin and f.dst_port == API_PORT
                                           and f.payload)),
     }
 
@@ -480,15 +469,11 @@ class CaptureWalk:
     each run of equal ts_us stably sorted by deliver_ts_us, which is
     build_conversations' own (ts_us, deliver_ts_us) order, and keep the
     spans of senders; the other analytics take the frames in capture
-    order. No frame is kept past the run of its ts_us but those
-    build.hunts, in hunt_frames. A `run` that writes no metrics or no hunt
-    report sets metrics or hunt false."""
+    order. No frame is kept past the run of its ts_us. A `run` that writes
+    no metrics sets metrics false."""
 
-    def __init__(self, build: Build, senders, metrics: bool = True,
-                 hunt: bool = True):
+    def __init__(self, build: Build, senders, metrics: bool = True):
         self.with_metrics = metrics
-        self.keep = build.hunts if hunt else None
-        self.hunt_frames = []
         self.targets = build.targets
         self.conversations = analytics.Conversations(senders)
         self.packet_sizes = analytics.PacketSizes()
@@ -505,7 +490,6 @@ class CaptureWalk:
         """Feed every frame, in non-decreasing ts_us order."""
         add_conversation = self.conversations.add
         metrics = self.with_metrics
-        keep, hunted = self.keep, self.hunt_frames.append
         add_sizes, add_throughput, add_plc = (
             self.packet_sizes.add, self.throughput.add, self.plc_rates.add)
         # delivered frames by proto_tag: their response-time pairing's add,
@@ -533,8 +517,6 @@ class CaptureWalk:
                 flush()
                 last_ts = ts
             same_ts.append(f)
-            if keep is not None and keep(f.l4, f.src_ip, f.dst_ip):
-                hunted(f)
             if metrics:
                 add_plc(f)
                 if f.delivered:
@@ -632,11 +614,10 @@ def live_figures(build: Build) -> dict:
     }
 
 
-def build_hunt_report(build: Build, conn_rows, frames, syslog,
-                      truth) -> dict:
+def build_hunt_report(build: Build, conn_rows, syslog, truth) -> dict:
     """The hunt of `run`, `report` and `iiotsim hunt`, as the plan sets it:
     on the victim, for clients of its web admin port and the exploits'
-    listener ports, over frames that hold at least those build.hunts."""
+    listener ports."""
     return hunt.hunt_report(
-        conn_rows, frames, build.victim,
+        conn_rows, build.victim,
         attacks.backdoor_ports(build.attack_objs.values()), syslog, truth)

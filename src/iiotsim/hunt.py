@@ -1,6 +1,7 @@
-"""Threat-hunting queries over conn.log rows, packet captures and device
-system logs: originator aggregation, reverse-connection detection, TCP-flag
-stream profiling and syslog parsing/search."""
+"""Threat-hunting queries over what a Zeek-style hunter has, conn.log rows
+and device system logs: originator aggregation, reverse-connection
+detection, TCP-flag profiles of those connections from conn.log's `flags`
+column, and syslog parsing/search."""
 
 import re
 from dataclasses import dataclass
@@ -64,34 +65,28 @@ def reads_row(row, victim_ip: str) -> bool:
     return row["resp_p"] == WEBGUI_PORT or row["orig_h"] == victim_ip
 
 
-def stream_flag_profile(frames, ip_a: str, ip_b: str, port: int) -> dict:
-    """Flag-set histogram for the streams between two hosts on a port.
+def stream_flag_profile(rows) -> dict:
+    """Flag-set histogram of the delivered TCP frames of conn.log rows: the
+    sum of the rows' `flags` columns, each key in first-seen order.
 
-    Verdict is interactive-shell-like when PSH/ACK plus pure ACK dominate the
-    data phase (handshake and teardown frames excluded)."""
+    The data phase is the frames whose flag set has no SYN, FIN or RST.
+    Only TcpStream.write sends a payload, and it always sends PSH_ACK, so a
+    data frame carries a payload when its set has PSH. The verdict is
+    interactive-shell-like when PSH/ACK plus pure ACK dominate the data
+    phase."""
     hist: dict[str, int] = {}
-    data_frames = 0
-    payload_frames = 0
-    shell_like = 0
-    total = 0
-    for f in frames:
-        if (f.l4 != "TCP" or {f.src_ip, f.dst_ip} != {ip_a, ip_b}
-                or port not in (f.src_port, f.dst_port)):
-            continue
-        total += 1
-        key = f.flag_key()
-        hist[key] = hist.get(key, 0) + 1
-        flags = set(f.tcp_flags)
-        if flags & {"SYN", "FIN", "RST"}:
-            continue
-        data_frames += 1
-        if f.payload:
-            payload_frames += 1
-        if flags in ({"PSH", "ACK"}, {"ACK"}):
-            shell_like += 1
+    for r in rows:
+        if r["flags"] != "-":
+            for item in r["flags"].split(","):
+                key, count = item.split(":")
+                hist[key] = hist.get(key, 0) + int(count)
+    data = {k: n for k, n in hist.items() if not {"S", "F", "R"} & set(k)}
+    data_frames = sum(data.values())
+    payload_frames = sum(n for k, n in data.items() if "P" in k)
+    shell_like = data.get("AP", 0) + data.get("A", 0)
     dominance = shell_like / data_frames if data_frames else 0.0
     positive = payload_frames > 0 and dominance > SHELL_DOMINANCE
-    return {"histogram": hist, "total_frames": total,
+    return {"histogram": hist, "total_frames": sum(hist.values()),
             "data_frames": data_frames, "payload_frames": payload_frames,
             "dominance": dominance,
             "verdict": "interactive-shell-like" if positive
@@ -133,21 +128,23 @@ def search_events(events, pattern: str) -> list:
 # the full hunt chain
 # ---------------------------------------------------------------------------
 
-def hunt_report(conn_rows, frames, victim_ip: str, backdoor_ports, syslog,
+def hunt_report(conn_rows, victim_ip: str, backdoor_ports, syslog,
                 truth) -> dict:
     """Ranked originators -> reverse connections -> flag profile -> syslog.
 
     Identifies which client of victim_ip's web admin port the victim later
-    connected back to on one of backdoor_ports, profiles those streams, and
-    searches the lines of the system log and of its ground-truth shadow,
-    each when not None, for SYSLOG_PATTERN. conn_rows need hold only the
-    rows reads_row keeps."""
+    connected back to on one of backdoor_ports, profiles those
+    connections' flags, and searches the lines of the system log and of
+    its ground-truth shadow, each when not None, for SYSLOG_PATTERN.
+    conn_rows need hold only the rows reads_row keeps."""
     ranked = aggregate_originators(conn_rows, WEBGUI_PORT)
     candidates = [s.orig_h for s in ranked]
     reverse = reverse_connections(conn_rows, victim_ip, candidates)
     suspects = sorted({r["resp_h"] for r in reverse["rows"]})
-    called = {(r["resp_h"], r["resp_p"]) for r in reverse["rows"]}
-    profiles = {f"{s}:{p}": stream_flag_profile(frames, victim_ip, s, p)
+    called: dict[tuple, list] = {}
+    for r in reverse["rows"]:
+        called.setdefault((r["resp_h"], r["resp_p"]), []).append(r)
+    profiles = {f"{s}:{p}": stream_flag_profile(called[s, p])
                 for s in suspects for p in backdoor_ports if (s, p) in called}
     syslog_part = {}
     if syslog is not None:

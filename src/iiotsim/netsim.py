@@ -861,14 +861,13 @@ def write_capture_jsonl(frames, path) -> None:
 # fullmatch: the one capture format. Each group is a value whose text means
 # to the reader what it means to json.loads: a JSON int ([0-9], not \d,
 # which takes other scripts' digits; no leading zero; at most 640 digits,
-# the least limit sys.set_int_max_str_digits allows, so int() takes it
-# whether or not the record is kept), a port in 0-65535, true/false, one of
-# the kernel's three l4s, TCP flag names, one of PROTO_TAGS, and a str
-# without escapes or control characters but for the two a plan names
-# freely, segment and sender, which take JSON's escapes (unrolled, so a name
-# without one costs what a str does). No str takes a surrogate, which is how
-# the reader sees a byte that is not UTF-8. `len` is matched but not
-# captured: wire_len recomputes it.
+# the least limit sys.set_int_max_str_digits allows, so int() takes it), a
+# port in 0-65535, true/false, one of the kernel's three l4s, TCP flag
+# names, one of PROTO_TAGS, and a str without escapes or control characters
+# but for the two a plan names freely, segment and sender, which take
+# JSON's escapes (unrolled, so a name without one costs what a str does).
+# No str takes a surrogate, which is how the reader sees a byte that is not
+# UTF-8. `len` is matched but not captured: wire_len recomputes it.
 _PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 _STR = f'"({_PLAIN})"'
 _NAME = fr'"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)"'
@@ -903,14 +902,12 @@ def _departure(line: str) -> str:
                 if re.match(prefix, line) is None)
 
 
-def iter_capture_jsonl(path, keep=None):
-    """Frames of a capture.jsonl, one at a time, in file order. A line not the
-    writer's, or whose payload is not base64 or ts_us is below its
+def iter_capture_jsonl(path):
+    """Frames of a capture.jsonl, one per record, in file order. A line not
+    the writer's, or whose payload is not base64 or ts_us is below its
     predecessor's, raises ValueError naming the file, the record (its line
     number) and the field. Equal str values and flag tuples are one shared
-    object. keep, when given, is called with each checked record's (l4, src_ip,
-    dst_ip), and only the records it is true of become frames: a line keep
-    drops costs its match, ts_us, three fields and its payload decode."""
+    object."""
     share = _Memo(lambda v: v)
     names = _Memo(lambda raw: share[json.loads(f'"{raw}"')])
     flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
@@ -926,11 +923,9 @@ def iter_capture_jsonl(path, keep=None):
                     why = (f"the line departs from the writer's at "
                            f"{_departure(line)}")
                     break
-                if keep is None:
-                    fields = m.groups()
-                    ts, b64 = fields[0], fields[10]
-                else:               # all a record keep drops needs
-                    ts, l4, src_ip, dst_ip, b64 = m.group(1, 8, 4, 6, 11)
+                (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port, l4,
+                 flags, tag, b64, segment, sender, origin, final, delivered,
+                 deliver_ts, drop, fw) = m.groups()
                 # the regex checked every field but the payload's base64
                 payload, ts = a2b(b64), int(ts)
                 if ts < last_ts:
@@ -938,13 +933,6 @@ def iter_capture_jsonl(path, keep=None):
                            f"{last_ts}")
                     break
                 last_ts = ts
-                if keep is not None:
-                    if not keep(l4, src_ip, dst_ip):
-                        continue
-                    fields = m.groups()
-                (_, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port, l4,
-                 flags, tag, _, segment, sender, origin, final, delivered,
-                 deliver_ts, drop, fw) = fields
                 # the arguments of Frame, in its field order
                 yield Frame(ts, names[segment], names[sender], share[src_mac],
                             share[dst_mac], share[src_ip], share[dst_ip],

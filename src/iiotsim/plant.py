@@ -268,14 +268,3 @@ class MplDevice:
         block = fieldbus.mpl_encode(self.temp_sensor.value,
                                     self.pressure_sensor.value)
         return block[:n] if n <= len(block) else block + bytes(n - len(block))
-
-
-class Ds18b20Device:
-    """1-wire adapter over a sensor walk."""
-
-    def __init__(self, sensor: SensorModel):
-        self.sensor = sensor
-
-    @property
-    def value(self) -> float:
-        return self.sensor.value

@@ -2,7 +2,13 @@
 
 from .cloud import dumps, loads
 
+# the testbed's service ports
 WEBGUI_PORT = 443           # the router's web admin
+SMTP_PORT = 25              # the mail host
+DNS_PORT = 53               # the gateway's resolver
+HTTP_PORT = 80              # the gateway's web UI
+COAP_PORT = 5683            # the gateway's CoAP server
+API_PORT = 8080             # the gateway's local API
 WEBGUI_SERVICE_TIME_US = 20_000
 
 

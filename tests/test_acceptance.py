@@ -264,8 +264,8 @@ def test_09_hunt_chain(default_bundle):
     assert len(backdoor) == 5
     total = sum(row["duration"] for row in backdoor)
     assert abs(total - 1344.026) <= 0.001
-    profile = hunt.stream_flag_profile(r.sim.capture, "192.168.10.1",
-                                       "192.168.10.151", 4444)
+    assert {row["resp_h"] for row in backdoor} == {"192.168.10.151"}
+    profile = hunt.stream_flag_profile(backdoor)
     assert profile["verdict"] == "interactive-shell-like"
     with open(os.path.join(r.out_dir, "syslog_router.txt")) as fh:
         tampered_events, _ = hunt.parse_syslog(fh.readlines())

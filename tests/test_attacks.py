@@ -212,7 +212,7 @@ class TestLogTamper:
         assert build.windows == []
         assert build.router.syslog == build.sim.syslog_truth["router"]
         path = tmp_path / "plan.json"
-        planmod.save_plan(plan, str(path))
+        harness.write_json(plan, str(path))
         assert cli.main(["--quiet", "run", "--plan", str(path),
                          "--out", str(tmp_path / "out")]) == 0
 

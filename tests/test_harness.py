@@ -18,8 +18,8 @@ import pytest
 import iiotsim
 from iiotsim import analytics, cli, harness, netsim, plan as planmod
 
-from conftest import (frame_to_record, reference_conversations,
-                      reference_label_dataset, small_plan)
+from conftest import (reference_conversations, reference_label_dataset,
+                      small_plan)
 
 
 def as_lists(labelled) -> tuple:
@@ -44,7 +44,7 @@ class TestPlanValidation:
     def test_save_load_round_trip(self, tmp_path):
         plan = planmod.default_plan()
         path = tmp_path / "plan.json"
-        planmod.save_plan(plan, path)
+        harness.write_json(plan, path)
         assert planmod.load_plan(path) == plan
 
     def test_ghost_host_named_in_error(self):
@@ -205,7 +205,7 @@ class TestPlanValidation:
             self, tmp_path, capsys):
         path = str(tmp_path / "plan.json")
         for plan in self.mutated_plans(100, seed=13):
-            planmod.save_plan(plan, path)
+            harness.write_json(plan, path)
             code = cli.main(["--quiet", "validate", "--plan", path])
             err = capsys.readouterr().err
             assert code in (0, 2)
@@ -253,8 +253,8 @@ class TestPlanValidation:
         1-2 ASCII digits, or, for the broker's allowlist, which it compares
         with each client's address text, matched no client."""
         path_text = str(tmp_path / "plan.json")
-        planmod.save_plan(self.mutated(planmod.default_plan(), path, text),
-                          path_text)
+        harness.write_json(self.mutated(planmod.default_plan(), path, text),
+                           path_text)
         assert cli.main(["--quiet", "validate", "--plan", path_text]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "plan is invalid"
@@ -685,21 +685,6 @@ class TestCaptureWalk:
         assert metrics["response_times_ms"]["MODBUS"]["count"] == 0
         assert metrics["modbus_mean_below_20ms"] is None
 
-    def test_hunt_frames_are_what_hunt_reads(self, bundle):
-        result, out = bundle
-        path = os.path.join(out, "capture.jsonl")
-        walk = harness.CaptureWalk(result, ())
-        walk.feed(netsim.iter_capture_jsonl(path))
-        read = list(netsim.iter_capture_jsonl(path, keep=result.hunts))
-        assert walk.hunt_frames == read and repr(walk.hunt_frames) == repr(
-            read)
-        assert 0 < len(read) < sum(1 for _ in open(path)) / 10
-        assert all(f.l4 == "TCP" and result.victim in (f.src_ip, f.dst_ip)
-                   for f in read)
-        unhunted = harness.CaptureWalk(result, (), hunt=False)
-        unhunted.feed(netsim.iter_capture_jsonl(path))
-        assert unhunted.hunt_frames == []
-
 
 class TestAttackerSpans:
     """A walk keeps the spans of the attack windows' attackers alone, and
@@ -711,8 +696,7 @@ class TestAttackerSpans:
         build = golden_bundles[seed]
         frames = netsim.capture_export(build.sim)
         attackers = analytics.span_senders(build.windows)
-        walk = harness.CaptureWalk(build, attackers, metrics=False,
-                                   hunt=False)
+        walk = harness.CaptureWalk(build, attackers, metrics=False)
         walk.feed(frames)
         conversations = walk.conversations.result()
         reference = reference_conversations(frames)
@@ -784,7 +768,7 @@ class TestCollectorPause:
     def test_report_and_hunt_pause_the_collector_and_put_it_back(
             self, tmp_path, monkeypatch, collecting, command, inner):
         plan_path = str(tmp_path / "plan.json")
-        planmod.save_plan(small_plan(duration_s=5.0), plan_path)
+        harness.write_json(small_plan(duration_s=5.0), plan_path)
         out = str(tmp_path / "out")
         harness.run(small_plan(duration_s=5.0), out)
         during = []
@@ -800,7 +784,9 @@ class TestCollectorPause:
         assert cli.main(argv) == 0
         assert during == [False]
         assert gc.isenabled() is collecting
-        os.remove(os.path.join(out, "capture.jsonl"))
+        # without the file it reads, the command fails
+        os.remove(os.path.join(out, {"report": "capture.jsonl",
+                                     "hunt": "conn.log"}[command]))
         assert cli.main(argv) == 2
         assert gc.isenabled() is collecting
 
@@ -842,7 +828,7 @@ class TestEscapedNames:
     def test_report_and_hunt_rebuild_the_bundle(self, tmp_path):
         plan = escaped_names_plan()
         plan_path = str(tmp_path / "plan.json")
-        planmod.save_plan(plan, plan_path)
+        harness.write_json(plan, plan_path)
         out, rebuilt = tmp_path / "run", tmp_path / "rebuilt"
         build = harness.run(plan, str(out))
         frames = netsim.read_capture_jsonl(out / "capture.jsonl")
@@ -912,7 +898,7 @@ class TestClientScripts:
 class TestCli:
     def write_plan(self, tmp_path, plan):
         path = tmp_path / "plan.json"
-        planmod.save_plan(plan, path)
+        harness.write_json(plan, path)
         return str(path)
 
     def test_validate_ok_and_invalid(self, tmp_path, capsys):
@@ -920,7 +906,7 @@ class TestCli:
         assert cli.main(["validate", "--plan", path]) == 0
         bad = small_plan(duration_s=-1.0)
         bad_path = tmp_path / "bad.json"
-        planmod.save_plan(bad, bad_path)
+        harness.write_json(bad, bad_path)
         assert cli.main(["validate", "--plan", str(bad_path)]) == 2
 
     @pytest.mark.parametrize("listener_port", [4444, 5555])
@@ -1052,13 +1038,26 @@ class TestCli:
         assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
         assert (out / "hunt_report.json").read_bytes() == reported
 
+    def test_hunt_without_capture_rebuilds_the_runs_hunt_report(
+            self, default_bundle, tmp_path):
+        # hunt reads conn.log and the syslogs alone
+        out = tmp_path / "out"
+        shutil.copytree(default_bundle.out_dir, out,
+                        ignore=shutil.ignore_patterns("capture.jsonl"))
+        (out / "hunt_report.json").unlink()
+        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
+        with open(os.path.join(default_bundle.out_dir, "hunt_report.json"),
+                  "rb") as fh:
+            assert (out / "hunt_report.json").read_bytes() == fh.read()
+        assert not (out / "capture.jsonl").exists()
+
     def test_hunt_out_alone_rebuilds_the_runs_hunt_report(
             self, default_bundle, tmp_path):
         # without --syslog and --syslog-truth, hunt reads the plan router's
         # syslog and its truth copy from the bundle
         out = tmp_path / "out"
         out.mkdir()
-        for name in ("conn.log", "capture.jsonl", "syslog_router.txt",
+        for name in ("conn.log", "syslog_router.txt",
                      "syslog_router_truth.txt"):
             os.symlink(os.path.join(default_bundle.out_dir, name), out / name)
         assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
@@ -1191,17 +1190,19 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == expected
         assert not any((out / name).exists() for name in self.REBUILT)
 
-    def test_hunt_refuses_a_capture_out_of_ts_order(self, bundle, tmp_path,
-                                                    capsys):
-        # as report does, though hunt keeps few of the records it checks
+    def test_hunt_reads_conn_log_beside_a_capture_out_of_ts_order(
+            self, bundle, tmp_path):
+        # report refuses the capture; hunt does not read it
         out = tmp_path / "out"
-        expected = self.swap_two_records(bundle, out)
-        shutil.copy(os.path.join(bundle[1], "conn.log"), out)
-        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == expected
-        assert not (out / "hunt_report.json").exists()
+        self.swap_two_records(bundle, out)
+        for name in ("conn.log", "syslog_router.txt",
+                     "syslog_router_truth.txt"):
+            shutil.copy(os.path.join(bundle[1], name), out)
+        assert cli.main(["--quiet", "hunt", "--out", str(out)]) == 0
+        with open(os.path.join(bundle[1], "hunt_report.json"), "rb") as fh:
+            assert (out / "hunt_report.json").read_bytes() == fh.read()
 
-    # an edit of the capture's 101st line -> why report and hunt refuse it
+    # an edit of the capture's 101st line -> why report refuses it
     REFUSED_LINES = {
         "reordered_keys": (lambda line: json.dumps(
             dict(reversed(json.loads(line).items()))) + "\n",
@@ -1222,8 +1223,8 @@ class TestCli:
             "payload_b64 is not base64: Incorrect padding")}
 
     @pytest.mark.parametrize("case", sorted(REFUSED_LINES))
-    def test_report_and_hunt_refuse_a_line_alike(self, bundle, tmp_path,
-                                                 capsys, case):
+    def test_report_refuses_an_edited_line(self, bundle, tmp_path, capsys,
+                                           case):
         edit, why = self.REFUSED_LINES[case]
         out = tmp_path / "out"
 
@@ -1235,9 +1236,8 @@ class TestCli:
         shutil.copy(os.path.join(bundle[1], "conn.log"), out)
         expected = (f"cannot read bundle: {out / 'capture.jsonl'}: bad "
                     f"capture record 101: {why}")
-        for command in ("report", "hunt"):
-            assert cli.main(["--quiet", command, "--out", str(out)]) == 2
-            assert json.loads(capsys.readouterr().err)["error"] == expected
+        assert cli.main(["--quiet", "report", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == expected
         assert sorted(os.listdir(out)) == ["capture.jsonl", "conn.log"]
 
     def test_report_writes_nothing_when_the_last_record_is_bad(
@@ -1313,8 +1313,6 @@ class TestCli:
                                       "garbled_dataset", "one_class_dataset",
                                       "plan_without_roles",
                                       "plan_without_mobile_role",
-                                      "hunt_malformed_capture",
-                                      "hunt_without_capture",
                                       "hunt_missing_syslog",
                                       "hunt_syslog_is_a_directory",
                                       "detect_dataset_is_a_directory",
@@ -1348,32 +1346,13 @@ class TestCli:
                     (float(i),) * len(analytics.FEATURE_COLUMNS), "normal")
                  for i in range(30)], out / "dataset.csv")
             argv = ["detect", "--out", str(out)]
-        elif case == "hunt_malformed_capture":
-            # hunt keeps only the victim's frames but still checks the
-            # others: the second record lacks dst_mac and names neither IP
-            analytics.write_conn_log([], out / "conn.log")
-            records = [frame_to_record(netsim.Frame(
-                0, "lan", "a", "02:00:00:00:00:01", "02:00:00:00:00:02",
-                src_ip, "192.168.10.1" if n == 0 else "10.0.0.2", 5000, 80,
-                "TCP", ("SYN",), b"", "HTTP"))
-                for n, src_ip in enumerate(("10.0.0.1", "10.0.0.3"))]
-            del records[1]["dst_mac"]
-            (out / "capture.jsonl").write_text(
-                "".join(json.dumps(r) + "\n" for r in records))
-            argv = ["hunt", "--out", str(out)]
-        elif case == "hunt_without_capture":
-            # the flag profiles need the capture: no 0-frame answer
-            analytics.write_conn_log([], out / "conn.log")
-            argv = ["hunt", "--out", str(out)]
         elif case == "hunt_missing_syslog":
             # a named syslog that is not there: no hunt without its search
             analytics.write_conn_log([], out / "conn.log")
-            (out / "capture.jsonl").write_text("")
             argv = ["hunt", "--out", str(out),
                     "--syslog", str(tmp_path / "nope.log")]
         elif case == "hunt_syslog_is_a_directory":
             analytics.write_conn_log([], out / "conn.log")
-            (out / "capture.jsonl").write_text("")
             argv = ["hunt", "--out", str(out), "--syslog-truth", str(out)]
         elif case == "detect_dataset_is_a_directory":
             (out / "dataset.csv").mkdir()
@@ -1416,7 +1395,6 @@ class TestCli:
             argv = ["report", "--out", str(out)]
         elif case == "hunt_report_is_a_directory":
             analytics.write_conn_log([], out / "conn.log")
-            (out / "capture.jsonl").write_text("")
             (out / "hunt_report.json").mkdir()
             argv = ["hunt", "--out", str(out)]
         elif case == "calibrate_plan_is_a_directory":
@@ -1436,13 +1414,6 @@ class TestCli:
         assert error["error"] and isinstance(error["details"], list)
         if case in ("plan_without_roles", "plan_without_mobile_role"):
             assert error["error"] == "plan is invalid"
-        if case == "hunt_malformed_capture":
-            assert error["error"].endswith(
-                "bad capture record 2: the line departs from the writer's at "
-                "dst_mac")
-        if case == "hunt_without_capture":
-            assert error["error"] == f"no capture at {out / 'capture.jsonl'}"
-            assert not (out / "hunt_report.json").exists()
         if case == "detect_dataset_is_a_directory":
             assert error["error"].startswith("cannot read dataset: ")
             assert not (out / "detection_report.json").exists()

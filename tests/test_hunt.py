@@ -1,16 +1,27 @@
+import json
 import os
 
 import pytest
 
-from iiotsim import analytics, harness, hunt
-from iiotsim.netsim import Frame, capture_export
+from iiotsim import analytics, cli, harness, hunt, plan as planmod
 
 
-def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS"):
+def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS",
+        flags="-"):
     return {"ts": 0.0, "orig_h": orig, "orig_p": orig_p, "resp_h": resp,
             "resp_p": resp_p, "proto": proto, "duration": duration,
             "orig_bytes": orig_bytes, "resp_bytes": 0, "orig_pkts": 1,
-            "resp_pkts": 1}
+            "resp_pkts": 1, "flags": flags}
+
+
+def summed_flags(rows) -> dict:
+    """flag key -> its count summed over the rows' flags columns."""
+    total = {}
+    for r in rows:
+        for item in r["flags"].split(",") if r["flags"] != "-" else ():
+            key, count = item.split(":")
+            total[key] = total.get(key, 0) + int(count)
+    return total
 
 
 class TestAggregateOriginators:
@@ -89,9 +100,9 @@ class TestReadsRow:
         rows = self.rows()
         kept = [r for r in rows if hunt.reads_row(r, self.VICTIM)]
         assert kept == rows[:4]
-        report = hunt.hunt_report(kept, [], self.VICTIM, [4444], None, None)
-        assert report == hunt.hunt_report(rows, [], self.VICTIM, [4444],
-                                          None, None)
+        report = hunt.hunt_report(kept, self.VICTIM, [4444], None, None)
+        assert report == hunt.hunt_report(rows, self.VICTIM, [4444], None,
+                                          None)
         assert report["identified_attacker"] == "192.168.10.151"
 
     def test_on_the_default_bundle(self, default_bundle):
@@ -100,57 +111,80 @@ class TestReadsRow:
                                                     "conn.log"))
         kept = [r for r in rows if hunt.reads_row(r, build.victim)]
         assert 0 < len(kept) < len(rows) / 10
-        frames = [f for f in capture_export(build.sim)
-                  if build.hunts(f.l4, f.src_ip, f.dst_ip)]
-        report = harness.build_hunt_report(build, kept, frames, None, None)
-        assert report == harness.build_hunt_report(build, rows, frames, None,
-                                                   None)
+        report = harness.build_hunt_report(build, kept, None, None)
+        assert report == harness.build_hunt_report(build, rows, None, None)
         assert report["flag_profiles"]
 
 
-def tcp_frame(ts, src, dst, sport, dport, flags, payload=b""):
-    return Frame(ts_us=ts, segment="lan", sender=src, src_mac="m1",
-                 dst_mac="m2", src_ip=src, dst_ip=dst, src_port=sport,
-                 dst_port=dport, l4="TCP", tcp_flags=tuple(sorted(flags)),
-                 payload=payload, proto_tag="TCP", delivered=True,
-                 deliver_ts_us=ts + 10)
+# one reverse shell's connection: handshake, ten command/output exchanges
+# with their ACK, and a RST
+SHELL_FLAGS = "S:1,AS:1,A:11,AP:20,R:1"
 
 
 class TestFlagProfile:
-    def shell_stream(self):
-        f = []
-        f.append(tcp_frame(0, "10.0.0.1", "10.0.0.2", 500, 4444, ("SYN",)))
-        f.append(tcp_frame(1, "10.0.0.2", "10.0.0.1", 4444, 500,
-                           ("SYN", "ACK")))
-        f.append(tcp_frame(2, "10.0.0.1", "10.0.0.2", 500, 4444, ("ACK",)))
-        for n in range(10):
-            f.append(tcp_frame(10 + n, "10.0.0.2", "10.0.0.1", 4444, 500,
-                               ("PSH", "ACK"), b"cmd"))
-            f.append(tcp_frame(11 + n, "10.0.0.1", "10.0.0.2", 500, 4444,
-                               ("PSH", "ACK"), b"out"))
-            f.append(tcp_frame(12 + n, "10.0.0.2", "10.0.0.1", 4444, 500,
-                               ("ACK",)))
-        f.append(tcp_frame(99, "10.0.0.1", "10.0.0.2", 500, 4444, ("RST",)))
-        return f
+    def shell_rows(self):
+        return [row("10.0.0.1", "10.0.0.2", 4444, 9.0, 30, proto="TCP",
+                    flags=SHELL_FLAGS) for _ in range(3)]
 
     def test_backdoor_stream_verdict_positive(self):
-        out = hunt.stream_flag_profile(self.shell_stream(), "10.0.0.1",
-                                       "10.0.0.2", 4444)
+        out = hunt.stream_flag_profile(self.shell_rows())
         assert out["verdict"] == "interactive-shell-like"
         assert out["dominance"] > 0.8
+        assert out["payload_frames"] == 60
 
     def test_handshake_only_negative(self):
-        frames = self.shell_stream()[:3]
-        out = hunt.stream_flag_profile(frames, "10.0.0.1", "10.0.0.2", 4444)
+        out = hunt.stream_flag_profile([row(
+            "10.0.0.1", "10.0.0.2", 4444, 0.1, 0, proto="TCP",
+            flags="S:1,AS:1,A:1")])
         assert out["verdict"] == "not-shell-like"
-        assert out["payload_frames"] == 0
+        assert (out["data_frames"], out["payload_frames"]) == (1, 0)
 
     def test_histogram_totals(self):
-        frames = self.shell_stream()
-        out = hunt.stream_flag_profile(frames, "10.0.0.1", "10.0.0.2", 4444)
-        assert sum(out["histogram"].values()) == out["total_frames"] == \
-            len(frames)
-        assert out["histogram"]["AP"] == 20
+        # keys in first-seen order over the rows; a row without TCP frames
+        # adds none
+        rows = [row("10.0.0.1", "10.0.0.2", 4444, 1.0, 0, proto="TCP",
+                    flags="S:1,AS:1,A:2,AF:2"),
+                row("10.0.0.1", "10.0.0.2", 4444, 1.0, 0, proto="UDP"),
+                *self.shell_rows()]
+        out = hunt.stream_flag_profile(rows)
+        assert list(out["histogram"].items()) == [
+            ("S", 4), ("AS", 4), ("A", 35), ("AF", 2), ("AP", 60), ("R", 3)]
+        assert out["total_frames"] == sum(out["histogram"].values()) == 108
+        assert out["data_frames"] == 95 and out["payload_frames"] == 60
+        assert out["dominance"] == 1.0
+
+
+class TestLossyRun:
+    def test_run_and_hunt_profile_the_delivered_frames(self, tmp_path):
+        # 1% loss on every segment: a profile sums the flags of its reverse
+        # connections' conn.log rows, which count delivered frames alone
+        plan = planmod.default_plan()
+        for segment in plan["segments"].values():
+            segment["loss_rate"] = 0.01
+        plan_path = str(tmp_path / "lossy.json")
+        harness.write_json(plan, plan_path)
+        out = tmp_path / "out"
+        build = harness.run(plan, str(out), seed=42)
+        ran = (out / "hunt_report.json").read_bytes()
+        (out / "hunt_report.json").unlink()
+        assert cli.main(["--quiet", "hunt", "--plan", plan_path,
+                         "--out", str(out)]) == 0
+        assert (out / "hunt_report.json").read_bytes() == ran
+        rows = analytics.read_conn_log(out / "conn.log")
+        profiles = json.loads(ran)["flag_profiles"]
+        assert list(profiles) == ["192.168.10.151:4444"]
+        for name, profile in profiles.items():
+            suspect, port = name.split(":")
+            reverse = [r for r in rows if r["orig_h"] == build.victim
+                       and (r["resp_h"], r["resp_p"]) == (suspect, int(port))]
+            assert list(profile["histogram"].items()) == list(
+                summed_flags(reverse).items())
+            sent = [f for f in build.sim.capture if f.l4 == "TCP"
+                    and {f.src_ip, f.dst_ip} == {build.victim, suspect}
+                    and int(port) in (f.src_port, f.dst_port)]
+            # some of the streams' frames were lost on the way
+            assert profile["total_frames"] == sum(
+                f.delivered for f in sent) < len(sent)
 
 
 class TestSyslog:
@@ -185,24 +219,12 @@ class TestHuntChain:
         conn = [
             row("10.0.0.5", "10.0.0.1", 443, 2.0, 100),
             row("10.0.0.7", "10.0.0.1", 443, 120.0, 9000),
-            row("10.0.0.1", "10.0.0.7", 4444, 300.0, 10, proto="TCP"),
+            row("10.0.0.1", "10.0.0.7", 4444, 300.0, 10, proto="TCP",
+                flags="S:1,AS:1,A:6,AP:5"),
         ]
-        frames = []
-        frames.append(tcp_frame(0, "10.0.0.1", "10.0.0.7", 600, 4444,
-                                ("SYN",)))
-        frames.append(tcp_frame(1, "10.0.0.7", "10.0.0.1", 4444, 600,
-                                ("SYN", "ACK")))
-        frames.append(tcp_frame(2, "10.0.0.1", "10.0.0.7", 600, 4444,
-                                ("ACK",)))
-        for n in range(5):
-            frames.append(tcp_frame(10 + n, "10.0.0.7", "10.0.0.1", 4444, 600,
-                                    ("PSH", "ACK"), b"x"))
-            frames.append(tcp_frame(11 + n, "10.0.0.1", "10.0.0.7", 600, 4444,
-                                    ("ACK",)))
         syslog = ["2019-10-01T22:00:00.000Z php: reverse shell opened\n"]
-        report = hunt.hunt_report(conn, frames, "10.0.0.1",
-                                  backdoor_ports=(4444,), syslog=syslog,
-                                  truth=syslog)
+        report = hunt.hunt_report(conn, "10.0.0.1", backdoor_ports=(4444,),
+                                  syslog=syslog, truth=syslog)
         assert report["identified_attacker"] == "10.0.0.7"
         assert report["backdoor_ports"] == [4444]
         assert report["reverse_connections"]["count"] == 1

@@ -947,7 +947,7 @@ class TestCaptureExport:
 
     def test_hard_cases_read_back_through_both_paths(self, tmp_path):
         # the hard text of each frame in its segment and sender, the two
-        # fields a plan names freely, read whole and through keep
+        # fields a plan names freely, read whole and streamed
         hard = [dataclasses.replace(f, proto_tag="MODBUS", drop_reason="")
                 for f in self.hard_frames()]
         # each copy follows its frame, at the same ts_us
@@ -959,9 +959,8 @@ class TestCaptureExport:
         back = netsim.read_capture_jsonl(path)
         assert back == frames
         assert repr(back) == repr(frames)
-        kept = list(netsim.iter_capture_jsonl(
-            path, keep=lambda l4, *_: l4 != "UDP"))
-        assert kept == [f for f in frames if f.l4 != "UDP"]
+        streamed = list(netsim.iter_capture_jsonl(path))
+        assert streamed == frames and repr(streamed) == repr(frames)
         assert len({id(f.src_ip) for f in back}) == 1
         assert len({id(f.tcp_flags) for f in back}) == 4
         texts = [v for f in back for v in (f.segment, f.sender)]
@@ -1159,100 +1158,28 @@ class TestCaptureReader:
             netsim.read_capture_jsonl(path)
         assert str(error.value) == expected
 
-    @staticmethod
-    def keep(l4, src_ip, dst_ip):
-        return l4 == "TCP" and "10.0.0.1" in (src_ip, dst_ip)
-
-    def test_keep_builds_only_the_frames_it_is_true_of(self, tmp_path,
-                                                       monkeypatch):
-        frames = self.frames(600)
-        path = tmp_path / "capture.jsonl"
-        self.write(path, frames)
-        expected = [f for f in netsim.read_capture_jsonl(path)
-                    if self.keep(f.l4, f.src_ip, f.dst_ip)]
-        built = []
-
-        def frame(*args):
-            built.append(Frame(*args))
-            return built[-1]
-
-        monkeypatch.setattr(netsim, "Frame", frame)
-        kept = list(netsim.iter_capture_jsonl(path, keep=self.keep))
-        assert kept == expected and repr(kept) == repr(expected)
-        assert len(built) == len(kept)
-        assert 0 < len(kept) < len(frames) / 2
-
-    @pytest.mark.parametrize("garble", sorted(GARBLES))
-    def test_keep_still_checks_the_records_it_drops(self, tmp_path, garble):
-        frames = self.frames()
-        rec = frame_to_record(frames[3333])
-        path = tmp_path / "capture.jsonl"
-        self.write(path, frames, {3333: self.GARBLES[garble][0](
-            json.dumps(rec), rec)})
-        with pytest.raises(ValueError) as reference_error:
-            netsim.read_capture_jsonl(path)
-        with pytest.raises(ValueError) as error:
-            list(netsim.iter_capture_jsonl(path, keep=lambda *_: False))
-        assert str(error.value) == str(reference_error.value)
-
-    def test_keep_sees_every_record_once_in_file_order(self, tmp_path):
-        frames = self.frames(600)
-        path = tmp_path / "capture.jsonl"
-        self.write(path, frames)
-        calls = []
-
-        def keep(*fields):
-            calls.append(fields)
-            return self.keep(*fields)
-
-        kept = list(netsim.iter_capture_jsonl(path, keep=keep))
-        assert calls == [(f.l4, f.src_ip, f.dst_ip) for f in frames]
-        expected = [f for f in frames if self.keep(f.l4, f.src_ip,
-                                                   f.dst_ip)]
-        assert kept == expected and repr(kept) == repr(expected)
-        assert 0 < len(kept) < len(frames) / 2
-
     def test_a_record_out_of_ts_order_is_refused(self, tmp_path):
-        # read whole and through a keep that drops every record
         for times, record in (((5, 5, 9, 7), 4), ((5, 9, 7), 3)):
             frames = [Frame(ts, "lan", "h", "m", "m", "10.0.0.1",
                             "10.0.0.2", 1, 2, "UDP", (), b"", "DNS")
                       for ts in times]
             path = tmp_path / "capture.jsonl"
             write_capture_jsonl(frames, path)
-            for keep in (None, lambda *_: False):
-                with pytest.raises(ValueError) as error:
-                    list(netsim.iter_capture_jsonl(path, keep=keep))
-                assert str(error.value) == (
-                    f"{path}: bad capture record {record}: ts_us 7 is "
-                    f"below the previous record's 9")
-
-    @pytest.mark.parametrize("case", sorted(UNWRITTEN))
-    def test_keep_refuses_what_the_reference_refuses(self, tmp_path, case):
-        path = tmp_path / "capture.jsonl"
-        expected = self.write_unwritten(path, case)
-        calls = []
-
-        def drop(*fields):
-            calls.append(fields)
-            return False
-
-        with pytest.raises(ValueError) as error:
-            list(netsim.iter_capture_jsonl(path, keep=drop))
-        assert str(error.value) == expected
-        # keep saw every record before the refused one
-        assert len(calls) == 12
+            with pytest.raises(ValueError) as error:
+                list(netsim.iter_capture_jsonl(path))
+            assert str(error.value) == (
+                f"{path}: bad capture record {record}: ts_us 7 is below the "
+                f"previous record's 9")
 
     @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
     def test_record_that_is_not_an_object(self, tmp_path, text):
         frames = self.frames(20)
         path = tmp_path / "capture.jsonl"
         self.write(path, frames, {12: [text]})
-        for keep in (None, lambda *_: False):
-            with pytest.raises(ValueError) as error:
-                list(netsim.iter_capture_jsonl(path, keep=keep))
-            assert str(error.value) == (
-                f"{path}: bad capture record 13: {self.departs('ts_us')}")
+        with pytest.raises(ValueError) as error:
+            list(netsim.iter_capture_jsonl(path))
+        assert str(error.value) == (
+            f"{path}: bad capture record 13: {self.departs('ts_us')}")
 
 
 class TestLinkProperties:
