@@ -3,12 +3,14 @@
 extraction with ground-truth labeling."""
 
 import csv
+import math
 import struct
 from array import array
 from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import decode_packet, loads
+from .netsim import FLAG_KEYS
 from .services import API_PORT, HTTP_PORT, SMTP_PORT, WEBGUI_PORT
 
 IDLE_TIMEOUT_US = 60_000_000
@@ -169,28 +171,70 @@ def build_conversations(frames, senders) -> list:
 
 
 def conn_row(c: ConversationRecord) -> dict:
-    """c's conn.log row, as read_conn_log reads its line back."""
-    flags = ",".join(f"{k}:{v}" for k, v in (c.flag_hist or {}).items())
+    """c's conn.log row, as read_conn_log reads its line back: flags is the
+    (flag key, count) pairs of its TCP frames, written k:n,k:n or - when
+    there are none."""
     return dict(zip(CONN_LOG_COLUMNS, (
         c.ts_first_us / 1_000_000, c.orig_ip, c.orig_port, c.resp_ip,
         c.resp_port, c.proto, c.duration_s, c.orig_bytes, c.resp_bytes,
-        c.orig_pkts, c.resp_pkts, flags or "-")))
+        c.orig_pkts, c.resp_pkts, tuple((c.flag_hist or {}).items()))))
 
 
 def write_conn_log(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write("\t".join(CONN_LOG_COLUMNS) + "\n")
         for row in rows:
+            *values, flags = row.values()
             fh.write("\t".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                               for v in row.values()) + "\n")
+                               for v in values) + "\t"
+                     + (",".join(f"{k}:{n}" for k, n in flags) or "-") + "\n")
+
+
+def _read_flags(text) -> tuple:
+    """-> (the (flag key, count) pairs of a conn.log flags text, their
+    count sum); ValueError naming the fault if conn_row writes no such
+    text: a key _flag_key spells for no set of flags, a repeated key or a
+    count that is not positive."""
+    if text == "-":
+        return (), None
+    pairs = tuple((k, int(n)) for k, n in
+                  (item.split(":") for item in text.split(",")))
+    for k, n in pairs:
+        if k not in FLAG_KEYS:
+            raise ValueError(f"flags key {k!r} is no set of flags")
+        if n <= 0:
+            raise ValueError(f"flags count {k}:{n} is not positive")
+    if len(dict(pairs)) < len(pairs):
+        raise ValueError("a flags key repeats")
+    return pairs, sum(n for _, n in pairs)
+
+
+def _check_conn_row(row, flag_sum) -> None:
+    """Raises ValueError naming the field if conn_row cannot have made the
+    parsed row, whose flags count flag_sum frames (None for -)."""
+    for k in ("orig_p", "resp_p"):
+        if not 0 <= row[k] <= 0xFFFF:
+            raise ValueError(f"{k} {row[k]} is not a port")
+    for k in ("ts", "duration"):
+        if not 0 <= row[k] < math.inf:
+            raise ValueError(f"{k} {row[k]} is not finite and non-negative")
+    for k in ("orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
+        if row[k] < 0:
+            raise ValueError(f"{k} {row[k]} is negative")
+    packets = row["orig_pkts"] + row["resp_pkts"]
+    if flag_sum not in (None, packets):
+        raise ValueError(f"the flags counts do not sum to orig_pkts + "
+                         f"resp_pkts, {packets}")
 
 
 def read_conn_log(path, keep=None) -> list:
-    """conn.log rows as dicts with numeric fields parsed; a malformed row
-    raises ValueError naming its line in the file. keep, when given, is
-    called with each parsed row, and only the rows it is true of are
-    kept."""
+    """conn.log rows as conn_row makes them, numeric fields parsed and
+    flags read into pairs. A row conn_row cannot make (_read_flags,
+    _check_conn_row) raises ValueError naming its line in the file. keep,
+    when given, is called with each parsed row, and only the rows it is
+    true of are kept."""
     out = []
+    read_flags = {}                            # text -> _read_flags(text)
     with open(path) as fh:
         header = fh.readline().strip().split("\t")
         n = 1                                  # the line read last
@@ -205,6 +249,11 @@ def read_conn_log(path, keep=None) -> list:
                     row[k] = int(row[k])
                 for k in ("ts", "duration"):
                     row[k] = float(row[k])
+                text = row["flags"]
+                if text not in read_flags:
+                    read_flags[text] = _read_flags(text)
+                row["flags"], flag_sum = read_flags[text]
+                _check_conn_row(row, flag_sum)
                 if keep is None or keep(row):
                     out.append(row)
         except (ValueError, KeyError) as e:

@@ -10,8 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import fieldbus
-from .cloud import (MQTT_PORT, MqttClient, decode_packet, dumps,
-                    encode_packet, loads)
+from .cloud import MqttClient, decode_packet, dumps, encode_packet, loads
 from .netsim import US_PER_S, ArpFailure
 from .services import WEBGUI_PORT
 
@@ -414,12 +413,8 @@ class RogueSubscriber(Injector):
 
 
 # ---------------------------------------------------------------------------
-# Recon: SYN scan with service naming, and web directory enumeration
+# Recon: SYN scan, and web directory enumeration
 # ---------------------------------------------------------------------------
-
-WELL_KNOWN = {22: "ssh", 25: "smtp", 53: "dns", 80: "http", 443: "https",
-              fieldbus.MODBUS_PORT: "modbus", MQTT_PORT: "mqtt",
-              5683: "coap", 8080: "http-alt"}
 
 
 class PortScan(Injector):
@@ -429,8 +424,6 @@ class PortScan(Injector):
         self.attacker = build.host(a, "attacker")
         self.target_host = self.reached(build, a, "target")
         self.ports = a.get("ports", list, [443], of=int, lo=0, hi=0xFFFF)
-        self.open_ports: dict[int, str] = {}
-        self.report: dict = {}
         self.window = AttackWindow(
             RECON, self.t_start_us,
             self.t_start_us + self.GAP_US * (len(self.ports) + 2),
@@ -441,24 +434,11 @@ class PortScan(Injector):
                         lambda n: self.t_start_us + n * self.GAP_US,
                         lambda n: self._probe(self.target_host.interfaces[0].ip,
                                               self.ports[n]))
-        self.sim.schedule_at(self.window.t_end_us, self._finish)
         return [self.window]
 
     def _probe(self, target_ip, port):
         stream = self.attacker.open_tcp(target_ip, port, "SCAN")
-
-        def on_established(s):
-            self.open_ports[port] = self.target_host.banner.get(
-                port, WELL_KNOWN.get(port, "unknown"))
-            s.reset()
-
-        stream.on_established = on_established
-
-    def _finish(self):
-        self.report = {"target": self.target_host.host_id,
-                       "open_ports": {p: self.open_ports[p]
-                                      for p in sorted(self.open_ports)},
-                       "os": self.target_host.os_label}
+        stream.on_established = lambda s: s.reset()
 
 
 class WebEnum(Injector):

@@ -326,20 +326,63 @@ _SPLIT_KEY_BYTES = 1 << 20
 _FOREST_ROW_BYTES = 5 << 18
 
 
-# feature subsets a tree draws at a time: the block that _bounded checks and
+# feature subsets a tree draws at a time: the block of Lemire draws that
 # Floyd's algorithm fills with numpy array operations
 _SUBSET_BLOCK = 32
 
 
-def _bounded(words, bound):
-    """Lemire's draws in [0, bound), one per 32-bit word, as numpy's bounded
-    integer draws make them: (word * bound) >> 32, unless the product's low
-    32 bits fall below (2**32 - bound) % bound, where numpy rejects the word
-    and draws again. -> the draws as uint64, or None when any is rejected."""
-    product = words * bound
-    if ((product & 0xFFFFFFFF) < (2 ** 32 - bound) % bound).any():
-        return None
-    return product >> 32
+class _Words:
+    """The 32-bit words numpy 2.4's Generator draws from np.random.PCG64(seed),
+    read from its raw output: the low half of each 64-bit output, then the
+    high half. The draws below are numpy's, from these words alone, so
+    detection never calls a Generator method."""
+
+    def __init__(self, seed):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._unread = np.empty(0, dtype=np.uint32)
+
+    def _peek(self, n) -> np.ndarray:
+        if len(self._unread) < n:
+            raw = self._raw((n - len(self._unread) + 1) // 2)
+            self._unread = np.concatenate(
+                (self._unread, raw.astype("<u8", copy=False).view("<u4")))
+        return self._unread[:n]
+
+    def bounded(self, bound, rows) -> np.ndarray:
+        """-> (rows, len(bound)) uint64 draws, row after row, the draw in
+        column c in [0, bound[c]), as Generator.integers makes each: Lemire's
+        (word * b) >> 32 from the next word whose product's low 32 bits are
+        at least (2**32 - b) % b, a word below that skipped."""
+        bound = np.asarray(bound, dtype=np.uint64)
+        threshold = (2**32 - bound) % bound
+        draws = np.empty((rows, len(bound)), dtype=np.uint64)
+        flat, done = draws.reshape(-1), 0
+        while done < len(flat):
+            # the words from done on, each tried for the draw at its place
+            flat[done:] = self._peek(len(flat) - done)
+            product = draws * bound
+            rejected = np.flatnonzero(
+                ((product & 0xFFFFFFFF) < threshold).reshape(-1)[done:])
+            n = rejected[0] if len(rejected) else len(flat) - done
+            flat[done:done + n] = product.reshape(-1)[done:done + n] >> 32
+            self._unread = self._unread[n + (done + n < len(flat)):]
+            done += n
+        return draws
+
+    def shuffled(self, n) -> np.ndarray:
+        """-> Generator's permutation(n): Fisher–Yates from the top, which
+        swaps i with the first word, masked to the bit length of i, that is
+        at most i. i words make at most i swaps, so none is read ahead."""
+        perm, i = list(range(n)), n - 1
+        while i > 0:
+            words = self._peek(i).tolist()
+            self._unread = self._unread[i:]
+            for word in words:
+                j = word & ((1 << i.bit_length()) - 1)
+                if j <= i:
+                    perm[i], perm[j] = perm[j], perm[i]
+                    i -= 1
+        return np.array(perm, dtype=np.int64)
 
 
 def _floyd(draws, d, m) -> np.ndarray:
@@ -354,53 +397,16 @@ def _floyd(draws, d, m) -> np.ndarray:
     return subsets
 
 
-def _feature_subsets(rng, d, m):
-    """Yields np.sort(rng.choice(d, size=m, replace=False)), 0 < m < d, call
-    after call, from the bits rng.choice would draw them from.
-
-    Where d <= 10000 or m <= d // 50, numpy runs Floyd's algorithm, then
-    shuffles the subset with m - 1 draws in [0, i] for i from m - 1 down to
-    1, which sorting undoes. Each draw is _bounded's from one 32-bit word,
-    and PCG64 hands out the low half of each 64-bit output, then the high
-    half. So a block of _SUBSET_BLOCK subsets is computed at once from the
-    generator's raw output. A block in which a word would be rejected is
-    drawn again by rng.choice from the state at its start, as is every
-    subset outside that regime.
-    """
-    if d > 10000 and m > d // 50:
-        while True:
-            yield np.sort(rng.choice(d, size=m, replace=False))
-    bg = rng.bit_generator
-
-    def held():
-        # the high half of an output the generator holds for its next word
-        state = bg.state
-        return [state["uinteger"]] if state["has_uint32"] else []
-
-    half = held()
-    bound = np.concatenate((np.arange(d - m + 1, d + 1),
-                            np.arange(m, 1, -1))).astype(np.uint64)
-    n_words = _SUBSET_BLOCK * len(bound)
+def _feature_subsets(words, d, m):
+    """Yields the sorted subsets of m of range(d), 0 < m < d, that words
+    picks one after another by Floyd's algorithm, as Generator's
+    choice(d, size=m, replace=False) picks them for d <= 10000, sorted:
+    m draws in [0, j] for j from d - m to d - 1, then m - 1 draws in [0, i]
+    for i from m - 1 down to 1 that shuffle the subset, which sorting
+    undoes. A block of _SUBSET_BLOCK subsets is drawn at a time."""
+    bound = np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
     while True:
-        start = bg.state
-        start["has_uint32"], start["uinteger"] = \
-            (1, half[0]) if half else (0, 0)
-        words = bg.random_raw((n_words - len(half) + 1) // 2)
-        words = np.concatenate((np.array(half, dtype=np.uint64),
-                                np.column_stack((words & 0xFFFFFFFF,
-                                                 words >> 32)).ravel()))
-        half = words[n_words:].tolist()
-        draws = _bounded(words[:n_words].reshape(_SUBSET_BLOCK, -1), bound)
-        if draws is None:
-            bg.state = start
-            block = [np.sort(rng.choice(d, size=m, replace=False))
-                     for _ in range(_SUBSET_BLOCK)]
-            half = held()
-        else:
-            block = _floyd(draws, d, m)
-        # between blocks a growing tree holds its block alone
-        del start, words, draws
-        yield from block
+        yield from _floyd(words.bounded(bound, _SUBSET_BLOCK), d, m)
 
 
 class _GrowingTree:
@@ -476,11 +482,12 @@ class _GrowingTree:
 
 
 def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
-    """Greedy CART trees, one per (rows, rng) pair of draws, where rows are
-    the training rows the tree sees (repeats allowed).
+    """Greedy CART trees, one per (rows, words) pair of draws, where rows
+    are the training rows the tree sees (repeats allowed) and words its
+    _Words.
 
     Each tree is the one grown alone: depth first, left before right, with
-    the next of its rng's feature subsets (_feature_subsets) taken at each
+    the next of its words' feature subsets (_feature_subsets) taken at each
     node that searches for a split, in that order.
     Trees start in the order of draws, as many at once as _FOREST_ROW_BYTES
     holds. In each step every growing tree adds nodes up to its next ones
@@ -499,10 +506,10 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
     draws = iter(draws)
     trees, growing = [], []
     while True:
-        for rows, rng in itertools.islice(
+        for rows, words in itertools.islice(
                 draws, max(1, _FOREST_ROW_BYTES // (4 * n)) - len(growing)):
             trees.append(_GrowingTree(
-                data, rows, _feature_subsets(rng, d, m) if m < d else None))
+                data, rows, _feature_subsets(words, d, m) if m < d else None))
             growing.append(trees[-1])
         if not growing:
             return [tree.tree() for tree in trees]
@@ -546,8 +553,7 @@ class DecisionTreeClassifier(BaseEstimator):
         y_idx = self._encode_labels(y)
         data = _RankedData(X, y_idx, len(self.classes_))
         self.tree_ = _grow_forest(
-            data, [(np.arange(len(X)),
-                    np.random.default_rng(self.random_state))],
+            data, [(np.arange(len(X)), _Words(self.random_state))],
             self.max_depth, self.min_leaf, self.max_features)[0]
         return self
 
@@ -577,15 +583,17 @@ class RandomForestClassifier(BaseEstimator):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
         data = _RankedData(X, y_idx, len(self.classes_))
-        rng = np.random.default_rng(self.random_state)
+        words = _Words(self.random_state)
         n = len(X)
 
         def draws():
-            # each tree's bootstrap rows and then its seed, tree by tree
+            # each tree's bootstrap rows and then its seed, tree by tree, as
+            # Generator's integers(0, n, size=n) and integers(2**31) draw
+            # them
             for _ in range(self.n_trees):
-                rows = rng.integers(0, n, size=n) if self.bootstrap \
+                rows = words.bounded([n], n).ravel() if self.bootstrap \
                     else np.arange(n)
-                yield rows, np.random.default_rng(int(rng.integers(2**31)))
+                yield rows, _Words(int(words.bounded([2**31], 1)[0, 0]))
 
         self.trees_ = _grow_forest(data, draws(), self.max_depth,
                                    self.min_leaf, self.max_features)

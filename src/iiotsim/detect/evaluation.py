@@ -6,7 +6,7 @@ import numpy as np
 
 from .estimators import (DecisionTreeClassifier, GaussianNBClassifier,
                          KNeighborsClassifier, LogisticRegressionOvR,
-                         RandomForestClassifier, check_X_y)
+                         RandomForestClassifier, _Words, check_X_y)
 
 NORMAL = "normal"       # the dataset label of rows outside every attack
 
@@ -60,7 +60,7 @@ def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
     if k < 2:
         raise ValueError("k must be at least 2")
     y = np.asarray(y)
-    rng = np.random.default_rng(seed)
+    words = _Words(seed)
     assignment = np.empty(len(y), dtype=np.int64)
     warnings = []
     for cls in np.unique(y):
@@ -68,7 +68,7 @@ def stratified_kfold(y, k: int, seed: int = 0) -> tuple:
         if len(idx) < k:
             warnings.append(f"class {str(cls)!r} has {len(idx)} rows for "
                             f"{k} folds")
-        idx = idx[rng.permutation(len(idx))]
+        idx = idx[words.shuffled(len(idx))]
         assignment[idx] = np.arange(len(idx)) % k
     folds = []
     for f in range(k):

@@ -130,12 +130,11 @@ class Build:
                 acl=acl if router else None,
                 forward_delay_us=self.read.forward_delay_us)
             host.wan_segments = set(h.get("wan_segments", list, [], of=str))
-            host.os_label = h.get("os_label", str, "")
+            # the plan names each host's OS and services for its reader
+            h.get("os_label", str, "")
             banner = h.get("banner", dict, {}, of=str)
             if not all(port.isdecimal() for port in banner):
                 h.error(f"{h.name}banner", f"keys must be ports, got {banner}")
-            host.banner = {int(p): v for p, v in banner.items()
-                           if p.isdecimal()}
             self.hosts[hid] = host
         roles = self.read.roles
         self.gw_host = self.hosts[roles["gateway"]]

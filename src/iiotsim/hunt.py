@@ -67,7 +67,7 @@ def reads_row(row, victim_ip: str) -> bool:
 
 def stream_flag_profile(rows) -> dict:
     """Flag-set histogram of the delivered TCP frames of conn.log rows: the
-    sum of the rows' `flags` columns, each key in first-seen order.
+    sum of the rows' `flags` pairs, each key in first-seen order.
 
     The data phase is the frames whose flag set has no SYN, FIN or RST.
     Only TcpStream.write sends a payload, and it always sends PSH_ACK, so a
@@ -76,10 +76,8 @@ def stream_flag_profile(rows) -> dict:
     phase."""
     hist: dict[str, int] = {}
     for r in rows:
-        if r["flags"] != "-":
-            for item in r["flags"].split(","):
-                key, count = item.split(":")
-                hist[key] = hist.get(key, 0) + int(count)
+        for key, count in r["flags"]:
+            hist[key] = hist.get(key, 0) + count
     data = {k: n for k, n in hist.items() if not {"S", "F", "R"} & set(k)}
     data_frames = sum(data.values())
     payload_frames = sum(n for k, n in data.items() if "P" in k)

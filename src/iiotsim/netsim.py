@@ -10,6 +10,7 @@ traffic from one host never perturbs the delay sequence of another.
 import binascii
 import functools
 import heapq
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -150,6 +151,13 @@ def owes_ack(flags: tuple, payload: bytes) -> bool:
 @functools.cache
 def _flag_key(flags: tuple) -> str:
     return "".join(FLAG_LETTER[f] for f in flags)
+
+
+# every key _flag_key spells: a flag tuple is sorted, so a set of flags
+# has one key
+FLAG_KEYS = frozenset(
+    _flag_key(flags) for n in range(len(FLAG_LETTER) + 1)
+    for flags in itertools.combinations(sorted(FLAG_LETTER), n))
 
 
 @dataclass
@@ -403,8 +411,6 @@ class Host:
         self.wan_segments: set = set()
         self.arp_cache: dict[str, tuple] = {}   # ip -> (mac, ts_us)
         self.syslog: list = []
-        self.banner: dict = {}                   # port -> service name
-        self.os_label: str = ""
         self.mitm_handler = None                 # fn(frame) -> None
         self._tcp_services: dict[int, object] = {}
         self._udp_services: dict[int, object] = {}
@@ -867,7 +873,7 @@ def write_capture_jsonl(frames, path) -> None:
 # but for the two a plan names freely, segment and sender, which take
 # JSON's escapes (unrolled, so a name without one costs what a str does).
 # No str takes a surrogate, which is how the reader sees a byte that is not
-# UTF-8. `len` is matched but not captured: wire_len recomputes it.
+# UTF-8.
 _PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 _STR = f'"({_PLAIN})"'
 _NAME = fr'"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)"'
@@ -882,7 +888,7 @@ _WRITER_FIELDS = (
     ("src_port", _PORT), ("dst_ip", _STR), ("dst_port", _PORT),
     ("l4", '"(TCP|UDP|ARP)"'),
     ("tcp_flags", fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'),
-    ("len", f"(?:{_DIGITS})"), ("proto_tag", f'"({"|".join(PROTO_TAGS)})"'),
+    ("len", _INT), ("proto_tag", f'"({"|".join(PROTO_TAGS)})"'),
     ("payload_b64", _STR), ("segment", _NAME), ("sender", _NAME),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
     ("deliver_ts_us", _INT), ("drop_reason", _STR), ("fw_denied", _BOOL))
@@ -902,15 +908,33 @@ def _departure(line: str) -> str:
                 if re.match(prefix, line) is None)
 
 
+def _writer_flags(text):
+    """-> the flag tuple of a tcp_flags list the regex took, or None when
+    its names are out of order or one repeats: a Frame's flags are a sorted
+    tuple, so the writer writes no such list."""
+    flags = tuple(json.loads(text))
+    return flags if list(flags) == sorted(set(flags)) else None
+
+
+def _len_texts(l4) -> _Memo:
+    """payload length -> the len text write_capture_jsonl writes for an l4
+    record with that payload."""
+    header, counted = WIRE_LEN.get(l4, ARP_WIRE_LEN)
+    return _Memo(lambda n: str(header + n if counted else header))
+
+
 def iter_capture_jsonl(path):
     """Frames of a capture.jsonl, one per record, in file order. A line not
-    the writer's, or whose payload is not base64 or ts_us is below its
-    predecessor's, raises ValueError naming the file, the record (its line
-    number) and the field. Equal str values and flag tuples are one shared
-    object."""
+    the writer's (tcp_flags out of order or repeated among them), or whose
+    payload is not base64, whose ts_us is below its predecessor's, whose
+    len is not the wire length WIRE_LEN gives for its l4 and payload, or
+    that is delivered before its ts_us, raises ValueError naming the file,
+    the record (its line number) and the field. Equal str values and flag
+    tuples are one shared object."""
     share = _Memo(lambda v: v)
     names = _Memo(lambda raw: share[json.loads(f'"{raw}"')])
-    flag_list = _Memo(lambda text: share[tuple(json.loads(text))])
+    flag_list = _Memo(lambda text: share[_writer_flags(text)])
+    len_text = _Memo(_len_texts)
     a2b = binascii.a2b_base64
     b = {"true": True, "false": False}
     last_ts = float("-inf")
@@ -924,21 +948,35 @@ def iter_capture_jsonl(path):
                            f"{_departure(line)}")
                     break
                 (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port, l4,
-                 flags, tag, b64, segment, sender, origin, final, delivered,
-                 deliver_ts, drop, fw) = m.groups()
-                # the regex checked every field but the payload's base64
-                payload, ts = a2b(b64), int(ts)
+                 flags, wire_len, tag, b64, segment, sender, origin, final,
+                 delivered, deliver_ts, drop, fw) = m.groups()
+                # the regex checked every field's text but the payload's
+                # base64; these are the values it cannot check
+                payload, ts, deliver_ts = a2b(b64), int(ts), int(deliver_ts)
+                tcp_flags = flag_list[flags]
+                if tcp_flags is None:
+                    why = "the line departs from the writer's at tcp_flags"
+                    break
                 if ts < last_ts:
                     why = (f"ts_us {ts} is below the previous record's "
                            f"{last_ts}")
+                    break
+                # the regex took len in the writer's int text
+                if wire_len != len_text[l4][len(payload)]:
+                    why = (f"len {wire_len} is not the wire length of a {l4} "
+                           f"record with a {len(payload)}-byte payload")
+                    break
+                if deliver_ts < ts and delivered == "true":
+                    why = (f"deliver_ts_us {deliver_ts} of a delivered record "
+                           f"is below its ts_us {ts}")
                     break
                 last_ts = ts
                 # the arguments of Frame, in its field order
                 yield Frame(ts, names[segment], names[sender], share[src_mac],
                             share[dst_mac], share[src_ip], share[dst_ip],
                             int(src_port), int(dst_port), share[l4],
-                            flag_list[flags], payload, share[tag], b[origin],
-                            b[final], b[delivered], int(deliver_ts),
+                            tcp_flags, payload, share[tag], b[origin],
+                            b[final], b[delivered], deliver_ts,
                             share[drop], b[fw])
             else:
                 return

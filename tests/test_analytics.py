@@ -71,7 +71,7 @@ class TestBuildConversations:
         assert len(convs) == 1 and convs[0].total_pkts() == 2
         assert convs[0].flag_hist is None
         assert convs[0].sender_spans == {c: [0, 0]}
-        assert analytics.conn_row(convs[0])["flags"] == "-"
+        assert analytics.conn_row(convs[0])["flags"] == ()
 
     @pytest.mark.parametrize("request_end,reply_end", [
         # one address, two ports: ordered by port
@@ -191,6 +191,67 @@ class TestConnLog:
             with pytest.raises(ValueError,
                                match="conn.log row at line 6: ValueError"):
                 analytics.read_conn_log(path, keep=keep)
+
+    # a column's text the writer cannot write -> why the reader refuses it
+    UNWRITTEN = {
+        "orig_p": [("-1", "orig_p -1 is not a port"),
+                   ("65536", "orig_p 65536 is not a port"),
+                   ("x", "invalid literal for int() with base 10: 'x'")],
+        "resp_p": [("99999", "resp_p 99999 is not a port")],
+        "ts": [("nan", "ts nan is not finite and non-negative"),
+               ("inf", "ts inf is not finite and non-negative"),
+               ("-0.5", "ts -0.5 is not finite and non-negative")],
+        "duration": [("nan", "duration nan is not finite and non-negative"),
+                     ("-1.0", "duration -1.0 is not finite and "
+                      "non-negative")],
+        "orig_bytes": [("-1", "orig_bytes -1 is negative")],
+        "resp_pkts": [("-3", "resp_pkts -3 is negative")],
+        "flags": [
+            ("A:-500", "flags count A:-500 is not positive"),
+            ("S:1,AS:1,A:0,AP:3,AF:2", "flags count A:0 is not positive"),
+            ("A:x", "invalid literal for int() with base 10: 'x'"),
+            ("A:1e3", "invalid literal for int() with base 10: '1e3'"),
+            ("X:7", "flags key 'X' is no set of flags"),
+            ("SA:7", "flags key 'SA' is no set of flags"),
+            ("A:3,A:4", "a flags key repeats"),
+            ("S:1,AS:1,A:1,AP:2,AF:1", "the flags counts do not sum to "
+             "orig_pkts + resp_pkts, 7"),
+            ("A", "not enough values to unpack (expected 2, got 1)"),
+            ("A:1:6", "too many values to unpack (expected 2)")],
+    }
+
+    @pytest.mark.parametrize("column, text, why", [
+        (column, text, why) for column, cases in UNWRITTEN.items()
+        for text, why in cases])
+    def test_a_value_its_writer_cannot_write_is_refused(
+            self, tmp_path, column, text, why):
+        path = tmp_path / "conn.log"
+        analytics.write_conn_log(map(analytics.conn_row,
+                                     analytics.build_conversations(
+                                         seven_frame_stream(), ())), path)
+        header, line = path.read_text().splitlines()
+        assert line.endswith("\tS:1,AS:1,A:1,AP:2,AF:2")
+        cells = line.split("\t")
+        cells[analytics.CONN_LOG_COLUMNS.index(column)] = text
+        path.write_text("\n".join([header, line, "\t".join(cells)]) + "\n")
+        with pytest.raises(ValueError) as error:
+            analytics.read_conn_log(path, keep=lambda row: False)
+        assert str(error.value) == (
+            f"{path}: bad conn.log row at line 3: ValueError: {why}")
+
+    def test_every_flag_set_reads_back(self, tmp_path):
+        # each of the 32 flag keys, and a row with no TCP frame
+        keys = sorted(analytics.FLAG_KEYS)
+        assert len(keys) == 32 and "AFPRS" in keys and "" in keys
+        row = analytics.conn_row(analytics.build_conversations(
+            seven_frame_stream(), ())[0])
+        rows = [dict(row, flags=tuple((k, 7) for k in keys),
+                     orig_pkts=7 * 16, resp_pkts=7 * 16),
+                dict(row, flags=())]
+        path = tmp_path / "conn.log"
+        analytics.write_conn_log(rows, path)
+        assert path.read_text().splitlines()[2].endswith("\t-")
+        assert analytics.read_conn_log(path) == rows
 
 
 class TestResponseTimes:

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from iiotsim import analytics, cli
-from iiotsim.detect import (CrossValResult, DecisionTreeClassifier,
-                            GaussianNBClassifier, KNeighborsClassifier,
-                            LogisticRegressionOvR, ModelSpec,
-                            RandomForestClassifier, attack_detection,
-                            check_X_y, confusion_matrix, cross_validate,
-                            fold_features, format_metrics_table,
-                            metrics_from_confusion, stratified_kfold)
+from iiotsim.detect import (DEFAULT_SPECS, CrossValResult,
+                            DecisionTreeClassifier, GaussianNBClassifier,
+                            KNeighborsClassifier, LogisticRegressionOvR,
+                            ModelSpec, RandomForestClassifier,
+                            attack_detection, check_X_y, confusion_matrix,
+                            cross_validate, fold_features,
+                            format_metrics_table, metrics_from_confusion,
+                            stratified_kfold)
 from iiotsim.detect import estimators
 
 from conftest import (binary_logistic_loss_and_grad,
@@ -238,43 +239,68 @@ class TestLogisticRegression:
                 assert np.abs(grad).max() < 1e-9
 
 
+class TestWords:
+    """_Words against numpy's Generator at the same seed, call for call on
+    one stream of each."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_draws_are_generator_draws_call_after_call(self, seed):
+        rng, words = np.random.default_rng(seed), estimators._Words(seed)
+        for n in (2, 17, 6334):
+            assert (words.bounded([n], n).ravel()
+                    == rng.integers(0, n, size=n)).all()
+            if n == 17:
+                # an odd number of words: the next starts on a high half
+                assert rng.bit_generator.state["has_uint32"]
+                assert words.bounded([2**31], 1)[0, 0] == rng.integers(2**31)
+        # about half the words are rejected, each skipped in house
+        assert (words.bounded([2**31 + 1], 301).ravel()
+                == rng.integers(0, 2**31 + 1, size=301)).all()
+        for n in (0, 1, 2, 3, 7, 100, 1000, 6334):
+            assert (words.shuffled(n) == rng.permutation(n)).all()
+        for d, m in ((18, 4), (2, 1), (10000, 3000)):
+            subsets = estimators._feature_subsets(words, d, m)
+            for _ in range(estimators._SUBSET_BLOCK):
+                assert (next(subsets) == np.sort(
+                    rng.choice(d, size=m, replace=False))).all()
+        assert words.bounded([2**31], 1)[0, 0] == rng.integers(2**31)
+
+
 class TestFeatureSubsets:
     @staticmethod
-    def generators(seed, half):
-        """Two generators in one state; with half, each holds the high half
-        of an output for its next 32-bit word."""
-        pair = [np.random.default_rng(seed) for _ in range(2)]
+    def streams(seed, half):
+        """A Generator and a _Words at one point of one stream; with half,
+        each holds the high half of an output for its next word."""
+        rng, words = np.random.default_rng(seed), estimators._Words(seed)
         if half:
-            for rng in pair:
-                rng.choice(3, size=2, replace=False)
-            assert pair[0].bit_generator.state["has_uint32"]
-        return pair
+            assert words.bounded([2**31], 1)[0, 0] == rng.integers(2**31)
+            assert rng.bit_generator.state["has_uint32"]
+        return rng, words
 
     @pytest.mark.parametrize("d, m", [(18, 4), (18, 1), (18, 17), (2, 1),
-                                      (10001, 100), (10001, 300)])
+                                      (10001, 100)])
     def test_subsets_are_rng_choice_call_after_call(self, monkeypatch, d, m):
         # 70 calls run into a third block of 32; at (10001, 100) some words
-        # are rejected, and (10001, 300) is outside Floyd's regime
-        results = []
-        bounded = estimators._bounded
-        monkeypatch.setattr(estimators, "_bounded",
-                            lambda *a: results.append(bounded(*a))
-                            or results[-1])
+        # are rejected, and a block that meets one reads more words
+        peeks = []
+        peek = estimators._Words._peek
+        monkeypatch.setattr(estimators._Words, "_peek",
+                            lambda self, n: peeks.append(n) or peek(self, n))
         for seed in range(300):
-            rng, twin = self.generators(seed, half=seed % 2 == 1)
-            subsets = estimators._feature_subsets(twin, d, m)
+            rng, words = self.streams(seed, half=seed % 2 == 1)
+            subsets = estimators._feature_subsets(words, d, m)
             for _ in range(70):
                 expected = np.sort(rng.choice(d, size=m, replace=False))
                 got = next(subsets)
                 assert got.dtype == expected.dtype
                 assert (got == expected).all()
-        rejected = sum(r is None for r in results)
-        if (d, m) == (10001, 300):
-            assert not results
-        elif d == 10001:
-            assert 0 < rejected < len(results)
+        block = estimators._SUBSET_BLOCK * (2 * m - 1)
+        blocks = peeks.count(block)
+        assert blocks == 3 * 300
+        if d == 10001:
+            assert 150 + blocks < len(peeks)
         else:
-            assert rejected == 0 and len(results) == 3 * 300
+            assert len(peeks) == 150 + blocks
 
 
 class TestStratifiedKFold:
@@ -293,6 +319,20 @@ class TestStratifiedKFold:
         f2, _ = stratified_kfold(y, 5, seed=9)
         for (t1, v1), (t2, v2) in zip(f1, f2):
             assert (v1 == v2).all()
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_each_class_is_shuffled_by_generator_permutation(self, seed):
+        y = np.array(["b"] * 70 + ["a"] * 1000 + ["c"] * 3 + ["b"] * 30)
+        folds, _ = stratified_kfold(y, 10, seed)
+        rng = np.random.default_rng(seed)
+        assignment = np.empty(len(y), dtype=np.int64)
+        for cls in ("a", "b", "c"):
+            idx = np.flatnonzero(y == cls)
+            assignment[idx[rng.permutation(len(idx))]] = \
+                np.arange(len(idx)) % 10
+        for f, (train, val) in enumerate(folds):
+            assert (val == np.flatnonzero(assignment == f)).all()
+            assert (train == np.flatnonzero(assignment != f)).all()
 
     def test_small_class_warns(self):
         y = np.array(["a"] * 50 + ["rare"] * 5)
@@ -439,6 +479,29 @@ class TestCrossValidate:
         r1 = cross_validate(ModelSpec("RF", {"n_trees": 5}), X, y, k=5, seed=2)
         r2 = cross_validate(ModelSpec("RF", {"n_trees": 5}), X, y, k=5, seed=2)
         assert (r1.confusion == r2.confusion).all()
+
+    def test_every_model_draws_from_raw_words_alone(self, monkeypatch):
+        # numpy keeps PCG64's raw stream across versions, not its Generator
+        # methods: cross-validation calls neither those nor numpy's legacy
+        # module-level draws
+        X, y, _ = nine_class_dataset(5, n=120)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect called a numpy Generator method")
+
+        class Refusing(np.random.Generator):
+            integers = permutation = permuted = choice = shuffle = refuse
+            random = bytes = refuse
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", Refusing)
+        for name in ("randint", "random_integers", "permutation", "choice",
+                     "shuffle", "random", "rand", "random_sample"):
+            monkeypatch.setattr(np.random, name, refuse)
+        with pytest.raises(AssertionError):
+            np.random.Generator(np.random.PCG64(0)).integers(5)
+        for spec in DEFAULT_SPECS:
+            cross_validate(spec, X, y, k=4, seed=9)
 
     def test_fold_matrices_sum_to_aggregate(self):
         X, y = toy_blobs(n=40, seed=6)
@@ -866,28 +929,21 @@ class TestAgainstReference:
         assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                 ).all()
 
-    @pytest.mark.parametrize("block", [3, 32])
-    def test_forest_drawn_by_rng_choice_on_every_block_matches_reference(
-            self, monkeypatch, block):
-        # every block takes the path of a rejected word: the state at its
-        # start is restored and rng.choice draws the block; blocks of 3
-        # subsets hand that state on mid-tree
-        blocks = []
-        monkeypatch.setattr(estimators, "_bounded",
-                            lambda words, bound: blocks.append(1))
-        monkeypatch.setattr(estimators, "_SUBSET_BLOCK", block)
+    def test_forest_with_blocks_of_3_subsets_matches_reference(
+            self, monkeypatch):
+        # a tree that searches more than 3 nodes draws a block mid-tree
+        monkeypatch.setattr(estimators, "_SUBSET_BLOCK", 3)
         X, y, Q = tied_dataset(31, n=70)
         for max_features in ("sqrt", 2):
             params = dict(n_trees=7, max_depth=7, max_features=max_features,
                           random_state=3)
             model = RandomForestClassifier(**params).fit(X, y)
+            assert max(len(tree.feature) for tree in model.trees_) > 7
             _, roots = ref_forest(X, y, **params)
             assert [flat_preorder(tree) for tree in model.trees_] == \
                 [ref_preorder(root) for root in roots]
             assert (model.predict(Q) == ref_forest_predict(X, y, Q, **params)
                     ).all()
-        # each of the 14 trees drew a block, and blocks of 3 ran out
-        assert len(blocks) > 14 if block == 3 else len(blocks) >= 14
 
     def test_unbootstrapped_forest_matches_reference(self):
         X, y, Q = tied_dataset(21, n=80)

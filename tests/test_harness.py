@@ -674,7 +674,8 @@ class TestCaptureWalk:
         rows = [analytics.conn_row(c)
                 for c in walked(frames).conversations.result()]
         assert [(r["ts"], r["orig_bytes"], r["flags"]) for r in rows] == [
-            (0.001, 3, "S:1,AS:1,A:1,AFP:1"), (0.005, 0, "S:1")]
+            (0.001, 3, (("S", 1), ("AS", 1), ("A", 1), ("AFP", 1))),
+            (0.005, 0, (("S", 1),))]
         assert rows == [analytics.conn_row(c) for c in
                         analytics.build_conversations(frames, SPANNED)]
 
@@ -1153,6 +1154,39 @@ class TestCli:
         assert error == (
             f"cannot read bundle: {path}: bad capture record 2: the line "
             f"departs from the writer's at {field}")
+        assert not any((tmp_path / name).exists() for name in self.REBUILT)
+
+    # an edit of the second of three records -> why report refuses it
+    UNWRITTEN_VALUES = {
+        "len": ('"len": 54,', '"len": 7,', "len 7 is not the wire length "
+                "of a TCP record with a 0-byte payload"),
+        "deliver_ts_us": ('"deliver_ts_us": 120,', '"deliver_ts_us": 19,',
+                          "deliver_ts_us 19 of a delivered record is below "
+                          "its ts_us 20")}
+
+    @pytest.mark.parametrize("field", sorted(UNWRITTEN_VALUES))
+    def test_report_refuses_a_value_the_writer_cannot_write(
+            self, tmp_path, capsys, field):
+        frames = [netsim.Frame(
+            ts_us=k, segment="lan-a", sender="mobile",
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="192.168.10.20", dst_ip="192.168.10.30", src_port=5000,
+            dst_port=502, l4="TCP", tcp_flags=("SYN",), payload=b"",
+            proto_tag="MODBUS", delivered=True, deliver_ts_us=k + 100)
+            for k in (10, 20, 30)]
+        path = tmp_path / "capture.jsonl"
+        netsim.write_capture_jsonl(frames, path)
+        assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 0
+        written, edit, why = self.UNWRITTEN_VALUES[field]
+        lines = path.read_text().splitlines(keepends=True)
+        assert written in lines[1]
+        lines[1] = lines[1].replace(written, edit)
+        path.write_text("".join(lines))
+        for name in self.REBUILT:
+            (tmp_path / name).unlink()
+        assert cli.main(["--quiet", "report", "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"cannot read bundle: {path}: bad capture record 2: {why}")
         assert not any((tmp_path / name).exists() for name in self.REBUILT)
 
     @staticmethod

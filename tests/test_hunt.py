@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -7,7 +8,7 @@ from iiotsim import analytics, cli, harness, hunt, plan as planmod
 
 
 def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS",
-        flags="-"):
+        flags=()):
     return {"ts": 0.0, "orig_h": orig, "orig_p": orig_p, "resp_h": resp,
             "resp_p": resp_p, "proto": proto, "duration": duration,
             "orig_bytes": orig_bytes, "resp_bytes": 0, "orig_pkts": 1,
@@ -15,12 +16,11 @@ def row(orig, resp, resp_p, duration, orig_bytes, orig_p=50000, proto="HTTPS",
 
 
 def summed_flags(rows) -> dict:
-    """flag key -> its count summed over the rows' flags columns."""
+    """flag key -> its count summed over the rows' flags pairs."""
     total = {}
     for r in rows:
-        for item in r["flags"].split(",") if r["flags"] != "-" else ():
-            key, count = item.split(":")
-            total[key] = total.get(key, 0) + int(count)
+        for key, count in r["flags"]:
+            total[key] = total.get(key, 0) + count
     return total
 
 
@@ -116,9 +116,44 @@ class TestReadsRow:
         assert report["flag_profiles"]
 
 
+    # edits of line 4,421 of the default bundle's conn.log, its first
+    # reverse shell (192.168.10.1 -> 192.168.10.151:4444) -> why hunt
+    # refuses it
+    REFUSED_EDITS = {
+        "negative_flag_count": (
+            {"flags": "A:-500"}, "flags count A:-500 is not positive"),
+        "flag_count_not_an_int": (
+            {"flags": "A:x"}, "invalid literal for int() with base 10: 'x'"),
+        "port_and_duration": (
+            {"resp_p": "99999", "duration": "nan"},
+            "resp_p 99999 is not a port")}
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_EDITS))
+    def test_hunt_refuses_a_row_its_writer_cannot_write(
+            self, default_bundle, tmp_path, capsys, case):
+        edits, why = self.REFUSED_EDITS[case]
+        for name in ("syslog_router.txt", "syslog_router_truth.txt"):
+            shutil.copy(os.path.join(default_bundle.out_dir, name), tmp_path)
+        with open(os.path.join(default_bundle.out_dir, "conn.log")) as fh:
+            lines = fh.read().splitlines()
+        header = lines[0].split("\t")
+        cells = lines[4420].split("\t")
+        assert cells[header.index("resp_p")] == "4444"
+        for column, text in edits.items():
+            cells[header.index(column)] = text
+        lines[4420] = "\t".join(cells)
+        path = tmp_path / "conn.log"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["--quiet", "hunt", "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"cannot read bundle: {path}: bad conn.log row at line 4421: "
+            f"ValueError: {why}")
+        assert not (tmp_path / "hunt_report.json").exists()
+
+
 # one reverse shell's connection: handshake, ten command/output exchanges
 # with their ACK, and a RST
-SHELL_FLAGS = "S:1,AS:1,A:11,AP:20,R:1"
+SHELL_FLAGS = (("S", 1), ("AS", 1), ("A", 11), ("AP", 20), ("R", 1))
 
 
 class TestFlagProfile:
@@ -135,7 +170,7 @@ class TestFlagProfile:
     def test_handshake_only_negative(self):
         out = hunt.stream_flag_profile([row(
             "10.0.0.1", "10.0.0.2", 4444, 0.1, 0, proto="TCP",
-            flags="S:1,AS:1,A:1")])
+            flags=(("S", 1), ("AS", 1), ("A", 1)))])
         assert out["verdict"] == "not-shell-like"
         assert (out["data_frames"], out["payload_frames"]) == (1, 0)
 
@@ -143,7 +178,7 @@ class TestFlagProfile:
         # keys in first-seen order over the rows; a row without TCP frames
         # adds none
         rows = [row("10.0.0.1", "10.0.0.2", 4444, 1.0, 0, proto="TCP",
-                    flags="S:1,AS:1,A:2,AF:2"),
+                    flags=(("S", 1), ("AS", 1), ("A", 2), ("AF", 2))),
                 row("10.0.0.1", "10.0.0.2", 4444, 1.0, 0, proto="UDP"),
                 *self.shell_rows()]
         out = hunt.stream_flag_profile(rows)
@@ -220,7 +255,7 @@ class TestHuntChain:
             row("10.0.0.5", "10.0.0.1", 443, 2.0, 100),
             row("10.0.0.7", "10.0.0.1", 443, 120.0, 9000),
             row("10.0.0.1", "10.0.0.7", 4444, 300.0, 10, proto="TCP",
-                flags="S:1,AS:1,A:6,AP:5"),
+                flags=(("S", 1), ("AS", 1), ("A", 6), ("AP", 5))),
         ]
         syslog = ["2019-10-01T22:00:00.000Z php: reverse shell opened\n"]
         report = hunt.hunt_report(conn, "10.0.0.1", backdoor_ports=(4444,),

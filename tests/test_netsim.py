@@ -856,7 +856,8 @@ class TestCaptureExport:
     @staticmethod
     def hard_frames():
         """Quotes, backslashes, non-ASCII and control characters, empty and
-        all-256-byte payloads, and both values of every boolean."""
+        all-256-byte payloads, and both values of every boolean; each frame
+        is delivered, if at all, at or after its ts_us."""
         texts = ["", "lan", 'quo"te', "back\\slash", "caf\u00e9 \U0001f600",
                  "ctl\x00\x1f\x7f\n\t"]
         flag_sets = [(), ("SYN",), ("ACK", "SYN"), ("ACK", "FIN", "PSH")]
@@ -874,7 +875,7 @@ class TestCaptureExport:
                 tcp_flags=flags, payload=payload,
                 proto_tag=netsim.PROTO_TAGS[k % len(netsim.PROTO_TAGS)],
                 origin=bools[0], final=bools[1], delivered=bools[2],
-                deliver_ts_us=k * 7, drop_reason=text[3],
+                deliver_ts_us=k * 1_000_010, drop_reason=text[3],
                 fw_denied=bools[3]))
         return frames
 
@@ -1134,6 +1135,11 @@ class TestCaptureReader:
             {k: v for k, v in rec.items() if k != "segment"})], "segment"),
         "lower_case_flags": (lambda line, rec: [json.dumps(
             dict(rec, tcp_flags=["ack", "syn"]))], "tcp_flags"),
+        # a Frame's flags are a sorted tuple
+        "flags_out_of_order": (lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags=["SYN", "ACK"]))], "tcp_flags"),
+        "flag_twice": (lambda line, rec: [json.dumps(
+            dict(rec, tcp_flags=["ACK", "ACK"]))], "tcp_flags"),
         "int_for_a_boolean": (lambda line, rec: [json.dumps(
             dict(rec, origin=1))], "origin"),
         "two_for_a_boolean": (lambda line, rec: [json.dumps(
@@ -1170,6 +1176,46 @@ class TestCaptureReader:
             assert str(error.value) == (
                 f"{path}: bad capture record {record}: ts_us 7 is below the "
                 f"previous record's 9")
+
+    @pytest.mark.parametrize("l4, payload, written", [
+        ("TCP", b"", 54), ("TCP", b"abc", 57), ("UDP", b"ab", 44),
+        ("ARP", b"abcd", 42)])
+    def test_a_len_not_the_wire_length_is_refused(self, tmp_path, l4,
+                                                  payload, written):
+        frames = [Frame(ts, "lan", "h", "m", "m", "10.0.0.1", "10.0.0.2", 1,
+                        2, l4, (), payload, "DNS") for ts in (5, 6, 7)]
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        assert [f.wire_len for f in netsim.read_capture_jsonl(path)] == \
+            [written] * 3
+        for wrong in (written - 1, written + 1, 0):
+            lines = path.read_text().splitlines(keepends=True)
+            lines[2] = lines[2].replace(f'"len": {written},',
+                                        f'"len": {wrong},')
+            (tmp_path / "edited.jsonl").write_text("".join(lines))
+            with pytest.raises(ValueError) as error:
+                netsim.read_capture_jsonl(tmp_path / "edited.jsonl")
+            assert str(error.value) == (
+                f"{tmp_path / 'edited.jsonl'}: bad capture record 3: len "
+                f"{wrong} is not the wire length of a {l4} record with a "
+                f"{len(payload)}-byte payload")
+
+    def test_a_delivery_before_its_send_is_refused(self, tmp_path):
+        # an undelivered record's deliver_ts_us is not a time
+        frames = [Frame(ts, "lan", "h", "m", "m", "10.0.0.1", "10.0.0.2", 1,
+                        2, "UDP", (), b"", "DNS", delivered=delivered,
+                        deliver_ts_us=deliver)
+                  for ts, delivered, deliver in ((5, True, 5), (6, False, 0),
+                                                 (7, True, 6))]
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        with pytest.raises(ValueError) as error:
+            netsim.read_capture_jsonl(path)
+        assert str(error.value) == (
+            f"{path}: bad capture record 3: deliver_ts_us 6 of a delivered "
+            f"record is below its ts_us 7")
+        write_capture_jsonl(frames[:2], path)
+        assert len(netsim.read_capture_jsonl(path)) == 2
 
     @pytest.mark.parametrize("text", ["[{}]", "null", "7", '"text"'])
     def test_record_that_is_not_an_object(self, tmp_path, text):

@@ -14,7 +14,9 @@ Stored state: every attribute src/iiotsim stores (self.x = ..., obj.x = ...,
 x += ...) or declares as a class field (a dataclass's x: int) is read
 somewhere, by name, in src/iiotsim or perfbench/*.py. A read is an attribute
 load that is not the receiver of append, extend, add, update or clear, or a
-string constant; a list only ever appended to is a transcript nothing reads.
+string constant that names an attribute, as the second argument of getattr
+or hasattr (add_parser("report") reads no report); a list only ever appended
+to is a transcript nothing reads.
 A test observes the run through its bundle, its capture, its logs or a hook
 src/ already calls, not through state kept for it."""
 
@@ -104,17 +106,20 @@ def test_the_rule_flags_a_definition_only_a_test_names():
 
 def reads(tree) -> set:
     """Every attribute tree loads, but as the receiver of a GROWERS call,
-    and every string constant in it."""
-    grown = {id(node.func.value) for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr in GROWERS}
-    return {node.attr if isinstance(node, ast.Attribute) else node.value
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load) and id(node) not in grown)
-            or (isinstance(node, ast.Constant)
-                and isinstance(node.value, str))}
+    and every string constant it passes as getattr's or hasattr's name."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    grown = {id(call.func.value) for call in calls
+             if isinstance(call.func, ast.Attribute)
+             and call.func.attr in GROWERS}
+    named = {call.args[1].value for call in calls
+             if isinstance(call.func, ast.Name)
+             and call.func.id in ("getattr", "hasattr") and len(call.args) > 1
+             and isinstance(call.args[1], ast.Constant)
+             and isinstance(call.args[1].value, str)}
+    return named | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in grown}
 
 
 def stored(trees) -> list:
@@ -168,6 +173,8 @@ def test_the_rule_flags_state_only_a_test_reads():
         "        self.log = []\n"
         "        self.count = 0\n"
         "        self.hook = None\n"
+        "        self.probe = None\n"
+        "        self.report = {}\n"
         "        self.done = set()\n\n"
         "    def send(self, w):\n"
         "        self.sent.append(w.t0)\n"
@@ -175,12 +182,16 @@ def test_the_rule_flags_state_only_a_test_reads():
         "        self.done.add(w)\n"
         "        self.count += 1\n"
         "        w.closed = True\n"
+        "        hasattr(self, 'probe'), parser.add('report')\n"
         "        return getattr(self, 'hook'), w in self.done\n")}
-    # appended to, counted up or set, and never read
+    # appended to, counted up or set, and never read; a string read only
+    # where it names an attribute
     assert unread_state(trees) == [("m.py", 6, "gaps"), ("m.py", 11, "log"),
                                    ("m.py", 12, "count"),
-                                   ("m.py", 20, "count"),
-                                   ("m.py", 21, "closed")]
+                                   ("m.py", 15, "report"),
+                                   ("m.py", 22, "count"),
+                                   ("m.py", 23, "closed")]
     # a load elsewhere, such as in perfbench, reads it
     assert unread_state(trees, [ast.parse("print(run.log, w.closed)")]) == [
-        ("m.py", 6, "gaps"), ("m.py", 12, "count"), ("m.py", 20, "count")]
+        ("m.py", 6, "gaps"), ("m.py", 12, "count"), ("m.py", 15, "report"),
+        ("m.py", 22, "count")]
