@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import fieldbus
 from .cloud import decode_packet, loads
-from .netsim import FLAG_KEYS
+from .netsim import FLAG_KEYS, PROTO_TAGS
 from .services import API_PORT, HTTP_PORT, SMTP_PORT, WEBGUI_PORT
 
 IDLE_TIMEOUT_US = 60_000_000
@@ -34,6 +34,8 @@ KIND_TO_LABEL = {
 CONN_LOG_COLUMNS = ("ts", "orig_h", "orig_p", "resp_h", "resp_p", "proto",
                     "duration", "orig_bytes", "resp_bytes", "orig_pkts",
                     "resp_pkts", "flags")
+_INT_COLUMNS = ("orig_p", "resp_p", "orig_bytes", "resp_bytes", "orig_pkts",
+                "resp_pkts")
 
 
 @dataclass(slots=True)
@@ -194,33 +196,49 @@ def _read_flags(text) -> tuple:
     """-> (the (flag key, count) pairs of a conn.log flags text, their
     count sum); ValueError naming the fault if conn_row writes no such
     text: a key _flag_key spells for no set of flags, a repeated key or a
-    count that is not positive."""
+    count that is not a positive int as str() writes it."""
     if text == "-":
         return (), None
-    pairs = tuple((k, int(n)) for k, n in
-                  (item.split(":") for item in text.split(",")))
-    for k, n in pairs:
+    pairs = []
+    for item in text.split(","):
+        k, n_text = item.split(":")
+        n = int(n_text)
         if k not in FLAG_KEYS:
             raise ValueError(f"flags key {k!r} is no set of flags")
         if n <= 0:
             raise ValueError(f"flags count {k}:{n} is not positive")
+        if str(n) != n_text:
+            raise ValueError(f"flags count {k}:{n_text} is not written "
+                             f"as {n}")
+        pairs.append((k, n))
+    pairs = tuple(pairs)
     if len(dict(pairs)) < len(pairs):
         raise ValueError("a flags key repeats")
     return pairs, sum(n for _, n in pairs)
 
 
-def _check_conn_row(row, flag_sum) -> None:
-    """Raises ValueError naming the field if conn_row cannot have made the
-    parsed row, whose flags count flag_sum frames (None for -)."""
+def _check_conn_row(row, texts, flag_sum) -> None:
+    """Raises ValueError naming the field if write_conn_log cannot have
+    written the parsed row from a conn_row, whose flags count flag_sum
+    frames (None for -): texts is the row as read, before parsing, and
+    each number must be written as the writer writes it."""
     for k in ("orig_p", "resp_p"):
         if not 0 <= row[k] <= 0xFFFF:
             raise ValueError(f"{k} {row[k]} is not a port")
     for k in ("ts", "duration"):
-        if not 0 <= row[k] < math.inf:
+        if not 0 <= row[k] < math.inf or math.copysign(1.0, row[k]) < 0:
             raise ValueError(f"{k} {row[k]} is not finite and non-negative")
-    for k in ("orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
+        if f"{row[k]:.6f}" != texts[k]:
+            raise ValueError(f"{k} {texts[k]!r} is not written as "
+                             f"{row[k]:.6f}")
+    for k in _INT_COLUMNS:
         if row[k] < 0:
             raise ValueError(f"{k} {row[k]} is negative")
+        if str(row[k]) != texts[k]:
+            raise ValueError(f"{k} {texts[k]!r} is not written as {row[k]}")
+    if row["proto"] not in PROTO_TAGS:
+        raise ValueError(f"proto {row['proto']!r} is not one of "
+                         f"{PROTO_TAGS}")
     packets = row["orig_pkts"] + row["resp_pkts"]
     if flag_sum not in (None, packets):
         raise ValueError(f"the flags counts do not sum to orig_pkts + "
@@ -243,9 +261,9 @@ def read_conn_log(path, keep=None) -> list:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                row = dict(zip(header, line.split("\t")))
-                for k in ("orig_p", "resp_p", "orig_bytes", "resp_bytes",
-                          "orig_pkts", "resp_pkts"):
+                texts = dict(zip(header, line.split("\t")))
+                row = texts.copy()
+                for k in _INT_COLUMNS:
                     row[k] = int(row[k])
                 for k in ("ts", "duration"):
                     row[k] = float(row[k])
@@ -253,7 +271,7 @@ def read_conn_log(path, keep=None) -> list:
                 if text not in read_flags:
                     read_flags[text] = _read_flags(text)
                 row["flags"], flag_sum = read_flags[text]
-                _check_conn_row(row, flag_sum)
+                _check_conn_row(row, texts, flag_sum)
                 if keep is None or keep(row):
                     out.append(row)
         except (ValueError, KeyError) as e:

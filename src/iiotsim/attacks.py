@@ -29,6 +29,11 @@ DEFAULT_LISTENER_PORT = 4444
 DISCONNECT_LEAD_US = 200_000   # a rogue cycle's client leaves this early
 
 
+# the keys of a window record, in the order AttackWindow.to_json writes them
+WINDOW_KEYS = ("kind", "t_start_us", "t_end_us", "attacker", "victims",
+               "effect_start_us", "effect_end_us")
+
+
 @dataclass
 class AttackWindow:
     """Ground truth for one attack: [t_start, t_end] covers every attacker
@@ -44,11 +49,9 @@ class AttackWindow:
     effect_end_us: int | None = None
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "t_start_us": self.t_start_us,
-                "t_end_us": self.t_end_us, "attacker": self.attacker,
-                "victims": list(self.victims),
-                "effect_start_us": self.effect_start_us,
-                "effect_end_us": self.effect_end_us}
+        return dict(zip(WINDOW_KEYS, (
+            self.kind, self.t_start_us, self.t_end_us, self.attacker,
+            list(self.victims), self.effect_start_us, self.effect_end_us)))
 
 
 def write_windows_jsonl(windows, path) -> None:
@@ -87,20 +90,28 @@ def _check_window(d) -> None:
 
 def read_windows_jsonl(path) -> list:
     """Attack windows of an attack_windows.jsonl; a malformed record raises
-    ValueError."""
+    ValueError, as does one whose keys are not WINDOW_KEYS, each once and
+    in that order."""
     out = []
     with open(path) as fh:
         try:
             for line in fh:
                 line = line.strip()
                 if line:
-                    d = json.loads(line)
+                    pairs = json.loads(line, object_pairs_hook=tuple)
+                    if type(pairs) is not tuple:
+                        raise TypeError(f"{pairs!r} is not a JSON object")
+                    d = dict(pairs)
                     _check_window(d)
+                    keys = tuple(k for k, _ in pairs)
+                    if keys != WINDOW_KEYS:
+                        raise ValueError(f"keys {list(keys)} are not "
+                                         f"{list(WINDOW_KEYS)}")
                     out.append(AttackWindow(d["kind"], d["t_start_us"],
                                             d["t_end_us"], d["attacker"],
                                             tuple(d["victims"]),
-                                            d.get("effect_start_us"),
-                                            d.get("effect_end_us")))
+                                            d["effect_start_us"],
+                                            d["effect_end_us"]))
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad window record {len(out) + 1}: "
                              f"{type(e).__name__}: {e}") from e

@@ -596,14 +596,16 @@ def live_figures(build: Build) -> dict:
            "count": len(i2c_times), "unmatched": 0}
     if "I2C" in build.targets:
         i2c["target_ms"] = build.targets["I2C"]
-    scan_ts = [t for t, _, _ in build.plc.scan_log]
+    scan_ts = build.plc.scan_log
     period = build.plc.scan_period_us
-    devs = [abs((scan_ts[i + 1] - scan_ts[i]) - period) / period
-            for i in range(len(scan_ts) - 1)]
+    # the largest |gap - period| over the period: dividing by a positive
+    # period keeps the order, so the max of the quotients is this quotient
+    worst = max((abs(b - a - period) for a, b in itertools.pairwise(scan_ts)),
+                default=0)
     return {
         "response_times_ms": {"I2C": i2c},
         "plc_scan": {"scans": len(scan_ts), "period_us": period,
-                     "max_period_deviation": max(devs, default=0.0)},
+                     "max_period_deviation": worst / period},
         "broker": {
             "bytes_sent": build.broker.bytes_sent,
             "messages_received": build.broker.messages_received,

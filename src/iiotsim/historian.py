@@ -35,44 +35,40 @@ def parse_iso(text: str) -> datetime:
     return t.replace(tzinfo=t.tzinfo or timezone.utc).astimezone(timezone.utc)
 
 
-@dataclass
+@dataclass(slots=True)
 class TelemetryRecord:
-    record_id: int
     ts_us: int
-    time_iso: str
     device_id: str
     device_type: str
     measurement: float
     function: str
     content_type: str
 
-    def csv_row(self):
-        return (self.record_id, self.time_iso, self.device_id,
-                self.device_type, repr(self.measurement), self.function,
-                self.content_type)
-
 
 class Historian:
-    """Append-only store with gapless, strictly increasing record ids."""
+    """Append-only store. A row's record id is its position from 1 and its
+    time text comes from ts_us, so write_csv makes both as it writes."""
 
     def __init__(self, epoch: datetime):
         self.epoch = epoch
         self.rows: list[TelemetryRecord] = []
-        self._next_id = 1
         self.iso_ms = IsoStamp(epoch)
+        self._labels: dict[str, str] = {}   # one object per label text
 
     def insert(self, ts_us: int, device_id: str, device_type: str,
                measurement: float, function: str, content_type: str) -> int:
-        rec = TelemetryRecord(self._next_id, ts_us, self.iso_ms(ts_us),
-                              device_id, device_type, float(measurement),
-                              function, content_type)
-        self._next_id += 1
-        self.rows.append(rec)
-        return rec.record_id
+        """Store one row; returns its record id."""
+        label = self._labels.setdefault
+        self.rows.append(TelemetryRecord(
+            ts_us, label(device_id, device_id),
+            label(device_type, device_type), float(measurement),
+            label(function, function), label(content_type, content_type)))
+        return len(self.rows)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
-            for r in self.rows:
-                w.writerow(r.csv_row())
+            w.writerows((i, self.iso_ms(r.ts_us), r.device_id, r.device_type,
+                         repr(r.measurement), r.function, r.content_type)
+                        for i, r in enumerate(self.rows, 1))

@@ -125,7 +125,7 @@ class Plc:
                           PLC_SETPOINT_REGISTER: self._scale(setpoint_c)}
         self.coils = {PLC_OUTPUT_COIL: False}
         self.input_reachable = True
-        self.scan_log: list = []         # (ts, input_value_x10, coil)
+        self.scan_log: list[int] = []    # the time of each scan, in us
         self._request_times = deque()    # external request arrivals (for load)
         self._rng = sim.rng(f"plc/{PLC_ID}")
 
@@ -156,9 +156,9 @@ class Plc:
         if coil_on != prev:
             self.plant.actuator_command(self.actuator_id,
                                         "ON" if coil_on else "OFF", "PLC")
-        result = (self.sim.now_us, value, coil_on)
-        self.scan_log.append(result)
-        return result
+        now = self.sim.now_us
+        self.scan_log.append(now)
+        return now, value, coil_on
 
     def start(self) -> None:
         self.sim.every(self._jittered_period, self.scan,

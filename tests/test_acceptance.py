@@ -173,7 +173,7 @@ def test_07_dos_rate_and_resilience(default_bundle):
     peak = max(in_window)
     base = max(max(baseline), 1e-9)
     assert peak >= 10.0 * base
-    scans = [ts for ts, _, _ in r.plc.scan_log]
+    scans = r.plc.scan_log
     period = r.plc.scan_period_us
     max_dev = max(abs((scans[i + 1] - scans[i]) - period) / period
                   for i in range(len(scans) - 1))

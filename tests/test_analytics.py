@@ -196,21 +196,35 @@ class TestConnLog:
     UNWRITTEN = {
         "orig_p": [("-1", "orig_p -1 is not a port"),
                    ("65536", "orig_p 65536 is not a port"),
-                   ("x", "invalid literal for int() with base 10: 'x'")],
+                   ("x", "invalid literal for int() with base 10: 'x'"),
+                   ("+5", "orig_p '+5' is not written as 5"),
+                   ("4_4", "orig_p '4_4' is not written as 44"),
+                   (" 44", "orig_p ' 44' is not written as 44"),
+                   ("05", "orig_p '05' is not written as 5")],
         "resp_p": [("99999", "resp_p 99999 is not a port")],
         "ts": [("nan", "ts nan is not finite and non-negative"),
                ("inf", "ts inf is not finite and non-negative"),
-               ("-0.5", "ts -0.5 is not finite and non-negative")],
+               ("-0.5", "ts -0.5 is not finite and non-negative"),
+               ("-0.000000", "ts -0.0 is not finite and non-negative"),
+               ("1e3", "ts '1e3' is not written as 1000.000000"),
+               ("1_000.5", "ts '1_000.5' is not written as 1000.500000"),
+               ("0.0032", "ts '0.0032' is not written as 0.003200")],
+        "proto": [("BOGUS", f"proto 'BOGUS' is not one of "
+                   f"{analytics.PROTO_TAGS}"),
+                  ("tcp", f"proto 'tcp' is not one of {analytics.PROTO_TAGS}")],
         "duration": [("nan", "duration nan is not finite and non-negative"),
                      ("-1.0", "duration -1.0 is not finite and "
                       "non-negative")],
-        "orig_bytes": [("-1", "orig_bytes -1 is negative")],
+        "orig_bytes": [("-1", "orig_bytes -1 is negative"),
+                       ("\u0663", "orig_bytes '\u0663' is not written as 3")],
         "resp_pkts": [("-3", "resp_pkts -3 is negative")],
         "flags": [
             ("A:-500", "flags count A:-500 is not positive"),
             ("S:1,AS:1,A:0,AP:3,AF:2", "flags count A:0 is not positive"),
             ("A:x", "invalid literal for int() with base 10: 'x'"),
             ("A:1e3", "invalid literal for int() with base 10: '1e3'"),
+            ("S:1,AS:1,A:+1,AP:2,AF:2", "flags count A:+1 is not written "
+             "as 1"),
             ("X:7", "flags key 'X' is no set of flags"),
             ("SA:7", "flags key 'SA' is no set of flags"),
             ("A:3,A:4", "a flags key repeats"),

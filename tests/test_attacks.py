@@ -352,7 +352,7 @@ class TestModbusFlood:
 
     def test_scan_jitter_bounded(self, tmp_path):
         result = harness.run(self.flood_plan(), str(tmp_path))
-        scans = [ts for ts, _, _ in result.plc.scan_log]
+        scans = result.plc.scan_log
         period = result.plc.scan_period_us
         devs = [abs((scans[i + 1] - scans[i]) - period) / period
                 for i in range(len(scans) - 1)]
@@ -555,6 +555,41 @@ class TestReadWindows:
         path = self.write(tmp_path, **change)
         with pytest.raises(ValueError, match=f"bad window record 2: "
                                              f"ValueError: {error}"):
+            attacks.read_windows_jsonl(path)
+
+    @pytest.mark.parametrize("tail,keys", [
+        # a second kind, whose last value json.loads would keep
+        (', "kind": "recon"}', list(attacks.WINDOW_KEYS) + ["kind"]),
+        (', "attacker": "plc"}', list(attacks.WINDOW_KEYS) + ["attacker"]),
+        (', "note": 1}', list(attacks.WINDOW_KEYS) + ["note"])])
+    def test_a_key_to_json_does_not_write_is_refused(self, tmp_path, tail,
+                                                     keys):
+        path = tmp_path / "attack_windows.jsonl"
+        line = json.dumps(self.RECORD)
+        path.write_text(line + "\n" + line[:-1] + tail + "\n")
+        with pytest.raises(ValueError) as error:
+            attacks.read_windows_jsonl(path)
+        assert str(error.value) == (
+            f"{path}: bad window record 2: ValueError: keys {keys} are not "
+            f"{list(attacks.WINDOW_KEYS)}")
+
+    @pytest.mark.parametrize("keys", [
+        attacks.WINDOW_KEYS[:-1],
+        attacks.WINDOW_KEYS[1:] + attacks.WINDOW_KEYS[:1]])
+    def test_a_missing_or_moved_key_is_refused(self, tmp_path, keys):
+        path = tmp_path / "attack_windows.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + json.dumps(
+            {k: self.RECORD[k] for k in keys}) + "\n")
+        with pytest.raises(ValueError, match=r"bad window record 2: "
+                                             r"ValueError: keys \["):
+            attacks.read_windows_jsonl(path)
+
+    def test_a_record_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "attack_windows.jsonl"
+        path.write_text(json.dumps(list(self.RECORD.items())) + "\n")
+        with pytest.raises(ValueError, match="bad window record 1: "
+                                             "TypeError: .* is not a JSON "
+                                             "object"):
             attacks.read_windows_jsonl(path)
 
     def test_times_at_their_bounds_are_read(self, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from iiotsim import harness
 from iiotsim.cloud import loads
 from iiotsim.gateway import DeadbandPolicy, Reading, build_telemetry
-from iiotsim.historian import Historian
+from iiotsim.historian import Historian, IsoStamp
 
 from conftest import SilentSlave, small_plan, unbind_tcp
 
@@ -95,6 +96,25 @@ class TestHistorian:
         if epoch_us == 500_000:
             assert h.iso_ms(0) == "2019-12-31T23:59:59.500Z"
             assert h.iso_ms(500_000) == "2020-01-01T00:00:00.000Z"
+
+    def test_csv_numbers_rows_by_position_and_stamps_each_ts(self, tmp_path):
+        # rows inserted with a ts_us that goes backwards keep their order:
+        # ids 1..n by position, each Time the IsoStamp text of its own ts_us
+        h = self.make()
+        tss = [5_000_000, 1_500, 5_000_000, 999, 3_600_000_000, 0]
+        ids = [h.insert(ts, "Slave 1", "1-Wire Device", 20.0 + n,
+                        "I/O Temperature Sensor", "Temperature")
+               for n, ts in enumerate(tss)]
+        path = tmp_path / "h.csv"
+        h.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        stamp = IsoStamp(h.epoch)
+        assert ids == list(range(1, len(tss) + 1))
+        assert [(r[0], r[1]) for r in rows] == [
+            (str(i), stamp(ts)) for i, ts in enumerate(tss, 1)]
+        assert rows[3][1] == "2019-07-12T08:00:00.000Z"
+        assert rows[4][1] == "2019-07-12T09:00:00.000Z"
 
     def test_last_actuator_record(self):
         h = self.make()

@@ -431,8 +431,10 @@ class TestRunArtifacts:
 
     def test_record_ids_gapless(self, bundle):
         result, out = bundle
-        ids = [r.record_id for r in result.gateway.historian.rows]
-        assert ids == list(range(1, len(ids) + 1))
+        with open(os.path.join(out, "edge_historian.csv")) as fh:
+            ids = [row[0] for row in itertools.islice(csv.reader(fh), 1, None)]
+        assert ids == [str(i) for i in range(1, len(ids) + 1)]
+        assert len(ids) == len(result.gateway.historian.rows) > 0
 
     @pytest.mark.parametrize("outputs", [[], None])
     def test_empty_outputs_select_every_artifact(self, tmp_path, outputs):

@@ -125,8 +125,10 @@ class TestPlcScan:
         sim.run_until(10_000_000)
         transitions = [(ts, st) for ts, a, st, src in events]
         assert [st for _, st in transitions] == ["ON"]
-        crossing_scan = next(ts for ts, v, coil in plc.scan_log if coil)
-        prior_scans = [ts for ts, v, coil in plc.scan_log if ts < crossing_scan]
+        # the scan that turned the coil on is the one the ON event names
+        crossing_scan = transitions[0][0]
+        assert crossing_scan in plc.scan_log
+        prior_scans = [ts for ts in plc.scan_log if ts < crossing_scan]
         assert crossing_scan - prior_scans[-1] <= plc.scan_period_us * 1.1
 
     def test_scan_log_deterministic(self):
