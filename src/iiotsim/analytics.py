@@ -485,44 +485,36 @@ def jitter_series(frames) -> tuple:
 # throughput, PLC request rates and packet sizes: sums, fed in any order
 # ---------------------------------------------------------------------------
 
-class Throughput:
-    """Delivered payload bytes per THROUGHPUT_INTERVAL_US."""
+class FrameSums:
+    """The sums of metrics_report.json, fed frames in any order: the count,
+    wire bytes, first send and last delivery of the delivered frames, their
+    payload bytes per THROUGHPUT_INTERVAL_US, and the read (fn 3) and write
+    (fn 5, 6) requests toward plc_ip per PLC_RATE_INTERVAL_US. One add per
+    frame feeds all three."""
 
-    def __init__(self):
-        self.buckets: dict[int, int] = {}
-
-    def add(self, f) -> None:
-        if f.delivered:
-            b = f.deliver_ts_us // THROUGHPUT_INTERVAL_US
-            self.buckets[b] = self.buckets.get(b, 0) + len(f.payload)
-
-    def result(self) -> list:
-        """-> [(t0_us, bytes_per_s), ...]"""
-        return [(b * THROUGHPUT_INTERVAL_US,
-                 self.buckets[b] / (THROUGHPUT_INTERVAL_US / 1_000_000))
-                for b in sorted(self.buckets)]
-
-
-def throughput_series(frames) -> list:
-    """Delivered payload bytes per interval -> [(t0_us, bytes_per_s), ...]."""
-    return _fed(Throughput(), frames).result()
-
-
-class PlcRates:
-    """Read (fn 3) / write (fn 5, 6) requests toward the PLC, per
-    PLC_RATE_INTERVAL_US and averaged over span_us."""
-
-    def __init__(self, plc_ip: str, span_us: int):
+    def __init__(self, plc_ip):
         self.plc_ip = plc_ip
-        self.span_us = span_us
+        self.count = self.wire = 0
+        self.t0, self.t1 = math.inf, -math.inf   # first send, last delivery
+        self.payload_bytes: dict[int, int] = {}
         self.reads: dict[int, int] = {}
         self.writes: dict[int, int] = {}
 
     def add(self, f) -> None:
+        if f.delivered:
+            n = len(f.payload)
+            self.count += 1
+            self.wire += f.wire_len
+            if f.ts_us < self.t0:
+                self.t0 = f.ts_us
+            deliver_ts = f.deliver_ts_us
+            if deliver_ts > self.t1:
+                self.t1 = deliver_ts
+            b = deliver_ts // THROUGHPUT_INTERVAL_US
+            payload_bytes = self.payload_bytes
+            payload_bytes[b] = payload_bytes.get(b, 0) + n
         if (f.dst_ip != self.plc_ip or f.dst_port != fieldbus.MODBUS_PORT
-                or not f.origin):
-            return
-        if not f.payload or len(f.payload) < 8:
+                or not f.origin or len(f.payload) < 8):
             return
         fn = f.payload[7]
         if fn == fieldbus.READ_HOLDING_REGISTERS:
@@ -535,11 +527,31 @@ class PlcRates:
         b = f.ts_us // PLC_RATE_INTERVAL_US
         counts[b] = counts.get(b, 0) + 1
 
-    def result(self) -> dict:
+    def packet_sizes(self) -> dict:
+        """Mean wire size and rate of the delivered frames."""
+        if not self.count:
+            return {"avg_packet_size_bytes": 0.0, "avg_bytes_per_s": 0.0,
+                    "avg_bits_per_s": 0.0}
+        span_s = max(1e-9, (self.t1 - self.t0) / 1_000_000)
+        return {
+            "avg_packet_size_bytes": self.wire / self.count,
+            "avg_bytes_per_s": self.wire / span_s,
+            "avg_bits_per_s": 8 * self.wire / span_s,
+        }
+
+    def throughput(self) -> list:
+        """Delivered payload bytes per interval -> [(t0_us, bytes_per_s),
+        ...]."""
+        return [(b * THROUGHPUT_INTERVAL_US,
+                 self.payload_bytes[b] / (THROUGHPUT_INTERVAL_US / 1_000_000))
+                for b in sorted(self.payload_bytes)]
+
+    def plc_rates(self, span_us: int) -> dict:
+        """The PLC request rates per interval and averaged over span_us."""
         reads, writes = self.reads, self.writes
         total_read = sum(reads.values())
         total_write = sum(writes.values())
-        span_s = self.span_us / 1_000_000
+        span_s = span_us / 1_000_000
         secs = PLC_RATE_INTERVAL_US / 1_000_000
         series = []
         for b in sorted(set(reads) | set(writes)):
@@ -555,43 +567,20 @@ class PlcRates:
         }
 
 
+def throughput_series(frames) -> list:
+    """Delivered payload bytes per interval -> [(t0_us, bytes_per_s), ...]."""
+    return _fed(FrameSums(None), frames).throughput()
+
+
 def plc_request_rates(frames, plc_ip: str, span_us: int) -> dict:
     """Read (fn 3) / write (fn 5, 6) request rates toward the PLC, per
     interval and averaged over span_us."""
-    return _fed(PlcRates(plc_ip, span_us), frames).result()
-
-
-class PacketSizes:
-    """Mean wire size and rate of the delivered frames."""
-
-    def __init__(self):
-        self.count = self.wire = 0
-        self.t0 = self.t1 = None     # first send, last delivery
-
-    def add(self, f) -> None:
-        if not f.delivered:
-            return
-        self.count += 1
-        self.wire += f.wire_len
-        if self.t0 is None or f.ts_us < self.t0:
-            self.t0 = f.ts_us
-        if self.t1 is None or f.deliver_ts_us > self.t1:
-            self.t1 = f.deliver_ts_us
-
-    def result(self) -> dict:
-        if not self.count:
-            return {"avg_packet_size_bytes": 0.0, "avg_bytes_per_s": 0.0,
-                    "avg_bits_per_s": 0.0}
-        span_s = max(1e-9, (self.t1 - self.t0) / 1_000_000)
-        return {
-            "avg_packet_size_bytes": self.wire / self.count,
-            "avg_bytes_per_s": self.wire / span_s,
-            "avg_bits_per_s": 8 * self.wire / span_s,
-        }
+    return _fed(FrameSums(plc_ip), frames).plc_rates(span_us)
 
 
 def packet_size_stats(frames) -> dict:
-    return _fed(PacketSizes(), frames).result()
+    """Mean wire size and rate of the delivered frames."""
+    return _fed(FrameSums(None), frames).packet_sizes()
 
 
 # ---------------------------------------------------------------------------

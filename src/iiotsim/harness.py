@@ -475,9 +475,8 @@ class CaptureWalk:
         self.with_metrics = metrics
         self.targets = build.targets
         self.conversations = analytics.Conversations(senders)
-        self.packet_sizes = analytics.PacketSizes()
-        self.throughput = analytics.Throughput()
-        self.plc_rates = analytics.PlcRates(build.plc_ip, build.duration_us)
+        self.sums = analytics.FrameSums(build.plc_ip)
+        self.span_us = build.duration_us
         self.response_times = {proto: analytics.ResponseTimes(proto)
                                for proto in analytics.RESPONSE_PROTOCOLS}
         gw_ip = build.gw_host.interfaces[0].ip
@@ -489,8 +488,7 @@ class CaptureWalk:
         """Feed every frame, in non-decreasing ts_us order."""
         add_conversation = self.conversations.add
         metrics = self.with_metrics
-        add_sizes, add_throughput, add_plc = (
-            self.packet_sizes.add, self.throughput.add, self.plc_rates.add)
+        add_sums = self.sums.add
         # delivered frames by proto_tag: their response-time pairing's add,
         # and their jitter flow's selection and add; None where there is none
         pairing = {tag: acc.add for tag, acc in self.response_times.items()}
@@ -502,38 +500,34 @@ class CaptureWalk:
         same_ts = []            # the frames of ts_us last_ts, in order
         last_ts = None
         deliver_ts = operator.attrgetter("deliver_ts_us")
-
-        def flush():
-            if len(same_ts) > 1:
-                same_ts.sort(key=deliver_ts)
-            for g in same_ts:
-                add_conversation(g)
-            same_ts.clear()
-
-        for f in frames:
-            ts = f.ts_us
-            if ts != last_ts:
-                flush()
-                last_ts = ts
+        # a None at the end feeds the last run of equal ts_us
+        for f in itertools.chain(frames, (None,)):
+            if f is None or f.ts_us != last_ts:
+                if len(same_ts) > 1:
+                    same_ts.sort(key=deliver_ts)
+                for g in same_ts:
+                    add_conversation(g)
+                same_ts.clear()
+                if f is None:
+                    break
+                last_ts = f.ts_us
             same_ts.append(f)
             if metrics:
-                add_plc(f)
+                add_sums(f)
                 if f.delivered:
-                    add_sizes(f)
-                    add_throughput(f)
                     pair, select, flow = by_tag.get(f.proto_tag, untagged)
-                    if pair is not None:
+                    # every pairing rule passes over a frame without payload
+                    if pair is not None and f.payload:
                         pair(f)
                     if select is not None and select(f):
                         flow(f)
-        flush()
 
     def metrics(self) -> dict:
         """The part of metrics_report.json that the capture alone
         determines: packet sizes, network response times, jitter,
         throughput and PLC request rates over the plan's duration."""
         targets = self.targets
-        report = {"packet_stats": self.packet_sizes.result()}
+        report = {"packet_stats": self.sums.packet_sizes()}
         rts = {}
         for proto, acc in self.response_times.items():
             stats = acc.result()
@@ -571,8 +565,8 @@ class CaptureWalk:
         }
         report["throughput_bytes_per_s"] = [
             {"t0_us": t0, "bytes_per_s": rate}
-            for t0, rate in self.throughput.result()]
-        report["plc_request_rates"] = self.plc_rates.result()
+            for t0, rate in self.sums.throughput()]
+        report["plc_request_rates"] = self.sums.plc_rates(self.span_us)
         return report
 
 

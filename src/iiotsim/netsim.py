@@ -869,12 +869,13 @@ def write_capture_jsonl(frames, path) -> None:
 # which takes other scripts' digits; no leading zero; at most 640 digits,
 # the least limit sys.set_int_max_str_digits allows, so int() takes it), a
 # port in 0-65535, true/false, one of the kernel's three l4s, TCP flag
-# names, one of PROTO_TAGS, and a str without escapes or control characters
+# names, one of PROTO_TAGS, and a str of printable ASCII without escapes
 # but for the two a plan names freely, segment and sender, which take
 # JSON's escapes (unrolled, so a name without one costs what a str does).
-# No str takes a surrogate, which is how the reader sees a byte that is not
-# UTF-8.
-_PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+# The writer's encoder, encode_basestring_ascii, writes no other character
+# raw, so no str takes a surrogate, which is how the reader sees a byte that
+# is not UTF-8. Each value pattern has one group, at its first "(".
+_PLAIN = r'[ !#-\[\]-~]*'
 _STR = f'"({_PLAIN})"'
 _NAME = fr'"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)"'
 _DIGITS = "0|[1-9][0-9]{0,639}"
@@ -883,11 +884,11 @@ _PORT = ("(0|[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
          "|655[0-2][0-9]|6553[0-5])")
 _BOOL = "(true|false)"
 _FLAG = '"(?:ACK|FIN|PSH|RST|SYN)"'
+_FLAGS = fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'
 _WRITER_FIELDS = (
     ("ts_us", _INT), ("src_mac", _STR), ("dst_mac", _STR), ("src_ip", _STR),
     ("src_port", _PORT), ("dst_ip", _STR), ("dst_port", _PORT),
-    ("l4", '"(TCP|UDP|ARP)"'),
-    ("tcp_flags", fr'(\[(?:{_FLAG}(?:, {_FLAG})*)?\])'),
+    ("l4", '"(TCP|UDP|ARP)"'), ("tcp_flags", _FLAGS),
     ("len", _INT), ("proto_tag", f'"({"|".join(PROTO_TAGS)})"'),
     ("payload_b64", _STR), ("segment", _NAME), ("sender", _NAME),
     ("origin", _BOOL), ("final", _BOOL), ("delivered", _BOOL),
@@ -898,7 +899,48 @@ _WRITER_PREFIXES = tuple(
     r"\{" + ", ".join(f'"{f}": {v}' for f, v in _WRITER_FIELDS[:k])
     + (", " if k < len(_WRITER_FIELDS) else r"\}\n")
     for k in range(1, len(_WRITER_FIELDS) + 1))
-_writer_line = re.compile(_WRITER_PREFIXES[-1]).fullmatch
+# the fields write_capture_jsonl writes anew for each frame; the text
+# between two of them (quotes and keys with the fields there) is a segment,
+# which it memoises per value of the fields the segment holds
+_PER_FRAME = ("ts_us", "src_port", "dst_port", "len", "payload_b64",
+              "deliver_ts_us")
+
+
+def _segmented_line():
+    """-> (the fullmatch of the writer's line whose groups are, in line
+    order, its per-frame fields and its segments that hold fields, each
+    segment whole; each such segment's fullmatch, whose groups are its
+    fields, with the (key, value pattern) of those fields)."""
+    line, segments = [], []
+    text = bare = r"\{"       # the segment so far, its fields not captured
+    fields = []
+
+    def end_segment(tail):
+        if fields:
+            segments.append((re.compile(text + tail).fullmatch,
+                             tuple(fields)))
+            line.append(f"({bare}{tail})")
+        else:
+            line.append(bare + tail)
+
+    for k, (key, value) in enumerate(_WRITER_FIELDS):
+        label = f'{", " if k else ""}"{key}": '
+        i = value.index("(")
+        if key in _PER_FRAME:
+            j = value.rindex(")") + 1
+            end_segment(label + value[:i])
+            line.append(value[i:j])
+            text = bare = value[j:]
+            fields = []
+        else:
+            text += label + value
+            bare += label + value[:i] + "(?:" + value[i + 1:]
+            fields.append((key, value))
+    end_segment(r"\}\n")
+    return re.compile("".join(line)).fullmatch, tuple(segments)
+
+
+_writer_line, _SEGMENTS = _segmented_line()
 
 
 def _departure(line: str) -> str:
@@ -916,6 +958,29 @@ def _writer_flags(text):
     return flags if list(flags) == sorted(set(flags)) else None
 
 
+# a field's value pattern -> the value of a text it took; any other field
+# is a str that is its text
+_VALUE_OF = {_NAME: lambda text: json.loads(f'"{text}"'),
+             _BOOL: "true".__eq__, _FLAGS: _writer_flags}
+
+
+def _segment_values(segment, share, text) -> tuple:
+    """The values of the fields of a segment text the line regex took, each
+    str and flag tuple the one object share holds for it. ValueError names
+    the first field whose text is not the writer's for its value: a str
+    that encode_basestring_ascii writes otherwise (a needless escape, an
+    upper-case hex digit, a "\\/"), or tcp_flags out of order or repeated."""
+    match, fields = segment
+    values = []
+    for (key, pattern), raw in zip(fields, match(text).groups()):
+        value = _VALUE_OF.get(pattern, str)(raw)
+        if value is None or isinstance(value, str) and \
+                encode_basestring_ascii(value) != f'"{raw}"':
+            raise ValueError(f"the line departs from the writer's at {key}")
+        values.append(share[value])
+    return tuple(values)
+
+
 def _len_texts(l4) -> _Memo:
     """payload length -> the len text write_capture_jsonl writes for an l4
     record with that payload."""
@@ -924,19 +989,24 @@ def _len_texts(l4) -> _Memo:
 
 
 def iter_capture_jsonl(path):
-    """Frames of a capture.jsonl, one per record, in file order. A line not
-    the writer's (tcp_flags out of order or repeated among them), or whose
-    payload is not base64, whose ts_us is below its predecessor's, whose
-    len is not the wire length WIRE_LEN gives for its l4 and payload, or
-    that is delivered before its ts_us, raises ValueError naming the file,
-    the record (its line number) and the field. Equal str values and flag
-    tuples are one shared object."""
+    """Frames of a capture.jsonl, one per record, in file order. A line
+    that is not the writer's raises ValueError naming the file, the record
+    (its line number) and the first field at which it departs, as does one
+    whose payload is not base64, whose ts_us is below its predecessor's,
+    whose len is not the wire length WIRE_LEN gives for its l4 and payload,
+    or that is delivered before its ts_us. A line is the writer's when the
+    line regex takes it, its payload_b64 is b2a_base64 of the bytes it
+    decodes to, and each segment's strings are encode_basestring_ascii of
+    their values and its flags sorted and distinct. Each distinct segment
+    text is parsed and checked once, the first time it comes, and looked up
+    after that; equal str values and flag tuples are one shared object."""
     share = _Memo(lambda v: v)
-    names = _Memo(lambda raw: share[json.loads(f'"{raw}"')])
-    flag_list = _Memo(lambda text: share[_writer_flags(text)])
-    len_text = _Memo(_len_texts)
-    a2b = binascii.a2b_base64
-    b = {"true": True, "false": False}
+    addresses, destinations, kinds, tags, routes, fates = (
+        _Memo(functools.partial(_segment_values, segment, share))
+        for segment in _SEGMENTS)
+    len_texts = _Memo(_len_texts)
+    ports = _Memo(int)
+    a2b, b2a = binascii.a2b_base64, binascii.b2a_base64
     last_ts = float("-inf")
     # a byte that is not UTF-8 reads as a surrogate, refused at its line
     with open(path, errors="surrogateescape") as fh:
@@ -947,41 +1017,46 @@ def iter_capture_jsonl(path):
                     why = (f"the line departs from the writer's at "
                            f"{_departure(line)}")
                     break
-                (ts, src_mac, dst_mac, src_ip, src_port, dst_ip, dst_port, l4,
-                 flags, wire_len, tag, b64, segment, sender, origin, final,
-                 delivered, deliver_ts, drop, fw) = m.groups()
-                # the regex checked every field's text but the payload's
-                # base64; these are the values it cannot check
-                payload, ts, deliver_ts = a2b(b64), int(ts), int(deliver_ts)
-                tcp_flags = flag_list[flags]
-                if tcp_flags is None:
-                    why = "the line departs from the writer's at tcp_flags"
+                (ts, address, src_port, destination, dst_port, kind,
+                 wire_len, tag, b64, route, deliver_ts, fate) = m.groups()
+                # base64 that does not decode is refused before all else
+                payload = a2b(b64)
+                # the writer's text checks the regex leaves, in line order
+                src_mac, dst_mac, src_ip = addresses[address]
+                (dst_ip,) = destinations[destination]
+                l4, tcp_flags = kinds[kind]
+                (proto_tag,) = tags[tag]
+                if b2a(payload, newline=False).decode() != b64:
+                    why = "the line departs from the writer's at payload_b64"
                     break
+                segment, sender, origin, final, delivered = routes[route]
+                drop_reason, fw_denied = fates[fate]
+                ts, deliver_ts = int(ts), int(deliver_ts)
                 if ts < last_ts:
                     why = (f"ts_us {ts} is below the previous record's "
                            f"{last_ts}")
                     break
                 # the regex took len in the writer's int text
-                if wire_len != len_text[l4][len(payload)]:
+                if wire_len != len_texts[l4][len(payload)]:
                     why = (f"len {wire_len} is not the wire length of a {l4} "
                            f"record with a {len(payload)}-byte payload")
                     break
-                if deliver_ts < ts and delivered == "true":
+                if deliver_ts < ts and delivered:
                     why = (f"deliver_ts_us {deliver_ts} of a delivered record "
                            f"is below its ts_us {ts}")
                     break
                 last_ts = ts
                 # the arguments of Frame, in its field order
-                yield Frame(ts, names[segment], names[sender], share[src_mac],
-                            share[dst_mac], share[src_ip], share[dst_ip],
-                            int(src_port), int(dst_port), share[l4],
-                            tcp_flags, payload, share[tag], b[origin],
-                            b[final], b[delivered], deliver_ts,
-                            share[drop], b[fw])
+                yield Frame(ts, segment, sender, src_mac, dst_mac, src_ip,
+                            dst_ip, ports[src_port], ports[dst_port], l4,
+                            tcp_flags, payload, proto_tag, origin, final,
+                            delivered, deliver_ts, drop_reason, fw_denied)
             else:
                 return
         except binascii.Error as e:
             why = f"payload_b64 is not base64: {e}"
+        except ValueError as e:         # a segment the writer does not write
+            why = str(e)
     raise ValueError(f"{path}: bad capture record {n}: {why}")
 
 

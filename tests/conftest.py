@@ -11,7 +11,7 @@ from iiotsim import analytics, cli, harness, plan as planmod
 from iiotsim.cloud import _match, validate_filter
 from iiotsim.detect import estimators
 from iiotsim.detect.estimators import _logistic_grad, _sigmoid
-from iiotsim.fieldbus import I2cTransaction
+from iiotsim.fieldbus import MODBUS_PORT, I2cTransaction
 
 
 @pytest.fixture(scope="session")
@@ -274,3 +274,41 @@ def reference_conversations(frames) -> list:
     done.extend(live.values())
     done.sort(key=lambda c: (c.ts_first_us, c.orig_ip, c.orig_port))
     return done
+
+
+def reference_frame_sums(frames, plc_ip, span_us) -> tuple:
+    """(packet_stats, the throughput series as (t0_us, bytes_per_s) pairs,
+    plc_request_rates) of the frames, as metrics_report.json writes them,
+    each worked out on its own over the whole list, as the three sums were
+    before one accumulator fed them all."""
+    delivered = [f for f in frames if f.delivered]
+    sizes = {"avg_packet_size_bytes": 0.0, "avg_bytes_per_s": 0.0,
+             "avg_bits_per_s": 0.0}
+    if delivered:
+        wire = sum(f.wire_len for f in delivered)
+        span_s = max(1e-9, (max(f.deliver_ts_us for f in delivered)
+                            - min(f.ts_us for f in delivered)) / 1_000_000)
+        sizes = {"avg_packet_size_bytes": wire / len(delivered),
+                 "avg_bytes_per_s": wire / span_s,
+                 "avg_bits_per_s": 8 * wire / span_s}
+    step = analytics.THROUGHPUT_INTERVAL_US
+    throughput = [
+        (b * step, sum(len(f.payload) for f in delivered
+                       if f.deliver_ts_us // step == b) / (step / 1_000_000))
+        for b in sorted({f.deliver_ts_us // step for f in delivered})]
+    step = analytics.PLC_RATE_INTERVAL_US
+    requests = [f for f in frames if f.dst_ip == plc_ip and f.origin
+                and f.dst_port == MODBUS_PORT and len(f.payload) >= 8]
+    reads = [f.ts_us // step for f in requests if f.payload[7] == 3]
+    writes = [f.ts_us // step for f in requests if f.payload[7] in (5, 6)]
+    secs, span_s = step / 1_000_000, span_us / 1_000_000
+    series = [{"t0_us": b * step, "read_per_s": reads.count(b) / secs,
+               "write_per_s": writes.count(b) / secs,
+               "transfer_per_s": reads.count(b) / secs
+               + writes.count(b) / secs}
+              for b in sorted(set(reads) | set(writes))]
+    rates = {"read_per_s": len(reads) / span_s,
+             "write_per_s": len(writes) / span_s,
+             "transfer_per_s": (len(reads) + len(writes)) / span_s,
+             "series": series}
+    return sizes, throughput, rates

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import weakref
 from array import array
 
@@ -9,7 +10,7 @@ from iiotsim import analytics, harness
 from iiotsim.attacks import AttackWindow
 from iiotsim.netsim import Frame
 
-from conftest import small_plan
+from conftest import reference_frame_sums, small_plan
 
 
 def mk_frame(ts_us, src, sport, dst, dport, flags=(), payload=b"",
@@ -452,6 +453,46 @@ class TestThroughputAndRates:
         assert rates["read_per_s"] == pytest.approx(6.1)
         assert rates["write_per_s"] == pytest.approx(9.0)
         assert rates["transfer_per_s"] == pytest.approx(15.1)
+
+    def test_frame_sums_equal_the_reference(self):
+        plc, other = "10.0.0.9", "10.0.0.8"
+        frames = []
+        for n in range(400):
+            ts = n * 137_003
+            # read, write coil, write register, another function, and a
+            # request too short to name its function
+            fn = (3, 5, 6, 16, None)[n % 5]
+            payload = (bytes([0, n % 256, 0, 0, 0, 6, 1, fn, 0, 100, 0, 1])
+                       if fn else b"\x00" * (n % 8))
+            f = mk_frame(ts, "10.0.0.1", 40000 + n % 3,
+                         (plc, plc, plc, other)[n % 4], (502, 502, 503)[n % 3],
+                         ("ACK", "PSH"), payload, proto="MODBUS",
+                         origin=n % 7 != 0, delivered=n % 6 != 0,
+                         deliver_ts_us=ts + 50 + n % 11 * 10_000)
+            if not f.delivered:
+                f.deliver_ts_us = 0
+            if n % 9 == 0:      # refused by the router's ACL
+                f.fw_denied, f.final = True, False
+            frames.append(f)
+            # an ARP frame's payload does not count to its wire length
+            frames.append(mk_frame(ts + 1, "10.0.0.2", 0, plc, 0, (), b"xy",
+                                   l4=("ARP", "UDP")[n % 2], proto="ARP",
+                                   delivered=n % 4 != 0))
+        span = 60_000_000
+        expected = reference_frame_sums(frames, plc, span)
+        assert expected[0]["avg_packet_size_bytes"] > 0
+        assert len(expected[1]) > 2 and len(expected[2]["series"]) > 20
+        assert expected[2]["write_per_s"] > 0
+        shuffled = frames[:]
+        random.Random(5).shuffle(shuffled)
+        sums = analytics.FrameSums(plc)
+        for f in shuffled:
+            sums.add(f)
+        assert (sums.packet_sizes(), sums.throughput(),
+                sums.plc_rates(span)) == expected
+        assert (analytics.packet_size_stats(shuffled),
+                analytics.throughput_series(shuffled),
+                analytics.plc_request_rates(shuffled, plc, span)) == expected
 
 
 def window(kind, lo, hi, attacker="attacker"):

@@ -1089,6 +1089,20 @@ class TestCaptureReader:
         return lambda line, rec: [line.replace(
             f'"len": {rec["len"]},', f'"len": {text},')]
 
+    @staticmethod
+    def text(key, raw):
+        """The line with key's str written as raw, between its quotes."""
+        return lambda line, rec: [line.replace(
+            f'"{key}": {json.dumps(rec[key])}', f'"{key}": "{raw}"')]
+
+    @staticmethod
+    def payload(b64, length):
+        """The line with payload_b64 b64 and len length."""
+        return lambda line, rec: [line.replace(
+            f'"len": {rec["len"]},', f'"len": {length},').replace(
+            f'"payload_b64": "{rec["payload_b64"]}"',
+            f'"payload_b64": "{b64}"')]
+
     # lines, JSON or not, that the writer does not write: the field the
     # reader refuses each at is its reference
     UNWRITTEN = {
@@ -1146,6 +1160,26 @@ class TestCaptureReader:
             dict(rec, final=2))], "final"),
         "float_for_a_boolean": (lambda line, rec: [json.dumps(
             dict(rec, fw_denied=0.0))], "fw_denied"),
+        # base64 that decodes, to "250 OK" or "250 OKA", but is not what
+        # b2a_base64 writes for it ("MjUwIE9L", "MjUwIE9LQQ==")
+        "base64_with_a_bang": (payload("MjUw!IE9L", 60), "payload_b64"),
+        "base64_with_a_space": (payload("MjUw IE9L", 60), "payload_b64"),
+        "base64_with_padding_past_its_end": (payload("MjUwIE9L===", 60),
+                                             "payload_b64"),
+        "base64_with_padding_bits_set": (payload("MjUwIE9LQR==", 61),
+                                         "payload_b64"),
+        # str text encode_basestring_ascii does not write for its value
+        "raw_non_ascii_in_a_name": (text("segment", "lan-\u00e9"),
+                                    "segment"),
+        "raw_non_ascii_in_a_str": (text("drop_reason", "lo\u00e9ss"),
+                                   "drop_reason"),
+        "escaped_solidus": (text("segment", "lan\\/w"), "segment"),
+        "needless_escape_in_a_segment": (text("segment", "lan\\u002dw"),
+                                         "segment"),
+        "needless_escape_in_a_sender": (text("sender", "ma\\u0069l"),
+                                        "sender"),
+        "upper_case_hex_escape": (text("sender", "h\\u00E9"), "sender"),
+        "raw_delete_character": (text("sender", "h\x7f"), "sender"),
     }
 
     def write_unwritten(self, path, case):
@@ -1163,6 +1197,97 @@ class TestCaptureReader:
         with pytest.raises(ValueError) as error:
             netsim.read_capture_jsonl(path)
         assert str(error.value) == expected
+
+    def test_a_line_that_departs_twice_is_refused_at_the_first(self, tmp_path):
+        frames = self.frames(20)
+        rec = frame_to_record(frames[12])
+        bang = self.payload("MjUw!IE9L", 60)
+        unsorted = json.dumps(dict(rec, tcp_flags=["SYN", "ACK"]))
+        # tcp_flags comes before payload_b64, and payload_b64 before
+        # sender; base64 that does not decode is named before all else
+        for edit, why in (
+                (bang(unsorted, rec), self.departs("tcp_flags")),
+                (self.text("sender", "ma\\u0069l")(
+                    bang(json.dumps(rec), rec)[0], rec),
+                 self.departs("payload_b64")),
+                (self.payload("abc", 57)(unsorted, rec),
+                 "payload_b64 is not base64: Incorrect padding")):
+            path = tmp_path / "capture.jsonl"
+            self.write(path, frames, {12: edit})
+            with pytest.raises(ValueError) as error:
+                netsim.read_capture_jsonl(path)
+            assert str(error.value) == (
+                f"{path}: bad capture record 13: {why}")
+
+    def test_the_writer_base64_of_a_payload_reads(self, tmp_path):
+        frames = self.frames(20)
+        rec = frame_to_record(frames[12])
+        path = tmp_path / "capture.jsonl"
+        self.write(path, frames, {12: self.payload("MjUwIE9LQQ==", 61)(
+            json.dumps(rec), rec)})
+        assert netsim.read_capture_jsonl(path)[12].payload == b"250 OKA"
+
+    def test_segments_shared_or_one_field_apart_read_back(self, tmp_path):
+        # edge values: ports 0 and 65535, empty payloads, escaped names
+        base = Frame(
+            ts_us=0, segment='w\u00e4n "b"', sender="h\\3",
+            src_mac="02:00:00:00:00:01", dst_mac=netsim.BROADCAST_MAC,
+            src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=0,
+            dst_port=65535, l4="TCP", tcp_flags=("ACK", "PSH"), payload=b"",
+            proto_tag="MODBUS", origin=True, final=False, delivered=True,
+            deliver_ts_us=0, drop_reason="", fw_denied=False)
+        # another value of each field a segment holds
+        other = {"src_mac": "02:00:00:00:00:02",
+                 "dst_mac": "02:00:00:00:00:01", "src_ip": "10.0.0.2",
+                 "dst_ip": "10.0.0.1", "l4": "UDP", "tcp_flags": ("ACK",),
+                 "proto_tag": "COAP", "segment": "lan", "sender": 'h"2',
+                 "origin": False, "final": True, "delivered": False,
+                 "drop_reason": "loss", "fw_denied": True}
+        frames = []
+        for k, key in enumerate(other):
+            # base's segments with other numbers, then one field apart
+            for n, f in enumerate((base, base, dataclasses.replace(
+                    base, **{key: other[key]}))):
+                ts = 3 * k + n
+                frames.append(dataclasses.replace(
+                    f, ts_us=ts, src_port=(0, 65535, ts)[n],
+                    dst_port=(65535, 0, ts)[n],
+                    payload=bytes(range(ts % 5)), deliver_ts_us=ts + n))
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        # a line's segments are the odd groups of the line regex
+        segments = [netsim._writer_line(line).groups()[1::2]
+                    for line in open(path)]
+        assert len(segments[0]) == 6
+        for k in range(len(other)):
+            base_line, same, apart = segments[3 * k:3 * k + 3]
+            assert same == base_line == segments[0]
+            assert sum(a != b for a, b in zip(apart, base_line)) == 1
+        back = netsim.read_capture_jsonl(path)
+        assert back == frames and repr(back) == repr(frames)
+
+    @pytest.mark.parametrize("first", [0, 4, 11])
+    @pytest.mark.parametrize("edit", ["l\\u0061n", "lan\\/", "lan\u00e9"])
+    def test_an_edited_segment_is_refused_where_it_first_comes(
+            self, tmp_path, first, edit):
+        frames = [Frame(ts, "lan", "h", "02:00:00:00:00:01",
+                        "02:00:00:00:00:02", "10.0.0.1", "10.0.0.2", 1, 2,
+                        "UDP", (), b"", "DNS") for ts in range(12)]
+        path = tmp_path / "capture.jsonl"
+        write_capture_jsonl(frames, path)
+        lines = path.read_text().splitlines(keepends=True)
+        # the edited text at first and at the last line: the lines before
+        # first were read with the unedited text, and the memo serves the
+        # edited one at neither
+        for i in (first, 11):
+            lines[i] = lines[i].replace('"segment": "lan"',
+                                        f'"segment": "{edit}"')
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as error:
+            list(netsim.iter_capture_jsonl(path))
+        assert str(error.value) == (
+            f"{path}: bad capture record {first + 1}: "
+            f"{self.departs('segment')}")
 
     def test_a_record_out_of_ts_order_is_refused(self, tmp_path):
         for times, record in (((5, 5, 9, 7), 4), ((5, 9, 7), 3)):
