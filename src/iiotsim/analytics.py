@@ -3,6 +3,7 @@
 extraction with ground-truth labeling."""
 
 import csv
+import itertools
 import math
 import struct
 from array import array
@@ -711,3 +712,11 @@ def read_dataset_csv(path) -> tuple:
                 raise ValueError(f"{path}: row {n}: {e}") from e
             labels.append(label)
     return features, labels
+
+
+def dataset_row_number(path, i) -> int:
+    """-> the row number read_dataset_csv's errors give data row i (from 0)
+    of a dataset.csv: the header is row 1, and a blank row holds no data."""
+    with open(path, newline="") as fh:
+        rows = (n for n, row in enumerate(csv.reader(fh), start=1) if row)
+        return next(itertools.islice(rows, i + 1, None))

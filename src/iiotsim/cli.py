@@ -163,6 +163,13 @@ def cmd_detect(args) -> int:
     # X is a view of the reader's buffer: no float object per value
     X = np.frombuffer(features, dtype=np.float64).reshape(
         len(labels), len(analytics.FEATURE_COLUMNS))
+    bad = np.flatnonzero(~np.isfinite(X))
+    if len(bad):
+        i, j = divmod(int(bad[0]), X.shape[1])
+        return _fail(f"cannot read dataset: {dataset_path}: row "
+                     f"{analytics.dataset_row_number(dataset_path, i)}: "
+                     f"{analytics.FEATURE_COLUMNS[j]} is {float(X[i, j])}, "
+                     f"not a finite number")
     y = np.array(labels)
     del labels      # the five cross-validations need only X and y
     results = []

@@ -32,6 +32,32 @@ def check_X_y(X, y) -> tuple:
     return X, y
 
 
+def _equal_rows(columns) -> tuple:
+    """-> (order, first) for rows given as their columns: order sorts the
+    rows lexicographically, stably, so equal rows keep ascending index
+    order, and first marks the first row of each run of equal rows in it.
+    The columns are compared one at a time, so no copy of the rows is
+    sorted."""
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    return order, first
+
+
+def _distinct_rows(X) -> tuple:
+    """-> (distinct, back): the distinct rows of X, and for each row of X
+    the index of its own among them. A prediction depends on a query's
+    values only, so k-NN and the forest, whose predictions cost more than
+    this, predict each distinct query once."""
+    order, first = _equal_rows(X.T)
+    back = np.empty(len(X), dtype=np.intp)
+    back[order] = first.cumsum() - 1
+    return X[order[first]], back
+
+
 class BaseEstimator:
     """Label encoding shared by every classifier."""
 
@@ -70,13 +96,9 @@ class _RankedData:
                              else np.int64)
         for f, (v, x) in enumerate(zip(values, X.T)):
             self.keys[f] = v.searchsorted(x) * n_classes + y_idx
-        # a pair is a run of equal key columns in lexicographic order, and
-        # its row is the first of the run, the lowest of the pair
-        order = np.lexsort(self.keys)
-        keys = self.keys[:, order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
+        # a pair is a run of equal key columns, and its row is the first of
+        # the run, the lowest of the pair
+        order, first = _equal_rows(self.keys)
         self.pair = np.empty(len(order), dtype=np.intp)
         self.pair[order] = first.cumsum() - 1
         self.pair_row = order[first].astype(np.int32)
@@ -175,16 +197,27 @@ def _segment_counts(data, rows, weights, lens, counts, feature_ids) -> tuple:
     return seg_key, left
 
 
+def _node_facts(counts) -> list:
+    """-> for each row of a 2-d array of nodes' class counts the node's
+    (counts, class, pure, weight): the row as a list, its majority class (a
+    tie goes to the lower class), whether it holds a single class, and its
+    sum. A list, not a view, so that a node waiting on a tree's stack does
+    not keep its whole batch's array."""
+    return list(zip(counts.tolist(), counts.argmax(axis=1).tolist(),
+                    (np.count_nonzero(counts, axis=1) == 1).tolist(),
+                    counts.sum(axis=1).tolist()))
+
+
 def _split_nodes(data, nodes, min_leaf) -> list:
     """Splits nodes given as (rows, weights, counts, feature_ids): views of
     the node's distinct rows and of the weight of each, its class counts and
     its candidate features. A row of weight w stands for w equal rows, and
     every size is a sum of weights.
 
-    -> for each node None or (feature, threshold, n_left, left_counts). The
-    rows and weights of a split node are reordered in place: the n_left
-    distinct rows at or below the threshold first, each side in the order
-    it had.
+    -> for each node None or (feature, threshold, n_left, left, right),
+    where left and right are the children's _node_facts. The rows and
+    weights of a split node are reordered in place: the n_left distinct
+    rows at or below the threshold first, each side in the order it had.
 
     Each split is the one a scan of every boundary between distinct values
     of every candidate feature finds: the same Gini expression is evaluated
@@ -196,10 +229,10 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     rows = np.concatenate([rows for rows, _, _, _ in nodes])
     weights = np.concatenate([weights for _, weights, _, _ in nodes])
     lens = [len(rows) for rows, _, _, _ in nodes]
-    counts = np.array([counts for _, _, counts, _ in nodes])
-    sizes = counts.sum(axis=1)
+    node_counts = np.array([counts for _, _, counts, _ in nodes])
+    sizes = node_counts.sum(axis=1)
     # class-major: counts[c, s] is node s's count of class c
-    counts = np.ascontiguousarray(counts.T, dtype=np.float64)
+    counts = np.ascontiguousarray(node_counts.T, dtype=np.float64)
     feature_ids = np.array([feature_ids for _, _, _, feature_ids in nodes])
     n_nodes, m = feature_ids.shape
     seg_key, left = _segment_counts(data, rows, weights, lens, counts,
@@ -263,9 +296,11 @@ def _split_nodes(data, nodes, min_leaf) -> list:
     n_left = np.bincount(side, minlength=2 * n_nodes)[::2]
     order = side.argsort(kind="stable")
     rows, weights = rows[order], weights[order]
+    left_counts = left.take(best, axis=1).T.astype(np.int64)
+    facts = _node_facts(np.concatenate((left_counts,
+                                        node_counts[s] - left_counts)))
     for split in zip(s.tolist(), f.tolist(), thr.tolist(),
-                     n_left[s].tolist(),
-                     left.take(best, axis=1).T.astype(np.int64)):
+                     n_left[s].tolist(), facts[:len(s)], facts[len(s):]):
         out[split[0]] = split[1:]
     start = 0
     for (view, view_weights, _, _), size, split in zip(nodes, lens, out):
@@ -427,10 +462,10 @@ class _GrowingTree:
         self.subsets = subsets
         self.feature, self.threshold, self.klass = [], [], []
         self.left, self.right = [], []
-        # (lo, hi, depth, class counts, parent, the parent's left or right)
-        self.stack = [(0, len(self.rows), 0,
-                       np.bincount(data.y[rows], minlength=data.n_classes),
-                       0, None)]
+        # (lo, hi, depth, parent, the parent's left or right, _node_facts)
+        root = np.bincount(data.y[rows], minlength=data.n_classes)
+        self.stack = [(0, len(self.rows), 0, 0, None,
+                       _node_facts(root[None])[0])]
 
     def next_searches(self, every, max_depth, min_leaf):
         """Adds nodes up to the next ones that search for a split
@@ -444,7 +479,8 @@ class _GrowingTree:
         once, level by level."""
         searches = []
         while self.stack:
-            lo, hi, depth, counts, parent, link = self.stack.pop()
+            lo, hi, depth, parent, link, (counts, klass, pure, weight) = \
+                self.stack.pop()
             node = len(self.feature)
             if link is not None:
                 link[parent] = node
@@ -452,11 +488,8 @@ class _GrowingTree:
             self.threshold.append(0.0)
             self.left.append(-1)
             self.right.append(-1)
-            self.klass.append(int(counts.argmax()))
-            # a node weighs at least its number of distinct rows, so only a
-            # node with few of them needs its weight summed
-            if np.count_nonzero(counts) == 1 or depth >= max_depth or \
-                    hi - lo < 2 * min_leaf and counts.sum() < 2 * min_leaf:
+            self.klass.append(klass)
+            if pure or depth >= max_depth or weight < 2 * min_leaf:
                 continue
             if self.subsets is not None:
                 return [(node, lo, hi, depth, counts, next(self.subsets))]
@@ -467,13 +500,13 @@ class _GrowingTree:
             self.rows = self.weights = self.subsets = None
         return searches
 
-    def add_split(self, node, lo, hi, depth, counts, f, thr, n_left, left):
+    def add_split(self, node, lo, hi, depth, f, thr, n_left, left, right):
         self.feature[node] = f
         self.threshold[node] = thr
-        self.stack.append((lo + n_left, hi, depth + 1, counts - left, node,
-                           self.right))
-        self.stack.append((lo, lo + n_left, depth + 1, left, node,
-                           self.left))
+        self.stack.append((lo + n_left, hi, depth + 1, node, self.right,
+                           right))
+        self.stack.append((lo, lo + n_left, depth + 1, node, self.left,
+                           left))
 
     def tree(self) -> _Tree:
         """-> the grown tree, its nodes numbered as they were added."""
@@ -531,7 +564,7 @@ def _grow_forest(data, draws, max_depth, min_leaf, max_features) -> list:
                 min_leaf)
             for (tree, *search), split in zip(chunk, splits):
                 if split is not None:
-                    tree.add_split(*search[:5], *split)
+                    tree.add_split(*search[:4], *split)
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -600,13 +633,13 @@ class RandomForestClassifier(BaseEstimator):
         return self
 
     def predict(self, X):
-        X = check_array(X)
+        X, back = _distinct_rows(check_array(X))
         k = len(self.classes_)
         # votes[row, class]; a tie goes to the lower class
         votes = np.bincount((_leaf_classes(self.trees_, X)
                              + np.arange(0, len(X) * k, k)).ravel(),
                             minlength=len(X) * k).reshape(len(X), k)
-        return self.classes_[np.argmax(votes, axis=1)]
+        return self.classes_[np.argmax(votes, axis=1)[back]]
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +720,9 @@ class LogisticRegressionOvR(BaseEstimator):
         X, y = check_X_y(X, y)
         y_idx = self._encode_labels(y)
         n, d = X.shape
-        # a pair is a run of equal (row, class) in lexicographic order, and
-        # its row is the first of the run; the keys are compared one column
-        # at a time, so no copy of X is sorted
-        keys = (*X.T, y_idx)
-        order = np.lexsort(keys)
-        first = np.zeros(n, dtype=bool)
-        first[0] = True
-        for key in keys:
-            key = key[order]
-            first[1:] |= key[1:] != key[:-1]
+        # a pair is a run of equal (row, class), and its row is the first of
+        # the run
+        order, first = _equal_rows((*X.T, y_idx))
         rows = order[first]
         counts = np.diff(first.nonzero()[0], append=n).astype(np.float64)
         design = np.hstack([X[rows], np.ones((len(rows), 1))])
@@ -728,8 +754,11 @@ class LogisticRegressionOvR(BaseEstimator):
 # k-nearest neighbours (Euclidean)
 # ---------------------------------------------------------------------------
 
-# bytes of distance estimates k-NN holds at once: 20 queries against 6,300
-# training rows, small enough that prediction does not raise peak memory
+# bytes of distance estimates k-NN holds at once: about 55 queries against a
+# fold's 2,400 distinct training rows. A block's queries are refined in
+# runs whose candidates, taken as training rows, hold about as many bytes
+# of differences, so prediction does not raise peak memory even when the
+# filter keeps every row
 _KNN_BLOCK_BYTES = 1 << 20
 
 
@@ -738,10 +767,15 @@ class KNeighborsClassifier(BaseEstimator):
     distance; of rows at equal distance the lower training index is nearer,
     and a tied vote goes to the lower class index.
 
-    predict filters, then refines. One matrix product per block of queries
-    gives every estimate q2 + t2 - 2 q.t, and only the rows whose estimate is
-    within a rounding margin of the k-th smallest are scored exactly, so the
-    neighbours and their ties are those a scan of every row finds.
+    fit keeps each distinct training row once, with its training rows in
+    ascending order. predict filters, then refines. One matrix product per
+    block of queries gives every estimate q2 + t2 - 2 q.t against the
+    distinct rows, and only those whose estimate is within a rounding margin
+    of the k-th smallest are scored exactly. Each stands for its first k
+    training rows, the most of them that can be among the k nearest, and one
+    sort by (query, distance, training index) gives each query its k
+    nearest, so the neighbours and their ties are those a scan of every row
+    finds.
     """
 
     def __init__(self, k=5):
@@ -754,49 +788,83 @@ class KNeighborsClassifier(BaseEstimator):
         if self.k > len(X):
             raise ValueError(f"k={self.k} exceeds training size {len(X)}")
         self._y_idx = self._encode_labels(y)
-        self._X = X
+        # distinct row u stands for its training rows
+        # self._rows[self._start[u]:][:self._copies[u]], in ascending order:
+        # its first k, the most of them that can be among the k nearest
+        self._rows, first = _equal_rows(X.T)
+        self._start = first.nonzero()[0]
+        self._copies = np.minimum(np.diff(self._start, append=len(X)), self.k)
+        self._X = X[self._rows[first]]
         with np.errstate(over="ignore"):
-            self._t2 = (X ** 2).sum(axis=1)
+            self._t2 = (self._X ** 2).sum(axis=1)
         return self
 
     def predict(self, X):
-        # a prediction depends on the query's values only, so each distinct
-        # query is scored once
-        X, back = np.unique(check_array(X), axis=0, return_inverse=True)
-        T, t2, k = self._X, self._t2, self.k
-        n, d = T.shape
+        X, back = _distinct_rows(check_array(X))
+        m, d = self._X.shape
         out = np.empty(len(X), dtype=np.int64)
-        k_classes = len(self.classes_)
-        step = max(1, _KNN_BLOCK_BYTES // (8 * n))
+        step = max(1, _KNN_BLOCK_BYTES // (8 * m))
+        budget = max(1, _KNN_BLOCK_BYTES // (8 * d))
         for lo in range(0, len(X), step):
             Q = X[lo:lo + step]
-            # an estimate and an exact distance each lie within
-            # delta = 2 (d + 3) eps (q2 + max t2) of the true distance, so
-            # each of the k nearest rows has an estimate at most 4 delta above
-            # the k-th estimate; the margin is 8 delta, and tiny covers
-            # underflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                q2 = (Q ** 2).sum(axis=1)
-                approx = Q @ T.T
-                approx *= -2.0
-                approx += t2
-                approx += q2[:, None]
-                limit = np.partition(approx, k - 1, axis=1)[:, k - 1]
-                limit += 16 * (d + 3) * (np.finfo(np.float64).eps
-                                         * (q2 + t2.max())
-                                         + np.finfo(np.float64).tiny)
-                keep = approx <= limit[:, None]
-            # an overflowed estimate bounds nothing: score every row
-            keep[~np.isfinite(limit)] = True
-            for i, q in enumerate(Q):
-                cand = np.flatnonzero(keep[i])
-                d2 = ((T[cand] - q) ** 2).sum(axis=1)
-                # the k nearest are every row strictly nearer than the k-th
-                # distance, then the lowest-index rows at that distance
-                kth = np.partition(d2, k - 1)[k - 1]
-                nearer = cand[d2 < kth]
-                ties = cand[d2 == kth][:k - len(nearer)]
-                nearest = np.concatenate((nearer, ties))
-                votes = np.bincount(self._y_idx[nearest], minlength=k_classes)
-                out[lo + i] = int(np.argmax(votes))
-        return self.classes_[out[back.ravel()]]
+            query, u = self._filter(Q).nonzero()
+            # runs of queries whose candidates stand for training rows of
+            # about _KNN_BLOCK_BYTES of differences are refined at once
+            size = np.bincount(query, weights=self._copies[u],
+                               minlength=len(Q))
+            run = (size.cumsum() - size) // budget
+            cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1), len(Q)]
+            for a, b in zip(cuts, cuts[1:]):
+                at = slice(*query.searchsorted((a, b)))
+                out[lo + a:lo + b] = self._vote(Q[a:b], query[at] - a, u[at])
+        return self.classes_[out[back]]
+
+    def _filter(self, Q) -> np.ndarray:
+        """-> keep[i, u], True where distinct row u may hold one of the k
+        nearest training rows of query i."""
+        T, t2, k = self._X, self._t2, self.k
+        m, d = T.shape
+        if k > m:
+            # fewer distinct rows than k: each holds a neighbour
+            return np.ones((len(Q), m), dtype=bool)
+        # an estimate and an exact distance each lie within
+        # delta = 2 (d + 3) eps (q2 + max t2) of the true distance, so each
+        # of the k nearest rows has an estimate at most 4 delta above the
+        # k-th estimate, which is at least the k-th over every training
+        # row; the margin is 8 delta, and tiny covers underflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            q2 = (Q ** 2).sum(axis=1)
+            approx = Q @ T.T
+            approx *= -2.0
+            approx += t2
+            approx += q2[:, None]
+            limit = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            limit += 16 * (d + 3) * (np.finfo(np.float64).eps
+                                     * (q2 + t2.max())
+                                     + np.finfo(np.float64).tiny)
+            keep = approx <= limit[:, None]
+        # an overflowed estimate bounds nothing: score every row
+        keep[~np.isfinite(limit)] = True
+        return keep
+
+    def _vote(self, Q, query, u) -> np.ndarray:
+        """-> the class index each query of Q votes for, given the distinct
+        rows that may hold its k nearest: u[i] for query[i], in query
+        order."""
+        d2 = ((self._X[u] - Q[query]) ** 2).sum(axis=1)
+        # each candidate as the training rows it stands for
+        n = self._copies[u]
+        ends = n.cumsum()
+        rows = self._rows[np.arange(ends[-1])
+                          + (self._start[u] + n - ends).repeat(n)]
+        query = query.repeat(n)
+        order = np.lexsort((rows, d2.repeat(n), query))
+        # each query's first k: its rows start where those before it end
+        size = np.bincount(query, minlength=len(Q))
+        first = (size.cumsum() - size).repeat(size)
+        order = order[np.arange(len(order)) - first < self.k]
+        k_classes = len(self.classes_)
+        votes = np.bincount(query[order] * k_classes
+                            + self._y_idx[rows[order]],
+                            minlength=len(Q) * k_classes)
+        return votes.reshape(len(Q), k_classes).argmax(axis=1)

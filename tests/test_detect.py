@@ -734,6 +734,27 @@ def test_detect_reads_each_dataset_cell_bit_for_bit(default_bundle, tmp_path,
     assert y.tolist() == [row[-1] for row in cells]
 
 
+@pytest.mark.parametrize("cell, column, value", [
+    ("nan", 0, "nan"), ("inf", 5, "inf"), ("-Infinity", 17, "-inf")])
+def test_detect_names_the_row_and_column_of_a_non_finite_cell(
+        tmp_path, capsys, cell, column, value):
+    # the third data row holds the cell, after a blank row, so it is row 5
+    rows = [["1.5"] * len(analytics.FEATURE_COLUMNS) + [label]
+            for label in ("normal", "scan", "normal", "scan")]
+    rows[2][column] = cell
+    lines = [",".join(analytics.FEATURE_COLUMNS + ("label",))] + \
+        [",".join(row) for row in rows]
+    lines.insert(2, "")
+    (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["--quiet", "detect", "--folds", "2",
+                     "--out", str(tmp_path)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (f"cannot read dataset: {tmp_path / 'dataset.csv'}: "
+                     f"row 5: {analytics.FEATURE_COLUMNS[column]} is "
+                     f"{value}, not a finite number")
+    assert not (tmp_path / "detection_report.json").exists()
+
+
 def ref_knn_predict(X, y, Q, k):
     classes, y_idx = np.unique(y, return_inverse=True)
     out = []
@@ -1008,18 +1029,22 @@ class TestAgainstReference:
         X = rng.integers(0, 3, size=(50, 2)).astype(np.float64)
         y = rng.choice(["a", "b", "c"], size=50)
         distinct = np.vstack([X[:8], rng.integers(0, 3, size=(12, 2)) + 0.5])
+        assert len(np.unique(X, axis=0)) == 9
         Q = distinct.repeat(rng.integers(1, 5, size=len(distinct)), axis=0)
         Q = Q[rng.permutation(len(Q))]
-        monkeypatch.setattr(estimators, "_KNN_BLOCK_BYTES", 8 * 50 * 3)
+        monkeypatch.setattr(estimators, "_KNN_BLOCK_BYTES", 8 * 9 * 3)
         for k in (1, 4):
             model = KNeighborsClassifier(k=k).fit(X, y)
             assert (model.predict(Q) == ref_knn_predict(X, y, Q, k)).all()
 
     @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160, 1e200])
-    def test_knn_matches_reference_across_blocks_and_scales(self, scale):
-        # a tied lattice of 1,200 rows puts 250 queries in several blocks;
-        # 1e-160 underflows the squares and 1e160 and 1e200 overflow them,
-        # which leaves no finite bound and scores every row
+    def test_knn_matches_reference_across_blocks_and_scales(self, monkeypatch,
+                                                            scale):
+        # a tied lattice of 1,200 rows on 64 points, with blocks of 40
+        # queries, puts 250 queries in several blocks; 1e-160 underflows the
+        # squares and 1e160 and 1e200 overflow them, which leaves no finite
+        # bound and scores every row
+        monkeypatch.setattr(estimators, "_KNN_BLOCK_BYTES", 8 * 64 * 40)
         rng = np.random.default_rng(3)
         X = rng.integers(0, 4, size=(1200, 3)) * (0.1 * scale)
         y = rng.choice(["a", "b", "c"], size=1200)
@@ -1037,3 +1062,114 @@ class TestAgainstReference:
             # the filter's overflow is silent: only the exact distances warn
             assert ({str(w.message) for w in got}
                     <= {str(w.message) for w in ref})
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_knn_with_fewer_distinct_rows_than_k(self, k):
+        # 12 rows on 3 points: every distinct row is kept, and the k nearest
+        # take all copies of the nearer points and the lowest-index copies
+        # of the last
+        rng = np.random.default_rng(k)
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])[
+            rng.integers(0, 3, size=12)]
+        y = rng.choice(["a", "b", "c"], size=12)
+        Q = np.array([[0.0, 0.0], [1.0, 0.1], [0.2, 1.9], [0.5, 0.0],
+                      [0.5, 1.0], [-3.0, 7.0]])
+        model = KNeighborsClassifier(k=k).fit(X, y)
+        assert len(model._X) == 3 < k
+        assert (model.predict(Q) == ref_knn_predict(X, y, Q, k)).all()
+        # each row its own label: the vote goes to the lowest index among
+        # the neighbours
+        labels = np.arange(12)
+        model = KNeighborsClassifier(k=k).fit(X, labels)
+        assert (model.predict(Q) == ref_knn_predict(X, labels, Q, k)).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_knn_tie_across_copies_goes_to_the_lower_training_index(self, k):
+        # copies of one point carry different classes, interleaved with the
+        # copies of another point at the same distance from each query
+        X = np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0], [3.0]])
+        y = np.array(["c", "b", "a", "a", "a", "b"])
+        Q = np.array([[0.0], [1.0], [-1.0], [2.0]])
+        model = KNeighborsClassifier(k=k).fit(X, y)
+        expected = ref_knn_predict(X, y, Q, k)
+        assert (model.predict(Q) == expected).all()
+        assert expected[0] == ("c", "b", "a")[k - 1]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200])
+    def test_knn_on_repeated_rows_across_blocks_runs_and_scales(
+            self, monkeypatch, scale):
+        # 1,000 rows on 27 points, each shared by several classes, and 150
+        # queries in blocks of 7; 1e160 and 1e200 overflow the estimates,
+        # so every row is kept, and runs of a block's queries keep their
+        # candidates, taken as training rows, near the block's bytes
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 3, size=(1000, 3)) * (0.1 * scale)
+        y = rng.choice(["a", "b", "c"], size=1000)
+        Q = np.vstack([X[:50], (rng.integers(0, 3, size=(100, 3)) + 0.5)
+                       * (0.1 * scale)])
+        monkeypatch.setattr(estimators, "_KNN_BLOCK_BYTES", 8 * 27 * 7)
+        budget = estimators._KNN_BLOCK_BYTES // (8 * 3)
+        runs = []
+        vote = KNeighborsClassifier._vote
+
+        def spy(model, Q, query, u):
+            size = np.bincount(query, weights=model._copies[u],
+                               minlength=len(Q))
+            runs.append((len(query) == len(Q) * 27, size))
+            return vote(model, Q, query, u)
+
+        monkeypatch.setattr(KNeighborsClassifier, "_vote", spy)
+        for k in (1, 4, 9):
+            runs.clear()
+            model = KNeighborsClassifier(k=k).fit(X, y)
+            assert len(model._X) == 27
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pred = model.predict(Q)
+                expected = ref_knn_predict(X, y, Q, k)
+            assert (pred == expected).all()
+            assert len(runs) > 1
+            assert all(size[:-1].sum() < budget for _, size in runs)
+            if scale > 1.0:
+                assert all(kept for kept, _ in runs)
+
+    def test_knn_k_above_the_training_rows_is_refused_on_repeated_rows(self):
+        # 4 rows on 2 points: k=3 fits, though only 2 rows are distinct;
+        # k=5 is refused
+        X = [[0.0], [0.0], [1.0], [1.0]]
+        y = ["a", "b", "a", "b"]
+        assert KNeighborsClassifier(k=3).fit(X, y).predict([[0.0]])[0] == "a"
+        with pytest.raises(ValueError, match="k=5 exceeds training size 4"):
+            KNeighborsClassifier(k=5).fit(X, y)
+
+    @pytest.mark.parametrize("make", ["tree", "forest"])
+    def test_split_children_facts_are_their_counts(self, monkeypatch, make):
+        # every child _split_nodes returns carries its counts' argmax,
+        # whether one count alone is nonzero and their sum, and the two
+        # children's counts add up to the node's
+        seen = []
+        split_nodes = estimators._split_nodes
+
+        def spy(data, nodes, min_leaf):
+            out = split_nodes(data, nodes, min_leaf)
+            seen.extend((node[2], split) for node, split in zip(nodes, out)
+                        if split is not None)
+            return out
+
+        monkeypatch.setattr(estimators, "_split_nodes", spy)
+        for seed in range(3):
+            for X, y in (repeated_dataset(seed), nine_class_dataset(seed)[:2]):
+                if make == "tree":
+                    DecisionTreeClassifier(max_depth=6,
+                                           min_leaf=1 + seed).fit(X, y)
+                else:
+                    RandomForestClassifier(n_trees=4, max_depth=6,
+                                           min_leaf=1 + seed,
+                                           random_state=seed).fit(X, y)
+        assert len(seen) > 100
+        for counts, (_, _, n_left, left, right) in seen:
+            assert (np.add(left[0], right[0]) == counts).all()
+            for child, klass, pure, weight in (left, right):
+                assert klass == int(np.argmax(child))
+                assert pure == (np.count_nonzero(child) == 1)
+                assert weight == sum(child) > 0
